@@ -27,6 +27,7 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf
 from scipy.sparse import csr_matrix, diags_array
 
 from .config import stability_threshold, support_threshold
@@ -47,9 +48,9 @@ class SturmLiouvilleData:
     """Coefficients of the pencil on [0, R].
 
     p, q, weight hold samples on `grid` (the profile radii restricted to
-    [0, R]); the private callables evaluate the same coefficients anywhere in
-    [0, R] through the profile's monotone-cubic interpolants and are what the
-    quadrature consumes.
+    [0, R]); `coeffs(y)` returns the same three coefficients (p, q, wgt)
+    anywhere in [0, R] through the profile's monotone-cubic interpolants and
+    is what the quadrature consumes.
     """
 
     d: int
@@ -60,9 +61,7 @@ class SturmLiouvilleData:
     p: np.ndarray
     q: np.ndarray
     weight: np.ndarray
-    p_fn: Callable
-    q_fn: Callable
-    wgt_fn: Callable
+    coeffs: Callable
     profile: Optional[Profile] = None
 
 
@@ -73,32 +72,25 @@ def build_sl_data(profile: Profile) -> SturmLiouvilleData:
     d, g = config.d, config.gamma
     coef = 2.0 * (d - 1.0) - d * g
 
-    def p_fn(y):
+    def coeffs(y):
         y = np.asarray(y, dtype=float)
-        return g * profile.rho_at(y) ** g * y ** (d + 1)
-
-    def q_fn(y):
-        y = np.asarray(y, dtype=float)
-        return -coef * y * profile.rho_at(y) * profile.mass_at(y)
-
-    def wgt_fn(y):
-        y = np.asarray(y, dtype=float)
-        return y ** (d + 1) * profile.rho_at(y)
+        rho = profile.rho_at(y)
+        y_pow = y ** (d + 1)
+        return g * rho**g * y_pow, -coef * y * rho * profile.mass_at(y), y_pow * rho
 
     inside = profile.radii < R
     grid = np.concatenate([profile.radii[inside], [R]])
+    p, q, weight = coeffs(grid)
     return SturmLiouvilleData(
         d=d,
         gamma=g,
         R=float(R),
         robin_weight=d * g * R**d,
         grid=grid,
-        p=p_fn(grid),
-        q=q_fn(grid),
-        weight=wgt_fn(grid),
-        p_fn=p_fn,
-        q_fn=q_fn,
-        wgt_fn=wgt_fn,
+        p=p,
+        q=q,
+        weight=weight,
+        coeffs=coeffs,
         profile=profile,
     )
 
@@ -116,19 +108,22 @@ def manufactured_sl_data(
     """Pencil with user-supplied coefficients (for oracles and manufactured modes)."""
     if robin_weight < 0.0:
         raise ValueError("robin_weight must be non-negative")
+
+    def coeffs(y):
+        return p_fn(y), q_fn(y), wgt_fn(y)
+
     grid = np.linspace(0.0, R, n_grid)
+    p, q, weight = coeffs(grid)
     return SturmLiouvilleData(
         d=d,
         gamma=gamma,
         R=float(R),
         robin_weight=float(robin_weight),
         grid=grid,
-        p=p_fn(grid),
-        q=q_fn(grid),
-        weight=wgt_fn(grid),
-        p_fn=p_fn,
-        q_fn=q_fn,
-        wgt_fn=wgt_fn,
+        p=p,
+        q=q,
+        weight=weight,
+        coeffs=coeffs,
     )
 
 
@@ -189,10 +184,7 @@ def _element_quadrature(data: SturmLiouvilleData, nodes: np.ndarray):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
     pts = 0.5 * (yl + yr)[:, None] + 0.5 * h[:, None] * _GAUSS3_X[None, :]
     wq = 0.5 * h[:, None] * _GAUSS3_W[None, :]
-    flat = pts.ravel()
-    p = data.p_fn(flat).reshape(pts.shape)
-    q = data.q_fn(flat).reshape(pts.shape)
-    wgt = data.wgt_fn(flat).reshape(pts.shape)
+    p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
     phi_l = (yr[:, None] - pts) / h[:, None]
     phi_r = (pts - yl[:, None]) / h[:, None]
     return h, wq, p, q, wgt, phi_l, phi_r
@@ -225,8 +217,11 @@ def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
     k_diag[-1] += data.robin_weight
 
     ratio = q / wgt
-    mu_lower = min(0.0, float(ratio.min()))
+    mu_lower = float(np.minimum(ratio.min(), 0.0))
     mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
+    # the LDL^T certificate reads a NaN pivot as positive: never let one in
+    if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
+        raise ValueError("non-finite pencil entries: the coefficients must be finite on [0, R]")
     return DiscreteOperator(
         nodes=nodes,
         k_diag=k_diag,
@@ -287,37 +282,27 @@ class SpectralResult:
     robin_defect: float
 
 
-def _pencil_inertia(kd, ke, md, me, sigma: float) -> int:
-    """Number of generalized eigenvalues below sigma (Sturm count on K - sigma Mw)."""
-    a = kd - sigma * md
-    bsq = (ke - sigma * me) ** 2
-    a_list = a.tolist()
-    b_list = bsq.tolist()
-    count = 0
-    dv = a_list[0]
-    if dv == 0.0:
-        dv = -1e-300
-    if dv < 0.0:
-        count += 1
-    for i in range(1, len(a_list)):
-        dv = a_list[i] - b_list[i - 1] / dv
-        if dv == 0.0:
-            dv = -1e-300
-        elif dv > 1e290:
-            dv = 1e290
-        elif dv < -1e290:
-            dv = -1e290
-        if dv < 0.0:
-            count += 1
-    return count
+def _positive_definite(kd, ke, md, me, sigma: float) -> bool:
+    """Certificate that no generalized eigenvalue lies at or below sigma.
+
+    By Sylvester's law of inertia K - sigma Mw is positive definite exactly
+    when sigma < mu*.  LAPACK dpttrf factors the symmetric tridiagonal
+    K - sigma Mw as L D L^T and stops at the first pivot that is not
+    positive (info > 0), so a zero pivot also reads as not positive definite.
+    """
+    _, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
+    return info == 0
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
-    """Smallest generalized eigenvalue by inertia bisection, then inverse iteration.
+    """Smallest generalized eigenvalue by certified bisection, then inverse iteration.
 
     The bisection brackets mu* between the certified lower bound and the
-    Rayleigh quotient of the constant vector, halving until machine width, so
-    the reported mu* is certified by inertia counts.  Inverse iteration with
+    Rayleigh quotient of the constant vector, halving until the ends are
+    adjacent doubles.  Each step is certified by a LAPACK LDL^T
+    positive-definiteness test of K - sigma Mw (dpttrf): by Sylvester's law
+    of inertia it succeeds exactly when sigma < mu*, so the reported mu* is
+    certified to the bracket width.  Inverse iteration with
     the shift at the bracket's lower edge recovers the eigenvector, normalized
     to unit weighted norm with a deterministic sign; its residual is accepted
     once ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
@@ -357,7 +342,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     lo = op.mu_lower
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
     guard = 0
-    while _pencil_inertia(kd, ke, md, me, lo) > 0:
+    while not _positive_definite(kd, ke, md, me, lo):
         lo -= max(1.0, abs(lo))
         guard += 1
         if guard > 60:
@@ -368,7 +353,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
-        if _pencil_inertia(kd, ke, md, me, mid) >= 1:
+        if not _positive_definite(kd, ke, md, me, mid):
             hi = mid
         else:
             lo = mid
@@ -463,13 +448,15 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     """
     nodes, chi, mu = result.nodes, result.chi_star, result.mu_star
     h = np.diff(nodes)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    flux = data.p_fn(mid) * np.diff(chi) / h
+    n_mid = len(h)
+    # one coefficient evaluation: p at the element midpoints, q and wgt at
+    # the interior nodes
+    p, q, wgt = data.coeffs(np.concatenate([0.5 * (nodes[:-1] + nodes[1:]), nodes[1:-1]]))
+    flux = p[:n_mid] * np.diff(chi) / h
     hbar = 0.5 * (nodes[2:] - nodes[:-2])
     div = (flux[1:] - flux[:-1]) / hbar
-    yi = nodes[1:-1]
-    qi = data.q_fn(yi)
-    wi = data.wgt_fn(yi)
+    qi = q[n_mid:]
+    wi = wgt[n_mid:]
     res = -div + qi * chi[1:-1] - mu * wi * chi[1:-1]
     scale = np.abs(div) + np.abs(qi * chi[1:-1]) + np.abs(mu * wi * chi[1:-1])
     num = math.sqrt(float((hbar * res**2).sum()))

@@ -110,6 +110,15 @@ class TestRunSweep:
         assert [r.verdict for r in rows] == ["Stable", "Error", "Stable"]
         assert math.isnan(rows[1].mu_star)
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(profile, mesh_size=2048, tol_eig=1e-8):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(harness, "classify_stability", broken)
+        spec = RunSpec(d=3, gamma=1.5, rho0_min=2.0, rho0_max=8.0, points=3, mesh=256)
+        with pytest.raises(TypeError, match="synthetic"):
+            run_sweep(spec)
+
     def test_rejects_sub_unit_densities(self):
         with pytest.raises(ValueError):
             run_sweep(RunSpec(d=3, gamma=1.5, rho0_min=0.5, rho0_max=2.0, points=3))

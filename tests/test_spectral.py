@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from lanemden import (
     assemble,
@@ -20,7 +21,7 @@ from lanemden import (
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
-from lanemden.spectral import STABLE, UNSTABLE
+from lanemden.spectral import STABLE, UNSTABLE, _positive_definite
 
 from conftest import get_liquid, get_profile
 
@@ -43,6 +44,15 @@ def ldl_pivots(diag, off):
     for i in range(1, len(diag)):
         pivots.append(diag[i] - off[i - 1] ** 2 / pivots[-1])
     return np.array(pivots)
+
+
+def dense_smallest(op):
+    """Smallest eigenvalue of the dense pencil (K, Mw), Jacobi-scaled for accuracy."""
+    s = 1.0 / np.sqrt(op.m_diag)
+    scale = np.outer(s, s)
+    K = op.K.toarray() * scale
+    M = op.Mw.toarray() * scale
+    return float(eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 class TestBuildSlData:
@@ -155,6 +165,43 @@ class TestAssemble:
         assert op.nodes[0] == 0.0
         assert op.nodes[-1] == pytest.approx(data.R, rel=1e-15)
         assert np.all(np.diff(np.diff(op.nodes)) > 0)  # spacing grows outward
+
+
+class TestCertificate:
+    PENCILS = [(3, 1.25, 10.0), (3, 1.25, 1e4), (4, 1.5, 3.0), (5, 1.7, 10.0), "manufactured"]
+
+    @pytest.mark.parametrize("mesh", [16, 32, 64])
+    @pytest.mark.parametrize("star", PENCILS, ids=str)
+    def test_brackets_dense_eigenvalue(self, star, mesh):
+        data = manufactured() if star == "manufactured" else build_sl_data(get_liquid(*star))
+        op = assemble(data, mesh)
+        lam = dense_smallest(op)
+        pencil = (op.k_diag, op.k_off, op.m_diag, op.m_off)
+        below, above = lam - 1e-6 * abs(lam), lam + 1e-6 * abs(lam)
+        assert _positive_definite(*pencil, below)
+        assert not _positive_definite(*pencil, above)
+        # the Sturm recurrence agrees: all pivots positive below lam, not above
+        for sigma, positive in ((below, True), (above, False)):
+            pivots = ldl_pivots(op.k_diag - sigma * op.m_diag, op.k_off - sigma * op.m_off)
+            assert bool(np.all(pivots > 0)) == positive
+        assert smallest_eigenpair(op).mu_star == pytest.approx(lam, rel=1e-9)
+
+    def test_singular_shift_not_positive_definite(self):
+        ones, zeros = np.ones(5), np.zeros(4)
+        assert not _positive_definite(ones, zeros, ones, zeros, 1.0)
+        assert _positive_definite(ones, zeros, ones, zeros, 1.0 - 1e-12)
+
+    def test_nan_coefficients_rejected(self):
+        p = poly_coeff(3)
+
+        def q_nan(y):
+            out = -p(y)
+            out[len(out) // 2] = math.nan
+            return out
+
+        data = manufactured_sl_data(3, 1.5, 1.0, p_fn=p, q_fn=q_nan, wgt_fn=p)
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble(data, 64)
 
 
 class TestSmallestEigenpair:
