@@ -143,6 +143,9 @@ def _cmd_profile(args) -> int:
 def _cmd_scan(args) -> int:
     spec = _build_spec(args)
     rows = run_sweep(spec)
+    for row in rows:
+        if row.reason:
+            sys.stderr.write(f"scan: rho0={row.rho0:.17g} failed: {row.reason}\n")
     if spec.format == "json":
         payload = [
             {"rho0": r.rho0, "R": r.R, "M": r.M_total, "mu_star": r.mu_star, "verdict": r.verdict}

@@ -6,6 +6,7 @@ byte-identical output (single-threaded reference mode, no randomness).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -139,13 +140,17 @@ def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profil
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One central density of a sweep: geometry, mass, and the verdict."""
+    """One central density of a sweep: geometry, mass, and the verdict.
+
+    reason is "<ExcType>: <message>" for an Error row and empty otherwise.
+    """
 
     rho0: float
     R: float
     M_total: float
     mu_star: float
     verdict: str
+    reason: str = ""
 
 
 def sweep_row(
@@ -173,8 +178,9 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     """One SweepRow per central density; a failed row is recorded, not fatal.
 
     Only numerical and usage failures (ValueError, RuntimeError,
-    ArithmeticError, LinAlgError) become Error rows; any other exception is a
-    programming error and propagates.
+    ArithmeticError, LinAlgError) become Error rows, with the exception kept
+    as the row's reason; any other exception is a programming error and
+    propagates.
     """
     values = spec.rho0_values()
     if np.any(values <= 1.0):
@@ -193,7 +199,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
                     rmax=spec.rmax,
                 )
             )
-        except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError):
+        except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
             rows.append(
                 SweepRow(
                     rho0=float(rho0),
@@ -201,6 +207,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
                     M_total=math.nan,
                     mu_star=math.nan,
                     verdict=ERROR,
+                    reason=f"{type(exc).__name__}: {exc}",
                 )
             )
     return rows
@@ -303,12 +310,43 @@ SUITE_NAMES = (
 )
 
 
-def _battery_profiles(tol: float = 1e-10):
+@dataclass(frozen=True)
+class BatteryStar:
+    """Worst Pohozaev residual, decay slack and Buchdahl slack of one battery star.
+
+    buchdahl is None at gamma = 2, where the phase-plane bounds do not apply.
+    """
+
+    pohozaev: float
+    decay: float
+    buchdahl: Optional[float]
+
+
+Battery = Callable[[], Tuple[BatteryStar, ...]]
+
+# integration tolerance of the battery; the decay and Buchdahl checks allow 10x it
+_BATTERY_TOL = 1e-10
+
+
+def _battery_stars() -> Tuple[BatteryStar, ...]:
+    """Integrate each battery star once and keep only its three measures."""
+    stars = []
     for d, g, rho0 in PROFILE_BATTERY:
-        yield (d, g, rho0), integrate_gas_profile(StarConfig(d, g, rho0), tol=tol, r_max=20.0)
+        profile = integrate_gas_profile(StarConfig(d, g, rho0), tol=_BATTERY_TOL, r_max=20.0)
+        poho = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
+        decay = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
+        buchdahl = None
+        if g < 2.0:
+            v1b, v2b = buchdahl_bounds(d, g)
+            traj = phase_trajectory(profile)
+            buchdahl = float(np.max(traj.v1 / v1b)) - 1.0
+            if v2b is not None:
+                buchdahl = max(buchdahl, float(np.max(traj.v2 / v2b)) - 1.0)
+        stars.append(BatteryStar(poho, decay, buchdahl))
+    return tuple(stars)
 
 
-def _check_explicit() -> VerifyCheck:
+def _check_explicit(battery: Battery) -> VerifyCheck:
     worst = 0.0
     for C in (1.0, 32.0):
         star = explicit_profile_critical(3, C)
@@ -323,43 +361,28 @@ def _check_explicit() -> VerifyCheck:
     )
 
 
-def _check_pohozaev() -> VerifyCheck:
-    worst = 0.0
-    for _, profile in _battery_profiles():
-        worst = max(worst, float(np.max(np.abs(pohozaev_residual(profile, profile.radii)))))
+def _check_pohozaev(battery: Battery) -> VerifyCheck:
+    worst = max(s.pohozaev for s in battery())
     return VerifyCheck(
         "pohozaev", worst <= 1e-5, worst, "max normalized residual over the battery"
     )
 
 
-def _check_decay() -> VerifyCheck:
-    tol = 1e-10
-    worst = -math.inf
-    for (d, g, rho0), profile in _battery_profiles(tol):
-        slack = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
-        worst = max(worst, slack)
+def _check_decay(battery: Battery) -> VerifyCheck:
+    worst = max(s.decay for s in battery())
     return VerifyCheck(
-        "decay", worst <= 10.0 * tol, worst, "max (rho/bound - 1) over the battery"
+        "decay", worst <= 10.0 * _BATTERY_TOL, worst, "max (rho/bound - 1) over the battery"
     )
 
 
-def _check_buchdahl() -> VerifyCheck:
-    tol = 1e-10
-    worst = -math.inf
-    for (d, g, rho0), profile in _battery_profiles(tol):
-        if g >= 2.0:
-            continue
-        v1b, v2b = buchdahl_bounds(d, g)
-        traj = phase_trajectory(profile)
-        worst = max(worst, float(np.max(traj.v1 / v1b)) - 1.0)
-        if v2b is not None:
-            worst = max(worst, float(np.max(traj.v2 / v2b)) - 1.0)
+def _check_buchdahl(battery: Battery) -> VerifyCheck:
+    worst = max(s.buchdahl for s in battery() if s.buchdahl is not None)
     return VerifyCheck(
-        "buchdahl", worst <= 10.0 * tol, worst, "max phase-bound slack over the battery"
+        "buchdahl", worst <= 10.0 * _BATTERY_TOL, worst, "max phase-bound slack over the battery"
     )
 
 
-def _check_singular() -> VerifyCheck:
+def _check_singular(battery: Battery) -> VerifyCheck:
     worst = 0.0
     for d, g in ((3, 1.0), (3, 1.2), (4, 1.2), (5, 1.5), (9, 1.6)):
         star = singular_star(d, g)
@@ -368,7 +391,7 @@ def _check_singular() -> VerifyCheck:
     return VerifyCheck("singular", worst <= 1e-12, worst, "max normalized ODE residual")
 
 
-def _check_fixed_point() -> VerifyCheck:
+def _check_fixed_point(battery: Battery) -> VerifyCheck:
     worst = 0.0
     for d in range(3, 10):
         gmax = stability_threshold(d)
@@ -378,7 +401,7 @@ def _check_fixed_point() -> VerifyCheck:
     return VerifyCheck("fixed-point", worst <= 1e-12, worst, "max ||F(v*)|| over the grid")
 
 
-def _check_tail() -> VerifyCheck:
+def _check_tail(battery: Battery) -> VerifyCheck:
     ok = True
     worst = 0.0
     for g in (1.0, 1.1):
@@ -394,7 +417,7 @@ def _check_tail() -> VerifyCheck:
     )
 
 
-def _check_radius_limit() -> VerifyCheck:
+def _check_radius_limit(battery: Battery) -> VerifyCheck:
     d, g = 3, 1.1
     base = integrate_gas_profile(StarConfig(d, g, 1.0), tol=1e-10, r_max=1e3)
     r_inf = radius_limit(d, g)
@@ -414,7 +437,7 @@ def _check_radius_limit() -> VerifyCheck:
     )
 
 
-def _check_q_symmetry() -> VerifyCheck:
+def _check_q_symmetry(battery: Battery) -> VerifyCheck:
     """Q is symmetric on the coefficient grid, and x.K.y reproduces Q[x, y] on the mesh."""
     profile = integrate_gas_profile(StarConfig(3, 1.25, 10.0), tol=1e-10, r_max=50.0, stop_at_liquid=True)
     data = build_sl_data(profile)
@@ -438,7 +461,7 @@ def _check_q_symmetry() -> VerifyCheck:
     )
 
 
-def _check_strongform() -> VerifyCheck:
+def _check_strongform(battery: Battery) -> VerifyCheck:
     d = 3
     poly = lambda y: np.asarray(y, dtype=float) ** (d + 1)
     data = manufactured_sl_data(
@@ -460,7 +483,9 @@ def _check_strongform() -> VerifyCheck:
     )
 
 
-_CHECKS: Tuple[Tuple[str, Callable[[], VerifyCheck]], ...] = (
+# each check takes the run's battery: a memoised callable that integrates the
+# battery stars on first use, so one verify_suite call integrates them at most once
+_CHECKS: Tuple[Tuple[str, Callable[[Battery], VerifyCheck]], ...] = (
     ("explicit", _check_explicit),
     ("pohozaev", _check_pohozaev),
     ("decay", _check_decay),
@@ -479,10 +504,11 @@ def verify_suite(selection: str = "all") -> dict:
     names = [n for n, _ in _CHECKS]
     if selection != "all" and selection not in names:
         raise ValueError(f"unknown suite {selection!r}; choose from {['all'] + names}")
+    battery = functools.cache(_battery_stars)  # lives for this call only
     checks = []
     for name, fn in _CHECKS:
         if selection in ("all", name):
-            checks.append(fn())
+            checks.append(fn(battery))
     return {
         "passed": bool(all(c.passed for c in checks)),
         "checks": [

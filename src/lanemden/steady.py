@@ -121,7 +121,8 @@ class Profile:
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > self.radii[-1]):
+        # one pass; the comparisons are False for NaN, so NaN is rejected too
+        if not np.all((r >= 0.0) & (r <= self.radii[-1])):
             raise ValueError(f"radius outside the profile grid [0, {self.radii[-1]:g}]")
         return r
 
@@ -322,7 +323,16 @@ def liquid_radius(profile: Profile) -> float:
         )
     if profile.liquid_radius is not None:
         return float(profile.liquid_radius)
-    target = config.boundary_enthalpy
+    return _enthalpy_crossing(profile, config.boundary_enthalpy)
+
+
+def _enthalpy_crossing(profile: Profile, target: float) -> float:
+    """First radius where the enthalpy falls to target.
+
+    Brackets the crossing between adjacent grid samples and refines it with
+    brentq on the interpolant.  Raises RuntimeError when the grid ends before
+    the crossing or starts below target.
+    """
     below = np.nonzero(profile.enthalpy < target)[0]
     if len(below) == 0:
         raise RuntimeError(
@@ -376,22 +386,12 @@ def decay_bound(config: StarConfig, r) -> np.ndarray:
     return np.exp(-np.log1p(shift) / eps)
 
 
-def _cumulative_gauss(radii: np.ndarray, f: Callable) -> np.ndarray:
-    """Cumulative integral of f over [0, r_i] with 5-point Gauss per interval."""
-    a, b = radii[:-1], radii[1:]
+def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of f over each interval [a_k, b_k] with the 5-point Gauss rule."""
     half = 0.5 * (b - a)
     pts = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS5_X[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
-    per_interval = half * (vals * _GAUSS5_W[None, :]).sum(axis=1)
-    out = np.zeros_like(radii)
-    np.cumsum(per_interval, out=out[1:])
-    return out
-
-
-def _gauss_segment(f: Callable, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    pts = 0.5 * (a + b) + half * _GAUSS5_X
-    return half * float(np.dot(f(pts), _GAUSS5_W))
+    return half * (vals * _GAUSS5_W[None, :]).sum(axis=1)
 
 
 def pohozaev_residual(profile: Profile, r) -> np.ndarray:
@@ -401,12 +401,13 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
     w^(alpha+1) y^(d-1) against boundary terms built from w and w' at r; at
     gamma = 1 it reduces to the mass relation -m(r) = h'(r) r^(d-1).  The
     residual is normalized by the largest participating term, so a correct
-    profile yields values at the quadrature/integration error level.
+    profile yields values at the quadrature/integration error level.  It is
+    exactly 0 at r = 0; a scalar r gives a float.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    profile._check_range(r_arr)
+    r_arr = profile._check_range(np.atleast_1d(r))
     config = profile.config
     d = config.d
+    radii = profile.radii
 
     if config.isothermal:
         integrand = lambda y: profile.rho_at(y) * y ** (d - 1)
@@ -414,37 +415,38 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
         ap1 = config.alpha + 1.0
         integrand = lambda y: np.maximum(profile.enthalpy_at(y), 0.0) ** ap1 * y ** (d - 1)
 
-    cum = _cumulative_gauss(profile.radii, integrand)
-    cum_interp_idx = np.searchsorted(profile.radii, r_arr, side="right") - 1
-    integral = np.empty_like(r_arr)
-    for k, (rv, i) in enumerate(zip(r_arr, cum_interp_idx)):
-        integral[k] = cum[i]
-        if rv > profile.radii[i]:
-            integral[k] += _gauss_segment(integrand, profile.radii[i], rv)
+    # cumulative integral up to the grid radius at or below each r, plus the
+    # partial segment from there to r for off-grid radii
+    cum = np.zeros_like(radii)
+    np.cumsum(_gauss_intervals(integrand, radii[:-1], radii[1:]), out=cum[1:])
+    i = np.searchsorted(radii, r_arr, side="right") - 1
+    integral = cum[i]
+    off = r_arr > radii[i]
+    if np.any(off):
+        integral[off] += _gauss_intervals(integrand, radii[i[off]], r_arr[off])
 
-    m_r = np.asarray(profile.mass_at(r_arr), dtype=float)
-    out = np.empty_like(r_arr)
-    for k, rv in enumerate(r_arr):
-        if rv == 0.0:
-            out[k] = 0.0
-            continue
-        if config.isothermal:
-            lhs = -FOUR_PI * integral[k]
-            rhs = -m_r[k]  # h'(r) r^(d-1) via the mass identity
-            scale = max(abs(lhs), abs(rhs))
-            out[k] = (lhs - rhs) / scale if scale > 0 else 0.0
-        else:
-            g = config.gamma
-            cg = (g - 1.0) / g
-            alpha = config.alpha
-            w = float(np.maximum(profile.enthalpy_at(rv), 0.0))
-            wprime = -cg * m_r[k] / rv ** (d - 1)
-            lhs = 2.0 * math.pi * cg * (2.0 * d / (1.0 + alpha) - (d - 2.0)) * integral[k]
-            t1 = 0.5 * wprime**2 * rv**d
-            t2 = FOUR_PI * cg**2 * w ** (alpha + 1.0) * rv**d
-            t3 = 0.5 * (d - 2.0) * wprime * w * rv ** (d - 1)
-            scale = max(abs(lhs), abs(t1), abs(t2), abs(t3))
-            out[k] = (lhs - (t1 + t2 + t3)) / scale if scale > 0 else 0.0
+    pos = r_arr > 0.0
+    rp, integral = r_arr[pos], integral[pos]
+    m_r = profile.mass_at(rp)
+    if config.isothermal:
+        lhs = -FOUR_PI * integral
+        rhs = -m_r  # h'(r) r^(d-1) via the mass identity
+        terms = (lhs, rhs)
+    else:
+        g = config.gamma
+        cg = (g - 1.0) / g
+        alpha = config.alpha
+        w = np.maximum(profile.enthalpy_at(rp), 0.0)
+        wprime = -cg * m_r / rp ** (d - 1)
+        lhs = 2.0 * math.pi * cg * (2.0 * d / (1.0 + alpha) - (d - 2.0)) * integral
+        t1 = 0.5 * wprime**2 * rp**d
+        t2 = FOUR_PI * cg**2 * w ** (alpha + 1.0) * rp**d
+        t3 = 0.5 * (d - 2.0) * wprime * w * rp ** (d - 1)
+        rhs = t1 + t2 + t3
+        terms = (lhs, t1, t2, t3)
+    scale = np.max(np.abs(terms), axis=0)
+    out = np.zeros_like(r_arr)
+    out[pos] = np.divide(lhs - rhs, scale, out=np.zeros_like(scale), where=scale > 0)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -479,15 +481,11 @@ def scale_profile(profile: Profile, kappa: float) -> Profile:
 
     liquid_r = None
     if kappa * config.rho_center > 1.0:
-        target = config.enthalpy_of_rho(1.0 / kappa)
-        below = np.nonzero(profile.enthalpy < target)[0]
-        if len(below) and below[0] > 0:
-            i = below[0]
-            f = lambda rr: float(profile.enthalpy_at(rr)) - target
-            base_r = brentq(f, profile.radii[i - 1], profile.radii[i], xtol=1e-15)
-            liquid_r = float(base_r / lam)
-        elif kappa == 1.0:
-            liquid_r = profile.liquid_radius
+        try:
+            liquid_r = _enthalpy_crossing(profile, config.enthalpy_of_rho(1.0 / kappa)) / lam
+        except RuntimeError:  # no crossing on the base grid
+            if kappa == 1.0:
+                liquid_r = profile.liquid_radius
     gas_r = None if profile.gas_radius is None else profile.gas_radius / lam
 
     rho_arr = np.asarray(rho, dtype=float).copy()

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import lanemden.cli as cli
+import lanemden.harness as harness
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,23 @@ class TestScanCommand:
         rows = json.loads(outtext)["rows"]
         assert len(rows) == 2
         assert rows[0]["verdict"] == "Stable"
+
+    def test_failed_row_reason_on_stderr(self, capsys, monkeypatch):
+        real = harness.classify_stability
+
+        def flaky(profile, mesh_size=2048, tol_eig=1e-8):
+            if profile.config.rho_center > 5.0:
+                raise RuntimeError("synthetic failure")
+            return real(profile, mesh_size=mesh_size, tol_eig=tol_eig)
+
+        monkeypatch.setattr(harness, "classify_stability", flaky)
+        code, outtext, err = run_cli(
+            capsys, "scan", "--d", "3", "--gamma", "1.5", "--rho0-min", "2",
+            "--rho0-max", "8", "--points", "2", "--mesh", "256",
+        )
+        assert code == 0
+        assert outtext.splitlines()[2] == "8,nan,nan,nan,Error"
+        assert err == "scan: rho0=8 failed: RuntimeError: synthetic failure\n"
 
 
 class TestStabilityCommand:

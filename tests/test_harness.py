@@ -109,6 +109,7 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [r.verdict for r in rows] == ["Stable", "Error", "Stable"]
         assert math.isnan(rows[1].mu_star)
+        assert [r.reason for r in rows] == ["", "RuntimeError: synthetic failure", ""]
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(profile, mesh_size=2048, tol_eig=1e-8):
@@ -205,3 +206,42 @@ class TestVerifySuite:
 
     def test_all_names_present(self):
         assert set(harness.SUITE_NAMES) == {n for n, _ in harness._CHECKS}
+
+
+BATTERY_CHECKS = ("pohozaev", "decay", "buchdahl")
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    return verify_suite("all")
+
+
+class TestVerifyBattery:
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        calls = []
+        real = harness.integrate_gas_profile
+
+        def counted(config, *args, **kwargs):
+            calls.append(config)
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate_gas_profile", counted)
+        return calls
+
+    def test_one_integration_per_star(self, integrations):
+        verify_suite("all")
+        # explicit 2, battery 24, tail 2, radius-limit 2, q-symmetry 1, strongform 1
+        assert len(integrations) == 32
+
+    @pytest.mark.parametrize("name", BATTERY_CHECKS)
+    def test_single_check_integrates_battery_once_per_call(self, integrations, name):
+        for _ in range(2):  # no cache outlives a call
+            integrations.clear()
+            verify_suite(name)
+            assert len(integrations) == len(harness.PROFILE_BATTERY)
+
+    @pytest.mark.parametrize("name", BATTERY_CHECKS)
+    def test_single_check_matches_full_suite(self, full_report, name):
+        single = verify_suite(name)["checks"]
+        assert single == [c for c in full_report["checks"] if c["name"] == name]

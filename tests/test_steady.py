@@ -231,6 +231,98 @@ class TestPohozaev:
         p = get_profile(3, 1.2, 1.0)
         with pytest.raises(ValueError):
             pohozaev_residual(p, p.r_end * 2)
+        with pytest.raises(ValueError):
+            pohozaev_residual(p, [0.5, math.nan])
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.2, 2.0])
+    def test_mixed_radii_match_scalar_calls(self, gamma):
+        # gamma = 2 in d = 3 has compact support: r_end is the surface, where
+        # w is clamped at 0
+        p = get_profile(3, gamma, 1.0)
+        assert (p.gas_radius == p.r_end) == (gamma == 2.0)
+        grid = p.radii[1::211]
+        mids = 0.5 * (p.radii[:-1] + p.radii[1:])[::173]
+        r = np.concatenate([[0.0], grid, mids, [p.r_end]])
+        res = pohozaev_residual(p, r)
+        assert res.shape == r.shape
+        assert res[0] == 0.0
+        scalar = [pohozaev_residual(p, float(x)) for x in r]
+        assert all(isinstance(x, float) for x in scalar)
+        np.testing.assert_array_equal(res, scalar)
+        assert np.max(np.abs(res)) <= 1e-5
+
+    @staticmethod
+    def _loop_reference(profile, radii):
+        """Per-point reference: scalar Gauss segments and scalar boundary terms."""
+        cfg, d = profile.config, profile.config.d
+        gx, gw = np.polynomial.legendre.leggauss(5)
+
+        def f(y):
+            if cfg.isothermal:
+                return profile.rho_at(y) * y ** (d - 1)
+            return np.maximum(profile.enthalpy_at(y), 0.0) ** (cfg.alpha + 1.0) * y ** (d - 1)
+
+        def segment(a, b):
+            half = 0.5 * (b - a)
+            return half * float(np.dot(f(0.5 * (a + b) + half * gx), gw))
+
+        grid = profile.radii
+        cum = [0.0]
+        for a, b in zip(grid[:-1], grid[1:]):
+            cum.append(cum[-1] + segment(a, b))
+        out = []
+        for rv in radii:
+            if rv == 0.0:
+                out.append(0.0)
+                continue
+            k = int(np.searchsorted(grid, rv, side="right")) - 1
+            integral = cum[k] + (segment(grid[k], rv) if rv > grid[k] else 0.0)
+            m = float(profile.mass_at(rv))
+            if cfg.isothermal:
+                terms = (-FOUR_PI * integral, -m)
+                defect = terms[0] - terms[1]
+            else:
+                g, alpha = cfg.gamma, cfg.alpha
+                cg = (g - 1) / g
+                w = max(float(profile.enthalpy_at(rv)), 0.0)
+                wprime = -cg * m / rv ** (d - 1)
+                lhs = 2 * math.pi * cg * (2 * d / (1 + alpha) - (d - 2)) * integral
+                t1 = 0.5 * wprime**2 * rv**d
+                t2 = FOUR_PI * cg**2 * w ** (alpha + 1) * rv**d
+                t3 = 0.5 * (d - 2) * wprime * w * rv ** (d - 1)
+                terms = (lhs, t1, t2, t3)
+                defect = lhs - (t1 + t2 + t3)
+            scale = max(abs(t) for t in terms)
+            out.append(defect / scale if scale > 0 else 0.0)
+        return np.array(out)
+
+    @pytest.mark.parametrize("d,gamma,rho0", [(3, 1.0, 1.0), (3, 1.2, 1.0), (3, 2.0, 1.0), (4, 1.5, 10.0)])
+    def test_matches_per_point_reference(self, d, gamma, rho0):
+        # the residual is a defect normalized by its largest term, so rounding
+        # differences in the terms (array vs scalar pow, Gauss weights) stay
+        # within a few ulps of 1
+        p = get_profile(d, gamma, rho0)
+        mids = 0.5 * (p.radii[:-1] + p.radii[1:])[::5]
+        r = np.concatenate([p.radii, mids])
+        np.testing.assert_allclose(
+            pohozaev_residual(p, r), self._loop_reference(p, r), rtol=0, atol=32 * np.finfo(float).eps
+        )
+
+
+class TestProfileRange:
+    def test_rejects_nan_radius(self):
+        p = get_profile(3, 1.2, 1.0)
+        with pytest.raises(ValueError, match="outside the profile grid"):
+            p.rho_at(math.nan)
+        with pytest.raises(ValueError, match="outside the profile grid"):
+            p.mass_at([0.1, math.nan])
+        with pytest.raises(ValueError, match="outside the profile grid"):
+            p.enthalpy_at(np.array([[0.1], [math.nan]]))
+
+    def test_accepts_grid_ends(self):
+        p = get_profile(3, 1.2, 1.0)
+        assert float(p.rho_at(0.0)) == 1.0
+        assert np.all(np.isfinite(p.mass_at([0.0, p.r_end])))
 
 
 class TestClassifySupport:
