@@ -7,6 +7,7 @@ byte-identical output (single-threaded reference mode, no randomness).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from .spectral import (
     classify_stability,
     eigen_residual_strongform,
     manufactured_sl_data,
-    quadratic_form,
     smallest_eigenpair,
 )
 from .steady import (
@@ -438,26 +438,28 @@ def _check_radius_limit(battery: Battery) -> VerifyCheck:
 
 
 def _check_q_symmetry(battery: Battery) -> VerifyCheck:
-    """Q is symmetric on the coefficient grid, and x.K.y reproduces Q[x, y] on the mesh."""
-    profile = integrate_gas_profile(StarConfig(3, 1.25, 10.0), tol=1e-10, r_max=50.0, stop_at_liquid=True)
-    data = build_sl_data(profile)
-    op = assemble(data, 256)
-    rng = np.random.default_rng(20240817)
+    """x.K.y and x.Mw.y reproduce the closed-form Q and <., .>_wgt of a polynomial pencil.
 
-    def defect(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
+    With p = y^3, q = y - 2, wgt = 1 + y^2 the 3-point Gauss rule integrates
+    every product of P1 functions exactly, and the P1 interpolants of 1 and y
+    are exact, so on span{1, y} the assembled pencil must match the integrals
+    to rounding.  Each defect is normalised by sum |x_i| |A_ij| |y_j|.
+    """
+    L, robin = 1.3, 0.7
+    op = assemble(manufactured_sl_data(3, 1.5, L, p_fn=lambda y: y**3, q_fn=lambda y: y - 2.0,
+                                       wgt_fn=lambda y: 1.0 + y**2, robin_weight=robin), 256)
+    # Q[y^i, y^j] and <y^i, y^j>_wgt on [0, L], indexed by i + j
+    q_exact = (L**2 / 2 - 2 * L + robin, L**3 / 3 - L**2 + robin * L,
+               L**4 / 2 - 2 * L**3 / 3 + robin * L**2)
+    m_exact = (L + L**3 / 3, L**2 / 2 + L**4 / 4, L**3 / 3 + L**5 / 5)
+    basis = (np.ones_like(op.nodes), op.nodes)
     worst = 0.0
-    for _ in range(5):
-        c1 = rng.standard_normal(len(data.grid))
-        c2 = rng.standard_normal(len(data.grid))
-        worst = max(worst, defect(quadratic_form(data, c1, c2), quadratic_form(data, c2, c1)))
-    for _ in range(5):
-        x = rng.standard_normal(len(op.nodes))
-        y = rng.standard_normal(len(op.nodes))
-        worst = max(worst, defect(float(x @ op.apply_K(y)), quadratic_form(data, x, y, op.nodes)))
+    for A, exact in ((op.K, q_exact), (op.Mw, m_exact)):
+        for (i, x), (j, y) in itertools.product(enumerate(basis), repeat=2):
+            scale = float(np.abs(x) @ (abs(A) @ np.abs(y)))
+            worst = max(worst, abs(float(x @ (A @ y)) - exact[i + j]) / scale)
     return VerifyCheck(
-        "q-symmetry", worst <= 1e-12, worst, "relative defect of Q symmetry and of x.K.y against Q"
+        "q-symmetry", worst <= 1e-12, worst, "x.K.y and x.Mw.y against closed-form Q and <.,.>_wgt"
     )
 
 

@@ -47,10 +47,10 @@ MESH_GRADING = 1.5
 class SturmLiouvilleData:
     """Coefficients of the pencil on [0, R].
 
-    p, q, weight hold samples on `grid` (the profile radii restricted to
-    [0, R]); `coeffs(y)` returns the same three coefficients (p, q, wgt)
-    anywhere in [0, R] through the profile's monotone-cubic interpolants and
-    is what the quadrature consumes.
+    `coeffs(y)` returns the three coefficients (p, q, wgt) anywhere in [0, R]
+    (for a star, through the profile's monotone-cubic interpolants).  `grid`
+    is the default node set of quadratic_form and weighted_norm_sq: the
+    profile radii restricted to [0, R].
     """
 
     d: int
@@ -58,11 +58,7 @@ class SturmLiouvilleData:
     R: float
     robin_weight: float
     grid: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    weight: np.ndarray
     coeffs: Callable
-    profile: Optional[Profile] = None
 
 
 def build_sl_data(profile: Profile) -> SturmLiouvilleData:
@@ -79,19 +75,13 @@ def build_sl_data(profile: Profile) -> SturmLiouvilleData:
         return g * rho**g * y_pow, -coef * y * rho * profile.mass_at(y), y_pow * rho
 
     inside = profile.radii < R
-    grid = np.concatenate([profile.radii[inside], [R]])
-    p, q, weight = coeffs(grid)
     return SturmLiouvilleData(
         d=d,
         gamma=g,
         R=float(R),
         robin_weight=d * g * R**d,
-        grid=grid,
-        p=p,
-        q=q,
-        weight=weight,
+        grid=np.concatenate([profile.radii[inside], [R]]),
         coeffs=coeffs,
-        profile=profile,
     )
 
 
@@ -112,17 +102,12 @@ def manufactured_sl_data(
     def coeffs(y):
         return p_fn(y), q_fn(y), wgt_fn(y)
 
-    grid = np.linspace(0.0, R, n_grid)
-    p, q, weight = coeffs(grid)
     return SturmLiouvilleData(
         d=d,
         gamma=gamma,
         R=float(R),
         robin_weight=float(robin_weight),
-        grid=grid,
-        p=p,
-        q=q,
-        weight=weight,
+        grid=np.linspace(0.0, R, n_grid),
         coeffs=coeffs,
     )
 
@@ -130,6 +115,13 @@ def manufactured_sl_data(
 def graded_mesh(R: float, mesh_size: int) -> np.ndarray:
     """Nodes R (i/M)^1.5: clustered at the center where the weight degenerates."""
     return R * (np.arange(mesh_size + 1) / mesh_size) ** MESH_GRADING
+
+
+def _apply_tridiagonal(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = diag * x
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,23 +153,22 @@ class DiscreteOperator:
         ).tocsr()
 
     def apply_K(self, x: np.ndarray) -> np.ndarray:
-        out = self.k_diag * x
-        out[:-1] += self.k_off * x[1:]
-        out[1:] += self.k_off * x[:-1]
-        return out
+        return _apply_tridiagonal(self.k_diag, self.k_off, x)
 
     def apply_Mw(self, x: np.ndarray) -> np.ndarray:
-        out = self.m_diag * x
-        out[:-1] += self.m_off * x[1:]
-        out[1:] += self.m_off * x[:-1]
-        return out
+        return _apply_tridiagonal(self.m_diag, self.m_off, x)
 
     def rayleigh(self, x: np.ndarray) -> float:
         return float(x @ self.apply_K(x)) / float(x @ self.apply_Mw(x))
 
 
-def _element_quadrature(data: SturmLiouvilleData, nodes: np.ndarray):
-    """Coefficient values and P1 basis data at the per-element Gauss points."""
+def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
+    """The weak-form pencil on strictly increasing `nodes` (see assemble).
+
+    The 3-point Gauss rule is applied on each element.  This is the only place
+    the coefficients are evaluated at quadrature points: assemble,
+    quadratic_form and weighted_norm_sq all go through it.
+    """
     yl, yr = nodes[:-1], nodes[1:]
     h = yr - yl
     if np.any(h <= 0.0):
@@ -187,23 +178,9 @@ def _element_quadrature(data: SturmLiouvilleData, nodes: np.ndarray):
     p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
     phi_l = (yr[:, None] - pts) / h[:, None]
     phi_r = (pts - yl[:, None]) / h[:, None]
-    return h, wq, p, q, wgt, phi_l, phi_r
-
-
-def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
-    """Weak-form stiffness and weighted mass on the graded mesh.
-
-    K_ij = Q[phi_i, phi_j] and Mw_ij = <phi_i, phi_j>_wgt over the continuous
-    piecewise-linear nodal basis; the boundary term robin_weight lands on the
-    last diagonal entry and no essential condition is imposed anywhere.
-    """
-    if mesh_size < 16:
-        raise ValueError(f"mesh_size must be >= 16, got {mesh_size}")
-    nodes = graded_mesh(data.R, mesh_size)
-    h, wq, p, q, wgt, phi_l, phi_r = _element_quadrature(data, nodes)
     int_p = (p * wq).sum(axis=1)
 
-    n = mesh_size + 1
+    n = len(nodes)
     k_diag = np.zeros(n)
     k_off = np.zeros(n - 1)
     m_diag = np.zeros(n)
@@ -232,8 +209,20 @@ def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
     )
 
 
+def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
+    """Weak-form stiffness and weighted mass on the graded mesh.
+
+    K_ij = Q[phi_i, phi_j] and Mw_ij = <phi_i, phi_j>_wgt over the continuous
+    piecewise-linear nodal basis; the boundary term robin_weight lands on the
+    last diagonal entry and no essential condition is imposed anywhere.
+    """
+    if mesh_size < 16:
+        raise ValueError(f"mesh_size must be >= 16, got {mesh_size}")
+    return _assemble_on(data, graded_mesh(data.R, mesh_size))
+
+
 def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndarray] = None) -> float:
-    """Q[chi1, chi2] by elementwise Gauss quadrature of the P1 interpolants.
+    """Q[chi1, chi2] of the P1 interpolants: chi1 . K chi2 with K assembled on `nodes`.
 
     chi1, chi2 are samples on `nodes` (default: the coefficient grid).
     """
@@ -245,26 +234,17 @@ def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndar
         raise ValueError("mesh mismatch: test functions must be sampled on the nodes")
     if not np.all(np.isfinite(chi1)) or not np.all(np.isfinite(chi2)):
         raise ValueError("test functions must be finite")
-    h, wq, p, q, wgt, phi_l, phi_r = _element_quadrature(data, nodes)
-    d1 = np.diff(chi1) / h
-    d2 = np.diff(chi2) / h
-    v1 = chi1[:-1][:, None] * phi_l + chi1[1:][:, None] * phi_r
-    v2 = chi2[:-1][:, None] * phi_l + chi2[1:][:, None] * phi_r
-    grad_term = float(((p * wq).sum(axis=1) * d1 * d2).sum())
-    pot_term = float((q * v1 * v2 * wq).sum())
-    return grad_term + pot_term + data.robin_weight * float(chi1[-1] * chi2[-1])
+    return float(chi1 @ _assemble_on(data, nodes).apply_K(chi2))
 
 
 def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: Optional[np.ndarray] = None) -> float:
-    """<chi, chi>_wgt by the same quadrature as quadratic_form."""
+    """<chi, chi>_wgt of the P1 interpolant: chi . Mw chi with Mw assembled on `nodes`."""
     if nodes is None:
         nodes = data.grid
     chi = np.asarray(chi, dtype=float)
     if chi.shape != nodes.shape:
         raise ValueError("mesh mismatch: test function must be sampled on the nodes")
-    h, wq, p, q, wgt, phi_l, phi_r = _element_quadrature(data, nodes)
-    v = chi[:-1][:, None] * phi_l + chi[1:][:, None] * phi_r
-    return float((wgt * v**2 * wq).sum())
+    return float(chi @ _assemble_on(data, nodes).apply_Mw(chi))
 
 
 @dataclass(frozen=True)
@@ -326,18 +306,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     ke = op.k_off * s[:-1] * s[1:]
     md = np.ones(n)
     me = op.m_off * s[:-1] * s[1:]
-
-    def apply_k(x):
-        out = kd * x
-        out[:-1] += ke * x[1:]
-        out[1:] += ke * x[:-1]
-        return out
-
-    def apply_m(x):
-        out = md * x
-        out[:-1] += me * x[1:]
-        out[1:] += me * x[:-1]
-        return out
+    scaled = replace(op, k_diag=kd, k_off=ke, m_diag=md, m_off=me)
 
     lo = op.mu_lower
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
@@ -377,7 +346,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
         ab[2, :-1] = ke - sigma * me
         converged = False
         for _ in range(50):
-            rhs = apply_m(z)
+            rhs = scaled.apply_Mw(z)
             try:
                 with np.errstate(all="ignore"):
                     y = solve_banded((1, 1), ab, rhs)
@@ -385,12 +354,12 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
                 break  # shift landed on the eigenvalue to the ulp: back off
             if not np.all(np.isfinite(y)):
                 break
-            nrm = math.sqrt(abs(float(y @ apply_m(y))))
+            nrm = math.sqrt(abs(float(y @ scaled.apply_Mw(y))))
             if nrm == 0.0 or not math.isfinite(nrm):
                 break
             z = y / nrm
-            Kz = apply_k(z)
-            Mz = apply_m(z)
+            Kz = scaled.apply_K(z)
+            Mz = scaled.apply_Mw(z)
             residual = float(np.linalg.norm(Kz - mu * Mz)) / (
                 float(np.linalg.norm(Mz)) * spectral_scale
             )
@@ -437,6 +406,15 @@ class StrongFormResidual:
     robin_defect: float
 
 
+def _robin_defect(data: SturmLiouvilleData, result: SpectralResult) -> float:
+    """|d chi(R) + R chi'(R)|, with chi'(R) from a quadratic through the last three nodes."""
+    y2, y1, y0 = result.nodes[-3:]
+    c2, c1, c0 = result.chi_star[-3:]
+    d01, d02, d12 = y0 - y1, y0 - y2, y1 - y2
+    dchi_R = c0 * (1.0 / d01 + 1.0 / d02) - c1 * d02 / (d01 * d12) + c2 * d01 / (d02 * d12)
+    return abs(data.d * c0 + data.R * dchi_R)
+
+
 def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) -> StrongFormResidual:
     """Strong-form residual -(p chi')' + q chi - mu wgt chi from P1 reconstruction.
 
@@ -444,7 +422,7 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     from the nodal values) and differenced across interior nodes; the reported
     norm is a weighted RMS relative to the local term sizes, which decays at
     first order in the mesh.  The Robin defect is |d chi(R) + R chi'(R)| with
-    chi'(R) from a one-sided quadratic fit.
+    chi'(R) from a one-sided quadratic fit (see _robin_defect).
     """
     nodes, chi, mu = result.nodes, result.chi_star, result.mu_star
     h = np.diff(nodes)
@@ -462,14 +440,7 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     num = math.sqrt(float((hbar * res**2).sum()))
     den = math.sqrt(float((hbar * scale**2).sum()))
     interior = num / den if den > 0.0 else 0.0
-
-    # one-sided quadratic reconstruction of chi'(R)
-    y2, y1, y0 = nodes[-3], nodes[-2], nodes[-1]
-    c2, c1, c0 = chi[-3], chi[-2], chi[-1]
-    d01, d02, d12 = y0 - y1, y0 - y2, y1 - y2
-    dchi_R = c0 * (1.0 / d01 + 1.0 / d02) - c1 * d02 / (d01 * d12) + c2 * d01 / (d02 * d12)
-    robin = abs(data.d * c0 + data.R * dchi_R)
-    return StrongFormResidual(interior_norm=interior, robin_defect=robin)
+    return StrongFormResidual(interior_norm=interior, robin_defect=_robin_defect(data, result))
 
 
 def classify_stability(profile: Profile, mesh_size: int = 2048, tol_eig: float = 1e-8) -> SpectralResult:
@@ -477,8 +448,7 @@ def classify_stability(profile: Profile, mesh_size: int = 2048, tol_eig: float =
     data = build_sl_data(profile)
     op = assemble(data, mesh_size)
     result = smallest_eigenpair(op, tol_eig)
-    defect = eigen_residual_strongform(data, result).robin_defect
-    return replace(result, robin_defect=defect)
+    return replace(result, robin_defect=_robin_defect(data, result))
 
 
 def instability_witness(profile: Profile, case: int, mesh_size: int = 4096) -> float:
@@ -496,18 +466,14 @@ def instability_witness(profile: Profile, case: int, mesh_size: int = 4096) -> f
     d, g, R = data.d, data.gamma, data.R
     t_sup, t_stab = support_threshold(d), stability_threshold(d)
     crit = math.isclose(g, t_sup, rel_tol=1e-12)
-    if case == 1:
-        if not (t_sup < g < t_stab) or crit:
-            raise ValueError(f"case 1 requires {t_sup:g} < gamma < {t_stab:g}, got {g}")
+    if case == 1 and (crit or not t_sup < g < t_stab):
+        raise ValueError(f"case 1 requires {t_sup:g} < gamma < {t_stab:g}, got {g}")
+    if case == 2 and not crit:
+        raise ValueError(f"case 2 requires gamma = {t_sup:g} exactly, got {g}")
+    if case in (1, 2):
+        amplitude = 1.0 if case == 1 else profile.config.rho_center ** (d / (d + 2.0))
         nodes = graded_mesh(R, mesh_size)
-        chi = np.ones_like(nodes)
-        return quadratic_form(data, chi, chi, nodes)
-    if case == 2:
-        if not crit:
-            raise ValueError(f"case 2 requires gamma = {t_sup:g} exactly, got {g}")
-        kappa = profile.config.rho_center
-        nodes = graded_mesh(R, mesh_size)
-        chi = np.full_like(nodes, kappa ** (d / (d + 2.0)))
+        chi = np.full_like(nodes, amplitude)
         return quadratic_form(data, chi, chi, nodes)
     if case == 3:
         if not (g < t_sup) or crit:

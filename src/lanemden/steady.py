@@ -173,6 +173,15 @@ def _refined_grid(steps: np.ndarray, n_target: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+def _moving(*series: np.ndarray) -> np.ndarray:
+    """Mask of samples where each series is strictly below all earlier and above all later values."""
+    keep = np.ones(len(series[0]), dtype=bool)
+    for a in series:
+        keep[1:] &= a[1:] < np.minimum.accumulate(a)[:-1]
+        keep[:-1] &= a[:-1] > np.maximum.accumulate(a[::-1])[::-1][1:]
+    return keep
+
+
 def integrate_gas_profile(
     config: StarConfig,
     tol: float = 1e-10,
@@ -191,7 +200,8 @@ def integrate_gas_profile(
     tol is the delivered relative accuracy of the profile; the embedded
     Runge-Kutta pair runs at a 20x stricter per-step tolerance to absorb
     global error growth.  The grid is the adaptive steps refined to at least
-    min_points samples.
+    min_points samples, less any sample where rho or m has stopped moving in
+    float64 (r = 0 and the event radii are always kept).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -276,7 +286,8 @@ def integrate_gas_profile(
             gas_r = float(sol.t_events[idx][0])
 
     grid = _refined_grid(sol.t, min_points)
-    extra = [x for x in (liquid_r, gas_r) if x is not None and x < grid[-1]]
+    events = [x for x in (liquid_r, gas_r) if x is not None]
+    extra = [x for x in events if x < grid[-1]]
     if extra:
         grid = np.unique(np.concatenate([grid, np.array(extra)]))
     enth, mass = sol.sol(grid)
@@ -295,6 +306,11 @@ def integrate_gas_profile(
     rho[0] = rho0
 
     keep = np.concatenate([[True], np.diff(radii) > 0])
+    radii, rho, enth, mass = radii[keep], rho[keep], enth[keep], mass[keep]
+    # near a flat centre (rho0 -> 1+) rho, and near a compact surface m, stop
+    # moving in float64; drop those samples, keeping r = 0 and the event radii
+    keep = _moving(rho, -mass) | np.isin(radii, events)
+    keep[0] = True
     radii, rho, enth, mass = radii[keep], rho[keep], enth[keep], mass[keep]
 
     return Profile(

@@ -37,6 +37,15 @@ class TestProfileCommand:
         assert code == 0
         assert json.loads(err)["gas_radius"] is not None
 
+    def test_compact_gas_surface(self, capsys):
+        code, outtext, err = run_cli(
+            capsys, "profile", "--d", "3", "--gamma", "1.3", "--rho0", "0.5", "--gas", "--rmax", "20"
+        )
+        assert code == 0
+        diag = json.loads(err)
+        last = outtext.splitlines()[-1].split(",")
+        assert float(last[0]) == diag["gas_radius"] and float(last[1]) == 0.0
+
     def test_json_format(self, capsys):
         code, outtext, _ = run_cli(
             capsys, "profile", "--d", "3", "--gamma", "1.2", "--rho0", "32", "--format", "json"

@@ -231,8 +231,9 @@ class TestVerifyBattery:
 
     def test_one_integration_per_star(self, integrations):
         verify_suite("all")
-        # explicit 2, battery 24, tail 2, radius-limit 2, q-symmetry 1, strongform 1
-        assert len(integrations) == 32
+        # explicit 2, battery 24, tail 2, radius-limit 2, strongform 1 (q-symmetry
+        # checks a polynomial pencil and integrates no star)
+        assert len(integrations) == 31
 
     @pytest.mark.parametrize("name", BATTERY_CHECKS)
     def test_single_check_integrates_battery_once_per_call(self, integrations, name):

@@ -12,6 +12,7 @@ from lanemden import (
     build_sl_data,
     classify_stability,
     eigen_residual_strongform,
+    graded_mesh,
     instability_witness,
     manufactured_sl_data,
     quadratic_form,
@@ -64,21 +65,21 @@ class TestBuildSlData:
     def test_q_vanishes_at_neutral_gamma(self):
         # 2(d-1) - d gamma = 0 kills the potential coefficient
         data = build_sl_data(get_liquid(3, 4 / 3, 10.0))
-        scale = np.max(np.abs(data.p))
-        assert np.max(np.abs(data.q)) <= 1e-12 * scale
+        p, q, _ = data.coeffs(data.grid)
+        assert np.max(np.abs(q)) <= 1e-12 * np.max(np.abs(p))
 
     def test_q_sign(self):
         below = build_sl_data(get_liquid(3, 1.25, 10.0))
-        assert np.all(below.q[1:] < 0)
+        assert np.all(below.coeffs(below.grid)[1][1:] < 0)
         above = build_sl_data(get_liquid(3, 1.5, 10.0))
-        assert np.all(above.q[1:] > 0)
+        assert np.all(above.coeffs(above.grid)[1][1:] > 0)
 
     def test_q_near_origin_limit(self):
         d, g, rho0 = 3, 1.25, 10.0
         data = build_sl_data(get_liquid(d, g, rho0))
         expected = -(2 * (d - 1) - d * g) * (FOUR_PI / d) * rho0**2
         y = data.grid[1:6]
-        ratio = data.q[1:6] / y ** (d + 1)
+        ratio = data.coeffs(y)[1] / y ** (d + 1)
         assert np.max(np.abs(ratio / expected - 1)) <= 1e-3
 
     def test_robin_weight_and_grid(self):
@@ -121,6 +122,30 @@ class TestQuadraticForm:
         data = build_sl_data(get_liquid(3, 1.25, 10.0))
         with pytest.raises(ValueError, match="mesh mismatch"):
             quadratic_form(data, np.ones(7), np.ones(7))
+
+    @pytest.mark.parametrize("layout", ["uniform", "graded plus one node"])
+    def test_arbitrary_nodes_match_closed_form(self, layout):
+        # p = y^3, q = y - 2, wgt = 1 + y^2: the 3-point Gauss rule integrates
+        # every product of P1 functions exactly, and 1 and y are P1, so the
+        # forms on span{1, y} equal the closed-form integrals on [0, L]
+        L, robin = 1.3, 0.7
+        data = manufactured_sl_data(
+            3, 1.5, L, p_fn=lambda y: y**3, q_fn=lambda y: y - 2.0,
+            wgt_fn=lambda y: 1.0 + y**2, robin_weight=robin,
+        )
+        if layout == "uniform":
+            nodes = np.linspace(0.0, L, 101)
+        else:  # as instability_witness case 3 builds them
+            nodes = np.unique(np.concatenate([graded_mesh(L, 64), [L / 100]]))
+            assert len(nodes) == 66
+        a, b = 0.4, -1.7
+        chi1, chi2 = np.ones_like(nodes), a + b * nodes
+        # Q[1, a + b y] and <a + b y, a + b y>_wgt
+        q_exact = a * (L**2 / 2 - 2 * L + robin) + b * (L**3 / 3 - L**2 + robin * L)
+        m_exact = (a**2 * (L + L**3 / 3) + 2 * a * b * (L**2 / 2 + L**4 / 4)
+                   + b**2 * (L**3 / 3 + L**5 / 5))
+        assert quadratic_form(data, chi1, chi2, nodes) == pytest.approx(q_exact, rel=1e-13)
+        assert weighted_norm_sq(data, chi2, nodes) == pytest.approx(m_exact, rel=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(-100.0, 100.0).filter(lambda x: abs(x) > 1e-6), seed=st.integers(0, 999))

@@ -115,6 +115,38 @@ class TestIntegration:
             integrate_gas_profile(StarConfig(3, 1.2, 1.0), r_max=math.inf)
 
 
+class TestStalledSamples:
+    """Samples where rho or m stops moving in float64 are dropped, not rejected."""
+
+    def test_compact_surface(self):
+        # near the surface rho = w^alpha is so small that m stalls in float64
+        p = integrate_gas_profile(StarConfig(3, 1.25, 50.0), r_max=20.0)
+        assert p.radii[-1] == p.gas_radius
+        assert p.rho[-1] == 0.0
+        assert np.any(p.radii == p.liquid_radius)
+        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
+        assert np.max(p.rho / decay_bound(p.config, p.radii)) - 1 <= 1e-9
+
+    def test_flat_centre(self):
+        # rho0 = 1 + 1e-9: near the centre rho equals rho0 in float64
+        rho0 = 1 + 1e-9
+        p = integrate_gas_profile(StarConfig(3, 1.25, rho0), stop_at_liquid=True)
+        assert p.radii[0] == 0.0 and p.rho[0] == rho0
+        assert p.radii[-1] == p.liquid_radius
+        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
+        assert truncate_liquid(p).liquid_radius == p.liquid_radius
+
+    def test_moving_mask(self):
+        from lanemden.steady import _moving
+
+        a = np.array([5.0, 4.0, 3.0, 2.0])
+        assert np.all(_moving(a))
+        # a plateau loses every one of its samples
+        b = np.array([5.0, 4.0, 4.0, 3.0, 1.0, 1.0, 1.0])
+        assert _moving(b).tolist() == [True, False, False, True, False, False, False]
+        assert _moving(a, np.array([5.0, 4.0, 4.0, 1.0])).tolist() == [True, False, False, True]
+
+
 class TestLiquidRadius:
     def test_closed_form_radius(self):
         p = get_liquid(3, 1.2, 32.0)
