@@ -42,6 +42,8 @@ _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 MESH_GRADING = 1.5
 
+_NON_FINITE = "non-finite pencil entries: the coefficients must be finite on [0, R]"
+
 
 @dataclass(frozen=True)
 class SturmLiouvilleData:
@@ -162,12 +164,16 @@ class DiscreteOperator:
         return float(x @ self.apply_K(x)) / float(x @ self.apply_Mw(x))
 
 
-def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
-    """The weak-form pencil on strictly increasing `nodes` (see assemble).
+def _element_integrals(data: SturmLiouvilleData, nodes: np.ndarray):
+    """Per-element integrals of the weak form on strictly increasing `nodes`.
 
-    The 3-point Gauss rule is applied on each element.  This is the only place
-    the coefficients are evaluated at quadrature points: assemble,
-    quadratic_form and weighted_norm_sq all go through it.
+    Returns (kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio): kp is
+    int p dy / h^2, the p-stiffness of each element; q_ab and m_ab are the
+    integrals of q phi_a phi_b and wgt phi_a phi_b over the element's left and
+    right hat functions; ratio is q/wgt at the quadrature points.  The 3-point
+    Gauss rule is applied on each element.  This is the only place the
+    coefficients are evaluated at quadrature points: assemble, quadratic_form
+    and weighted_norm_sq all go through it.
     """
     yl, yr = nodes[:-1], nodes[1:]
     h = yr - yl
@@ -178,27 +184,36 @@ def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperato
     p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
     phi_l = (yr[:, None] - pts) / h[:, None]
     phi_r = (pts - yl[:, None]) / h[:, None]
-    int_p = (p * wq).sum(axis=1)
 
+    def hat_products(c):
+        return (
+            (c * phi_l**2 * wq).sum(axis=1),
+            (c * phi_l * phi_r * wq).sum(axis=1),
+            (c * phi_r**2 * wq).sum(axis=1),
+        )
+
+    return (p * wq).sum(axis=1) / h**2, hat_products(q), hat_products(wgt), q / wgt
+
+
+def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
+    """The weak-form pencil on strictly increasing `nodes` (see assemble)."""
+    kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio = _element_integrals(data, nodes)
     n = len(nodes)
     k_diag = np.zeros(n)
-    k_off = np.zeros(n - 1)
     m_diag = np.zeros(n)
-    m_off = np.zeros(n - 1)
-    k_diag[:-1] += int_p / h**2 + (q * phi_l**2 * wq).sum(axis=1)
-    k_diag[1:] += int_p / h**2 + (q * phi_r**2 * wq).sum(axis=1)
-    k_off[:] = -int_p / h**2 + (q * phi_l * phi_r * wq).sum(axis=1)
-    m_diag[:-1] += (wgt * phi_l**2 * wq).sum(axis=1)
-    m_diag[1:] += (wgt * phi_r**2 * wq).sum(axis=1)
-    m_off[:] = (wgt * phi_l * phi_r * wq).sum(axis=1)
+    k_diag[:-1] += kp + q_ll
+    k_diag[1:] += kp + q_rr
+    k_off = -kp + q_lr
+    m_diag[:-1] += m_ll
+    m_diag[1:] += m_rr
+    m_off = m_lr
     k_diag[-1] += data.robin_weight
 
-    ratio = q / wgt
     mu_lower = float(np.minimum(ratio.min(), 0.0))
     mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
     # the LDL^T certificate reads a NaN pivot as positive: never let one in
     if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
-        raise ValueError("non-finite pencil entries: the coefficients must be finite on [0, R]")
+        raise ValueError(_NON_FINITE)
     return DiscreteOperator(
         nodes=nodes,
         k_diag=k_diag,
@@ -222,9 +237,11 @@ def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
 
 
 def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndarray] = None) -> float:
-    """Q[chi1, chi2] of the P1 interpolants: chi1 . K chi2 with K assembled on `nodes`.
+    """Q[chi1, chi2] of the P1 interpolants on `nodes` (default: the coefficient grid).
 
-    chi1, chi2 are samples on `nodes` (default: the coefficient grid).
+    The same element integrals as K, but the p part is summed in flux form,
+    int_p/h^2 (chi1_r - chi1_l)(chi2_r - chi2_l) per element, so a constant
+    test function gets exactly no p contribution.
     """
     if nodes is None:
         nodes = data.grid
@@ -234,7 +251,16 @@ def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndar
         raise ValueError("mesh mismatch: test functions must be sampled on the nodes")
     if not np.all(np.isfinite(chi1)) or not np.all(np.isfinite(chi2)):
         raise ValueError("test functions must be finite")
-    return float(chi1 @ _assemble_on(data, nodes).apply_K(chi2))
+    kp, (q_ll, q_lr, q_rr), _, _ = _element_integrals(data, nodes)
+    l1, r1, l2, r2 = chi1[:-1], chi1[1:], chi2[:-1], chi2[1:]
+    value = float(
+        np.sum(kp * ((r1 - l1) * (r2 - l2)))
+        + np.sum(q_ll * (l1 * l2) + q_lr * (l1 * r2 + r1 * l2) + q_rr * (r1 * r2))
+        + data.robin_weight * (chi1[-1] * chi2[-1])
+    )
+    if not math.isfinite(value):
+        raise ValueError(_NON_FINITE)
+    return value
 
 
 def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: Optional[np.ndarray] = None) -> float:
@@ -407,12 +433,18 @@ class StrongFormResidual:
 
 
 def _robin_defect(data: SturmLiouvilleData, result: SpectralResult) -> float:
-    """|d chi(R) + R chi'(R)|, with chi'(R) from a quadratic through the last three nodes."""
+    """|d chi(R) + R chi'(R)| / (d |chi(R)| + R |chi'(R)|), in [0, 1].
+
+    chi'(R) comes from a quadratic through the last three nodes.  Dividing
+    by the size of the two terms makes the defect comparable across stars
+    (0 when the free-surface condition holds, 1 when one term is missing).
+    """
     y2, y1, y0 = result.nodes[-3:]
     c2, c1, c0 = result.chi_star[-3:]
     d01, d02, d12 = y0 - y1, y0 - y2, y1 - y2
     dchi_R = c0 * (1.0 / d01 + 1.0 / d02) - c1 * d02 / (d01 * d12) + c2 * d01 / (d02 * d12)
-    return abs(data.d * c0 + data.R * dchi_R)
+    size = data.d * abs(c0) + data.R * abs(dchi_R)
+    return abs(data.d * c0 + data.R * dchi_R) / size if size > 0.0 else 0.0
 
 
 def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) -> StrongFormResidual:
@@ -421,8 +453,9 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     The flux p chi' is formed per element (coefficient at the midpoint, slope
     from the nodal values) and differenced across interior nodes; the reported
     norm is a weighted RMS relative to the local term sizes, which decays at
-    first order in the mesh.  The Robin defect is |d chi(R) + R chi'(R)| with
-    chi'(R) from a one-sided quadratic fit (see _robin_defect).
+    first order in the mesh.  The Robin defect is |d chi(R) + R chi'(R)|
+    relative to the size of its two terms, with chi'(R) from a one-sided
+    quadratic fit (see _robin_defect).
     """
     nodes, chi, mu = result.nodes, result.chi_star, result.mu_star
     h = np.diff(nodes)

@@ -13,6 +13,8 @@ Integration is done on the equivalent first-order integral form
 
 (h'(r) = -m(r)/r^(d-1) at gamma = 1), with the cumulative mass m carried as
 a state variable, so the enthalpy slope is always consistent with the mass.
+The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
+dop853.py, on Python floats; its dense output gives the profile samples.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.
@@ -26,10 +28,10 @@ from functools import cached_property
 from typing import Callable, Optional, TextIO
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+from . import dop853
 from .config import StarConfig, support_threshold
 
 FOUR_PI = 4.0 * math.pi
@@ -161,16 +163,24 @@ def _seed_coefficients(config: StarConfig):
 
 
 def _refined_grid(steps: np.ndarray, n_target: int) -> np.ndarray:
-    """Subdivide integrator steps (at least 4x, by length beyond that) to ~n_target points."""
+    """Subdivide integrator steps (at least 4x, by length beyond that) to ~n_target points.
+
+    Step [a, b] cut into n pieces contributes a + k ((b - a)/n) for k < n and
+    b itself, the points np.linspace(a, b, n + 1)[1:] gives.
+    """
     total = steps[-1] - steps[0]
     if total <= 0:
         return steps
-    pieces = [np.array([steps[0]])]
     quantum = total / max(n_target, 1)
-    for a, b in zip(steps[:-1], steps[1:]):
-        n = max(4, int(math.ceil((b - a) / quantum)))
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(pieces)
+    a, b = steps[:-1], steps[1:]
+    n = np.maximum(4, np.ceil((b - a) / quantum)).astype(np.int64)
+    step = np.repeat((b - a) / n, n)
+    start = np.repeat(a, n)
+    # k = 1..n within each step
+    k = np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
+    grid = k * step + start
+    grid[np.cumsum(n) - 1] = b
+    return np.concatenate([steps[:1], grid])
 
 
 def _moving(*series: np.ndarray) -> np.ndarray:
@@ -180,6 +190,17 @@ def _moving(*series: np.ndarray) -> np.ndarray:
         keep[1:] &= a[1:] < np.minimum.accumulate(a)[:-1]
         keep[:-1] &= a[:-1] > np.maximum.accumulate(a[::-1])[::-1][1:]
     return keep
+
+
+def _drop_stalled(radii, rho, enth, mass, pinned):
+    """The samples where rho falls and m grows strictly, plus r = 0 and the radii in pinned.
+
+    Near a flat centre (rho0 -> 1+) rho, and near a compact surface m, stop
+    moving in float64, so neighbouring samples can tie.
+    """
+    keep = _moving(rho, -mass) | np.isin(radii, pinned)
+    keep[0] = True
+    return radii[keep], rho[keep], enth[keep], mass[keep]
 
 
 def integrate_gas_profile(
@@ -198,10 +219,14 @@ def integrate_gas_profile(
     root-finder and stored as liquid_radius (terminal if stop_at_liquid).
 
     tol is the delivered relative accuracy of the profile; the embedded
-    Runge-Kutta pair runs at a 20x stricter per-step tolerance to absorb
-    global error growth.  The grid is the adaptive steps refined to at least
-    min_points samples, less any sample where rho or m has stopped moving in
-    float64 (r = 0 and the event radii are always kept).
+    Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
+    per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
+    error growth.  The events are downward crossings of the enthalpy, each
+    root found by brentq on its step's dense polynomial.  The grid is the
+    adaptive steps refined to at least min_points samples, evaluated on the
+    dense output in one pass, less any sample where rho or m has stopped
+    moving in float64 (r = 0 and the event radii are always kept).  Raises
+    RuntimeError when the step size underflows or the state is not finite.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -222,75 +247,45 @@ def integrate_gas_profile(
 
     if config.isothermal:
 
-        def rhs(r, y):
-            return (-y[1] / r ** (d - 1), FOUR_PI * r ** (d - 1) * math.exp(y[0]))
+        def rhs(r, h, m):
+            return -m / r ** (d - 1), FOUR_PI * r ** (d - 1) * math.exp(h)
 
     else:
         cg = (config.gamma - 1.0) / config.gamma
         alpha = config.alpha
 
-        def rhs(r, y):
-            w = y[0]
+        def rhs(r, w, m):
             rho = w**alpha if w > 0.0 else 0.0
-            return (-cg * y[1] / r ** (d - 1), FOUR_PI * r ** (d - 1) * rho)
+            return -cg * m / r ** (d - 1), FOUR_PI * r ** (d - 1) * rho
 
-    events = []
-
-    def ev_liquid(r, y):
-        return y[0] - config.boundary_enthalpy
-
-    ev_liquid.terminal = bool(stop_at_liquid)
-    ev_liquid.direction = -1
-    if rho0 > 1.0:
-        events.append(ev_liquid)
-
-    def ev_surface(r, y):
-        return y[0]
-
-    ev_surface.terminal = True
-    ev_surface.direction = -1
-    if not config.isothermal:
-        events.append(ev_surface)
-
-    def ev_floor(r, y):
-        return y[0] + 660.0
-
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-    if config.isothermal:
-        events.append(ev_floor)
-
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        (e_seed, m_seed),
-        method="DOP853",
-        rtol=0.05 * tol,
-        atol=1e-300,
-        dense_output=True,
-        events=events,
-    )
-    if sol.status < 0 or not np.all(np.isfinite(sol.y)):
-        raise RuntimeError(
-            f"integration failed for {config}: {sol.message} "
-            "(tolerance too loose or r_max too aggressive)"
+    # downward crossings of the enthalpy: rho = 1 (liquid radius, present iff
+    # rho0 > 1), then the compact surface w = 0, or for gamma = 1 a floor
+    # h = -660 where rho underflows towards the smallest doubles
+    events = [(config.boundary_enthalpy, bool(stop_at_liquid))] if rho0 > 1.0 else []
+    events.append((-660.0, True) if config.isothermal else (0.0, True))
+    try:
+        sol = dop853.solve(
+            rhs, r0, (e_seed, m_seed), r_max, rtol=0.05 * tol, atol=1e-300, events=events
         )
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"integration failed for {config}: {exc} "
+            "(tolerance too loose or r_max too aggressive)"
+        ) from exc
 
     liquid_r = None
     gas_r = None
-    if rho0 > 1.0 and len(sol.t_events[0]):
-        liquid_r = float(sol.t_events[0][0])
-    if not config.isothermal:
-        idx = 1 if rho0 > 1.0 else 0
-        if len(sol.t_events[idx]):
-            gas_r = float(sol.t_events[idx][0])
+    if rho0 > 1.0 and sol.event_roots[0]:
+        liquid_r = sol.event_roots[0][0]
+    if not config.isothermal and sol.event_roots[-1]:
+        gas_r = sol.event_roots[-1][0]
 
-    grid = _refined_grid(sol.t, min_points)
-    events = [x for x in (liquid_r, gas_r) if x is not None]
-    extra = [x for x in events if x < grid[-1]]
+    grid = _refined_grid(sol.ts, min_points)
+    event_radii = [x for x in (liquid_r, gas_r) if x is not None]
+    extra = [x for x in event_radii if x < grid[-1]]
     if extra:
         grid = np.unique(np.concatenate([grid, np.array(extra)]))
-    enth, mass = sol.sol(grid)
+    enth, mass = sol(grid)
     if gas_r is not None and grid[-1] >= gas_r:
         enth[-1] = 0.0  # surface: w = 0 exactly
 
@@ -306,12 +301,7 @@ def integrate_gas_profile(
     rho[0] = rho0
 
     keep = np.concatenate([[True], np.diff(radii) > 0])
-    radii, rho, enth, mass = radii[keep], rho[keep], enth[keep], mass[keep]
-    # near a flat centre (rho0 -> 1+) rho, and near a compact surface m, stop
-    # moving in float64; drop those samples, keeping r = 0 and the event radii
-    keep = _moving(rho, -mass) | np.isin(radii, events)
-    keep[0] = True
-    radii, rho, enth, mass = radii[keep], rho[keep], enth[keep], mass[keep]
+    radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], event_radii)
 
     return Profile(
         config=config,
@@ -504,13 +494,14 @@ def scale_profile(profile: Profile, kappa: float) -> Profile:
                 liquid_r = profile.liquid_radius
     gas_r = None if profile.gas_radius is None else profile.gas_radius / lam
 
-    rho_arr = np.asarray(rho, dtype=float).copy()
-    rho_arr[0] = new_config.rho_center
+    rho[0] = new_config.rho_center
+    # the factors can round neighbouring samples onto one value
+    radii, rho, enth, mass = _drop_stalled(radii, rho, enth, mass, [] if gas_r is None else [gas_r])
     return Profile(
         config=new_config,
         radii=radii,
-        rho=rho_arr,
-        enthalpy=np.asarray(enth, dtype=float),
+        rho=rho,
+        enthalpy=enth,
         mass=mass,
         kind=GAS,
         liquid_radius=liquid_r,

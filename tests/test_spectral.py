@@ -1,5 +1,6 @@
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from lanemden import (
+    StarConfig,
     assemble,
     build_sl_data,
     classify_stability,
     eigen_residual_strongform,
     graded_mesh,
     instability_witness,
+    integrate_gas_profile,
     manufactured_sl_data,
     quadratic_form,
     smallest_eigenpair,
@@ -22,7 +25,7 @@ from lanemden import (
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
-from lanemden.spectral import STABLE, UNSTABLE, _positive_definite
+from lanemden.spectral import STABLE, UNSTABLE, _positive_definite, _robin_defect
 
 from conftest import get_liquid, get_profile
 
@@ -99,6 +102,17 @@ class TestQuadraticForm:
         # the q term carries a zero coefficient at gamma = 2(d-1)/d, leaving
         # exactly the boundary term
         data = build_sl_data(get_liquid(3, 4 / 3, 10.0))
+        ones = np.ones_like(data.grid)
+        assert quadratic_form(data, ones, ones) == pytest.approx(4 * data.R**3, rel=1e-12)
+
+    @pytest.mark.parametrize("min_points", [2048, 4096, 8192])
+    def test_constant_function_value_on_finer_grids(self, min_points):
+        # the p part is summed from element differences, so it vanishes
+        # exactly for a constant however many elements the grid has
+        profile = integrate_gas_profile(
+            StarConfig(3, 4 / 3, 10.0), r_max=50.0, min_points=min_points, stop_at_liquid=True
+        )
+        data = build_sl_data(profile)
         ones = np.ones_like(data.grid)
         assert quadratic_form(data, ones, ones) == pytest.approx(4 * data.R**3, rel=1e-12)
 
@@ -370,11 +384,31 @@ class TestStrongForm:
         assert norms[1024] <= 0.55 * norms[512]
 
     def test_robin_defect_refinement(self):
+        # relative to its terms d |chi(R)| + R |chi'(R)|
         data = build_sl_data(get_liquid(3, 4 / 3, 10.0))
         res = smallest_eigenpair(assemble(data, 4096))
         sf = eigen_residual_strongform(data, res)
-        chi_R = abs(res.chi_star[-1])
-        assert sf.robin_defect <= 1e-4 * chi_R * data.d / data.R
+        assert sf.robin_defect <= 1e-6
+
+    def test_robin_defect_near_flat_centre(self):
+        # rho0 = 1 + 1e-9 gives a tiny star whose chi(R) is far from 1; the
+        # absolute defect read 6e5 there, the relative one is small
+        profile = integrate_gas_profile(StarConfig(3, 1.25, 1 + 1e-9), stop_at_liquid=True)
+        res = classify_stability(profile, mesh_size=2048)
+        assert res.verdict == STABLE
+        assert 0.0 <= res.robin_defect <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chi=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+        gaps=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=2),
+        d=st.integers(3, 30),
+    )
+    def test_robin_defect_at_most_one(self, chi, gaps, d):
+        nodes = np.cumsum([0.5, *gaps])
+        data = types.SimpleNamespace(d=d, R=float(nodes[-1]))
+        result = types.SimpleNamespace(nodes=nodes, chi_star=np.array(chi))
+        assert 0.0 <= _robin_defect(data, result) <= 1.0
 
 
 class TestExports:

@@ -21,7 +21,9 @@ from lanemden import (
     truncate_liquid,
     write_profile_csv,
 )
+from lanemden import dop853
 from lanemden.phase import fixed_points, radius_limit
+from lanemden.steady import _refined_grid
 
 from conftest import get_liquid, get_profile
 
@@ -145,6 +147,42 @@ class TestStalledSamples:
         b = np.array([5.0, 4.0, 4.0, 3.0, 1.0, 1.0, 1.0])
         assert _moving(b).tolist() == [True, False, False, True, False, False, False]
         assert _moving(a, np.array([5.0, 4.0, 4.0, 1.0])).tolist() == [True, False, False, True]
+
+
+def _refined_grid_loop(steps, n_target):
+    """The per-step linspace loop that _refined_grid vectorises, kept as its reference."""
+    total = steps[-1] - steps[0]
+    if total <= 0:
+        return steps
+    pieces = [np.array([steps[0]])]
+    quantum = total / max(n_target, 1)
+    for a, b in zip(steps[:-1], steps[1:]):
+        n = max(4, int(math.ceil((b - a) / quantum)))
+        pieces.append(np.linspace(a, b, n + 1)[1:])
+    return np.concatenate(pieces)
+
+
+class TestRefinedGrid:
+    @pytest.mark.parametrize(
+        "steps,n_target",
+        [
+            # the step boundaries of an adaptive run
+            (dop853.solve(lambda t, a, b: (b, -a), 0.1, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14).ts, 2048),
+            # steps far shorter than the quantum: 4 pieces each
+            (np.array([0.5, 0.5000001, 0.5000002, 0.6]), 8192),
+            # lengths spread over ten decades, and a single long step
+            (np.cumsum(np.logspace(-8, 2, 40)), 2048),
+            # 4 (0.7/4) + 0.2 rounds away from 0.9: the endpoint is set exactly
+            (np.array([0.2, 0.9, 2.9]), 8),
+            # one step of n_target quanta and a one-point target
+            (np.cumsum(np.random.default_rng(5).lognormal(-2.0, 1.5, 60)), 1),
+        ],
+    )
+    def test_bitwise_equal_to_loop(self, steps, n_target):
+        got = _refined_grid(steps, n_target)
+        want = _refined_grid_loop(steps, n_target)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLiquidRadius:
@@ -403,6 +441,16 @@ class TestScaling:
         assert scaled.radii[i] == pytest.approx(base.radii[i] / lam, rel=1e-14)
         expected_m = kappa ** (1 - 3 * (1 - 1.2 / 2)) * base.mass[i]
         assert scaled.mass[i] == pytest.approx(expected_m, rel=1e-13)
+
+    @pytest.mark.parametrize("star", [(3, 1.25, 1.01), (3, 1.21, 1.01)])
+    def test_no_rejected_rescaling(self, star):
+        # the mass factor kappa^(1-d(1-gamma/2)) can merge masses one ulp
+        # apart near a compact surface; those samples are dropped instead
+        base = integrate_gas_profile(StarConfig(*star), r_max=5e3, min_points=8192)
+        for kappa in np.logspace(-3, 6, 200):
+            scaled = scale_profile(base, kappa)
+            assert scaled.radii[-1] == scaled.gas_radius
+            assert scaled.rho[0] == scaled.config.rho_center
 
     @settings(max_examples=20, deadline=None)
     @given(k1=st.floats(0.5, 8.0), k2=st.floats(0.5, 8.0))
