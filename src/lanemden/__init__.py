@@ -48,6 +48,7 @@ from .spectral import (
     quadratic_form,
     smallest_eigenpair,
     spectral_result_dict,
+    stable_at_zero,
     weighted_norm_sq,
     write_eigenfunction_csv,
 )

@@ -31,6 +31,7 @@ from .spectral import (
     eigen_residual_strongform,
     manufactured_sl_data,
     smallest_eigenpair,
+    stable_at_zero,
 )
 from .steady import (
     Profile,
@@ -250,6 +251,13 @@ def critical_density(
     returned bracket has relative width <= tol_rho.  Bisection presumes a
     single crossing inside the bracket; the endpoint signs are certified, the
     interior is not scanned.
+
+    The two bracket ends get the full certified solve of sweep_row, reported
+    as mu_lo and mu_hi.  Each interior step needs only the sign of mu*, so it
+    integrates its star, assembles the pencil and decides its side with one
+    LDL^T inertia count (spectral.stable_at_zero).  A zero pivot reads as not
+    stable, so mu* = 0 falls on the unstable side, as its negatively signed
+    zero does in the full solve.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -258,9 +266,17 @@ def critical_density(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (1.0 < lo < hi):
         raise ValueError("bracket must satisfy 1 < lo < hi")
+    if not (tol_rho > 0.0 and math.isfinite(tol_rho)):
+        raise ValueError(f"tol_rho must be positive and finite, got {tol_rho}")
 
     def mu_at(rho0: float) -> float:
         return sweep_row(d, gamma, rho0, mesh=mesh, tol=tol, tol_eig=tol_eig, rmax=rmax).mu_star
+
+    def stable_at(rho0: float) -> bool:
+        profile = integrate_gas_profile(
+            StarConfig(d, gamma, rho0), tol=tol, r_max=rmax, stop_at_liquid=True
+        )
+        return stable_at_zero(assemble(build_sl_data(profile), mesh))
 
     mu_lo = mu_at(lo)
     mu_hi = mu_at(hi)
@@ -268,13 +284,13 @@ def critical_density(
         raise ValueError(
             f"same-sign bracket: mu*({lo:g}) = {mu_lo:.3e}, mu*({hi:g}) = {mu_hi:.3e}"
         )
+    lo_stable = math.copysign(1.0, mu_lo) > 0.0
     history = [(lo, hi)]
     while hi - lo > tol_rho * 0.5 * (hi + lo):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         if not (lo < mid < hi):
             break
-        mu_mid = mu_at(mid)
-        if math.copysign(1.0, mu_mid) == math.copysign(1.0, mu_lo):
+        if stable_at(mid) == lo_stable:
             lo = mid
         else:
             hi = mid

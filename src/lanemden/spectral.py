@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -72,9 +72,9 @@ def build_sl_data(profile: Profile) -> SturmLiouvilleData:
 
     def coeffs(y):
         y = np.asarray(y, dtype=float)
-        rho = profile.rho_at(y)
+        rho, mass = profile.rho_and_mass_at(y)
         y_pow = y ** (d + 1)
-        return g * rho**g * y_pow, -coef * y * rho * profile.mass_at(y), y_pow * rho
+        return g * rho**g * y_pow, -coef * y * rho * mass, y_pow * rho
 
     inside = profile.radii < R
     return SturmLiouvilleData(
@@ -174,25 +174,32 @@ def _element_integrals(data: SturmLiouvilleData, nodes: np.ndarray):
     Gauss rule is applied on each element.  This is the only place the
     coefficients are evaluated at quadrature points: assemble, quadratic_form
     and weighted_norm_sq all go through it.
+
+    Arrays are laid out (3, M), one row per Gauss point, and the three terms
+    of each element are summed left to right, t0 + t1 + t2.
     """
     yl, yr = nodes[:-1], nodes[1:]
     h = yr - yl
     if np.any(h <= 0.0):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
-    pts = 0.5 * (yl + yr)[:, None] + 0.5 * h[:, None] * _GAUSS3_X[None, :]
-    wq = 0.5 * h[:, None] * _GAUSS3_W[None, :]
+    pts = 0.5 * (yl + yr) + 0.5 * h * _GAUSS3_X[:, None]
+    wq = 0.5 * h * _GAUSS3_W[:, None]
     p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
-    phi_l = (yr[:, None] - pts) / h[:, None]
-    phi_r = (pts - yl[:, None]) / h[:, None]
+    phi_l = (yr - pts) / h
+    phi_r = (pts - yl) / h
+    phi_ll, phi_rr = phi_l**2, phi_r**2
+
+    def gauss_sum(t):
+        return t[0] + t[1] + t[2]
 
     def hat_products(c):
         return (
-            (c * phi_l**2 * wq).sum(axis=1),
-            (c * phi_l * phi_r * wq).sum(axis=1),
-            (c * phi_r**2 * wq).sum(axis=1),
+            gauss_sum(c * phi_ll * wq),
+            gauss_sum(c * phi_l * phi_r * wq),
+            gauss_sum(c * phi_rr * wq),
         )
 
-    return (p * wq).sum(axis=1) / h**2, hat_products(q), hat_products(wgt), q / wgt
+    return gauss_sum(p * wq) / h**2, hat_products(q), hat_products(wgt), q / wgt
 
 
 def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
@@ -300,6 +307,39 @@ def _positive_definite(kd, ke, md, me, sigma: float) -> bool:
     return info == 0
 
 
+def _jacobi_scaled(op: DiscreteOperator) -> Tuple[np.ndarray, DiscreteOperator]:
+    """(s, the pencil (D K D, D Mw D)) with D = diag(s), s = m_diag^(-1/2).
+
+    The weight degenerates like y^(d+1) at the center, so the raw pencil
+    spans hundreds of orders of magnitude; the congruence preserves the
+    eigenvalues and the inertia while making the banded solves well-scaled.
+    smallest_eigenpair and stable_at_zero both work on this pencil.
+    """
+    s = 1.0 / np.sqrt(op.m_diag)
+    scaled = replace(
+        op,
+        k_diag=op.k_diag * s * s,
+        k_off=op.k_off * s[:-1] * s[1:],
+        m_diag=np.ones(len(s)),
+        m_off=op.m_off * s[:-1] * s[1:],
+    )
+    return s, scaled
+
+
+def stable_at_zero(op: DiscreteOperator) -> bool:
+    """True iff mu* > 0, from one LDL^T inertia count at sigma = 0.
+
+    By Sylvester's law of inertia the scaled K is positive definite exactly
+    when every generalized eigenvalue is positive, so one dpttrf gives the
+    sign of mu* that smallest_eigenpair certifies with dozens of counts.  A
+    zero pivot reads as not positive definite: mu* = 0 counts as not stable,
+    as in smallest_eigenpair, whose mu* carries a negative sign when K is
+    singular.
+    """
+    _, scaled = _jacobi_scaled(op)
+    return _positive_definite(scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off, 0.0)
+
+
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
     """Smallest generalized eigenvalue by certified bisection, then inverse iteration.
 
@@ -323,16 +363,8 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     ones = np.ones(n)
     rq_ones = op.rayleigh(ones)
 
-    # symmetric Jacobi scaling: the weight degenerates like y^(d+1) at the
-    # center, so the raw pencil spans hundreds of orders of magnitude; the
-    # congruence (D K D, D M D) with D = diag(m_diag^-1/2) preserves the
-    # eigenvalues and inertia while making the banded solves well-scaled
-    s = 1.0 / np.sqrt(op.m_diag)
-    kd = op.k_diag * s * s
-    ke = op.k_off * s[:-1] * s[1:]
-    md = np.ones(n)
-    me = op.m_off * s[:-1] * s[1:]
-    scaled = replace(op, k_diag=kd, k_off=ke, m_diag=md, m_off=me)
+    s, scaled = _jacobi_scaled(op)
+    kd, ke, md, me = scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off
 
     lo = op.mu_lower
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300

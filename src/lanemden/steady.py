@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Callable, Optional, TextIO
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from . import dop853
@@ -138,6 +138,19 @@ class Profile:
     def mass_at(self, r):
         r = self._check_range(r)
         return self._mass_hat_interp(r) * r ** self.config.d
+
+    @cached_property
+    def _rho_mass_interp(self) -> PPoly:
+        # both interpolants break at the profile radii, so as the two columns
+        # of one piecewise cubic each radius is located once for both
+        c = np.stack([self._enthalpy_interp.c, self._mass_hat_interp.c], axis=-1)
+        return PPoly.construct_fast(c, self.radii, extrapolate=False)
+
+    def rho_and_mass_at(self, r):
+        """(rho_at(r), mass_at(r)) bit for bit, from one interval search per radius."""
+        r = self._check_range(r)
+        enthalpy, mass_hat = np.moveaxis(self._rho_mass_interp(r), -1, 0)
+        return self.config.rho_of_enthalpy(enthalpy), mass_hat * r ** self.config.d
 
 
 def _seed_coefficients(config: StarConfig):

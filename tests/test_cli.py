@@ -151,6 +151,15 @@ class TestCriticalCommand:
         code, _, err = run_cli(capsys, "critical", "--d", "3", "--gamma", "1.5")
         assert code == 1
 
+    @pytest.mark.parametrize("tol_rho", ["nan", "0", "-1", "inf"])
+    def test_bad_tol_rho_exit_one(self, capsys, tol_rho):
+        code, outtext, err = run_cli(
+            capsys, "critical", "--d", "3", "--gamma", "1.25", "--tol-rho", tol_rho
+        )
+        assert code == 1
+        assert outtext == ""
+        assert "tol_rho must be positive and finite" in err
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lanemden.harness as harness
+import lanemden.spectral as spectral
 from lanemden import (
     RunSpec,
     critical_density,
@@ -191,6 +192,70 @@ class TestCriticalDensity:
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(ValueError, match="same-sign"):
             critical_density(3, 1.25, (2.0, 10.0), mesh=256)
+
+    @pytest.mark.parametrize("tol_rho", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_tol_rho_rejected(self, tol_rho):
+        with pytest.raises(ValueError, match="tol_rho must be positive and finite"):
+            critical_density(3, 1.25, (1.01, 1e6), tol_rho=tol_rho, mesh=256)
+
+
+def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
+    """The bisection with the full certified solve at every step."""
+    lo, hi = bracket
+
+    def mu_at(rho0):
+        return sweep_row(d, gamma, rho0, mesh=mesh).mu_star
+
+    mu_lo, mu_hi = mu_at(lo), mu_at(hi)
+    history = [(lo, hi)]
+    while hi - lo > tol_rho * 0.5 * (hi + lo):
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        if not (lo < mid < hi):
+            break
+        if math.copysign(1.0, mu_at(mid)) == math.copysign(1.0, mu_lo):
+            lo = mid
+        else:
+            hi = mid
+        history.append((lo, hi))
+    return math.exp(0.5 * (math.log(lo) + math.log(hi))), mu_lo, mu_hi, tuple(history)
+
+
+class TestCriticalDensityCount:
+    """Interior steps decided by one inertia count, against the full solve."""
+
+    @pytest.mark.parametrize("mesh", [512, 2048])
+    @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4), (5, 1.3)], ids=str)
+    def test_matches_full_solve_bitwise(self, line, mesh):
+        res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
+        crit, mu_lo, mu_hi, history = reference_critical_density(*line, (1.01, 1e6), 1e-3, mesh)
+        assert res.rho0_crit.hex() == crit.hex()
+        assert res.history == history
+        assert res.mu_lo.hex() == mu_lo.hex()
+        assert res.mu_hi.hex() == mu_hi.hex()
+
+    def test_full_solve_only_at_the_ends(self, monkeypatch):
+        solves, stars = [], []
+        real_solve, real_integrate = spectral.smallest_eigenpair, harness.integrate_gas_profile
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return real_solve(*args, **kwargs)
+
+        def counted_integrate(config, *args, **kwargs):
+            stars.append(config.rho_center)
+            return real_integrate(config, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", counted_solve)
+        monkeypatch.setattr(harness, "integrate_gas_profile", counted_integrate)
+        for bracket in ((1.01, 1e6), (40.0, 60.0)):
+            solves.clear()
+            stars.clear()
+            res = critical_density(3, 1.25, bracket, tol_rho=1e-3, mesh=512)
+            iterations = len(res.history) - 1
+            assert iterations > 5
+            assert len(solves) == 2
+            assert len(stars) == 2 + iterations
+            assert stars[:2] == list(bracket)
 
 
 class TestVerifySuite:

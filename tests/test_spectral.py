@@ -1,6 +1,7 @@
 import io
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from lanemden import (
+    DiscreteOperator,
     StarConfig,
     assemble,
     build_sl_data,
@@ -21,6 +23,7 @@ from lanemden import (
     quadratic_form,
     smallest_eigenpair,
     spectral_result_dict,
+    stable_at_zero,
     truncate_liquid,
     weighted_norm_sq,
     write_eigenfunction_csv,
@@ -241,6 +244,147 @@ class TestCertificate:
         data = manufactured_sl_data(3, 1.5, 1.0, p_fn=p, q_fn=q_nan, wgt_fn=p)
         with pytest.raises(ValueError, match="non-finite"):
             assemble(data, 64)
+
+
+class TestStableAtZero:
+    # one line per regime for each d: gamma < 2d/(d+2), between the
+    # thresholds, and gamma >= 2(d-1)/d
+    LINES = [(3, 1.1), (3, 1.25), (3, 1.5), (4, 1.2), (4, 1.4), (4, 1.7),
+             (5, 1.3), (5, 1.5), (5, 1.8)]
+    DENSITIES = (1.01, 10.0, 50.3231, 1e3, 1e6)
+
+    @pytest.mark.parametrize("mesh", [2048, 8192])
+    def test_agrees_with_full_solve(self, mesh):
+        signs = []
+        for d, g in self.LINES:
+            for rho0 in self.DENSITIES:
+                op = assemble(build_sl_data(get_liquid(d, g, rho0)), mesh)
+                mu = smallest_eigenpair(op).mu_star
+                assert stable_at_zero(op) == (math.copysign(1.0, mu) > 0.0), (d, g, rho0, mu)
+                signs.append(mu > 0.0)
+        assert len(signs) >= 40
+        assert any(signs) and not all(signs)
+
+    @pytest.mark.parametrize("rho0", [50.301901546453614, 50.344305024976556])
+    def test_agrees_next_to_the_pinned_crossing(self, rho0):
+        # the ends of the pinned line's final bracket, |mu*| small against K
+        op = assemble(build_sl_data(get_liquid(3, 1.25, rho0)), 8192)
+        mu = smallest_eigenpair(op).mu_star
+        assert stable_at_zero(op) == (mu > 0.0)
+
+    def test_singular_stiffness_reads_unstable(self):
+        # P1 Neumann Laplacian on a unit mesh: K 1 = 0 exactly and every LDL^T
+        # pivot is an integer, so the last one is exactly zero; the unit mass
+        # diagonal makes the Jacobi scaling the identity
+        n = 65
+        k_diag = np.full(n, 2.0)
+        k_diag[[0, -1]] = 1.0
+        op = DiscreteOperator(
+            nodes=np.arange(n, dtype=float),
+            k_diag=k_diag,
+            k_off=np.full(n - 1, -1.0),
+            m_diag=np.ones(n),
+            m_off=np.full(n - 1, 0.25),
+            mu_lower=-1e-300,
+        )
+        assert not np.any(op.apply_K(np.ones(n)))
+        assert not stable_at_zero(op)
+        assert math.copysign(1.0, smallest_eigenpair(op).mu_star) < 0.0
+
+    def test_shifted_laplacian_reads_stable(self):
+        n = 65
+        k_diag = np.full(n, 2.0)
+        k_diag[[0, -1]] = 1.0 + 1e-9
+        op = DiscreteOperator(
+            nodes=np.arange(n, dtype=float),
+            k_diag=k_diag,
+            k_off=np.full(n - 1, -1.0),
+            m_diag=np.ones(n),
+            m_off=np.full(n - 1, 0.25),
+            mu_lower=-1e-300,
+        )
+        assert stable_at_zero(op)
+        assert smallest_eigenpair(op).mu_star > 0.0
+
+
+class TestFusedCoefficients:
+    """build_sl_data's one-search coefficients against the two-interpolant path."""
+
+    STARS = [(3, 1.0, 1.01), (3, 1.0, 1e6), (3, 1.25, 50.0), (3, 2.0, 1.01), (3, 2.0, 1e6),
+             (4, 1.4, 1e3), (5, 1.5, 10.0), (7, 1.01, 1e3), (7, 1.5, 1.01), (7, 2.0, 1e6),
+             (4, 1.2, 1e6)]
+
+    @staticmethod
+    def reference_coeffs(profile):
+        d, g = profile.config.d, profile.config.gamma
+        coef = 2.0 * (d - 1.0) - d * g
+
+        def coeffs(y):
+            y = np.asarray(y, dtype=float)
+            rho = profile.rho_at(y)
+            y_pow = y ** (d + 1)
+            return g * rho**g * y_pow, -coef * y * rho * profile.mass_at(y), y_pow * rho
+
+        return coeffs
+
+    @staticmethod
+    def reference_assemble(data, mesh):
+        # the (M, 3) element layout with numpy row sums
+        x = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+        w = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+        nodes = graded_mesh(data.R, mesh)
+        yl, yr = nodes[:-1], nodes[1:]
+        h = yr - yl
+        pts = 0.5 * (yl + yr)[:, None] + 0.5 * h[:, None] * x[None, :]
+        wq = 0.5 * h[:, None] * w[None, :]
+        p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
+        phi_l = (yr[:, None] - pts) / h[:, None]
+        phi_r = (pts - yl[:, None]) / h[:, None]
+
+        def hat(c):
+            return ((c * phi_l**2 * wq).sum(axis=1), (c * phi_l * phi_r * wq).sum(axis=1),
+                    (c * phi_r**2 * wq).sum(axis=1))
+
+        kp = (p * wq).sum(axis=1) / h**2
+        (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr) = hat(q), hat(wgt)
+        k_diag, m_diag = np.zeros(len(nodes)), np.zeros(len(nodes))
+        k_diag[:-1] += kp + q_ll
+        k_diag[1:] += kp + q_rr
+        m_diag[:-1] += m_ll
+        m_diag[1:] += m_rr
+        k_diag[-1] += data.robin_weight
+        mu_lower = float(np.minimum((q / wgt).min(), 0.0)) * (1.0 + 1e-12) - 1e-300
+        return k_diag, -kp + q_lr, m_diag, m_lr, mu_lower
+
+    @pytest.mark.parametrize("star", STARS, ids=str)
+    def test_pencil_bitwise(self, star):
+        profile = get_liquid(*star)
+        data = build_sl_data(profile)
+        reference = replace(data, coeffs=self.reference_coeffs(profile))
+        for mesh in (256, 2048, 8192):
+            op = assemble(data, mesh)
+            ref = self.reference_assemble(reference, mesh)
+            for got, want in zip((op.k_diag, op.k_off, op.m_diag, op.m_off), ref[:4]):
+                assert got.tobytes() == want.tobytes(), (star, mesh)
+            assert float(op.mu_lower).hex() == float(ref[4]).hex(), (star, mesh)
+
+    @pytest.mark.parametrize("star", STARS[:4], ids=str)
+    def test_coefficients_bitwise_at_breakpoints(self, star):
+        # interval ends, including both ends of the grid, are where the
+        # interval search could pick the wrong cubic
+        profile = get_liquid(*star)
+        data = build_sl_data(profile)
+        r = profile.radii
+        y = np.concatenate([r, 0.5 * (r[:-1] + r[1:]), np.nextafter(r[1:], 0.0)])
+        for got, want in zip(data.coeffs(y), self.reference_coeffs(profile)(y)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_nan_and_out_of_range(self):
+        profile = get_liquid(3, 1.25, 50.0)
+        coeffs = build_sl_data(profile).coeffs
+        for y in ([0.1, math.nan], [-1e-12, 0.1], [0.1, np.nextafter(profile.r_end, math.inf)]):
+            with pytest.raises(ValueError, match="outside the profile grid"):
+                coeffs(np.array(y))
 
 
 class TestSmallestEigenpair:
