@@ -26,8 +26,7 @@ from functools import cached_property
 from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import csr_matrix, diags_array
 
 from .config import stability_threshold, support_threshold
@@ -282,7 +281,16 @@ def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: Optional[np.ndarray] 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Smallest eigenpair of the discrete pencil and the stability verdict."""
+    """Smallest eigenpair of the discrete pencil, the verdict and its evidence.
+
+    bracket = (lo, hi) is certified by two inertia counts, K - lo Mw positive
+    definite and K - hi Mw not, so lo < mu* <= hi; mu_star is its midpoint.
+    inertia_counts is the number of LDL^T factorisations the search took and
+    solves the number of inverse-iteration solves.  residual is
+    ||K chi - mu* Mw chi|| / (max(|mu*|, |RQ(1)|) ||Mw chi||) in the
+    Jacobi-scaled pencil: the eigenvector's defect relative to the spectrum
+    near mu*.
+    """
 
     mu_star: float
     chi_star: np.ndarray
@@ -293,6 +301,9 @@ class SpectralResult:
     mesh_size: int
     residual: float
     robin_defect: float
+    bracket: Tuple[float, float]
+    inertia_counts: int
+    solves: int
 
 
 def _positive_definite(kd, ke, md, me, sigma: float) -> bool:
@@ -331,29 +342,123 @@ def stable_at_zero(op: DiscreteOperator) -> bool:
 
     By Sylvester's law of inertia the scaled K is positive definite exactly
     when every generalized eigenvalue is positive, so one dpttrf gives the
-    sign of mu* that smallest_eigenpair certifies with dozens of counts.  A
-    zero pivot reads as not positive definite: mu* = 0 counts as not stable,
-    as in smallest_eigenpair, whose mu* carries a negative sign when K is
-    singular.
+    sign of mu* that smallest_eigenpair certifies with a bracketing search.
+    A zero pivot reads as not positive definite: mu* = 0 counts as not
+    stable.  smallest_eigenpair takes this same count whenever 0 lies
+    inside its bracket, so the sign of its mu* is the sign read here.
     """
     _, scaled = _jacobi_scaled(op)
     return _positive_definite(scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off, 0.0)
 
 
-def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
-    """Smallest generalized eigenvalue by certified bisection, then inverse iteration.
+# relative width, against tol_eig * max(|mu*|, |RQ(1)|), at which the
+# certified bracket stops narrowing: four orders below the verdict margin
+_BRACKET_WIDTH = 1e-4
 
-    The bisection brackets mu* between the certified lower bound and the
-    Rayleigh quotient of the constant vector, halving until the ends are
-    adjacent doubles.  Each step is certified by a LAPACK LDL^T
-    positive-definiteness test of K - sigma Mw (dpttrf): by Sylvester's law
-    of inertia it succeeds exactly when sigma < mu*, so the reported mu* is
-    certified to the bracket width.  Inverse iteration with
-    the shift at the bracket's lower edge recovers the eigenvector, normalized
-    to unit weighted norm with a deterministic sign; its residual is accepted
-    once ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
+
+def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: float, tol_eig: float):
+    """Narrow lo < mu* <= hi by inertia counts on the Jacobi-scaled pencil.
+
+    See smallest_eigenpair for the search.  Returns (lo, hi, the L D L^T
+    factor (d, e) of K - lo Mw, number of counts).  Each count is the
+    factorisation _positive_definite makes: the scaled mass diagonal is 1,
+    so K - sigma Mw has the diagonal kd - sigma, bitwise.
+    """
+    kd, ke, me = scaled.k_diag, scaled.k_off, scaled.m_off
+    n = len(kd)
+    counts = 0
+
+    def count(sigma):
+        nonlocal counts
+        counts += 1
+        d, e, info = dpttrf(kd - sigma, ke - sigma * me, overwrite_d=1, overwrite_e=1)
+        # the last pivot exists when every earlier one is positive; it is
+        # smooth in sigma up to the pole at the leading minor's smallest
+        # eigenvalue and changes sign at mu*
+        return (d, e), info, (float(d[-1]) if info in (0, n) else None)
+
+    for _ in range(60):
+        factor, info, f_lo = count(lo)
+        if info == 0:
+            break
+        lo -= max(1.0, abs(lo))
+    else:
+        raise RuntimeError("eigensolver failed to certify a lower bound")
+    if hi <= lo:
+        hi = lo + max(abs(lo) * 1e-12, 1e-300)
+    for _ in range(60):
+        hi_factor, info, f_hi = count(hi)
+        if info != 0:
+            break
+        lo, f_lo, factor = hi, f_hi, hi_factor
+        hi += max(1.0, abs(hi))
+    else:
+        raise RuntimeError("eigensolver failed to certify an upper bound")
+
+    widths = [hi - lo] * 3  # the bracket width before each count
+    last = 0  # +1 after lo moved, -1 after hi moved (Illinois bookkeeping)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent doubles
+        scale = max(abs(mid), abs(rq_ones))
+        if hi - lo < _BRACKET_WIDTH * tol_eig * scale:
+            # narrow enough; the verdict compares mu* with 0 and +-margin, so
+            # settle each of them that still lies inside by its own count
+            margin = tol_eig * scale
+            sigma = next((t for t in (0.0, -margin, margin) if lo < t < hi), None)
+            if sigma is None:
+                break
+        elif f_hi is None or hi - lo > 0.5 * widths[-3]:
+            sigma = mid  # no last pivot above, or three counts did not halve
+        else:
+            # regula falsi on the last pivot, f_lo > 0 >= f_hi
+            sigma = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            if not lo < sigma < hi:
+                sigma = mid
+        widths.append(hi - lo)
+        sigma_factor, info, f = count(sigma)
+        if info == 0:
+            lo, f_lo, factor = sigma, f, sigma_factor
+            if last > 0 and f_hi is not None:
+                f_hi *= 0.5
+            last = 1
+        else:
+            hi, f_hi = sigma, f
+            if last < 0:
+                f_lo *= 0.5
+            last = -1
+    return lo, hi, factor, counts
+
+
+def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
+    """Smallest generalized eigenvalue, certified by inertia counts, and its eigenvector.
+
+    Each count is a LAPACK LDL^T factorisation (dpttrf) of the Jacobi-scaled
+    K - sigma Mw: by Sylvester's law of inertia it is positive definite
+    exactly when sigma < mu*.  The search starts from the certified lower
+    bound and the Rayleigh quotient RQ(1) of the constant vector, both
+    counted, and narrows the bracket lo < mu* <= hi by regula falsi
+    (Illinois) on the factorisation's last pivot, which changes sign at mu*.
+    It bisects when the last pivot is not available (an earlier pivot
+    failed) or when the last three counts together did not halve the
+    bracket, so the bracket halves at least every four counts.  It stops
+    once the bracket is narrower than 1e-4 * tol_eig * max(|mu*|, |RQ(1)|),
+    four orders below the verdict margin, and reports mu* as its midpoint:
+    mu* is certified to that width, not to adjacent doubles.  Before
+    stopping, every one of 0, -margin and +margin that still lies inside
+    the bracket gets its own count, so the verdict, the marginal flag and
+    the sign of mu* (which stable_at_zero reads with one count) never
+    depend on the stopping width.
+
+    The eigenvector comes from inverse iteration on the factor of the
+    bracket's lower end, which the count proved positive definite, so no
+    solve can meet a singular shift.  It is normalized to unit weighted norm
+    with a deterministic sign and accepted once
+    ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
     spectral_scale is a Gershgorin bound on the pencil spectrum (the level a
-    backward-stable solve can achieve regardless of |mu*|).  The verdict is
+    backward-stable solve can achieve regardless of |mu*|); the reported
+    residual is normalized by max(|mu*|, |RQ(1)|) instead.  The verdict is
     Unstable iff mu* < -margin with margin = tol_eig * max(|mu*|, |RQ(1)|);
     |mu*| <= margin reports Stable with the marginal flag set.
     """
@@ -364,83 +469,41 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     rq_ones = op.rayleigh(ones)
 
     s, scaled = _jacobi_scaled(op)
-    kd, ke, md, me = scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off
-
-    lo = op.mu_lower
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
-    guard = 0
-    while not _positive_definite(kd, ke, md, me, lo):
-        lo -= max(1.0, abs(lo))
-        guard += 1
-        if guard > 60:
-            raise RuntimeError("eigensolver failed to certify a lower bound")
-    if lo >= hi:
-        lo = hi - max(abs(hi) * 1e-12, 1e-300)
-    for _ in range(140):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if not _positive_definite(kd, ke, md, me, mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, (d_lo, e_lo), counts = _certified_bracket(scaled, op.mu_lower, hi, rq_ones, tol_eig)
     mu = 0.5 * (lo + hi)
+    scale = max(abs(mu), abs(rq_ones))
 
     # Gershgorin bound on the scaled pencil spectrum: eigenvector residuals
     # can be driven to tol_eig relative to this scale, but no further
+    kd, ke, me = scaled.k_diag, scaled.k_off, scaled.m_off
     row_sum = np.abs(kd).copy()
     row_sum[:-1] += np.abs(ke)
     row_sum[1:] += np.abs(ke)
     mass_floor = max(1.0 - 2.0 * float(np.abs(me).max()), 0.05)
     spectral_scale = float(row_sum.max()) / mass_floor
 
-    sigma = lo
-    z = ones.copy()
-    residual = math.inf
-    for attempt in range(5):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = ke - sigma * me
-        ab[1, :] = kd - sigma * md
-        ab[2, :-1] = ke - sigma * me
-        converged = False
-        for _ in range(50):
-            rhs = scaled.apply_Mw(z)
-            try:
-                with np.errstate(all="ignore"):
-                    y = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError:
-                break  # shift landed on the eigenvalue to the ulp: back off
-            if not np.all(np.isfinite(y)):
-                break
-            nrm = math.sqrt(abs(float(y @ scaled.apply_Mw(y))))
-            if nrm == 0.0 or not math.isfinite(nrm):
-                break
-            z = y / nrm
-            Kz = scaled.apply_K(z)
-            Mz = scaled.apply_Mw(z)
-            residual = float(np.linalg.norm(Kz - mu * Mz)) / (
-                float(np.linalg.norm(Mz)) * spectral_scale
-            )
-            if residual <= tol_eig:
-                converged = True
-                break
-        if converged:
+    Mz = scaled.apply_Mw(ones)
+    for solves in range(1, 51):
+        y, _ = dpttrs(d_lo, e_lo, Mz)
+        My = scaled.apply_Mw(y)
+        nrm = math.sqrt(abs(float(y @ My)))
+        z, Mz = y / nrm, My / nrm
+        defect = float(np.linalg.norm(scaled.apply_K(z) - mu * Mz))
+        mz_norm = float(np.linalg.norm(Mz))
+        if defect <= tol_eig * spectral_scale * mz_norm:
             break
-        # singular or stalled shift: back off proportionally and retry
-        sigma -= max(abs(sigma), 1.0) * 10.0 ** (-12 + 2 * attempt)
-        z = ones.copy()
     else:
         raise RuntimeError(
-            f"eigensolver did not converge: residual {residual:.3e} (mesh/shift pathology)"
+            f"eigensolver did not converge: residual {defect / (spectral_scale * mz_norm):.3e}"
         )
+    residual = defect / (scale * mz_norm) if scale * mz_norm > 0.0 else math.inf
 
-    x = s * z  # back to nodal values
-    x /= math.sqrt(abs(float(x @ op.apply_Mw(x))))
+    x = s * z  # back to nodal values, unit weighted norm as z
     imax = int(np.argmax(np.abs(x)))
     if x[imax] < 0.0:
         x = -x
 
-    scale = max(abs(mu), abs(rq_ones))
     margin = tol_eig * scale
     unstable = mu < -margin
     return SpectralResult(
@@ -453,6 +516,9 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
         mesh_size=n - 1,
         residual=residual,
         robin_defect=math.nan,
+        bracket=(lo, hi),
+        inertia_counts=counts,
+        solves=solves,
     )
 
 

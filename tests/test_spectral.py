@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_banded
 
 from lanemden import (
     DiscreteOperator,
@@ -28,7 +28,13 @@ from lanemden import (
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
-from lanemden.spectral import STABLE, UNSTABLE, _positive_definite, _robin_defect
+from lanemden.spectral import (
+    STABLE,
+    UNSTABLE,
+    _jacobi_scaled,
+    _positive_definite,
+    _robin_defect,
+)
 
 from conftest import get_liquid, get_profile
 
@@ -305,6 +311,218 @@ class TestStableAtZero:
         )
         assert stable_at_zero(op)
         assert smallest_eigenpair(op).mu_star > 0.0
+
+
+def reference_eigenpair(op, tol_eig=1e-8):
+    """The solver smallest_eigenpair replaced, kept as the reference.
+
+    Bisection of [mu_lower, RQ(1)] by inertia counts until the ends are
+    adjacent doubles, then banded-LU inverse iteration shifted to the lower
+    end with a shift back-off.  Returns mu*, chi*, verdict, marginal and the
+    number of counts.
+    """
+    n = len(op.k_diag)
+    ones = np.ones(n)
+    rq_ones = op.rayleigh(ones)
+    s, scaled = _jacobi_scaled(op)
+    kd, ke, md, me = scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off
+    counts = 0
+
+    def positive_definite(sigma):
+        nonlocal counts
+        counts += 1
+        return _positive_definite(kd, ke, md, me, sigma)
+
+    lo = op.mu_lower
+    hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
+    while not positive_definite(lo):
+        lo -= max(1.0, abs(lo))
+    if lo >= hi:
+        lo = hi - max(abs(hi) * 1e-12, 1e-300)
+    for _ in range(140):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        if positive_definite(mid):
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+
+    row_sum = np.abs(kd).copy()
+    row_sum[:-1] += np.abs(ke)
+    row_sum[1:] += np.abs(ke)
+    spectral_scale = float(row_sum.max()) / max(1.0 - 2.0 * float(np.abs(me).max()), 0.05)
+    sigma, z = lo, ones.copy()
+    for attempt in range(5):
+        ab = np.zeros((3, n))
+        ab[0, 1:] = ke - sigma * me
+        ab[1, :] = kd - sigma * md
+        ab[2, :-1] = ke - sigma * me
+        converged = False
+        for _ in range(50):
+            try:
+                with np.errstate(all="ignore"):
+                    y = solve_banded((1, 1), ab, scaled.apply_Mw(z))
+            except np.linalg.LinAlgError:
+                break
+            nrm = math.sqrt(abs(float(y @ scaled.apply_Mw(y))))
+            if not np.all(np.isfinite(y)) or nrm == 0.0 or not math.isfinite(nrm):
+                break
+            z = y / nrm
+            Mz = scaled.apply_Mw(z)
+            residual = float(np.linalg.norm(scaled.apply_K(z) - mu * Mz)) / (
+                float(np.linalg.norm(Mz)) * spectral_scale
+            )
+            if residual <= tol_eig:
+                converged = True
+                break
+        if converged:
+            break
+        sigma -= max(abs(sigma), 1.0) * 10.0 ** (-12 + 2 * attempt)
+        z = ones.copy()
+    else:
+        raise RuntimeError("reference eigensolver did not converge")
+    x = s * z
+    x /= math.sqrt(abs(float(x @ op.apply_Mw(x))))
+    if x[int(np.argmax(np.abs(x)))] < 0.0:
+        x = -x
+    margin = tol_eig * max(abs(mu), abs(rq_ones))
+    return types.SimpleNamespace(
+        mu_star=mu,
+        chi_star=x,
+        verdict=UNSTABLE if mu < -margin else STABLE,
+        marginal=abs(mu) <= margin,
+        counts=counts,
+    )
+
+
+def stated_width(result, op, tol_eig=1e-8):
+    """The width the certified bracket must be narrower than."""
+    return 1e-4 * tol_eig * max(abs(result.mu_star), abs(op.rayleigh(np.ones(len(op.nodes)))))
+
+
+def shifted(op, shift):
+    """The pencil (K - shift Mw, Mw): every eigenvalue moves down by shift."""
+    return replace(
+        op,
+        k_diag=op.k_diag - shift * op.m_diag,
+        k_off=op.k_off - shift * op.m_off,
+        mu_lower=op.mu_lower - abs(shift),
+    )
+
+
+class TestCertifiedSearch:
+    """smallest_eigenpair against the adjacent-doubles bisection it replaced."""
+
+    def check_against_reference(self, op, tol_eig=1e-8, mu_tol=None):
+        res = smallest_eigenpair(op, tol_eig)
+        ref = reference_eigenpair(op, tol_eig)
+        lo, hi = res.bracket
+        _, scaled = _jacobi_scaled(op)
+        pencil = (scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off)
+        assert _positive_definite(*pencil, lo)
+        assert not _positive_definite(*pencil, hi)
+        assert lo < res.mu_star < hi or np.nextafter(lo, math.inf) == hi
+        assert hi - lo < stated_width(res, op, tol_eig)
+        assert abs(res.mu_star - ref.mu_star) <= (hi - lo if mu_tol is None else mu_tol)
+        assert (res.verdict, res.marginal) == (ref.verdict, ref.marginal)
+        assert res.inertia_counts <= ref.counts
+        assert res.solves == 1
+        assert res.residual <= tol_eig
+        # the same eigenvector as the reference's
+        assert abs(float(res.chi_star @ op.apply_Mw(ref.chi_star))) == pytest.approx(1.0, abs=1e-8)
+        return res, ref
+
+    @pytest.mark.parametrize("mesh", [2048, 8192])
+    def test_stars(self, mesh):
+        counts, ref_counts = [], []
+        for d, g in TestStableAtZero.LINES:
+            for rho0 in TestStableAtZero.DENSITIES:
+                op = assemble(build_sl_data(get_liquid(d, g, rho0)), mesh)
+                res, ref = self.check_against_reference(op)
+                counts.append(res.inertia_counts)
+                ref_counts.append(ref.counts)
+        # the regula falsi steps do the work: at most half the reference's counts
+        assert np.median(counts) <= 0.5 * np.median(ref_counts)
+
+    @pytest.mark.parametrize("mesh", [16, 32, 64, 128, 256, 512])
+    def test_manufactured(self, mesh):
+        # K is the singular p-stiffness minus Mw, so near mu* = -1 the count
+        # flips by rounding over about 2e-12: the two solvers' brackets, each
+        # certified by its own counts, can miss each other by that much
+        res, _ = self.check_against_reference(assemble(manufactured(), mesh), mu_tol=1e-11)
+        assert res.mu_star == pytest.approx(-1.0, abs=1e-9)
+
+    @staticmethod
+    def near_crossing():
+        # tol_eig = 1e-2 widens the stopping width to 1e-6 |RQ(1)|, far above
+        # the 6e-11 steps by which rounding the shifted diagonal moves mu*
+        op = assemble(build_sl_data(get_liquid(3, 1.25, 50.3231)), 256)
+        return op, smallest_eigenpair(op).mu_star, abs(op.rayleigh(np.ones(len(op.nodes))))
+
+    def test_sign_follows_the_count_at_zero(self):
+        # |mu*| far below the stopping width: the bracket would contain 0, so
+        # the count at 0 must decide the sign of mu*
+        op, mu, rq = self.near_crossing()
+        signs = []
+        for k in range(-10, 11):
+            op_k = shifted(op, mu + k * 2e-10 * rq)
+            res, _ = self.check_against_reference(op_k, tol_eig=1e-2)
+            lo, hi = res.bracket
+            assert not lo < 0.0 < hi
+            assert (math.copysign(1.0, res.mu_star) > 0.0) == stable_at_zero(op_k), k
+            signs.append(res.mu_star > 0.0)
+        assert any(signs) and not all(signs)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_bracket_never_straddles_the_margin(self, side):
+        # mu* within the stopping width of -margin or +margin: the verdict
+        # and the marginal flag must not depend on where the search stops
+        op, mu, rq = self.near_crossing()
+        # mu - shift = side * 1e-2 * (rq - shift): mu* on the margin of the
+        # shifted pencil, whose RQ(1) moves with the shift
+        on_margin = (mu - side * 1e-2 * rq) / (1.0 - side * 1e-2)
+        flags = set()
+        for k in range(-10, 11):
+            op_k = shifted(op, on_margin + k * 1e-7 * rq)
+            res, _ = self.check_against_reference(op_k, tol_eig=1e-2)
+            lo, hi = res.bracket
+            m = 1e-2 * max(abs(res.mu_star), abs(op_k.rayleigh(np.ones(len(op_k.nodes)))))
+            assert not lo < -m < hi and not lo < m < hi, k
+            flags.add((res.verdict, res.marginal))
+        assert len(flags) == 2
+
+    @pytest.mark.parametrize("gap", [2e-12, 1e-10, 1e-8])
+    def test_bisection_safeguard(self, gap):
+        # RQ(1) sits just below the pole of the last pivot at sigma = 1: the
+        # regula falsi steps from the far end barely move, and without the
+        # bisection fallback the search takes about 50 counts
+        op = DiscreteOperator(
+            nodes=np.arange(2.0),
+            k_diag=np.array([1.0, 3.0 - 2.0 * gap]),
+            k_off=np.array([-1.0]),
+            m_diag=np.ones(2),
+            m_off=np.zeros(1),
+            mu_lower=-1.0,
+        )
+        res, ref = self.check_against_reference(op)
+        exact = 2.0 - gap - math.sqrt(2.0 - 2.0 * gap + gap * gap)
+        assert res.mu_star == pytest.approx(exact, rel=1e-11)
+        assert res.inertia_counts <= 25 < ref.counts
+
+    def test_residual_is_relative_to_mu(self):
+        data = build_sl_data(get_liquid(3, 1.25, 1e4))
+        op = assemble(data, 512)
+        res = smallest_eigenpair(op)
+        s, scaled = _jacobi_scaled(op)
+        z = res.chi_star / s
+        Mz = scaled.apply_Mw(z)
+        scale = max(abs(res.mu_star), abs(op.rayleigh(np.ones(len(op.nodes)))))
+        want = np.linalg.norm(scaled.apply_K(z) - res.mu_star * Mz) / (scale * np.linalg.norm(Mz))
+        # both sit at the rounding floor of K z, so they agree in size only
+        assert 0.5 * want <= res.residual <= 2.0 * want
+        assert 1e-14 < res.residual <= 1e-8
 
 
 class TestFusedCoefficients:
