@@ -5,11 +5,13 @@ __version__ = "0.1.0"
 from .config import StarConfig, stability_threshold, support_threshold
 from .steady import (
     ClosedFormStar,
+    LiquidLine,
     Profile,
     classify_support,
     decay_bound,
     explicit_profile_critical,
     integrate_gas_profile,
+    integrate_line,
     liquid_radius,
     pohozaev_residual,
     read_profile_csv,

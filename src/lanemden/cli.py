@@ -8,6 +8,7 @@ An optional JSON config file mirrors the flags; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -55,7 +56,9 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process (parse_args leaves it as it is)."""
     parser = _Parser(prog="lanemden", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

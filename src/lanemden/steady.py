@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, TextIO
+from typing import Callable, Dict, Optional, Sequence, TextIO
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -41,6 +41,9 @@ LIQUID_TRUNCATED = "liquid-truncated"
 
 COMPACT = "compact"
 INFINITE = "infinite"
+
+# default number of samples a profile grid is refined to
+MIN_POINTS = 2048
 
 # 5-point Gauss-Legendre rule on [-1, 1], used for cumulative integrals
 _GAUSS5_X = np.array(
@@ -108,18 +111,28 @@ class Profile:
         return float(self.mass[-1])
 
     @cached_property
-    def _enthalpy_interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self.radii, self.enthalpy, extrapolate=False)
-
-    @cached_property
-    def _mass_hat_interp(self) -> PchipInterpolator:
-        # interpolate m(r)/r^d, which tends to (4 pi / d) rho0 at the center,
-        # so that the polynomial factor r^d never has to be resolved by the fit
+    def _rho_mass_interp(self) -> PchipInterpolator:
+        # the enthalpy and m(r)/r^d as the two columns of one piecewise cubic,
+        # so each radius is located once for both.  m/r^d tends to
+        # (4 pi / d) rho0 at the center, so that the polynomial factor r^d
+        # never has to be resolved by the fit
         r = self.radii
         mhat = np.empty_like(r)
         mhat[0] = FOUR_PI / self.config.d * self.config.rho_center
         mhat[1:] = self.mass[1:] / r[1:] ** self.config.d
-        return PchipInterpolator(r, mhat, extrapolate=False)
+        return PchipInterpolator(r, np.column_stack([self.enthalpy, mhat]), extrapolate=False)
+
+    def _column(self, k: int) -> PPoly:
+        c = np.ascontiguousarray(self._rho_mass_interp.c[..., k])
+        return PPoly.construct_fast(c, self.radii, extrapolate=False)
+
+    @cached_property
+    def _enthalpy_interp(self) -> PPoly:
+        return self._column(0)
+
+    @cached_property
+    def _mass_hat_interp(self) -> PPoly:
+        return self._column(1)
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
@@ -138,13 +151,6 @@ class Profile:
     def mass_at(self, r):
         r = self._check_range(r)
         return self._mass_hat_interp(r) * r ** self.config.d
-
-    @cached_property
-    def _rho_mass_interp(self) -> PPoly:
-        # both interpolants break at the profile radii, so as the two columns
-        # of one piecewise cubic each radius is located once for both
-        c = np.stack([self._enthalpy_interp.c, self._mass_hat_interp.c], axis=-1)
-        return PPoly.construct_fast(c, self.radii, extrapolate=False)
 
     def rho_and_mass_at(self, r):
         """(rho_at(r), mass_at(r)) bit for bit, from one interval search per radius."""
@@ -216,30 +222,29 @@ def _drop_stalled(radii, rho, enth, mass, pinned):
     return radii[keep], rho[keep], enth[keep], mass[keep]
 
 
-def integrate_gas_profile(
-    config: StarConfig,
-    tol: float = 1e-10,
-    r_max: float = 50.0,
-    *,
-    min_points: int = 2048,
-    stop_at_liquid: bool = False,
-) -> Profile:
-    """Integrate the gas steady state outward from the center.
+def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.ndarray):
+    """Enthalpy and mass of rho_k(r) = kappa rho(kappa^(1-gamma/2) r) from those of rho.
 
-    Integration halts at r_max, at the compact-support surface (w crossing 0,
-    recorded as gas_radius), or at an enthalpy underflow guard.  When
-    rho_center > 1 the crossing rho = 1 is located by the integrator's event
-    root-finder and stored as liquid_radius (terminal if stop_at_liquid).
+    The enthalpy is shifted by ln kappa (gamma = 1) or scaled by
+    kappa^(gamma-1), the mass scaled by kappa^(1-d(1-gamma/2)); kappa = 1
+    returns the same values.
+    """
+    g = config.gamma
+    if config.isothermal:
+        enthalpy = enthalpy + math.log(kappa)
+    else:
+        enthalpy = kappa ** (g - 1.0) * enthalpy
+    return enthalpy, kappa ** (1.0 - config.d * (1.0 - g / 2.0)) * mass
 
-    tol is the delivered relative accuracy of the profile; the embedded
-    Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
-    per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
-    error growth.  The events are downward crossings of the enthalpy, each
-    root found by brentq on its step's dense polynomial.  The grid is the
-    adaptive steps refined to at least min_points samples, evaluated on the
-    dense output in one pass, less any sample where rho or m has stopped
-    moving in float64 (r = 0 and the event radii are always kept).  Raises
-    RuntimeError when the step size underflows or the state is not finite.
+
+def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool, levels=()):
+    """One DOP853 run of config outward from its Taylor seed: (seed radius, solution).
+
+    The events, in this order, are downward enthalpy crossings of each of
+    levels (non-terminal), of the liquid surface rho = 1 (present iff
+    rho0 > 1, terminal if stop_at_liquid), then of the compact surface w = 0
+    or, for gamma = 1, of a floor h = -660 where rho underflows towards the
+    smallest doubles (terminal).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -271,10 +276,9 @@ def integrate_gas_profile(
             rho = w**alpha if w > 0.0 else 0.0
             return -cg * m / r ** (d - 1), FOUR_PI * r ** (d - 1) * rho
 
-    # downward crossings of the enthalpy: rho = 1 (liquid radius, present iff
-    # rho0 > 1), then the compact surface w = 0, or for gamma = 1 a floor
-    # h = -660 where rho underflows towards the smallest doubles
-    events = [(config.boundary_enthalpy, bool(stop_at_liquid))] if rho0 > 1.0 else []
+    events = [(level, False) for level in levels]
+    if rho0 > 1.0:
+        events.append((config.boundary_enthalpy, bool(stop_at_liquid)))
     events.append((-660.0, True) if config.isothermal else (0.0, True))
     try:
         sol = dop853.solve(
@@ -285,24 +289,41 @@ def integrate_gas_profile(
             f"integration failed for {config}: {exc} "
             "(tolerance too loose or r_max too aggressive)"
         ) from exc
+    return r0, sol
 
-    liquid_r = None
-    gas_r = None
-    if rho0 > 1.0 and sol.event_roots[0]:
-        liquid_r = sol.event_roots[0][0]
-    if not config.isothermal and sol.event_roots[-1]:
-        gas_r = sol.event_roots[-1][0]
 
-    grid = _refined_grid(sol.ts, min_points)
+def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float, r0: float,
+                     steps: np.ndarray, liquid_r: Optional[float], gas_r: Optional[float],
+                     min_points: int) -> Profile:
+    """The gas profile of config read off sol, the run of the star it rescales by kappa.
+
+    The run's star has central density rho0 / kappa and config's star is
+    rho(r) = kappa rho_run(lam r), lam = kappa^(1-gamma/2); kappa = 1 is the
+    run's own star.  r0 (the run's seed radius), steps (the step boundaries
+    to sample) and the event radii liquid_r and gas_r are radii of the run,
+    divided here by lam.  The grid is the steps refined to at least
+    min_points samples plus the event radii, evaluated on the dense output in
+    one pass; config's own Taylor seed supplies three samples inside
+    (0, r0 / lam).  Samples where rho or m has stopped moving in float64 are
+    dropped (r = 0 and the event radii are always kept).
+    """
+    d, rho0 = config.d, config.rho_center
+    lam = kappa ** (1.0 - config.gamma / 2.0)
+    r0 = r0 / lam
+    liquid_r = None if liquid_r is None else liquid_r / lam
+    gas_r = None if gas_r is None else gas_r / lam
+
+    grid = _refined_grid(steps / lam, min_points)
     event_radii = [x for x in (liquid_r, gas_r) if x is not None]
     extra = [x for x in event_radii if x < grid[-1]]
     if extra:
         grid = np.unique(np.concatenate([grid, np.array(extra)]))
-    enth, mass = sol(grid)
+    enth, mass = _rescaled(config, kappa, *sol(lam * grid))
     if gas_r is not None and grid[-1] >= gas_r:
         enth[-1] = 0.0  # surface: w = 0 exactly
 
     # sample the Taylor seed inside (0, r0) so the interpolants see the curvature
+    e0, b, e4, rho2 = _seed_coefficients(config)
     r_in = r0 * np.array([0.25, 0.5, 0.75])
     e_in = e0 + b * r_in**2 + e4 * r_in**4
     m_in = FOUR_PI * (rho0 * r_in**d / d + rho2 * r_in ** (d + 2) / (d + 2))
@@ -326,6 +347,111 @@ def integrate_gas_profile(
         liquid_radius=liquid_r,
         gas_radius=gas_r,
     )
+
+
+def integrate_gas_profile(
+    config: StarConfig,
+    tol: float = 1e-10,
+    r_max: float = 50.0,
+    *,
+    min_points: int = MIN_POINTS,
+    stop_at_liquid: bool = False,
+) -> Profile:
+    """Integrate the gas steady state outward from the center.
+
+    Integration halts at r_max, at the compact-support surface (w crossing 0,
+    recorded as gas_radius), or at an enthalpy underflow guard.  When
+    rho_center > 1 the crossing rho = 1 is located by the integrator's event
+    root-finder and stored as liquid_radius (terminal if stop_at_liquid).
+
+    tol is the delivered relative accuracy of the profile; the embedded
+    Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
+    per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
+    error growth.  The events are downward crossings of the enthalpy, each
+    root found by brentq on its step's dense polynomial.  The grid is the
+    adaptive steps refined to at least min_points samples, evaluated on the
+    dense output in one pass, less any sample where rho or m has stopped
+    moving in float64 (r = 0 and the event radii are always kept).  Raises
+    RuntimeError when the step size underflows or the state is not finite.
+    """
+    r0, sol = _integrate(config, tol, r_max, stop_at_liquid)
+    liquid_r = None
+    gas_r = None
+    if config.rho_center > 1.0 and sol.event_roots[0]:
+        liquid_r = sol.event_roots[0][0]
+    if not config.isothermal and sol.event_roots[-1]:
+        gas_r = sol.event_roots[-1][0]
+    return _sampled_profile(config, sol, 1.0, r0, sol.ts, liquid_r, gas_r, min_points)
+
+
+@dataclass(frozen=True)
+class LiquidLine:
+    """The liquid stars of one (d, gamma) line, read off one run of its densest star.
+
+    By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), the star
+    of central density rho0 = kappa rho_top (kappa <= 1) is the top star's
+    gas solution on radii divided by kappa^(1-gamma/2), cut where the top
+    star's enthalpy falls to that of density 1/kappa.  The run records that
+    crossing of each density as a non-terminal event; events leave the steps
+    as they are, so the top star's own profile is bit for bit the one
+    integrate_gas_profile(stop_at_liquid=True) returns.  events maps each
+    central density to the index of its crossing in sol.event_roots.
+    """
+
+    top: StarConfig
+    r_max: float
+    r0: float
+    sol: dop853.DenseSolution
+    events: Dict[float, int]
+
+    def star(self, rho0: float) -> Optional[Profile]:
+        """The gas profile of central density rho0 cut at its liquid radius, or None.
+
+        None when this run cannot resolve the star: rho0 is so close to 1
+        that the top star's enthalpy is already below the star's level at
+        the seed radius, or the star's liquid radius exceeds r_max.
+        """
+        kappa = rho0 / self.top.rho_center
+        lam = kappa ** (1.0 - self.top.gamma / 2.0)
+        roots = self.sol.event_roots[self.events[rho0]]
+        if not roots or roots[0] / lam > self.r_max:
+            return None
+        root = roots[0]
+        ts = self.sol.ts
+        steps = np.append(ts[ts < root], root)
+        config = StarConfig(self.top.d, self.top.gamma, rho0)
+        return _sampled_profile(config, self.sol, kappa, self.r0, steps, root, None, MIN_POINTS)
+
+
+def integrate_line(
+    top: StarConfig,
+    densities: Sequence[float],
+    tol: float = 1e-10,
+    r_max: float = 50.0,
+) -> LiquidLine:
+    """Integrate the star top once, with the liquid crossing of every density in (1, rho_top].
+
+    The run is the one integrate_gas_profile(top, stop_at_liquid=True)
+    makes, plus one non-terminal event per smaller density at the top
+    star's enthalpy of density rho_top / rho0: kappa^-(gamma-1), or -ln kappa
+    at gamma = 1, for kappa = rho0 / rho_top.  LiquidLine.star builds each
+    profile on demand.
+    The top star's seed radius is kept, so the seed covers r0 / lam of each
+    smaller star, a larger share of its radius than its own seed would.
+    """
+    rho_top = top.rho_center
+    densities = [float(x) for x in densities]
+    if not all(1.0 < x <= rho_top for x in densities):
+        raise ValueError(f"line densities must lie in (1, {rho_top:g}]")
+    below = list(dict.fromkeys(x for x in densities if x < rho_top))
+    if top.isothermal:
+        levels = [-math.log(x / rho_top) for x in below]
+    else:
+        levels = [(x / rho_top) ** (1.0 - top.gamma) for x in below]
+    r0, sol = _integrate(top, tol, r_max, True, levels)
+    events = {x: i for i, x in enumerate(below)}
+    events[rho_top] = len(below)  # the top star's own liquid surface
+    return LiquidLine(top, r_max, r0, sol, events)
 
 
 def liquid_radius(profile: Profile) -> float:
@@ -492,11 +618,7 @@ def scale_profile(profile: Profile, kappa: float) -> Profile:
     new_config = StarConfig(config.d, g, kappa * config.rho_center)
     radii = profile.radii / lam
     rho = kappa * profile.rho
-    mass = kappa ** (1.0 - config.d * (1.0 - g / 2.0)) * profile.mass
-    if config.isothermal:
-        enth = profile.enthalpy + math.log(kappa)
-    else:
-        enth = kappa ** (g - 1.0) * profile.enthalpy
+    enth, mass = _rescaled(config, kappa, profile.enthalpy, profile.mass)
 
     liquid_r = None
     if kappa * config.rho_center > 1.0:

@@ -203,3 +203,27 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--config", "/nonexistent.json")
         assert code == 1
+
+
+class TestParserReuse:
+    SCAN = ("scan", "--d", "3", "--gamma", "1.5", "--rho0-min", "1.5", "--rho0-max", "15",
+            "--points", "2", "--mesh", "256")
+    ARGVS = (
+        SCAN,
+        ("critical", "--d", "3", "--gamma", "1.25", "--rho0-min", "40", "--rho0-max", "60",
+         "--tol-rho", "0.05", "--mesh", "256", "--format", "json"),
+        ("scan", "--d", "3", "--bogus", "1"),
+        SCAN,
+    )
+
+    def test_one_parser_serves_alternating_commands(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli.build_parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0]
+        assert reused[3] == reused[0]

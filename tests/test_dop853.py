@@ -102,6 +102,22 @@ def test_matches_solve_ivp(monkeypatch, star, kwargs):
     assert err[:, smooth].max() <= 1e-12
 
 
+@pytest.mark.parametrize("star", LIQUID_STARS, ids=str)
+def test_non_terminal_events_leave_the_steps_alone(monkeypatch, star):
+    # extra crossings between the seed and the liquid surface only record
+    # roots: the steps, their dense output and the RHS count stay bit for bit
+    _, args, kw, sol = _captured_run(monkeypatch, star, dict(r_max=50.0, stop_at_liquid=True))
+    seed, surface = args[2][0], kw["events"][0][0]
+    levels = [(surface + f * (seed - surface), False) for f in (0.9, 0.5, 0.1, 1e-6)]
+    more = dop853.solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=levels + kw["events"])
+    for name in ("ts", "t_old", "h", "y_old", "coeffs"):
+        assert getattr(more, name).tobytes() == getattr(sol, name).tobytes(), name
+    assert more.nfev == sol.nfev
+    assert more.event_roots[len(levels):] == sol.event_roots
+    roots = [r for (r,) in more.event_roots[:len(levels)]]
+    assert roots == sorted(roots) and roots[-1] < sol.ts[-1]
+
+
 def test_floor_event_stops_isothermal_star(monkeypatch):
     # gamma = 1 has no surface: the run ends where h falls to -660
     _, _, kw, sol = _captured_run(monkeypatch, (3, 1.0, 1.0), dict(r_max=1e200))

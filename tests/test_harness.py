@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import lanemden.harness as harness
 import lanemden.spectral as spectral
 from lanemden import (
     RunSpec,
+    SweepRow,
+    dop853,
     critical_density,
     run_profile,
     run_sweep,
@@ -160,6 +163,109 @@ class TestRunSweep:
         ]
         flip = next(i for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
         print(f"mass extrema at indices {extrema}, sign change between {flip} and {flip+1}")
+
+
+ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def reference_sweep(spec):
+    """The per-row sweep: every star integrated on its own by sweep_row."""
+    rows = []
+    for rho0 in spec.rho0_values().tolist():
+        try:
+            rows.append(sweep_row(spec.d, spec.gamma, rho0, mesh=spec.mesh, tol=spec.tol,
+                                  tol_eig=spec.tol_eig, rmax=spec.rmax))
+        except ROW_ERRORS as exc:
+            rows.append(SweepRow(rho0, math.nan, math.nan, math.nan, "Error",
+                                 f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+# the nine lines of the benchmark's seed-0 sweep, then the extremes of the domain
+SEED0_LINES = [(3, 1.034), (3, 1.245), (3, 1.794), (4, 1.076), (4, 1.447), (4, 1.943),
+               (5, 1.215), (5, 1.546), (5, 1.73)]
+LINES = [(d, g, {}, 0) for d, g in SEED0_LINES] + [
+    (3, 1.0, {}, 0),
+    (3, 1.001, {}, 0),
+    (7, 1.01, {}, 0),
+    (30, 1.9, {}, 0),
+    (3, 2.0, {}, 0),
+    (4, 1.3, dict(rho0_max=1e15), 0),
+    (3, 1.25, dict(rho0_min=1 + 1e-9), 1),  # its level lies inside the top star's seed
+    (3, 1.0, dict(rmax=0.3), 7),  # R > rmax above the first row, the top star's too
+]
+
+
+class TestLineFamily:
+    """run_sweep's one integration per line against one integration per star."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of DOP853 runs and of rows that fell back to sweep_row."""
+        counts = {"solves": 0, "fallbacks": 0}
+        real_solve, real_row = dop853.solve, harness.sweep_row
+
+        def solve(*args, **kwargs):
+            counts["solves"] += 1
+            return real_solve(*args, **kwargs)
+
+        def row(*args, **kwargs):
+            counts["fallbacks"] += 1
+            return real_row(*args, **kwargs)
+
+        monkeypatch.setattr(dop853, "solve", solve)
+        monkeypatch.setattr(harness, "sweep_row", row)
+        return counts
+
+    @pytest.mark.parametrize("d,gamma,extra,fallbacks", LINES, ids=[str(c) for c in LINES])
+    def test_rows_match_per_row_integration(self, counted, d, gamma, extra, fallbacks):
+        line = dict(rho0_min=1.01, rho0_max=1e6, points=8, mesh=2048)
+        spec = RunSpec(d=d, gamma=gamma, **{**line, **extra})
+        rows = run_sweep(spec)
+        assert counted["fallbacks"] == fallbacks
+        assert counted["solves"] == 1 + fallbacks
+        refs = reference_sweep(spec)
+        assert [(r.rho0, r.verdict, r.reason) for r in rows] == [
+            (r.rho0, r.verdict, r.reason) for r in refs
+        ]
+        assert repr(rows[-1]) == repr(refs[-1])  # the top star: bit for bit
+        for row, ref in zip(rows, refs):
+            if ref.verdict == "Error":
+                continue
+            assert row.R == pytest.approx(ref.R, rel=1e-9, abs=0)
+            assert row.M_total == pytest.approx(ref.M_total, rel=1e-9, abs=0)
+            assert row.mu_star == pytest.approx(ref.mu_star, rel=2e-7, abs=0)
+
+    def test_failed_line_falls_back_row_by_row(self, counted, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic line failure")
+
+        monkeypatch.setattr(harness, "integrate_line", broken)
+        spec = RunSpec(d=3, gamma=1.25, rho0_min=1.01, rho0_max=1e6, points=4, mesh=512)
+        rows = run_sweep(spec)
+        assert counted["fallbacks"] == counted["solves"] == 4
+        assert repr(rows) == repr(reference_sweep(spec))
+
+    def test_line_integration_error_keeps_each_rows_reason(self, counted):
+        spec = RunSpec(d=3, gamma=1.25, rho0_min=2.0, rho0_max=8.0, points=3, mesh=256, tol=-1.0)
+        rows = run_sweep(spec)
+        assert counted["fallbacks"] == 3 and counted["solves"] == 0
+        assert [r.verdict for r in rows] == ["Error"] * 3
+        assert repr(rows) == repr(reference_sweep(spec))
+        assert rows[0].reason == "ValueError: tol must be positive, got -1.0"
+
+    def test_one_profile_alive_at_a_time(self, monkeypatch):
+        alive = []
+        real = harness.classify_stability
+
+        def watched(profile, **kwargs):
+            assert all(ref() is None for ref in alive)
+            alive.append(weakref.ref(profile))
+            return real(profile, **kwargs)
+
+        monkeypatch.setattr(harness, "classify_stability", watched)
+        run_sweep(RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256))
+        assert len(alive) == 5
 
 
 class TestCriticalDensity:
