@@ -10,8 +10,14 @@ DOP853, so the two take the same steps up to rounding.
 
 Stepping a 2-vector through numpy costs far more in call overhead than in
 arithmetic, so the stages are combined in plain Python on the two components.
-The dense output of all accepted steps is kept as one coefficient array and
-evaluated in one vectorised pass.
+At import the tableau rows are turned into straight-line code over local
+floats (_compile_kernels): each stage, the order-8 weights, the two error
+sums and the 3 dense stages is one expression 0.0 + c k_j0 + c k_j1 + ...
+in the row's order, so a step costs about its arithmetic and gives the bits
+a loop over the row would.  An event hit builds its step's crossing
+polynomial from the same floats.  The dense output of all accepted steps is
+kept power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient,
+and evaluated in one vectorised pass that gathers each block contiguously.
 """
 
 from __future__ import annotations
@@ -261,15 +267,79 @@ _D = tuple(_sparse(row) for row in D)
 _K0 = 6
 
 
+def _sum(row: Tuple[Tuple[int, float], ...], k: str) -> str:
+    """Source of 0.0 + c k_j + ... over the (j, c) pairs of row, in row order.
+
+    Python adds left to right and a float's repr reads back as the same
+    double, so the expression accumulates exactly what a loop over row
+    starting from 0.0 does.
+    """
+    return " + ".join(["0.0"] + [f"{c!r} * {k}{j}" for j, c in row])
+
+
+def _names(k: str, n: int) -> str:
+    return ", ".join(f"{k}{j}" for j in range(n))
+
+
+def _stage(s: int) -> str:
+    """Source of stage s: the slopes ka{s}, kb{s} at t + C[s] h."""
+    return (
+        f"    ka{s}, kb{s} = rhs(t + {_C[s]!r} * h, a + ({_sum(_ROWS[s], 'ka')}) * h, "
+        f"b + ({_sum(_ROWS[s], 'kb')}) * h)"
+    )
+
+
+def _compile_kernels():
+    """The straight-line kernels of one step, generated from _ROWS, _E5, _E3 and _D.
+
+    _trial_step(rhs, t, h, a, b, ka0, kb0) evaluates stages 1-11, the
+    order-8 solution and f there, and returns (a_new, b_new, e5a, e5b, e3a,
+    e3b, ka, kb): the unscaled order-5 and order-3 error sums of each
+    component and the 13 slopes of each.  _dense_stages(rhs, t, h, a, b, ka,
+    kb) adds the 3 stages of the dense output and returns all 32 slopes,
+    those of a first.  _event_polynomial(h, dy, k) is the first component's
+    row of _dense_coefficients for the step with h, y_new - y_old = dy and
+    slopes k, as a list of 7 floats.
+    """
+    n, m = N_STAGES, N_STAGES_EXTENDED
+    lines = [
+        "def _trial_step(rhs, t, h, a, b, ka0, kb0):",
+        *(_stage(s) for s in range(1, n)),
+        f"    a_new = a + h * ({_sum(_ROWS[n], 'ka')})",
+        f"    b_new = b + h * ({_sum(_ROWS[n], 'kb')})",
+        f"    ka{n}, kb{n} = rhs(t + h, a_new, b_new)",
+        "    return (a_new, b_new,",
+        *(f"            {_sum(row, k)}," for row in (_E5, _E3) for k in ("ka", "kb")),
+        f"            ({_names('ka', n + 1)}), ({_names('kb', n + 1)}))",
+        "def _dense_stages(rhs, t, h, a, b, ka, kb):",
+        f"    {_names('ka', n + 1)} = ka",
+        f"    {_names('kb', n + 1)} = kb",
+        *(_stage(s) for s in range(n + 1, m)),
+        f"    return ({_names('ka', m)}, {_names('kb', m)})",
+        "def _event_polynomial(h, dy, k):",
+        f"    {_names('ka', m)} = k[:{m}]",
+        f"    return [dy, h * ka0 - dy, 2.0 * dy - h * (ka{n} + ka0),",
+        *(f"            h * ({_sum(row, 'ka')})," for row in _D),
+        "    ]",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines), "<dop853 kernels>", "exec"), namespace)
+    return namespace["_trial_step"], namespace["_dense_stages"], namespace["_event_polynomial"]
+
+
+_trial_step, _dense_stages, _event_polynomial = _compile_kernels()
+
+
 @dataclass(frozen=True)
 class DenseSolution:
     """The accepted steps of one integration and their dense output.
 
     ts are the step boundaries; when a terminal event stopped the run, the
     last boundary is the event root, inside the last step.  Step k spans
-    [t_old[k], t_old[k] + h[k]] with start value y_old[k] and dense-output
-    coefficients coeffs[k] (7 x 2).  event_roots holds, per event, the radii
-    where it fired.  nfev counts right-hand-side evaluations.
+    [t_old[k], t_old[k] + h[k]] with start value y_old[k]; coeffs[i, k] is
+    its i-th dense-output coefficient (a 2-vector), so coeffs has shape
+    (7, n_steps, 2).  event_roots holds, per event, the radii where it
+    fired.  nfev counts right-hand-side evaluations.
     """
 
     ts: np.ndarray
@@ -288,13 +358,14 @@ class DenseSolution:
         """Both components at the radii t (1-D array): shape (2, len(t)).
 
         A radius on a step boundary is evaluated on the step that ends there.
+        Each coefficient is gathered from its contiguous (n_steps, 2) block.
         """
         t = np.asarray(t, dtype=float)
         seg = np.searchsorted(self.ts, t, side="left") - 1
         np.clip(seg, 0, len(self.h) - 1, out=seg)
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        y = _horner(self.coeffs[seg].transpose(1, 0, 2), x)
-        y += self.y_old[seg]
+        y = _horner([c.take(seg, axis=0) for c in self.coeffs], x)
+        y += self.y_old.take(seg, axis=0)
         return y.T
 
 
@@ -304,30 +375,34 @@ def _horner(coeffs, x):
     coeffs[i] is the i-th coefficient (a float, or an array that broadcasts
     against x); the polynomial is nested in alternating factors x and 1 - x.
     """
+    x1 = 1.0 - x
     y = 0.0
     for i in range(INTERPOLATOR_POWER - 1, -1, -1):
-        y = (y + coeffs[i]) * (x if i % 2 == 0 else 1.0 - x)
+        y = (y + coeffs[i]) * (x if i % 2 == 0 else x1)
     return y
 
 
 def _dense_coefficients(records: np.ndarray) -> np.ndarray:
-    """Dense-output coefficients (n, 7, 2) of n step records."""
+    """Dense-output coefficients (7, n, 2) of n step records.
+
+    Each element is computed with the operations, in the order, of
+    _event_polynomial, so a record's coefficients do not depend on the batch.
+    """
     n = len(records)
     h = records[:, 1, None]
     dy = records[:, 4:6] - records[:, 2:4]
     k = records[:, _K0:].reshape(n, 2, N_STAGES_EXTENDED)
     f_old, f_new = k[:, :, 0], k[:, :, N_STAGES]
-    out = np.empty((n, INTERPOLATOR_POWER, 2))
-    out[:, 0] = dy
-    out[:, 1] = h * f_old - dy
-    out[:, 2] = 2.0 * dy - h * (f_new + f_old)
-    # elementwise sums in a fixed order, so one record gives the same
-    # coefficients alone as inside a batch
-    for i, row in enumerate(_D):
-        acc = np.zeros((n, 2))
-        for j, c in row:
-            acc += c * k[:, :, j]
-        out[:, 3 + i] = h * acc
+    out = np.empty((INTERPOLATOR_POWER, n, 2))
+    out[0] = dy
+    out[1] = h * f_old - dy
+    out[2] = 2.0 * dy - h * (f_new + f_old)
+    # the four high-order rows share their 12 columns: one broadcast term per
+    # column, added in column order to sums that start from 0.0
+    acc = np.zeros((INTERPOLATOR_POWER - 3, n, 2))
+    for j in _D_COLUMNS:
+        acc += D[:, j, None, None] * k[:, :, j]
+    np.multiply(h, acc, out=out[3:])
     return out
 
 
@@ -382,10 +457,6 @@ def solve(
     h_abs = _initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
     nfev = 2
 
-    rows, cs = _ROWS, _C
-    rows_b, e3, e5 = _ROWS[N_STAGES], _E3, _E5
-    ka = [0.0] * N_STAGES_EXTENDED
-    kb = [0.0] * N_STAGES_EXTENDED
     levels = [float(level) for level, _ in events]
     g = [a - level for level in levels]
     roots = [[] for _ in events]
@@ -405,32 +476,11 @@ def solve(
             h = t_new - t
             h_abs = h
 
-            ka[0], kb[0] = fa, fb
-            for s in range(1, N_STAGES):
-                sa = sb = 0.0
-                for j, c in rows[s]:
-                    sa += c * ka[j]
-                    sb += c * kb[j]
-                ka[s], kb[s] = rhs(t + cs[s] * h, a + sa * h, b + sb * h)
-            sa = sb = 0.0
-            for j, c in rows_b:
-                sa += c * ka[j]
-                sb += c * kb[j]
-            a_new = a + h * sa
-            b_new = b + h * sb
-            fa_new, fb_new = rhs(t + h, a_new, b_new)
-            ka[N_STAGES], kb[N_STAGES] = fa_new, fb_new
+            a_new, b_new, e5a, e5b, e3a, e3b, ka, kb = _trial_step(rhs, t, h, a, b, fa, fb)
             nfev += N_STAGES
 
             scale_a = atol + max(abs(a), abs(a_new)) * rtol
             scale_b = atol + max(abs(b), abs(b_new)) * rtol
-            e5a = e5b = e3a = e3b = 0.0
-            for j, c in e5:
-                e5a += c * ka[j]
-                e5b += c * kb[j]
-            for j, c in e3:
-                e3a += c * ka[j]
-                e3b += c * kb[j]
             e5a, e5b, e3a, e3b = e5a / scale_a, e5b / scale_b, e3a / scale_a, e3b / scale_b
             err5 = e5a * e5a + e5b * e5b
             err3 = e3a * e3a + e3b * e3b
@@ -455,22 +505,16 @@ def solve(
         if not (math.isfinite(a_new) and math.isfinite(b_new)):
             raise RuntimeError(f"non-finite state at r = {t_new:.17g}")
 
-        # the extra stages of the dense output
-        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            sa = sb = 0.0
-            for j, c in rows[s]:
-                sa += c * ka[j]
-                sb += c * kb[j]
-            ka[s], kb[s] = rhs(t + cs[s] * h, a + sa * h, b + sb * h)
+        k = _dense_stages(rhs, t, h, a, b, ka, kb)
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
-        records.append((t, h, a, b, a_new, b_new, *ka, *kb))
+        records.append((t, h, a, b, a_new, b_new) + k)
 
         stop = None
         if levels:
             g_new = [a_new - level for level in levels]
             hits = [i for i in range(len(levels)) if g[i] >= 0.0 and g_new[i] <= 0.0]
             if hits:
-                poly = _dense_coefficients(np.array(records[-1:]))[0, :, 0].tolist()
+                poly = _event_polynomial(h, a_new - a, k)
                 t_old, a_old = t, a
 
                 def crossing(r, level):
@@ -487,7 +531,7 @@ def solve(
                         break
             g = g_new
 
-        t, a, b, fa, fb = t_new, a_new, b_new, fa_new, fb_new
+        t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
         if stop is not None:
             if len(ts) > 1 and stop == ts[-1]:
                 records.pop()  # the root is the previous boundary: no new segment

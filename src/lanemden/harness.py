@@ -108,7 +108,8 @@ def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profil
     Liquid output (the default) requires rho0 > 1 and writes the profile
     truncated at R; with spec.gas the full gas profile is written instead.
     Diagnostics report the worst decay-bound slack and integral-identity
-    residual over the grid, plus R and the total mass.
+    residual over the grid, R, the total mass, and the integrator's
+    right-hand-side evaluations (nfev) and accepted steps.
     """
     config = spec.config()
     if not spec.gas and config.rho_center <= 1.0:
@@ -132,6 +133,8 @@ def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profil
         "max_decay_slack": slack,
         "max_pohozaev_residual": poho,
         "grid_points": int(len(emitted.radii)),
+        "nfev": emitted.nfev,
+        "steps": emitted.steps,
     }
     if spec.out is not None:
         with open(spec.out, "w") as f:

@@ -63,6 +63,9 @@ class Profile:
     w (gamma > 1) or h (gamma = 1) depending on config.  liquid_radius is the
     radius where rho = 1 (present iff rho_center > 1 and the grid reaches it);
     gas_radius is the compact-support surface where rho hits 0, if reached.
+    nfev and steps are the right-hand-side evaluations and accepted steps of
+    the DOP853 run the profile was read off (for a star built from a line,
+    the line's run); both are 0 for a profile that was not integrated.
     """
 
     config: StarConfig
@@ -73,6 +76,8 @@ class Profile:
     kind: str = GAS
     liquid_radius: Optional[float] = None
     gas_radius: Optional[float] = None
+    nfev: int = 0
+    steps: int = 0
 
     def __post_init__(self):
         for name in ("radii", "rho", "enthalpy", "mass"):
@@ -266,15 +271,17 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
     if config.isothermal:
 
         def rhs(r, h, m):
-            return -m / r ** (d - 1), FOUR_PI * r ** (d - 1) * math.exp(h)
+            rd = r ** (d - 1)
+            return -m / rd, FOUR_PI * rd * math.exp(h)
 
     else:
         cg = (config.gamma - 1.0) / config.gamma
         alpha = config.alpha
 
         def rhs(r, w, m):
+            rd = r ** (d - 1)
             rho = w**alpha if w > 0.0 else 0.0
-            return -cg * m / r ** (d - 1), FOUR_PI * r ** (d - 1) * rho
+            return -cg * m / rd, FOUR_PI * rd * rho
 
     events = [(level, False) for level in levels]
     if rho0 > 1.0:
@@ -346,6 +353,8 @@ def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float
         kind=GAS,
         liquid_radius=liquid_r,
         gas_radius=gas_r,
+        nfev=sol.nfev,
+        steps=sol.n_steps,
     )
 
 
@@ -506,6 +515,8 @@ def truncate_liquid(profile: Profile) -> Profile:
         mass=mass,
         kind=LIQUID_TRUNCATED,
         liquid_radius=R,
+        nfev=profile.nfev,
+        steps=profile.steps,
     )
 
 
@@ -641,6 +652,8 @@ def scale_profile(profile: Profile, kappa: float) -> Profile:
         kind=GAS,
         liquid_radius=liquid_r,
         gas_radius=gas_r,
+        nfev=profile.nfev,
+        steps=profile.steps,
     )
 
 

@@ -55,6 +55,20 @@ class TestProfileCommand:
         assert set(payload) == {"diagnostics", "profile"}
         assert payload["profile"]["r"][0] == 0.0
 
+    def test_integrator_counts_in_diagnostics(self, capsys):
+        # the run's RHS evaluations and accepted steps go to stderr next to
+        # the CSV, and read the same on every run
+        argv = ("profile", "--d", "3", "--gamma", "1.2", "--rho0", "32")
+        code, out1, err1 = run_cli(capsys, *argv)
+        _, out2, err2 = run_cli(capsys, *argv)
+        assert code == 0 and (out1, err1) == (out2, err2)
+        diag = json.loads(err1)
+        for key in ("nfev", "steps"):
+            assert isinstance(diag[key], int) and diag[key] > 0
+        assert diag["nfev"] >= 15 * diag["steps"] + 2
+        _, outtext, _ = run_cli(capsys, *argv, "--format", "json")
+        assert json.loads(outtext)["diagnostics"] == diag
+
     def test_usage_error_no_truncation(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--d", "3", "--gamma", "1.2", "--rho0", "1")
         assert code == 1

@@ -1,5 +1,10 @@
-"""The in-house DOP853 stepper against scipy's solve_ivp (used here as an oracle)."""
+"""Tests of the in-house DOP853 stepper.
 
+It is checked against scipy's solve_ivp (used here as an oracle) and, bit for
+bit, against its own earlier loop form.
+"""
+
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
+from scipy.optimize import brentq
 
 import lanemden
 from lanemden import StarConfig, dop853, integrate_gas_profile, steady
@@ -36,8 +42,8 @@ def test_tableau_matches_scipy_bitwise():
         assert ours.tobytes() == theirs.tobytes()
 
 
-def _captured_run(monkeypatch, star, kwargs):
-    """Integrate one star and return the stepper's inputs and its solution."""
+def _spy_on_solve(monkeypatch):
+    """A list that collects (args, kwargs, solution) of every dop853.solve call."""
     calls = []
     solve = dop853.solve
 
@@ -47,6 +53,12 @@ def _captured_run(monkeypatch, star, kwargs):
         return sol
 
     monkeypatch.setattr(steady.dop853, "solve", spy)
+    return calls
+
+
+def _captured_run(monkeypatch, star, kwargs):
+    """Integrate one star and return the stepper's inputs and its solution."""
+    calls = _spy_on_solve(monkeypatch)
     profile = integrate_gas_profile(StarConfig(*star), tol=1e-10, **kwargs)
     (args, kw, sol), = calls
     return profile, args, kw, sol
@@ -176,3 +188,251 @@ def test_import_leaves_scipy_integrate_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# The loop-form stepper that the straight-line kernels replaced, kept as a
+# bitwise reference: stage sums accumulated in loops over the sparse tableau
+# rows, one _dense_coefficients call per event hit, and dense output gathered
+# step-major, (n, 7, 2), and nested by a generic Horner loop.
+
+
+def _reference_coefficients(records):
+    n = len(records)
+    h = records[:, 1, None]
+    dy = records[:, 4:6] - records[:, 2:4]
+    k = records[:, dop853._K0:].reshape(n, 2, dop853.N_STAGES_EXTENDED)
+    f_old, f_new = k[:, :, 0], k[:, :, dop853.N_STAGES]
+    out = np.empty((n, dop853.INTERPOLATOR_POWER, 2))
+    out[:, 0] = dy
+    out[:, 1] = h * f_old - dy
+    out[:, 2] = 2.0 * dy - h * (f_new + f_old)
+    for i, row in enumerate(dop853._D):
+        acc = np.zeros((n, 2))
+        for j, c in row:
+            acc += c * k[:, :, j]
+        out[:, 3 + i] = h * acc
+    return out
+
+
+def _reference_horner(coeffs, x):
+    y = 0.0
+    for i in range(dop853.INTERPOLATOR_POWER - 1, -1, -1):
+        y = (y + coeffs[i]) * (x if i % 2 == 0 else 1.0 - x)
+    return y
+
+
+def _reference_solve(rhs, t0, y0, t_bound, rtol, atol, events=()):
+    n_stages, n_ext, eps = dop853.N_STAGES, dop853.N_STAGES_EXTENDED, dop853.EPS
+    t, t_bound = float(t0), float(t_bound)
+    rtol = max(float(rtol), 100.0 * eps)
+    a, b = (float(v) for v in y0)
+    fa, fb = rhs(t, a, b)
+    h_abs = dop853._initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
+    nfev = 2
+    rows, cs = dop853._ROWS, dop853._C
+    ka, kb = [0.0] * n_ext, [0.0] * n_ext
+    levels = [float(level) for level, _ in events]
+    g = [a - level for level in levels]
+    roots = [[] for _ in events]
+    records, ts = [], [t]
+    while t < t_bound:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("step size underflow")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = h
+            ka[0], kb[0] = fa, fb
+            for s in range(1, n_stages):
+                sa = sb = 0.0
+                for j, c in rows[s]:
+                    sa += c * ka[j]
+                    sb += c * kb[j]
+                ka[s], kb[s] = rhs(t + cs[s] * h, a + sa * h, b + sb * h)
+            sa = sb = 0.0
+            for j, c in rows[n_stages]:
+                sa += c * ka[j]
+                sb += c * kb[j]
+            a_new, b_new = a + h * sa, b + h * sb
+            fa_new, fb_new = rhs(t + h, a_new, b_new)
+            ka[n_stages], kb[n_stages] = fa_new, fb_new
+            nfev += n_stages
+            scale_a = atol + max(abs(a), abs(a_new)) * rtol
+            scale_b = atol + max(abs(b), abs(b_new)) * rtol
+            e5a = e5b = e3a = e3b = 0.0
+            for j, c in dop853._E5:
+                e5a += c * ka[j]
+                e5b += c * kb[j]
+            for j, c in dop853._E3:
+                e3a += c * ka[j]
+                e3b += c * kb[j]
+            e5a, e5b, e3a, e3b = e5a / scale_a, e5b / scale_b, e3a / scale_a, e3b / scale_b
+            err5 = e5a * e5a + e5b * e5b
+            err3 = e3a * e3a + e3b * e3b
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = dop853.MAX_FACTOR
+                else:
+                    factor = min(dop853.MAX_FACTOR, dop853.SAFETY * error_norm**dop853.ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * error_norm**dop853.ERROR_EXPONENT)
+            rejected = True
+        if not (math.isfinite(a_new) and math.isfinite(b_new)):
+            raise RuntimeError("non-finite state")
+        for s in range(n_stages + 1, n_ext):
+            sa = sb = 0.0
+            for j, c in rows[s]:
+                sa += c * ka[j]
+                sb += c * kb[j]
+            ka[s], kb[s] = rhs(t + cs[s] * h, a + sa * h, b + sb * h)
+        nfev += n_ext - n_stages - 1
+        records.append((t, h, a, b, a_new, b_new, *ka, *kb))
+        stop = None
+        if levels:
+            g_new = [a_new - level for level in levels]
+            hits = [i for i in range(len(levels)) if g[i] >= 0.0 and g_new[i] <= 0.0]
+            if hits:
+                poly = _reference_coefficients(np.array(records[-1:]))[0, :, 0].tolist()
+                t_old, a_old = t, a
+
+                def crossing(r, level):
+                    return _reference_horner(poly, (r - t_old) / h) + a_old - level
+
+                found = sorted(
+                    (brentq(crossing, t_old, t_new, args=(levels[i],), xtol=4 * eps, rtol=4 * eps), i)
+                    for i in hits
+                )
+                for root, i in found:
+                    roots[i].append(root)
+                    if events[i][1]:
+                        stop = root
+                        break
+            g = g_new
+        t, a, b, fa, fb = t_new, a_new, b_new, fa_new, fb_new
+        if stop is not None:
+            if len(ts) > 1 and stop == ts[-1]:
+                records.pop()
+            else:
+                ts.append(stop)
+            break
+        ts.append(t)
+    rec = np.array(records)
+    return dict(ts=np.array(ts), t_old=rec[:, 0], h=rec[:, 1], y_old=rec[:, 2:4],
+                coeffs=_reference_coefficients(rec),
+                event_roots=tuple(tuple(r) for r in roots), nfev=nfev)
+
+
+def _reference_eval(ref, t):
+    seg = np.searchsorted(ref["ts"], t, side="left") - 1
+    np.clip(seg, 0, len(ref["h"]) - 1, out=seg)
+    x = ((t - ref["t_old"][seg]) / ref["h"][seg])[:, None]
+    y = _reference_horner(ref["coeffs"][seg].transpose(1, 0, 2), x)
+    y += ref["y_old"][seg]
+    return y.T
+
+
+def _hex(roots):
+    return [[float(r).hex() for r in event] for event in roots]
+
+
+def _assert_bitwise(sol, ref):
+    for name in ("ts", "t_old", "h", "y_old"):
+        assert getattr(sol, name).shape == ref[name].shape, name
+        assert getattr(sol, name).tobytes() == ref[name].tobytes(), name
+    assert sol.coeffs.shape == ref["coeffs"].transpose(1, 0, 2).shape
+    assert sol.coeffs.tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 0, 2)).tobytes()
+    assert _hex(sol.event_roots) == _hex(ref["event_roots"])
+    assert sol.nfev == ref["nfev"]
+    # every step boundary, the terminal root included, and every midpoint
+    r = np.concatenate([sol.ts, sol.t_old + 0.5 * sol.h])
+    assert sol(r).tobytes() == np.ascontiguousarray(_reference_eval(ref, r)).tobytes()
+
+
+BITWISE_CASES = {
+    "floor-gamma=1": ((3, 1.0, 1.0), dict(r_max=1e200)),
+    "gamma=2": ((3, 2.0, 5.0), dict(r_max=50.0, stop_at_liquid=True)),
+    "compact-surface": ((3, 1.3, 0.5), dict(r_max=20.0)),
+    "d=30": ((30, 1.9, 1e15), dict(r_max=50.0, stop_at_liquid=True)),
+    "rho0=1+1e-9": ((3, 1.25, 1.0 + 1e-9), dict(r_max=50.0, stop_at_liquid=True)),
+    "rejected-steps": ((3, 1.5, 0.5), dict(r_max=20.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(BITWISE_CASES))
+def test_straight_line_stepper_matches_loop_reference_bitwise(monkeypatch, name):
+    star, kwargs = BITWISE_CASES[name]
+    _, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
+    ref = _reference_solve(*args, **kw)
+    _assert_bitwise(sol, ref)
+    if name == "rejected-steps":
+        accepted = (dop853.N_STAGES_EXTENDED - 1) * sol.n_steps
+        assert sol.nfev - 2 - accepted >= 10 * dop853.N_STAGES
+
+
+def test_line_run_matches_loop_reference_bitwise(monkeypatch):
+    # 8 non-terminal levels below the top star, two of them a rounding apart
+    # so that they fall in one step, and the top star's terminal surface
+    densities = [1.5, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1000.0 * (1 + 1e-9), 1e4]
+    calls = _spy_on_solve(monkeypatch)
+    steady.integrate_line(StarConfig(3, 1.25, 1e4), densities)
+    (args, kw, sol), = calls
+    assert sum(not terminal for _, terminal in kw["events"]) == 8
+    _assert_bitwise(sol, _reference_solve(*args, **kw))
+    roots = [r for event in sol.event_roots[:8] for r in event]
+    steps = np.searchsorted(sol.ts, roots)
+    assert len(roots) == 8 and len(set(steps.tolist())) < 8
+
+
+@pytest.mark.parametrize("name", ["compact-surface", "rejected-steps", "floor-gamma=1"])
+def test_event_polynomial_is_the_batched_row(monkeypatch, name):
+    # the scalar polynomial an event hit builds equals, bit for bit, the first
+    # component's row of the batched coefficients, for every step of a run
+    captured = []
+    batched = dop853._dense_coefficients
+
+    def spy(records):
+        captured.append(records)
+        return batched(records)
+
+    monkeypatch.setattr(dop853, "_dense_coefficients", spy)
+    star, kwargs = BITWISE_CASES[name]
+    integrate_gas_profile(StarConfig(*star), tol=1e-10, **kwargs)
+    (records,) = captured
+    coeffs = batched(records)
+    for i, row in enumerate(records.tolist()):
+        poly = dop853._event_polynomial(row[1], row[4] - row[2], tuple(row[dop853._K0:]))
+        assert np.array(poly).tobytes() == coeffs[:, i, 0].tobytes()
+
+
+def test_dense_output_is_the_scalar_horner_bitwise():
+    # the vectorised evaluation picks each radius's step and gives, signed
+    # zeros included, the bits of _horner on that step's floats: all-(-0.0)
+    # coefficients and start value give 0.0 + -0.0 = 0.0 there, not -0.0
+    rng = np.random.default_rng(3)
+    n = 5
+    ts = np.cumsum(np.concatenate([[0.5], rng.uniform(0.1, 1.0, n)]))
+    coeffs = rng.standard_normal((dop853.INTERPOLATOR_POWER, n, 2))
+    coeffs[:, 2] = -0.0
+    y_old = rng.standard_normal((n, 2))
+    y_old[2] = -0.0
+    sol = dop853.DenseSolution(ts=ts, t_old=ts[:-1], h=np.diff(ts), y_old=y_old, coeffs=coeffs,
+                               event_roots=(), nfev=0)
+    r = np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts)])
+    got = sol(r)
+    for col, radius in enumerate(r):
+        k = min(max(np.searchsorted(ts, radius) - 1, 0), n - 1)
+        x = (radius - ts[k]) / sol.h[k]
+        for comp in range(2):
+            want = dop853._horner(coeffs[:, k, comp].tolist(), x) + y_old[k, comp]
+            assert float(got[comp, col]).hex() == float(want).hex()
+    assert math.copysign(1.0, got[0, -3]) == 1.0  # a point inside the signed-zero step

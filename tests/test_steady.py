@@ -21,7 +21,7 @@ from lanemden import (
     truncate_liquid,
     write_profile_csv,
 )
-from lanemden import dop853
+from lanemden import dop853, steady
 from lanemden.phase import fixed_points, radius_limit
 from lanemden.steady import _refined_grid
 
@@ -115,6 +115,34 @@ class TestIntegration:
             integrate_gas_profile(StarConfig(3, 1.2, 1.0), tol=0.0)
         with pytest.raises(ValueError):
             integrate_gas_profile(StarConfig(3, 1.2, 1.0), r_max=math.inf)
+
+
+class TestIntegratorCounts:
+    def test_profile_carries_its_run(self):
+        config = StarConfig(3, 1.25, 50.0)
+        p = integrate_gas_profile(config, stop_at_liquid=True)
+        _, sol = steady._integrate(config, 1e-10, 50.0, True)
+        assert (p.nfev, p.steps) == (sol.nfev, sol.n_steps)
+        assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
+        cut = truncate_liquid(p)
+        assert (cut.nfev, cut.steps) == (p.nfev, p.steps)
+        gas = integrate_gas_profile(config)
+        scaled = scale_profile(gas, 2.0)
+        assert (scaled.nfev, scaled.steps) == (gas.nfev, gas.steps) and gas.steps > 0
+
+    def test_line_star_reports_the_line_run(self):
+        line = steady.integrate_line(StarConfig(3, 1.25, 1e4), [10.0, 100.0, 1e4])
+        for rho0 in (10.0, 100.0, 1e4):
+            star = line.star(rho0)
+            assert (star.nfev, star.steps) == (line.sol.nfev, line.sol.n_steps)
+
+    def test_profiles_not_integrated_report_zero(self):
+        p = explicit_profile_critical(3, 32.0).to_profile(np.linspace(0.0, 0.5, 50))
+        assert (p.nfev, p.steps) == (0, 0)
+        buf = io.StringIO()
+        write_profile_csv(get_profile(3, 1.5, 10.0), buf)
+        back = read_profile_csv(io.StringIO(buf.getvalue()))
+        assert (back.nfev, back.steps) == (0, 0)
 
 
 class TestStalledSamples:
