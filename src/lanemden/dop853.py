@@ -14,17 +14,19 @@ At import the tableau rows are turned into straight-line code over local
 floats (_compile_kernels): each stage, the order-8 weights, the two error
 sums and the 3 dense stages is one expression 0.0 + c k_j0 + c k_j1 + ...
 in the row's order, so a step costs about its arithmetic and gives the bits
-a loop over the row would.  An event hit builds its step's crossing
-polynomial from the same floats.  The dense output of all accepted steps is
-kept power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient,
-and evaluated in one vectorised pass that gathers each block contiguously.
+a loop over the row would.  The dense output of all accepted steps is kept
+power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient, and
+evaluated in one vectorised pass that gathers each block contiguously.  Where
+the first component falls through a level is found after the run, on the
+dense output (DenseSolution.crossing); the stepper itself only watches the
+one level that ends the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -297,9 +299,7 @@ def _compile_kernels():
     e3b, ka, kb): the unscaled order-5 and order-3 error sums of each
     component and the 13 slopes of each.  _dense_stages(rhs, t, h, a, b, ka,
     kb) adds the 3 stages of the dense output and returns all 32 slopes,
-    those of a first.  _event_polynomial(h, dy, k) is the first component's
-    row of _dense_coefficients for the step with h, y_new - y_old = dy and
-    slopes k, as a list of 7 floats.
+    those of a first.
     """
     n, m = N_STAGES, N_STAGES_EXTENDED
     lines = [
@@ -316,30 +316,27 @@ def _compile_kernels():
         f"    {_names('kb', n + 1)} = kb",
         *(_stage(s) for s in range(n + 1, m)),
         f"    return ({_names('ka', m)}, {_names('kb', m)})",
-        "def _event_polynomial(h, dy, k):",
-        f"    {_names('ka', m)} = k[:{m}]",
-        f"    return [dy, h * ka0 - dy, 2.0 * dy - h * (ka{n} + ka0),",
-        *(f"            h * ({_sum(row, 'ka')})," for row in _D),
-        "    ]",
     ]
     namespace = {}
     exec(compile("\n".join(lines), "<dop853 kernels>", "exec"), namespace)
-    return namespace["_trial_step"], namespace["_dense_stages"], namespace["_event_polynomial"]
+    return namespace["_trial_step"], namespace["_dense_stages"]
 
 
-_trial_step, _dense_stages, _event_polynomial = _compile_kernels()
+_trial_step, _dense_stages = _compile_kernels()
 
 
 @dataclass(frozen=True)
 class DenseSolution:
     """The accepted steps of one integration and their dense output.
 
-    ts are the step boundaries; when a terminal event stopped the run, the
-    last boundary is the event root, inside the last step.  Step k spans
-    [t_old[k], t_old[k] + h[k]] with start value y_old[k]; coeffs[i, k] is
-    its i-th dense-output coefficient (a 2-vector), so coeffs has shape
-    (7, n_steps, 2).  event_roots holds, per event, the radii where it
-    fired.  nfev counts right-hand-side evaluations.
+    ts are the step boundaries.  When the run ended where the first
+    component fell through its stop level, the last boundary is that root,
+    inside the last step; t_end and a_end are then the last step's own end
+    radius and first component there (otherwise t_end is ts[-1]).  Step k
+    spans [t_old[k], t_old[k] + h[k]] with start value y_old[k]; coeffs[i, k]
+    is its i-th dense-output coefficient (a 2-vector), so coeffs has shape
+    (7, n_steps, 2).  stop is the level whose crossing ended the run, None
+    when it reached t_bound.  nfev counts right-hand-side evaluations.
     """
 
     ts: np.ndarray
@@ -347,7 +344,9 @@ class DenseSolution:
     h: np.ndarray
     y_old: np.ndarray
     coeffs: np.ndarray
-    event_roots: Tuple[Tuple[float, ...], ...]
+    t_end: float
+    a_end: float
+    stop: Optional[float]
     nfev: int
 
     @property
@@ -368,6 +367,30 @@ class DenseSolution:
         y += self.y_old.take(seg, axis=0)
         return y.T
 
+    def crossing(self, level: float) -> Optional[float]:
+        """The first radius where the first component falls through level, or None.
+
+        The fall is in the first step that starts at or above level and ends
+        at or below it; the root is found on that step's dense output as the
+        run finds its stop root (_fall).  None when no step falls through
+        level, or when the root lies beyond the end of the run, in the part
+        of the last step past the stop root.
+        """
+        level = float(level)
+        if level == self.stop:
+            # the stop root, also when it fell on the previous boundary and
+            # the step that found it was dropped
+            return float(self.ts[-1])
+        a = np.append(self.y_old[:, 0], self.a_end)
+        (falls,) = np.nonzero((a[:-1] >= level) & (a[1:] <= level))
+        if not falls.size:
+            return None
+        k = int(falls[0])
+        t_new = self.t_end if k == self.n_steps - 1 else float(self.ts[k + 1])
+        root = _fall(self.coeffs[:, k, 0].tolist(), float(self.t_old[k]), t_new,
+                     float(self.h[k]), float(self.y_old[k, 0]), level)
+        return root if root <= self.ts[-1] else None
+
 
 def _horner(coeffs, x):
     """The DOP853 dense-output polynomial at fraction x of the step.
@@ -385,8 +408,8 @@ def _horner(coeffs, x):
 def _dense_coefficients(records: np.ndarray) -> np.ndarray:
     """Dense-output coefficients (7, n, 2) of n step records.
 
-    Each element is computed with the operations, in the order, of
-    _event_polynomial, so a record's coefficients do not depend on the batch.
+    Each element is computed by elementwise operations alone, so a record's
+    coefficients do not depend on the batch it is computed in.
     """
     n = len(records)
     h = records[:, 1, None]
@@ -404,6 +427,16 @@ def _dense_coefficients(records: np.ndarray) -> np.ndarray:
         acc += D[:, j, None, None] * k[:, :, j]
     np.multiply(h, acc, out=out[3:])
     return out
+
+
+def _fall(poly, t_old: float, t_new: float, h: float, a_old: float, level: float) -> float:
+    """Root in [t_old, t_new] of the step's first component minus level, by brentq to 4 eps.
+
+    poly is the first component's row of _dense_coefficients for the step
+    that starts at t_old with value a_old and has size h.
+    """
+    return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level,
+                  t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
 
 
 def _rms(u: float, v: float) -> float:
@@ -435,17 +468,17 @@ def solve(
     t_bound: float,
     rtol: float,
     atol: float,
-    events: Sequence[Tuple[float, bool]] = (),
+    stop: Optional[float] = None,
 ) -> DenseSolution:
     """Integrate (a, b)' = rhs(t, a, b) from t0 up to t_bound > t0.
 
     The local error of each step is kept below atol + rtol |y| per component
-    (rtol is raised to 100 eps if smaller).  Each event is a pair
-    (level, terminal): it fires where the first component falls through
-    level (g = a - level going from >= 0 to <= 0 over a step), located by
-    brentq on the step's dense output to 4 eps.  A terminal event ends the
-    run at its root.  Raises RuntimeError when the step size falls below ten
-    float spacings of t or the state stops being finite.
+    (rtol is raised to 100 eps if smaller).  When stop is given, the run ends
+    where the first component first falls through it (a step that starts
+    at or above stop and ends at or below it), at the root that brentq finds
+    on the step's dense output to 4 eps.  Other levels are read off the
+    result with DenseSolution.crossing.  Raises RuntimeError when the step
+    size falls below ten float spacings of t or the state stops being finite.
     """
     t = float(t0)
     t_bound = float(t_bound)
@@ -456,10 +489,9 @@ def solve(
     fa, fb = rhs(t, a, b)
     h_abs = _initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
     nfev = 2
-
-    levels = [float(level) for level, _ in events]
-    g = [a - level for level in levels]
-    roots = [[] for _ in events]
+    if stop is not None:
+        stop = float(stop)
+    stopped = False
     records = []
     ts = [t]
 
@@ -509,35 +541,17 @@ def solve(
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
         records.append((t, h, a, b, a_new, b_new) + k)
 
-        stop = None
-        if levels:
-            g_new = [a_new - level for level in levels]
-            hits = [i for i in range(len(levels)) if g[i] >= 0.0 and g_new[i] <= 0.0]
-            if hits:
-                poly = _event_polynomial(h, a_new - a, k)
-                t_old, a_old = t, a
-
-                def crossing(r, level):
-                    return _horner(poly, (r - t_old) / h) + a_old - level
-
-                found = sorted(
-                    (brentq(crossing, t_old, t_new, args=(levels[i],), xtol=4 * EPS, rtol=4 * EPS), i)
-                    for i in hits
-                )
-                for root, i in found:
-                    roots[i].append(root)
-                    if events[i][1]:
-                        stop = root
-                        break
-            g = g_new
-
-        t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
-        if stop is not None:
-            if len(ts) > 1 and stop == ts[-1]:
+        if stop is not None and a >= stop and a_new <= stop:
+            poly = _dense_coefficients(np.array(records[-1:]))[:, 0, 0].tolist()
+            root = _fall(poly, t, t_new, h, a, stop)
+            stopped = True
+            if len(ts) > 1 and root == ts[-1]:
                 records.pop()  # the root is the previous boundary: no new segment
             else:
-                ts.append(stop)
+                ts.append(root)
+                t, a = t_new, a_new
             break
+        t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
         ts.append(t)
 
     rec = np.array(records)
@@ -547,6 +561,8 @@ def solve(
         h=rec[:, 1],
         y_old=rec[:, 2:4],
         coeffs=_dense_coefficients(rec),
-        event_roots=tuple(tuple(r) for r in roots),
+        t_end=t,
+        a_end=a,
+        stop=stop if stopped else None,
         nfev=nfev,
     )

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csr_matrix, diags_array
 
 from .config import stability_threshold, support_threshold
 from .steady import Profile, liquid_radius
@@ -129,6 +127,8 @@ def _apply_tridiagonal(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.n
 class DiscreteOperator:
     """Tridiagonal stiffness/mass pencil of the weak form on `nodes`.
 
+    K is symmetric tridiagonal with diagonal k_diag and off-diagonal k_off,
+    Mw likewise with m_diag and m_off; apply_K and apply_Mw multiply by them.
     mu_lower is a certified lower bound on the smallest generalized
     eigenvalue, obtained from min(q/wgt) over the quadrature points (the p and
     boundary parts of K are positive semidefinite).
@@ -140,18 +140,6 @@ class DiscreteOperator:
     m_diag: np.ndarray
     m_off: np.ndarray
     mu_lower: float
-
-    @cached_property
-    def K(self) -> csr_matrix:
-        return diags_array(
-            (self.k_off, self.k_diag, self.k_off), offsets=(-1, 0, 1)
-        ).tocsr()
-
-    @cached_property
-    def Mw(self) -> csr_matrix:
-        return diags_array(
-            (self.m_off, self.m_diag, self.m_off), offsets=(-1, 0, 1)
-        ).tocsr()
 
     def apply_K(self, x: np.ndarray) -> np.ndarray:
         return _apply_tridiagonal(self.k_diag, self.k_off, x)

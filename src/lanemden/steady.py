@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -186,6 +186,13 @@ def _seed_coefficients(config: StarConfig):
     return e0, b, e4, rho2_over_b * b
 
 
+def _seed(config: StarConfig, r):
+    """Enthalpy and mass of config's Taylor seed at radius r (a float or an array)."""
+    d, rho0 = config.d, config.rho_center
+    e0, b, e4, rho2 = _seed_coefficients(config)
+    return e0 + b * r**2 + e4 * r**4, FOUR_PI * (rho0 * r**d / d + rho2 * r ** (d + 2) / (d + 2))
+
+
 def _refined_grid(steps: np.ndarray, n_target: int) -> np.ndarray:
     """Subdivide integrator steps (at least 4x, by length beyond that) to ~n_target points.
 
@@ -242,21 +249,20 @@ def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.n
     return enthalpy, kappa ** (1.0 - config.d * (1.0 - g / 2.0)) * mass
 
 
-def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool, levels=()):
+def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool):
     """One DOP853 run of config outward from its Taylor seed: (seed radius, solution).
 
-    The events, in this order, are downward enthalpy crossings of each of
-    levels (non-terminal), of the liquid surface rho = 1 (present iff
-    rho0 > 1, terminal if stop_at_liquid), then of the compact surface w = 0
-    or, for gamma = 1, of a floor h = -660 where rho underflows towards the
-    smallest doubles (terminal).
+    The run stops where the enthalpy falls to one level: the liquid surface
+    rho = 1 if stop_at_liquid and rho0 > 1, otherwise the compact surface
+    w = 0 or, for gamma = 1, a floor h = -660 where rho underflows towards
+    the smallest doubles.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     d, rho0 = config.d, config.rho_center
-    e0, b, e4, rho2 = _seed_coefficients(config)
+    e0, b, _, _ = _seed_coefficients(config)
 
     # leave the removable 1/r^(d-1) singularity with a Taylor seed
     scale = math.sqrt((1.0 if config.isothermal else e0) / abs(b))
@@ -265,8 +271,6 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
         gap = e0 - config.boundary_enthalpy
         r0 = min(r0, 1e-3 * math.sqrt(gap / abs(b)))
     r0 = min(r0, 1e-3 * r_max)
-    e_seed = e0 + b * r0**2 + e4 * r0**4
-    m_seed = FOUR_PI * (rho0 * r0**d / d + rho2 * r0 ** (d + 2) / (d + 2))
 
     if config.isothermal:
 
@@ -283,14 +287,12 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
             rho = w**alpha if w > 0.0 else 0.0
             return -cg * m / rd, FOUR_PI * rd * rho
 
-    events = [(level, False) for level in levels]
-    if rho0 > 1.0:
-        events.append((config.boundary_enthalpy, bool(stop_at_liquid)))
-    events.append((-660.0, True) if config.isothermal else (0.0, True))
+    if stop_at_liquid and rho0 > 1.0:
+        stop = config.boundary_enthalpy
+    else:
+        stop = -660.0 if config.isothermal else 0.0
     try:
-        sol = dop853.solve(
-            rhs, r0, (e_seed, m_seed), r_max, rtol=0.05 * tol, atol=1e-300, events=events
-        )
+        sol = dop853.solve(rhs, r0, _seed(config, r0), r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
     except RuntimeError as exc:
         raise RuntimeError(
             f"integration failed for {config}: {exc} "
@@ -307,42 +309,40 @@ def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float
     The run's star has central density rho0 / kappa and config's star is
     rho(r) = kappa rho_run(lam r), lam = kappa^(1-gamma/2); kappa = 1 is the
     run's own star.  r0 (the run's seed radius), steps (the step boundaries
-    to sample) and the event radii liquid_r and gas_r are radii of the run,
-    divided here by lam.  The grid is the steps refined to at least
-    min_points samples plus the event radii, evaluated on the dense output in
-    one pass; config's own Taylor seed supplies three samples inside
+    to sample) and the crossing radii liquid_r and gas_r are radii of the
+    run, divided here by lam.  The grid is the steps refined to at least
+    min_points samples plus the crossing radii, evaluated on the dense output
+    in one pass; config's own Taylor seed supplies three samples inside
     (0, r0 / lam).  Samples where rho or m has stopped moving in float64 are
-    dropped (r = 0 and the event radii are always kept).
+    dropped (r = 0 and the crossing radii are always kept).
     """
-    d, rho0 = config.d, config.rho_center
     lam = kappa ** (1.0 - config.gamma / 2.0)
     r0 = r0 / lam
     liquid_r = None if liquid_r is None else liquid_r / lam
     gas_r = None if gas_r is None else gas_r / lam
 
     grid = _refined_grid(steps / lam, min_points)
-    event_radii = [x for x in (liquid_r, gas_r) if x is not None]
-    extra = [x for x in event_radii if x < grid[-1]]
+    crossings = [x for x in (liquid_r, gas_r) if x is not None]
+    extra = [x for x in crossings if x < grid[-1]]
     if extra:
         grid = np.unique(np.concatenate([grid, np.array(extra)]))
     enth, mass = _rescaled(config, kappa, *sol(lam * grid))
     if gas_r is not None and grid[-1] >= gas_r:
         enth[-1] = 0.0  # surface: w = 0 exactly
 
-    # sample the Taylor seed inside (0, r0) so the interpolants see the curvature
-    e0, b, e4, rho2 = _seed_coefficients(config)
-    r_in = r0 * np.array([0.25, 0.5, 0.75])
-    e_in = e0 + b * r_in**2 + e4 * r_in**4
-    m_in = FOUR_PI * (rho0 * r_in**d / d + rho2 * r_in ** (d + 2) / (d + 2))
+    # sample the Taylor seed at r = 0 (exactly e0 and mass 0) and inside
+    # (0, r0), so the interpolants see the curvature
+    r_in = r0 * np.array([0.0, 0.25, 0.5, 0.75])
+    e_in, m_in = _seed(config, r_in)
 
-    radii = np.concatenate([[0.0], r_in, grid])
-    enth = np.concatenate([[e0], e_in, enth])
-    mass = np.concatenate([[0.0], m_in, mass])
+    radii = np.concatenate([r_in, grid])
+    enth = np.concatenate([e_in, enth])
+    mass = np.concatenate([m_in, mass])
     rho = config.rho_of_enthalpy(enth)
-    rho[0] = rho0
+    rho[0] = config.rho_center
 
     keep = np.concatenate([[True], np.diff(radii) > 0])
-    radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], event_radii)
+    radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], crossings)
 
     return Profile(
         config=config,
@@ -369,27 +369,24 @@ def integrate_gas_profile(
     """Integrate the gas steady state outward from the center.
 
     Integration halts at r_max, at the compact-support surface (w crossing 0,
-    recorded as gas_radius), or at an enthalpy underflow guard.  When
-    rho_center > 1 the crossing rho = 1 is located by the integrator's event
-    root-finder and stored as liquid_radius (terminal if stop_at_liquid).
+    recorded as gas_radius), or at an enthalpy underflow guard; with
+    stop_at_liquid and rho_center > 1 it halts at the liquid surface rho = 1
+    instead.  When rho_center > 1 that crossing is stored as liquid_radius.
 
     tol is the delivered relative accuracy of the profile; the embedded
     Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
     per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
-    error growth.  The events are downward crossings of the enthalpy, each
-    root found by brentq on its step's dense polynomial.  The grid is the
-    adaptive steps refined to at least min_points samples, evaluated on the
-    dense output in one pass, less any sample where rho or m has stopped
-    moving in float64 (r = 0 and the event radii are always kept).  Raises
-    RuntimeError when the step size underflows or the state is not finite.
+    error growth.  Both radii are downward crossings of the enthalpy, read
+    off the run by DenseSolution.crossing: brentq on the step's dense
+    polynomial.  The grid is the adaptive steps refined to at least
+    min_points samples, evaluated on the dense output in one pass, less any
+    sample where rho or m has stopped moving in float64 (r = 0 and the
+    crossing radii are always kept).  Raises RuntimeError when the step size
+    underflows or the state is not finite.
     """
     r0, sol = _integrate(config, tol, r_max, stop_at_liquid)
-    liquid_r = None
-    gas_r = None
-    if config.rho_center > 1.0 and sol.event_roots[0]:
-        liquid_r = sol.event_roots[0][0]
-    if not config.isothermal and sol.event_roots[-1]:
-        gas_r = sol.event_roots[-1][0]
+    liquid_r = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
+    gas_r = None if config.isothermal else sol.crossing(0.0)
     return _sampled_profile(config, sol, 1.0, r0, sol.ts, liquid_r, gas_r, min_points)
 
 
@@ -400,67 +397,53 @@ class LiquidLine:
     By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), the star
     of central density rho0 = kappa rho_top (kappa <= 1) is the top star's
     gas solution on radii divided by kappa^(1-gamma/2), cut where the top
-    star's enthalpy falls to that of density 1/kappa.  The run records that
-    crossing of each density as a non-terminal event; events leave the steps
-    as they are, so the top star's own profile is bit for bit the one
-    integrate_gas_profile(stop_at_liquid=True) returns.  events maps each
-    central density to the index of its crossing in sol.event_roots.
+    star's enthalpy falls to that of density 1/kappa: kappa^-(gamma-1), or
+    -ln kappa at gamma = 1.  That crossing is found on the run's dense
+    output, so any density in (1, rho_top] can be asked for after the run.
+    The run is the one integrate_gas_profile(top, stop_at_liquid=True)
+    makes, so the top star's own profile is bit for bit the one that returns.
     """
 
     top: StarConfig
     r_max: float
     r0: float
     sol: dop853.DenseSolution
-    events: Dict[float, int]
 
     def star(self, rho0: float) -> Optional[Profile]:
         """The gas profile of central density rho0 cut at its liquid radius, or None.
 
         None when this run cannot resolve the star: rho0 is so close to 1
         that the top star's enthalpy is already below the star's level at
-        the seed radius, or the star's liquid radius exceeds r_max.
+        the seed radius, or the star's liquid radius exceeds r_max.  Raises
+        ValueError when rho0 is outside (1, rho_top].
         """
-        kappa = rho0 / self.top.rho_center
-        lam = kappa ** (1.0 - self.top.gamma / 2.0)
-        roots = self.sol.event_roots[self.events[rho0]]
-        if not roots or roots[0] / lam > self.r_max:
+        rho_top, gamma = self.top.rho_center, self.top.gamma
+        if not 1.0 < rho0 <= rho_top:
+            raise ValueError(f"line densities must lie in (1, {rho_top:g}], got {rho0}")
+        kappa = rho0 / rho_top
+        lam = kappa ** (1.0 - gamma / 2.0)
+        level = -math.log(kappa) if self.top.isothermal else kappa ** (1.0 - gamma)
+        root = self.sol.crossing(level)
+        if root is None or root / lam > self.r_max:
             return None
-        root = roots[0]
         ts = self.sol.ts
         steps = np.append(ts[ts < root], root)
-        config = StarConfig(self.top.d, self.top.gamma, rho0)
+        config = StarConfig(self.top.d, gamma, rho0)
         return _sampled_profile(config, self.sol, kappa, self.r0, steps, root, None, MIN_POINTS)
 
 
-def integrate_line(
-    top: StarConfig,
-    densities: Sequence[float],
-    tol: float = 1e-10,
-    r_max: float = 50.0,
-) -> LiquidLine:
-    """Integrate the star top once, with the liquid crossing of every density in (1, rho_top].
+def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
+    """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
 
     The run is the one integrate_gas_profile(top, stop_at_liquid=True)
-    makes, plus one non-terminal event per smaller density at the top
-    star's enthalpy of density rho_top / rho0: kappa^-(gamma-1), or -ln kappa
-    at gamma = 1, for kappa = rho0 / rho_top.  LiquidLine.star builds each
-    profile on demand.
+    makes; LiquidLine.star builds each smaller star's profile on demand.
     The top star's seed radius is kept, so the seed covers r0 / lam of each
     smaller star, a larger share of its radius than its own seed would.
     """
-    rho_top = top.rho_center
-    densities = [float(x) for x in densities]
-    if not all(1.0 < x <= rho_top for x in densities):
-        raise ValueError(f"line densities must lie in (1, {rho_top:g}]")
-    below = list(dict.fromkeys(x for x in densities if x < rho_top))
-    if top.isothermal:
-        levels = [-math.log(x / rho_top) for x in below]
-    else:
-        levels = [(x / rho_top) ** (1.0 - top.gamma) for x in below]
-    r0, sol = _integrate(top, tol, r_max, True, levels)
-    events = {x: i for i, x in enumerate(below)}
-    events[rho_top] = len(below)  # the top star's own liquid surface
-    return LiquidLine(top, r_max, r0, sol, events)
+    if not top.rho_center > 1.0:
+        raise ValueError(f"a liquid line needs rho_top > 1, got {top.rho_center}")
+    r0, sol = _integrate(top, tol, r_max, True)
+    return LiquidLine(top, r_max, r0, sol)
 
 
 def liquid_radius(profile: Profile) -> float:

@@ -64,13 +64,26 @@ def _captured_run(monkeypatch, star, kwargs):
     return profile, args, kw, sol
 
 
-def _reference(args, kw):
-    """solve_ivp DOP853 on the same problem, events and tolerances."""
+def _read_levels(config, stop):
+    """The levels integrate_gas_profile reads off a run: its stop, rho = 1 and w = 0."""
+    levels = [stop]
+    if config.rho_center > 1.0:
+        levels.append(config.boundary_enthalpy)
+    if not config.isothermal:
+        levels.append(0.0)
+    return list(dict.fromkeys(levels))
+
+
+def _reference(args, kw, levels):
+    """solve_ivp DOP853 on the same problem and tolerances, with an event per level.
+
+    Each event fires on a downward crossing; the one at the stop level is terminal.
+    """
     rhs, t0, y0, t_bound = args
     events = []
-    for level, terminal in kw["events"]:
+    for level in levels:
         event = lambda r, y, level=level: y[0] - level
-        event.terminal = terminal
+        event.terminal = level == kw["stop"]
         event.direction = -1
         events.append(event)
     return solve_ivp(
@@ -88,15 +101,16 @@ def _reference(args, kw):
 @pytest.mark.parametrize("star,kwargs", CASES, ids=[str(c[0]) for c in CASES])
 def test_matches_solve_ivp(monkeypatch, star, kwargs):
     profile, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
-    ref = _reference(args, kw)
+    levels = _read_levels(profile.config, kw["stop"])
+    ref = _reference(args, kw, levels)
     assert ref.status >= 0
 
-    # event radii to 1e-12 relative, the same events fired
-    assert len(sol.event_roots) == len(ref.t_events)
-    for ours, theirs in zip(sol.event_roots, ref.t_events):
-        assert len(ours) == len(theirs)
-        for a, b in zip(ours, theirs):
-            assert abs(a - b) <= 1e-12 * abs(b)
+    # each level's first fall to 1e-12 relative, and the same levels fall
+    for level, theirs in zip(levels, ref.t_events):
+        ours = sol.crossing(level)
+        assert (ours is None) == (len(theirs) == 0), level
+        if ours is not None:
+            assert abs(ours - theirs[0]) <= 1e-12 * abs(theirs[0])
     assert abs(sol.n_steps - (len(ref.t) - 1)) <= 0.1 * (len(ref.t) - 1)
     assert abs(sol.nfev - ref.nfev) <= 0.1 * ref.nfev
 
@@ -114,27 +128,11 @@ def test_matches_solve_ivp(monkeypatch, star, kwargs):
     assert err[:, smooth].max() <= 1e-12
 
 
-@pytest.mark.parametrize("star", LIQUID_STARS, ids=str)
-def test_non_terminal_events_leave_the_steps_alone(monkeypatch, star):
-    # extra crossings between the seed and the liquid surface only record
-    # roots: the steps, their dense output and the RHS count stay bit for bit
-    _, args, kw, sol = _captured_run(monkeypatch, star, dict(r_max=50.0, stop_at_liquid=True))
-    seed, surface = args[2][0], kw["events"][0][0]
-    levels = [(surface + f * (seed - surface), False) for f in (0.9, 0.5, 0.1, 1e-6)]
-    more = dop853.solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=levels + kw["events"])
-    for name in ("ts", "t_old", "h", "y_old", "coeffs"):
-        assert getattr(more, name).tobytes() == getattr(sol, name).tobytes(), name
-    assert more.nfev == sol.nfev
-    assert more.event_roots[len(levels):] == sol.event_roots
-    roots = [r for (r,) in more.event_roots[:len(levels)]]
-    assert roots == sorted(roots) and roots[-1] < sol.ts[-1]
-
-
 def test_floor_event_stops_isothermal_star(monkeypatch):
     # gamma = 1 has no surface: the run ends where h falls to -660
     _, _, kw, sol = _captured_run(monkeypatch, (3, 1.0, 1.0), dict(r_max=1e200))
-    assert kw["events"] == [(-660.0, True)]
-    (floor,), = sol.event_roots
+    assert kw["stop"] == sol.stop == -660.0
+    floor = sol.crossing(-660.0)
     assert sol.ts[-1] == floor
     assert sol(np.array([floor]))[0, 0] == pytest.approx(-660.0, abs=1e-9)
 
@@ -146,20 +144,56 @@ def test_compact_surface_event():
     assert profile.enthalpy[-1] == 0.0
 
 
+def _cosine(t0=0.0, t_bound=15.0, stop=None):
+    """a = cos t, b = -sin t: a falls through 0 at pi/2 + 2 pi k and rises at 3 pi/2 + 2 pi k."""
+    return dop853.solve(lambda t, a, b: (b, -a), t0, (math.cos(t0), -math.sin(t0)), t_bound,
+                        rtol=1e-11, atol=1e-14, stop=stop)
+
+
 def test_events_fire_on_downward_crossings_only():
-    # a = cos t falls through 0 at pi/2 + 2 pi k and rises at 3 pi/2 + 2 pi k;
-    # the non-terminal event records every fall, the terminal one stops at
-    # the first fall through -0.5, at 2 pi/3
-    sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 15.0, rtol=1e-11, atol=1e-14,
-                       events=[(0.0, False), (-0.5, True)])
-    (falls, stop) = sol.event_roots
-    assert falls == pytest.approx([np.pi / 2], abs=1e-10)
-    assert stop == pytest.approx([2 * np.pi / 3], abs=1e-10)
-    assert sol.ts[-1] == stop[0]
-    sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 15.0, rtol=1e-11, atol=1e-14,
-                       events=[(0.0, False)])
-    assert sol.event_roots[0] == pytest.approx([np.pi / 2, 5 * np.pi / 2, 9 * np.pi / 2], abs=1e-10)
-    assert sol.ts[-1] == 15.0
+    # crossing returns the first fall and only that, and skips rises
+    sol = _cosine()
+    assert sol.ts[-1] == 15.0 and sol.stop is None
+    assert sol.crossing(0.0) == pytest.approx(np.pi / 2, abs=1e-10)
+    assert sol.crossing(-0.5) == pytest.approx(2 * np.pi / 3, abs=1e-10)
+    assert _cosine(t0=np.pi).crossing(0.0) == pytest.approx(5 * np.pi / 2, abs=1e-10)
+    # the run starts at a = 1, below 1.5: no step starts at or above it
+    assert sol.crossing(1.5) is None
+
+
+def test_stop_ends_the_run_at_its_root():
+    sol = _cosine(stop=-0.5)
+    assert sol.stop == -0.5
+    assert sol.ts[-1] == pytest.approx(2 * np.pi / 3, abs=1e-10)
+    assert sol.crossing(-0.5) == sol.ts[-1]
+    assert sol.crossing(0.0) == pytest.approx(np.pi / 2, abs=1e-10)
+    # the last step runs on past the root, to a_end < -0.5
+    assert sol.t_end > sol.ts[-1] and sol.a_end < -0.5
+
+
+def test_crossing_past_the_stop_root_is_none():
+    # a level between the stop and the last step's end value falls inside
+    # that step, after the root: the run never got there
+    sol = _cosine(stop=-0.5)
+    level = 0.5 * (sol.a_end - 0.5)
+    assert sol.crossing(level) is None
+    assert sol.ts[-1] < _cosine().crossing(level) < sol.t_end
+
+
+def test_stop_on_a_step_boundary_drops_the_empty_step():
+    # a stop one ulp below a step's start value has its root on that
+    # boundary: the step that found it holds no segment and is dropped
+    free = _cosine()
+    k = 8
+    stop = math.nextafter(float(free.y_old[k, 0]), -math.inf)
+    sol = _cosine(stop=stop)
+    assert sol.ts[-1] == free.ts[k] and sol.n_steps == k
+    assert sol.ts.tobytes() == free.ts[:k + 1].tobytes()
+    assert sol.t_end == free.ts[k] and sol.a_end == free.y_old[k, 0] > stop
+    assert sol.crossing(stop) == sol.ts[-1]
+    ref = _reference_solve(lambda t, a, b: (b, -a), 0.0, (math.cos(0.0), -math.sin(0.0)), 15.0,
+                           rtol=1e-11, atol=1e-14, events=[(stop, True)])
+    _assert_bitwise(sol, ref, [stop])
 
 
 def test_step_size_underflow_raises():
@@ -179,7 +213,7 @@ def test_oscillator_closed_form():
     sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)
     t = np.linspace(0.0, 20.0, 501)
     assert np.max(np.abs(sol(t) - np.array([np.cos(t), -np.sin(t)]))) <= 1e-9
-    assert sol.ts[-1] == 20.0 and sol.event_roots == ()
+    assert sol.ts[-1] == sol.t_end == 20.0 and sol.stop is None
 
 
 def test_import_leaves_scipy_integrate_out():
@@ -192,8 +226,10 @@ def test_import_leaves_scipy_integrate_out():
 
 # The loop-form stepper that the straight-line kernels replaced, kept as a
 # bitwise reference: stage sums accumulated in loops over the sparse tableau
-# rows, one _dense_coefficients call per event hit, and dense output gathered
-# step-major, (n, 7, 2), and nested by a generic Horner loop.
+# rows, every level's crossings found inside the loop (one
+# _dense_coefficients call per hit, a terminal level ending the run), and
+# dense output gathered step-major, (n, 7, 2), and nested by a generic Horner
+# loop.
 
 
 def _reference_coefficients(records):
@@ -342,16 +378,19 @@ def _reference_eval(ref, t):
 
 
 def _hex(roots):
-    return [[float(r).hex() for r in event] for event in roots]
+    return [None if r is None else float(r).hex() for r in roots]
 
 
-def _assert_bitwise(sol, ref):
+def _assert_bitwise(sol, ref, levels):
+    """sol matches the reference run with one event per level, bit for bit."""
     for name in ("ts", "t_old", "h", "y_old"):
         assert getattr(sol, name).shape == ref[name].shape, name
         assert getattr(sol, name).tobytes() == ref[name].tobytes(), name
     assert sol.coeffs.shape == ref["coeffs"].transpose(1, 0, 2).shape
     assert sol.coeffs.tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 0, 2)).tobytes()
-    assert _hex(sol.event_roots) == _hex(ref["event_roots"])
+    # each level's first fall, read off the finished run, is the in-loop root
+    want = [roots[0] if roots else None for roots in ref["event_roots"]]
+    assert _hex([sol.crossing(level) for level in levels]) == _hex(want)
     assert sol.nfev == ref["nfev"]
     # every step boundary, the terminal root included, and every midpoint
     r = np.concatenate([sol.ts, sol.t_old + 0.5 * sol.h])
@@ -371,47 +410,35 @@ BITWISE_CASES = {
 @pytest.mark.parametrize("name", list(BITWISE_CASES))
 def test_straight_line_stepper_matches_loop_reference_bitwise(monkeypatch, name):
     star, kwargs = BITWISE_CASES[name]
-    _, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
-    ref = _reference_solve(*args, **kw)
-    _assert_bitwise(sol, ref)
+    profile, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
+    levels = _read_levels(profile.config, kw["stop"])
+    events = [(level, level == kw["stop"]) for level in levels]
+    ref = _reference_solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=events)
+    _assert_bitwise(sol, ref, levels)
     if name == "rejected-steps":
         accepted = (dop853.N_STAGES_EXTENDED - 1) * sol.n_steps
         assert sol.nfev - 2 - accepted >= 10 * dop853.N_STAGES
 
 
 def test_line_run_matches_loop_reference_bitwise(monkeypatch):
-    # 8 non-terminal levels below the top star, two of them a rounding apart
-    # so that they fall in one step, and the top star's terminal surface
-    densities = [1.5, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1000.0 * (1 + 1e-9), 1e4]
+    # the loop reference finds 8 levels below the top star inside the run,
+    # two of them a rounding apart so that they fall in one step; the line
+    # run stops at the top star's surface only and finds them afterwards
+    top = StarConfig(3, 1.25, 1e4)
+    densities = [1.5, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 1000.0 * (1 + 1e-9)]
     calls = _spy_on_solve(monkeypatch)
-    steady.integrate_line(StarConfig(3, 1.25, 1e4), densities)
+    line = steady.integrate_line(top)
     (args, kw, sol), = calls
-    assert sum(not terminal for _, terminal in kw["events"]) == 8
-    _assert_bitwise(sol, _reference_solve(*args, **kw))
-    roots = [r for event in sol.event_roots[:8] for r in event]
+    levels = [(x / top.rho_center) ** (1.0 - top.gamma) for x in densities] + [kw["stop"]]
+    events = [(level, level == kw["stop"]) for level in levels]
+    _assert_bitwise(sol, _reference_solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=events),
+                    levels)
+    roots = [sol.crossing(level) for level in levels[:8]]
     steps = np.searchsorted(sol.ts, roots)
-    assert len(roots) == 8 and len(set(steps.tolist())) < 8
-
-
-@pytest.mark.parametrize("name", ["compact-surface", "rejected-steps", "floor-gamma=1"])
-def test_event_polynomial_is_the_batched_row(monkeypatch, name):
-    # the scalar polynomial an event hit builds equals, bit for bit, the first
-    # component's row of the batched coefficients, for every step of a run
-    captured = []
-    batched = dop853._dense_coefficients
-
-    def spy(records):
-        captured.append(records)
-        return batched(records)
-
-    monkeypatch.setattr(dop853, "_dense_coefficients", spy)
-    star, kwargs = BITWISE_CASES[name]
-    integrate_gas_profile(StarConfig(*star), tol=1e-10, **kwargs)
-    (records,) = captured
-    coeffs = batched(records)
-    for i, row in enumerate(records.tolist()):
-        poly = dop853._event_polynomial(row[1], row[4] - row[2], tuple(row[dop853._K0:]))
-        assert np.array(poly).tobytes() == coeffs[:, i, 0].tobytes()
+    assert None not in roots and len(set(steps.tolist())) < 8
+    for x, root in zip(densities, roots):
+        lam = (x / top.rho_center) ** (1.0 - top.gamma / 2.0)
+        assert line.star(x).liquid_radius == root / lam
 
 
 def test_dense_output_is_the_scalar_horner_bitwise():
@@ -426,7 +453,7 @@ def test_dense_output_is_the_scalar_horner_bitwise():
     y_old = rng.standard_normal((n, 2))
     y_old[2] = -0.0
     sol = dop853.DenseSolution(ts=ts, t_old=ts[:-1], h=np.diff(ts), y_old=y_old, coeffs=coeffs,
-                               event_roots=(), nfev=0)
+                               t_end=ts[-1], a_end=0.0, stop=None, nfev=0)
     r = np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts)])
     got = sol(r)
     for col, radius in enumerate(r):

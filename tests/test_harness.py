@@ -375,8 +375,11 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="unknown suite"):
             verify_suite("bogus")
 
-    def test_all_names_present(self):
-        assert set(harness.SUITE_NAMES) == {n for n, _ in harness._CHECKS}
+    def test_all_reports_every_check_in_order(self, full_report):
+        assert [c["name"] for c in full_report["checks"]] == [
+            "explicit", "pohozaev", "decay", "buchdahl", "singular",
+            "fixed-point", "tail", "radius-limit", "q-symmetry", "strongform",
+        ]
 
 
 BATTERY_CHECKS = ("pohozaev", "decay", "buchdahl")

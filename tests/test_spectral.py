@@ -60,12 +60,17 @@ def ldl_pivots(diag, off):
     return np.array(pivots)
 
 
+def dense_tridiagonal(diag, off):
+    """The symmetric tridiagonal matrix with the given diagonal and off-diagonal, as a dense array."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def dense_smallest(op):
     """Smallest eigenvalue of the dense pencil (K, Mw), Jacobi-scaled for accuracy."""
     s = 1.0 / np.sqrt(op.m_diag)
     scale = np.outer(s, s)
-    K = op.K.toarray() * scale
-    M = op.Mw.toarray() * scale
+    K = dense_tridiagonal(op.k_diag, op.k_off) * scale
+    M = dense_tridiagonal(op.m_diag, op.m_off) * scale
     return float(eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
@@ -186,7 +191,7 @@ class TestAssemble:
     def test_symmetric_stiffness(self):
         data = build_sl_data(get_liquid(3, 1.25, 10.0))
         op = assemble(data, 128)
-        K = op.K.toarray()
+        K = dense_tridiagonal(op.k_diag, op.k_off)
         assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
 
     def test_mass_positive_definite(self):

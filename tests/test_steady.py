@@ -131,10 +131,11 @@ class TestIntegratorCounts:
         assert (scaled.nfev, scaled.steps) == (gas.nfev, gas.steps) and gas.steps > 0
 
     def test_line_star_reports_the_line_run(self):
-        line = steady.integrate_line(StarConfig(3, 1.25, 1e4), [10.0, 100.0, 1e4])
+        line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
         for rho0 in (10.0, 100.0, 1e4):
             star = line.star(rho0)
             assert (star.nfev, star.steps) == (line.sol.nfev, line.sol.n_steps)
+
 
     def test_profiles_not_integrated_report_zero(self):
         p = explicit_profile_critical(3, 32.0).to_profile(np.linspace(0.0, 0.5, 50))
@@ -143,6 +144,38 @@ class TestIntegratorCounts:
         write_profile_csv(get_profile(3, 1.5, 10.0), buf)
         back = read_profile_csv(io.StringIO(buf.getvalue()))
         assert (back.nfev, back.steps) == (0, 0)
+
+
+class TestLiquidLine:
+    """A line's stars are read off its run for any density, after the run."""
+
+    @pytest.mark.parametrize("top", [(3, 1.25, 1e4), (3, 1.0, 1e3), (5, 1.6, 1e6)], ids=str)
+    def test_any_density_matches_its_own_integration(self, top):
+        d, gamma, rho_top = top
+        line = steady.integrate_line(StarConfig(*top))
+        for rho0 in (1.02, 2.718, 37.7, 411.0, 0.999 * rho_top):
+            star = line.star(rho0)
+            own = integrate_gas_profile(StarConfig(d, gamma, rho0), stop_at_liquid=True)
+            assert star.config.rho_center == rho0
+            assert star.liquid_radius == pytest.approx(own.liquid_radius, rel=1e-10, abs=0)
+
+    def test_top_star_is_its_own_integration(self):
+        top = StarConfig(3, 1.25, 1e4)
+        star = steady.integrate_line(top).star(1e4)
+        own = integrate_gas_profile(top, stop_at_liquid=True)
+        for name in ("radii", "rho", "enthalpy", "mass"):
+            assert getattr(star, name).tobytes() == getattr(own, name).tobytes(), name
+        assert star.liquid_radius == own.liquid_radius
+
+    @pytest.mark.parametrize("rho0", [1.0, 0.5, math.nextafter(1e4, math.inf), 2e4, math.nan])
+    def test_density_outside_the_line_raises(self, rho0):
+        line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
+        with pytest.raises(ValueError, match="line densities"):
+            line.star(rho0)
+
+    def test_gas_top_star_raises(self):
+        with pytest.raises(ValueError, match="rho_top > 1"):
+            steady.integrate_line(StarConfig(3, 1.25, 1.0))
 
 
 class TestStalledSamples:
