@@ -19,7 +19,8 @@ power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient, and
 evaluated in one vectorised pass that gathers each block contiguously.  Where
 the first component falls through a level is found after the run, on the
 dense output (DenseSolution.crossing); the stepper itself only watches the
-one level that ends the run.
+one level that ends the run.  Both find their root with brentq, a port of
+scipy's Brent root-finder kept here so that no part of scipy.optimize loads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -429,11 +429,83 @@ def _dense_coefficients(records: np.ndarray) -> np.ndarray:
     return out
 
 
+def _value(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    Brent, *Algorithms for Minimization Without Derivatives* (1973), ch. 4:
+    inverse quadratic or secant steps, bisection whenever a step would leave
+    the bracket or shrink it too slowly.  The iteration is scipy's brentq.c
+    line for line (Charles Harris's variant), on Python floats, so it returns
+    the bits scipy.optimize.brentq returns; a test keeps scipy as the
+    reference.  It stops when the bracket half-width falls below
+    (xtol + rtol |x|) / 2 or f is exactly 0.  Raises ValueError when f(a)
+    and f(b) have the same sign or f returns NaN, and RuntimeError after
+    maxiter iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _fall(poly, t_old: float, t_new: float, h: float, a_old: float, level: float) -> float:
     """Root in [t_old, t_new] of the step's first component minus level, by brentq to 4 eps.
 
     poly is the first component's row of _dense_coefficients for the step
-    that starts at t_old with value a_old and has size h.
+    that starts at t_old with value a_old and has size h.  brentq is the port
+    of scipy's, so the root is the one scipy.optimize.brentq finds.
     """
     return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level,
                   t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
@@ -475,8 +547,9 @@ def solve(
     The local error of each step is kept below atol + rtol |y| per component
     (rtol is raised to 100 eps if smaller).  When stop is given, the run ends
     where the first component first falls through it (a step that starts
-    at or above stop and ends at or below it), at the root that brentq finds
-    on the step's dense output to 4 eps.  Other levels are read off the
+    at or above stop and ends at or below it), at the root that brentq (the
+    port of scipy's Brent method above) finds on the step's dense output to
+    4 eps.  Other levels are read off the
     result with DenseSolution.crossing.  Raises RuntimeError when the step
     size falls below ten float spacings of t or the state stops being finite.
     """

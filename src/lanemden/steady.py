@@ -15,6 +15,9 @@ Integration is done on the equivalent first-order integral form
 a state variable, so the enthalpy slope is always consistent with the mass.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats; its dense output gives the profile samples.
+Between samples a Profile reads one monotone cubic (PCHIP) of the enthalpy
+and m/r^d, built and evaluated here in numpy with scipy's operations, so
+import loads no part of scipy.interpolate.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.
@@ -28,8 +31,6 @@ from functools import cached_property
 from typing import Callable, Optional, TextIO
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.optimize import brentq
 
 from . import dop853
 from .config import StarConfig, support_threshold
@@ -66,6 +67,13 @@ class Profile:
     nfev and steps are the right-hand-side evaluations and accepted steps of
     the DOP853 run the profile was read off (for a star built from a line,
     the line's run); both are 0 for a profile that was not integrated.
+
+    Between samples, enthalpy_at, mass_at and rho_and_mass_at read one
+    two-column piecewise cubic, the PCHIP (Fritsch-Carlson) of the enthalpy
+    and m/r^d, stored as a power-form table (_pchip_slopes,
+    _hermite_coefficients).  Each radius costs one interval search and is
+    evaluated in PPoly's order, so the values are scipy's
+    PchipInterpolator's bit for bit; a test keeps scipy as the reference.
     """
 
     config: StarConfig
@@ -116,7 +124,7 @@ class Profile:
         return float(self.mass[-1])
 
     @cached_property
-    def _rho_mass_interp(self) -> PchipInterpolator:
+    def _coefficients(self) -> np.ndarray:
         # the enthalpy and m(r)/r^d as the two columns of one piecewise cubic,
         # so each radius is located once for both.  m/r^d tends to
         # (4 pi / d) rho0 at the center, so that the polynomial factor r^d
@@ -125,19 +133,29 @@ class Profile:
         mhat = np.empty_like(r)
         mhat[0] = FOUR_PI / self.config.d * self.config.rho_center
         mhat[1:] = self.mass[1:] / r[1:] ** self.config.d
-        return PchipInterpolator(r, np.column_stack([self.enthalpy, mhat]), extrapolate=False)
+        y = np.stack([self.enthalpy, mhat])
+        return _hermite_coefficients(r, y, _pchip_slopes(r, y))
 
-    def _column(self, k: int) -> PPoly:
-        c = np.ascontiguousarray(self._rho_mass_interp.c[..., k])
-        return PPoly.construct_fast(c, self.radii, extrapolate=False)
-
-    @cached_property
-    def _enthalpy_interp(self) -> PPoly:
-        return self._column(0)
-
-    @cached_property
-    def _mass_hat_interp(self) -> PPoly:
-        return self._column(1)
+    def _interpolate(self, r: np.ndarray, *columns: int):
+        """The interpolant's columns at the checked radii r, each shaped like r."""
+        x = self.radii
+        i, s = _locate(x, r.ravel())
+        s2 = s * s
+        s3 = s2 * s
+        term = np.empty_like(s)
+        out = []
+        for k in columns:
+            c = self._coefficients[k]
+            # PPoly's order: 0.0 + c3, then + c2 s, + c1 s^2, + c0 s^3.  The
+            # indices are in range; mode "clip" lets take fill term unbuffered
+            y = c[3].take(i)
+            y += 0.0
+            for p, power in ((2, s), (1, s2), (0, s3)):
+                c[p].take(i, out=term, mode="clip")
+                term *= power
+                y += term
+            out.append(y.reshape(r.shape))
+        return out
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
@@ -147,21 +165,93 @@ class Profile:
         return r
 
     def enthalpy_at(self, r):
-        r = self._check_range(r)
-        return self._enthalpy_interp(r)
+        (enthalpy,) = self._interpolate(self._check_range(r), 0)
+        return enthalpy
 
     def rho_at(self, r):
         return self.config.rho_of_enthalpy(self.enthalpy_at(r))
 
     def mass_at(self, r):
         r = self._check_range(r)
-        return self._mass_hat_interp(r) * r ** self.config.d
+        (mass_hat,) = self._interpolate(r, 1)
+        return mass_hat * r ** self.config.d
 
     def rho_and_mass_at(self, r):
         """(rho_at(r), mass_at(r)) bit for bit, from one interval search per radius."""
         r = self._check_range(r)
-        enthalpy, mass_hat = np.moveaxis(self._rho_mass_interp(r), -1, 0)
+        enthalpy, mass_hat = self._interpolate(r, 0, 1)
         return self.config.rho_of_enthalpy(enthalpy), mass_hat * r ** self.config.d
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope at an end, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Slopes at the samples of the monotone cubic (PCHIP) through each row of y.
+
+    Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980): at an inner sample the
+    slope is 0 where the secants beside it differ in sign or one is 0, else
+    their weighted harmonic mean; the end slopes are Moler's (Numerical
+    Computing with MATLAB, sec. 3.6), and two samples give the line.  The
+    operations are those of scipy's PchipInterpolator (_find_derivatives,
+    _edge_case), in its order.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.concatenate([m, m], axis=1)
+    dk = np.empty_like(y)
+    sm = np.sign(m)
+    flat = (sm[:, 1:] != sm[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # the quotients are discarded where they divide by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+        dk[:, 1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    dk[:, 0] = _pchip_end_slope(h[0], h[1], m[:, 0], m[:, 1])
+    dk[:, -1] = _pchip_end_slope(h[-1], h[-2], m[:, -1], m[:, -2])
+    return dk
+
+
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
+    """Power-form coefficients of the cubic Hermite interpolant of each row of y.
+
+    y and its slopes dydx have one row per column, shape (k, n); the result c
+    has shape (k, 4, n - 1), and on [x_j, x_j+1] column q is
+    c[q, 0, j] s^3 + c[q, 1, j] s^2 + c[q, 2, j] s + c[q, 3, j] in
+    s = r - x_j.  The formulas are scipy's CubicHermiteSpline, in its order,
+    so with _pchip_slopes the table holds PchipInterpolator's bits.
+    """
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / h
+    return np.stack([t / h, (slope - dydx[:, :-1]) / h - t, dydx[:, :-1], y[:, :-1]], axis=1)
+
+
+def _locate(x: np.ndarray, r: np.ndarray):
+    """Interval j with x_j <= r < x_j+1 of each r in [x_0, x_-1] (the last closed), and r - x_j.
+
+    That is PPoly's interval (searchsorted on the right side, clipped to the
+    last interval) and its local coordinate.  np.interp on the sample
+    positions finds it with a guessed start, which makes a run of sorted
+    radii (the Gauss points of a mesh) cheap; the position's rounding can
+    land one interval high just below a breakpoint, where r - x_j < 0, and
+    those few step back.
+    """
+    i = np.interp(r, x, np.arange(len(x), dtype=float)).astype(np.intp)
+    np.minimum(i, len(x) - 2, out=i)
+    s = r - x[i]
+    high = s < 0.0
+    if high.any():
+        i[high] -= 1
+        s[high] = r[high] - x[i[high]]
+    return i, s
 
 
 def _seed_coefficients(config: StarConfig):
@@ -377,8 +467,8 @@ def integrate_gas_profile(
     Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
     per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
     error growth.  Both radii are downward crossings of the enthalpy, read
-    off the run by DenseSolution.crossing: brentq on the step's dense
-    polynomial.  The grid is the adaptive steps refined to at least
+    off the run by DenseSolution.crossing: Brent's method (dop853.brentq)
+    on the step's dense polynomial.  The grid is the adaptive steps refined to at least
     min_points samples, evaluated on the dense output in one pass, less any
     sample where rho or m has stopped moving in float64 (r = 0 and the
     crossing radii are always kept).  Raises RuntimeError when the step size
@@ -450,8 +540,9 @@ def liquid_radius(profile: Profile) -> float:
     """Radius R where rho(R) = 1, located to root-finding accuracy.
 
     Uses the radius recorded by the integrator when available; otherwise
-    brackets rho - 1 between adjacent grid samples and refines with a
-    safeguarded bisection/inverse-quadratic hybrid on the interpolant.
+    brackets rho - 1 between adjacent grid samples and refines it on the
+    interpolant with Brent's bisection/inverse-quadratic hybrid
+    (_enthalpy_crossing).
     """
     config = profile.config
     if config.rho_center <= 1.0:
@@ -466,9 +557,10 @@ def liquid_radius(profile: Profile) -> float:
 def _enthalpy_crossing(profile: Profile, target: float) -> float:
     """First radius where the enthalpy falls to target.
 
-    Brackets the crossing between adjacent grid samples and refines it with
-    brentq on the interpolant.  Raises RuntimeError when the grid ends before
-    the crossing or starts below target.
+    Brackets the crossing between adjacent grid samples and refines it on the
+    interpolant with dop853.brentq (xtol 1e-15, rtol 4 eps), the port of
+    scipy.optimize.brentq.  Raises RuntimeError when the grid ends before the
+    crossing or starts below target.
     """
     below = np.nonzero(profile.enthalpy < target)[0]
     if len(below) == 0:
@@ -479,7 +571,7 @@ def _enthalpy_crossing(profile: Profile, target: float) -> float:
     if i == 0:
         raise RuntimeError("profile starts below the boundary density")
     f = lambda r: float(profile.enthalpy_at(r)) - target
-    return float(brentq(f, profile.radii[i - 1], profile.radii[i], xtol=1e-15))
+    return dop853.brentq(f, profile.radii[i - 1], profile.radii[i], xtol=1e-15, rtol=4 * dop853.EPS)
 
 
 def truncate_liquid(profile: Profile) -> Profile:

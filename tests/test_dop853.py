@@ -6,6 +6,7 @@ bit, against its own earlier loop form.
 
 import math
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -216,12 +217,35 @@ def test_oscillator_closed_form():
     assert sol.ts[-1] == sol.t_end == 20.0 and sol.stop is None
 
 
-def test_import_leaves_scipy_integrate_out():
-    code = "import sys, lanemden; print('scipy.integrate' in sys.modules)"
+# scipy modules that lanemden replaced with its own code or never needed;
+# only scipy.linalg (LAPACK dpttrf/dpttrs) may load
+UNLOADED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special")
+
+# tiny runs of the commands, so that a lazy import inside them shows too
+TINY_COMMANDS = [
+    ["scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "50", "--points", "2",
+     "--mesh", "64"],
+    ["critical", "--d", "3", "--gamma", "1.25", "--rho0-min", "40", "--rho0-max", "60", "--mesh", "64",
+     "--tol-rho", "0.1"],
+    ["profile", "--d", "3", "--gamma", "1.25", "--rho0", "10"],
+    ["verify", "--suite", "singular"],
+]
+
+
+@pytest.mark.parametrize("commands", [[], TINY_COMMANDS], ids=["after-import", "after-commands"])
+def test_import_leaves_scipy_modules_out(commands):
+    code = (
+        "import contextlib, io, sys, lanemden\n"
+        "from lanemden import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print([m for m in {UNLOADED_SCIPY!r} if m in sys.modules])"
+    )
     src = str(Path(lanemden.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # The loop-form stepper that the straight-line kernels replaced, kept as a
@@ -463,3 +487,95 @@ def test_dense_output_is_the_scalar_horner_bitwise():
             want = dop853._horner(coeffs[:, k, comp].tolist(), x) + y_old[k, comp]
             assert float(got[comp, col]).hex() == float(want).hex()
     assert math.copysign(1.0, got[0, -3]) == 1.0  # a point inside the signed-zero step
+
+
+# dop853.brentq, the port of scipy's brentq.c, against scipy.optimize.brentq
+# as the reference: the same root, bit for bit, and the same errors.
+
+def _polynomial(coeffs):
+    def f(x):
+        y = 0.0
+        for c in reversed(coeffs):
+            y = y * x + c
+        return y
+    return f
+
+
+def test_brentq_bitwise_on_random_polynomial_brackets():
+    rng = np.random.default_rng(12)
+    calls = 0
+    while calls < 5000:
+        f = _polynomial(rng.uniform(-1.0, 1.0, size=8).tolist())
+        a, b = (float(v) for v in np.sort(rng.uniform(-2.0, 2.0, size=2)))
+        if not f(a) * f(b) < 0.0:
+            continue
+        for xtol in (4 * dop853.EPS, 1e-15):
+            got = dop853.brentq(f, a, b, xtol, 4 * dop853.EPS)
+            want = brentq(f, a, b, xtol=xtol, rtol=4 * dop853.EPS)
+            assert got.hex() == want.hex(), (a, b, xtol)
+        calls += 1
+
+
+def _captured_brentq_calls(monkeypatch):
+    """Every brentq call that the crossing finders make on the battery and on line runs."""
+    calls = []
+    port = dop853.brentq
+
+    def recording(f, a, b, xtol, rtol, maxiter=100):
+        root = port(f, a, b, xtol, rtol, maxiter)
+        calls.append((f, a, b, xtol, rtol, root))
+        return root
+
+    monkeypatch.setattr(dop853, "brentq", recording)
+    for d, g, rho0 in PROFILE_BATTERY:
+        profile = integrate_gas_profile(StarConfig(d, g, rho0), r_max=20.0)
+        if rho0 > 1.0:
+            steady.truncate_liquid(profile)
+        for kappa in (0.5, 4.0):
+            steady.scale_profile(profile, kappa)
+    for d, g, top in [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6), (3, 1.25, 1.0 + 1e-9)]:
+        line = steady.integrate_line(StarConfig(d, g, top))
+        for rho0 in np.geomspace(1.0 + 1e-9, top, 12)[1:]:
+            profile = line.star(float(rho0))
+            if profile is not None:
+                steady._enthalpy_crossing(profile, 0.5 * (profile.enthalpy[0] + profile.enthalpy[-1]))
+    return calls
+
+
+def test_brentq_bitwise_on_every_crossing_call(monkeypatch):
+    calls = _captured_brentq_calls(monkeypatch)
+    per_caller = Counter((xtol, rtol) for _, _, _, xtol, rtol, _ in calls)
+    # both callers, many times: _fall (4 eps) and _enthalpy_crossing (xtol 1e-15)
+    assert set(per_caller) == {(4 * dop853.EPS, 4 * dop853.EPS), (1e-15, 4 * dop853.EPS)}
+    assert min(per_caller.values()) >= 50
+    for f, a, b, xtol, rtol, root in calls:
+        assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)
+
+
+def test_brentq_endpoint_root_is_returned():
+    f = _polynomial([-1.0, 0.0, 1.0])  # x^2 - 1
+    for a, b in ((1.0, 3.0), (-3.0, -1.0), (-1.0, 0.5)):
+        assert dop853.brentq(f, a, b, 1e-15, 4 * dop853.EPS) == brentq(f, a, b, xtol=1e-15)
+    assert dop853.brentq(f, 1.0, 3.0, 1e-15, 4 * dop853.EPS) == 1.0
+    assert dop853.brentq(f, -3.0, -1.0, 1e-15, 4 * dop853.EPS) == -1.0
+
+
+def test_brentq_same_sign_ends_raise():
+    f = _polynomial([-1.0, 0.0, 1.0])
+    for reference in (brentq, dop853.brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            reference(f, 2.0, 3.0, xtol=1e-15, rtol=4 * dop853.EPS)
+
+
+def test_brentq_nan_value_raises():
+    f = lambda x: math.nan if x > 0.4 else x - 0.5
+    for reference in (brentq, dop853.brentq):
+        with pytest.raises(ValueError, match="NaN"):
+            reference(f, 0.0, 1.0, xtol=1e-15, rtol=4 * dop853.EPS)
+
+
+def test_brentq_iteration_limit_raises():
+    f = _polynomial([-1.0, 0.0, 1.0])
+    for reference in (brentq, dop853.brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            reference(f, 0.0, 3.0, xtol=1e-15, rtol=4 * dop853.EPS, maxiter=2)

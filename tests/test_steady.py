@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from lanemden import (
     StarConfig,
@@ -22,6 +23,7 @@ from lanemden import (
     write_profile_csv,
 )
 from lanemden import dop853, steady
+from lanemden.harness import PROFILE_BATTERY
 from lanemden.phase import fixed_points, radius_limit
 from lanemden.steady import _refined_grid
 
@@ -454,6 +456,121 @@ class TestProfileRange:
         p = get_profile(3, 1.2, 1.0)
         assert float(p.rho_at(0.0)) == 1.0
         assert np.all(np.isfinite(p.mass_at([0.0, p.r_end])))
+
+
+def _scipy_pchip(profile):
+    """The two-column PchipInterpolator of the enthalpy and m/r^d that a Profile reproduces."""
+    r, config = profile.radii, profile.config
+    mhat = np.empty_like(r)
+    mhat[0] = FOUR_PI / config.d * config.rho_center
+    mhat[1:] = profile.mass[1:] / r[1:] ** config.d
+    return PchipInterpolator(r, np.column_stack([profile.enthalpy, mhat]), extrapolate=False)
+
+
+def _assert_pchip_bitwise(profile):
+    """Table and values against scipy, bit for bit, where the interval search could slip."""
+    ref = _scipy_pchip(profile)
+    assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == ref.c.tobytes()
+    r, d = profile.radii, profile.config.d
+    # every breakpoint (r = 0 and r_end among them), a float either side, midpoints
+    y = np.concatenate([r, np.nextafter(r[1:], 0.0), np.nextafter(r[:-1], np.inf), 0.5 * (r[:-1] + r[1:])])
+    enthalpy, mass_hat = np.moveaxis(ref(y), -1, 0)
+    rho, mass = profile.config.rho_of_enthalpy(enthalpy), mass_hat * y**d
+    assert profile.enthalpy_at(y).tobytes() == enthalpy.tobytes()
+    assert profile.mass_at(y).tobytes() == mass.tobytes()
+    got_rho, got_mass = profile.rho_and_mass_at(y)
+    assert got_rho.tobytes() == rho.tobytes() and got_mass.tobytes() == mass.tobytes()
+    # a 0-d radius gives a 0-d array, as PPoly does
+    for x in (0.0, profile.r_end, 0.5 * profile.r_end):
+        got = profile.enthalpy_at(np.array(x))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == ref(x)[0].tobytes()
+
+
+def _synthetic(d, gamma, radii, rho, mass_hat):
+    """A Profile from chosen samples of rho and m/r^d (mass_hat[0] is implied by rho[0])."""
+    config = StarConfig(d, gamma, rho[0])
+    r = np.array(radii, dtype=float)
+    mass = np.concatenate([[0.0], np.array(mass_hat[1:]) * r[1:] ** d])
+    return steady.Profile(config, r, np.array(rho), config.enthalpy_of_rho(np.array(rho)), mass)
+
+
+class TestPchipTable:
+    """Profile's in-house PCHIP against scipy's PchipInterpolator as the reference."""
+
+    @pytest.mark.parametrize("star", PROFILE_BATTERY, ids=str)
+    def test_battery(self, star):
+        _assert_pchip_bitwise(get_profile(*star))
+
+    @pytest.mark.parametrize("top", [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6)], ids=str)
+    def test_line_built(self, top):
+        line = steady.integrate_line(StarConfig(*top))
+        for rho0 in (top[2], 50.0, 1.0 + 1e-9):
+            profile = line.star(rho0)
+            if profile is not None:
+                _assert_pchip_bitwise(profile)
+
+    def test_rescaled_csv_read_and_closed_form(self):
+        base = get_profile(3, 1.5, 10.0)
+        _assert_pchip_bitwise(scale_profile(base, 0.3))
+        _assert_pchip_bitwise(truncate_liquid(get_liquid(5, 1.3, 1e6)))
+        buf = io.StringIO()
+        write_profile_csv(get_liquid(4, 1.2, 50.0), buf)
+        _assert_pchip_bitwise(read_profile_csv(io.StringIO(buf.getvalue())))
+        star = explicit_profile_critical(3, 100.0)
+        _assert_pchip_bitwise(star.to_profile(np.linspace(0.0, 2.0 * star.radius, 257)))
+
+    def test_two_samples_give_the_line(self):
+        profile = _synthetic(3, 1.5, [0.0, 1.0], [2.0, 1.0], [None, 3.0])
+        _assert_pchip_bitwise(profile)
+        assert np.all(profile._coefficients[:, :2] == 0.0)
+
+    @staticmethod
+    def mass_hat_slopes(profile):
+        """Secants and PCHIP slopes of the m/r^d column."""
+        x = profile.radii
+        y = np.stack([profile.enthalpy, _scipy_pchip(profile)(x)[:, 1]])
+        return np.diff(y[1]) / np.diff(x), steady._pchip_slopes(x, y)[1]
+
+    def test_sign_change_and_end_limits(self):
+        # m/r^d rises, then falls steeply: at the left end the three-point
+        # slope overshoots (3 m0), at the right it has the wrong sign (0), and
+        # the sign change inside gives 0
+        rho = [10.0, 8.0, 3.0, 2.0, 1.5]
+        mh0 = FOUR_PI / 3 * rho[0]
+        profile = _synthetic(3, 2.0, [0.0, 1.0, 2.0, 3.0, 4.0], rho,
+                             [None, mh0 + 1.0, mh0 - 9.0, mh0 - 14.0, mh0 - 15.0])
+        _assert_pchip_bitwise(profile)
+        m, slopes = self.mass_hat_slopes(profile)
+        assert m[0] > 0 > m[1] and slopes[0] == 3.0 * m[0]
+        assert slopes[1] == 0.0 and slopes[2] != 0.0 and slopes[-1] == 0.0
+        # just under the overshoot limit (|d| = 2.7 m0) the three-point slope stands
+        profile = _synthetic(3, 2.0, [0.0, 1.0, 2.0, 3.0, 4.0], rho,
+                             [None, mh0 + 1.0, mh0 - 1.4, mh0 - 1.9, mh0 - 2.0])
+        _assert_pchip_bitwise(profile)
+        m, slopes = self.mass_hat_slopes(profile)
+        assert m[0] > 0 > m[1] and 2.5 * m[0] < slopes[0] < 3.0 * m[0]
+
+    def test_flat_steps(self):
+        # zero secants of m/r^d (the first one, at the center, and one
+        # inside) give zero slopes beside them
+        mh0 = FOUR_PI / 3
+        profile = _synthetic(3, 1.25, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.9, 0.7, 0.6, 0.5, 0.45],
+                             [None, mh0, 3.0, 3.0, 3.5, 3.4])
+        _assert_pchip_bitwise(profile)
+        m, slopes = self.mass_hat_slopes(profile)
+        assert m[0] == 0.0 and m[2] == 0.0
+        assert np.all(slopes[:-1] == 0.0) and slopes[-1] == 3.0 * m[-1]
+
+    def test_locate_is_the_right_side_search(self):
+        x = get_liquid(3, 1.25, 1e4).radii
+        rng = np.random.default_rng(3)
+        r = np.concatenate([x, np.nextafter(x[1:], 0.0), np.nextafter(x[:-1], np.inf), rng.uniform(0.0, x[-1], 4000)])
+        want = np.minimum(np.searchsorted(x, r, side="right") - 1, len(x) - 2)
+        for order in (np.arange(len(r)), np.argsort(r), rng.permutation(len(r))):
+            i, s = steady._locate(x, r[order])
+            assert np.array_equal(i, want[order])
+            assert s.tobytes() == (r[order] - x[want[order]]).tobytes()
 
 
 class TestClassifySupport:
