@@ -178,6 +178,21 @@ def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
     )
 
 
+def _line_profile(
+    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float
+) -> Tuple[Profile, bool]:
+    """rho0's liquid-cut star off the line's run, or its own integration where the run cannot serve.
+
+    The run cannot serve when there is no line or LiquidLine.star returns
+    None.  The flag is True when the star was integrated on its own.
+    """
+    profile = None if line is None else line.star(rho0)
+    if profile is not None:
+        return profile, False
+    config = StarConfig(d, gamma, rho0)
+    return integrate_gas_profile(config, tol=tol, r_max=rmax, stop_at_liquid=True), True
+
+
 def sweep_row(
     d: int,
     gamma: float,
@@ -189,14 +204,12 @@ def sweep_row(
 ) -> SweepRow:
     """Compute one sweep row from scratch (independent of any other row).
 
-    run_sweep reads most rows off one integration per line instead.  Such a
-    row's profile samples the same star on another grid, so its mu* differs
-    from this one's by up to about 1e-7 relative at mesh 2048 (4e-7 was seen
-    at mesh 1024).
+    run_sweep and critical_density read most stars off one integration per
+    line instead.  Such a star's profile samples the same star on another
+    grid, so its mu* differs from this one's by up to about 1e-7 relative at
+    mesh 2048 (4e-7 was seen at mesh 1024).
     """
-    profile = integrate_gas_profile(
-        StarConfig(d, gamma, rho0), tol=tol, r_max=rmax, stop_at_liquid=True
-    )
+    profile, _ = _line_profile(None, d, gamma, rho0, tol, rmax)
     return _classified_row(profile, mesh, tol_eig)
 
 
@@ -205,17 +218,7 @@ def _line_row(line: Optional[LiquidLine], rho0: float, spec: RunSpec) -> SweepRo
 
     The profile is local to this call, so it is freed before the next row's is built.
     """
-    profile = None if line is None else line.star(rho0)
-    if profile is None:
-        return sweep_row(
-            spec.d,
-            spec.gamma,
-            rho0,
-            mesh=spec.mesh,
-            tol=spec.tol,
-            tol_eig=spec.tol_eig,
-            rmax=spec.rmax,
-        )
+    profile, _ = _line_profile(line, spec.d, spec.gamma, rho0, spec.tol, spec.rmax)
     return _classified_row(profile, spec.mesh, spec.tol_eig)
 
 
@@ -227,11 +230,12 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     liquid radius found on the run's dense output after the run.  The
     largest star's row is bit for bit sweep_row's.  The others' R and M agree
     with sweep_row's to about 1e-10 and their mu* to about 1e-7 relative at
-    mesh 2048, so a row's mu* depends on its line at that level.  A row
-    falls back to sweep_row when its liquid level is not crossed after the
-    largest star's seed or its R would exceed rmax, and every row does when
-    the line's own integration fails, so each Error row keeps its own
-    reason.  The profiles are built one at a time.
+    mesh 2048, so a row's mu* depends on its line at that level.  A row's
+    star is integrated on its own, as sweep_row's is, when its liquid level
+    is not crossed after the largest star's seed or its R would exceed rmax
+    (_line_profile), and every row's is when the line's own integration
+    fails, so each Error row keeps its own reason.  The profiles are built
+    one at a time.
 
     Only numerical and usage failures (ValueError, RuntimeError,
     ArithmeticError, LinAlgError) become Error rows, with the exception kept
@@ -276,13 +280,20 @@ def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class CriticalDensityResult:
-    """Bisection result for the sign change of mu*(rho0)."""
+    """Bisection result for the sign change of mu*(rho0).
+
+    integrations counts the DOP853 runs behind it (the lo end's, the line's
+    and any interior star's own); nfev and steps are summed over them.
+    """
 
     rho0_crit: float
     bracket: Tuple[float, float]
     mu_lo: float
     mu_hi: float
     history: Tuple[Tuple[float, float], ...]
+    integrations: int = 0
+    nfev: int = 0
+    steps: int = 0
 
 
 def critical_density(
@@ -304,11 +315,16 @@ def critical_density(
     interior is not scanned.
 
     The two bracket ends get the full certified solve of sweep_row, reported
-    as mu_lo and mu_hi.  Each interior step needs only the sign of mu*, so it
-    integrates its star, assembles the pencil and decides its side with one
-    LDL^T inertia count (spectral.stable_at_zero).  A zero pivot reads as not
-    stable, so mu* = 0 falls on the unstable side, as its negatively signed
-    zero does in the full solve.
+    as mu_lo and mu_hi: lo's star is integrated on its own (first, so a bad
+    bracket fails as before), and hi's is the line run that serves every
+    interior star (steady.integrate_line), bit for bit its own integration.
+    Each interior star is read off that run as run_sweep's rows are
+    (_line_profile); it needs only the sign of mu*, so the pencil is
+    assembled and its side decided with one LDL^T inertia count
+    (spectral.stable_at_zero).  A zero pivot reads as not stable, so mu* = 0
+    falls on the unstable side, as its negatively signed zero does in the
+    full solve.  A step's side can differ from that of the star's own
+    integration only where |mu*| lies within their ~1e-7 relative gap.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -320,17 +336,18 @@ def critical_density(
     if not (tol_rho > 0.0 and math.isfinite(tol_rho)):
         raise ValueError(f"tol_rho must be positive and finite, got {tol_rho}")
 
-    def mu_at(rho0: float) -> float:
-        return sweep_row(d, gamma, rho0, mesh=mesh, tol=tol, tol_eig=tol_eig, rmax=rmax).mu_star
+    own, _ = _line_profile(None, d, gamma, lo, tol, rmax)
+    mu_lo = _classified_row(own, mesh, tol_eig).mu_star
+    line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
+    runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
 
-    def stable_at(rho0: float) -> bool:
-        profile = integrate_gas_profile(
-            StarConfig(d, gamma, rho0), tol=tol, r_max=rmax, stop_at_liquid=True
-        )
-        return stable_at_zero(assemble(build_sl_data(profile), mesh))
+    def star(rho0: float) -> Profile:
+        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax)
+        if integrated:
+            runs.append((profile.nfev, profile.steps))
+        return profile
 
-    mu_lo = mu_at(lo)
-    mu_hi = mu_at(hi)
+    mu_hi = _classified_row(star(hi), mesh, tol_eig).mu_star
     if math.copysign(1.0, mu_lo) == math.copysign(1.0, mu_hi):
         raise ValueError(
             f"same-sign bracket: mu*({lo:g}) = {mu_lo:.3e}, mu*({hi:g}) = {mu_hi:.3e}"
@@ -341,7 +358,7 @@ def critical_density(
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         if not (lo < mid < hi):
             break
-        if stable_at(mid) == lo_stable:
+        if stable_at_zero(assemble(build_sl_data(star(mid)), mesh)) == lo_stable:
             lo = mid
         else:
             hi = mid
@@ -352,6 +369,9 @@ def critical_density(
         mu_lo=mu_lo,
         mu_hi=mu_hi,
         history=tuple(history),
+        integrations=len(runs),
+        nfev=sum(n for n, _ in runs),
+        steps=sum(k for _, k in runs),
     )
 
 

@@ -492,6 +492,8 @@ class LiquidLine:
     output, so any density in (1, rho_top] can be asked for after the run.
     The run is the one integrate_gas_profile(top, stop_at_liquid=True)
     makes, so the top star's own profile is bit for bit the one that returns.
+    harness.run_sweep reads each scan row's star off it, and
+    harness.critical_density each bisection star.
     """
 
     top: StarConfig
@@ -526,7 +528,9 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
     """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
 
     The run is the one integrate_gas_profile(top, stop_at_liquid=True)
-    makes; LiquidLine.star builds each smaller star's profile on demand.
+    makes; LiquidLine.star builds each smaller star's profile on demand, for
+    a scan line (top its largest rho0) or a critical-density bracket (top
+    its upper end).
     The top star's seed radius is kept, so the seed covers r0 / lam of each
     smaller star, a larger share of its radius than its own seed would.
     """

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 
 import lanemden.harness as harness
 import lanemden.spectral as spectral
+import lanemden.steady as steady
 from lanemden import (
     RunSpec,
+    StarConfig,
     SweepRow,
     dop853,
     critical_density,
@@ -201,20 +205,20 @@ class TestLineFamily:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Counts of DOP853 runs and of rows that fell back to sweep_row."""
+        """Counts of DOP853 runs and of rows whose star fell back to its own integration."""
         counts = {"solves": 0, "fallbacks": 0}
-        real_solve, real_row = dop853.solve, harness.sweep_row
+        real_solve, real_integrate = dop853.solve, harness.integrate_gas_profile
 
         def solve(*args, **kwargs):
             counts["solves"] += 1
             return real_solve(*args, **kwargs)
 
-        def row(*args, **kwargs):
+        def integrate(*args, **kwargs):
             counts["fallbacks"] += 1
-            return real_row(*args, **kwargs)
+            return real_integrate(*args, **kwargs)
 
         monkeypatch.setattr(dop853, "solve", solve)
-        monkeypatch.setattr(harness, "sweep_row", row)
+        monkeypatch.setattr(harness, "integrate_gas_profile", integrate)
         return counts
 
     @pytest.mark.parametrize("d,gamma,extra,fallbacks", LINES, ids=[str(c) for c in LINES])
@@ -326,11 +330,21 @@ def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
     return math.exp(0.5 * (math.log(lo) + math.log(hi))), mu_lo, mu_hi, tuple(history)
 
 
-class TestCriticalDensityCount:
-    """Interior steps decided by one inertia count, against the full solve."""
+# (line, mesh): three lines at two meshes, then the isothermal floor and a
+# high-dimensional line near gamma = 1 at the small mesh
+BITWISE_LINES = [(line, mesh) for line in ((3, 1.25), (4, 1.4), (5, 1.3)) for mesh in (2048, 512)]
+BITWISE_LINES += [((3, 1.0), 512), ((7, 1.01), 512)]
 
-    @pytest.mark.parametrize("mesh", [512, 2048])
-    @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4), (5, 1.3)], ids=str)
+# the RuntimeError message of a star whose liquid radius exceeds rmax
+TOO_SHORT = "profile too short: grid ends before rho reaches 1 (increase r_max)"
+
+BASELINE = json.loads((pathlib.Path(__file__).parent / "data" / "critical_density_baseline.json").read_text())
+
+
+class TestCriticalDensityCount:
+    """Interior stars read off the hi end's run, against the full solve of each own star."""
+
+    @pytest.mark.parametrize("line,mesh", BITWISE_LINES, ids=[f"{l}-{m}" for l, m in BITWISE_LINES])
     def test_matches_full_solve_bitwise(self, line, mesh):
         res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         crit, mu_lo, mu_hi, history = reference_critical_density(*line, (1.01, 1e6), 1e-3, mesh)
@@ -339,29 +353,85 @@ class TestCriticalDensityCount:
         assert res.mu_lo.hex() == mu_lo.hex()
         assert res.mu_hi.hex() == mu_hi.hex()
 
-    def test_full_solve_only_at_the_ends(self, monkeypatch):
-        solves, stars = [], []
-        real_solve, real_integrate = spectral.smallest_eigenpair, harness.integrate_gas_profile
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The eigensolves, own integrations and line runs of each call, by density."""
+        calls = {"solves": [], "stars": [], "lines": []}
+        real_solve = spectral.smallest_eigenpair
+        real_integrate, real_line = harness.integrate_gas_profile, harness.integrate_line
 
         def counted_solve(*args, **kwargs):
-            solves.append(1)
+            calls["solves"].append(1)
             return real_solve(*args, **kwargs)
 
         def counted_integrate(config, *args, **kwargs):
-            stars.append(config.rho_center)
+            calls["stars"].append(config.rho_center)
             return real_integrate(config, *args, **kwargs)
+
+        def counted_line(top, *args, **kwargs):
+            calls["lines"].append(top.rho_center)
+            return real_line(top, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", counted_solve)
         monkeypatch.setattr(harness, "integrate_gas_profile", counted_integrate)
+        monkeypatch.setattr(harness, "integrate_line", counted_line)
+        return calls
+
+    def test_full_solve_only_at_the_ends(self, counted):
         for bracket in ((1.01, 1e6), (40.0, 60.0)):
-            solves.clear()
-            stars.clear()
+            for calls in counted.values():
+                calls.clear()
             res = critical_density(3, 1.25, bracket, tol_rho=1e-3, mesh=512)
-            iterations = len(res.history) - 1
-            assert iterations > 5
-            assert len(solves) == 2
-            assert len(stars) == 2 + iterations
-            assert stars[:2] == list(bracket)
+            assert len(res.history) - 1 > 5
+            assert len(counted["solves"]) == 2
+            assert counted["stars"] == [bracket[0]]
+            assert counted["lines"] == [bracket[1]]
+            assert res.integrations == 2
+
+    def test_unserved_stars_integrate_on_their_own(self, counted, monkeypatch):
+        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0: None)
+        res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=512)
+        iterations = len(res.history) - 1
+        mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
+        assert counted["stars"] == [1.01, 1e6] + mids
+        crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 512)
+        assert res.rho0_crit.hex() == crit.hex()
+        assert res.history == history
+        assert res.mu_lo.hex() == mu_lo.hex()
+        assert res.mu_hi.hex() == mu_hi.hex()
+        assert res.integrations == 3 + iterations
+
+    def test_evidence_sums_the_runs(self):
+        res = critical_density(3, 1.25, (40.0, 60.0), tol_rho=1e-2, mesh=512)
+        lo = steady.integrate_gas_profile(StarConfig(3, 1.25, 40.0), stop_at_liquid=True)
+        line = steady.integrate_line(StarConfig(3, 1.25, 60.0))
+        assert res.integrations == 2
+        assert res.nfev == lo.nfev + line.sol.nfev
+        assert res.steps == lo.steps + line.sol.n_steps
+        assert res.nfev > 0 and res.steps > 0
+
+    def test_interior_star_beyond_rmax_fails_in_its_own_integration(self, counted):
+        # both ends have R < 0.08; a star inside the bracket has R > 0.3
+        with pytest.raises(RuntimeError) as info:
+            critical_density(3, 1.25, (1.01, 1e6), mesh=512, rmax=0.3)
+        assert str(info.value) == TOO_SHORT
+        assert counted["lines"] == [1e6]
+        assert counted["stars"][0] == 1.01 and len(counted["stars"]) == 2
+
+    def test_lo_end_beyond_rmax_fails_first(self, counted):
+        with pytest.raises(RuntimeError) as info:
+            critical_density(3, 1.25, (1.01, 1e6), mesh=512, rmax=0.01)
+        assert str(info.value) == TOO_SHORT
+        assert counted["stars"] == [1.01]
+        assert counted["lines"] == []
+
+    @pytest.mark.parametrize("mesh", [2048, 8192])
+    def test_pinned_rho0_crit_exact(self, mesh):
+        res = critical_density(
+            BASELINE["d"], BASELINE["gamma"], (BASELINE["bracket_lo"], BASELINE["bracket_hi"]),
+            tol_rho=BASELINE["tol_rho"], mesh=mesh,
+        )
+        assert res.rho0_crit == BASELINE["rho0_crit"]
 
 
 class TestVerifySuite:
