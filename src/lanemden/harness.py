@@ -206,8 +206,8 @@ def sweep_row(
 
     run_sweep and critical_density read most stars off one integration per
     line instead.  Such a star's profile samples the same star on another
-    grid, so its mu* differs from this one's by up to about 1e-7 relative at
-    mesh 2048 (4e-7 was seen at mesh 1024).
+    grid, so its mu* differs from this one's by up to about 3e-10 relative at
+    mesh 2048 (1.9e-9 was seen at rho0 = 1 + 1e-9).
     """
     profile, _ = _line_profile(None, d, gamma, rho0, tol, rmax)
     return _classified_row(profile, mesh, tol_eig)
@@ -229,7 +229,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     read off that run through the rescaling law (steady.integrate_line), its
     liquid radius found on the run's dense output after the run.  The
     largest star's row is bit for bit sweep_row's.  The others' R and M agree
-    with sweep_row's to about 1e-10 and their mu* to about 1e-7 relative at
+    with sweep_row's to about 1e-10 and their mu* to about 3e-10 relative at
     mesh 2048, so a row's mu* depends on its line at that level.  A row's
     star is integrated on its own, as sweep_row's is, when its liquid level
     is not crossed after the largest star's seed or its R would exceed rmax
@@ -324,7 +324,7 @@ def critical_density(
     (spectral.stable_at_zero).  A zero pivot reads as not stable, so mu* = 0
     falls on the unstable side, as its negatively signed zero does in the
     full solve.  A step's side can differ from that of the star's own
-    integration only where |mu*| lies within their ~1e-7 relative gap.
+    integration only where |mu*| lies within their ~3e-10 relative gap.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(

@@ -47,7 +47,7 @@ class SturmLiouvilleData:
     """Coefficients of the pencil on [0, R].
 
     `coeffs(y)` returns the three coefficients (p, q, wgt) anywhere in [0, R]
-    (for a star, through the profile's monotone-cubic interpolants).  `grid`
+    (for a star, through the profile's cubic Hermite interpolant).  `grid`
     is the default node set of quadratic_form and weighted_norm_sq: the
     profile radii restricted to [0, R].
     """
@@ -388,12 +388,14 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
         raise RuntimeError("eigensolver failed to certify an upper bound")
 
     widths = [hi - lo] * 3  # the bracket width before each count
-    last = 0  # +1 after lo moved, -1 after hi moved (Illinois bookkeeping)
+    w_lo = w_hi = 1.0  # Illinois weights of f_lo and f_hi (see smallest_eigenpair)
+    last = 0  # +1 after lo moved, -1 after hi moved
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent doubles
         scale = max(abs(mid), abs(rq_ones))
+        secant = False
         if hi - lo < _BRACKET_WIDTH * tol_eig * scale:
             # narrow enough; the verdict compares mu* with 0 and +-margin, so
             # settle each of them that still lies inside by its own count
@@ -404,21 +406,25 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
         elif f_hi is None or hi - lo > 0.5 * widths[-3]:
             sigma = mid  # no last pivot above, or three counts did not halve
         else:
-            # regula falsi on the last pivot, f_lo > 0 >= f_hi
-            sigma = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-            if not lo < sigma < hi:
+            # regula falsi on the weighted last pivot, f_lo > 0 >= f_hi
+            a, b = w_lo * f_lo, w_hi * f_hi
+            sigma = lo + (hi - lo) * (a / (a - b))
+            secant = lo < sigma < hi
+            if not secant:
                 sigma = mid
         widths.append(hi - lo)
         sigma_factor, info, f = count(sigma)
         if info == 0:
             lo, f_lo, factor = sigma, f, sigma_factor
+            w_lo = 1.0 if secant else w_lo
             if last > 0 and f_hi is not None:
-                f_hi *= 0.5
+                w_hi *= 0.5
             last = 1
         else:
             hi, f_hi = sigma, f
+            w_hi = 1.0 if secant else w_hi
             if last < 0:
-                f_lo *= 0.5
+                w_lo *= 0.5
             last = -1
     return lo, hi, factor, counts
 
@@ -430,11 +436,14 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     K - sigma Mw: by Sylvester's law of inertia it is positive definite
     exactly when sigma < mu*.  The search starts from the certified lower
     bound and the Rayleigh quotient RQ(1) of the constant vector, both
-    counted, and narrows the bracket lo < mu* <= hi by regula falsi
-    (Illinois) on the factorisation's last pivot, which changes sign at mu*.
-    It bisects when the last pivot is not available (an earlier pivot
-    failed) or when the last three counts together did not halve the
-    bracket, so the bracket halves at least every four counts.  It stops
+    counted, and narrows the bracket lo < mu* <= hi by regula falsi on the
+    factorisation's last pivot, which changes sign at mu*.  It bisects when
+    the last pivot is not available (an earlier pivot failed) or when the
+    last three counts together did not halve the bracket, so the bracket
+    halves at least every four counts.  The regula falsi is Illinois with a
+    weight per end, halved each time the other end moves twice in a row and
+    reset only when a regula falsi step replaces its end: a bisection keeps
+    the halving.  It stops
     once the bracket is narrower than 1e-4 * tol_eig * max(|mu*|, |RQ(1)|),
     four orders below the verdict margin, and reports mu* as its midpoint:
     mu* is certified to that width, not to adjacent doubles, and relative

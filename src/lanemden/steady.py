@@ -15,9 +15,9 @@ Integration is done on the equivalent first-order integral form
 a state variable, so the enthalpy slope is always consistent with the mass.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats; its dense output gives the profile samples.
-Between samples a Profile reads one monotone cubic (PCHIP) of the enthalpy
-and m/r^d, built and evaluated here in numpy with scipy's operations, so
-import loads no part of scipy.interpolate.
+Between samples a Profile reads one cubic Hermite of the enthalpy and m/r^d
+with the ODE's own slopes at the samples, built and evaluated here in numpy,
+so import loads no part of scipy.interpolate.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.
@@ -69,11 +69,10 @@ class Profile:
     the line's run); both are 0 for a profile that was not integrated.
 
     Between samples, enthalpy_at, mass_at and rho_and_mass_at read one
-    two-column piecewise cubic, the PCHIP (Fritsch-Carlson) of the enthalpy
-    and m/r^d, stored as a power-form table (_pchip_slopes,
-    _hermite_coefficients).  Each radius costs one interval search and is
-    evaluated in PPoly's order, so the values are scipy's
-    PchipInterpolator's bit for bit; a test keeps scipy as the reference.
+    two-column cubic Hermite of the enthalpy and m/r^d, its slopes those the
+    ODE gives at the samples (_ode_slopes), stored as a power-form table
+    (_hermite_coefficients).  Each radius costs one interval search, and the
+    values are scipy's CubicHermiteSpline's bit for bit (a test checks).
     """
 
     config: StarConfig
@@ -133,8 +132,8 @@ class Profile:
         mhat = np.empty_like(r)
         mhat[0] = FOUR_PI / self.config.d * self.config.rho_center
         mhat[1:] = self.mass[1:] / r[1:] ** self.config.d
-        y = np.stack([self.enthalpy, mhat])
-        return _hermite_coefficients(r, y, _pchip_slopes(r, y))
+        slopes = _ode_slopes(self.config, r, self.rho, self.mass, mhat)
+        return _hermite_coefficients(r, np.stack([self.enthalpy, mhat]), slopes)
 
     def _interpolate(self, r: np.ndarray, *columns: int):
         """The interpolant's columns at the checked radii r, each shaped like r."""
@@ -183,40 +182,21 @@ class Profile:
         return self.config.rho_of_enthalpy(enthalpy), mass_hat * r ** self.config.d
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Moler's one-sided three-point slope at an end, limited to keep the data's shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    wrong_sign = np.sign(d) != np.sign(m0)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
+def _enthalpy_slope(config: StarConfig, r, mass):
+    """w' = -((gamma-1)/gamma) m / r^(d-1), or h' = -m / r^(d-1) at gamma = 1, at radii r > 0."""
+    c = 1.0 if config.isothermal else (config.gamma - 1.0) / config.gamma
+    return -c * mass / r ** (config.d - 1)
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Slopes at the samples of the monotone cubic (PCHIP) through each row of y.
+def _ode_slopes(config: StarConfig, r, rho, mass, mhat) -> np.ndarray:
+    """The (2, n) slopes of the enthalpy and mhat = m/r^d at samples r (r[0] = 0), from the ODE.
 
-    Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980): at an inner sample the
-    slope is 0 where the secants beside it differ in sign or one is 0, else
-    their weighted harmonic mean; the end slopes are Moler's (Numerical
-    Computing with MATLAB, sec. 3.6), and two samples give the line.  The
-    operations are those of scipy's PchipInterpolator (_find_derivatives,
-    _edge_case), in its order.
+    _enthalpy_slope and (m/r^d)' = (4 pi rho - d m/r^d) / r; both are 0 at r = 0.
     """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        return np.concatenate([m, m], axis=1)
-    dk = np.empty_like(y)
-    sm = np.sign(m)
-    flat = (sm[:, 1:] != sm[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    # the quotients are discarded where they divide by 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
-        dk[:, 1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-    dk[:, 0] = _pchip_end_slope(h[0], h[1], m[:, 0], m[:, 1])
-    dk[:, -1] = _pchip_end_slope(h[-1], h[-2], m[:, -1], m[:, -2])
-    return dk
+    slopes = np.zeros((2, len(r)))
+    slopes[0, 1:] = _enthalpy_slope(config, r[1:], mass[1:])
+    slopes[1, 1:] = (FOUR_PI * rho[1:] - config.d * mhat[1:]) / r[1:]
+    return slopes
 
 
 def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
@@ -226,7 +206,7 @@ def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.
     has shape (k, 4, n - 1), and on [x_j, x_j+1] column q is
     c[q, 0, j] s^3 + c[q, 1, j] s^2 + c[q, 2, j] s + c[q, 3, j] in
     s = r - x_j.  The formulas are scipy's CubicHermiteSpline, in its order,
-    so with _pchip_slopes the table holds PchipInterpolator's bits.
+    so the table holds its bits for the same slopes.
     """
     h = np.diff(x)
     slope = np.diff(y) / h
@@ -672,7 +652,7 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
         cg = (g - 1.0) / g
         alpha = config.alpha
         w = np.maximum(profile.enthalpy_at(rp), 0.0)
-        wprime = -cg * m_r / rp ** (d - 1)
+        wprime = _enthalpy_slope(config, rp, m_r)
         lhs = 2.0 * math.pi * cg * (2.0 * d / (1.0 + alpha) - (d - 2.0)) * integral
         t1 = 0.5 * wprime**2 * rp**d
         t2 = FOUR_PI * cg**2 * w ** (alpha + 1.0) * rp**d
@@ -887,7 +867,7 @@ def write_profile_csv(profile: Profile, out: TextIO) -> None:
 
 
 def read_profile_csv(src: TextIO) -> Profile:
-    """Rebuild a Profile from the CSV emitted by write_profile_csv."""
+    """Rebuild a Profile from the CSV emitted by write_profile_csv (ValueError on bad metadata)."""
     meta = {}
     header = None
     rows = []
@@ -909,6 +889,12 @@ def read_profile_csv(src: TextIO) -> Profile:
         rows.append([float(t) for t in line.split(",")])
     if header is None or not rows:
         raise ValueError("no profile data found")
+    for key in ("d", "gamma", "rho0"):
+        if key not in meta:
+            raise ValueError(f"profile CSV metadata has no {key}= entry")
+    kind = meta.get("kind", GAS)
+    if kind not in (GAS, LIQUID_TRUNCATED):
+        raise ValueError(f"unknown profile kind {kind!r}: expected {GAS} or {LIQUID_TRUNCATED}")
     arr = np.array(rows, dtype=float)
     config = StarConfig(int(meta["d"]), float(meta["gamma"]), float(meta["rho0"]))
     R = float(meta.get("R", "nan"))
@@ -919,7 +905,7 @@ def read_profile_csv(src: TextIO) -> Profile:
         rho=arr[:, 1],
         enthalpy=arr[:, 2],
         mass=arr[:, 3],
-        kind=meta.get("kind", GAS),
+        kind=kind,
         liquid_radius=None if math.isnan(R) else R,
         gas_radius=gas_r,
     )

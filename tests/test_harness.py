@@ -238,7 +238,7 @@ class TestLineFamily:
                 continue
             assert row.R == pytest.approx(ref.R, rel=1e-9, abs=0)
             assert row.M_total == pytest.approx(ref.M_total, rel=1e-9, abs=0)
-            assert row.mu_star == pytest.approx(ref.mu_star, rel=2e-7, abs=0)
+            assert row.mu_star == pytest.approx(ref.mu_star, rel=1e-8, abs=0)
 
     def test_failed_line_falls_back_row_by_row(self, counted, monkeypatch):
         def broken(*args, **kwargs):

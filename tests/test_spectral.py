@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import eigh, solve_banded
 
 from lanemden import (
@@ -37,7 +37,7 @@ from lanemden.spectral import (
     _robin_defect,
 )
 
-from conftest import get_liquid, get_profile
+from conftest import get_liquid, get_profile, ode_hermite_data
 
 FOUR_PI = 4 * math.pi
 
@@ -604,41 +604,40 @@ class TestFusedCoefficients:
             assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def two_pchip_build(profile):
-        """One PCHIP per column, stacked: the enthalpy and m(r)/r^d interpolants of old."""
-        r, config = profile.radii, profile.config
-        mhat = np.empty_like(r)
-        mhat[0] = 4.0 * math.pi / config.d * config.rho_center
-        mhat[1:] = profile.mass[1:] / r[1:] ** config.d
-        c = np.stack([PchipInterpolator(r, profile.enthalpy, extrapolate=False).c,
-                      PchipInterpolator(r, mhat, extrapolate=False).c], axis=-1)
+    def two_column_builds(profile):
+        """One CubicHermiteSpline per column with the ODE's slopes, stacked into one PPoly."""
+        r = profile.radii
+        y, dydx = ode_hermite_data(profile)
+        c = np.stack([CubicHermiteSpline(r, y[:, k], dydx[:, k], extrapolate=False).c for k in (0, 1)],
+                     axis=-1)
         return PPoly.construct_fast(c, r, extrapolate=False)
 
+    # the name is that of the two PCHIP builds this once checked; the ids stay
     @pytest.mark.parametrize(
         "star", [(3, 1.0, 1e3), (3, 2.0, 1.01), (7, 1.5, 1.01), (7, 2.0, 1e6), (4, 1.25, 1 + 1e-9),
                  (5, 1.3, 50.0)], ids=str)
     def test_one_pchip_build_matches_two(self, star):
         profile = get_liquid(*star)
-        old = self.two_pchip_build(profile)
-        assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == old.c.tobytes()
+        two = self.two_column_builds(profile)
+        assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == two.c.tobytes()
         d, g = profile.config.d, profile.config.gamma
         coef = 2.0 * (d - 1.0) - d * g
 
-        def old_coeffs(y):
+        def two_coeffs(y):
             y = np.asarray(y, dtype=float)
-            enthalpy, mass_hat = np.moveaxis(old(y), -1, 0)
+            enthalpy, mass_hat = np.moveaxis(two(y), -1, 0)
             rho, mass = profile.config.rho_of_enthalpy(enthalpy), mass_hat * y**d
             y_pow = y ** (d + 1)
             return g * rho**g * y_pow, -coef * y * rho * mass, y_pow * rho
 
         # the single-column reads (Pohozaev, truncation) too
         y = 0.5 * (profile.radii[:-1] + profile.radii[1:])
-        enthalpy, mass_hat = np.moveaxis(old(y), -1, 0)
+        enthalpy, mass_hat = np.moveaxis(two(y), -1, 0)
         assert profile.enthalpy_at(y).tobytes() == enthalpy.tobytes()
         assert profile.mass_at(y).tobytes() == (mass_hat * y**d).tobytes()
 
         data = build_sl_data(profile)
-        reference = replace(data, coeffs=old_coeffs)
+        reference = replace(data, coeffs=two_coeffs)
         for mesh in (256, 2048):
             op, ref = assemble(data, mesh), assemble(reference, mesh)
             for name in ("k_diag", "k_off", "m_diag", "m_off"):

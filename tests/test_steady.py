@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from lanemden import (
     StarConfig,
@@ -27,7 +27,7 @@ from lanemden.harness import PROFILE_BATTERY
 from lanemden.phase import fixed_points, radius_limit
 from lanemden.steady import _refined_grid
 
-from conftest import get_liquid, get_profile
+from conftest import get_liquid, get_profile, ode_hermite_data
 
 FOUR_PI = 4 * math.pi
 
@@ -458,18 +458,15 @@ class TestProfileRange:
         assert np.all(np.isfinite(p.mass_at([0.0, p.r_end])))
 
 
-def _scipy_pchip(profile):
-    """The two-column PchipInterpolator of the enthalpy and m/r^d that a Profile reproduces."""
-    r, config = profile.radii, profile.config
-    mhat = np.empty_like(r)
-    mhat[0] = FOUR_PI / config.d * config.rho_center
-    mhat[1:] = profile.mass[1:] / r[1:] ** config.d
-    return PchipInterpolator(r, np.column_stack([profile.enthalpy, mhat]), extrapolate=False)
+def _scipy_hermite(profile):
+    """scipy's two-column cubic Hermite of the enthalpy and m/r^d, slopes from the ODE."""
+    y, dydx = ode_hermite_data(profile)
+    return CubicHermiteSpline(profile.radii, y, dydx, extrapolate=False)
 
 
-def _assert_pchip_bitwise(profile):
+def _assert_hermite_bitwise(profile):
     """Table and values against scipy, bit for bit, where the interval search could slip."""
-    ref = _scipy_pchip(profile)
+    ref = _scipy_hermite(profile)
     assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == ref.c.tobytes()
     r, d = profile.radii, profile.config.d
     # every breakpoint (r = 0 and r_end among them), a float either side, midpoints
@@ -487,20 +484,16 @@ def _assert_pchip_bitwise(profile):
         assert got.tobytes() == ref(x)[0].tobytes()
 
 
-def _synthetic(d, gamma, radii, rho, mass_hat):
-    """A Profile from chosen samples of rho and m/r^d (mass_hat[0] is implied by rho[0])."""
-    config = StarConfig(d, gamma, rho[0])
-    r = np.array(radii, dtype=float)
-    mass = np.concatenate([[0.0], np.array(mass_hat[1:]) * r[1:] ** d])
-    return steady.Profile(config, r, np.array(rho), config.enthalpy_of_rho(np.array(rho)), mass)
-
-
 class TestPchipTable:
-    """Profile's in-house PCHIP against scipy's PchipInterpolator as the reference."""
+    """Profile's cubic table against scipy's CubicHermiteSpline with the ODE's slopes.
+
+    The class keeps the name of the PCHIP table it checked before the
+    slopes came from the ODE, so its test ids stay stable.
+    """
 
     @pytest.mark.parametrize("star", PROFILE_BATTERY, ids=str)
     def test_battery(self, star):
-        _assert_pchip_bitwise(get_profile(*star))
+        _assert_hermite_bitwise(get_profile(*star))
 
     @pytest.mark.parametrize("top", [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6)], ids=str)
     def test_line_built(self, top):
@@ -508,59 +501,29 @@ class TestPchipTable:
         for rho0 in (top[2], 50.0, 1.0 + 1e-9):
             profile = line.star(rho0)
             if profile is not None:
-                _assert_pchip_bitwise(profile)
+                _assert_hermite_bitwise(profile)
 
     def test_rescaled_csv_read_and_closed_form(self):
         base = get_profile(3, 1.5, 10.0)
-        _assert_pchip_bitwise(scale_profile(base, 0.3))
-        _assert_pchip_bitwise(truncate_liquid(get_liquid(5, 1.3, 1e6)))
+        _assert_hermite_bitwise(scale_profile(base, 0.3))
+        _assert_hermite_bitwise(truncate_liquid(get_liquid(5, 1.3, 1e6)))
         buf = io.StringIO()
         write_profile_csv(get_liquid(4, 1.2, 50.0), buf)
-        _assert_pchip_bitwise(read_profile_csv(io.StringIO(buf.getvalue())))
+        _assert_hermite_bitwise(read_profile_csv(io.StringIO(buf.getvalue())))
         star = explicit_profile_critical(3, 100.0)
-        _assert_pchip_bitwise(star.to_profile(np.linspace(0.0, 2.0 * star.radius, 257)))
+        _assert_hermite_bitwise(star.to_profile(np.linspace(0.0, 2.0 * star.radius, 257)))
 
-    def test_two_samples_give_the_line(self):
-        profile = _synthetic(3, 1.5, [0.0, 1.0], [2.0, 1.0], [None, 3.0])
-        _assert_pchip_bitwise(profile)
-        assert np.all(profile._coefficients[:, :2] == 0.0)
-
-    @staticmethod
-    def mass_hat_slopes(profile):
-        """Secants and PCHIP slopes of the m/r^d column."""
-        x = profile.radii
-        y = np.stack([profile.enthalpy, _scipy_pchip(profile)(x)[:, 1]])
-        return np.diff(y[1]) / np.diff(x), steady._pchip_slopes(x, y)[1]
-
-    def test_sign_change_and_end_limits(self):
-        # m/r^d rises, then falls steeply: at the left end the three-point
-        # slope overshoots (3 m0), at the right it has the wrong sign (0), and
-        # the sign change inside gives 0
-        rho = [10.0, 8.0, 3.0, 2.0, 1.5]
-        mh0 = FOUR_PI / 3 * rho[0]
-        profile = _synthetic(3, 2.0, [0.0, 1.0, 2.0, 3.0, 4.0], rho,
-                             [None, mh0 + 1.0, mh0 - 9.0, mh0 - 14.0, mh0 - 15.0])
-        _assert_pchip_bitwise(profile)
-        m, slopes = self.mass_hat_slopes(profile)
-        assert m[0] > 0 > m[1] and slopes[0] == 3.0 * m[0]
-        assert slopes[1] == 0.0 and slopes[2] != 0.0 and slopes[-1] == 0.0
-        # just under the overshoot limit (|d| = 2.7 m0) the three-point slope stands
-        profile = _synthetic(3, 2.0, [0.0, 1.0, 2.0, 3.0, 4.0], rho,
-                             [None, mh0 + 1.0, mh0 - 1.4, mh0 - 1.9, mh0 - 2.0])
-        _assert_pchip_bitwise(profile)
-        m, slopes = self.mass_hat_slopes(profile)
-        assert m[0] > 0 > m[1] and 2.5 * m[0] < slopes[0] < 3.0 * m[0]
-
-    def test_flat_steps(self):
-        # zero secants of m/r^d (the first one, at the center, and one
-        # inside) give zero slopes beside them
-        mh0 = FOUR_PI / 3
-        profile = _synthetic(3, 1.25, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.9, 0.7, 0.6, 0.5, 0.45],
-                             [None, mh0, 3.0, 3.0, 3.5, 3.4])
-        _assert_pchip_bitwise(profile)
-        m, slopes = self.mass_hat_slopes(profile)
-        assert m[0] == 0.0 and m[2] == 0.0
-        assert np.all(slopes[:-1] == 0.0) and slopes[-1] == 3.0 * m[-1]
+    def test_agrees_with_a_finer_sampling(self):
+        # the star whose length-spaced grid is coarsest where rho bends: its
+        # samples at 32x the points are the run's dense output itself
+        config = StarConfig(7, 1.01, 1.39e5)
+        coarse = integrate_gas_profile(config, r_max=50.0, stop_at_liquid=True)
+        fine = integrate_gas_profile(config, r_max=50.0, stop_at_liquid=True, min_points=65536)
+        assert coarse.liquid_radius == fine.liquid_radius
+        y = fine.radii
+        rho_err = np.abs(coarse.rho_at(y) / fine.rho - 1.0).max()
+        mass_err = np.abs(coarse.mass_at(y[1:]) / fine.mass[1:] - 1.0).max()
+        assert rho_err <= 5e-7 and mass_err <= 5e-7, (rho_err, mass_err)
 
     def test_locate_is_the_right_side_search(self):
         x = get_liquid(3, 1.25, 1e4).radii
@@ -728,3 +691,24 @@ class TestCsv:
         write_profile_csv(p, a)
         write_profile_csv(p, b)
         assert a.getvalue() == b.getvalue()
+
+    @staticmethod
+    def edited_csv(old, new):
+        buf = io.StringIO()
+        write_profile_csv(get_liquid(3, 1.25, 50.0), buf)
+        text = buf.getvalue()
+        assert old in text
+        return io.StringIO(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("key", ["d", "gamma", "rho0"])
+    def test_missing_metadata_is_named(self, key):
+        old = {"d": "d=3 ", "gamma": "gamma=1.25 ", "rho0": "rho0=50 "}[key]
+        with pytest.raises(ValueError, match=f"has no {key}= entry"):
+            read_profile_csv(self.edited_csv(old, ""))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown profile kind 'banana'"):
+            read_profile_csv(self.edited_csv("kind=gas", "kind=banana"))
+        # the two kinds write_profile_csv emits both load
+        for kind in ("gas", "liquid-truncated"):
+            assert read_profile_csv(self.edited_csv("kind=gas", f"kind={kind}")).kind == kind
