@@ -97,16 +97,37 @@ def _load_config(path: Optional[str]) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
+# the JSON types a config value may take, by its flag's type
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config file's value for key, passed through its flag's type and choices."""
+    kind = action.type or bool  # the on/off flags have no type
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise UsageError(f"config key {key!r}: invalid {kind.__name__} value: {json.dumps(value)}")
+    value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: {json.dumps(value)} is not in {list(action.choices)}")
+    return value
+
+
 def _build_spec(args: argparse.Namespace) -> RunSpec:
-    """Merge precedence: RunSpec defaults < config file < explicit flags."""
+    """Merge precedence: RunSpec defaults < config file < explicit flags.
+
+    A config key counts when it names a flag of the command and its value
+    is not null; the value must pass the flag's type and choices.
+    """
     cfg = _load_config(args.config)
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for a in commands.choices[args.command]._actions}
     merged = {}
     for name in RunSpec.__dataclass_fields__:
         flag = getattr(args, name, None)
         if flag is not None:
             merged[name] = flag
-        elif name in cfg:
-            merged[name] = cfg[name]
+        elif name in flags and cfg.get(name) is not None:
+            merged[name] = _config_value(name, cfg[name], flags[name])
     try:
         return RunSpec(**merged)
     except TypeError as exc:

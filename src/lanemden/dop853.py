@@ -16,11 +16,12 @@ sums and the 3 dense stages is one expression 0.0 + c k_j0 + c k_j1 + ...
 in the row's order, so a step costs about its arithmetic and gives the bits
 a loop over the row would.  The dense output of all accepted steps is kept
 power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient, and
-evaluated in one vectorised pass that gathers each block contiguously.  Where
-the first component falls through a level is found after the run, on the
-dense output (DenseSolution.crossing); the stepper itself only watches the
-one level that ends the run.  Both find their root with brentq, a port of
-scipy's Brent root-finder kept here so that no part of scipy.optimize loads.
+evaluated in one vectorised pass that gathers each block contiguously.  A run
+is only its steps: the stepper ends after the step where the first component
+falls through a stop level, without rooting it, and every crossing, the
+stop's included, is found after the run on the dense output
+(DenseSolution.crossing) with brentq, a port of scipy's Brent root-finder
+kept here so that no part of scipy.optimize loads.
 """
 
 from __future__ import annotations
@@ -329,24 +330,16 @@ _trial_step, _dense_stages = _compile_kernels()
 class DenseSolution:
     """The accepted steps of one integration and their dense output.
 
-    ts are the step boundaries.  When the run ended where the first
-    component fell through its stop level, the last boundary is that root,
-    inside the last step; t_end and a_end are then the last step's own end
-    radius and first component there (otherwise t_end is ts[-1]).  Step k
-    spans [t_old[k], t_old[k] + h[k]] with start value y_old[k]; coeffs[i, k]
-    is its i-th dense-output coefficient (a 2-vector), so coeffs has shape
-    (7, n_steps, 2).  stop is the level whose crossing ended the run, None
-    when it reached t_bound.  nfev counts right-hand-side evaluations.
+    ts are the step boundaries and ys both components at each, shape
+    (n_steps + 1, 2).  Step k spans [ts[k], ts[k + 1]], of size h[k];
+    coeffs[i, k] is its i-th dense-output coefficient (a 2-vector), so coeffs
+    has shape (7, n_steps, 2).  nfev counts right-hand-side evaluations.
     """
 
     ts: np.ndarray
-    t_old: np.ndarray
+    ys: np.ndarray
     h: np.ndarray
-    y_old: np.ndarray
     coeffs: np.ndarray
-    t_end: float
-    a_end: float
-    stop: Optional[float]
     nfev: int
 
     @property
@@ -362,34 +355,29 @@ class DenseSolution:
         t = np.asarray(t, dtype=float)
         seg = np.searchsorted(self.ts, t, side="left") - 1
         np.clip(seg, 0, len(self.h) - 1, out=seg)
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        x = ((t - self.ts[seg]) / self.h[seg])[:, None]
         y = _horner([c.take(seg, axis=0) for c in self.coeffs], x)
-        y += self.y_old.take(seg, axis=0)
+        y += self.ys.take(seg, axis=0)
         return y.T
 
     def crossing(self, level: float) -> Optional[float]:
         """The first radius where the first component falls through level, or None.
 
         The fall is in the first step that starts at or above level and ends
-        at or below it; the root is found on that step's dense output as the
-        run finds its stop root (_fall).  None when no step falls through
-        level, or when the root lies beyond the end of the run, in the part
-        of the last step past the stop root.
+        at or below it.  Its root is found on that step's dense output by
+        brentq to 4 eps, which returns scipy.optimize.brentq's bits.  None
+        when no step falls through level.
         """
         level = float(level)
-        if level == self.stop:
-            # the stop root, also when it fell on the previous boundary and
-            # the step that found it was dropped
-            return float(self.ts[-1])
-        a = np.append(self.y_old[:, 0], self.a_end)
+        a = self.ys[:, 0]
         (falls,) = np.nonzero((a[:-1] >= level) & (a[1:] <= level))
         if not falls.size:
             return None
         k = int(falls[0])
-        t_new = self.t_end if k == self.n_steps - 1 else float(self.ts[k + 1])
-        root = _fall(self.coeffs[:, k, 0].tolist(), float(self.t_old[k]), t_new,
-                     float(self.h[k]), float(self.y_old[k, 0]), level)
-        return root if root <= self.ts[-1] else None
+        poly, (t_old, t_new) = self.coeffs[:, k, 0].tolist(), self.ts[k:k + 2].tolist()
+        h, a_old = float(self.h[k]), float(a[k])
+        return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level, t_old, t_new,
+                      xtol=4 * EPS, rtol=4 * EPS)
 
 
 def _horner(coeffs, x):
@@ -500,17 +488,6 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: f
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _fall(poly, t_old: float, t_new: float, h: float, a_old: float, level: float) -> float:
-    """Root in [t_old, t_new] of the step's first component minus level, by brentq to 4 eps.
-
-    poly is the first component's row of _dense_coefficients for the step
-    that starts at t_old with value a_old and has size h.  brentq is the port
-    of scipy's, so the root is the one scipy.optimize.brentq finds.
-    """
-    return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level,
-                  t_old, t_new, xtol=4 * EPS, rtol=4 * EPS)
-
-
 def _rms(u: float, v: float) -> float:
     return math.sqrt(u * u + v * v) / math.sqrt(2.0)
 
@@ -546,12 +523,11 @@ def solve(
 
     The local error of each step is kept below atol + rtol |y| per component
     (rtol is raised to 100 eps if smaller).  When stop is given, the run ends
-    where the first component first falls through it (a step that starts
-    at or above stop and ends at or below it), at the root that brentq (the
-    port of scipy's Brent method above) finds on the step's dense output to
-    4 eps.  Other levels are read off the
-    result with DenseSolution.crossing.  Raises RuntimeError when the step
-    size falls below ten float spacings of t or the state stops being finite.
+    after the first step that starts at or above stop and ends at or below
+    it; the root there, as every other level's, is read off the result with
+    DenseSolution.crossing.  Raises RuntimeError when y0 or its slope is not
+    finite, when the step size falls below ten float spacings of t, or when
+    the state stops being finite.
     """
     t = float(t0)
     t_bound = float(t_bound)
@@ -560,13 +536,12 @@ def solve(
     rtol = max(float(rtol), 100.0 * EPS)
     a, b = (float(v) for v in y0)
     fa, fb = rhs(t, a, b)
+    if not all(map(math.isfinite, (a, b, fa, fb))):
+        # a NaN step size never falls below min_step: the loop below would not exit
+        raise RuntimeError(f"non-finite start at r = {t:.17g}: y, y' = {a!r}, {b!r}, {fa!r}, {fb!r}")
     h_abs = _initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
     nfev = 2
-    if stop is not None:
-        stop = float(stop)
-    stopped = False
     records = []
-    ts = [t]
 
     while t < t_bound:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -613,29 +588,15 @@ def solve(
         k = _dense_stages(rhs, t, h, a, b, ka, kb)
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
         records.append((t, h, a, b, a_new, b_new) + k)
-
-        if stop is not None and a >= stop and a_new <= stop:
-            poly = _dense_coefficients(np.array(records[-1:]))[:, 0, 0].tolist()
-            root = _fall(poly, t, t_new, h, a, stop)
-            stopped = True
-            if len(ts) > 1 and root == ts[-1]:
-                records.pop()  # the root is the previous boundary: no new segment
-            else:
-                ts.append(root)
-                t, a = t_new, a_new
+        if stop is not None and a >= stop >= a_new:
             break
         t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
-        ts.append(t)
 
     rec = np.array(records)
     return DenseSolution(
-        ts=np.array(ts),
-        t_old=rec[:, 0],
+        ts=np.append(rec[:, 0], t_new),
+        ys=np.concatenate([rec[:, 2:4], rec[-1:, 4:6]]),
         h=rec[:, 1],
-        y_old=rec[:, 2:4],
         coeffs=_dense_coefficients(rec),
-        t_end=t,
-        a_end=a,
-        stop=stop if stopped else None,
         nfev=nfev,
     )

@@ -320,12 +320,13 @@ def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.n
 
 
 def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool):
-    """One DOP853 run of config outward from its Taylor seed: (seed radius, solution).
+    """One DOP853 run of config outward from its Taylor seed: (seed radius, stop level, solution).
 
-    The run stops where the enthalpy falls to one level: the liquid surface
-    rho = 1 if stop_at_liquid and rho0 > 1, otherwise the compact surface
-    w = 0 or, for gamma = 1, a floor h = -660 where rho underflows towards
-    the smallest doubles.
+    The run stops after the step where the enthalpy falls through the stop
+    level: the liquid surface rho = 1 if stop_at_liquid and rho0 > 1,
+    otherwise the compact surface w = 0 or, for gamma = 1, a floor h = -660
+    where rho underflows towards the smallest doubles.  Raises RuntimeError
+    when the seed overflows float64 (rho0^(3-gamma) near 1e308 or more).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -361,31 +362,37 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
         stop = config.boundary_enthalpy
     else:
         stop = -660.0 if config.isothermal else 0.0
+    seed = _seed(config, r0)
+    if not all(map(math.isfinite, seed)):
+        raise RuntimeError(f"the Taylor seed of {config} overflows float64")
     try:
-        sol = dop853.solve(rhs, r0, _seed(config, r0), r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
+        sol = dop853.solve(rhs, r0, seed, r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
     except RuntimeError as exc:
         raise RuntimeError(
             f"integration failed for {config}: {exc} "
             "(tolerance too loose or r_max too aggressive)"
         ) from exc
-    return r0, sol
+    return r0, stop, sol
 
 
 def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float, r0: float,
-                     steps: np.ndarray, liquid_r: Optional[float], gas_r: Optional[float],
+                     end: float, liquid_r: Optional[float], gas_r: Optional[float],
                      min_points: int) -> Profile:
     """The gas profile of config read off sol, the run of the star it rescales by kappa.
 
     The run's star has central density rho0 / kappa and config's star is
     rho(r) = kappa rho_run(lam r), lam = kappa^(1-gamma/2); kappa = 1 is the
-    run's own star.  r0 (the run's seed radius), steps (the step boundaries
-    to sample) and the crossing radii liquid_r and gas_r are radii of the
-    run, divided here by lam.  The grid is the steps refined to at least
-    min_points samples plus the crossing radii, evaluated on the dense output
-    in one pass; config's own Taylor seed supplies three samples inside
-    (0, r0 / lam).  Samples where rho or m has stopped moving in float64 are
-    dropped (r = 0 and the crossing radii are always kept).
+    run's own star.  r0 (the run's seed radius), end (the star's last
+    radius) and the crossing radii liquid_r and gas_r are radii of the run,
+    divided here by lam.  The grid is the step boundaries below end, then
+    end, refined to at least min_points samples plus the crossing radii,
+    evaluated on the dense output in one pass; config's own Taylor seed
+    supplies three samples inside (0, r0 / lam).  Samples where rho or m has
+    stopped moving in float64 are dropped (r = 0 and the crossing radii are
+    always kept).  Raises RuntimeError when that leaves r = 0 alone: the
+    density is flat to float64 on [0, end / lam].
     """
+    steps = np.append(sol.ts[sol.ts < end], end)
     lam = kappa ** (1.0 - config.gamma / 2.0)
     r0 = r0 / lam
     liquid_r = None if liquid_r is None else liquid_r / lam
@@ -413,6 +420,8 @@ def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float
 
     keep = np.concatenate([[True], np.diff(radii) > 0])
     radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], crossings)
+    if len(radii) < 2:
+        raise RuntimeError(f"the density of {config} is flat to float64 on [0, {grid[-1]:.17g}]")
 
     return Profile(
         config=config,
@@ -438,26 +447,32 @@ def integrate_gas_profile(
 ) -> Profile:
     """Integrate the gas steady state outward from the center.
 
-    Integration halts at r_max, at the compact-support surface (w crossing 0,
+    The profile ends at r_max, at the compact-support surface (w crossing 0,
     recorded as gas_radius), or at an enthalpy underflow guard; with
-    stop_at_liquid and rho_center > 1 it halts at the liquid surface rho = 1
+    stop_at_liquid and rho_center > 1 it ends at the liquid surface rho = 1
     instead.  When rho_center > 1 that crossing is stored as liquid_radius.
 
     tol is the delivered relative accuracy of the profile; the embedded
     Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
     per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
-    error growth.  Both radii are downward crossings of the enthalpy, read
-    off the run by DenseSolution.crossing: Brent's method (dop853.brentq)
-    on the step's dense polynomial.  The grid is the adaptive steps refined to at least
-    min_points samples, evaluated on the dense output in one pass, less any
-    sample where rho or m has stopped moving in float64 (r = 0 and the
-    crossing radii are always kept).  Raises RuntimeError when the step size
-    underflows or the state is not finite.
+    error growth.  The run ends after the step that falls through the
+    surface or guard; every radius above is a downward crossing of the
+    enthalpy, read off the run by DenseSolution.crossing: Brent's method
+    (dop853.brentq) on the step's dense polynomial.  The grid is the
+    adaptive steps up to the profile's end refined to at least min_points
+    samples, evaluated on the dense output in one pass, less any sample
+    where rho or m has stopped moving in float64 (r = 0 and the crossing
+    radii are always kept).  Raises RuntimeError when the seed overflows,
+    the step size underflows, the state is not finite, or the density is
+    flat to float64 over the whole profile.
     """
-    r0, sol = _integrate(config, tol, r_max, stop_at_liquid)
+    r0, stop, sol = _integrate(config, tol, r_max, stop_at_liquid)
+    end = sol.crossing(stop)
     liquid_r = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
-    gas_r = None if config.isothermal else sol.crossing(0.0)
-    return _sampled_profile(config, sol, 1.0, r0, sol.ts, liquid_r, gas_r, min_points)
+    # a gas run with gamma > 1 stops at the compact surface w = 0
+    gas_r = end if stop == 0.0 and not config.isothermal else None
+    end = sol.ts[-1] if end is None else end
+    return _sampled_profile(config, sol, 1.0, r0, end, liquid_r, gas_r, min_points)
 
 
 @dataclass(frozen=True)
@@ -469,9 +484,12 @@ class LiquidLine:
     gas solution on radii divided by kappa^(1-gamma/2), cut where the top
     star's enthalpy falls to that of density 1/kappa: kappa^-(gamma-1), or
     -ln kappa at gamma = 1.  That crossing is found on the run's dense
-    output, so any density in (1, rho_top] can be asked for after the run.
-    The run is the one integrate_gas_profile(top, stop_at_liquid=True)
-    makes, so the top star's own profile is bit for bit the one that returns.
+    output, so any density in (1, rho_top] can be asked for after the run;
+    its level is never below the top star's, where the run ends (after the
+    step that falls through it).  The run is the one
+    integrate_gas_profile(top, stop_at_liquid=True) makes, and each star is
+    cut by the rule that profile is cut by (_sampled_profile), so the top
+    star's own profile is bit for bit the one that returns.
     harness.run_sweep reads each scan row's star off it, and
     harness.critical_density each bisection star.
     """
@@ -498,10 +516,8 @@ class LiquidLine:
         root = self.sol.crossing(level)
         if root is None or root / lam > self.r_max:
             return None
-        ts = self.sol.ts
-        steps = np.append(ts[ts < root], root)
         config = StarConfig(self.top.d, gamma, rho0)
-        return _sampled_profile(config, self.sol, kappa, self.r0, steps, root, None, MIN_POINTS)
+        return _sampled_profile(config, self.sol, kappa, self.r0, root, root, None, MIN_POINTS)
 
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
@@ -516,7 +532,7 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
     """
     if not top.rho_center > 1.0:
         raise ValueError(f"a liquid line needs rho_top > 1, got {top.rho_center}")
-    r0, sol = _integrate(top, tol, r_max, True)
+    r0, _, sol = _integrate(top, tol, r_max, True)
     return LiquidLine(top, r_max, r0, sol)
 
 

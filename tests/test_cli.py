@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lanemden
 import lanemden.cli as cli
 import lanemden.harness as harness
 
@@ -241,3 +246,60 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 1, 0]
         assert reused[3] == reused[0]
+
+
+def run_cli_process(*argv, timeout=20):
+    """The CLI in its own process, as a user runs it; a hang fails at the timeout."""
+    src = str(Path(lanemden.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "lanemden.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+SCAN_2_TO_5 = ("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "5",
+               "--mesh", "64")
+
+# valid or wrongly typed inputs that hung, raised a traceback or were refused
+# as a usage error: (argv, config file contents or None, exit code)
+CLEAN_EXITS = {
+    # the Taylor seed overflows float64 once rho0^(3-gamma) nears 1e308
+    "seed-overflow-gamma=1.25": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1e180"), None, 2),
+    "seed-overflow-gamma=1": (("stability", "--d", "3", "--gamma", "1.0", "--rho0", "1e160"), None, 2),
+    "seed-overflow-gas": (("profile", "--gas", "--d", "3", "--gamma", "1.5", "--rho0", "1e250"), None, 2),
+    # config values of the wrong JSON type or outside the flag's choices
+    "config-points-str": (SCAN_2_TO_5, {"points": "3"}, 1),
+    "config-gamma-str": (("stability", "--d", "3", "--rho0", "5", "--mesh", "64"), {"gamma": "1.25"}, 1),
+    "config-format-choice": (SCAN_2_TO_5, {"format": "xml"}, 1),
+    "config-format-type": (SCAN_2_TO_5, {"format": 3}, 1),
+    # rho does not change in float64 over [0, r_max]
+    "flat-gamma=1": (("profile", "--gas", "--d", "3", "--gamma", "1", "--rho0", "1e-16"), None, 2),
+    "flat-gamma=1.25": (("profile", "--gas", "--d", "3", "--gamma", "1.25", "--rho0", "1e-50"), None, 2),
+    "flat-gamma=1.5": (("profile", "--gas", "--d", "3", "--gamma", "1.5", "--rho0", "1e-50"), None, 2),
+}
+
+
+class TestCleanExits:
+    @pytest.mark.parametrize("name", list(CLEAN_EXITS))
+    def test_one_error_line_and_exit_code(self, tmp_path, name):
+        argv, config, code = CLEAN_EXITS[name]
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(path))
+        out = run_cli_process(*argv)
+        prefix = {1: "usage error: ", 2: "numerical failure: "}[code]
+        assert out.returncode == code, out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+        if config is not None:
+            assert repr(next(iter(config))) in lines[0]  # the message names the key
+
+    def test_scan_past_the_seed_overflow_keeps_its_rows(self):
+        # the line run's seed overflows: the rows are integrated on their
+        # own, and those that fail are recorded as Error rows
+        out = run_cli_process("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2",
+                              "--rho0-max", "1e180", "--points", "3", "--mesh", "64")
+        assert out.returncode == 0 and "Traceback" not in out.stderr
+        verdicts = [row.rsplit(",", 1)[1] for row in out.stdout.splitlines()[1:]]
+        assert verdicts == ["Stable", "Error", "Error"]
+        assert "overflows float64" in out.stderr

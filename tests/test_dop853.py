@@ -66,12 +66,13 @@ def _captured_run(monkeypatch, star, kwargs):
 
 
 def _read_levels(config, stop):
-    """The levels integrate_gas_profile reads off a run: its stop, rho = 1 and w = 0."""
+    """The levels integrate_gas_profile reads off a run: its stop and rho = 1.
+
+    On a gas run with gamma > 1 the stop is w = 0, the compact surface.
+    """
     levels = [stop]
     if config.rho_center > 1.0:
         levels.append(config.boundary_enthalpy)
-    if not config.isothermal:
-        levels.append(0.0)
     return list(dict.fromkeys(levels))
 
 
@@ -125,16 +126,18 @@ def test_matches_solve_ivp(monkeypatch, star, kwargs):
     err = np.abs(ours - theirs) / size
     assert err.max() <= 1e-10
     kink = profile.gas_radius is not None
-    smooth = r < (sol.t_old[-1] if kink else np.inf)
+    smooth = r < (sol.ts[-2] if kink else np.inf)
     assert err[:, smooth].max() <= 1e-12
 
 
 def test_floor_event_stops_isothermal_star(monkeypatch):
-    # gamma = 1 has no surface: the run ends where h falls to -660
-    _, _, kw, sol = _captured_run(monkeypatch, (3, 1.0, 1.0), dict(r_max=1e200))
-    assert kw["stop"] == sol.stop == -660.0
+    # gamma = 1 has no surface: the run ends after the step where h falls
+    # through -660, and the profile at that root
+    profile, _, kw, sol = _captured_run(monkeypatch, (3, 1.0, 1.0), dict(r_max=1e200))
+    assert kw["stop"] == -660.0
     floor = sol.crossing(-660.0)
-    assert sol.ts[-1] == floor
+    assert sol.ts[-2] <= floor <= sol.ts[-1] and sol.ys[-2, 0] >= -660.0 >= sol.ys[-1, 0]
+    assert profile.radii[-1] == floor
     assert sol(np.array([floor]))[0, 0] == pytest.approx(-660.0, abs=1e-9)
 
 
@@ -154,7 +157,7 @@ def _cosine(t0=0.0, t_bound=15.0, stop=None):
 def test_events_fire_on_downward_crossings_only():
     # crossing returns the first fall and only that, and skips rises
     sol = _cosine()
-    assert sol.ts[-1] == 15.0 and sol.stop is None
+    assert sol.ts[-1] == 15.0
     assert sol.crossing(0.0) == pytest.approx(np.pi / 2, abs=1e-10)
     assert sol.crossing(-0.5) == pytest.approx(2 * np.pi / 3, abs=1e-10)
     assert _cosine(t0=np.pi).crossing(0.0) == pytest.approx(5 * np.pi / 2, abs=1e-10)
@@ -163,38 +166,53 @@ def test_events_fire_on_downward_crossings_only():
 
 
 def test_stop_ends_the_run_at_its_root():
-    sol = _cosine(stop=-0.5)
-    assert sol.stop == -0.5
-    assert sol.ts[-1] == pytest.approx(2 * np.pi / 3, abs=1e-10)
-    assert sol.crossing(-0.5) == sol.ts[-1]
+    # the run is the free run's steps up to the one that falls through the
+    # stop; crossing finds the root inside that last step
+    free, sol = _cosine(), _cosine(stop=-0.5)
+    n = sol.n_steps
+    assert n < free.n_steps and sol.ts.tobytes() == free.ts[:n + 1].tobytes()
+    assert sol.ys.tobytes() == free.ys[:n + 1].tobytes()
+    assert sol.ys[-2, 0] >= -0.5 >= sol.ys[-1, 0] and not (sol.ys[:-2, 0] <= -0.5).any()
+    root = sol.crossing(-0.5)
+    assert root == free.crossing(-0.5) == pytest.approx(2 * np.pi / 3, abs=1e-10)
+    assert sol.ts[-2] < root < sol.ts[-1]
     assert sol.crossing(0.0) == pytest.approx(np.pi / 2, abs=1e-10)
-    # the last step runs on past the root, to a_end < -0.5
-    assert sol.t_end > sol.ts[-1] and sol.a_end < -0.5
 
 
-def test_crossing_past_the_stop_root_is_none():
-    # a level between the stop and the last step's end value falls inside
-    # that step, after the root: the run never got there
-    sol = _cosine(stop=-0.5)
-    level = 0.5 * (sol.a_end - 0.5)
-    assert sol.crossing(level) is None
-    assert sol.ts[-1] < _cosine().crossing(level) < sol.t_end
-
-
-def test_stop_on_a_step_boundary_drops_the_empty_step():
+def test_stop_on_a_step_boundary_keeps_the_step():
     # a stop one ulp below a step's start value has its root on that
-    # boundary: the step that found it holds no segment and is dropped
+    # boundary; the step that falls through it is kept all the same
     free = _cosine()
     k = 8
-    stop = math.nextafter(float(free.y_old[k, 0]), -math.inf)
+    stop = math.nextafter(float(free.ys[k, 0]), -math.inf)
     sol = _cosine(stop=stop)
-    assert sol.ts[-1] == free.ts[k] and sol.n_steps == k
-    assert sol.ts.tobytes() == free.ts[:k + 1].tobytes()
-    assert sol.t_end == free.ts[k] and sol.a_end == free.y_old[k, 0] > stop
-    assert sol.crossing(stop) == sol.ts[-1]
+    assert sol.n_steps == k + 1 and sol.ts.tobytes() == free.ts[:k + 2].tobytes()
+    assert sol.crossing(stop) == free.ts[k]
     ref = _reference_solve(lambda t, a, b: (b, -a), 0.0, (math.cos(0.0), -math.sin(0.0)), 15.0,
                            rtol=1e-11, atol=1e-14, events=[(stop, True)])
+    assert len(ref["h"]) == k  # the reference drops that step
     _assert_bitwise(sol, ref, [stop])
+
+
+def test_non_finite_start_raises():
+    # a non-finite start makes the step size NaN, and the rejection loop
+    # would never exit; the right-hand side gives up after 10^4 calls, so
+    # that a stepper which spins fails here instead of hanging
+    calls = Counter()
+
+    def bounded(slope):
+        def rhs(t, a, b):
+            calls["rhs"] += 1
+            assert calls["rhs"] < 10_000, "the stepper did not stop"
+            return slope(a, b)
+        return rhs
+
+    cases = [(lambda a, b: (b, -a), y0) for y0 in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf))]
+    cases.append((lambda a, b: (math.nan, 0.0), (1.0, 0.0)))
+    for slope, y0 in cases:
+        calls.clear()
+        with pytest.raises(RuntimeError, match="non-finite start"):
+            dop853.solve(bounded(slope), 0.0, y0, 1.0, rtol=1e-10, atol=1e-12)
 
 
 def test_step_size_underflow_raises():
@@ -214,7 +232,7 @@ def test_oscillator_closed_form():
     sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)
     t = np.linspace(0.0, 20.0, 501)
     assert np.max(np.abs(sol(t) - np.array([np.cos(t), -np.sin(t)]))) <= 1e-9
-    assert sol.ts[-1] == sol.t_end == 20.0 and sol.stop is None
+    assert sol.ts[-1] == 20.0
 
 
 # scipy modules that lanemden replaced with its own code or never needed;
@@ -406,18 +424,23 @@ def _hex(roots):
 
 
 def _assert_bitwise(sol, ref, levels):
-    """sol matches the reference run with one event per level, bit for bit."""
-    for name in ("ts", "t_old", "h", "y_old"):
-        assert getattr(sol, name).shape == ref[name].shape, name
-        assert getattr(sol, name).tobytes() == ref[name].tobytes(), name
-    assert sol.coeffs.shape == ref["coeffs"].transpose(1, 0, 2).shape
-    assert sol.coeffs.tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 0, 2)).tobytes()
+    """sol matches the reference run with one event per level, bit for bit.
+
+    The reference ends its steps at the terminal root, or drops the step
+    that found it when the root is that step's start; sol keeps the step.
+    """
+    n = len(ref["h"])
+    assert sol.n_steps - n in (0, 1) and sol.ts[-1] >= ref["ts"][-1]
+    assert sol.ts[:n].tobytes() == ref["t_old"].tobytes()
+    assert sol.h[:n].tobytes() == ref["h"].tobytes()
+    assert sol.ys[:n].tobytes() == ref["y_old"].tobytes()
+    assert sol.coeffs[:, :n].tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 0, 2)).tobytes()
     # each level's first fall, read off the finished run, is the in-loop root
     want = [roots[0] if roots else None for roots in ref["event_roots"]]
     assert _hex([sol.crossing(level) for level in levels]) == _hex(want)
     assert sol.nfev == ref["nfev"]
-    # every step boundary, the terminal root included, and every midpoint
-    r = np.concatenate([sol.ts, sol.t_old + 0.5 * sol.h])
+    # every step boundary up to the terminal root, the root, and every midpoint
+    r = np.concatenate([ref["ts"], ref["t_old"] + 0.5 * ref["h"]])
     assert sol(r).tobytes() == np.ascontiguousarray(_reference_eval(ref, r)).tobytes()
 
 
@@ -474,17 +497,16 @@ def test_dense_output_is_the_scalar_horner_bitwise():
     ts = np.cumsum(np.concatenate([[0.5], rng.uniform(0.1, 1.0, n)]))
     coeffs = rng.standard_normal((dop853.INTERPOLATOR_POWER, n, 2))
     coeffs[:, 2] = -0.0
-    y_old = rng.standard_normal((n, 2))
-    y_old[2] = -0.0
-    sol = dop853.DenseSolution(ts=ts, t_old=ts[:-1], h=np.diff(ts), y_old=y_old, coeffs=coeffs,
-                               t_end=ts[-1], a_end=0.0, stop=None, nfev=0)
+    ys = rng.standard_normal((n + 1, 2))
+    ys[2] = -0.0
+    sol = dop853.DenseSolution(ts=ts, ys=ys, h=np.diff(ts), coeffs=coeffs, nfev=0)
     r = np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts)])
     got = sol(r)
     for col, radius in enumerate(r):
         k = min(max(np.searchsorted(ts, radius) - 1, 0), n - 1)
         x = (radius - ts[k]) / sol.h[k]
         for comp in range(2):
-            want = dop853._horner(coeffs[:, k, comp].tolist(), x) + y_old[k, comp]
+            want = dop853._horner(coeffs[:, k, comp].tolist(), x) + ys[k, comp]
             assert float(got[comp, col]).hex() == float(want).hex()
     assert math.copysign(1.0, got[0, -3]) == 1.0  # a point inside the signed-zero step
 
@@ -545,7 +567,7 @@ def _captured_brentq_calls(monkeypatch):
 def test_brentq_bitwise_on_every_crossing_call(monkeypatch):
     calls = _captured_brentq_calls(monkeypatch)
     per_caller = Counter((xtol, rtol) for _, _, _, xtol, rtol, _ in calls)
-    # both callers, many times: _fall (4 eps) and _enthalpy_crossing (xtol 1e-15)
+    # both callers, many times: DenseSolution.crossing (4 eps) and _enthalpy_crossing (xtol 1e-15)
     assert set(per_caller) == {(4 * dop853.EPS, 4 * dop853.EPS), (1e-15, 4 * dop853.EPS)}
     assert min(per_caller.values()) >= 50
     for f, a, b, xtol, rtol, root in calls:

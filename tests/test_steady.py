@@ -123,7 +123,7 @@ class TestIntegratorCounts:
     def test_profile_carries_its_run(self):
         config = StarConfig(3, 1.25, 50.0)
         p = integrate_gas_profile(config, stop_at_liquid=True)
-        _, sol = steady._integrate(config, 1e-10, 50.0, True)
+        _, _, sol = steady._integrate(config, 1e-10, 50.0, True)
         assert (p.nfev, p.steps) == (sol.nfev, sol.n_steps)
         assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
         cut = truncate_liquid(p)
