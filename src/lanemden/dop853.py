@@ -365,8 +365,10 @@ class DenseSolution:
 
         The fall is in the first step that starts at or above level and ends
         at or below it.  Its root is found on that step's dense output by
-        brentq to 4 eps, which returns scipy.optimize.brentq's bits.  None
-        when no step falls through level.
+        brentq, which returns scipy.optimize.brentq's bits, to 4 eps relative
+        to the step's end t_new (xtol 4 eps min(1, |t_new|), rtol 4 eps): an
+        absolute 4 eps would be most of the step on a star of radius 1e-14.
+        None when no step falls through level.
         """
         level = float(level)
         a = self.ys[:, 0]
@@ -377,7 +379,7 @@ class DenseSolution:
         poly, (t_old, t_new) = self.coeffs[:, k, 0].tolist(), self.ts[k:k + 2].tolist()
         h, a_old = float(self.h[k]), float(a[k])
         return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level, t_old, t_new,
-                      xtol=4 * EPS, rtol=4 * EPS)
+                      xtol=4 * EPS * min(1.0, abs(t_new)), rtol=4 * EPS)
 
 
 def _horner(coeffs, x):

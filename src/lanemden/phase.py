@@ -21,7 +21,7 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .config import StarConfig, support_threshold
-from .steady import FOUR_PI, Profile
+from .steady import FOUR_PI, Profile, singular_base
 
 
 def _check_gamma(d: int, gamma: float) -> None:
@@ -59,10 +59,6 @@ def vector_field(v, d: int, gamma: float) -> np.ndarray:
     return np.array([f1, f2])
 
 
-def _vstar_base(d: int, gamma: float) -> float:
-    return (-d * gamma**2 + 2.0 * (d - 1.0) * gamma) / (2.0 * math.pi * (2.0 - gamma) ** 2)
-
-
 def fixed_points(d: int, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """The two rest states (origin, v*); requires 2(d-1) - d gamma > 0."""
     _check_gamma(d, gamma)
@@ -70,7 +66,7 @@ def fixed_points(d: int, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"no interior fixed point: 2(d-1) - d*gamma = {2*(d-1) - d*gamma:g} <= 0"
         )
-    base = _vstar_base(d, gamma)
+    base = singular_base(d, gamma)
     v1 = base ** (1.0 / (2.0 - gamma))
     v2 = (2.0 * gamma / (2.0 - gamma)) * base ** ((gamma - 1.0) / (2.0 - gamma))
     return np.zeros(2), np.array([v1, v2])

@@ -28,14 +28,16 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .config import stability_threshold, support_threshold
-from .steady import Profile, liquid_radius
+from .steady import Profile, gauss_rule, liquid_radius
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
 
-# 3-point Gauss-Legendre rule on [-1, 1] (element quadrature)
-_GAUSS3_X = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-_GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# element quadrature on the reference element [0, 1]: the 3-point Gauss
+# points and weights, and the rows ll, lr, rr of w_g phi_a(x_g) phi_b(x_g)
+# for the hat functions phi_l = 1 - x and phi_r = x
+_REF_X, _REF_W = gauss_rule(3)
+_REF_HAT = _REF_W * np.array([(1.0 - _REF_X) ** 2, (1.0 - _REF_X) * _REF_X, _REF_X**2])
 
 MESH_GRADING = 1.5
 
@@ -157,36 +159,23 @@ def _element_integrals(data: SturmLiouvilleData, nodes: np.ndarray):
     Returns (kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio): kp is
     int p dy / h^2, the p-stiffness of each element; q_ab and m_ab are the
     integrals of q phi_a phi_b and wgt phi_a phi_b over the element's left and
-    right hat functions; ratio is q/wgt at the quadrature points.  The 3-point
-    Gauss rule is applied on each element.  This is the only place the
-    coefficients are evaluated at quadrature points: assemble, quadratic_form
-    and weighted_norm_sq all go through it.
+    right hat functions; ratio is q/wgt at the quadrature points.  This is
+    the only place the coefficients are evaluated at quadrature points:
+    assemble, quadratic_form and weighted_norm_sq all go through it.
 
-    Arrays are laid out (3, M), one row per Gauss point, and the three terms
-    of each element are summed left to right, t0 + t1 + t2.
+    The coefficients are evaluated at yl + h _REF_X, laid out (3, M), one
+    row per Gauss point of gauss_rule(3).  The hat functions take the same
+    values at the Gauss points of every element, so each integral is one
+    contraction with a reference-element table: kp = (_REF_W @ p) / h, and
+    the rows ll, lr, rr are (_REF_HAT @ q) h and (_REF_HAT @ wgt) h.
     """
-    yl, yr = nodes[:-1], nodes[1:]
-    h = yr - yl
+    yl = nodes[:-1]
+    h = nodes[1:] - yl
     if np.any(h <= 0.0):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
-    pts = 0.5 * (yl + yr) + 0.5 * h * _GAUSS3_X[:, None]
-    wq = 0.5 * h * _GAUSS3_W[:, None]
+    pts = yl + h * _REF_X[:, None]
     p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
-    phi_l = (yr - pts) / h
-    phi_r = (pts - yl) / h
-    phi_ll, phi_rr = phi_l**2, phi_r**2
-
-    def gauss_sum(t):
-        return t[0] + t[1] + t[2]
-
-    def hat_products(c):
-        return (
-            gauss_sum(c * phi_ll * wq),
-            gauss_sum(c * phi_l * phi_r * wq),
-            gauss_sum(c * phi_rr * wq),
-        )
-
-    return gauss_sum(p * wq) / h**2, hat_products(q), hat_products(wgt), q / wgt
+    return (_REF_W @ p) / h, (_REF_HAT @ q) * h, (_REF_HAT @ wgt) * h, q / wgt
 
 
 def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:

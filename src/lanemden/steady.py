@@ -46,13 +46,11 @@ INFINITE = "infinite"
 # default number of samples a profile grid is refined to
 MIN_POINTS = 2048
 
-# 5-point Gauss-Legendre rule on [-1, 1], used for cumulative integrals
-_GAUSS5_X = np.array(
-    [-0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831, 0.9061798459386640]
-)
-_GAUSS5_W = np.array(
-    [0.2369268850561891, 0.4786286704993665, 0.5688888888888889, 0.4786286704993665, 0.2369268850561891]
-)
+
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule on [0, 1]: (points, weights), exact to degree 2n - 1."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (1.0 + x), 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -245,15 +243,13 @@ def _seed_coefficients(config: StarConfig):
         c = 1.0
         e0 = math.log(rho0)
         gprime = rho0                      # derivative of e^h at h0
-        rho2_over_b = rho0
     else:
         c = (config.gamma - 1.0) / config.gamma
         e0 = config.enthalpy_center
         gprime = config.alpha * rho0 / e0  # derivative of w^alpha at w0
-        rho2_over_b = config.alpha * rho0 / e0
     b = -(2.0 * math.pi / d) * c * rho0
     e4 = -math.pi * c * b * gprime / (d + 2)
-    return e0, b, e4, rho2_over_b * b
+    return e0, b, e4, gprime * b
 
 
 def _seed(config: StarConfig, r):
@@ -558,7 +554,8 @@ def _enthalpy_crossing(profile: Profile, target: float) -> float:
     """First radius where the enthalpy falls to target.
 
     Brackets the crossing between adjacent grid samples and refines it on the
-    interpolant with dop853.brentq (xtol 1e-15, rtol 4 eps), the port of
+    interpolant with dop853.brentq (xtol 1e-15 min(1, r), for r the grid
+    radius past the crossing, and rtol 4 eps), the port of
     scipy.optimize.brentq.  Raises RuntimeError when the grid ends before the
     crossing or starts below target.
     """
@@ -571,7 +568,8 @@ def _enthalpy_crossing(profile: Profile, target: float) -> float:
     if i == 0:
         raise RuntimeError("profile starts below the boundary density")
     f = lambda r: float(profile.enthalpy_at(r)) - target
-    return dop853.brentq(f, profile.radii[i - 1], profile.radii[i], xtol=1e-15, rtol=4 * dop853.EPS)
+    r = profile.radii[i]
+    return dop853.brentq(f, profile.radii[i - 1], r, xtol=1e-15 * min(1.0, r), rtol=4 * dop853.EPS)
 
 
 def truncate_liquid(profile: Profile) -> Profile:
@@ -617,12 +615,14 @@ def decay_bound(config: StarConfig, r) -> np.ndarray:
     return np.exp(-np.log1p(shift) / eps)
 
 
+_INTERVAL_X, _INTERVAL_W = gauss_rule(5)
+
+
 def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of f over each interval [a_k, b_k] with the 5-point Gauss rule."""
-    half = 0.5 * (b - a)
-    pts = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS5_X[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals * _GAUSS5_W[None, :]).sum(axis=1)
+    """Integral of f over each [a_k, b_k]: h (f(a + h X) @ W), h = b - a, (X, W) = gauss_rule(5)."""
+    h = b - a
+    pts = a[:, None] + h[:, None] * _INTERVAL_X
+    return h * (f(pts.ravel()).reshape(pts.shape) @ _INTERVAL_W)
 
 
 def pohozaev_residual(profile: Profile, r) -> np.ndarray:
@@ -817,6 +817,11 @@ class ClosedFormStar:
         )
 
 
+def singular_base(d: int, gamma: float) -> float:
+    """(-d gamma^2 + 2(d-1) gamma) / (2 pi (2-gamma)^2): the singular amplitude (v1*) ^ (2-gamma)."""
+    return (-d * gamma**2 + 2.0 * (d - 1.0) * gamma) / (2.0 * math.pi * (2.0 - gamma) ** 2)
+
+
 def singular_star(d: int, gamma: float) -> ClosedFormStar:
     """The scale-invariant power-law solution rho = A r^(-2/(2-gamma)).
 
@@ -829,8 +834,7 @@ def singular_star(d: int, gamma: float) -> ClosedFormStar:
         raise ValueError(
             f"no singular power-law solution: 2(d-1) - d*gamma = {disc:g} < 0"
         )
-    base = (-d * gamma**2 + 2.0 * (d - 1.0) * gamma) / (2.0 * math.pi * (2.0 - gamma) ** 2)
-    amplitude = base ** (1.0 / (2.0 - gamma))
+    amplitude = singular_base(d, gamma) ** (1.0 / (2.0 - gamma))
     return ClosedFormStar(
         variant="singular",
         d=d,

@@ -150,6 +150,14 @@ class TestStabilityCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_star_of_radius_1e_minus_14(self, capsys):
+        # R = 9.4e-15: the liquid surface must be rooted to a relative tolerance
+        code, outtext, err = run_cli(
+            capsys, "stability", "--d", "3", "--gamma", "1.25", "--rho0", "1e40", "--mesh", "64"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(outtext)["verdict"] == "Unstable"
+
     def test_gas_star_rejected(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--d", "3", "--gamma", "1.25", "--rho0", "0.9")
         assert code == 1
@@ -301,5 +309,5 @@ class TestCleanExits:
                               "--rho0-max", "1e180", "--points", "3", "--mesh", "64")
         assert out.returncode == 0 and "Traceback" not in out.stderr
         verdicts = [row.rsplit(",", 1)[1] for row in out.stdout.splitlines()[1:]]
-        assert verdicts == ["Stable", "Error", "Error"]
+        assert verdicts == ["Stable", "Unstable", "Error"]
         assert "overflows float64" in out.stderr

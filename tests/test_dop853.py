@@ -566,9 +566,15 @@ def _captured_brentq_calls(monkeypatch):
 
 def test_brentq_bitwise_on_every_crossing_call(monkeypatch):
     calls = _captured_brentq_calls(monkeypatch)
-    per_caller = Counter((xtol, rtol) for _, _, _, xtol, rtol, _ in calls)
-    # both callers, many times: DenseSolution.crossing (4 eps) and _enthalpy_crossing (xtol 1e-15)
-    assert set(per_caller) == {(4 * dop853.EPS, 4 * dop853.EPS), (1e-15, 4 * dop853.EPS)}
+    # both callers, many times, each told apart by its xtol relative to the
+    # bracket's right end: DenseSolution.crossing (4 eps) and
+    # _enthalpy_crossing (1e-15), both with rtol 4 eps
+    per_caller = Counter(
+        "crossing" if xtol == 4 * dop853.EPS * min(1.0, abs(b))
+        else "grid" if xtol == 1e-15 * min(1.0, b) else "other"
+        for _, _, b, xtol, rtol, _ in calls if rtol == 4 * dop853.EPS
+    )
+    assert set(per_caller) == {"crossing", "grid"} and sum(per_caller.values()) == len(calls)
     assert min(per_caller.values()) >= 50
     for f, a, b, xtol, rtol, root in calls:
         assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)

@@ -553,24 +553,21 @@ class TestFusedCoefficients:
 
     @staticmethod
     def reference_assemble(data, mesh):
-        # the (M, 3) element layout with numpy row sums
-        x = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-        w = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+        # the (M, 3) element layout, one row per element, with reference-element
+        # tables from leggauss(3) mapped to [0, 1]
+        x, w = np.polynomial.legendre.leggauss(3)
+        x, w = 0.5 * (1.0 + x), 0.5 * w
+        hat = w * np.array([(1.0 - x) ** 2, (1.0 - x) * x, x**2])
         nodes = graded_mesh(data.R, mesh)
-        yl, yr = nodes[:-1], nodes[1:]
-        h = yr - yl
-        pts = 0.5 * (yl + yr)[:, None] + 0.5 * h[:, None] * x[None, :]
-        wq = 0.5 * h[:, None] * w[None, :]
+        yl = nodes[:-1]
+        h = nodes[1:] - yl
+        pts = yl[:, None] + h[:, None] * x[None, :]
         p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
-        phi_l = (yr[:, None] - pts) / h[:, None]
-        phi_r = (pts - yl[:, None]) / h[:, None]
-
-        def hat(c):
-            return ((c * phi_l**2 * wq).sum(axis=1), (c * phi_l * phi_r * wq).sum(axis=1),
-                    (c * phi_r**2 * wq).sum(axis=1))
-
-        kp = (p * wq).sum(axis=1) / h**2
-        (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr) = hat(q), hat(wgt)
+        # the code's contractions: a matrix-vector product rounds by the
+        # layout of its matrix, so kp takes the rows as (3, M); the 3 x 3
+        # table rounds alike in either layout
+        kp = (w @ np.ascontiguousarray(p.T)) / h
+        (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr) = (q @ hat.T).T * h, (wgt @ hat.T).T * h
         k_diag, m_diag = np.zeros(len(nodes)), np.zeros(len(nodes))
         k_diag[:-1] += kp + q_ll
         k_diag[1:] += kp + q_rr

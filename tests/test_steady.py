@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,44 @@ class TestLiquidRadius:
         assert t.total_mass == pytest.approx(float(t.mass[-1]), rel=1e-14)
 
 
+def _tight_crossing(sol, level):
+    """DenseSolution.crossing's root, taken with an absolute tolerance of 1e-300."""
+    a = sol.ys[:, 0]
+    k = int(np.nonzero((a[:-1] >= level) & (a[1:] <= level))[0][0])
+    poly, (t_old, t_new) = sol.coeffs[:, k, 0].tolist(), sol.ts[k:k + 2].tolist()
+    h, a_old = float(sol.h[k]), float(a[k])
+    return dop853.brentq(lambda r: dop853._horner(poly, (r - t_old) / h) + a_old - level, t_old, t_new,
+                         xtol=1e-300, rtol=4 * dop853.EPS)
+
+
+class TestSmallStars:
+    """Liquid stars with gamma > 1 shrink like rho0^-(1 - gamma/2): R reaches 1e-22."""
+
+    STARS = [(3, 1.25, 1e20), (3, 1.25, 1e30), (3, 1.25, 1e35), (3, 1.25, 1e40), (3, 1.25, 1e60),
+             (5, 1.5, 1e40)]
+
+    @pytest.mark.parametrize("star", STARS, ids=str)
+    def test_radius_is_the_tight_root(self, star):
+        config = StarConfig(*star)
+        p = integrate_gas_profile(config, stop_at_liquid=True)
+        _, stop, sol = steady._integrate(config, 1e-10, 50.0, True)
+        assert p.liquid_radius == _tight_crossing(sol, stop)
+
+    # not at (3, 1.25, 1e60) or (5, 1.5, 1e40): there w spans +-1e16 over the
+    # last step, so rho at the cut reads 1.02 and 0 however tightly R is rooted
+    @pytest.mark.parametrize("rho0", [1e20, 1e30, 1e35, 1e40], ids=str)
+    def test_density_at_the_cut_is_one(self, rho0):
+        p = integrate_gas_profile(StarConfig(3, 1.25, rho0), stop_at_liquid=True)
+        assert p.radii[-1] == p.liquid_radius
+        assert abs(p.rho[-1] - 1.0) <= 1e-6
+
+    def test_grid_crossing_is_relative(self):
+        # liquid_radius without a recorded radius roots the interpolant
+        p = integrate_gas_profile(StarConfig(3, 1.25, 1e30))
+        R = liquid_radius(replace(p, liquid_radius=None))
+        assert abs(R - p.liquid_radius) <= 1e-12 * p.liquid_radius
+
+
 class TestDecayBound:
     def test_isothermal_value(self):
         cfg = StarConfig(3, 1.0, 1.0)
@@ -313,6 +352,20 @@ class TestDecayBound:
         for d, g, rho0 in ((3, 1.0, 10.0), (4, 1.5, 1.0), (5, 2.0, 10.0), (3, 1.2, 1.0)):
             p = get_profile(d, g, rho0)
             assert np.all(p.rho <= decay_bound(p.config, p.radii) * (1 + 10 * tol))
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_exact_up_to_degree_2n_minus_1(self, n):
+        x, w = steady.gauss_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all((x > 0.0) & (x < 1.0))
+        for k in range(2 * n):
+            exact = 1.0 / (k + 1)
+            assert abs(float(w @ x**k) - exact) <= 4 * np.spacing(exact), (n, k)
+        # degree 2n is the first the rule misses
+        exact = 1.0 / (2 * n + 1)
+        assert abs(float(w @ x ** (2 * n)) - exact) > 1e6 * np.spacing(exact)
 
 
 class TestPohozaev:
