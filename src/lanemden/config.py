@@ -1,9 +1,15 @@
-"""Parameter triple for a polytropic star and the critical exponent thresholds."""
+"""Parameter triple for a polytropic star, its enthalpy variable, and the critical exponent thresholds.
+
+StarConfig is the one place that chooses the enthalpy variable
+(w = rho^(gamma-1), or h = ln rho at gamma = 1); the rest of the package
+asks it for every quantity that depends on that choice.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +35,9 @@ class StarConfig:
     gamma        adiabatic index in [1, 2]
     rho_center   central density rho(0) > 0; a liquid truncation radius exists
                  only when rho_center > 1
+
+    The enthalpy e is w = rho^(gamma-1) for gamma > 1, or h = ln rho at
+    gamma = 1; either obeys e' = -c m / r^(d-1), c = slope_factor.
     """
 
     d: int
@@ -51,32 +60,57 @@ class StarConfig:
         return self.gamma == 1.0
 
     @property
-    def alpha(self) -> float:
-        """Density exponent in the enthalpy source w^alpha: alpha = 1/(gamma-1)."""
-        if self.isothermal:
-            raise ValueError("alpha is undefined at gamma = 1")
-        return 1.0 / (self.gamma - 1.0)
-
-    @property
     def enthalpy_center(self) -> float:
         """Central enthalpy: rho0^(gamma-1) for gamma > 1, ln(rho0) at gamma = 1."""
-        if self.isothermal:
-            return math.log(self.rho_center)
-        return self.rho_center ** (self.gamma - 1.0)
+        return math.log(self.rho_center) if self.isothermal else self.rho_center ** (self.gamma - 1.0)
 
     @property
     def boundary_enthalpy(self) -> float:
         """Enthalpy value at density 1 (the liquid surface): w = 1, or h = 0."""
         return 0.0 if self.isothermal else 1.0
 
+    @property
+    def gas_stop(self) -> float:
+        """Where a gas run stops: the compact surface w = 0, or h = -660 (rho near the least doubles)."""
+        return -660.0 if self.isothermal else 0.0
+
+    @property
+    def slope_factor(self) -> float:
+        """c in e' = -c m / r^(d-1): (gamma-1)/gamma for w, 1 for h."""
+        return 1.0 if self.isothermal else (self.gamma - 1.0) / self.gamma
+
+    @property
+    def center_density_slope(self) -> float:
+        """d rho / d e at the centre: rho0 / ((gamma-1) w0), or rho0."""
+        rho0 = self.rho_center
+        return rho0 if self.isothermal else 1.0 / (self.gamma - 1.0) * rho0 / self.enthalpy_center
+
+    @property
+    def enthalpy_scale(self) -> float:
+        """The fall of e over which the centre's density changes by order one: w0, or 1 for h."""
+        return 1.0 if self.isothermal else self.enthalpy_center
+
     def enthalpy_of_rho(self, rho):
         """Map density to the enthalpy variable (w = rho^(gamma-1), or h = ln rho)."""
-        if self.isothermal:
-            return np.log(rho)
-        return np.asarray(rho) ** (self.gamma - 1.0)
+        return np.log(rho) if self.isothermal else np.asarray(rho) ** (self.gamma - 1.0)
+
+    def enthalpy_of_inverse(self, kappa: float) -> float:
+        """Enthalpy of density 1/kappa, without rounding 1/kappa: kappa^(1-gamma), or -ln kappa."""
+        return -math.log(kappa) if self.isothermal else kappa ** (1.0 - self.gamma)
+
+    def rescaled_enthalpy(self, enthalpy, kappa: float):
+        """Enthalpy of density kappa rho from that of rho: kappa^(gamma-1) w, or h + ln kappa."""
+        return enthalpy + math.log(kappa) if self.isothermal else kappa ** (self.gamma - 1.0) * enthalpy
 
     def rho_of_enthalpy(self, enthalpy):
         """Inverse map; negative w (past a compact-support surface) clamps to rho = 0."""
         if self.isothermal:
             return np.exp(enthalpy)
         return np.maximum(np.asarray(enthalpy), 0.0) ** (1.0 / (self.gamma - 1.0))
+
+    def scalar_rho(self) -> Callable[[float], float]:
+        """rho_of_enthalpy for one Python float, as the integrator's right-hand side calls it."""
+        if self.isothermal:
+            return math.exp
+        alpha = 1.0 / (self.gamma - 1.0)
+        return lambda w: w**alpha if w > 0.0 else 0.0

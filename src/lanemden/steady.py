@@ -1,18 +1,19 @@
 """Radial steady-state profiles of self-gravitating polytropes.
 
 The hydrostatic balance of a polytrope in dimension d reduces to a second
-order ODE for the enthalpy variable (w = rho^(gamma-1) for gamma > 1,
-h = ln rho at gamma = 1):
+order ODE for the enthalpy variable e, which StarConfig chooses and maps
+to and from the density (w = rho^(gamma-1) for gamma > 1, h = ln rho at
+gamma = 1):
 
-    w'' + (d-1)/r w' = -4 pi (gamma-1)/gamma w^alpha,   alpha = 1/(gamma-1)
-    h'' + (d-1)/r h' = -4 pi e^h
+    e'' + (d-1)/r e' = -4 pi c rho(e),   c = (gamma-1)/gamma, or 1 for h
 
 Integration is done on the equivalent first-order integral form
 
-    w'(r) = -((gamma-1)/gamma) m(r) / r^(d-1),    m' = 4 pi r^(d-1) rho,
+    e'(r) = -c m(r) / r^(d-1),    m' = 4 pi r^(d-1) rho,
 
-(h'(r) = -m(r)/r^(d-1) at gamma = 1), with the cumulative mass m carried as
-a state variable, so the enthalpy slope is always consistent with the mass.
+with the cumulative mass m carried as a state variable, so the enthalpy
+slope is always consistent with the mass.  Each formula here is written
+once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats; its dense output gives the profile samples.
 Between samples a Profile reads one cubic Hermite of the enthalpy and m/r^d
@@ -181,9 +182,8 @@ class Profile:
 
 
 def _enthalpy_slope(config: StarConfig, r, mass):
-    """w' = -((gamma-1)/gamma) m / r^(d-1), or h' = -m / r^(d-1) at gamma = 1, at radii r > 0."""
-    c = 1.0 if config.isothermal else (config.gamma - 1.0) / config.gamma
-    return -c * mass / r ** (config.d - 1)
+    """e' = -c m / r^(d-1), c = config.slope_factor, at radii r > 0."""
+    return -config.slope_factor * mass / r ** (config.d - 1)
 
 
 def _ode_slopes(config: StarConfig, r, rho, mass, mhat) -> np.ndarray:
@@ -238,15 +238,8 @@ def _seed_coefficients(config: StarConfig):
     Returns (e0, b, e4, rho2): enthalpy ~ e0 + b r^2 + e4 r^4 and
     rho ~ rho0 + rho2 r^2, accurate to O(r^6)/O(r^4) respectively.
     """
-    d, rho0 = config.d, config.rho_center
-    if config.isothermal:
-        c = 1.0
-        e0 = math.log(rho0)
-        gprime = rho0                      # derivative of e^h at h0
-    else:
-        c = (config.gamma - 1.0) / config.gamma
-        e0 = config.enthalpy_center
-        gprime = config.alpha * rho0 / e0  # derivative of w^alpha at w0
+    d, rho0, c = config.d, config.rho_center, config.slope_factor
+    e0, gprime = config.enthalpy_center, config.center_density_slope
     b = -(2.0 * math.pi / d) * c * rho0
     e4 = -math.pi * c * b * gprime / (d + 2)
     return e0, b, e4, gprime * b
@@ -293,26 +286,25 @@ def _drop_stalled(radii, rho, enth, mass, pinned):
     """The samples where rho falls and m grows strictly, plus r = 0 and the radii in pinned.
 
     Near a flat centre (rho0 -> 1+) rho, and near a compact surface m, stop
-    moving in float64, so neighbouring samples can tie.
+    moving in float64, so neighbouring samples can tie.  Two pinned radii
+    can tie too (a liquid surface just inside the compact one); of kept
+    samples that tie, the outermost stays.
     """
     keep = _moving(rho, -mass) | np.isin(radii, pinned)
     keep[0] = True
+    kept = np.flatnonzero(keep)
+    keep[kept[:-1][(np.diff(rho[kept]) >= 0) | (np.diff(mass[kept]) <= 0)]] = False
     return radii[keep], rho[keep], enth[keep], mass[keep]
 
 
 def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.ndarray):
     """Enthalpy and mass of rho_k(r) = kappa rho(kappa^(1-gamma/2) r) from those of rho.
 
-    The enthalpy is shifted by ln kappa (gamma = 1) or scaled by
-    kappa^(gamma-1), the mass scaled by kappa^(1-d(1-gamma/2)); kappa = 1
-    returns the same values.
+    The enthalpy is config.rescaled_enthalpy's, the mass scaled by
+    kappa^(1-d(1-gamma/2)); kappa = 1 returns the same values.
     """
-    g = config.gamma
-    if config.isothermal:
-        enthalpy = enthalpy + math.log(kappa)
-    else:
-        enthalpy = kappa ** (g - 1.0) * enthalpy
-    return enthalpy, kappa ** (1.0 - config.d * (1.0 - g / 2.0)) * mass
+    scale = kappa ** (1.0 - config.d * (1.0 - config.gamma / 2.0))
+    return config.rescaled_enthalpy(enthalpy, kappa), scale * mass
 
 
 def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool):
@@ -320,9 +312,10 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
 
     The run stops after the step where the enthalpy falls through the stop
     level: the liquid surface rho = 1 if stop_at_liquid and rho0 > 1,
-    otherwise the compact surface w = 0 or, for gamma = 1, a floor h = -660
-    where rho underflows towards the smallest doubles.  Raises RuntimeError
-    when the seed overflows float64 (rho0^(3-gamma) near 1e308 or more).
+    otherwise config.gas_stop.  Raises RuntimeError when the seed overflows
+    float64 (rho0^(3-gamma) near 1e308 or more), or when rho0 > 1 but the
+    central enthalpy rounds onto the liquid surface's (w0 - 1 rounds to 0
+    for gamma near 1), which leaves no room for a seed.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -332,32 +325,24 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
     e0, b, _, _ = _seed_coefficients(config)
 
     # leave the removable 1/r^(d-1) singularity with a Taylor seed
-    scale = math.sqrt((1.0 if config.isothermal else e0) / abs(b))
-    r0 = 1e-2 * scale
+    r0 = 1e-2 * math.sqrt(config.enthalpy_scale / abs(b))
     if rho0 > 1.0:
         gap = e0 - config.boundary_enthalpy
+        if not gap > 0.0:
+            raise RuntimeError(
+                f"the central enthalpy of {config} rounds onto the liquid surface's "
+                "in float64 (w0 - 1 rounds to 0), which leaves no room for a Taylor seed"
+            )
         r0 = min(r0, 1e-3 * math.sqrt(gap / abs(b)))
     r0 = min(r0, 1e-3 * r_max)
 
-    if config.isothermal:
+    c, rho_of = config.slope_factor, config.scalar_rho()
 
-        def rhs(r, h, m):
-            rd = r ** (d - 1)
-            return -m / rd, FOUR_PI * rd * math.exp(h)
+    def rhs(r, e, m):
+        rd = r ** (d - 1)
+        return -c * m / rd, FOUR_PI * rd * rho_of(e)
 
-    else:
-        cg = (config.gamma - 1.0) / config.gamma
-        alpha = config.alpha
-
-        def rhs(r, w, m):
-            rd = r ** (d - 1)
-            rho = w**alpha if w > 0.0 else 0.0
-            return -cg * m / rd, FOUR_PI * rd * rho
-
-    if stop_at_liquid and rho0 > 1.0:
-        stop = config.boundary_enthalpy
-    else:
-        stop = -660.0 if config.isothermal else 0.0
+    stop = config.boundary_enthalpy if stop_at_liquid and rho0 > 1.0 else config.gas_stop
     seed = _seed(config, r0)
     if not all(map(math.isfinite, seed)):
         raise RuntimeError(f"the Taylor seed of {config} overflows float64")
@@ -401,7 +386,7 @@ def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float
         grid = np.unique(np.concatenate([grid, np.array(extra)]))
     enth, mass = _rescaled(config, kappa, *sol(lam * grid))
     if gas_r is not None and grid[-1] >= gas_r:
-        enth[-1] = 0.0  # surface: w = 0 exactly
+        enth[-1] = config.gas_stop  # the compact surface lies on the stop level exactly
 
     # sample the Taylor seed at r = 0 (exactly e0 and mass 0) and inside
     # (0, r0), so the interpolants see the curvature
@@ -465,8 +450,8 @@ def integrate_gas_profile(
     r0, stop, sol = _integrate(config, tol, r_max, stop_at_liquid)
     end = sol.crossing(stop)
     liquid_r = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
-    # a gas run with gamma > 1 stops at the compact surface w = 0
-    gas_r = end if stop == 0.0 and not config.isothermal else None
+    # a run whose stop level has density 0 stops at the compact surface
+    gas_r = end if config.rho_of_enthalpy(stop) == 0.0 else None
     end = sol.ts[-1] if end is None else end
     return _sampled_profile(config, sol, 1.0, r0, end, liquid_r, gas_r, min_points)
 
@@ -478,11 +463,10 @@ class LiquidLine:
     By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), the star
     of central density rho0 = kappa rho_top (kappa <= 1) is the top star's
     gas solution on radii divided by kappa^(1-gamma/2), cut where the top
-    star's enthalpy falls to that of density 1/kappa: kappa^-(gamma-1), or
-    -ln kappa at gamma = 1.  That crossing is found on the run's dense
-    output, so any density in (1, rho_top] can be asked for after the run;
-    its level is never below the top star's, where the run ends (after the
-    step that falls through it).  The run is the one
+    star's enthalpy falls to that of density 1/kappa.  That crossing is
+    found on the run's dense output, so any density in (1, rho_top] can be
+    asked for after the run; its level is never below the top star's, where
+    the run ends (after the step that falls through it).  The run is the one
     integrate_gas_profile(top, stop_at_liquid=True) makes, and each star is
     cut by the rule that profile is cut by (_sampled_profile), so the top
     star's own profile is bit for bit the one that returns.
@@ -508,8 +492,7 @@ class LiquidLine:
             raise ValueError(f"line densities must lie in (1, {rho_top:g}], got {rho0}")
         kappa = rho0 / rho_top
         lam = kappa ** (1.0 - gamma / 2.0)
-        level = -math.log(kappa) if self.top.isothermal else kappa ** (1.0 - gamma)
-        root = self.sol.crossing(level)
+        root = self.sol.crossing(self.top.enthalpy_of_inverse(kappa))
         if root is None or root / lam > self.r_max:
             return None
         config = StarConfig(self.top.d, gamma, rho0)
@@ -596,23 +579,21 @@ def truncate_liquid(profile: Profile) -> Profile:
 def decay_bound(config: StarConfig, r) -> np.ndarray:
     """Pointwise upper bound on the density of any steady state.
 
-    Branches: gamma = 2 gives rho0 exp(-(2 pi / (d gamma)) r^2); gamma = 1
-    gives 1/(1/rho0 + (2 pi / d) r^2); otherwise
-    (rho0^-(2-gamma) + (2 pi / d)((2-gamma)/gamma) r^2)^(-1/(2-gamma)).
+    rho0 (1 + x)^(-1/(2-gamma)) = rho0 exp(-t log1p(x)/x), with
+    t = (2 pi / (d gamma)) rho0^(2-gamma) r^2 and x = (2-gamma) t, and
+    log1p(x)/x read as its limit 1 at x = 0.  That is
+    1/(1/rho0 + (2 pi / d) r^2) at gamma = 1 and rho0 exp(-(pi / d) r^2) at
+    gamma = 2, exactly rho0 at r = 0, and free of cancellation at large rho0.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
     d, g, rho0 = config.d, config.gamma, config.rho_center
-    if g == 2.0:
-        return rho0 * np.exp(-(2.0 * math.pi / (d * g)) * r**2)
-    if g == 1.0:
-        return 1.0 / (1.0 / rho0 + (2.0 * math.pi / d) * r**2)
-    # (rho0^-(2-g) + (2 pi / d)((2-g)/g) r^2)^(-1/(2-g)), written through
-    # expm1/log1p so it stays exact as gamma approaches 2
-    eps = 2.0 - g
-    shift = np.expm1(-eps * math.log(rho0)) + (2.0 * math.pi / d) * (eps / g) * r**2
-    return np.exp(-np.log1p(shift) / eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # t = inf reads as its limit, a bound of 0
+        t = (2.0 * math.pi / (d * g)) * rho0 ** (2.0 - g) * r**2
+        x = (2.0 - g) * t
+    ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=(x > 0.0) & (x < math.inf))
+    return rho0 * np.exp(-t * ratio)
 
 
 _INTERVAL_X, _INTERVAL_W = gauss_rule(5)
@@ -626,25 +607,27 @@ def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pohozaev_residual(profile: Profile, r) -> np.ndarray:
-    """Defect of the exact integral identity satisfied by steady states.
+    """Defect of the Pohozaev-type identity satisfied by steady states.
 
-    For gamma > 1 the identity balances the cumulative integral of
-    w^(alpha+1) y^(d-1) against boundary terms built from w and w' at r; at
-    gamma = 1 it reduces to the mass relation -m(r) = h'(r) r^(d-1).  The
-    residual is normalized by the largest participating term, so a correct
+    The enthalpy solves e'' + (d-1)/r e' + f(e) = 0 with f = 4 pi c rho and
+    F = 4 pi c^2 rho^gamma, F' = f (c = config.slope_factor), so for every gamma
+
+        int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
+
+    The defect is normalized by the largest of the four terms, so a correct
     profile yields values at the quadrature/integration error level.  It is
     exactly 0 at r = 0; a scalar r gives a float.
     """
     r_arr = profile._check_range(np.atleast_1d(r))
     config = profile.config
-    d = config.d
+    d, g, c = config.d, config.gamma, config.slope_factor
     radii = profile.radii
 
-    if config.isothermal:
-        integrand = lambda y: profile.rho_at(y) * y ** (d - 1)
-    else:
-        ap1 = config.alpha + 1.0
-        integrand = lambda y: np.maximum(profile.enthalpy_at(y), 0.0) ** ap1 * y ** (d - 1)
+    def integrand(y):
+        """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c)."""
+        e = profile.enthalpy_at(y)
+        rho = config.rho_of_enthalpy(e)
+        return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
 
     # cumulative integral up to the grid radius at or below each r, plus the
     # partial segment from there to r for off-grid radii
@@ -658,26 +641,15 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
 
     pos = r_arr > 0.0
     rp, integral = r_arr[pos], integral[pos]
-    m_r = profile.mass_at(rp)
-    if config.isothermal:
-        lhs = -FOUR_PI * integral
-        rhs = -m_r  # h'(r) r^(d-1) via the mass identity
-        terms = (lhs, rhs)
-    else:
-        g = config.gamma
-        cg = (g - 1.0) / g
-        alpha = config.alpha
-        w = np.maximum(profile.enthalpy_at(rp), 0.0)
-        wprime = _enthalpy_slope(config, rp, m_r)
-        lhs = 2.0 * math.pi * cg * (2.0 * d / (1.0 + alpha) - (d - 2.0)) * integral
-        t1 = 0.5 * wprime**2 * rp**d
-        t2 = FOUR_PI * cg**2 * w ** (alpha + 1.0) * rp**d
-        t3 = 0.5 * (d - 2.0) * wprime * w * rp ** (d - 1)
-        rhs = t1 + t2 + t3
-        terms = (lhs, t1, t2, t3)
-    scale = np.max(np.abs(terms), axis=0)
+    e, m_r = profile.enthalpy_at(rp), profile.mass_at(rp)
+    eprime = _enthalpy_slope(config, rp, m_r)
+    lhs = FOUR_PI * c * integral
+    t1 = 0.5 * eprime**2 * rp**d
+    t2 = FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g * rp**d
+    t3 = 0.5 * (d - 2.0) * eprime * e * rp ** (d - 1)
+    scale = np.max(np.abs((lhs, t1, t2, t3)), axis=0)
     out = np.zeros_like(r_arr)
-    out[pos] = np.divide(lhs - rhs, scale, out=np.zeros_like(scale), where=scale > 0)
+    out[pos] = np.divide(lhs - (t1 + t2 + t3), scale, out=np.zeros_like(scale), where=scale > 0)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -709,7 +681,7 @@ def scale_profile(profile: Profile, kappa: float) -> Profile:
     liquid_r = None
     if kappa * config.rho_center > 1.0:
         try:
-            liquid_r = _enthalpy_crossing(profile, config.enthalpy_of_rho(1.0 / kappa)) / lam
+            liquid_r = _enthalpy_crossing(profile, config.enthalpy_of_inverse(kappa)) / lam
         except RuntimeError:  # no crossing on the base grid
             if kappa == 1.0:
                 liquid_r = profile.liquid_radius
@@ -771,19 +743,12 @@ class ClosedFormStar:
         if r <= 0.0:
             raise ValueError("residual is evaluated at r > 0")
         d, g = self.d, self.gamma
-        if self.variant == "singular" and g == 1.0:
-            h1 = -2.0 / r  # h = ln A - 2 ln r
-            t1, t2 = 2.0 / r**2, (d - 1.0) / r * h1
-            t3 = FOUR_PI * self.amplitude * r**-2.0
-            return (t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3))
-        cg = (g - 1.0) / g
-        alpha = 1.0 / (g - 1.0)
         if self.variant == "singular":
-            s = self.exponent * (g - 1.0)  # power of r in w
-            B = self.amplitude ** (g - 1.0)
-            t1 = B * s * (s - 1.0) * r ** (s - 2.0)
-            t2 = (d - 1.0) * B * s * r ** (s - 2.0)
-            t3 = FOUR_PI * cg * B**alpha * r ** (s * alpha)
+            # the density form u' + (d-1)/r u + 4 pi rho, u = g rho^(g-2) rho', for
+            # rho = A r^k: u = v r, v = g k A^(g-1) r^(s-2), s = k (g-1), and s - 2 = k
+            k = self.exponent
+            v = g * k * self.amplitude ** (g - 1.0) * r**k
+            t1, t2, t3 = (k * (g - 1.0) - 1.0) * v, (d - 1.0) * v, FOUR_PI * self.amplitude * r**k
         else:
             q = (2.0 * math.pi / d**2) * self.amplitude ** (4.0 / (d + 2.0))
             Aw = self.amplitude ** ((d - 2.0) / (d + 2.0))
@@ -792,7 +757,7 @@ class ClosedFormStar:
             w1 = Aw * a * 2.0 * q * r * base ** (a - 1.0)
             w2 = Aw * a * 2.0 * q * (base ** (a - 1.0) + (a - 1.0) * 2.0 * q * r**2 * base ** (a - 2.0))
             t1, t2 = w2, (d - 1.0) / r * w1
-            t3 = FOUR_PI * cg * (Aw * base**a) ** alpha
+            t3 = FOUR_PI * (g - 1.0) / g * float(self.rho_at(r))
         return (t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
     def to_profile(self, radii) -> Profile:

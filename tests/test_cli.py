@@ -267,8 +267,9 @@ def run_cli_process(*argv, timeout=20):
 SCAN_2_TO_5 = ("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "5",
                "--mesh", "64")
 
-# valid or wrongly typed inputs that hung, raised a traceback or were refused
-# as a usage error: (argv, config file contents or None, exit code)
+# valid or wrongly typed inputs that hung, raised a traceback, were refused
+# as a usage error or printed a numpy warning: (argv, config file contents
+# or None, exit code); no row may print a warning
 CLEAN_EXITS = {
     # the Taylor seed overflows float64 once rho0^(3-gamma) nears 1e308
     "seed-overflow-gamma=1.25": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1e180"), None, 2),
@@ -283,7 +284,19 @@ CLEAN_EXITS = {
     "flat-gamma=1": (("profile", "--gas", "--d", "3", "--gamma", "1", "--rho0", "1e-16"), None, 2),
     "flat-gamma=1.25": (("profile", "--gas", "--d", "3", "--gamma", "1.25", "--rho0", "1e-50"), None, 2),
     "flat-gamma=1.5": (("profile", "--gas", "--d", "3", "--gamma", "1.5", "--rho0", "1e-50"), None, 2),
+    # the liquid and compact surfaces tie in mass, 8.3e-10 relative apart
+    "tied-radii": (("profile", "--gas", "--d", "3", "--gamma", "1.25", "--rho0", "1e40"), None, 0),
+    # the decay bound at r = 0 once rho0^-(2-gamma) is below the doubles' epsilon
+    "decay-bound-centre": (("profile", "--gas", "--d", "3", "--gamma", "1.25", "--rho0", "1e30"), None, 0),
+    # w0 = rho0^(gamma-1) rounds to the liquid surface's w = 1
+    "no-seed-gap": (("stability", "--d", "3", "--gamma", "1.000000001", "--rho0", "1.000000001",
+                     "--mesh", "64"), None, 2),
+    "no-seed-gap-scan": (("scan", "--d", "3", "--gamma", "1.000000001", "--rho0-min", "1.000000001",
+                          "--rho0-max", "1.00000001", "--points", "2", "--mesh", "64"), None, 0),
 }
+
+# what stderr must name for some rows
+CAUSES = {"no-seed-gap": "w0 - 1 rounds to 0", "no-seed-gap-scan": "RuntimeError: the central enthalpy"}
 
 
 class TestCleanExits:
@@ -295,8 +308,15 @@ class TestCleanExits:
             path.write_text(json.dumps(config))
             argv = (*argv, "--config", str(path))
         out = run_cli_process(*argv)
-        prefix = {1: "usage error: ", 2: "numerical failure: "}[code]
         assert out.returncode == code, out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr, out.stderr
+        assert CAUSES.get(name, "") in out.stderr
+        if code == 0:
+            if argv[0] == "profile":  # a gas profile reports both radii
+                diag = json.loads(out.stderr)
+                assert 0.0 < diag["R"] < diag["gas_radius"], diag
+            return
+        prefix = {1: "usage error: ", 2: "numerical failure: "}[code]
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
         if config is not None:
@@ -307,7 +327,7 @@ class TestCleanExits:
         # own, and those that fail are recorded as Error rows
         out = run_cli_process("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2",
                               "--rho0-max", "1e180", "--points", "3", "--mesh", "64")
-        assert out.returncode == 0 and "Traceback" not in out.stderr
+        assert out.returncode == 0 and "Traceback" not in out.stderr and "Warning" not in out.stderr
         verdicts = [row.rsplit(",", 1)[1] for row in out.stdout.splitlines()[1:]]
         assert verdicts == ["Stable", "Unstable", "Error"]
         assert "overflows float64" in out.stderr

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -347,6 +348,30 @@ class TestDecayBound:
         exact = StarConfig(d, 2.0, rho0)
         assert float(decay_bound(near, r)) == pytest.approx(float(decay_bound(exact, r)), rel=1e-6)
 
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_one_formula_meets_the_closed_forms(self, d):
+        # a = t log1p(x)/x takes four roundings, and exp(-a) turns them into a
+        # relative error of about 4 |a| eps, so allow a few ulps plus that
+        r = np.linspace(0.0, 5.0, 501)
+        for rho0 in (1e-3, 0.5, 1.0, 10.0, 1e3):
+            for g, exact in ((1.0, 1.0 / (1.0 / rho0 + (2 * math.pi / d) * r**2)),
+                             (2.0, rho0 * np.exp(-(math.pi / d) * r**2))):
+                got = decay_bound(StarConfig(d, g, rho0), r)
+                allowed = (2.0 + 4.0 * np.log(rho0 / exact)) * np.spacing(exact)
+                assert np.all(np.abs(got - exact) <= allowed), (g, rho0)
+
+    def test_exact_centre_at_large_rho0(self):
+        cfg = StarConfig(3, 1.25, 1e30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = decay_bound(cfg, np.array([0.0, 1e-15, 1.0]))
+            # t = (2 pi / (d gamma)) rho0^(2-gamma) r^2 overflows: the limit 0
+            far = [decay_bound(StarConfig(3, g, rho0), r) for g, rho0, r in
+                   ((1.0, 1e307, 50.0), (1.5, 1.0, 1e160), (2.0, 1.0, 1e160))]
+        assert bound[0] == 1e30
+        assert np.all(np.isfinite(bound)) and np.all(np.diff(bound) < 0)
+        assert far == [0.0, 0.0, 0.0]
+
     def test_battery_domination(self):
         tol = 1e-10
         for d, g, rho0 in ((3, 1.0, 10.0), (4, 1.5, 1.0), (5, 2.0, 10.0), (3, 1.2, 1.0)):
@@ -375,19 +400,21 @@ class TestPohozaev:
 
     @staticmethod
     def _oracle_residual(d, g, rho_fn, r):
-        """Both sides of the identity via adaptive quadrature on a closed form."""
-        alpha = 1 / (g - 1)
-        cg = (g - 1) / g
-        w = lambda y: rho_fn(y) ** (g - 1)
+        """Both sides of the identity via adaptive quadrature on a closed form.
+
+        e = rho^(g-1) with c = (g-1)/g, or e = ln rho with c = 1 at g = 1;
+        f = 4 pi c rho and F = 4 pi c^2 rho^g.
+        """
+        c = 1.0 if g == 1.0 else (g - 1) / g
+        e = (lambda y: math.log(rho_fn(y))) if g == 1.0 else (lambda y: rho_fn(y) ** (g - 1))
+        F = lambda y: FOUR_PI * c**2 * rho_fn(y) ** g
         m = FOUR_PI * quad(lambda s: s ** (d - 1) * rho_fn(s), 0, r, limit=200)[0]
-        wprime = -cg * m / r ** (d - 1)
-        lhs = (
-            2 * math.pi * cg * (2 * d / (1 + alpha) - (d - 2))
-            * quad(lambda y: w(y) ** (alpha + 1) * y ** (d - 1), 0, r, limit=200)[0]
-        )
-        t1 = 0.5 * wprime**2 * r**d
-        t2 = FOUR_PI * cg**2 * w(r) ** (alpha + 1) * r**d
-        t3 = 0.5 * (d - 2) * wprime * w(r) * r ** (d - 1)
+        eprime = -c * m / r ** (d - 1)
+        lhs = quad(lambda y: (d * F(y) - 0.5 * (d - 2) * e(y) * FOUR_PI * c * rho_fn(y)) * y ** (d - 1),
+                   0, r, limit=200)[0]
+        t1 = 0.5 * eprime**2 * r**d
+        t2 = F(r) * r**d
+        t3 = 0.5 * (d - 2) * eprime * e(r) * r ** (d - 1)
         return (lhs - (t1 + t2 + t3)) / max(abs(lhs), abs(t1), abs(t2), abs(t3))
 
     def test_identity_on_closed_forms_by_quadrature(self):
@@ -402,6 +429,28 @@ class TestPohozaev:
 
         p = get_profile(3, 1.2, 1.0, r_max=5.0)
         assert abs(pohozaev_residual(p, 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_identity_on_the_isothermal_singular_star(self, d):
+        # rho = A r^-2 solves the gamma = 1 equation only at its own amplitude;
+        # any other amplitude keeps m = 4 pi int rho s^(d-1) ds, so a mass
+        # relation cannot tell them apart, while the identity can
+        star = singular_star(d, 1.0)
+        assert star.exponent == -2.0
+        exact = lambda y: float(star.rho_at(y))
+        wrong = lambda y: 2.0 * exact(y)
+        for r in (0.5, 1.0, 2.0):
+            assert abs(self._oracle_residual(d, 1.0, exact, r)) <= 1e-9
+            assert abs(self._oracle_residual(d, 1.0, wrong, r)) >= 0.1
+
+    def test_isothermal_residual_sees_a_non_solution(self):
+        # twice a steady density with its own mass is no steady state: the
+        # columns agree, so only the identity itself can flag it
+        p = get_profile(3, 1.0, 1.0)
+        doubled = steady.Profile(config=StarConfig(3, 1.0, 2.0), radii=p.radii, rho=2.0 * p.rho,
+                                 enthalpy=p.enthalpy + math.log(2.0), mass=2.0 * p.mass)
+        assert abs(pohozaev_residual(p, 1.0)) <= 1e-6
+        assert abs(pohozaev_residual(doubled, 1.0)) >= 0.1
 
     def test_isothermal_profile(self):
         p = get_profile(3, 1.0, 1.0)
@@ -439,14 +488,21 @@ class TestPohozaev:
 
     @staticmethod
     def _loop_reference(profile, radii):
-        """Per-point reference: scalar Gauss segments and scalar boundary terms."""
-        cfg, d = profile.config, profile.config.d
+        """Per-point reference: scalar Gauss segments and scalar boundary terms.
+
+        The identity int_0^r s^(d-1) (d F - (d-2)/2 e f) ds
+        = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e' with f = 4 pi c rho(e) and
+        F = 4 pi c^2 rho^gamma, for w (gamma > 1) and h = ln rho (gamma = 1).
+        """
+        d, g = profile.config.d, profile.config.gamma
+        c = 1.0 if g == 1.0 else (g - 1) / g
+        rho_of = np.exp if g == 1.0 else (lambda e: np.maximum(e, 0.0) ** (1 / (g - 1)))
+        F = lambda e: FOUR_PI * c**2 * rho_of(e) ** g
         gx, gw = np.polynomial.legendre.leggauss(5)
 
         def f(y):
-            if cfg.isothermal:
-                return profile.rho_at(y) * y ** (d - 1)
-            return np.maximum(profile.enthalpy_at(y), 0.0) ** (cfg.alpha + 1.0) * y ** (d - 1)
+            e = profile.enthalpy_at(y)
+            return (d * F(e) - 0.5 * (d - 2) * e * FOUR_PI * c * rho_of(e)) * y ** (d - 1)
 
         def segment(a, b):
             half = 0.5 * (b - a)
@@ -462,24 +518,15 @@ class TestPohozaev:
                 out.append(0.0)
                 continue
             k = int(np.searchsorted(grid, rv, side="right")) - 1
-            integral = cum[k] + (segment(grid[k], rv) if rv > grid[k] else 0.0)
+            lhs = cum[k] + (segment(grid[k], rv) if rv > grid[k] else 0.0)
             m = float(profile.mass_at(rv))
-            if cfg.isothermal:
-                terms = (-FOUR_PI * integral, -m)
-                defect = terms[0] - terms[1]
-            else:
-                g, alpha = cfg.gamma, cfg.alpha
-                cg = (g - 1) / g
-                w = max(float(profile.enthalpy_at(rv)), 0.0)
-                wprime = -cg * m / rv ** (d - 1)
-                lhs = 2 * math.pi * cg * (2 * d / (1 + alpha) - (d - 2)) * integral
-                t1 = 0.5 * wprime**2 * rv**d
-                t2 = FOUR_PI * cg**2 * w ** (alpha + 1) * rv**d
-                t3 = 0.5 * (d - 2) * wprime * w * rv ** (d - 1)
-                terms = (lhs, t1, t2, t3)
-                defect = lhs - (t1 + t2 + t3)
-            scale = max(abs(t) for t in terms)
-            out.append(defect / scale if scale > 0 else 0.0)
+            e = float(profile.enthalpy_at(rv))
+            eprime = -c * m / rv ** (d - 1)
+            t1 = 0.5 * eprime**2 * rv**d
+            t2 = float(F(e)) * rv**d
+            t3 = 0.5 * (d - 2) * eprime * e * rv ** (d - 1)
+            scale = max(abs(lhs), abs(t1), abs(t2), abs(t3))
+            out.append((lhs - (t1 + t2 + t3)) / scale if scale > 0 else 0.0)
         return np.array(out)
 
     @pytest.mark.parametrize("d,gamma,rho0", [(3, 1.0, 1.0), (3, 1.2, 1.0), (3, 2.0, 1.0), (4, 1.5, 10.0)])
