@@ -8,6 +8,7 @@ An optional JSON config file mirrors the flags; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import io
 import json
@@ -26,6 +27,33 @@ from .harness import (
 )
 from .spectral import classify_stability, spectral_result_dict, write_eigenfunction_csv
 from .steady import integrate_gas_profile
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's heap trim and mmap thresholds at its own dynamic ceiling.
+
+    glibc unmaps the top of the heap once more than M_TRIM_THRESHOLD of it
+    is free, and serves blocks above M_MMAP_THRESHOLD from fresh mappings;
+    it raises both only after a large mapped block is freed.  Without that,
+    every command's large temporaries (the Pohozaev integrand, the
+    Gauss-point arrays at mesh 8192) are handed back and page-faulted in
+    again on the next call.  M_MMAP_THRESHOLD = 32 MiB is the ceiling its
+    dynamic rule stops at; M_TRIM_THRESHOLD = 64 MiB is twice that, as
+    the rule sets it.  Where libc has no mallopt, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no dlopen(NULL), or a libc without mallopt
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
+# the CLI owns its process, so it sets the allocator; the library modules leave it alone
+_keep_freed_memory()
 
 
 class UsageError(Exception):

@@ -16,16 +16,23 @@ rate sqrt(-mu*).
 
 q is evaluated through the equilibrium identity y^d (rhobar^gamma)' =
 -y rhobar m, which avoids numerical differentiation of the profile.
+
+The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
+eigenvector solved for with its dpttrs.  Both are called through ctypes in
+the OpenBLAS that numpy's wheels bundle, which numpy has loaded already, so
+importing this module loads no part of scipy.  Where numpy's build exports
+no such symbols (conda, distribution and numpy 1.x builds), the pair comes
+from scipy.linalg.lapack instead, chosen once at import by _lapack_pair.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .config import stability_threshold, support_threshold
 from .steady import Profile, gauss_rule, liquid_radius
@@ -287,16 +294,109 @@ class SpectralResult:
     solves: int
 
 
+class _Tridiagonal:
+    """Buffers for a symmetric tridiagonal of order n that _pttrf factors in place.
+
+    The diagonal d and the off-diagonal e are views of one float64 array,
+    and n and the last info are int64 cells, since the Fortran routines take
+    every argument by reference.  ptrs holds the addresses of n, d, e and
+    info, read once here: reading an array's address costs about 1.5 us, a
+    twentieth of an inertia count at mesh 2048.
+    """
+
+    __slots__ = ("d", "e", "n", "info", "ptrs")
+
+    def __init__(self, n: int):
+        buf = np.empty(2 * n - 1)
+        self.d, self.e = buf[:n], buf[n:]
+        self.n, self.info = ctypes.c_int64(n), ctypes.c_int64(0)
+        d = buf.ctypes.data
+        self.ptrs = (ctypes.addressof(self.n), d, d + buf.itemsize * n, ctypes.addressof(self.info))
+
+
+def _openblas_lapack():
+    """dpttrf and dpttrs of the OpenBLAS bundled with numpy, or None where numpy has none.
+
+    numpy's wheels link numpy.libs/libscipy_openblas64_*.so into
+    numpy.linalg._umath_linalg, which numpy imports at startup; a handle on
+    that extension resolves the library's ILP64 Fortran symbols (every
+    integer argument is int64).  The LAPACKE entry points would add a NaN
+    scan of their own.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _lapack_pair():
+    """(pttrf, pttrs) on numpy's OpenBLAS, or on scipy.linalg.lapack where numpy exports none.
+
+    pttrf(t) factors the _Tridiagonal t in place as L D L^T and returns
+    LAPACK's info: 0, or the index k (from 1) of the first pivot that is not
+    positive, where the factorisation stopped.  pttrs(t, b) solves
+    T x = b with t's factor and returns x in a new array.  Both paths call
+    the same LAPACK routines on the same buffers.
+    """
+
+    def solution_buffer(t: _Tridiagonal, b) -> np.ndarray:
+        # LAPACK takes the order from the buffers: b of another length
+        # would have it read or write past them
+        x = np.array(b, dtype=np.float64)
+        if x.shape != t.d.shape:
+            raise ValueError(f"right-hand side of shape {x.shape} for a tridiagonal of order {len(t.d)}")
+        return x
+
+    symbols = _openblas_lapack()
+    if symbols is None:
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        def pttrf(t: _Tridiagonal) -> int:
+            return int(dpttrf(t.d, t.e, overwrite_d=1, overwrite_e=1)[2])
+
+        def pttrs(t: _Tridiagonal, b: np.ndarray) -> np.ndarray:
+            return dpttrs(t.d, t.e, solution_buffer(t, b), overwrite_b=1)[0]
+
+        return pttrf, pttrs
+
+    dpttrf, dpttrs = symbols
+    dpttrf.argtypes = [ctypes.c_void_p] * 4  # n, d, e, info
+    dpttrs.argtypes = [ctypes.c_void_p] * 7  # n, nrhs, d, e, b, ldb, info
+    dpttrf.restype = dpttrs.restype = None
+    nrhs = ctypes.c_int64(1)
+
+    def pttrf(t: _Tridiagonal) -> int:
+        dpttrf(*t.ptrs)
+        return t.info.value
+
+    def pttrs(t: _Tridiagonal, b: np.ndarray) -> np.ndarray:
+        x = solution_buffer(t, b)
+        n, d, e, info = t.ptrs
+        dpttrs(n, ctypes.addressof(nrhs), d, e, x.ctypes.data, n, info)  # x's leading dimension is n
+        return x
+
+    return pttrf, pttrs
+
+
+_pttrf, _pttrs = _lapack_pair()
+
+
 def _positive_definite(kd, ke, md, me, sigma: float) -> bool:
     """Certificate that no generalized eigenvalue lies at or below sigma.
 
     By Sylvester's law of inertia K - sigma Mw is positive definite exactly
-    when sigma < mu*.  LAPACK dpttrf factors the symmetric tridiagonal
-    K - sigma Mw as L D L^T and stops at the first pivot that is not
-    positive (info > 0), so a zero pivot also reads as not positive definite.
+    when sigma < mu*.  LAPACK dpttrf (_pttrf) factors the symmetric
+    tridiagonal K - sigma Mw as L D L^T and stops at the first pivot that is
+    not positive (info > 0), so a zero pivot also reads as not positive
+    definite.
     """
-    _, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
-    return info == 0
+    t = _Tridiagonal(len(kd))
+    t.d[:] = kd - sigma * md
+    t.e[:] = ke - sigma * me
+    return _pttrf(t) == 0
 
 
 def _jacobi_scaled(op: DiscreteOperator) -> Tuple[np.ndarray, DiscreteOperator]:
@@ -341,26 +441,36 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
     """Narrow lo < mu* <= hi by inertia counts on the Jacobi-scaled pencil.
 
     See smallest_eigenpair for the search.  Returns (lo, hi, the L D L^T
-    factor (d, e) of K - lo Mw, number of counts).  Each count is the
-    factorisation _positive_definite makes: the scaled mass diagonal is 1,
-    so K - sigma Mw has the diagonal kd - sigma, bitwise.
+    factor of K - lo Mw as a _Tridiagonal, number of counts).  Each count
+    is the factorisation _positive_definite makes: the scaled mass diagonal
+    is 1, so K - sigma Mw has the diagonal kd - sigma, bitwise.
+
+    The counts factor into two preallocated slots: slots[0] holds lo's
+    factor, every count writes slots[1], and the two swap whenever lo moves
+    to the shift just counted.
     """
     kd, ke, me = scaled.k_diag, scaled.k_off, scaled.m_off
     n = len(kd)
     counts = 0
+    slots = [_Tridiagonal(n), _Tridiagonal(n)]
 
     def count(sigma):
         nonlocal counts
         counts += 1
-        d, e, info = dpttrf(kd - sigma, ke - sigma * me, overwrite_d=1, overwrite_e=1)
+        t = slots[1]
+        np.subtract(kd, sigma, out=t.d)
+        np.multiply(me, sigma, out=t.e)
+        np.subtract(ke, t.e, out=t.e)
+        info = _pttrf(t)
         # the last pivot exists when every earlier one is positive; it is
         # smooth in sigma up to the pole at the leading minor's smallest
         # eigenvalue and changes sign at mu*
-        return (d, e), info, (float(d[-1]) if info in (0, n) else None)
+        return info, (float(t.d[-1]) if info in (0, n) else None)
 
     for _ in range(60):
-        factor, info, f_lo = count(lo)
+        info, f_lo = count(lo)
         if info == 0:
+            slots.reverse()
             break
         lo -= max(1.0, abs(lo))
     else:
@@ -368,10 +478,11 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
     if hi <= lo:
         hi = lo + max(abs(lo) * 1e-12, 1e-300)
     for _ in range(60):
-        hi_factor, info, f_hi = count(hi)
+        info, f_hi = count(hi)
         if info != 0:
             break
-        lo, f_lo, factor = hi, f_hi, hi_factor
+        lo, f_lo = hi, f_hi
+        slots.reverse()
         hi += max(1.0, abs(hi))
     else:
         raise RuntimeError("eigensolver failed to certify an upper bound")
@@ -402,9 +513,10 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
             if not secant:
                 sigma = mid
         widths.append(hi - lo)
-        sigma_factor, info, f = count(sigma)
+        info, f = count(sigma)
         if info == 0:
-            lo, f_lo, factor = sigma, f, sigma_factor
+            lo, f_lo = sigma, f
+            slots.reverse()
             w_lo = 1.0 if secant else w_lo
             if last > 0 and f_hi is not None:
                 w_hi *= 0.5
@@ -415,15 +527,16 @@ def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: 
             if last < 0:
                 w_lo *= 0.5
             last = -1
-    return lo, hi, factor, counts
+    return lo, hi, slots[0], counts
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
     """Smallest generalized eigenvalue, certified by inertia counts, and its eigenvector.
 
-    Each count is a LAPACK LDL^T factorisation (dpttrf) of the Jacobi-scaled
-    K - sigma Mw: by Sylvester's law of inertia it is positive definite
-    exactly when sigma < mu*.  The search starts from the certified lower
+    Each count is a LAPACK LDL^T factorisation (dpttrf, through _pttrf from
+    numpy's bundled OpenBLAS, or from scipy where numpy has none; see
+    _lapack_pair) of the Jacobi-scaled K - sigma Mw: by Sylvester's law of
+    inertia it is positive definite exactly when sigma < mu*.  The search starts from the certified lower
     bound and the Rayleigh quotient RQ(1) of the constant vector, both
     counted, and narrows the bracket lo < mu* <= hi by regula falsi on the
     factorisation's last pivot, which changes sign at mu*.  It bisects when
@@ -448,7 +561,8 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
 
     The eigenvector comes from inverse iteration on the factor of the
     bracket's lower end, which the count proved positive definite, so no
-    solve can meet a singular shift.  It is normalized to unit weighted norm
+    solve can meet a singular shift; each solve is LAPACK dpttrs, from the
+    same library as dpttrf (_pttrs).  It is normalized to unit weighted norm
     with a deterministic sign and accepted once
     ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
     spectral_scale is a Gershgorin bound on the pencil spectrum (the level a
@@ -465,7 +579,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
 
     s, scaled = _jacobi_scaled(op)
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
-    lo, hi, (d_lo, e_lo), counts = _certified_bracket(scaled, op.mu_lower, hi, rq_ones, tol_eig)
+    lo, hi, factor, counts = _certified_bracket(scaled, op.mu_lower, hi, rq_ones, tol_eig)
     mu = 0.5 * (lo + hi)
     scale = max(abs(mu), abs(rq_ones))
 
@@ -480,7 +594,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
 
     Mz = scaled.apply_Mw(ones)
     for solves in range(1, 51):
-        y, _ = dpttrs(d_lo, e_lo, Mz)
+        y = _pttrs(factor, Mz)
         My = scaled.apply_Mw(y)
         nrm = math.sqrt(abs(float(y @ My)))
         z, Mz = y / nrm, My / nrm

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -204,6 +205,36 @@ class TestVerifyCommand:
         )
         code, _, _ = run_cli(capsys, "verify")
         assert code == 3
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_repeated_command_reuses_freed_memory():
+    # the second run's large temporaries (the Pohozaev integrand) fit in
+    # memory the first run freed: with the heap top trimmed after each
+    # command, the second run page-faults it back (about 3500 minor faults)
+    code = (
+        "import contextlib, io, resource\n"
+        "from lanemden import cli\n"
+        "def run():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['verify', '--suite', 'pohozaev']) == 0\n"
+        "run()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(lanemden.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60, check=True)
+    assert int(out.stdout) < 100
 
 
 class TestConfigFile:

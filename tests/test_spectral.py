@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import eigh, solve_banded
+import scipy.linalg.lapack
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from lanemden import (
     DiscreteOperator,
@@ -29,12 +31,15 @@ from lanemden import (
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
+from lanemden import spectral
 from lanemden.spectral import (
     STABLE,
     UNSTABLE,
+    _certified_bracket,
     _jacobi_scaled,
     _positive_definite,
     _robin_defect,
+    _Tridiagonal,
 )
 
 from conftest import get_liquid, get_profile, ode_hermite_data
@@ -258,6 +263,92 @@ class TestCertificate:
             assemble(data, 64)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tridiagonal(d, e):
+    t = _Tridiagonal(len(d))
+    t.d[:], t.e[:] = d, e
+    return t
+
+
+@pytest.fixture(params=["in-use", "scipy-fallback"])
+def lapack_pair(request, monkeypatch):
+    """(pttrf, pttrs) as spectral uses them, and as the fallback picks them when numpy has no symbols."""
+    if request.param == "in-use":
+        return spectral._pttrf, spectral._pttrs
+    monkeypatch.setattr(spectral, "_openblas_lapack", lambda: None)
+    return spectral._lapack_pair()
+
+
+class TestLapackPair:
+    """_pttrf/_pttrs against scipy.linalg.lapack's dpttrf/dpttrs, bit for bit."""
+
+    @staticmethod
+    def shifted_tridiagonal(n, fail_at):
+        # diagonal in [4, 5] and off-diagonal in [-0.5, 0.5], shifted by 2:
+        # every pivot is at least 1.9, except that a diagonal entry of 1 at
+        # fail_at (counted from 1) makes that pivot the first non-positive one
+        rng = np.random.default_rng(n + (fail_at or 0))
+        d, e = 4.0 + rng.random(n), rng.random(n - 1) - 0.5
+        if fail_at is not None:
+            d[fail_at - 1] = 1.0
+        return d - 2.0, e
+
+    @pytest.mark.parametrize("n", [2, 17, 2049, 8193])
+    @pytest.mark.parametrize("fail_at", [None, 1, "interior", "n"])
+    def test_factor_and_info_match_scipy(self, lapack_pair, n, fail_at):
+        pttrf, pttrs = lapack_pair
+        k = {"interior": n // 2 + 1, "n": n}.get(fail_at, fail_at)
+        d, e = self.shifted_tridiagonal(n, k)
+        t = tridiagonal(d, e)
+        want_d, want_e, want_info = dpttrf(d, e)
+        assert pttrf(t) == want_info == (k or 0)
+        assert same_bits(t.d, want_d) and same_bits(t.e, want_e)
+        if k is None:
+            b = np.random.default_rng(n).standard_normal(n)
+            want_x, info = dpttrs(want_d, want_e, b)
+            assert info == 0
+            x = pttrs(t, b)
+            assert same_bits(x, want_x)
+            assert x is not b and same_bits(t.d, want_d)  # the solve changes neither b nor the factor
+
+    def test_zero_pivot_stops_the_factorisation(self, lapack_pair):
+        pttrf, _ = lapack_pair
+        for k in (1, 3):
+            d, e = np.ones(5), np.zeros(4)
+            d[k - 1] = 0.0
+            assert pttrf(tridiagonal(d, e)) == dpttrf(d, e)[2] == k
+
+    def test_fallback_calls_scipy_where_numpy_has_no_symbols(self, monkeypatch):
+        calls = []
+
+        def spy(name, routine):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", spy("dpttrf", dpttrf))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", spy("dpttrs", dpttrs))
+        monkeypatch.setattr(spectral, "_openblas_lapack", lambda: None)
+        pttrf, pttrs = spectral._lapack_pair()
+        t = tridiagonal(*self.shifted_tridiagonal(17, None))
+        assert pttrf(t) == 0
+        pttrs(t, np.ones(17))
+        assert calls == ["dpttrf", "dpttrs"]
+
+    def test_solve_rejects_a_mismatched_right_hand_side(self, lapack_pair):
+        pttrf, pttrs = lapack_pair
+        t = tridiagonal(*self.shifted_tridiagonal(17, None))
+        assert pttrf(t) == 0
+        for b in (np.ones(16), np.ones(18)):
+            with pytest.raises(ValueError):
+                pttrs(t, b)
+
+
 class TestStableAtZero:
     # one line per regime for each d: gamma < 2d/(d+2), between the
     # thresholds, and gamma >= 2(d-1)/d
@@ -451,6 +542,32 @@ class TestCertifiedSearch:
                 ref_counts.append(ref.counts)
         # the regula falsi steps do the work: at most half the reference's counts
         assert np.median(counts) <= 0.5 * np.median(ref_counts)
+
+    @pytest.mark.parametrize("start", ["rq", "lower-bound"])
+    @pytest.mark.parametrize("tol_eig", [1e-8, 1e6])
+    def test_returned_factor_is_lo_s(self, start, tol_eig):
+        # the counts share two slots: the factor returned must be a fresh
+        # L D L^T of the scaled K - lo Mw, bit for bit.  Starting hi at the
+        # lower bound makes lo move in the upper-bound loop; tol_eig = 1e6
+        # stops the search right after that loop, so no later move of lo
+        # can hide a slot overwritten there
+        moved_up, stars = 0, 0
+        for d, g in TestStableAtZero.LINES:
+            for rho0 in TestStableAtZero.DENSITIES:
+                op = assemble(build_sl_data(get_liquid(d, g, rho0)), 2048)
+                _, scaled = _jacobi_scaled(op)
+                rq = op.rayleigh(np.ones(len(op.nodes)))
+                hi = op.mu_lower if start == "lower-bound" else rq + abs(rq) * 1e-12 + 1e-300
+                lo, _, factor, _ = _certified_bracket(scaled, op.mu_lower, hi, rq, tol_eig)
+                want_d, want_e, info = dpttrf(scaled.k_diag - lo, scaled.k_off - lo * scaled.m_off)
+                assert info == 0
+                assert same_bits(factor.d, want_d) and same_bits(factor.e, want_e), (d, g, rho0)
+                # the first count above the lower bound is at hi0; lo >= hi0
+                # only if that count, in the upper-bound loop, moved lo
+                hi0 = max(hi, op.mu_lower + max(abs(op.mu_lower) * 1e-12, 1e-300))
+                moved_up += lo >= hi0
+                stars += 1
+        assert moved_up == (stars if start == "lower-bound" else 0)
 
     @pytest.mark.parametrize("mesh", [16, 32, 64, 128, 256, 512])
     def test_manufactured(self, mesh):
