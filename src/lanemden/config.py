@@ -108,6 +108,10 @@ class StarConfig:
             return np.exp(enthalpy)
         return np.maximum(np.asarray(enthalpy), 0.0) ** (1.0 / (self.gamma - 1.0))
 
+    def rho_power_of_enthalpy(self, enthalpy):
+        """rho^(gamma-1) from the enthalpy wherever rho >= 0: w itself for gamma > 1, and 1 at gamma = 1."""
+        return 1.0 if self.isothermal else enthalpy
+
     def scalar_rho(self) -> Callable[[float], float]:
         """rho_of_enthalpy for one Python float, as the integrator's right-hand side calls it."""
         if self.isothermal:

@@ -150,6 +150,8 @@ class SweepRow:
     """One central density of a sweep: geometry, mass, and the verdict.
 
     reason is "<ExcType>: <message>" for an Error row and empty otherwise.
+    inertia_counts and solves are the eigensolver's (SpectralResult), 0 for
+    an Error row; neither is printed.
     """
 
     rho0: float
@@ -158,6 +160,8 @@ class SweepRow:
     mu_star: float
     verdict: str
     reason: str = ""
+    inertia_counts: int = 0
+    solves: int = 0
 
 
 # the failures that make a row an Error row instead of propagating
@@ -175,6 +179,8 @@ def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
         M_total=profile.total_mass,
         mu_star=result.mu_star,
         verdict=verdict,
+        inertia_counts=result.inertia_counts,
+        solves=result.solves,
     )
 
 
@@ -284,6 +290,8 @@ class CriticalDensityResult:
 
     integrations counts the DOP853 runs behind it (the lo end's, the line's
     and any interior star's own); nfev and steps are summed over them.
+    inertia_counts and solves are the eigensolver's work: the two bracket
+    ends' full solves, plus one count per bisection step.
     """
 
     rho0_crit: float
@@ -294,6 +302,8 @@ class CriticalDensityResult:
     integrations: int = 0
     nfev: int = 0
     steps: int = 0
+    inertia_counts: int = 0
+    solves: int = 0
 
 
 def critical_density(
@@ -337,7 +347,7 @@ def critical_density(
         raise ValueError(f"tol_rho must be positive and finite, got {tol_rho}")
 
     own, _ = _line_profile(None, d, gamma, lo, tol, rmax)
-    mu_lo = _classified_row(own, mesh, tol_eig).mu_star
+    row_lo = _classified_row(own, mesh, tol_eig)
     line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
     runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
 
@@ -347,7 +357,8 @@ def critical_density(
             runs.append((profile.nfev, profile.steps))
         return profile
 
-    mu_hi = _classified_row(star(hi), mesh, tol_eig).mu_star
+    row_hi = _classified_row(star(hi), mesh, tol_eig)
+    mu_lo, mu_hi = row_lo.mu_star, row_hi.mu_star
     if math.copysign(1.0, mu_lo) == math.copysign(1.0, mu_hi):
         raise ValueError(
             f"same-sign bracket: mu*({lo:g}) = {mu_lo:.3e}, mu*({hi:g}) = {mu_hi:.3e}"
@@ -372,6 +383,8 @@ def critical_density(
         integrations=len(runs),
         nfev=sum(n for n, _ in runs),
         steps=sum(k for _, k in runs),
+        inertia_counts=row_lo.inertia_counts + row_hi.inertia_counts + len(history) - 1,
+        solves=row_lo.solves + row_hi.solves,
     )
 
 

@@ -15,7 +15,11 @@ is linearly unstable iff the smallest eigenvalue mu* is negative, with growth
 rate sqrt(-mu*).
 
 q is evaluated through the equilibrium identity y^d (rhobar^gamma)' =
--y rhobar m, which avoids numerical differentiation of the profile.
+-y rhobar m = -(m/y^d) wgt, which avoids numerical differentiation of the
+profile: with p = gamma rhobar^(gamma-1) wgt, every coefficient is wgt times
+a column the profile's interpolant already holds (the enthalpy gives
+rhobar^(gamma-1), and m/y^d is the other column), so the only power of
+rhobar taken is rhobar itself.
 
 The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
 eigenvector solved for with its dpttrs.  Both are called through ctypes in
@@ -78,9 +82,9 @@ def build_sl_data(profile: Profile) -> SturmLiouvilleData:
 
     def coeffs(y):
         y = np.asarray(y, dtype=float)
-        rho, mass = profile.rho_and_mass_at(y)
-        y_pow = y ** (d + 1)
-        return g * rho**g * y_pow, -coef * y * rho * mass, y_pow * rho
+        enthalpy, mass_hat = profile.enthalpy_and_mass_hat_at(y)
+        wgt = y ** (d + 1) * config.rho_of_enthalpy(enthalpy)
+        return g * config.rho_power_of_enthalpy(enthalpy) * wgt, -coef * mass_hat * wgt, wgt
 
     inside = profile.radii < R
     return SturmLiouvilleData(
@@ -203,7 +207,7 @@ def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperato
     mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
     # the LDL^T certificate reads a NaN pivot as positive: never let one in
     if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
-        raise ValueError(_NON_FINITE)
+        raise RuntimeError(_NON_FINITE)
     return DiscreteOperator(
         nodes=nodes,
         k_diag=k_diag,
@@ -249,7 +253,7 @@ def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndar
         + data.robin_weight * (chi1[-1] * chi2[-1])
     )
     if not math.isfinite(value):
-        raise ValueError(_NON_FINITE)
+        raise RuntimeError(_NON_FINITE)
     return value
 
 
@@ -269,8 +273,13 @@ class SpectralResult:
 
     bracket = (lo, hi) is certified by two inertia counts, K - lo Mw positive
     definite and K - hi Mw not, so lo < mu* <= hi; mu_star is its midpoint.
-    inertia_counts is the number of LDL^T factorisations the search took and
-    solves the number of inverse-iteration solves.  residual is
+    hi - lo is at most 2 w, w = 5e-11 max(1, (mesh/2048)^2) max(|mu*|,
+    |RQ(1)|), above the band over which the counts flip by rounding (see
+    smallest_eigenpair).  inertia_counts is the number of LDL^T
+    factorisations the search took and solves the number of
+    inverse-iteration solves: those that settled the Rayleigh quotient the
+    bracket is certified around, and at least one more on the factor of
+    its final lower end.  residual is
     ||K chi - mu* Mw chi|| / (max(|mu*|, |RQ(1)|) ||Mw chi||) in the
     Jacobi-scaled pencil: the eigenvector's defect relative to the spectrum
     near mu*.  It sits at the rounding floor of K chi, which grows like
@@ -426,108 +435,189 @@ def stable_at_zero(op: DiscreteOperator) -> bool:
     sign of mu* that smallest_eigenpair certifies with a bracketing search.
     A zero pivot reads as not positive definite: mu* = 0 counts as not
     stable.  smallest_eigenpair takes this same count whenever 0 lies
-    inside its bracket, so the sign of its mu* is the sign read here.
+    inside its bracket, however wide, so the sign of its mu* is the sign
+    read here.
     """
     _, scaled = _jacobi_scaled(op)
     return _positive_definite(scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off, 0.0)
 
 
-# relative width, against tol_eig * max(|mu*|, |RQ(1)|), at which the
-# certified bracket stops narrowing: four orders below the verdict margin
-_BRACKET_WIDTH = 1e-4
+# the count search hands over to the Rayleigh-quotient probe once the
+# bracket is narrower than this share of max(|mu*|, |RQ(1)|)
+_COARSE_WIDTH = 0.1
+# half-width w of the certified bracket around the Rayleigh quotient, as a
+# share of max(|mu*|, |RQ(1)|) at mesh 2048: above the band of about 1e-10
+# over which the counts flip by rounding; the band grows like mesh^2
+_PROBE_WIDTH = 5e-11
+# the probe waits until the error left in the Rayleigh quotient, as its
+# last two changes extrapolate it, is at most this share of w, for at most
+# _PROBE_SOLVES solves
+_SETTLE = 0.3
+_PROBE_SOLVES = 10
 
 
-def _certified_bracket(scaled: DiscreteOperator, lo: float, hi: float, rq_ones: float, tol_eig: float):
-    """Narrow lo < mu* <= hi by inertia counts on the Jacobi-scaled pencil.
+class _CertifiedBracket:
+    """lo < mu* <= hi on the Jacobi-scaled pencil, both ends certified by inertia counts.
 
-    See smallest_eigenpair for the search.  Returns (lo, hi, the L D L^T
-    factor of K - lo Mw as a _Tridiagonal, number of counts).  Each count
-    is the factorisation _positive_definite makes: the scaled mass diagonal
-    is 1, so K - sigma Mw has the diagonal kd - sigma, bitwise.
+    See smallest_eigenpair for the search.  The constructor counts at lo and
+    hi, moving either outward until it holds; narrow, probe and settle
+    narrow the bracket from there.  Each count is the factorisation
+    _positive_definite makes: the scaled mass diagonal is 1, so K - sigma Mw
+    has the diagonal kd - sigma, bitwise.  counts is the number taken.
 
-    The counts factor into two preallocated slots: slots[0] holds lo's
-    factor, every count writes slots[1], and the two swap whenever lo moves
-    to the shift just counted.
+    The counts factor into two preallocated slots: factor (slots[0]) holds
+    lo's L D L^T factor, every count writes slots[1], and the two swap
+    whenever lo moves to the shift just counted.
     """
-    kd, ke, me = scaled.k_diag, scaled.k_off, scaled.m_off
-    n = len(kd)
-    counts = 0
-    slots = [_Tridiagonal(n), _Tridiagonal(n)]
 
-    def count(sigma):
-        nonlocal counts
-        counts += 1
-        t = slots[1]
-        np.subtract(kd, sigma, out=t.d)
-        np.multiply(me, sigma, out=t.e)
-        np.subtract(ke, t.e, out=t.e)
+    def __init__(self, scaled: DiscreteOperator, lo: float, hi: float, rq_ones: float):
+        self.kd, self.ke, self.me = scaled.k_diag, scaled.k_off, scaled.m_off
+        self.rq_ones = rq_ones
+        self.counts = 0
+        n = len(self.kd)
+        self.slots = [_Tridiagonal(n), _Tridiagonal(n)]
+        for _ in range(60):
+            info, f_lo = self._factor(lo)
+            if info == 0:
+                self.slots.reverse()
+                break
+            lo -= max(1.0, abs(lo))
+        else:
+            raise RuntimeError("eigensolver failed to certify a lower bound")
+        if hi <= lo:
+            hi = lo + max(abs(lo) * 1e-12, 1e-300)
+        for _ in range(60):
+            info, f_hi = self._factor(hi)
+            if info != 0:
+                break
+            lo, f_lo = hi, f_hi
+            self.slots.reverse()
+            hi += max(1.0, abs(hi))
+        else:
+            raise RuntimeError("eigensolver failed to certify an upper bound")
+        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+        self.widths = [hi - lo] * 3  # the bracket width before each count
+        self.w_lo = self.w_hi = 1.0  # Illinois weights of f_lo and f_hi (see smallest_eigenpair)
+        self.last = 0  # +1 after lo moved, -1 after hi moved
+
+    @property
+    def factor(self) -> _Tridiagonal:
+        return self.slots[0]
+
+    def scale(self, mu: float) -> float:
+        return max(abs(mu), abs(self.rq_ones))
+
+    def _factor(self, sigma: float):
+        """Factor K - sigma Mw into slots[1]: (LAPACK's info, the last pivot or None)."""
+        self.counts += 1
+        t = self.slots[1]
+        np.subtract(self.kd, sigma, out=t.d)
+        np.multiply(self.me, sigma, out=t.e)
+        np.subtract(self.ke, t.e, out=t.e)
         info = _pttrf(t)
         # the last pivot exists when every earlier one is positive; it is
         # smooth in sigma up to the pole at the leading minor's smallest
         # eigenvalue and changes sign at mu*
+        n = len(t.d)
         return info, (float(t.d[-1]) if info in (0, n) else None)
 
-    for _ in range(60):
-        info, f_lo = count(lo)
+    def count(self, sigma: float, secant: bool = False) -> bool:
+        """Count at lo < sigma < hi and move the end it certifies there; True when lo moved."""
+        self.widths.append(self.hi - self.lo)
+        info, f = self._factor(sigma)
         if info == 0:
-            slots.reverse()
-            break
-        lo -= max(1.0, abs(lo))
-    else:
-        raise RuntimeError("eigensolver failed to certify a lower bound")
-    if hi <= lo:
-        hi = lo + max(abs(lo) * 1e-12, 1e-300)
-    for _ in range(60):
-        info, f_hi = count(hi)
-        if info != 0:
-            break
-        lo, f_lo = hi, f_hi
-        slots.reverse()
-        hi += max(1.0, abs(hi))
-    else:
-        raise RuntimeError("eigensolver failed to certify an upper bound")
+            self.lo, self.f_lo = sigma, f
+            self.slots.reverse()
+            self.w_lo = 1.0 if secant else self.w_lo
+            if self.last > 0 and self.f_hi is not None:
+                self.w_hi *= 0.5
+            self.last = 1
+            return True
+        self.hi, self.f_hi = sigma, f
+        self.w_hi = 1.0 if secant else self.w_hi
+        if self.last < 0:
+            self.w_lo *= 0.5
+        self.last = -1
+        return False
 
-    widths = [hi - lo] * 3  # the bracket width before each count
-    w_lo = w_hi = 1.0  # Illinois weights of f_lo and f_hi (see smallest_eigenpair)
-    last = 0  # +1 after lo moved, -1 after hi moved
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent doubles
-        scale = max(abs(mid), abs(rq_ones))
-        secant = False
-        if hi - lo < _BRACKET_WIDTH * tol_eig * scale:
-            # narrow enough; the verdict compares mu* with 0 and +-margin, so
-            # settle each of them that still lies inside by its own count
-            margin = tol_eig * scale
-            sigma = next((t for t in (0.0, -margin, margin) if lo < t < hi), None)
-            if sigma is None:
-                break
-        elif f_hi is None or hi - lo > 0.5 * widths[-3]:
-            sigma = mid  # no last pivot above, or three counts did not halve
-        else:
-            # regula falsi on the weighted last pivot, f_lo > 0 >= f_hi
-            a, b = w_lo * f_lo, w_hi * f_hi
-            sigma = lo + (hi - lo) * (a / (a - b))
-            secant = lo < sigma < hi
-            if not secant:
-                sigma = mid
-        widths.append(hi - lo)
-        info, f = count(sigma)
-        if info == 0:
-            lo, f_lo = sigma, f
-            slots.reverse()
-            w_lo = 1.0 if secant else w_lo
-            if last > 0 and f_hi is not None:
-                w_hi *= 0.5
-            last = 1
-        else:
-            hi, f_hi = sigma, f
-            w_hi = 1.0 if secant else w_hi
-            if last < 0:
-                w_lo *= 0.5
-            last = -1
-    return lo, hi, slots[0], counts
+    def narrow(self, width: float) -> None:
+        """Count until hi - lo < width * max(|mid|, |RQ(1)|) or the ends are adjacent doubles."""
+        for _ in range(200):
+            lo, hi = self.lo, self.hi
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi or hi - lo < width * self.scale(mid):
+                return
+            sigma, secant = mid, False  # no last pivot above, or three counts did not halve
+            if self.f_hi is not None and hi - lo <= 0.5 * self.widths[-3]:
+                # regula falsi on the weighted last pivot, f_lo > 0 >= f_hi
+                a, b = self.w_lo * self.f_lo, self.w_hi * self.f_hi
+                t = lo + (hi - lo) * (a / (a - b))
+                if lo < t < hi:
+                    sigma, secant = t, True
+            self.count(sigma, secant)
+
+    def probe(self, rq: float, half_width: float) -> bool:
+        """Certify [rq - w, rq + w], w = half_width * max(|rq|, |RQ(1)|), by a count at each end.
+
+        An end outside the bracket needs no count.  Returns True when the
+        bracket lies within that interval; a count that disagrees still
+        moves its end.
+        """
+        w = half_width * self.scale(rq)
+        a, b = rq - w, rq + w
+        if a >= self.hi or b <= self.lo:
+            return False
+        if a > self.lo and not self.count(a):
+            return False
+        return b >= self.hi or not self.count(b)
+
+    def settle(self, tol_eig: float) -> None:
+        """Count at each of 0, -margin and +margin inside the bracket, margin = tol_eig * scale."""
+        for side in (0.0, -1.0, 1.0):
+            t = side * tol_eig * self.scale(0.5 * (self.lo + self.hi))
+            if self.lo < t < self.hi:
+                self.count(t)
+
+
+def _solve(scaled: DiscreteOperator, factor: _Tridiagonal, Mx: np.ndarray):
+    """One inverse-iteration step on factor's T: (z, Mw z, y.Mx / y.Mw y), y = T^-1 Mx, z = y / ||y||_Mw.
+
+    When T = K - shift Mw and Mx = Mw x, y.T y = y.Mw x, so the ratio is
+    RQ(y) - shift: the shift-invert identity gives y's Rayleigh quotient
+    without a product with K.
+    """
+    y = _pttrs(factor, Mx)
+    My = scaled.apply_Mw(y)
+    yMy = float(y @ My)
+    ratio = float(y @ Mx) / yMy
+    nrm = math.sqrt(abs(yMy))
+    y /= nrm
+    My /= nrm
+    return y, My, ratio
+
+
+def _inverse_iteration(scaled: DiscreteOperator, factor: _Tridiagonal, shift: float, x: np.ndarray,
+                       rq: float, tol: float, max_solves: int):
+    """Inverse iteration from x (whose Rayleigh quotient is rq) on factor, K - shift Mw's L D L^T.
+
+    Each step takes its Rayleigh quotient from _solve.  The quotients
+    converge geometrically, so with q the ratio of the last two changes,
+    about change q / (1 - q) of the error is left; the iteration stops once
+    that, or the change itself, is at most tol, or after max_solves solves.
+    Returns (z, Mw z, RQ(z), solves), z of unit weighted norm, with RQ None
+    when it did not settle.
+    """
+    Mx = scaled.apply_Mw(x)
+    last = 0.0  # the change before, none yet
+    for solves in range(1, max_solves + 1):
+        x, Mx, ratio = _solve(scaled, factor, Mx)
+        previous, rq = rq, shift + ratio
+        change = abs(rq - previous)
+        # change q / (1 - q) <= tol with q = change / last
+        if change <= tol or change * change <= tol * (last - change):
+            return x, Mx, rq, solves
+        last = change
+    return x, Mx, None, max_solves
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
@@ -536,37 +626,49 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     Each count is a LAPACK LDL^T factorisation (dpttrf, through _pttrf from
     numpy's bundled OpenBLAS, or from scipy where numpy has none; see
     _lapack_pair) of the Jacobi-scaled K - sigma Mw: by Sylvester's law of
-    inertia it is positive definite exactly when sigma < mu*.  The search starts from the certified lower
-    bound and the Rayleigh quotient RQ(1) of the constant vector, both
-    counted, and narrows the bracket lo < mu* <= hi by regula falsi on the
-    factorisation's last pivot, which changes sign at mu*.  It bisects when
-    the last pivot is not available (an earlier pivot failed) or when the
-    last three counts together did not halve the bracket, so the bracket
-    halves at least every four counts.  The regula falsi is Illinois with a
-    weight per end, halved each time the other end moves twice in a row and
-    reset only when a regula falsi step replaces its end: a bisection keeps
-    the halving.  It stops
-    once the bracket is narrower than 1e-4 * tol_eig * max(|mu*|, |RQ(1)|),
-    four orders below the verdict margin, and reports mu* as its midpoint:
-    mu* is certified to that width, not to adjacent doubles, and relative
-    to the counts, not to the exact discrete eigenvalue: near mu* the last
-    pivot is rounding noise of about eps * kd[-1], so the counts flip back
-    and forth over a band of about 1e-10 of max(|mu*|, |RQ(1)|) (star
-    pencils at mesh 2048), wider than the default stopping width of 1e-12
-    of that scale.  Before
-    stopping, every one of 0, -margin and +margin that still lies inside
-    the bracket gets its own count, so the verdict, the marginal flag and
-    the sign of mu* (which stable_at_zero reads with one count) never
-    depend on the stopping width.
+    inertia it is positive definite exactly when sigma < mu*.  With
+    scale = max(|mu*|, |RQ(1)|) and w = 5e-11 * max(1, (mesh/2048)^2) * scale,
+    the search (_CertifiedBracket) goes in four steps:
 
-    The eigenvector comes from inverse iteration on the factor of the
-    bracket's lower end, which the count proved positive definite, so no
-    solve can meet a singular shift; each solve is LAPACK dpttrs, from the
-    same library as dpttrf (_pttrs).  It is normalized to unit weighted norm
-    with a deterministic sign and accepted once
+    1. Counts narrow the bracket lo < mu* <= hi, from the certified lower
+       bound and the Rayleigh quotient RQ(1) of the constant vector, to
+       0.1 * scale.  They take regula falsi steps on the factorisation's
+       last pivot, which changes sign at mu*, and bisect when the last
+       pivot is not available (an earlier pivot failed) or when the last
+       three counts together did not halve the bracket, so the bracket
+       halves at least every four counts.  The regula falsi is Illinois
+       with a weight per end, halved each time the other end moves twice in
+       a row and reset only when a regula falsi step replaces its end: a
+       bisection keeps the halving.
+    2. Inverse iteration from the constant vector on the factor of lo,
+       which the count proved positive definite, so no solve can meet a
+       singular shift (dpttrs, through _pttrs), runs until its Rayleigh
+       quotient RQ settles to about 0.3 w (_inverse_iteration).
+    3. Two counts certify [RQ - w, RQ + w].  w lies above the band over
+       which the counts flip by rounding: near mu* the last pivot is
+       rounding noise of about eps * kd[-1], and the band is about 1e-10 of
+       scale at mesh 2048 and grows like mesh^2.  RQ carries rounding of
+       the same size, so about one star in twelve lands more than w from
+       the counts' crossing.  If either count disagrees, or RQ did not
+       settle within 10 solves, the counts of step 1 go on from the
+       bracket they left until it is narrower than 2 w.
+    4. Every one of 0, -margin and +margin that still lies inside the
+       bracket gets its own count.
+
+    So hi - lo <= 2 w, and mu* is the bracket's midpoint: certified to that
+    width, not to adjacent doubles, and relative to the counts, not to the
+    exact discrete eigenvalue.  The verdict, the marginal flag and the sign
+    of mu* (which stable_at_zero reads with one count) never depend on the
+    width, by step 4.
+
+    The eigenvector comes from the inverse iteration of step 2, continued
+    on the factor of the bracket's final lower end, which lies within 2 w
+    of mu*.  It is normalized to unit weighted norm with a deterministic
+    sign and accepted once
     ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
     spectral_scale is a Gershgorin bound on the pencil spectrum (the level a
-    backward-stable solve can achieve regardless of |mu*|); the reported
+    backward-stable solve can achieve regardless of |mu*|), after at least
+    one solve on that factor and at most 50 solves in all.  The reported
     residual is normalized by max(|mu*|, |RQ(1)|) instead.  The verdict is
     Unstable iff mu* < -margin with margin = tol_eig * max(|mu*|, |RQ(1)|);
     |mu*| <= margin reports Stable with the marginal flag set.
@@ -579,9 +681,19 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
 
     s, scaled = _jacobi_scaled(op)
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
-    lo, hi, factor, counts = _certified_bracket(scaled, op.mu_lower, hi, rq_ones, tol_eig)
+    bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq_ones)
+    bracket.narrow(_COARSE_WIDTH)
+    half_width = _PROBE_WIDTH * max(1.0, ((n - 1) / 2048.0) ** 2)  # w / scale
+    tol = _SETTLE * half_width * bracket.scale(0.5 * (bracket.lo + bracket.hi))
+    # from the constant vector, 1 / s in the scaled pencil, whose Rayleigh quotient is RQ(1)
+    z, Mz, rq, solves = _inverse_iteration(scaled, bracket.factor, bracket.lo, 1.0 / s, rq_ones, tol,
+                                           _PROBE_SOLVES)
+    if rq is None or not bracket.probe(rq, half_width):
+        bracket.narrow(2.0 * half_width)
+    bracket.settle(tol_eig)
+    lo, hi = bracket.lo, bracket.hi
     mu = 0.5 * (lo + hi)
-    scale = max(abs(mu), abs(rq_ones))
+    scale = bracket.scale(mu)
 
     # Gershgorin bound on the scaled pencil spectrum: eigenvector residuals
     # can be driven to tol_eig relative to this scale, but no further
@@ -592,12 +704,9 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     mass_floor = max(1.0 - 2.0 * float(np.abs(me).max()), 0.05)
     spectral_scale = float(row_sum.max()) / mass_floor
 
-    Mz = scaled.apply_Mw(ones)
-    for solves in range(1, 51):
-        y = _pttrs(factor, Mz)
-        My = scaled.apply_Mw(y)
-        nrm = math.sqrt(abs(float(y @ My)))
-        z, Mz = y / nrm, My / nrm
+    # the iterate goes on from the bracket's final lower end, within 2 w of mu*
+    for solves in range(solves + 1, 51):
+        z, Mz, _ = _solve(scaled, bracket.factor, Mz)
         defect = float(np.linalg.norm(scaled.apply_K(z) - mu * Mz))
         mz_norm = float(np.linalg.norm(Mz))
         if defect <= tol_eig * spectral_scale * mz_norm:
@@ -626,7 +735,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
         residual=residual,
         robin_defect=math.nan,
         bracket=(lo, hi),
-        inertia_counts=counts,
+        inertia_counts=bracket.counts,
         solves=solves,
     )
 

@@ -67,7 +67,7 @@ class Profile:
     the DOP853 run the profile was read off (for a star built from a line,
     the line's run); both are 0 for a profile that was not integrated.
 
-    Between samples, enthalpy_at, mass_at and rho_and_mass_at read one
+    Between samples, enthalpy_at, mass_at and enthalpy_and_mass_hat_at read one
     two-column cubic Hermite of the enthalpy and m/r^d, its slopes those the
     ODE gives at the samples (_ode_slopes), stored as a power-form table
     (_hermite_coefficients).  Each radius costs one interval search, and the
@@ -174,11 +174,10 @@ class Profile:
         (mass_hat,) = self._interpolate(r, 1)
         return mass_hat * r ** self.config.d
 
-    def rho_and_mass_at(self, r):
-        """(rho_at(r), mass_at(r)) bit for bit, from one interval search per radius."""
-        r = self._check_range(r)
-        enthalpy, mass_hat = self._interpolate(r, 0, 1)
-        return self.config.rho_of_enthalpy(enthalpy), mass_hat * r ** self.config.d
+    def enthalpy_and_mass_hat_at(self, r):
+        """The interpolant's two columns at r, the enthalpy and m/r^d, from one interval search per radius."""
+        enthalpy, mass_hat = self._interpolate(self._check_range(r), 0, 1)
+        return enthalpy, mass_hat
 
 
 def _enthalpy_slope(config: StarConfig, r, mass):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import lanemden
 import lanemden.cli as cli
 import lanemden.harness as harness
+import lanemden.spectral as spectral
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,27 @@ class TestStabilityCommand:
         )
         assert code == 2
         assert "numerical failure" in err
+
+    def test_non_finite_pencil_exit_code(self, capsys, monkeypatch):
+        # NaN coefficients from a valid star are a numerical failure, not a usage error
+        real_build = spectral.build_sl_data
+
+        def nan_coefficients(profile):
+            data = real_build(profile)
+
+            def coeffs(y):
+                p, q, wgt = data.coeffs(y)
+                q[q.size // 2] = math.nan
+                return p, q, wgt
+
+            return replace(data, coeffs=coeffs)
+
+        monkeypatch.setattr(spectral, "build_sl_data", nan_coefficients)
+        code, outtext, err = run_cli(
+            capsys, "stability", "--d", "3", "--gamma", "1.25", "--rho0", "10", "--mesh", "64"
+        )
+        assert code == 2 and outtext == ""
+        assert err.startswith("numerical failure: non-finite pencil entries") and err.count("\n") == 1
 
     def test_star_of_radius_1e_minus_14(self, capsys):
         # R = 9.4e-15: the liquid surface must be rooted to a relative tolerance

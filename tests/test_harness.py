@@ -118,6 +118,7 @@ class TestRunSweep:
         assert [r.verdict for r in rows] == ["Stable", "Error", "Stable"]
         assert math.isnan(rows[1].mu_star)
         assert [r.reason for r in rows] == ["", "RuntimeError: synthetic failure", ""]
+        assert (rows[1].inertia_counts, rows[1].solves) == (0, 0)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(profile, mesh_size=2048, tol_eig=1e-8):
@@ -142,6 +143,20 @@ class TestRunSweep:
         lines = a.getvalue().splitlines()
         assert lines[0] == "rho0,R,M,mu_star,verdict"
         assert len(lines) == 4
+
+    def test_rows_carry_the_eigensolver_evidence(self, monkeypatch):
+        results = []
+        real_solve = spectral.smallest_eigenpair
+
+        def recorded(*args, **kwargs):
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        rows = run_sweep(RunSpec(d=3, gamma=1.25, rho0_min=2.0, rho0_max=1e4, points=3, mesh=512))
+        assert [(r.inertia_counts, r.solves) for r in rows] == [
+            (res.inertia_counts, res.solves) for res in results]
+        assert all(r.inertia_counts > 0 and r.solves > 0 for r in rows)
 
     def test_sweep_single_consistency(self):
         spec = RunSpec(d=3, gamma=1.4, rho0_min=2.0, rho0_max=50.0, points=3, mesh=512)
@@ -409,6 +424,21 @@ class TestCriticalDensityCount:
         assert res.nfev == lo.nfev + line.sol.nfev
         assert res.steps == lo.steps + line.sol.n_steps
         assert res.nfev > 0 and res.steps > 0
+
+    def test_evidence_counts_the_eigensolver_work(self, monkeypatch):
+        # the two ends' full solves, plus one inertia count per bisection step
+        results = []
+        real_solve = spectral.smallest_eigenpair
+
+        def recorded(*args, **kwargs):
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        res = critical_density(3, 1.25, (40.0, 60.0), tol_rho=1e-2, mesh=512)
+        assert len(results) == 2 and len(res.history) > 2
+        assert res.inertia_counts == sum(r.inertia_counts for r in results) + len(res.history) - 1
+        assert res.solves == sum(r.solves for r in results)
 
     def test_interior_star_beyond_rmax_fails_in_its_own_integration(self, counted):
         # both ends have R < 0.08; a star inside the bracket has R > 0.3

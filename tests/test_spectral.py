@@ -22,6 +22,7 @@ from lanemden import (
     graded_mesh,
     instability_witness,
     integrate_gas_profile,
+    liquid_radius,
     manufactured_sl_data,
     quadratic_form,
     smallest_eigenpair,
@@ -35,7 +36,7 @@ from lanemden import spectral
 from lanemden.spectral import (
     STABLE,
     UNSTABLE,
-    _certified_bracket,
+    _CertifiedBracket,
     _jacobi_scaled,
     _positive_definite,
     _robin_defect,
@@ -259,7 +260,8 @@ class TestCertificate:
             return out
 
         data = manufactured_sl_data(3, 1.5, 1.0, p_fn=p, q_fn=q_nan, wgt_fn=p)
-        with pytest.raises(ValueError, match="non-finite"):
+        # a numerical failure, not a usage error: the inputs were valid
+        with pytest.raises(RuntimeError, match="non-finite"):
             assemble(data, 64)
 
 
@@ -494,9 +496,16 @@ def reference_eigenpair(op, tol_eig=1e-8):
     )
 
 
-def stated_width(result, op, tol_eig=1e-8):
-    """The width the certified bracket must be narrower than."""
-    return 1e-4 * tol_eig * max(abs(result.mu_star), abs(op.rayleigh(np.ones(len(op.nodes)))))
+def stated_width(result, op):
+    """The certified bracket's widest: 2 w, w = 5e-11 max(1, (mesh/2048)^2) max(|mu*|, |RQ(1)|).
+
+    The probe's ends are RQ -+ w rounded, so the width may exceed 2 w by
+    rounding: an ulp of each end is allowed.
+    """
+    mesh = len(op.nodes) - 1
+    scale = max(abs(result.mu_star), abs(op.rayleigh(np.ones(len(op.nodes)))))
+    ulps = sum(np.spacing(abs(end)) for end in result.bracket)
+    return 2.0 * 5e-11 * max(1.0, (mesh / 2048) ** 2) * scale + ulps
 
 
 def shifted(op, shift):
@@ -521,11 +530,13 @@ class TestCertifiedSearch:
         assert _positive_definite(*pencil, lo)
         assert not _positive_definite(*pencil, hi)
         assert lo < res.mu_star < hi or np.nextafter(lo, math.inf) == hi
-        assert hi - lo < stated_width(res, op, tol_eig)
+        assert hi - lo <= stated_width(res, op)
         assert abs(res.mu_star - ref.mu_star) <= (hi - lo if mu_tol is None else mu_tol)
         assert (res.verdict, res.marginal) == (ref.verdict, ref.marginal)
         assert res.inertia_counts <= ref.counts
-        assert res.solves == 1
+        # at most 10 solves to settle the Rayleigh quotient and one on the
+        # final lower end; the residual test never asks for more here
+        assert 2 <= res.solves <= 11
         assert res.residual <= tol_eig
         # the same eigenvector as the reference's
         assert abs(float(res.chi_star @ op.apply_Mw(ref.chi_star))) == pytest.approx(1.0, abs=1e-8)
@@ -543,14 +554,31 @@ class TestCertifiedSearch:
         # the regula falsi steps do the work: at most half the reference's counts
         assert np.median(counts) <= 0.5 * np.median(ref_counts)
 
+    def test_count_budget(self):
+        # counts narrow only to 0.1 of the scale, and the Rayleigh quotient's
+        # two counts certify the rest; the search that narrowed by counts to
+        # 1e-12 of the scale took a median of 20 and at most 46 here
+        counts = [smallest_eigenpair(assemble(build_sl_data(get_liquid(d, g, rho0)), 2048)).inertia_counts
+                  for d, g in TestStableAtZero.LINES for rho0 in TestStableAtZero.DENSITIES]
+        assert len(counts) == 45
+        assert np.median(counts) <= 12 and max(counts) <= 32
+
     @pytest.mark.parametrize("start", ["rq", "lower-bound"])
     @pytest.mark.parametrize("tol_eig", [1e-8, 1e6])
     def test_returned_factor_is_lo_s(self, start, tol_eig):
-        # the counts share two slots: the factor returned must be a fresh
-        # L D L^T of the scaled K - lo Mw, bit for bit.  Starting hi at the
-        # lower bound makes lo move in the upper-bound loop; tol_eig = 1e6
-        # stops the search right after that loop, so no later move of lo
-        # can hide a slot overwritten there
+        # the counts share two slots: the factor held must be a fresh
+        # L D L^T of the scaled K - lo Mw, bit for bit, after every step.
+        # Starting hi at the lower bound makes lo move in the upper-bound
+        # loop; narrowing to the width tol_eig = 1e6 stops right after that
+        # loop, so no later move of lo can hide a slot overwritten there.
+        # tol_eig = 1e-8 narrows to that width, and a probe around the
+        # midpoint and the margin counts move lo again
+        def check(bracket):
+            lo = bracket.lo
+            want_d, want_e, info = dpttrf(scaled.k_diag - lo, scaled.k_off - lo * scaled.m_off)
+            assert info == 0
+            assert same_bits(bracket.factor.d, want_d) and same_bits(bracket.factor.e, want_e), (d, g, rho0)
+
         moved_up, stars = 0, 0
         for d, g in TestStableAtZero.LINES:
             for rho0 in TestStableAtZero.DENSITIES:
@@ -558,29 +586,37 @@ class TestCertifiedSearch:
                 _, scaled = _jacobi_scaled(op)
                 rq = op.rayleigh(np.ones(len(op.nodes)))
                 hi = op.mu_lower if start == "lower-bound" else rq + abs(rq) * 1e-12 + 1e-300
-                lo, _, factor, _ = _certified_bracket(scaled, op.mu_lower, hi, rq, tol_eig)
-                want_d, want_e, info = dpttrf(scaled.k_diag - lo, scaled.k_off - lo * scaled.m_off)
-                assert info == 0
-                assert same_bits(factor.d, want_d) and same_bits(factor.e, want_e), (d, g, rho0)
+                bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq)
+                bracket.narrow(tol_eig)
+                check(bracket)
                 # the first count above the lower bound is at hi0; lo >= hi0
                 # only if that count, in the upper-bound loop, moved lo
                 hi0 = max(hi, op.mu_lower + max(abs(op.mu_lower) * 1e-12, 1e-300))
-                moved_up += lo >= hi0
+                moved_up += bracket.lo >= hi0 if tol_eig > 1.0 else 0
+                if tol_eig < 1.0:
+                    bracket.probe(0.5 * (bracket.lo + bracket.hi), 1e-10)
+                    check(bracket)
+                    bracket.settle(1e-2)
+                    check(bracket)
                 stars += 1
-        assert moved_up == (stars if start == "lower-bound" else 0)
+        if tol_eig > 1.0:
+            assert moved_up == (stars if start == "lower-bound" else 0)
 
     @pytest.mark.parametrize("mesh", [16, 32, 64, 128, 256, 512])
     def test_manufactured(self, mesh):
         # K is the singular p-stiffness minus Mw, so near mu* = -1 the count
         # flips by rounding over about 2e-12: the two solvers' brackets, each
-        # certified by its own counts, can miss each other by that much
-        res, _ = self.check_against_reference(assemble(manufactured(), mesh), mu_tol=1e-11)
+        # certified by its own counts, can miss each other by that much, and
+        # the reference's mu* may lie anywhere in this one's stated width
+        op = assemble(manufactured(), mesh)
+        res, _ = self.check_against_reference(op, mu_tol=stated_width(smallest_eigenpair(op), op))
         assert res.mu_star == pytest.approx(-1.0, abs=1e-9)
 
     @staticmethod
     def near_crossing():
-        # tol_eig = 1e-2 widens the stopping width to 1e-6 |RQ(1)|, far above
-        # the 6e-11 steps by which rounding the shifted diagonal moves mu*
+        # tol_eig = 1e-2 widens the margin to 1e-2 |RQ(1)|; the shifts below
+        # step by 2e-10 and 1e-7 of |RQ(1)|, above the 6e-11 steps by which
+        # rounding the shifted diagonal moves mu*
         op = assemble(build_sl_data(get_liquid(3, 1.25, 50.3231)), 256)
         return op, smallest_eigenpair(op).mu_star, abs(op.rayleigh(np.ones(len(op.nodes))))
 
@@ -631,8 +667,64 @@ class TestCertifiedSearch:
         )
         res, ref = self.check_against_reference(op)
         exact = 2.0 - gap - math.sqrt(2.0 - 2.0 * gap + gap * gap)
-        assert res.mu_star == pytest.approx(exact, rel=1e-11)
+        assert abs(res.mu_star - exact) <= stated_width(res, op)
         assert res.inertia_counts <= 25 < ref.counts
+
+    @pytest.mark.parametrize("offset", [-3.0, 3.0])
+    @pytest.mark.parametrize("star", [(3, 1.25, 10.0), (3, 1.25, 1e3), (4, 1.4, 50.3231)], ids=str)
+    def test_probe_fallback(self, monkeypatch, star, offset):
+        # the Rayleigh quotient pushed 3 w off: one of the probe's counts
+        # disagrees, and the count search must finish the bracket itself
+        op = assemble(build_sl_data(get_liquid(*star)), 2048)
+        want = smallest_eigenpair(op)
+        rq_ones = op.rayleigh(np.ones(len(op.nodes)))
+        real_iteration, real_narrow = spectral._inverse_iteration, _CertifiedBracket.narrow
+        narrowed = []
+
+        def off_by(*args):
+            z, Mz, rq, solves = real_iteration(*args)
+            return z, Mz, rq + offset * 5e-11 * max(abs(rq), abs(rq_ones)), solves  # w at mesh 2048
+
+        def narrow(self, width):
+            narrowed.append(width)
+            return real_narrow(self, width)
+
+        monkeypatch.setattr(spectral, "_inverse_iteration", off_by)
+        monkeypatch.setattr(_CertifiedBracket, "narrow", narrow)
+        res = smallest_eigenpair(op)
+        assert narrowed == [0.1, 1e-10]
+        lo, hi = res.bracket
+        _, scaled = _jacobi_scaled(op)
+        pencil = (scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off)
+        assert _positive_definite(*pencil, lo)
+        assert not _positive_definite(*pencil, hi)
+        assert hi - lo <= stated_width(res, op)
+        assert (res.verdict, res.marginal) == (want.verdict, want.marginal)
+        assert abs(res.mu_star - want.mu_star) <= stated_width(res, op)
+        assert res.inertia_counts > want.inertia_counts
+        assert abs(float(res.chi_star @ op.apply_Mw(want.chi_star))) == pytest.approx(1.0, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(-1e3, 1e3), spread=st.floats(1e-3, 1e3))
+    def test_random_pencils_bracket_the_dense_eigenvalue(self, n, seed, shift, spread):
+        # a symmetric tridiagonal K and a diagonally dominant, so positive
+        # definite, tridiagonal Mw: the certified bracket must hold scipy's
+        # dense smallest eigenvalue, up to its width and both solvers' rounding
+        rng = np.random.default_rng(seed)
+        k_diag = shift + spread * rng.uniform(-1.0, 1.0, n)
+        k_off = spread * rng.uniform(-1.0, 1.0, n - 1)
+        m_diag = rng.uniform(0.5, 2.0, n)
+        m_off = 0.2 * np.minimum(m_diag[:-1], m_diag[1:]) * rng.uniform(-1.0, 1.0, n - 1)
+        op = DiscreteOperator(nodes=np.arange(float(n)), k_diag=k_diag, k_off=k_off,
+                              m_diag=m_diag, m_off=m_off, mu_lower=shift - 10.0 * spread)
+        res = smallest_eigenpair(op)
+        lam = float(eigh(dense_tridiagonal(k_diag, k_off), dense_tridiagonal(m_diag, m_off),
+                         eigvals_only=True, subset_by_index=[0, 0])[0])
+        lo, hi = res.bracket
+        assert hi - lo <= stated_width(res, op)
+        rounding = 64 * n * np.finfo(float).eps * (abs(shift) + 3.0 * spread + abs(lam))
+        assert lo - rounding <= lam <= hi + rounding
 
     def test_residual_is_relative_to_mu(self):
         data = build_sl_data(get_liquid(3, 1.25, 1e4))
@@ -649,22 +741,32 @@ class TestCertifiedSearch:
 
 
 class TestFusedCoefficients:
-    """build_sl_data's one-search coefficients against the two-interpolant path."""
+    """build_sl_data's one-search coefficients against separate reads and the two-interpolant path."""
 
     STARS = [(3, 1.0, 1.01), (3, 1.0, 1e6), (3, 1.25, 50.0), (3, 2.0, 1.01), (3, 2.0, 1e6),
              (4, 1.4, 1e3), (5, 1.5, 10.0), (7, 1.01, 1e3), (7, 1.5, 1.01), (7, 2.0, 1e6),
              (4, 1.2, 1e6)]
 
     @staticmethod
-    def reference_coeffs(profile):
-        d, g = profile.config.d, profile.config.gamma
+    def formula(config, enthalpy, mass_hat, y):
+        """(p, q, wgt) from the enthalpy and m/y^d.
+
+        wgt = y^(d+1) rho, p = gamma rho^(gamma-1) wgt and q = -coef (m/y^d) wgt.
+        """
+        d, g = config.d, config.gamma
         coef = 2.0 * (d - 1.0) - d * g
+        wgt = y ** (d + 1) * config.rho_of_enthalpy(enthalpy)
+        rho_power = 1.0 if g == 1.0 else enthalpy  # rho^(gamma-1) is w itself
+        return g * rho_power * wgt, -coef * mass_hat * wgt, wgt
+
+    @classmethod
+    def reference_coeffs(cls, profile):
+        """The coefficients from one read per column: enthalpy_at and the m/r^d column alone."""
 
         def coeffs(y):
             y = np.asarray(y, dtype=float)
-            rho = profile.rho_at(y)
-            y_pow = y ** (d + 1)
-            return g * rho**g * y_pow, -coef * y * rho * profile.mass_at(y), y_pow * rho
+            (mass_hat,) = profile._interpolate(y, 1)
+            return cls.formula(profile.config, profile.enthalpy_at(y), mass_hat, y)
 
         return coeffs
 
@@ -734,15 +836,12 @@ class TestFusedCoefficients:
         profile = get_liquid(*star)
         two = self.two_column_builds(profile)
         assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == two.c.tobytes()
-        d, g = profile.config.d, profile.config.gamma
-        coef = 2.0 * (d - 1.0) - d * g
+        d = profile.config.d
 
         def two_coeffs(y):
             y = np.asarray(y, dtype=float)
             enthalpy, mass_hat = np.moveaxis(two(y), -1, 0)
-            rho, mass = profile.config.rho_of_enthalpy(enthalpy), mass_hat * y**d
-            y_pow = y ** (d + 1)
-            return g * rho**g * y_pow, -coef * y * rho * mass, y_pow * rho
+            return self.formula(profile.config, enthalpy, mass_hat, y)
 
         # the single-column reads (Pohozaev, truncation) too
         y = 0.5 * (profile.radii[:-1] + profile.radii[1:])
@@ -757,6 +856,22 @@ class TestFusedCoefficients:
             for name in ("k_diag", "k_off", "m_diag", "m_off"):
                 assert getattr(op, name).tobytes() == getattr(ref, name).tobytes(), (name, mesh)
             assert float(op.mu_lower).hex() == float(ref.mu_lower).hex()
+
+    @pytest.mark.parametrize("star", STARS, ids=str)
+    def test_coefficient_identities(self, star):
+        # q / wgt = -coef m / r^d and p / wgt = gamma rho^(gamma-1), each
+        # side from the profile's own reads, away from y = 0 where wgt = 0
+        profile = get_liquid(*star)
+        config = profile.config
+        d, g = config.d, config.gamma
+        coef = 2.0 * (d - 1.0) - d * g
+        y = graded_mesh(liquid_radius(profile), 512)[1:]
+        p, q, wgt = build_sl_data(profile).coeffs(y)
+        rho = profile.rho_at(y)
+        ulp = np.finfo(float).eps
+        assert np.allclose(q / wgt, -coef * profile.mass_at(y) / y**d, rtol=8 * ulp, atol=0.0)
+        assert np.allclose(p / wgt, g * rho ** (g - 1.0), rtol=8 * ulp, atol=0.0)
+        assert np.array_equal(wgt, y ** (d + 1) * rho)
 
     def test_rejects_nan_and_out_of_range(self):
         profile = get_liquid(3, 1.25, 50.0)

@@ -572,11 +572,10 @@ def _assert_hermite_bitwise(profile):
     # every breakpoint (r = 0 and r_end among them), a float either side, midpoints
     y = np.concatenate([r, np.nextafter(r[1:], 0.0), np.nextafter(r[:-1], np.inf), 0.5 * (r[:-1] + r[1:])])
     enthalpy, mass_hat = np.moveaxis(ref(y), -1, 0)
-    rho, mass = profile.config.rho_of_enthalpy(enthalpy), mass_hat * y**d
     assert profile.enthalpy_at(y).tobytes() == enthalpy.tobytes()
-    assert profile.mass_at(y).tobytes() == mass.tobytes()
-    got_rho, got_mass = profile.rho_and_mass_at(y)
-    assert got_rho.tobytes() == rho.tobytes() and got_mass.tobytes() == mass.tobytes()
+    assert profile.mass_at(y).tobytes() == (mass_hat * y**d).tobytes()
+    got_enthalpy, got_mass_hat = profile.enthalpy_and_mass_hat_at(y)
+    assert got_enthalpy.tobytes() == enthalpy.tobytes() and got_mass_hat.tobytes() == mass_hat.tobytes()
     # a 0-d radius gives a 0-d array, as PPoly does
     for x in (0.0, profile.r_end, 0.5 * profile.r_end):
         got = profile.enthalpy_at(np.array(x))
