@@ -289,9 +289,11 @@ class CriticalDensityResult:
     """Bisection result for the sign change of mu*(rho0).
 
     integrations counts the DOP853 runs behind it (the lo end's, the line's
-    and any interior star's own); nfev and steps are summed over them.
-    inertia_counts and solves are the eigensolver's work: the two bracket
-    ends' full solves, plus one count per bisection step.
+    and every own integration of an interior star, once per build: a star
+    built for a count at both meshes counts twice); nfev and steps are
+    summed over them.  inertia_counts and solves are the eigensolver's
+    work: the two bracket ends' full solves, plus every count taken, at
+    _STEER_MESH and at mesh.
     """
 
     rho0_crit: float
@@ -304,6 +306,27 @@ class CriticalDensityResult:
     steps: int = 0
     inertia_counts: int = 0
     solves: int = 0
+
+
+# the mesh of the guide run that steers critical_density's bisection above it
+_STEER_MESH = 2048
+
+
+def _bisect(
+    lo: float, hi: float, tol_rho: float, on_lo_side: Callable[[float], bool]
+) -> List[Tuple[float, float]]:
+    """The brackets of a bisection in log rho0, each midpoint's side read from on_lo_side."""
+    history = [(lo, hi)]
+    while hi - lo > tol_rho * 0.5 * (hi + lo):
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        if not (lo < mid < hi):
+            break
+        if on_lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+        history.append((lo, hi))
+    return history
 
 
 def critical_density(
@@ -335,6 +358,18 @@ def critical_density(
     falls on the unstable side, as its negatively signed zero does in the
     full solve.  A step's side can differ from that of the star's own
     integration only where |mu*| lies within their ~3e-10 relative gap.
+
+    The single crossing also decides sides without a count: a midpoint at
+    or below a density counted on lo's side at mesh is on lo's side, one at
+    or above a density counted on hi's side is on hi's, and any other is
+    counted at mesh; at mesh <= _STEER_MESH that is every midpoint.  Above
+    it the bisection first runs with its counts at _STEER_MESH, as a guide
+    only.  The two ends of the guide's final bracket are counted at mesh
+    (their stars read off the line again), then the bisection runs at mesh.
+    Every earlier midpoint lies outside that nested bracket, so where the
+    guide agrees with mesh no other count is taken, and where it does not
+    the midpoints left undecided are counted: the history is always that of
+    counting every midpoint at mesh.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -364,16 +399,31 @@ def critical_density(
             f"same-sign bracket: mu*({lo:g}) = {mu_lo:.3e}, mu*({hi:g}) = {mu_hi:.3e}"
         )
     lo_stable = math.copysign(1.0, mu_lo) > 0.0
-    history = [(lo, hi)]
-    while hi - lo > tol_rho * 0.5 * (hi + lo):
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        if not (lo < mid < hi):
-            break
-        if stable_at_zero(assemble(build_sl_data(star(mid)), mesh)) == lo_stable:
-            lo = mid
-        else:
-            hi = mid
-        history.append((lo, hi))
+    counts = 0
+
+    def counted_on_lo_side(rho0: float, at_mesh: int) -> bool:
+        nonlocal counts
+        counts += 1
+        return stable_at_zero(assemble(build_sl_data(star(rho0)), at_mesh)) == lo_stable
+
+    # the largest density known to lie on lo's side at mesh, and the smallest on hi's
+    known = [lo, hi]
+
+    def on_lo_side(rho0: float) -> bool:
+        if rho0 <= known[0]:
+            return True
+        if rho0 >= known[1]:
+            return False
+        side = counted_on_lo_side(rho0, mesh)
+        known[0 if side else 1] = rho0
+        return side
+
+    if mesh > _STEER_MESH:
+        guide = _bisect(lo, hi, tol_rho, lambda rho0: counted_on_lo_side(rho0, _STEER_MESH))
+        for end in guide[-1]:
+            on_lo_side(end)
+    history = _bisect(lo, hi, tol_rho, on_lo_side)
+    lo, hi = history[-1]
     return CriticalDensityResult(
         rho0_crit=math.exp(0.5 * (math.log(lo) + math.log(hi))),
         bracket=(lo, hi),
@@ -383,7 +433,7 @@ def critical_density(
         integrations=len(runs),
         nfev=sum(n for n, _ in runs),
         steps=sum(k for _, k in runs),
-        inertia_counts=row_lo.inertia_counts + row_hi.inertia_counts + len(history) - 1,
+        inertia_counts=row_lo.inertia_counts + row_hi.inertia_counts + counts,
         solves=row_lo.solves + row_hi.solves,
     )
 
@@ -408,8 +458,6 @@ class BatteryStar:
     buchdahl: Optional[float]
 
 
-Battery = Callable[[], Tuple[BatteryStar, ...]]
-
 # integration tolerance of the battery; the decay and Buchdahl checks allow 10x it
 _BATTERY_TOL = 1e-10
 
@@ -432,7 +480,23 @@ def _battery_stars() -> Tuple[BatteryStar, ...]:
     return tuple(stars)
 
 
-def _check_explicit(battery: Battery) -> VerifyCheck:
+def _far_star(g: float) -> Profile:
+    """The (3, g, 1) gas star out to r = 1e3, where the tail and radius-limit checks read its spiral."""
+    return integrate_gas_profile(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """What more than one check integrates: memoised callables that integrate on first use.
+
+    verify_suite makes one per call, so nothing outlives the call.
+    """
+
+    battery: Callable[[], Tuple[BatteryStar, ...]]
+    far_star: Callable[[float], Profile]
+
+
+def _check_explicit(shared: _Shared) -> VerifyCheck:
     worst = 0.0
     for C in (1.0, 32.0):
         star = explicit_profile_critical(3, C)
@@ -447,28 +511,28 @@ def _check_explicit(battery: Battery) -> VerifyCheck:
     )
 
 
-def _check_pohozaev(battery: Battery) -> VerifyCheck:
-    worst = max(s.pohozaev for s in battery())
+def _check_pohozaev(shared: _Shared) -> VerifyCheck:
+    worst = max(s.pohozaev for s in shared.battery())
     return VerifyCheck(
         "pohozaev", worst <= 1e-5, worst, "max normalized residual over the battery"
     )
 
 
-def _check_decay(battery: Battery) -> VerifyCheck:
-    worst = max(s.decay for s in battery())
+def _check_decay(shared: _Shared) -> VerifyCheck:
+    worst = max(s.decay for s in shared.battery())
     return VerifyCheck(
         "decay", worst <= 10.0 * _BATTERY_TOL, worst, "max (rho/bound - 1) over the battery"
     )
 
 
-def _check_buchdahl(battery: Battery) -> VerifyCheck:
-    worst = max(s.buchdahl for s in battery() if s.buchdahl is not None)
+def _check_buchdahl(shared: _Shared) -> VerifyCheck:
+    worst = max(s.buchdahl for s in shared.battery() if s.buchdahl is not None)
     return VerifyCheck(
         "buchdahl", worst <= 10.0 * _BATTERY_TOL, worst, "max phase-bound slack over the battery"
     )
 
 
-def _check_singular(battery: Battery) -> VerifyCheck:
+def _check_singular(shared: _Shared) -> VerifyCheck:
     worst = 0.0
     for d, g in ((3, 1.0), (3, 1.2), (4, 1.2), (5, 1.5), (9, 1.6)):
         star = singular_star(d, g)
@@ -477,7 +541,7 @@ def _check_singular(battery: Battery) -> VerifyCheck:
     return VerifyCheck("singular", worst <= 1e-12, worst, "max normalized ODE residual")
 
 
-def _check_fixed_point(battery: Battery) -> VerifyCheck:
+def _check_fixed_point(shared: _Shared) -> VerifyCheck:
     worst = 0.0
     for d in range(3, 10):
         gmax = stability_threshold(d)
@@ -487,11 +551,11 @@ def _check_fixed_point(battery: Battery) -> VerifyCheck:
     return VerifyCheck("fixed-point", worst <= 1e-12, worst, "max ||F(v*)|| over the grid")
 
 
-def _check_tail(battery: Battery) -> VerifyCheck:
+def _check_tail(shared: _Shared) -> VerifyCheck:
     ok = True
     worst = 0.0
     for g in (1.0, 1.1):
-        profile = integrate_gas_profile(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
+        profile = shared.far_star(g)
         fit = tail_convergence_rate(profile)
         _, vs = fixed_points(3, g)
         u1_at_1 = 1.0 ** (2.0 / (2.0 - g)) * float(profile.rho_at(1.0))
@@ -503,9 +567,9 @@ def _check_tail(battery: Battery) -> VerifyCheck:
     )
 
 
-def _check_radius_limit(battery: Battery) -> VerifyCheck:
+def _check_radius_limit(shared: _Shared) -> VerifyCheck:
     d, g = 3, 1.1
-    base = integrate_gas_profile(StarConfig(d, g, 1.0), tol=1e-10, r_max=1e3)
+    base = shared.far_star(g)
     r_inf = radius_limit(d, g)
     devs = {}
     for kappa in (10.0, 1e6):
@@ -523,7 +587,7 @@ def _check_radius_limit(battery: Battery) -> VerifyCheck:
     )
 
 
-def _check_q_symmetry(battery: Battery) -> VerifyCheck:
+def _check_q_symmetry(shared: _Shared) -> VerifyCheck:
     """x.K.y and x.Mw.y reproduce the closed-form Q and <., .>_wgt of a polynomial pencil.
 
     With p = y^3, q = y - 2, wgt = 1 + y^2 the 3-point Gauss rule integrates
@@ -550,7 +614,7 @@ def _check_q_symmetry(battery: Battery) -> VerifyCheck:
     )
 
 
-def _check_strongform(battery: Battery) -> VerifyCheck:
+def _check_strongform(shared: _Shared) -> VerifyCheck:
     d = 3
     poly = lambda y: np.asarray(y, dtype=float) ** (d + 1)
     data = manufactured_sl_data(
@@ -572,9 +636,9 @@ def _check_strongform(battery: Battery) -> VerifyCheck:
     )
 
 
-# each check takes the run's battery: a memoised callable that integrates the
-# battery stars on first use, so one verify_suite call integrates them at most once
-_CHECKS: Tuple[Tuple[str, Callable[[Battery], VerifyCheck]], ...] = (
+# each check takes the call's _Shared, so one verify_suite call integrates the
+# battery and each far star at most once
+_CHECKS: Tuple[Tuple[str, Callable[[_Shared], VerifyCheck]], ...] = (
     ("explicit", _check_explicit),
     ("pohozaev", _check_pohozaev),
     ("decay", _check_decay),
@@ -593,11 +657,12 @@ def verify_suite(selection: str = "all") -> dict:
     names = [n for n, _ in _CHECKS]
     if selection != "all" and selection not in names:
         raise ValueError(f"unknown suite {selection!r}; choose from {['all'] + names}")
-    battery = functools.cache(_battery_stars)  # lives for this call only
+    # one far star is kept: the tail check's last, (3, 1.1, 1), is radius-limit's
+    shared = _Shared(functools.cache(_battery_stars), functools.lru_cache(maxsize=1)(_far_star))
     checks = []
     for name, fn in _CHECKS:
         if selection in ("all", name):
-            checks.append(fn(battery))
+            checks.append(fn(shared))
     return {
         "passed": bool(all(c.passed for c in checks)),
         "checks": [

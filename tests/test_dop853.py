@@ -228,6 +228,23 @@ def test_non_finite_state_raises():
         dop853.solve(lambda t, a, b: (1e300, 0.0), 0.0, (1.7e308, 0.0), 1e12, rtol=1e-10, atol=1e-300)
 
 
+def test_step_budget(monkeypatch):
+    # the budget sits above the slowest known run, the (3, 1 + 1e-9, 10) gas star
+    assert dop853.MAX_STEPS > 313_657
+    # a run of exactly MAX_STEPS steps is kept bit for bit; one more step raises
+    free = _cosine()
+    n = free.n_steps
+    monkeypatch.setattr(dop853, "MAX_STEPS", n)
+    assert _cosine().ts.tobytes() == free.ts.tobytes()
+    monkeypatch.setattr(dop853, "MAX_STEPS", n - 1)
+    with pytest.raises(RuntimeError, match=rf"step budget exhausted: {n - 1} accepted steps"):
+        _cosine()
+    # the budget fails a star's integration as any other RuntimeError does
+    monkeypatch.setattr(dop853, "MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match=r"\(dop853.MAX_STEPS\)"):
+        integrate_gas_profile(StarConfig(3, 1.25, 50.0), stop_at_liquid=True)
+
+
 def test_oscillator_closed_form():
     # a'' = -a through a few periods: the dense output follows cos and -sin
     sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)

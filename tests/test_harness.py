@@ -345,9 +345,12 @@ def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
     return math.exp(0.5 * (math.log(lo) + math.log(hi))), mu_lo, mu_hi, tuple(history)
 
 
-# (line, mesh): three lines at two meshes, then the isothermal floor and a
-# high-dimensional line near gamma = 1 at the small mesh
-BITWISE_LINES = [(line, mesh) for line in ((3, 1.25), (4, 1.4), (5, 1.3)) for mesh in (2048, 512)]
+# (line, mesh): three lines at three meshes (4096 is steered by a bisection at
+# 2048), then the isothermal floor and a high-dimensional line near gamma = 1
+# at the small mesh
+BITWISE_LINES = [
+    (line, mesh) for line in ((3, 1.25), (4, 1.4), (5, 1.3)) for mesh in (2048, 512, 4096)
+]
 BITWISE_LINES += [((3, 1.0), 512), ((7, 1.01), 512)]
 
 # the RuntimeError message of a star whose liquid radius exceeds rmax
@@ -440,13 +443,21 @@ class TestCriticalDensityCount:
         assert res.inertia_counts == sum(r.inertia_counts for r in results) + len(res.history) - 1
         assert res.solves == sum(r.solves for r in results)
 
-    def test_interior_star_beyond_rmax_fails_in_its_own_integration(self, counted):
+    @staticmethod
+    def _interior_star_beyond_rmax_fails(counted, mesh):
         # both ends have R < 0.08; a star inside the bracket has R > 0.3
         with pytest.raises(RuntimeError) as info:
-            critical_density(3, 1.25, (1.01, 1e6), mesh=512, rmax=0.3)
+            critical_density(3, 1.25, (1.01, 1e6), mesh=mesh, rmax=0.3)
         assert str(info.value) == TOO_SHORT
         assert counted["lines"] == [1e6]
         assert counted["stars"][0] == 1.01 and len(counted["stars"]) == 2
+
+    def test_interior_star_beyond_rmax_fails_in_its_own_integration(self, counted):
+        self._interior_star_beyond_rmax_fails(counted, 512)
+
+    def test_interior_star_beyond_rmax_fails_in_the_steering_bisection(self, counted):
+        # above mesh 2048 the failing star is first built for a count at 2048
+        self._interior_star_beyond_rmax_fails(counted, 4096)
 
     def test_lo_end_beyond_rmax_fails_first(self, counted):
         with pytest.raises(RuntimeError) as info:
@@ -454,6 +465,83 @@ class TestCriticalDensityCount:
         assert str(info.value) == TOO_SHORT
         assert counted["stars"] == [1.01]
         assert counted["lines"] == []
+
+    @pytest.fixture
+    def meshes(self, monkeypatch):
+        """The mesh of every inertia count critical_density takes, in order."""
+        calls = []
+        real = harness.stable_at_zero
+
+        def recorded(op):
+            calls.append(len(op.nodes) - 1)
+            return real(op)
+
+        monkeypatch.setattr(harness, "stable_at_zero", recorded)
+        return calls
+
+    @pytest.mark.parametrize("mesh", [512, 2048])
+    def test_every_midpoint_counted_at_mesh(self, meshes, mesh):
+        res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
+        assert meshes == [mesh] * (len(res.history) - 1)
+
+    @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4)])
+    def test_steered_run_counts_the_final_bracket_at_mesh(self, meshes, monkeypatch, line):
+        # the bisection at 2048 counts every midpoint; at mesh only its final
+        # bracket's two ends are counted, each star built again off the line.
+        # The evidence holds the ends' full solves and the counts at both meshes
+        results = []
+        real_solve = spectral.smallest_eigenpair
+
+        def recorded(*args, **kwargs):
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
+        iterations = len(res.history) - 1
+        assert meshes == [2048] * iterations + [4096] * 2
+        assert res.integrations == 2 and len(results) == 2
+        assert res.inertia_counts == sum(r.inertia_counts for r in results) + iterations + 2
+        assert res.solves == sum(r.solves for r in results)
+
+    def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
+        # with no star served by the line, each count builds its star by its
+        # own integration, and the final bracket's two are built twice
+        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0: None)
+        res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
+        iterations = len(res.history) - 1
+        mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
+        assert counted["stars"] == [1.01, 1e6] + mids + list(res.history[-1])
+        assert res.integrations == 3 + iterations + 2 == len(counted["stars"]) + 1
+        crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 4096)
+        assert res.rho0_crit.hex() == crit.hex() and res.history == history
+
+    @pytest.mark.parametrize("lie", ["always-lo-side", "last-flipped"])
+    def test_wrong_guide_still_bisects_at_mesh(self, monkeypatch, lie):
+        # the counts at 2048 lie; the counts at mesh settle every midpoint the
+        # lie leaves undecided, so the result is the plain bisection's
+        crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 4096)
+        iterations = len(history) - 1
+        real = harness.stable_at_zero
+        at_mesh = []
+
+        def lying(op):
+            mesh = len(op.nodes) - 1
+            if mesh != harness._STEER_MESH:
+                at_mesh.append(mesh)
+                return real(op)
+            if lie == "always-lo-side":
+                return True  # mu*(1.01) > 0: lo's side is the stable one
+            lying.guide += 1
+            return real(op) != (lying.guide == iterations)
+
+        lying.guide = 0
+        monkeypatch.setattr(harness, "stable_at_zero", lying)
+        res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
+        assert res.rho0_crit.hex() == crit.hex()
+        assert res.history == history
+        assert res.mu_lo.hex() == mu_lo.hex() and res.mu_hi.hex() == mu_hi.hex()
+        assert len(at_mesh) > 2 and set(at_mesh) == {4096}
 
     @pytest.mark.parametrize("mesh", [2048, 8192])
     def test_pinned_rho0_crit_exact(self, mesh):
@@ -505,9 +593,17 @@ class TestVerifyBattery:
 
     def test_one_integration_per_star(self, integrations):
         verify_suite("all")
-        # explicit 2, battery 24, tail 2, radius-limit 2, strongform 1 (q-symmetry
-        # checks a polynomial pencil and integrates no star)
-        assert len(integrations) == 31
+        # explicit 2, battery 24, tail 2, radius-limit 1 (it reads the tail's
+        # (3, 1.1, 1) star), strongform 1 (q-symmetry checks a polynomial
+        # pencil and integrates no star)
+        assert len(integrations) == 30
+
+    @pytest.mark.parametrize("name", ["tail", "radius-limit"])
+    def test_far_star_integrated_once_per_call(self, integrations, name):
+        for _ in range(2):  # no cache outlives a call
+            integrations.clear()
+            verify_suite(name)
+            assert [(c.d, c.gamma, c.rho_center) for c in integrations].count((3, 1.1, 1.0)) == 1
 
     @pytest.mark.parametrize("name", BATTERY_CHECKS)
     def test_single_check_integrates_battery_once_per_call(self, integrations, name):
