@@ -45,8 +45,13 @@ EPS = float(np.finfo(float).eps)
 
 # accepted steps a run may take before solve gives up, so that no run hangs;
 # the slowest known runs, (3, 1 + 1e-9, 10) liquid and gas, take 260,815 and
-# 313,657 steps (the gas run peaks at 675 MiB, about 2 KiB a step)
+# 313,657 steps (the gas run alone peaks at 217 MiB, about 0.6 KiB a step)
 MAX_STEPS = 1_000_000
+
+# step records a run holds as Python tuples before it packs them into one
+# float64 array (38 floats a step), so that a long run's records cost 304
+# bytes a step, not the ~1.3 KiB of a tuple of floats
+RECORD_BLOCK = 4096
 
 C = np.array([
     0.0,
@@ -549,10 +554,12 @@ def solve(
         raise RuntimeError(f"non-finite start at r = {t:.17g}: y, y' = {a!r}, {b!r}, {fa!r}, {fb!r}")
     h_abs = _initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
     nfev = 2
-    records = []
+    n_steps = 0
+    blocks = []  # float64 arrays of RECORD_BLOCK step records each
+    records = []  # the records since the last block, as tuples
 
     while t < t_bound:
-        if len(records) == MAX_STEPS:
+        if n_steps == MAX_STEPS:
             raise RuntimeError(
                 f"step budget exhausted: {MAX_STEPS} accepted steps (dop853.MAX_STEPS) "
                 f"reached r = {t:.17g} of {t_bound:.17g}"
@@ -601,15 +608,22 @@ def solve(
         k = _dense_stages(rhs, t, h, a, b, ka, kb)
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
         records.append((t, h, a, b, a_new, b_new) + k)
+        n_steps += 1
+        if len(records) == RECORD_BLOCK:
+            blocks.append(np.array(records))
+            records = []
         if stop is not None and a >= stop >= a_new:
             break
         t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
 
-    rec = np.array(records)
+    if records:
+        blocks.append(np.array(records))
+    rec = np.concatenate(blocks)
+    del blocks  # freed before the dense coefficients are computed
     return DenseSolution(
         ts=np.append(rec[:, 0], t_new),
         ys=np.concatenate([rec[:, 2:4], rec[-1:, 4:6]]),
-        h=rec[:, 1],
+        h=rec[:, 1].copy(),  # a copy, so that the solution does not keep rec alive
         coeffs=_dense_coefficients(rec),
         nfev=nfev,
     )

@@ -35,6 +35,7 @@ from .spectral import (
     stable_at_zero,
 )
 from .steady import (
+    MIN_POINTS,
     LiquidLine,
     Profile,
     decay_bound,
@@ -185,18 +186,24 @@ def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
 
 
 def _line_profile(
-    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float
+    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float,
+    points: int = MIN_POINTS,
 ) -> Tuple[Profile, bool]:
     """rho0's liquid-cut star off the line's run, or its own integration where the run cannot serve.
 
     The run cannot serve when there is no line or LiquidLine.star returns
-    None.  The flag is True when the star was integrated on its own.
+    None.  Either way its grid is refined to points samples
+    (integrate_gas_profile's min_points).  The flag is True when the star
+    was integrated on its own.
     """
-    profile = None if line is None else line.star(rho0)
+    profile = None if line is None else line.star(rho0, points)
     if profile is not None:
         return profile, False
     config = StarConfig(d, gamma, rho0)
-    return integrate_gas_profile(config, tol=tol, r_max=rmax, stop_at_liquid=True), True
+    profile = integrate_gas_profile(
+        config, tol=tol, r_max=rmax, min_points=points, stop_at_liquid=True
+    )
+    return profile, True
 
 
 def sweep_row(
@@ -293,7 +300,8 @@ class CriticalDensityResult:
     built for a count at both meshes counts twice); nfev and steps are
     summed over them.  inertia_counts and solves are the eigensolver's
     work: the two bracket ends' full solves, plus every count taken, at
-    _STEER_MESH and at mesh.
+    _STEER_MESH (512, on 512-sample stars) and at mesh.  At the default
+    mesh 2048 that is the guide's counts at 512 and two at 2048.
     """
 
     rho0_crit: float
@@ -308,8 +316,9 @@ class CriticalDensityResult:
     solves: int = 0
 
 
-# the mesh of the guide run that steers critical_density's bisection above it
-_STEER_MESH = 2048
+# the mesh of the guide run that steers critical_density's bisection above
+# it, and the sample count of each star the guide counts
+_STEER_MESH = 512
 
 
 def _bisect(
@@ -362,14 +371,16 @@ def critical_density(
     The single crossing also decides sides without a count: a midpoint at
     or below a density counted on lo's side at mesh is on lo's side, one at
     or above a density counted on hi's side is on hi's, and any other is
-    counted at mesh; at mesh <= _STEER_MESH that is every midpoint.  Above
-    it the bisection first runs with its counts at _STEER_MESH, as a guide
-    only.  The two ends of the guide's final bracket are counted at mesh
-    (their stars read off the line again), then the bisection runs at mesh.
+    counted at mesh; at mesh <= _STEER_MESH (512) that is every midpoint.
+    Above it, the default mesh 2048 included, the bisection first runs as a
+    guide only, each midpoint counted at _STEER_MESH on its star refined to
+    _STEER_MESH samples instead of steady.MIN_POINTS.  The two ends of the
+    guide's final bracket are counted at mesh (their stars read off the
+    line again at MIN_POINTS samples), then the bisection runs at mesh.
     Every earlier midpoint lies outside that nested bracket, so where the
     guide agrees with mesh no other count is taken, and where it does not
     the midpoints left undecided are counted: the history is always that of
-    counting every midpoint at mesh.
+    counting every midpoint at mesh on MIN_POINTS-sample stars.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -386,8 +397,8 @@ def critical_density(
     line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
     runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
 
-    def star(rho0: float) -> Profile:
-        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax)
+    def star(rho0: float, points: int = MIN_POINTS) -> Profile:
+        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax, points)
         if integrated:
             runs.append((profile.nfev, profile.steps))
         return profile
@@ -401,10 +412,10 @@ def critical_density(
     lo_stable = math.copysign(1.0, mu_lo) > 0.0
     counts = 0
 
-    def counted_on_lo_side(rho0: float, at_mesh: int) -> bool:
+    def counted_on_lo_side(rho0: float, at_mesh: int, points: int = MIN_POINTS) -> bool:
         nonlocal counts
         counts += 1
-        return stable_at_zero(assemble(build_sl_data(star(rho0)), at_mesh)) == lo_stable
+        return stable_at_zero(assemble(build_sl_data(star(rho0, points)), at_mesh)) == lo_stable
 
     # the largest density known to lie on lo's side at mesh, and the smallest on hi's
     known = [lo, hi]
@@ -419,7 +430,9 @@ def critical_density(
         return side
 
     if mesh > _STEER_MESH:
-        guide = _bisect(lo, hi, tol_rho, lambda rho0: counted_on_lo_side(rho0, _STEER_MESH))
+        guide = _bisect(
+            lo, hi, tol_rho, lambda rho0: counted_on_lo_side(rho0, _STEER_MESH, _STEER_MESH)
+        )
         for end in guide[-1]:
             on_lo_side(end)
     history = _bisect(lo, hi, tol_rho, on_lo_side)

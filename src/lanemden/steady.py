@@ -312,9 +312,10 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
     The run stops after the step where the enthalpy falls through the stop
     level: the liquid surface rho = 1 if stop_at_liquid and rho0 > 1,
     otherwise config.gas_stop.  Raises RuntimeError when the seed overflows
-    float64 (rho0^(3-gamma) near 1e308 or more), or when rho0 > 1 but the
-    central enthalpy rounds onto the liquid surface's (w0 - 1 rounds to 0
-    for gamma near 1), which leaves no room for a seed.
+    float64 (rho0^(3-gamma) near 1e308 or more), when the seed radius is so
+    small that r0^(d-1) rounds to 0 (large d or rho0), or when rho0 > 1 but
+    the central enthalpy rounds onto the liquid surface's (w0 - 1 rounds to
+    0 for gamma near 1), which leaves no room for a seed.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -345,6 +346,11 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
     seed = _seed(config, r0)
     if not all(map(math.isfinite, seed)):
         raise RuntimeError(f"the Taylor seed of {config} overflows float64")
+    if r0 ** (d - 1) == 0.0:
+        raise RuntimeError(
+            f"the Taylor seed radius {r0:.17g} of {config} underflows float64: "
+            f"r^{d - 1} rounds to 0 there, and the right-hand side divides by it"
+        )
     try:
         sol = dop853.solve(rhs, r0, seed, r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
     except RuntimeError as exc:
@@ -478,13 +484,16 @@ class LiquidLine:
     r0: float
     sol: dop853.DenseSolution
 
-    def star(self, rho0: float) -> Optional[Profile]:
+    def star(self, rho0: float, points: int = MIN_POINTS) -> Optional[Profile]:
         """The gas profile of central density rho0 cut at its liquid radius, or None.
 
-        None when this run cannot resolve the star: rho0 is so close to 1
-        that the top star's enthalpy is already below the star's level at
-        the seed radius, or the star's liquid radius exceeds r_max.  Raises
-        ValueError when rho0 is outside (1, rho_top].
+        points is the sample count the run's steps are refined to, as
+        integrate_gas_profile's min_points; the liquid radius is the same
+        crossing whatever it is.  None when this run cannot resolve the
+        star: rho0 is so close to 1 that the top star's enthalpy is already
+        below the star's level at the seed radius, or the star's liquid
+        radius exceeds r_max.  Raises ValueError when rho0 is outside
+        (1, rho_top].
         """
         rho_top, gamma = self.top.rho_center, self.top.gamma
         if not 1.0 < rho0 <= rho_top:
@@ -495,7 +504,7 @@ class LiquidLine:
         if root is None or root / lam > self.r_max:
             return None
         config = StarConfig(self.top.d, gamma, rho0)
-        return _sampled_profile(config, self.sol, kappa, self.r0, root, root, None, MIN_POINTS)
+        return _sampled_profile(config, self.sol, kappa, self.r0, root, root, None, points)
 
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:

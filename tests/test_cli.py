@@ -182,6 +182,20 @@ class TestStabilityCommand:
         assert code == 0 and err == ""
         assert json.loads(outtext)["verdict"] == "Unstable"
 
+    @pytest.mark.parametrize(
+        "d,gamma,rho0", [("7", "1", "1e150"), ("7", "1.2", "1e150"), ("12", "1", "1e60"),
+                         ("30", "1", "1e20")]
+    )
+    def test_seed_radius_underflow_names_its_cause(self, capsys, d, gamma, rho0):
+        # the seed radius shrinks as rho0 grows: r0^(d - 1) rounds to 0 here
+        code, outtext, err = run_cli(
+            capsys, "stability", "--d", d, "--gamma", gamma, "--rho0", rho0, "--mesh", "64"
+        )
+        assert code == 2 and outtext == ""
+        assert err.startswith("numerical failure: the Taylor seed radius ")
+        assert f"underflows float64: r^{int(d) - 1} rounds to 0" in err
+        assert "division by zero" not in err
+
     def test_gas_star_rejected(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--d", "3", "--gamma", "1.25", "--rho0", "0.9")
         assert code == 1

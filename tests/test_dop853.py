@@ -245,6 +245,25 @@ def test_step_budget(monkeypatch):
         integrate_gas_profile(StarConfig(3, 1.25, 50.0), stop_at_liquid=True)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: _cosine(),
+    lambda: _cosine(stop=0.0),
+    lambda: steady._integrate(StarConfig(3, 1.25, 50.0), 1e-10, 50.0, True)[2],
+], ids=["cosine", "cosine-stop", "star"])
+def test_records_packed_in_blocks_keep_the_bits(monkeypatch, run):
+    # a run packs its step records into float64 blocks as it goes; blocks of
+    # 3 and 1 steps, one that the last step fills and one that leaves a single
+    # step over give the bits of the run that never fills a block
+    whole = run()
+    assert whole.n_steps < dop853.RECORD_BLOCK
+    for block in (3, whole.n_steps, whole.n_steps - 1, 1):
+        monkeypatch.setattr(dop853, "RECORD_BLOCK", block)
+        blocked = run()
+        for name in ("ts", "ys", "h", "coeffs"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), (block, name)
+        assert blocked.nfev == whole.nfev
+
+
 def test_oscillator_closed_form():
     # a'' = -a through a few periods: the dense output follows cos and -sin
     sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)

@@ -345,13 +345,13 @@ def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
     return math.exp(0.5 * (math.log(lo) + math.log(hi))), mu_lo, mu_hi, tuple(history)
 
 
-# (line, mesh): three lines at three meshes (4096 is steered by a bisection at
-# 2048), then the isothermal floor and a high-dimensional line near gamma = 1
-# at the small mesh
+# (line, mesh): three lines at three meshes (2048 and 4096 are steered by a
+# bisection at 512 on 512-sample stars), one more steered mesh, then the
+# isothermal floor and a high-dimensional line near gamma = 1 at the small mesh
 BITWISE_LINES = [
     (line, mesh) for line in ((3, 1.25), (4, 1.4), (5, 1.3)) for mesh in (2048, 512, 4096)
 ]
-BITWISE_LINES += [((3, 1.0), 512), ((7, 1.01), 512)]
+BITWISE_LINES += [((3, 1.25), 1024), ((3, 1.0), 512), ((7, 1.01), 512)]
 
 # the RuntimeError message of a star whose liquid radius exceeds rmax
 TOO_SHORT = "profile too short: grid ends before rho reaches 1 (increase r_max)"
@@ -407,7 +407,7 @@ class TestCriticalDensityCount:
             assert res.integrations == 2
 
     def test_unserved_stars_integrate_on_their_own(self, counted, monkeypatch):
-        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0: None)
+        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0, points: None)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=512)
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
@@ -456,7 +456,7 @@ class TestCriticalDensityCount:
         self._interior_star_beyond_rmax_fails(counted, 512)
 
     def test_interior_star_beyond_rmax_fails_in_the_steering_bisection(self, counted):
-        # above mesh 2048 the failing star is first built for a count at 2048
+        # above mesh 512 the failing star is first built for a count at 512
         self._interior_star_beyond_rmax_fails(counted, 4096)
 
     def test_lo_end_beyond_rmax_fails_first(self, counted):
@@ -479,14 +479,15 @@ class TestCriticalDensityCount:
         monkeypatch.setattr(harness, "stable_at_zero", recorded)
         return calls
 
-    @pytest.mark.parametrize("mesh", [512, 2048])
+    @pytest.mark.parametrize("mesh", [512])
     def test_every_midpoint_counted_at_mesh(self, meshes, mesh):
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         assert meshes == [mesh] * (len(res.history) - 1)
 
+    @pytest.mark.parametrize("mesh", [2048, 4096])
     @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4)])
-    def test_steered_run_counts_the_final_bracket_at_mesh(self, meshes, monkeypatch, line):
-        # the bisection at 2048 counts every midpoint; at mesh only its final
+    def test_steered_run_counts_the_final_bracket_at_mesh(self, meshes, monkeypatch, line, mesh):
+        # the bisection at 512 counts every midpoint; at mesh only its final
         # bracket's two ends are counted, each star built again off the line.
         # The evidence holds the ends' full solves and the counts at both meshes
         results = []
@@ -497,9 +498,9 @@ class TestCriticalDensityCount:
             return results[-1]
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
-        res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
+        res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         iterations = len(res.history) - 1
-        assert meshes == [2048] * iterations + [4096] * 2
+        assert meshes == [512] * iterations + [mesh] * 2
         assert res.integrations == 2 and len(results) == 2
         assert res.inertia_counts == sum(r.inertia_counts for r in results) + iterations + 2
         assert res.solves == sum(r.solves for r in results)
@@ -507,7 +508,7 @@ class TestCriticalDensityCount:
     def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
         # with no star served by the line, each count builds its star by its
         # own integration, and the final bracket's two are built twice
-        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0: None)
+        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0, points: None)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
@@ -518,7 +519,7 @@ class TestCriticalDensityCount:
 
     @pytest.mark.parametrize("lie", ["always-lo-side", "last-flipped"])
     def test_wrong_guide_still_bisects_at_mesh(self, monkeypatch, lie):
-        # the counts at 2048 lie; the counts at mesh settle every midpoint the
+        # the counts at 512 lie; the counts at mesh settle every midpoint the
         # lie leaves undecided, so the result is the plain bisection's
         crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 4096)
         iterations = len(history) - 1

@@ -171,6 +171,28 @@ class TestLiquidLine:
             assert getattr(star, name).tobytes() == getattr(own, name).tobytes(), name
         assert star.liquid_radius == own.liquid_radius
 
+    def test_sample_count_refines_the_same_cut(self):
+        # points plays integrate_gas_profile's min_points; the default is
+        # MIN_POINTS, and the liquid radius is the run's crossing either way
+        top = StarConfig(3, 1.25, 1e4)
+        line = steady.integrate_line(top)
+        own = integrate_gas_profile(top, min_points=512, stop_at_liquid=True)
+        coarse_top = line.star(1e4, 512)
+        for name in ("radii", "rho", "enthalpy", "mass"):
+            assert getattr(coarse_top, name).tobytes() == getattr(own, name).tobytes(), name
+        for rho0 in (1.02, 37.7, 411.0, 1e4):
+            fine, coarse = line.star(rho0), line.star(rho0, 512)
+            explicit = line.star(rho0, steady.MIN_POINTS)
+            for name in ("radii", "rho", "enthalpy", "mass"):
+                assert getattr(fine, name).tobytes() == getattr(explicit, name).tobytes(), name
+            assert len(fine.radii) >= steady.MIN_POINTS
+            assert 512 <= len(coarse.radii) < len(fine.radii)
+            kappa = rho0 / top.rho_center
+            root = line.sol.crossing(top.enthalpy_of_inverse(kappa))
+            lam = kappa ** (1.0 - top.gamma / 2.0)
+            assert fine.liquid_radius == coarse.liquid_radius == root / lam
+            assert liquid_radius(coarse) == liquid_radius(fine)
+
     @pytest.mark.parametrize("rho0", [1.0, 0.5, math.nextafter(1e4, math.inf), 2e4, math.nan])
     def test_density_outside_the_line_raises(self, rho0):
         line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
