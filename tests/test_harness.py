@@ -479,8 +479,11 @@ class TestCriticalDensityCount:
         monkeypatch.setattr(harness, "stable_at_zero", recorded)
         return calls
 
-    @pytest.mark.parametrize("mesh", [512])
-    def test_every_midpoint_counted_at_mesh(self, meshes, mesh):
+    @pytest.mark.parametrize("mesh", [512, 2048])
+    def test_every_midpoint_counted_at_mesh(self, meshes, monkeypatch, mesh):
+        # at mesh <= _STEER_MESH nothing steers; the 2048 case raises the
+        # guide mesh to 2048, so its midpoints are counted on 2048-point stars
+        monkeypatch.setattr(harness, "_STEER_MESH", max(harness._STEER_MESH, mesh))
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         assert meshes == [mesh] * (len(res.history) - 1)
 
