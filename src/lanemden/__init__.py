@@ -13,6 +13,7 @@ from .steady import (
     integrate_gas_profile,
     integrate_line,
     liquid_radius,
+    liquid_star,
     pohozaev_residual,
     read_profile_csv,
     scale_profile,

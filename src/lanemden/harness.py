@@ -20,6 +20,7 @@ from .phase import (
     buchdahl_bounds,
     fixed_points,
     phase_trajectory,
+    profile_to_phase,
     radius_limit,
     tail_convergence_rate,
     vector_field,
@@ -38,11 +39,13 @@ from .steady import (
     MIN_POINTS,
     LiquidLine,
     Profile,
+    _fmt,
     decay_bound,
     explicit_profile_critical,
     integrate_gas_profile,
     integrate_line,
     liquid_radius,
+    liquid_star,
     pohozaev_residual,
     scale_profile,
     singular_star,
@@ -57,12 +60,6 @@ ERROR = "Error"
 PROFILE_BATTERY: Tuple[Tuple[int, float, float], ...] = tuple(
     (d, g, rho0) for d in (3, 4, 5) for g in (1.0, 1.2, 1.5, 2.0) for rho0 in (1.0, 10.0)
 )
-
-
-def _fmt(x: Optional[float]) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,13 @@ class RunSpec:
         return np.linspace(self.rho0_min, self.rho0_max, self.points)
 
 
+def _worst_defects(profile: Profile) -> Tuple[float, float]:
+    """The largest |Pohozaev residual| over the grid, and the decay slack max(rho / decay_bound) - 1."""
+    poho = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
+    slack = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
+    return poho, slack
+
+
 def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profile, dict]:
     """Integrate one star, emit its CSV, and return (profile, diagnostics).
 
@@ -118,13 +122,9 @@ def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profil
         raise ValueError(
             "no liquid truncation exists for rho0 <= 1; pass gas=True for a gas profile"
         )
-    profile = integrate_gas_profile(
-        config, tol=spec.tol, r_max=spec.rmax, stop_at_liquid=not spec.gas
-    )
+    profile = (integrate_gas_profile if spec.gas else liquid_star)(config, tol=spec.tol, r_max=spec.rmax)
     emitted = profile if spec.gas else truncate_liquid(profile)
-
-    slack = float(np.max(profile.rho / decay_bound(config, profile.radii))) - 1.0
-    poho = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
+    poho, slack = _worst_defects(profile)
     diagnostics = {
         "d": config.d,
         "gamma": config.gamma,
@@ -189,21 +189,17 @@ def _line_profile(
     line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float,
     points: int = MIN_POINTS,
 ) -> Tuple[Profile, bool]:
-    """rho0's liquid-cut star off the line's run, or its own integration where the run cannot serve.
+    """rho0's liquid-cut star off the line's run, or off its own line where the run cannot serve.
 
     The run cannot serve when there is no line or LiquidLine.star returns
-    None.  Either way its grid is refined to points samples
-    (integrate_gas_profile's min_points).  The flag is True when the star
-    was integrated on its own.
+    None; then the star is liquid_star's, the top star of its own line.
+    Either way its grid is refined to points samples (LiquidLine.star's).
+    The flag is True when the star was built off its own line.
     """
     profile = None if line is None else line.star(rho0, points)
     if profile is not None:
         return profile, False
-    config = StarConfig(d, gamma, rho0)
-    profile = integrate_gas_profile(
-        config, tol=tol, r_max=rmax, min_points=points, stop_at_liquid=True
-    )
-    return profile, True
+    return liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax, min_points=points), True
 
 
 def sweep_row(
@@ -215,24 +211,15 @@ def sweep_row(
     tol_eig: float = 1e-8,
     rmax: float = 50.0,
 ) -> SweepRow:
-    """Compute one sweep row from scratch (independent of any other row).
+    """Compute one sweep row from scratch (independent of any other row): its star is liquid_star's.
 
     run_sweep and critical_density read most stars off one integration per
     line instead.  Such a star's profile samples the same star on another
     grid, so its mu* differs from this one's by up to about 3e-10 relative at
     mesh 2048 (1.9e-9 was seen at rho0 = 1 + 1e-9).
     """
-    profile, _ = _line_profile(None, d, gamma, rho0, tol, rmax)
+    profile = liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax)
     return _classified_row(profile, mesh, tol_eig)
-
-
-def _line_row(line: Optional[LiquidLine], rho0: float, spec: RunSpec) -> SweepRow:
-    """rho0's row from the line's run, or from its own integration where the run cannot serve.
-
-    The profile is local to this call, so it is freed before the next row's is built.
-    """
-    profile, _ = _line_profile(line, spec.d, spec.gamma, rho0, spec.tol, spec.rmax)
-    return _classified_row(profile, spec.mesh, spec.tol_eig)
 
 
 def run_sweep(spec: RunSpec) -> List[SweepRow]:
@@ -244,11 +231,11 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     largest star's row is bit for bit sweep_row's.  The others' R and M agree
     with sweep_row's to about 1e-10 and their mu* to about 3e-10 relative at
     mesh 2048, so a row's mu* depends on its line at that level.  A row's
-    star is integrated on its own, as sweep_row's is, when its liquid level
-    is not crossed after the largest star's seed or its R would exceed rmax
-    (_line_profile), and every row's is when the line's own integration
-    fails, so each Error row keeps its own reason.  The profiles are built
-    one at a time.
+    star is sweep_row's, off its own line (steady.liquid_star), when its
+    liquid level is not crossed after the largest star's seed or its R would
+    exceed rmax (_line_profile), and every row's is when the line's own
+    integration fails, so each Error row keeps its own reason.  The profiles
+    are built one at a time.
 
     Only numerical and usage failures (ValueError, RuntimeError,
     ArithmeticError, LinAlgError) become Error rows, with the exception kept
@@ -267,7 +254,8 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     rows = []
     for rho0 in densities:
         try:
-            rows.append(_line_row(line, rho0, spec))
+            profile, _ = _line_profile(line, spec.d, spec.gamma, rho0, spec.tol, spec.rmax)
+            rows.append(_classified_row(profile, spec.mesh, spec.tol_eig))
         except _ROW_ERRORS as exc:
             rows.append(
                 SweepRow(
@@ -279,6 +267,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
                     reason=f"{type(exc).__name__}: {exc}",
                 )
             )
+        profile = None  # freed before the next row's star is built
     return rows
 
 
@@ -296,9 +285,9 @@ class CriticalDensityResult:
     """Bisection result for the sign change of mu*(rho0).
 
     integrations counts the DOP853 runs behind it (the lo end's, the line's
-    and every own integration of an interior star, once per build: a star
-    built for a count at both meshes counts twice); nfev and steps are
-    summed over them.  inertia_counts and solves are the eigensolver's
+    and every interior star's own line, once per build: a star built for a
+    count at both meshes counts twice); nfev and steps are summed over
+    them.  inertia_counts and solves are the eigensolver's
     work: the two bracket ends' full solves, plus every count taken, at
     _STEER_MESH (512, on 512-sample stars) and at mesh.  At the default
     mesh 2048 that is the guide's counts at 512 and two at 2048.
@@ -357,9 +346,10 @@ def critical_density(
     interior is not scanned.
 
     The two bracket ends get the full certified solve of sweep_row, reported
-    as mu_lo and mu_hi: lo's star is integrated on its own (first, so a bad
-    bracket fails as before), and hi's is the line run that serves every
-    interior star (steady.integrate_line), bit for bit its own integration.
+    as mu_lo and mu_hi: lo's star is the top star of its own line
+    (steady.liquid_star, first, so a bad bracket fails as before), and hi's
+    the top star of the line run that serves every interior star
+    (steady.integrate_line), so both are sweep_row's bit for bit.
     Each interior star is read off that run as run_sweep's rows are
     (_line_profile); it needs only the sign of mu*, so the pencil is
     assembled and its side decided with one LDL^T inertia count
@@ -392,7 +382,7 @@ def critical_density(
     if not (tol_rho > 0.0 and math.isfinite(tol_rho)):
         raise ValueError(f"tol_rho must be positive and finite, got {tol_rho}")
 
-    own, _ = _line_profile(None, d, gamma, lo, tol, rmax)
+    own = liquid_star(StarConfig(d, gamma, lo), tol=tol, r_max=rmax)
     row_lo = _classified_row(own, mesh, tol_eig)
     line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
     runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
@@ -480,8 +470,7 @@ def _battery_stars() -> Tuple[BatteryStar, ...]:
     stars = []
     for d, g, rho0 in PROFILE_BATTERY:
         profile = integrate_gas_profile(StarConfig(d, g, rho0), tol=_BATTERY_TOL, r_max=20.0)
-        poho = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
-        decay = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
+        poho, decay = _worst_defects(profile)
         buchdahl = None
         if g < 2.0:
             v1b, v2b = buchdahl_bounds(d, g)
@@ -571,8 +560,7 @@ def _check_tail(shared: _Shared) -> VerifyCheck:
         profile = shared.far_star(g)
         fit = tail_convergence_rate(profile)
         _, vs = fixed_points(3, g)
-        u1_at_1 = 1.0 ** (2.0 / (2.0 - g)) * float(profile.rho_at(1.0))
-        initial = abs(u1_at_1 - vs[0])
+        initial = abs(profile_to_phase(profile, 1.0).v1 - vs[0])
         ok = ok and fit.exponent > 0.0 and fit.terminal_deviation < initial
         worst = max(worst, fit.terminal_deviation / vs[0])
     return VerifyCheck(
@@ -588,7 +576,7 @@ def _check_radius_limit(shared: _Shared) -> VerifyCheck:
     for kappa in (10.0, 1e6):
         scaled = scale_profile(base, kappa)
         devs[kappa] = abs(scaled.liquid_radius - r_inf) / r_inf
-    direct = integrate_gas_profile(StarConfig(d, g, 32.0), tol=1e-10, r_max=5.0, stop_at_liquid=True)
+    direct = liquid_star(StarConfig(d, g, 32.0), tol=1e-10, r_max=5.0)
     law = scale_profile(base, 32.0).liquid_radius
     cross = abs(direct.liquid_radius - law) / direct.liquid_radius
     ok = devs[1e6] < devs[10.0] and cross <= 1e-5
@@ -637,7 +625,7 @@ def _check_strongform(shared: _Shared) -> VerifyCheck:
     manufactured = eigen_residual_strongform(data, result).interior_norm
     ok = manufactured <= 1e-8 and abs(result.mu_star + 1.0) <= 1e-10
 
-    profile = integrate_gas_profile(StarConfig(3, 1.4, 10.0), tol=1e-10, r_max=50.0, stop_at_liquid=True)
+    profile = liquid_star(StarConfig(3, 1.4, 10.0), tol=1e-10, r_max=50.0)
     star_data = build_sl_data(profile)
     norms = {}
     for mesh in (512, 1024):

@@ -112,6 +112,12 @@ def buchdahl_bounds(d: int, gamma: float) -> Tuple[float, Optional[float]]:
     return v1_bound, v2_bound
 
 
+def _scaled(config: StarConfig, r, rho, mass):
+    """(v1, v2) = (r^(2/(2-gamma)) rho, r^(2/(2-gamma)-d) m) at radii r > 0."""
+    power = 2.0 / (2.0 - config.gamma)
+    return r**power * rho, r ** (power - config.d) * mass
+
+
 def profile_to_phase(profile: Profile, r) -> PhaseState:
     """Push a profile forward into the scaled plane at radius r (scalar or array)."""
     config = profile.config
@@ -119,9 +125,7 @@ def profile_to_phase(profile: Profile, r) -> PhaseState:
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr <= 0.0):
         raise ValueError("phase variables are defined for r > 0")
-    power = 2.0 / (2.0 - config.gamma)
-    v1 = r_arr**power * profile.rho_at(r_arr)
-    v2 = r_arr ** (power - config.d) * profile.mass_at(r_arr)
+    v1, v2 = _scaled(config, r_arr, profile.rho_at(r_arr), profile.mass_at(r_arr))
     tau = np.log(r_arr)
     if np.ndim(r) == 0:
         return PhaseState(v1=float(v1[0]), v2=float(v2[0]), tau=float(tau[0]))
@@ -133,12 +137,8 @@ def phase_trajectory(profile: Profile) -> PhaseState:
     config = profile.config
     _check_gamma(config.d, config.gamma)
     r = profile.radii[1:]
-    power = 2.0 / (2.0 - config.gamma)
-    return PhaseState(
-        v1=r**power * profile.rho[1:],
-        v2=r ** (power - config.d) * profile.mass[1:],
-        tau=np.log(r),
-    )
+    v1, v2 = _scaled(config, r, profile.rho[1:], profile.mass[1:])
+    return PhaseState(v1=v1, v2=v2, tau=np.log(r))
 
 
 @dataclass(frozen=True)

@@ -306,12 +306,12 @@ def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.n
     return config.rescaled_enthalpy(enthalpy, kappa), scale * mass
 
 
-def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: bool):
-    """One DOP853 run of config outward from its Taylor seed: (seed radius, stop level, solution).
+def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
+    """One DOP853 run of config outward from its Taylor seed: (seed radius, solution).
 
-    The run stops after the step where the enthalpy falls through the stop
-    level: the liquid surface rho = 1 if stop_at_liquid and rho0 > 1,
-    otherwise config.gas_stop.  Raises RuntimeError when the seed overflows
+    The run stops after the step where the enthalpy falls through stop
+    (config.gas_stop for a gas run, config.boundary_enthalpy for a liquid
+    one), or at r_max.  Raises RuntimeError when the seed overflows
     float64 (rho0^(3-gamma) near 1e308 or more), when the seed radius is so
     small that r0^(d-1) rounds to 0 (large d or rho0), or when rho0 > 1 but
     the central enthalpy rounds onto the liquid surface's (w0 - 1 rounds to
@@ -342,7 +342,6 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
         rd = r ** (d - 1)
         return -c * m / rd, FOUR_PI * rd * rho_of(e)
 
-    stop = config.boundary_enthalpy if stop_at_liquid and rho0 > 1.0 else config.gas_stop
     seed = _seed(config, r0)
     if not all(map(math.isfinite, seed)):
         raise RuntimeError(f"the Taylor seed of {config} overflows float64")
@@ -358,7 +357,7 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop_at_liquid: boo
             f"integration failed for {config}: {exc} "
             "(tolerance too loose or r_max too aggressive)"
         ) from exc
-    return r0, stop, sol
+    return r0, sol
 
 
 def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float, r0: float,
@@ -424,19 +423,14 @@ def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float
 
 
 def integrate_gas_profile(
-    config: StarConfig,
-    tol: float = 1e-10,
-    r_max: float = 50.0,
-    *,
-    min_points: int = MIN_POINTS,
-    stop_at_liquid: bool = False,
+    config: StarConfig, tol: float = 1e-10, r_max: float = 50.0, *, min_points: int = MIN_POINTS
 ) -> Profile:
     """Integrate the gas steady state outward from the center.
 
     The profile ends at r_max, at the compact-support surface (w crossing 0,
-    recorded as gas_radius), or at an enthalpy underflow guard; with
-    stop_at_liquid and rho_center > 1 it ends at the liquid surface rho = 1
-    instead.  When rho_center > 1 that crossing is stored as liquid_radius.
+    recorded as gas_radius), or at an enthalpy underflow guard.  When
+    rho_center > 1 the liquid surface rho = 1 it passes is stored as
+    liquid_radius; the liquid star cut there is liquid_star's.
 
     tol is the delivered relative accuracy of the profile; the embedded
     Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
@@ -452,7 +446,8 @@ def integrate_gas_profile(
     the step size underflows, the state is not finite, or the density is
     flat to float64 over the whole profile.
     """
-    r0, stop, sol = _integrate(config, tol, r_max, stop_at_liquid)
+    stop = config.gas_stop
+    r0, sol = _integrate(config, tol, r_max, stop)
     end = sol.crossing(stop)
     liquid_r = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
     # a run whose stop level has density 0 stops at the compact surface
@@ -471,12 +466,11 @@ class LiquidLine:
     star's enthalpy falls to that of density 1/kappa.  That crossing is
     found on the run's dense output, so any density in (1, rho_top] can be
     asked for after the run; its level is never below the top star's, where
-    the run ends (after the step that falls through it).  The run is the one
-    integrate_gas_profile(top, stop_at_liquid=True) makes, and each star is
-    cut by the rule that profile is cut by (_sampled_profile), so the top
-    star's own profile is bit for bit the one that returns.
-    harness.run_sweep reads each scan row's star off it, and
-    harness.critical_density each bisection star.
+    the run ends (after the step that falls through it).  Each star is
+    sampled as integrate_gas_profile samples its profile (_sampled_profile).
+    Every liquid star comes from here: liquid_star builds a lone star as the
+    top star of its own line, harness.run_sweep reads each scan row's star
+    off one, and harness.critical_density each bisection star.
     """
 
     top: StarConfig
@@ -510,17 +504,33 @@ class LiquidLine:
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
     """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
 
-    The run is the one integrate_gas_profile(top, stop_at_liquid=True)
-    makes; LiquidLine.star builds each smaller star's profile on demand, for
-    a scan line (top its largest rho0) or a critical-density bracket (top
-    its upper end).
+    The run is integrate_gas_profile's with the liquid surface rho = 1 as
+    its stop level; LiquidLine.star builds each star's profile on demand,
+    for a scan line (top its largest rho0), a critical-density bracket (top
+    its upper end) or a lone star (liquid_star).
     The top star's seed radius is kept, so the seed covers r0 / lam of each
     smaller star, a larger share of its radius than its own seed would.
     """
     if not top.rho_center > 1.0:
         raise ValueError(f"a liquid line needs rho_top > 1, got {top.rho_center}")
-    r0, _, sol = _integrate(top, tol, r_max, True)
+    r0, sol = _integrate(top, tol, r_max, top.boundary_enthalpy)
     return LiquidLine(top, r_max, r0, sol)
+
+
+def liquid_star(
+    config: StarConfig, tol: float = 1e-10, r_max: float = 50.0, *, min_points: int = MIN_POINTS
+) -> Profile:
+    """The liquid star of config, the top star of its own line: its gas profile cut at R.
+
+    integrate_line(config, tol, r_max).star(config.rho_center, min_points).
+    Its run takes integrate_gas_profile's steps up to R, so R is bit for bit
+    the liquid_radius config's gas profile records.  Raises RuntimeError
+    when R lies beyond r_max, and integrate_line's errors otherwise.
+    """
+    star = integrate_line(config, tol, r_max).star(config.rho_center, min_points)
+    if star is None:
+        raise RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
+    return star
 
 
 def liquid_radius(profile: Profile) -> float:
@@ -837,17 +847,17 @@ def explicit_profile_critical(d: int, C: float) -> ClosedFormStar:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x: Optional[float]) -> str:
+    """x to 17 significant digits, which read back as the same double; None reads "nan"."""
+    return "nan" if x is None else f"{x:.17g}"
 
 
 def write_profile_csv(profile: Profile, out: TextIO) -> None:
     """Emit the profile as CSV: one metadata line, then r,rho,enthalpy,mass rows."""
-    R = profile.liquid_radius
     meta = (
         f"# d={profile.config.d} gamma={_fmt(profile.config.gamma)}"
         f" rho0={_fmt(profile.config.rho_center)}"
-        f" R={_fmt(R) if R is not None else 'nan'}"
+        f" R={_fmt(profile.liquid_radius)}"
         f" M={_fmt(profile.total_mass)}"
         f" kind={profile.kind}"
     )

@@ -4,23 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from lanemden import StarConfig, integrate_gas_profile
+from lanemden import StarConfig, integrate_gas_profile, liquid_star
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_profile(d, gamma, rho0, tol, r_max, stop_at_liquid):
-    return integrate_gas_profile(
-        StarConfig(d, gamma, rho0), tol=tol, r_max=r_max, stop_at_liquid=stop_at_liquid
-    )
+def _cached_profile(build, d, gamma, rho0, tol, r_max):
+    return build(StarConfig(d, gamma, rho0), tol=tol, r_max=r_max)
 
 
-def get_profile(d, gamma, rho0, tol=1e-10, r_max=20.0, stop_at_liquid=False):
+def get_profile(d, gamma, rho0, tol=1e-10, r_max=20.0):
     """Profiles are immutable, so one integration per parameter set serves all tests."""
-    return _cached_profile(d, gamma, rho0, tol, r_max, stop_at_liquid)
+    return _cached_profile(integrate_gas_profile, d, gamma, rho0, tol, r_max)
 
 
 def get_liquid(d, gamma, rho0, tol=1e-10, r_max=50.0):
-    return _cached_profile(d, gamma, rho0, tol, r_max, True)
+    return _cached_profile(liquid_star, d, gamma, rho0, tol, r_max)
 
 
 def ode_hermite_data(profile):

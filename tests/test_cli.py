@@ -361,10 +361,17 @@ CLEAN_EXITS = {
                      "--mesh", "64"), None, 2),
     "no-seed-gap-scan": (("scan", "--d", "3", "--gamma", "1.000000001", "--rho0-min", "1.000000001",
                           "--rho0-max", "1.00000001", "--points", "2", "--mesh", "64"), None, 0),
+    # the liquid radius lies beyond r_max
+    "radius-beyond-rmax": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1.5",
+                            "--rmax", "0.01"), None, 2),
 }
 
 # what stderr must name for some rows
-CAUSES = {"no-seed-gap": "w0 - 1 rounds to 0", "no-seed-gap-scan": "RuntimeError: the central enthalpy"}
+CAUSES = {
+    "no-seed-gap": "w0 - 1 rounds to 0",
+    "no-seed-gap-scan": "RuntimeError: the central enthalpy",
+    "radius-beyond-rmax": "rho_center=1.5) lies beyond r_max = 0.01",
+}
 
 
 class TestCleanExits:

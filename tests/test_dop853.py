@@ -25,7 +25,7 @@ from lanemden.harness import PROFILE_BATTERY
 LIQUID_STARS = [(3, 1.25, 50.0), (3, 1.25, 1e4), (4, 1.4, 1e6), (5, 1.1, 1.01), (3, 1.0, 1e3)]
 
 CASES = [((d, g, rho0), dict(r_max=20.0)) for d, g, rho0 in PROFILE_BATTERY] + [
-    (star, dict(r_max=50.0, stop_at_liquid=True)) for star in LIQUID_STARS
+    (star, dict(r_max=50.0, liquid=True)) for star in LIQUID_STARS
 ]
 
 
@@ -59,9 +59,15 @@ def _spy_on_solve(monkeypatch):
 
 
 def _captured_run(monkeypatch, star, kwargs):
-    """Integrate one star and return the stepper's inputs and its solution."""
+    """Integrate one star and return the stepper's inputs and its solution.
+
+    kwargs with liquid=True builds the star with liquid_star, otherwise with
+    integrate_gas_profile.
+    """
     calls = _spy_on_solve(monkeypatch)
-    profile = integrate_gas_profile(StarConfig(*star), tol=1e-10, **kwargs)
+    kwargs = dict(kwargs)
+    build = steady.liquid_star if kwargs.pop("liquid", False) else integrate_gas_profile
+    profile = build(StarConfig(*star), tol=1e-10, **kwargs)
     (args, kw, sol), = calls
     return profile, args, kw, sol
 
@@ -242,13 +248,13 @@ def test_step_budget(monkeypatch):
     # the budget fails a star's integration as any other RuntimeError does
     monkeypatch.setattr(dop853, "MAX_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"\(dop853.MAX_STEPS\)"):
-        integrate_gas_profile(StarConfig(3, 1.25, 50.0), stop_at_liquid=True)
+        steady.liquid_star(StarConfig(3, 1.25, 50.0))
 
 
 @pytest.mark.parametrize("run", [
     lambda: _cosine(),
     lambda: _cosine(stop=0.0),
-    lambda: steady._integrate(StarConfig(3, 1.25, 50.0), 1e-10, 50.0, True)[2],
+    lambda: steady.integrate_line(StarConfig(3, 1.25, 50.0)).sol,
 ], ids=["cosine", "cosine-stop", "star"])
 def test_records_packed_in_blocks_keep_the_bits(monkeypatch, run):
     # a run packs its step records into float64 blocks as it goes; blocks of
@@ -489,10 +495,10 @@ def _assert_bitwise(sol, ref, levels):
 
 BITWISE_CASES = {
     "floor-gamma=1": ((3, 1.0, 1.0), dict(r_max=1e200)),
-    "gamma=2": ((3, 2.0, 5.0), dict(r_max=50.0, stop_at_liquid=True)),
+    "gamma=2": ((3, 2.0, 5.0), dict(r_max=50.0, liquid=True)),
     "compact-surface": ((3, 1.3, 0.5), dict(r_max=20.0)),
-    "d=30": ((30, 1.9, 1e15), dict(r_max=50.0, stop_at_liquid=True)),
-    "rho0=1+1e-9": ((3, 1.25, 1.0 + 1e-9), dict(r_max=50.0, stop_at_liquid=True)),
+    "d=30": ((30, 1.9, 1e15), dict(r_max=50.0, liquid=True)),
+    "rho0=1+1e-9": ((3, 1.25, 1.0 + 1e-9), dict(r_max=50.0, liquid=True)),
     "rejected-steps": ((3, 1.5, 0.5), dict(r_max=20.0)),
 }
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -220,9 +221,9 @@ class TestLineFamily:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Counts of DOP853 runs and of rows whose star fell back to its own integration."""
+        """Counts of DOP853 runs and of rows whose star fell back to its own line."""
         counts = {"solves": 0, "fallbacks": 0}
-        real_solve, real_integrate = dop853.solve, harness.integrate_gas_profile
+        real_solve, real_star = dop853.solve, harness.liquid_star
 
         def solve(*args, **kwargs):
             counts["solves"] += 1
@@ -230,10 +231,10 @@ class TestLineFamily:
 
         def integrate(*args, **kwargs):
             counts["fallbacks"] += 1
-            return real_integrate(*args, **kwargs)
+            return real_star(*args, **kwargs)
 
         monkeypatch.setattr(dop853, "solve", solve)
-        monkeypatch.setattr(harness, "integrate_gas_profile", integrate)
+        monkeypatch.setattr(harness, "liquid_star", integrate)
         return counts
 
     @pytest.mark.parametrize("d,gamma,extra,fallbacks", LINES, ids=[str(c) for c in LINES])
@@ -274,14 +275,19 @@ class TestLineFamily:
         assert rows[0].reason == "ValueError: tol must be positive, got -1.0"
 
     def test_one_profile_alive_at_a_time(self, monkeypatch):
+        # each row's star is freed before the next row's is built
         alive = []
-        real = harness.classify_stability
+        real, real_build = harness.classify_stability, harness._line_profile
+
+        def built(*args):
+            assert all(ref() is None for ref in alive)
+            return real_build(*args)
 
         def watched(profile, **kwargs):
-            assert all(ref() is None for ref in alive)
             alive.append(weakref.ref(profile))
             return real(profile, **kwargs)
 
+        monkeypatch.setattr(harness, "_line_profile", built)
         monkeypatch.setattr(harness, "classify_stability", watched)
         run_sweep(RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256))
         assert len(alive) == 5
@@ -353,8 +359,19 @@ BITWISE_LINES = [
 ]
 BITWISE_LINES += [((3, 1.25), 1024), ((3, 1.0), 512), ((7, 1.01), 512)]
 
-# the RuntimeError message of a star whose liquid radius exceeds rmax
-TOO_SHORT = "profile too short: grid ends before rho reaches 1 (increase r_max)"
+
+def too_short(rho0, rmax):
+    """The RuntimeError message of a (3, 1.25, rho0) star whose liquid radius exceeds rmax."""
+    star = StarConfig(3, 1.25, rho0)
+    return f"the liquid radius of {star} lies beyond r_max = {rmax:g} (increase r_max)"
+
+
+class UnservingLine(steady.LiquidLine):
+    """A line whose run serves no star, so that each star is built off its own line."""
+
+    def star(self, rho0, points=steady.MIN_POINTS):
+        return None
+
 
 BASELINE = json.loads((pathlib.Path(__file__).parent / "data" / "critical_density_baseline.json").read_text())
 
@@ -373,10 +390,10 @@ class TestCriticalDensityCount:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """The eigensolves, own integrations and line runs of each call, by density."""
+        """The eigensolves, stars built off their own line and line runs of each call, by density."""
         calls = {"solves": [], "stars": [], "lines": []}
         real_solve = spectral.smallest_eigenpair
-        real_integrate, real_line = harness.integrate_gas_profile, harness.integrate_line
+        real_star, real_line = harness.liquid_star, harness.integrate_line
 
         def counted_solve(*args, **kwargs):
             calls["solves"].append(1)
@@ -384,16 +401,22 @@ class TestCriticalDensityCount:
 
         def counted_integrate(config, *args, **kwargs):
             calls["stars"].append(config.rho_center)
-            return real_integrate(config, *args, **kwargs)
+            return real_star(config, *args, **kwargs)
 
         def counted_line(top, *args, **kwargs):
             calls["lines"].append(top.rho_center)
             return real_line(top, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", counted_solve)
-        monkeypatch.setattr(harness, "integrate_gas_profile", counted_integrate)
+        monkeypatch.setattr(harness, "liquid_star", counted_integrate)
         monkeypatch.setattr(harness, "integrate_line", counted_line)
         return calls
+
+    @staticmethod
+    def _serve_no_star(monkeypatch):
+        """Make critical_density's line (still counted) an UnservingLine."""
+        line = harness.integrate_line
+        monkeypatch.setattr(harness, "integrate_line", lambda *a, **k: UnservingLine(**vars(line(*a, **k))))
 
     def test_full_solve_only_at_the_ends(self, counted):
         for bracket in ((1.01, 1e6), (40.0, 60.0)):
@@ -407,7 +430,7 @@ class TestCriticalDensityCount:
             assert res.integrations == 2
 
     def test_unserved_stars_integrate_on_their_own(self, counted, monkeypatch):
-        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0, points: None)
+        self._serve_no_star(monkeypatch)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=512)
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
@@ -421,7 +444,7 @@ class TestCriticalDensityCount:
 
     def test_evidence_sums_the_runs(self):
         res = critical_density(3, 1.25, (40.0, 60.0), tol_rho=1e-2, mesh=512)
-        lo = steady.integrate_gas_profile(StarConfig(3, 1.25, 40.0), stop_at_liquid=True)
+        lo = steady.liquid_star(StarConfig(3, 1.25, 40.0))
         line = steady.integrate_line(StarConfig(3, 1.25, 60.0))
         assert res.integrations == 2
         assert res.nfev == lo.nfev + line.sol.nfev
@@ -448,9 +471,9 @@ class TestCriticalDensityCount:
         # both ends have R < 0.08; a star inside the bracket has R > 0.3
         with pytest.raises(RuntimeError) as info:
             critical_density(3, 1.25, (1.01, 1e6), mesh=mesh, rmax=0.3)
-        assert str(info.value) == TOO_SHORT
         assert counted["lines"] == [1e6]
         assert counted["stars"][0] == 1.01 and len(counted["stars"]) == 2
+        assert str(info.value) == too_short(counted["stars"][1], 0.3)
 
     def test_interior_star_beyond_rmax_fails_in_its_own_integration(self, counted):
         self._interior_star_beyond_rmax_fails(counted, 512)
@@ -462,7 +485,7 @@ class TestCriticalDensityCount:
     def test_lo_end_beyond_rmax_fails_first(self, counted):
         with pytest.raises(RuntimeError) as info:
             critical_density(3, 1.25, (1.01, 1e6), mesh=512, rmax=0.01)
-        assert str(info.value) == TOO_SHORT
+        assert str(info.value) == too_short(1.01, 0.01)
         assert counted["stars"] == [1.01]
         assert counted["lines"] == []
 
@@ -511,7 +534,7 @@ class TestCriticalDensityCount:
     def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
         # with no star served by the line, each count builds its star by its
         # own integration, and the final bracket's two are built twice
-        monkeypatch.setattr(steady.LiquidLine, "star", lambda self, rho0, points: None)
+        self._serve_no_star(monkeypatch)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
@@ -577,6 +600,11 @@ class TestVerifySuite:
 BATTERY_CHECKS = ("pohozaev", "decay", "buchdahl")
 
 
+def _recorded(build, calls, config, *args, **kwargs):
+    calls.append(config)
+    return build(config, *args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def full_report():
     return verify_suite("all")
@@ -585,21 +613,17 @@ def full_report():
 class TestVerifyBattery:
     @pytest.fixture
     def integrations(self, monkeypatch):
+        """The star of every gas and liquid integration verify makes."""
         calls = []
-        real = harness.integrate_gas_profile
-
-        def counted(config, *args, **kwargs):
-            calls.append(config)
-            return real(config, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "integrate_gas_profile", counted)
+        for name in ("integrate_gas_profile", "liquid_star"):
+            monkeypatch.setattr(harness, name, functools.partial(_recorded, getattr(harness, name), calls))
         return calls
 
     def test_one_integration_per_star(self, integrations):
         verify_suite("all")
-        # explicit 2, battery 24, tail 2, radius-limit 1 (it reads the tail's
-        # (3, 1.1, 1) star), strongform 1 (q-symmetry checks a polynomial
-        # pencil and integrates no star)
+        # explicit 2, battery 24, tail 2, radius-limit 1 liquid star (it
+        # reads the tail's (3, 1.1, 1) star too), strongform 1 liquid star
+        # (q-symmetry checks a polynomial pencil and integrates no star)
         assert len(integrations) == 30
 
     @pytest.mark.parametrize("name", ["tail", "radius-limit"])

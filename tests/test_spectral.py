@@ -21,8 +21,8 @@ from lanemden import (
     eigen_residual_strongform,
     graded_mesh,
     instability_witness,
-    integrate_gas_profile,
     liquid_radius,
+    liquid_star,
     manufactured_sl_data,
     quadratic_form,
     smallest_eigenpair,
@@ -130,9 +130,7 @@ class TestQuadraticForm:
     def test_constant_function_value_on_finer_grids(self, min_points):
         # the p part is summed from element differences, so it vanishes
         # exactly for a constant however many elements the grid has
-        profile = integrate_gas_profile(
-            StarConfig(3, 4 / 3, 10.0), r_max=50.0, min_points=min_points, stop_at_liquid=True
-        )
+        profile = liquid_star(StarConfig(3, 4 / 3, 10.0), r_max=50.0, min_points=min_points)
         data = build_sl_data(profile)
         ones = np.ones_like(data.grid)
         assert quadratic_form(data, ones, ones) == pytest.approx(4 * data.R**3, rel=1e-12)
@@ -1031,7 +1029,7 @@ class TestStrongForm:
     def test_robin_defect_near_flat_centre(self):
         # rho0 = 1 + 1e-9 gives a tiny star whose chi(R) is far from 1; the
         # absolute defect read 6e5 there, the relative one is small
-        profile = integrate_gas_profile(StarConfig(3, 1.25, 1 + 1e-9), stop_at_liquid=True)
+        profile = liquid_star(StarConfig(3, 1.25, 1 + 1e-9))
         res = classify_stability(profile, mesh_size=2048)
         assert res.verdict == STABLE
         assert 0.0 <= res.robin_defect <= 1e-6

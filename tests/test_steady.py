@@ -17,6 +17,7 @@ from lanemden import (
     explicit_profile_critical,
     integrate_gas_profile,
     liquid_radius,
+    liquid_star,
     pohozaev_residual,
     read_profile_csv,
     scale_profile,
@@ -124,8 +125,8 @@ class TestIntegration:
 class TestIntegratorCounts:
     def test_profile_carries_its_run(self):
         config = StarConfig(3, 1.25, 50.0)
-        p = integrate_gas_profile(config, stop_at_liquid=True)
-        _, _, sol = steady._integrate(config, 1e-10, 50.0, True)
+        p = liquid_star(config)
+        _, sol = steady._integrate(config, 1e-10, 50.0, config.boundary_enthalpy)
         assert (p.nfev, p.steps) == (sol.nfev, sol.n_steps)
         assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
         cut = truncate_liquid(p)
@@ -150,6 +151,16 @@ class TestIntegratorCounts:
         assert (back.nfev, back.steps) == (0, 0)
 
 
+# (d, gamma, rho0) of liquid stars built alone; at d = 30 the seed of rho0 = 1e40 underflows
+LONE_STARS = [
+    (d, g, rho0)
+    for g in (1.0, 1.25, 2.0)
+    for d in (3, 4, 5, 30)
+    for rho0 in (1 + 1e-9, 1 + 1e-6, 1.01, 10.0, 1e6, 1e15, 1e40)
+    if d < 30 or rho0 < 1e40
+]
+
+
 class TestLiquidLine:
     """A line's stars are read off its run for any density, after the run."""
 
@@ -159,24 +170,24 @@ class TestLiquidLine:
         line = steady.integrate_line(StarConfig(*top))
         for rho0 in (1.02, 2.718, 37.7, 411.0, 0.999 * rho_top):
             star = line.star(rho0)
-            own = integrate_gas_profile(StarConfig(d, gamma, rho0), stop_at_liquid=True)
+            own = liquid_star(StarConfig(d, gamma, rho0))
             assert star.config.rho_center == rho0
             assert star.liquid_radius == pytest.approx(own.liquid_radius, rel=1e-10, abs=0)
 
-    def test_top_star_is_its_own_integration(self):
-        top = StarConfig(3, 1.25, 1e4)
-        star = steady.integrate_line(top).star(1e4)
-        own = integrate_gas_profile(top, stop_at_liquid=True)
-        for name in ("radii", "rho", "enthalpy", "mass"):
-            assert getattr(star, name).tobytes() == getattr(own, name).tobytes(), name
-        assert star.liquid_radius == own.liquid_radius
+    @pytest.mark.parametrize("star", LONE_STARS, ids=str)
+    def test_liquid_star_radius_is_the_gas_runs_crossing(self, star):
+        # the liquid run takes the gas run's steps up to R, and both root the
+        # crossing on the same step's dense output
+        config = StarConfig(*star)
+        assert liquid_star(config).liquid_radius == integrate_gas_profile(config).liquid_radius
 
     def test_sample_count_refines_the_same_cut(self):
-        # points plays integrate_gas_profile's min_points; the default is
-        # MIN_POINTS, and the liquid radius is the run's crossing either way
+        # points plays integrate_gas_profile's min_points, and liquid_star
+        # passes its min_points on; the default is MIN_POINTS, and the liquid
+        # radius is the run's crossing either way
         top = StarConfig(3, 1.25, 1e4)
         line = steady.integrate_line(top)
-        own = integrate_gas_profile(top, min_points=512, stop_at_liquid=True)
+        own = liquid_star(top, min_points=512)
         coarse_top = line.star(1e4, 512)
         for name in ("radii", "rho", "enthalpy", "mass"):
             assert getattr(coarse_top, name).tobytes() == getattr(own, name).tobytes(), name
@@ -219,7 +230,7 @@ class TestStalledSamples:
     def test_flat_centre(self):
         # rho0 = 1 + 1e-9: near the centre rho equals rho0 in float64
         rho0 = 1 + 1e-9
-        p = integrate_gas_profile(StarConfig(3, 1.25, rho0), stop_at_liquid=True)
+        p = liquid_star(StarConfig(3, 1.25, rho0))
         assert p.radii[0] == 0.0 and p.rho[0] == rho0
         assert p.radii[-1] == p.liquid_radius
         assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
@@ -325,15 +336,16 @@ class TestSmallStars:
     @pytest.mark.parametrize("star", STARS, ids=str)
     def test_radius_is_the_tight_root(self, star):
         config = StarConfig(*star)
-        p = integrate_gas_profile(config, stop_at_liquid=True)
-        _, stop, sol = steady._integrate(config, 1e-10, 50.0, True)
+        p = liquid_star(config)
+        stop = config.boundary_enthalpy
+        _, sol = steady._integrate(config, 1e-10, 50.0, stop)
         assert p.liquid_radius == _tight_crossing(sol, stop)
 
     # not at (3, 1.25, 1e60) or (5, 1.5, 1e40): there w spans +-1e16 over the
     # last step, so rho at the cut reads 1.02 and 0 however tightly R is rooted
     @pytest.mark.parametrize("rho0", [1e20, 1e30, 1e35, 1e40], ids=str)
     def test_density_at_the_cut_is_one(self, rho0):
-        p = integrate_gas_profile(StarConfig(3, 1.25, rho0), stop_at_liquid=True)
+        p = liquid_star(StarConfig(3, 1.25, rho0))
         assert p.radii[-1] == p.liquid_radius
         assert abs(p.rho[-1] - 1.0) <= 1e-6
 
@@ -638,8 +650,8 @@ class TestPchipTable:
         # the star whose length-spaced grid is coarsest where rho bends: its
         # samples at 32x the points are the run's dense output itself
         config = StarConfig(7, 1.01, 1.39e5)
-        coarse = integrate_gas_profile(config, r_max=50.0, stop_at_liquid=True)
-        fine = integrate_gas_profile(config, r_max=50.0, stop_at_liquid=True, min_points=65536)
+        coarse = liquid_star(config, r_max=50.0)
+        fine = liquid_star(config, r_max=50.0, min_points=65536)
         assert coarse.liquid_radius == fine.liquid_radius
         y = fine.radii
         rho_err = np.abs(coarse.rho_at(y) / fine.rho - 1.0).max()
