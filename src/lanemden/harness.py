@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .steady import (
     MIN_POINTS,
     LiquidLine,
     Profile,
+    RunStar,
     _fmt,
     decay_bound,
     explicit_profile_critical,
@@ -289,8 +290,8 @@ class CriticalDensityResult:
     count at both meshes counts twice); nfev and steps are summed over
     them.  inertia_counts and solves are the eigensolver's
     work: the two bracket ends' full solves, plus every count taken, at
-    _STEER_MESH (512, on 512-sample stars) and at mesh.  At the default
-    mesh 2048 that is the guide's counts at 512 and two at 2048.
+    _STEER_MESH (512, on pencils read off the line's run) and at mesh.  At
+    the default mesh 2048 that is the guide's counts at 512 and two at 2048.
     """
 
     rho0_crit: float
@@ -306,7 +307,7 @@ class CriticalDensityResult:
 
 
 # the mesh of the guide run that steers critical_density's bisection above
-# it, and the sample count of each star the guide counts
+# it, and the sample count of a guide star built off its own line
 _STEER_MESH = 512
 
 
@@ -363,11 +364,13 @@ def critical_density(
     or above a density counted on hi's side is on hi's, and any other is
     counted at mesh; at mesh <= _STEER_MESH (512) that is every midpoint.
     Above it, the default mesh 2048 included, the bisection first runs as a
-    guide only, each midpoint counted at _STEER_MESH on its star refined to
-    _STEER_MESH samples instead of steady.MIN_POINTS.  The two ends of the
-    guide's final bracket are counted at mesh (their stars read off the
-    line again at MIN_POINTS samples), then the bisection runs at mesh.
-    Every earlier midpoint lies outside that nested bracket, so where the
+    guide only, each midpoint counted at _STEER_MESH on its star read
+    straight off the line's run (LiquidLine.read: no samples, no Hermite
+    table), or, where the run cannot serve it, built off its own line with
+    _STEER_MESH samples.  The two ends of the guide's final bracket are
+    counted at mesh on MIN_POINTS-sample profiles (LiquidLine.star), as the
+    bracket ends' full solves are, then the bisection runs at mesh.  Every
+    earlier midpoint lies outside that nested bracket, so where the
     guide agrees with mesh no other count is taken, and where it does not
     the midpoints left undecided are counted: the history is always that of
     counting every midpoint at mesh on MIN_POINTS-sample stars.
@@ -402,10 +405,14 @@ def critical_density(
     lo_stable = math.copysign(1.0, mu_lo) > 0.0
     counts = 0
 
-    def counted_on_lo_side(rho0: float, at_mesh: int, points: int = MIN_POINTS) -> bool:
+    def counted_on_lo_side(profile: Union[Profile, RunStar], at_mesh: int) -> bool:
         nonlocal counts
         counts += 1
-        return stable_at_zero(assemble(build_sl_data(star(rho0, points)), at_mesh)) == lo_stable
+        return stable_at_zero(assemble(build_sl_data(profile), at_mesh)) == lo_stable
+
+    def guided_on_lo_side(rho0: float) -> bool:
+        read = line.read(rho0)
+        return counted_on_lo_side(star(rho0, _STEER_MESH) if read is None else read, _STEER_MESH)
 
     # the largest density known to lie on lo's side at mesh, and the smallest on hi's
     known = [lo, hi]
@@ -415,14 +422,12 @@ def critical_density(
             return True
         if rho0 >= known[1]:
             return False
-        side = counted_on_lo_side(rho0, mesh)
+        side = counted_on_lo_side(star(rho0), mesh)
         known[0 if side else 1] = rho0
         return side
 
     if mesh > _STEER_MESH:
-        guide = _bisect(
-            lo, hi, tol_rho, lambda rho0: counted_on_lo_side(rho0, _STEER_MESH, _STEER_MESH)
-        )
+        guide = _bisect(lo, hi, tol_rho, guided_on_lo_side)
         for end in guide[-1]:
             on_lo_side(end)
     history = _bisect(lo, hi, tol_rho, on_lo_side)

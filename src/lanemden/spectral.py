@@ -34,12 +34,12 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, TextIO, Tuple
+from typing import Callable, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from .config import stability_threshold, support_threshold
-from .steady import Profile, gauss_rule, liquid_radius
+from .steady import Profile, RunStar, gauss_rule, liquid_radius
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -60,9 +60,9 @@ class SturmLiouvilleData:
     """Coefficients of the pencil on [0, R].
 
     `coeffs(y)` returns the three coefficients (p, q, wgt) anywhere in [0, R]
-    (for a star, through the profile's cubic Hermite interpolant).  `grid`
-    is the default node set of quadratic_form and weighted_norm_sq: the
-    profile radii restricted to [0, R].
+    (for a star, through the profile's cubic Hermite interpolant, or a
+    RunStar's run).  `grid` is the default node set of quadratic_form and
+    weighted_norm_sq: the star's radii restricted to [0, R].
     """
 
     d: int
@@ -73,8 +73,12 @@ class SturmLiouvilleData:
     coeffs: Callable
 
 
-def build_sl_data(profile: Profile) -> SturmLiouvilleData:
-    """Assemble the pencil coefficients for a liquid-truncated profile."""
+def build_sl_data(profile: Union[Profile, RunStar]) -> SturmLiouvilleData:
+    """Assemble the pencil coefficients for a liquid star: a sampled Profile or a RunStar.
+
+    Either kind gives the enthalpy and m/r^d at any radius in [0, R]
+    (enthalpy_and_mass_hat_at); the grid is its radii below R, then R.
+    """
     config = profile.config
     R = liquid_radius(profile)
     d, g = config.d, config.gamma

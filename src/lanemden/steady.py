@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -128,9 +128,7 @@ class Profile:
         # (4 pi / d) rho0 at the center, so that the polynomial factor r^d
         # never has to be resolved by the fit
         r = self.radii
-        mhat = np.empty_like(r)
-        mhat[0] = FOUR_PI / self.config.d * self.config.rho_center
-        mhat[1:] = self.mass[1:] / r[1:] ** self.config.d
+        mhat = _mass_hat(self.config, r, self.mass)
         slopes = _ode_slopes(self.config, r, self.rho, self.mass, mhat)
         return _hermite_coefficients(r, np.stack([self.enthalpy, mhat]), slopes)
 
@@ -156,11 +154,7 @@ class Profile:
         return out
 
     def _check_range(self, r):
-        r = np.asarray(r, dtype=float)
-        # one pass; the comparisons are False for NaN, so NaN is rejected too
-        if not np.all((r >= 0.0) & (r <= self.radii[-1])):
-            raise ValueError(f"radius outside the profile grid [0, {self.radii[-1]:g}]")
-        return r
+        return _checked_radii(r, self.radii[-1], "profile grid")
 
     def enthalpy_at(self, r):
         (enthalpy,) = self._interpolate(self._check_range(r), 0)
@@ -178,6 +172,21 @@ class Profile:
         """The interpolant's two columns at r, the enthalpy and m/r^d, from one interval search per radius."""
         enthalpy, mass_hat = self._interpolate(self._check_range(r), 0, 1)
         return enthalpy, mass_hat
+
+
+def _checked_radii(r, end: float, what: str) -> np.ndarray:
+    """r as a float array, or ValueError naming what [0, end] is when a radius lies outside it."""
+    r = np.asarray(r, dtype=float)
+    # one pass; the comparisons are False for NaN, so NaN is rejected too
+    if not np.all((r >= 0.0) & (r <= end)):
+        raise ValueError(f"radius outside the {what} [0, {end:g}]")
+    return r
+
+
+def _mass_hat(config: StarConfig, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """m/r^d at radii r, read at r = 0 as its limit (4 pi / d) rho0 at the center."""
+    limit = np.full_like(r, FOUR_PI / config.d * config.rho_center)
+    return np.divide(mass, r ** config.d, out=limit, where=r > 0.0)
 
 
 def _enthalpy_slope(config: StarConfig, r, mass):
@@ -457,6 +466,45 @@ def integrate_gas_profile(
 
 
 @dataclass(frozen=True)
+class RunStar:
+    """A liquid star read straight off a line's run (LiquidLine.read): no samples, no table.
+
+    config's star is rho(y) = kappa rho_run(lam y), lam = kappa^(1-gamma/2),
+    cut at liquid_radius.  enthalpy_and_mass_hat_at evaluates the run's
+    dense output at lam y through _rescaled at radii y from seed_radius (the
+    run's seed radius over lam) on, and config's own Taylor seed (_seed)
+    below it, so beyond the seed it gives the samples LiquidLine.star's
+    profile of the same star holds, bit for bit.  radii are r = 0 and the
+    run's step boundaries below the cut, over lam: the nodes between which
+    the read is one polynomial.  spectral.build_sl_data takes it in place of
+    a Profile.
+    """
+
+    config: StarConfig
+    liquid_radius: float
+    sol: dop853.DenseSolution
+    kappa: float
+    lam: float
+    seed_radius: float
+
+    @property
+    def radii(self) -> np.ndarray:
+        ts = self.sol.ts
+        return np.concatenate([[0.0], ts[ts < self.lam * self.liquid_radius] / self.lam])
+
+    def enthalpy_and_mass_hat_at(self, r):
+        """The enthalpy and m/r^d at radii r in [0, liquid_radius], each shaped like r."""
+        r = _checked_radii(r, self.liquid_radius, "star")
+        y = r.ravel()
+        enthalpy, mass = np.empty_like(y), np.empty_like(y)
+        seed = y < self.seed_radius
+        enthalpy[seed], mass[seed] = _seed(self.config, y[seed])
+        run = ~seed
+        enthalpy[run], mass[run] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[run]))
+        return enthalpy.reshape(r.shape), _mass_hat(self.config, y, mass).reshape(r.shape)
+
+
+@dataclass(frozen=True)
 class LiquidLine:
     """The liquid stars of one (d, gamma) line, read off one run of its densest star.
 
@@ -466,8 +514,10 @@ class LiquidLine:
     star's enthalpy falls to that of density 1/kappa.  That crossing is
     found on the run's dense output, so any density in (1, rho_top] can be
     asked for after the run; its level is never below the top star's, where
-    the run ends (after the step that falls through it).  Each star is
-    sampled as integrate_gas_profile samples its profile (_sampled_profile).
+    the run ends (after the step that falls through it).  star samples each
+    star as integrate_gas_profile samples its profile (_sampled_profile);
+    read gives the same star as a RunStar, evaluated on the run itself.
+    Both serve exactly the densities _cut serves.
     Every liquid star comes from here: liquid_star builds a lone star as the
     top star of its own line, harness.run_sweep reads each scan row's star
     off one, and harness.critical_density each bisection star.
@@ -478,16 +528,13 @@ class LiquidLine:
     r0: float
     sol: dop853.DenseSolution
 
-    def star(self, rho0: float, points: int = MIN_POINTS) -> Optional[Profile]:
-        """The gas profile of central density rho0 cut at its liquid radius, or None.
+    def _cut(self, rho0: float) -> Optional[Tuple[StarConfig, float, float, float]]:
+        """(config, kappa, lam, the run's crossing) of rho0's star, or None when the run cannot serve it.
 
-        points is the sample count the run's steps are refined to, as
-        integrate_gas_profile's min_points; the liquid radius is the same
-        crossing whatever it is.  None when this run cannot resolve the
-        star: rho0 is so close to 1 that the top star's enthalpy is already
-        below the star's level at the seed radius, or the star's liquid
-        radius exceeds r_max.  Raises ValueError when rho0 is outside
-        (1, rho_top].
+        It cannot when rho0 is so close to 1 that the top star's enthalpy is
+        already below the star's level at the seed radius, or when the
+        star's liquid radius, the crossing over lam, exceeds r_max.  Raises
+        ValueError when rho0 is outside (1, rho_top].
         """
         rho_top, gamma = self.top.rho_center, self.top.gamma
         if not 1.0 < rho0 <= rho_top:
@@ -497,8 +544,31 @@ class LiquidLine:
         root = self.sol.crossing(self.top.enthalpy_of_inverse(kappa))
         if root is None or root / lam > self.r_max:
             return None
-        config = StarConfig(self.top.d, gamma, rho0)
+        return StarConfig(self.top.d, gamma, rho0), kappa, lam, root
+
+    def star(self, rho0: float, points: int = MIN_POINTS) -> Optional[Profile]:
+        """The gas profile of central density rho0 cut at its liquid radius, or None where _cut is.
+
+        points is the sample count the run's steps are refined to, as
+        integrate_gas_profile's min_points; the liquid radius is the same
+        crossing whatever it is.  Raises _cut's ValueError.
+        """
+        cut = self._cut(rho0)
+        if cut is None:
+            return None
+        config, kappa, _, root = cut
         return _sampled_profile(config, self.sol, kappa, self.r0, root, root, None, points)
+
+    def read(self, rho0: float) -> Optional[RunStar]:
+        """rho0's star read off the run, or None where _cut is: star's star, without its samples.
+
+        Its liquid radius is star's, bit for bit.  Raises _cut's ValueError.
+        """
+        cut = self._cut(rho0)
+        if cut is None:
+            return None
+        config, kappa, lam, root = cut
+        return RunStar(config, root / lam, self.sol, kappa, lam, self.r0 / lam)
 
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
@@ -574,24 +644,35 @@ def _enthalpy_crossing(profile: Profile, target: float) -> float:
 
 
 def truncate_liquid(profile: Profile) -> Profile:
-    """Cut a gas profile at rho = 1, yielding the liquid star on [0, R]."""
+    """Cut a gas profile at rho = 1, yielding the liquid star on [0, R].
+
+    The cut profile is checked as every Profile is.  Where it fails (the
+    mass the interpolant reads at R need not exceed the last sample's when
+    the grid is sparse just inside R), the valid input profile was cut
+    badly, so that is a RuntimeError naming the star and the failed check.
+    """
     R = liquid_radius(profile)
     keep = profile.radii < R
     radii = np.concatenate([profile.radii[keep], [R]])
     rho = np.concatenate([profile.rho[keep], [1.0]])
     enth = np.concatenate([profile.enthalpy[keep], [profile.config.boundary_enthalpy]])
     mass = np.concatenate([profile.mass[keep], [float(profile.mass_at(R))]])
-    return Profile(
-        config=profile.config,
-        radii=radii,
-        rho=rho,
-        enthalpy=enth,
-        mass=mass,
-        kind=LIQUID_TRUNCATED,
-        liquid_radius=R,
-        nfev=profile.nfev,
-        steps=profile.steps,
-    )
+    try:
+        return Profile(
+            config=profile.config,
+            radii=radii,
+            rho=rho,
+            enthalpy=enth,
+            mass=mass,
+            kind=LIQUID_TRUNCATED,
+            liquid_radius=R,
+            nfev=profile.nfev,
+            steps=profile.steps,
+        )
+    except ValueError as exc:
+        raise RuntimeError(
+            f"the liquid cut at R = {R:.17g} of {profile.config} fails its profile check: {exc}"
+        ) from exc
 
 
 def decay_bound(config: StarConfig, r) -> np.ndarray:

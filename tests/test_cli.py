@@ -201,7 +201,24 @@ class TestStabilityCommand:
         assert code == 1
 
 
+# the benchmark's recorded outputs, seed 0; read only
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
 class TestCriticalCommand:
+    @pytest.mark.parametrize("ref", REFERENCE["workloads"]["transition"], ids=lambda ref: " ".join(ref["argv"][1:5]))
+    def test_benchmark_transition_matches_the_reference(self, capsys, ref):
+        # rho0_crit and the iteration count exactly, mu* at the bracket ends
+        # within the benchmark's tolerance
+        assert REFERENCE["seed"] == 0
+        code, outtext, _ = run_cli(capsys, *ref["argv"])
+        assert code == 0
+        payload = json.loads(outtext)
+        assert payload["rho0_crit"] == ref["rho0_crit"]
+        assert payload["iterations"] == ref["iterations"]
+        for key in ("mu_lo", "mu_hi"):
+            assert abs(payload[key] - ref[key]) <= REFERENCE["mu_rtol"] * abs(ref[key]) + REFERENCE["mu_atol"]
+
     def test_bracket_output(self, capsys):
         code, outtext, _ = run_cli(
             capsys, "critical", "--d", "3", "--gamma", "1.25", "--rho0-min", "40",
@@ -335,6 +352,8 @@ def run_cli_process(*argv, timeout=20):
 SCAN_2_TO_5 = ("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "5",
                "--mesh", "64")
 
+LIQUID_CUT_RHO0 = ("1e40", "1e55", "1e60")
+
 # valid or wrongly typed inputs that hung, raised a traceback, were refused
 # as a usage error or printed a numpy warning: (argv, config file contents
 # or None, exit code); no row may print a warning
@@ -364,6 +383,9 @@ CLEAN_EXITS = {
     # the liquid radius lies beyond r_max
     "radius-beyond-rmax": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1.5",
                             "--rmax", "0.01"), None, 2),
+    # on gamma = 2d/(d+2) the mass read at R falls below the last sample inside it
+    **{f"liquid-cut-{rho0}": (("profile", "--d", "3", "--gamma", "1.2", "--rho0", rho0), None, 2)
+       for rho0 in LIQUID_CUT_RHO0},
 }
 
 # what stderr must name for some rows
@@ -371,6 +393,8 @@ CAUSES = {
     "no-seed-gap": "w0 - 1 rounds to 0",
     "no-seed-gap-scan": "RuntimeError: the central enthalpy",
     "radius-beyond-rmax": "rho_center=1.5) lies beyond r_max = 0.01",
+    **{f"liquid-cut-{rho0}": f"of {lanemden.StarConfig(3, 1.2, float(rho0))} fails its profile check: "
+       "mass must be strictly increasing" for rho0 in LIQUID_CUT_RHO0},
 }
 
 

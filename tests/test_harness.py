@@ -367,9 +367,9 @@ def too_short(rho0, rmax):
 
 
 class UnservingLine(steady.LiquidLine):
-    """A line whose run serves no star, so that each star is built off its own line."""
+    """A line whose run serves no star (star and read), so that each star is built off its own line."""
 
-    def star(self, rho0, points=steady.MIN_POINTS):
+    def _cut(self, rho0):
         return None
 
 
@@ -530,6 +530,57 @@ class TestCriticalDensityCount:
         assert res.integrations == 2 and len(results) == 2
         assert res.inertia_counts == sum(r.inertia_counts for r in results) + iterations + 2
         assert res.solves == sum(r.solves for r in results)
+
+    @pytest.mark.parametrize("mesh", [2048, 4096])
+    def test_steered_run_builds_profiles_only_for_its_ends_and_final_bracket(self, counted, monkeypatch, mesh):
+        # the guide reads each midpoint's star off the run (LiquidLine.read);
+        # profiles are sampled only for the two ends' full solves (lo's by
+        # liquid_star) and the final bracket's two counts at mesh
+        served, profiles = {"star": [], "read": []}, []
+        line, sampled = harness.integrate_line, steady._sampled_profile
+
+        class ServingLine(steady.LiquidLine):
+            def star(self, rho0, points=steady.MIN_POINTS):
+                served["star"].append((rho0, points))
+                return super().star(rho0, points)
+
+            def read(self, rho0):
+                served["read"].append(rho0)
+                return super().read(rho0)
+
+        def sampled_profile(config, *args):
+            profiles.append(config.rho_center)
+            return sampled(config, *args)
+
+        monkeypatch.setattr(harness, "integrate_line", lambda *a, **k: ServingLine(**vars(line(*a, **k))))
+        monkeypatch.setattr(steady, "_sampled_profile", sampled_profile)
+        res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
+        final = list(res.history[-1])
+        mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
+        assert served["star"] == [(1e6, steady.MIN_POINTS)] + [(end, steady.MIN_POINTS) for end in final]
+        assert counted["stars"] == [1.01] and counted["lines"] == [1e6]
+        assert profiles == [1.01, 1e6] + final
+        assert served["read"] == mids and len(mids) == 14
+        assert res.integrations == 2
+
+    def test_run_read_guide_takes_the_sampled_stars_sides(self):
+        # at mesh 512 each of the pinned line's guide midpoints falls on the
+        # same side on the pencil read off the run as on a 512-sample star
+        line = steady.integrate_line(StarConfig(3, 1.25, 1e6))
+
+        def stable(star):
+            return spectral.stable_at_zero(spectral.assemble(spectral.build_sl_data(star), 512))
+
+        sides = []
+
+        def on_lo_side(rho0):
+            sides.append((stable(line.read(rho0)), stable(line.star(rho0, 512))))
+            return sides[-1][0]  # mu*(1.01) > 0: lo's side is the stable one
+
+        history = harness._bisect(1.01, 1e6, 1e-3, on_lo_side)
+        assert len(sides) == len(history) - 1 == 14
+        assert all(read == sampled for read, sampled in sides)
+        assert {read for read, _ in sides} == {True, False}
 
     def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
         # with no star served by the line, each count builds its star by its

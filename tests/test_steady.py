@@ -209,10 +209,52 @@ class TestLiquidLine:
         line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
         with pytest.raises(ValueError, match="line densities"):
             line.star(rho0)
+        with pytest.raises(ValueError, match="line densities"):
+            line.read(rho0)
 
     def test_gas_top_star_raises(self):
         with pytest.raises(ValueError, match="rho_top > 1"):
             steady.integrate_line(StarConfig(3, 1.25, 1.0))
+
+
+class TestRunStar:
+    """LiquidLine.read: a line's star read straight off its run, with no samples."""
+
+    @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4), (3, 1.0), (7, 1.01)], ids=str)
+    def test_reads_the_profile_samples_bit_for_bit(self, line):
+        # beyond the seed both evaluate the run at lam r; inside it both
+        # evaluate the star's own Taylor seed at the same radii
+        d = line[0]
+        run = steady.integrate_line(StarConfig(*line, 1e6))
+        for rho0 in (1.01, 1.5, 50.3231, 1e4, 1e6):
+            profile, read = run.star(rho0), run.read(rho0)
+            assert read.config == profile.config
+            assert read.liquid_radius == profile.liquid_radius
+            r = profile.radii
+            assert np.count_nonzero(r >= read.seed_radius) > 512
+            enthalpy, mass_hat = read.enthalpy_and_mass_hat_at(r)
+            assert enthalpy.tobytes() == profile.enthalpy.tobytes()
+            assert mass_hat[0] == FOUR_PI / d * rho0
+            assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
+
+    def test_refuses_exactly_what_star_refuses(self):
+        # near 1 the level is crossed before the seed radius, and below
+        # rho0 ~ 700 the liquid radius exceeds r_max = 0.3
+        run = steady.integrate_line(StarConfig(3, 1.25, 1e6), r_max=0.3)
+        served = []
+        for rho0 in np.geomspace(1.0 + 1e-12, 1e6, 40).tolist():
+            read = run.read(rho0)
+            assert (read is None) == (run.star(rho0, 64) is None)
+            served.append(read is not None)
+        assert served == sorted(served) and 0 < sum(served) < len(served)
+        assert steady.integrate_line(StarConfig(3, 1.25, 1e6)).read(1.0 + 1e-9) is None
+
+    @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
+    def test_radius_outside_the_star_raises(self, where):
+        read = steady.integrate_line(StarConfig(3, 1.25, 1e4)).read(50.0)
+        r = math.nextafter(read.liquid_radius, math.inf) if where == "beyond" else where
+        with pytest.raises(ValueError, match="radius outside the star"):
+            read.enthalpy_and_mass_hat_at(np.array([0.5 * read.liquid_radius, r]))
 
 
 class TestStalledSamples:
