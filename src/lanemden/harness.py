@@ -36,11 +36,11 @@ from .spectral import (
     stable_at_zero,
 )
 from .steady import (
-    MIN_POINTS,
     LiquidLine,
     Profile,
     RunStar,
     _fmt,
+    _liquid_read,
     decay_bound,
     explicit_profile_critical,
     integrate_gas_profile,
@@ -187,20 +187,18 @@ def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
 
 
 def _line_profile(
-    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float,
-    points: int = MIN_POINTS,
+    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float
 ) -> Tuple[Profile, bool]:
     """rho0's liquid-cut star off the line's run, or off its own line where the run cannot serve.
 
     The run cannot serve when there is no line or LiquidLine.star returns
     None; then the star is liquid_star's, the top star of its own line.
-    Either way its grid is refined to points samples (LiquidLine.star's).
     The flag is True when the star was built off its own line.
     """
-    profile = None if line is None else line.star(rho0, points)
+    profile = None if line is None else line.star(rho0)
     if profile is not None:
         return profile, False
-    return liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax, min_points=points), True
+    return liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax), True
 
 
 def sweep_row(
@@ -285,12 +283,12 @@ def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
 class CriticalDensityResult:
     """Bisection result for the sign change of mu*(rho0).
 
-    integrations counts the DOP853 runs behind it (the lo end's, the line's
-    and every interior star's own line, once per build: a star built for a
-    count at both meshes counts twice); nfev and steps are summed over
-    them.  inertia_counts and solves are the eigensolver's
-    work: the two bracket ends' full solves, plus every count taken, at
-    _STEER_MESH (512, on pencils read off the line's run) and at mesh.  At
+    integrations counts the DOP853 runs behind it: the lo end's, the
+    line's, and the own line of every interior star the line cannot serve,
+    once per count (a star counted at both meshes counts twice); nfev and
+    steps are summed over them.  inertia_counts and solves are the
+    eigensolver's work: the two bracket ends' full solves, plus every count
+    taken, at _STEER_MESH (512, on pencils read off a run) and at mesh.  At
     the default mesh 2048 that is the guide's counts at 512 and two at 2048.
     """
 
@@ -306,8 +304,7 @@ class CriticalDensityResult:
     solves: int = 0
 
 
-# the mesh of the guide run that steers critical_density's bisection above
-# it, and the sample count of a guide star built off its own line
+# the mesh of the guide run that steers critical_density's bisection above it
 _STEER_MESH = 512
 
 
@@ -366,14 +363,15 @@ def critical_density(
     Above it, the default mesh 2048 included, the bisection first runs as a
     guide only, each midpoint counted at _STEER_MESH on its star read
     straight off the line's run (LiquidLine.read: no samples, no Hermite
-    table), or, where the run cannot serve it, built off its own line with
-    _STEER_MESH samples.  The two ends of the guide's final bracket are
-    counted at mesh on MIN_POINTS-sample profiles (LiquidLine.star), as the
-    bracket ends' full solves are, then the bisection runs at mesh.  Every
-    earlier midpoint lies outside that nested bracket, so where the
-    guide agrees with mesh no other count is taken, and where it does not
-    the midpoints left undecided are counted: the history is always that of
-    counting every midpoint at mesh on MIN_POINTS-sample stars.
+    table), or, where the run cannot serve it, off the run of its own line
+    (steady._liquid_read, liquid_star's star unsampled), so the guide
+    samples no star.  The two ends of the guide's final bracket are counted
+    at mesh on MIN_POINTS-sample profiles (LiquidLine.star), as the bracket
+    ends' full solves are, then the bisection runs at mesh.  Every earlier
+    midpoint lies outside that nested bracket, so where the guide agrees
+    with mesh no other count is taken, and where it does not the midpoints
+    left undecided are counted: the history is always that of counting
+    every midpoint at mesh on MIN_POINTS-sample stars.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -390,8 +388,8 @@ def critical_density(
     line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
     runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
 
-    def star(rho0: float, points: int = MIN_POINTS) -> Profile:
-        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax, points)
+    def star(rho0: float) -> Profile:
+        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax)
         if integrated:
             runs.append((profile.nfev, profile.steps))
         return profile
@@ -412,7 +410,10 @@ def critical_density(
 
     def guided_on_lo_side(rho0: float) -> bool:
         read = line.read(rho0)
-        return counted_on_lo_side(star(rho0, _STEER_MESH) if read is None else read, _STEER_MESH)
+        if read is None:
+            read = _liquid_read(StarConfig(d, gamma, rho0), tol, rmax)
+            runs.append((read.sol.nfev, read.sol.n_steps))
+        return counted_on_lo_side(read, _STEER_MESH)
 
     # the largest density known to lie on lo's side at mesh, and the smallest on hi's
     known = [lo, hi]

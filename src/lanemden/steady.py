@@ -15,7 +15,8 @@ with the cumulative mass m carried as a state variable, so the enthalpy
 slope is always consistent with the mass.  Each formula here is written
 once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
-dop853.py, on Python floats; its dense output gives the profile samples.
+dop853.py, on Python floats.  A RunStar is the only code that evaluates a
+star off a run's dense output, and an integrated Profile is its samples.
 Between samples a Profile reads one cubic Hermite of the enthalpy and m/r^d
 with the ODE's own slopes at the samples, built and evaluated here in numpy,
 so import loads no part of scipy.interpolate.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, TextIO, Tuple
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -184,9 +185,10 @@ def _checked_radii(r, end: float, what: str) -> np.ndarray:
 
 
 def _mass_hat(config: StarConfig, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """m/r^d at radii r, read at r = 0 as its limit (4 pi / d) rho0 at the center."""
+    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0."""
     limit = np.full_like(r, FOUR_PI / config.d * config.rho_center)
-    return np.divide(mass, r ** config.d, out=limit, where=r > 0.0)
+    rd = r ** config.d
+    return np.divide(mass, rd, out=limit, where=rd > 0.0)
 
 
 def _enthalpy_slope(config: StarConfig, r, mass):
@@ -369,66 +371,110 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
     return r0, sol
 
 
-def _sampled_profile(config: StarConfig, sol: dop853.DenseSolution, kappa: float, r0: float,
-                     end: float, liquid_r: Optional[float], gas_r: Optional[float],
-                     min_points: int) -> Profile:
-    """The gas profile of config read off sol, the run of the star it rescales by kappa.
+@dataclass(frozen=True)
+class RunStar:
+    """One star read straight off a DOP853 run; a Profile is its samples (profile).
 
-    The run's star has central density rho0 / kappa and config's star is
-    rho(r) = kappa rho_run(lam r), lam = kappa^(1-gamma/2); kappa = 1 is the
-    run's own star.  r0 (the run's seed radius), end (the star's last
-    radius) and the crossing radii liquid_r and gas_r are radii of the run,
-    divided here by lam.  The grid is the step boundaries below end, then
-    end, refined to at least min_points samples plus the crossing radii,
-    evaluated on the dense output in one pass; config's own Taylor seed
-    supplies three samples inside (0, r0 / lam).  Samples where rho or m has
-    stopped moving in float64 are dropped (r = 0 and the crossing radii are
-    always kept).  Raises RuntimeError when that leaves r = 0 alone: the
-    density is flat to float64 on [0, end / lam].
+    config's star is rho(y) = kappa rho_run(lam y), lam = kappa^(1-gamma/2):
+    the run's own star at kappa = 1, a line's smaller star below it.  r0
+    (the seed radius), end (where the star ends) and the liquid and compact
+    surfaces liquid and gas (or None) are radii of the run; the star's are
+    these over lam.  _read is the one evaluation of a star off a run:
+    config's own Taylor seed (_seed) below seed_radius, the run's dense
+    output at lam y through _rescaled from there on.  radii are r = 0 and
+    the run's step boundaries below end, over lam: the nodes between which
+    the read is one polynomial.  spectral.build_sl_data takes a liquid one.
     """
-    steps = np.append(sol.ts[sol.ts < end], end)
-    lam = kappa ** (1.0 - config.gamma / 2.0)
-    r0 = r0 / lam
-    liquid_r = None if liquid_r is None else liquid_r / lam
-    gas_r = None if gas_r is None else gas_r / lam
 
-    grid = _refined_grid(steps / lam, min_points)
-    crossings = [x for x in (liquid_r, gas_r) if x is not None]
-    extra = [x for x in crossings if x < grid[-1]]
-    if extra:
-        grid = np.unique(np.concatenate([grid, np.array(extra)]))
-    enth, mass = _rescaled(config, kappa, *sol(lam * grid))
-    if gas_r is not None and grid[-1] >= gas_r:
-        enth[-1] = config.gas_stop  # the compact surface lies on the stop level exactly
+    config: StarConfig
+    sol: dop853.DenseSolution
+    kappa: float
+    r0: float
+    end: float
+    liquid: Optional[float] = None
+    gas: Optional[float] = None
 
-    # sample the Taylor seed at r = 0 (exactly e0 and mass 0) and inside
-    # (0, r0), so the interpolants see the curvature
-    r_in = r0 * np.array([0.0, 0.25, 0.5, 0.75])
-    e_in, m_in = _seed(config, r_in)
+    @property
+    def lam(self) -> float:
+        return self.kappa ** (1.0 - self.config.gamma / 2.0)
 
-    radii = np.concatenate([r_in, grid])
-    enth = np.concatenate([e_in, enth])
-    mass = np.concatenate([m_in, mass])
-    rho = config.rho_of_enthalpy(enth)
-    rho[0] = config.rho_center
+    @property
+    def seed_radius(self) -> float:
+        return self.r0 / self.lam
 
-    keep = np.concatenate([[True], np.diff(radii) > 0])
-    radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], crossings)
-    if len(radii) < 2:
-        raise RuntimeError(f"the density of {config} is flat to float64 on [0, {grid[-1]:.17g}]")
+    @property
+    def liquid_radius(self) -> Optional[float]:
+        return None if self.liquid is None else self.liquid / self.lam
 
-    return Profile(
-        config=config,
-        radii=radii,
-        rho=rho,
-        enthalpy=enth,
-        mass=mass,
-        kind=GAS,
-        liquid_radius=liquid_r,
-        gas_radius=gas_r,
-        nfev=sol.nfev,
-        steps=sol.n_steps,
-    )
+    @property
+    def gas_radius(self) -> Optional[float]:
+        return None if self.gas is None else self.gas / self.lam
+
+    @property
+    def radii(self) -> np.ndarray:
+        ts = self.sol.ts
+        return np.concatenate([[0.0], ts[ts < self.end] / self.lam])
+
+    def _read(self, y: np.ndarray):
+        """The enthalpy and mass at the radii y (1-D, in [0, end / lam])."""
+        enthalpy, mass = np.empty_like(y), np.empty_like(y)
+        seed = y < self.seed_radius
+        enthalpy[seed], mass[seed] = _seed(self.config, y[seed])
+        run = ~seed
+        enthalpy[run], mass[run] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[run]))
+        return enthalpy, mass
+
+    def enthalpy_and_mass_hat_at(self, r):
+        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r."""
+        r = _checked_radii(r, self.end / self.lam, "star")
+        y = r.ravel()
+        enthalpy, mass = self._read(y)
+        return enthalpy.reshape(r.shape), _mass_hat(self.config, y, mass).reshape(r.shape)
+
+    def profile(self, points: int = MIN_POINTS) -> Profile:
+        """The star's samples as a Profile, read in one _read.
+
+        The grid is the run's steps below end, then end, over lam, refined
+        to at least points samples plus the crossing radii, after the seed's
+        r = 0 and three radii inside (0, seed_radius) that show the
+        interpolants the curvature.  A compact surface is pinned to the stop
+        level, where it lies exactly.  Samples where rho or m has stopped
+        moving in float64 are dropped (r = 0 and the crossing radii are
+        kept); RuntimeError when that leaves r = 0 alone.
+        """
+        config, lam = self.config, self.lam
+        liquid_r, gas_r = self.liquid_radius, self.gas_radius
+        ts = self.sol.ts
+        grid = _refined_grid(np.append(ts[ts < self.end], self.end) / lam, points)
+        crossings = [x for x in (liquid_r, gas_r) if x is not None]
+        extra = [x for x in crossings if x < grid[-1]]
+        if extra:
+            grid = np.unique(np.concatenate([grid, np.array(extra)]))
+        radii = np.concatenate([self.seed_radius * np.array([0.0, 0.25, 0.5, 0.75]), grid])
+        enth, mass = self._read(radii)
+        if gas_r is not None and grid[-1] >= gas_r:
+            enth[-1] = config.gas_stop
+        rho = config.rho_of_enthalpy(enth)
+        rho[0] = config.rho_center
+
+        keep = np.concatenate([[True], np.diff(radii) > 0])
+        radii, rho, enth, mass = _drop_stalled(radii[keep], rho[keep], enth[keep], mass[keep], crossings)
+        if len(radii) < 2:
+            raise RuntimeError(f"the density of {config} is flat to float64 on [0, {grid[-1]:.17g}]")
+
+        return Profile(config=config, radii=radii, rho=rho, enthalpy=enth, mass=mass, kind=GAS,
+                       liquid_radius=liquid_r, gas_radius=gas_r, nfev=self.sol.nfev, steps=self.sol.n_steps)
+
+
+def _gas_run(config: StarConfig, tol: float, r_max: float) -> RunStar:
+    """config's gas run as its kappa = 1 RunStar, ended at the compact surface, the guard or r_max."""
+    stop = config.gas_stop
+    r0, sol = _integrate(config, tol, r_max, stop)
+    end = sol.crossing(stop)
+    liquid = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
+    # a run whose stop level has density 0 stops at the compact surface
+    gas = end if config.rho_of_enthalpy(stop) == 0.0 else None
+    return RunStar(config, sol, 1.0, r0, sol.ts[-1] if end is None else end, liquid, gas)
 
 
 def integrate_gas_profile(
@@ -447,61 +493,13 @@ def integrate_gas_profile(
     error growth.  The run ends after the step that falls through the
     surface or guard; every radius above is a downward crossing of the
     enthalpy, read off the run by DenseSolution.crossing: Brent's method
-    (dop853.brentq) on the step's dense polynomial.  The grid is the
-    adaptive steps up to the profile's end refined to at least min_points
-    samples, evaluated on the dense output in one pass, less any sample
-    where rho or m has stopped moving in float64 (r = 0 and the crossing
-    radii are always kept).  Raises RuntimeError when the seed overflows,
-    the step size underflows, the state is not finite, or the density is
-    flat to float64 over the whole profile.
+    (dop853.brentq) on the step's dense polynomial.  The profile is the
+    run's own star sampled (RunStar.profile with min_points samples).
+    Raises RuntimeError when the seed overflows, the step size underflows,
+    the state is not finite, or the density is flat to float64 over the
+    whole profile.
     """
-    stop = config.gas_stop
-    r0, sol = _integrate(config, tol, r_max, stop)
-    end = sol.crossing(stop)
-    liquid_r = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
-    # a run whose stop level has density 0 stops at the compact surface
-    gas_r = end if config.rho_of_enthalpy(stop) == 0.0 else None
-    end = sol.ts[-1] if end is None else end
-    return _sampled_profile(config, sol, 1.0, r0, end, liquid_r, gas_r, min_points)
-
-
-@dataclass(frozen=True)
-class RunStar:
-    """A liquid star read straight off a line's run (LiquidLine.read): no samples, no table.
-
-    config's star is rho(y) = kappa rho_run(lam y), lam = kappa^(1-gamma/2),
-    cut at liquid_radius.  enthalpy_and_mass_hat_at evaluates the run's
-    dense output at lam y through _rescaled at radii y from seed_radius (the
-    run's seed radius over lam) on, and config's own Taylor seed (_seed)
-    below it, so beyond the seed it gives the samples LiquidLine.star's
-    profile of the same star holds, bit for bit.  radii are r = 0 and the
-    run's step boundaries below the cut, over lam: the nodes between which
-    the read is one polynomial.  spectral.build_sl_data takes it in place of
-    a Profile.
-    """
-
-    config: StarConfig
-    liquid_radius: float
-    sol: dop853.DenseSolution
-    kappa: float
-    lam: float
-    seed_radius: float
-
-    @property
-    def radii(self) -> np.ndarray:
-        ts = self.sol.ts
-        return np.concatenate([[0.0], ts[ts < self.lam * self.liquid_radius] / self.lam])
-
-    def enthalpy_and_mass_hat_at(self, r):
-        """The enthalpy and m/r^d at radii r in [0, liquid_radius], each shaped like r."""
-        r = _checked_radii(r, self.liquid_radius, "star")
-        y = r.ravel()
-        enthalpy, mass = np.empty_like(y), np.empty_like(y)
-        seed = y < self.seed_radius
-        enthalpy[seed], mass[seed] = _seed(self.config, y[seed])
-        run = ~seed
-        enthalpy[run], mass[run] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[run]))
-        return enthalpy.reshape(r.shape), _mass_hat(self.config, y, mass).reshape(r.shape)
+    return _gas_run(config, tol, r_max).profile(min_points)
 
 
 @dataclass(frozen=True)
@@ -514,10 +512,9 @@ class LiquidLine:
     star's enthalpy falls to that of density 1/kappa.  That crossing is
     found on the run's dense output, so any density in (1, rho_top] can be
     asked for after the run; its level is never below the top star's, where
-    the run ends (after the step that falls through it).  star samples each
-    star as integrate_gas_profile samples its profile (_sampled_profile);
-    read gives the same star as a RunStar, evaluated on the run itself.
-    Both serve exactly the densities _cut serves.
+    the run ends (after the step that falls through it).  read gives each
+    star as a RunStar on the run itself, and star samples it
+    (RunStar.profile), as integrate_gas_profile samples its own run.
     Every liquid star comes from here: liquid_star builds a lone star as the
     top star of its own line, harness.run_sweep reads each scan row's star
     off one, and harness.critical_density each bisection star.
@@ -528,56 +525,42 @@ class LiquidLine:
     r0: float
     sol: dop853.DenseSolution
 
-    def _cut(self, rho0: float) -> Optional[Tuple[StarConfig, float, float, float]]:
-        """(config, kappa, lam, the run's crossing) of rho0's star, or None when the run cannot serve it.
+    def read(self, rho0: float) -> Optional[RunStar]:
+        """rho0's star read off the run, cut at its liquid radius, or None when the run cannot serve it.
 
         It cannot when rho0 is so close to 1 that the top star's enthalpy is
         already below the star's level at the seed radius, or when the
         star's liquid radius, the crossing over lam, exceeds r_max.  Raises
         ValueError when rho0 is outside (1, rho_top].
         """
-        rho_top, gamma = self.top.rho_center, self.top.gamma
+        rho_top = self.top.rho_center
         if not 1.0 < rho0 <= rho_top:
             raise ValueError(f"line densities must lie in (1, {rho_top:g}], got {rho0}")
         kappa = rho0 / rho_top
-        lam = kappa ** (1.0 - gamma / 2.0)
         root = self.sol.crossing(self.top.enthalpy_of_inverse(kappa))
-        if root is None or root / lam > self.r_max:
+        if root is None:
             return None
-        return StarConfig(self.top.d, gamma, rho0), kappa, lam, root
+        star = RunStar(StarConfig(self.top.d, self.top.gamma, rho0), self.sol, kappa, self.r0, root, root)
+        return star if star.liquid_radius <= self.r_max else None
 
     def star(self, rho0: float, points: int = MIN_POINTS) -> Optional[Profile]:
-        """The gas profile of central density rho0 cut at its liquid radius, or None where _cut is.
+        """read's star sampled with points samples (RunStar.profile), or None where read is.
 
         points is the sample count the run's steps are refined to, as
         integrate_gas_profile's min_points; the liquid radius is the same
-        crossing whatever it is.  Raises _cut's ValueError.
+        crossing whatever it is.  Raises read's ValueError.
         """
-        cut = self._cut(rho0)
-        if cut is None:
-            return None
-        config, kappa, _, root = cut
-        return _sampled_profile(config, self.sol, kappa, self.r0, root, root, None, points)
-
-    def read(self, rho0: float) -> Optional[RunStar]:
-        """rho0's star read off the run, or None where _cut is: star's star, without its samples.
-
-        Its liquid radius is star's, bit for bit.  Raises _cut's ValueError.
-        """
-        cut = self._cut(rho0)
-        if cut is None:
-            return None
-        config, kappa, lam, root = cut
-        return RunStar(config, root / lam, self.sol, kappa, lam, self.r0 / lam)
+        star = self.read(rho0)
+        return None if star is None else star.profile(points)
 
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
     """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
 
     The run is integrate_gas_profile's with the liquid surface rho = 1 as
-    its stop level; LiquidLine.star builds each star's profile on demand,
-    for a scan line (top its largest rho0), a critical-density bracket (top
-    its upper end) or a lone star (liquid_star).
+    its stop level; LiquidLine.read reads each star off it on demand, for a
+    scan line (top its largest rho0), a critical-density bracket (top its
+    upper end) or a lone star (liquid_star).
     The top star's seed radius is kept, so the seed covers r0 / lam of each
     smaller star, a larger share of its radius than its own seed would.
     """
@@ -585,6 +568,14 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
         raise ValueError(f"a liquid line needs rho_top > 1, got {top.rho_center}")
     r0, sol = _integrate(top, tol, r_max, top.boundary_enthalpy)
     return LiquidLine(top, r_max, r0, sol)
+
+
+def _liquid_read(config: StarConfig, tol: float, r_max: float) -> RunStar:
+    """liquid_star's star as a RunStar: the top star of its own line, read off its run."""
+    star = integrate_line(config, tol, r_max).read(config.rho_center)
+    if star is None:
+        raise RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
+    return star
 
 
 def liquid_star(
@@ -597,10 +588,7 @@ def liquid_star(
     the liquid_radius config's gas profile records.  Raises RuntimeError
     when R lies beyond r_max, and integrate_line's errors otherwise.
     """
-    star = integrate_line(config, tol, r_max).star(config.rho_center, min_points)
-    if star is None:
-        raise RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
-    return star
+    return _liquid_read(config, tol, r_max).profile(min_points)
 
 
 def liquid_radius(profile: Profile) -> float:

@@ -91,7 +91,24 @@ class TestProfileCommand:
         assert code == 1
 
 
+# the benchmark's recorded outputs, seed 0; read only
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
 class TestScanCommand:
+    def test_benchmark_sweep_matches_the_reference(self, capsys):
+        # the nine seed-0 lines: each rho0 string and verdict exactly, mu*
+        # within the benchmark's tolerance
+        assert REFERENCE["seed"] == 0 and len(REFERENCE["workloads"]["sweep"]) == 9
+        for ref in REFERENCE["workloads"]["sweep"]:
+            code, outtext, _ = run_cli(capsys, *ref["argv"])
+            assert code == 0, ref["argv"]
+            header, *body = [line.split(",") for line in outtext.splitlines()]
+            assert header == ["rho0", "R", "M", "mu_star", "verdict"]
+            assert [(row[0], row[4]) for row in body] == [(rho0, verdict) for rho0, _, verdict in ref["rows"]]
+            for row, (_, mu, _) in zip(body, ref["rows"]):
+                assert abs(float(row[3]) - mu) <= REFERENCE["mu_rtol"] * abs(mu) + REFERENCE["mu_atol"], ref["argv"]
+
     def test_csv_header_and_determinism(self, tmp_path, capsys):
         args = (
             "scan", "--d", "3", "--gamma", "1.5", "--rho0-min", "1.5",
@@ -199,10 +216,6 @@ class TestStabilityCommand:
     def test_gas_star_rejected(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--d", "3", "--gamma", "1.25", "--rho0", "0.9")
         assert code == 1
-
-
-# the benchmark's recorded outputs, seed 0; read only
-REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
 
 
 class TestCriticalCommand:
@@ -380,6 +393,11 @@ CLEAN_EXITS = {
                      "--mesh", "64"), None, 2),
     "no-seed-gap-scan": (("scan", "--d", "3", "--gamma", "1.000000001", "--rho0-min", "1.000000001",
                           "--rho0-max", "1.00000001", "--points", "2", "--mesh", "64"), None, 0),
+    # at d = 7 the seed samples' r^7 rounds to 0, where m/r^d reads as its limit
+    "mass-hat-underflow-gamma=1.2": (("stability", "--d", "7", "--gamma", "1.2", "--rho0", "1e120",
+                                      "--mesh", "64"), None, 0),
+    "mass-hat-underflow-gamma=1": (("stability", "--d", "7", "--gamma", "1", "--rho0", "1e100",
+                                    "--mesh", "64"), None, 0),
     # the liquid radius lies beyond r_max
     "radius-beyond-rmax": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1.5",
                             "--rmax", "0.01"), None, 2),
@@ -411,6 +429,8 @@ class TestCleanExits:
         assert "Warning" not in out.stderr and "Traceback" not in out.stderr, out.stderr
         assert CAUSES.get(name, "") in out.stderr
         if code == 0:
+            if argv[0] == "stability":  # a certified star writes nothing to stderr
+                assert out.stderr == "", out.stderr
             if argv[0] == "profile":  # a gas profile reports both radii
                 diag = json.loads(out.stderr)
                 assert 0.0 < diag["R"] < diag["gas_radius"], diag

@@ -367,9 +367,9 @@ def too_short(rho0, rmax):
 
 
 class UnservingLine(steady.LiquidLine):
-    """A line whose run serves no star (star and read), so that each star is built off its own line."""
+    """A line whose run serves no star (read, and so star), so that each star comes off its own line."""
 
-    def _cut(self, rho0):
+    def read(self, rho0):
         return None
 
 
@@ -390,25 +390,30 @@ class TestCriticalDensityCount:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """The eigensolves, stars built off their own line and line runs of each call, by density."""
+        """The eigensolves, own-line runs and line runs of each call, by density.
+
+        A star off its own line, sampled (liquid_star) or not (a guide
+        star's), is the top star of a run of steady's integrate_line;
+        critical_density's own line is harness's.
+        """
         calls = {"solves": [], "stars": [], "lines": []}
         real_solve = spectral.smallest_eigenpair
-        real_star, real_line = harness.liquid_star, harness.integrate_line
+        real_own, real_line = steady.integrate_line, harness.integrate_line
 
         def counted_solve(*args, **kwargs):
             calls["solves"].append(1)
             return real_solve(*args, **kwargs)
 
-        def counted_integrate(config, *args, **kwargs):
-            calls["stars"].append(config.rho_center)
-            return real_star(config, *args, **kwargs)
+        def counted_own(top, *args, **kwargs):
+            calls["stars"].append(top.rho_center)
+            return real_own(top, *args, **kwargs)
 
         def counted_line(top, *args, **kwargs):
             calls["lines"].append(top.rho_center)
             return real_line(top, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "smallest_eigenpair", counted_solve)
-        monkeypatch.setattr(harness, "liquid_star", counted_integrate)
+        monkeypatch.setattr(steady, "integrate_line", counted_own)
         monkeypatch.setattr(harness, "integrate_line", counted_line)
         return calls
 
@@ -534,10 +539,11 @@ class TestCriticalDensityCount:
     @pytest.mark.parametrize("mesh", [2048, 4096])
     def test_steered_run_builds_profiles_only_for_its_ends_and_final_bracket(self, counted, monkeypatch, mesh):
         # the guide reads each midpoint's star off the run (LiquidLine.read);
-        # profiles are sampled only for the two ends' full solves (lo's by
-        # liquid_star) and the final bracket's two counts at mesh
+        # profiles are sampled (RunStar.profile) only for the two ends' full
+        # solves (lo's by liquid_star) and the final bracket's two counts at
+        # mesh.  The line's star reads each star it samples, too
         served, profiles = {"star": [], "read": []}, []
-        line, sampled = harness.integrate_line, steady._sampled_profile
+        line, sampled = harness.integrate_line, steady.RunStar.profile
 
         class ServingLine(steady.LiquidLine):
             def star(self, rho0, points=steady.MIN_POINTS):
@@ -548,19 +554,19 @@ class TestCriticalDensityCount:
                 served["read"].append(rho0)
                 return super().read(rho0)
 
-        def sampled_profile(config, *args):
-            profiles.append(config.rho_center)
-            return sampled(config, *args)
+        def sampled_profile(star, *args):
+            profiles.append(star.config.rho_center)
+            return sampled(star, *args)
 
         monkeypatch.setattr(harness, "integrate_line", lambda *a, **k: ServingLine(**vars(line(*a, **k))))
-        monkeypatch.setattr(steady, "_sampled_profile", sampled_profile)
+        monkeypatch.setattr(steady.RunStar, "profile", sampled_profile)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         final = list(res.history[-1])
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
         assert served["star"] == [(1e6, steady.MIN_POINTS)] + [(end, steady.MIN_POINTS) for end in final]
         assert counted["stars"] == [1.01] and counted["lines"] == [1e6]
         assert profiles == [1.01, 1e6] + final
-        assert served["read"] == mids and len(mids) == 14
+        assert served["read"] == [1e6] + mids + final and len(mids) == 14
         assert res.integrations == 2
 
     def test_run_read_guide_takes_the_sampled_stars_sides(self):
@@ -583,13 +589,22 @@ class TestCriticalDensityCount:
         assert {read for read, _ in sides} == {True, False}
 
     def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
-        # with no star served by the line, each count builds its star by its
-        # own integration, and the final bracket's two are built twice
+        # with no star served by the line, each count reads its star off its
+        # own line's run, and the final bracket's two are integrated twice;
+        # the guide's stars are read, not sampled
+        profiles, sampled = [], steady.RunStar.profile
+
+        def sampled_profile(star, *args):
+            profiles.append(star.config.rho_center)
+            return sampled(star, *args)
+
+        monkeypatch.setattr(steady.RunStar, "profile", sampled_profile)
         self._serve_no_star(monkeypatch)
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=4096)
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
         assert counted["stars"] == [1.01, 1e6] + mids + list(res.history[-1])
+        assert profiles == [1.01, 1e6] + list(res.history[-1])
         assert res.integrations == 3 + iterations + 2 == len(counted["stars"]) + 1
         crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 4096)
         assert res.rho0_crit.hex() == crit.hex() and res.history == history

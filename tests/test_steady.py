@@ -218,7 +218,7 @@ class TestLiquidLine:
 
 
 class TestRunStar:
-    """LiquidLine.read: a line's star read straight off its run, with no samples."""
+    """A star read straight off a run, with no samples: a line's (LiquidLine.read) or a gas run's own."""
 
     @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4), (3, 1.0), (7, 1.01)], ids=str)
     def test_reads_the_profile_samples_bit_for_bit(self, line):
@@ -248,6 +248,26 @@ class TestRunStar:
             served.append(read is not None)
         assert served == sorted(served) and 0 < sum(served) < len(served)
         assert steady.integrate_line(StarConfig(3, 1.25, 1e6)).read(1.0 + 1e-9) is None
+
+    @pytest.mark.parametrize("star", [(3, 1.0, 10.0), (3, 1.5, 10.0), (5, 1.3, 0.5)], ids=str)
+    def test_gas_run_reads_its_profile_samples_bit_for_bit(self, star):
+        # integrate_gas_profile samples its own run as a kappa = 1 RunStar;
+        # only a compact surface's enthalpy is pinned to the stop level
+        # instead of read.  Infinite support, compact support, rho0 < 1
+        config, d = StarConfig(*star), star[0]
+        run = steady._gas_run(config, 1e-10, 20.0)
+        profile = integrate_gas_profile(config, r_max=20.0)
+        assert run.kappa == run.lam == 1.0
+        assert run.liquid_radius == profile.liquid_radius and run.gas_radius == profile.gas_radius
+        r = profile.radii
+        assert r[-1] == run.end and np.count_nonzero(r >= run.seed_radius) > 2048
+        enthalpy, mass_hat = run.enthalpy_and_mass_hat_at(r)
+        read = r != profile.gas_radius
+        assert np.count_nonzero(~read) == (profile.gas_radius is not None)
+        assert enthalpy[read].tobytes() == profile.enthalpy[read].tobytes()
+        assert np.all(profile.enthalpy[~read] == config.gas_stop)
+        assert mass_hat[0] == FOUR_PI / d * config.rho_center
+        assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
 
     @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
     def test_radius_outside_the_star_raises(self, where):
