@@ -26,7 +26,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .spectral import classify_stability, spectral_result_dict, write_eigenfunction_csv
-from .steady import liquid_star
+from .steady import liquid_read
 
 
 def _keep_freed_memory() -> None:
@@ -216,8 +216,8 @@ def _cmd_stability(args) -> int:
     config = spec.config()
     if config.rho_center <= 1.0:
         raise UsageError("stability analysis needs a liquid star: rho0 > 1")
-    profile = liquid_star(config, tol=spec.tol, r_max=spec.rmax)
-    result = classify_stability(profile, mesh_size=spec.mesh, tol_eig=spec.tol_eig)
+    star = liquid_read(config, tol=spec.tol, r_max=spec.rmax)
+    result = classify_stability(star, mesh_size=spec.mesh, tol_eig=spec.tol_eig)
     _emit(report_json(spectral_result_dict(result)), spec.out)
     if args.chi_out is not None:
         with open(args.chi_out, "w") as f:

@@ -15,8 +15,11 @@ floats (_compile_kernels): each stage, the order-8 weights, the two error
 sums and the 3 dense stages is one expression 0.0 + c k_j0 + c k_j1 + ...
 in the row's order, so a step costs about its arithmetic and gives the bits
 a loop over the row would.  The dense output of all accepted steps is kept
-power-major, coeffs[i] the (n_steps, 2) block of the i-th coefficient, and
-evaluated in one vectorised pass that gathers each block contiguously.  A run
+once, component-major: coeffs[i, c] is the contiguous row of the i-th
+coefficient of component c over the steps.  It is evaluated at ascending
+radii: each step's run of radii is located by one search of the radii per
+step boundary, and each coefficient row is repeated over those runs, so a
+radius costs its Horner arithmetic and no search or gather of its own.  A run
 is only its steps: the stepper ends after the step where the first component
 falls through a stop level, without rooting it, and every crossing, the
 stop's included, is found after the run on the dense output
@@ -342,8 +345,9 @@ class DenseSolution:
 
     ts are the step boundaries and ys both components at each, shape
     (n_steps + 1, 2).  Step k spans [ts[k], ts[k + 1]], of size h[k];
-    coeffs[i, k] is its i-th dense-output coefficient (a 2-vector), so coeffs
-    has shape (7, n_steps, 2).  nfev counts right-hand-side evaluations.
+    coeffs[i, c, k] is its i-th dense-output coefficient of component c, so
+    coeffs has shape (7, 2, n_steps), each row contiguous over the steps.
+    nfev counts right-hand-side evaluations.
     """
 
     ts: np.ndarray
@@ -357,18 +361,34 @@ class DenseSolution:
         return len(self.h)
 
     def __call__(self, t) -> np.ndarray:
-        """Both components at the radii t (1-D array): shape (2, len(t)).
+        """Both components at the ascending radii t (1-D array): shape (2, len(t)).
 
-        A radius on a step boundary is evaluated on the step that ends there.
-        Each coefficient is gathered from its contiguous (n_steps, 2) block.
+        A radius on a step boundary is evaluated on the step that ends there,
+        one below ts[0] on the first step and one above ts[-1] on the last.
+        The radii of step k are a run of t, found by searching t for each
+        step boundary; each coefficient row is repeated over those runs, and
+        each radius gets _horner's arithmetic on its step's floats, so its
+        bits.  Raises ValueError when t is not ascending.
         """
         t = np.asarray(t, dtype=float)
-        seg = np.searchsorted(self.ts, t, side="left") - 1
-        np.clip(seg, 0, len(self.h) - 1, out=seg)
-        x = ((t - self.ts[seg]) / self.h[seg])[:, None]
-        y = _horner([c.take(seg, axis=0) for c in self.coeffs], x)
-        y += self.ys.take(seg, axis=0)
-        return y.T
+        if not np.all(t[1:] >= t[:-1]):
+            raise ValueError("dense output radii must be ascending")
+        # runs[k] radii lie in (ts[k], ts[k + 1]]; the first and last steps
+        # also take the radii below ts[0] and above ts[-1]
+        ends = np.searchsorted(t, self.ts, side="right")
+        runs = np.diff(ends)
+        runs[0] += ends[0]
+        runs[-1] += len(t) - ends[-1]
+        x = np.repeat(self.ts[:-1], runs)
+        np.subtract(t, x, out=x)
+        x /= np.repeat(self.h, runs)
+        x1 = 1.0 - x
+        y = np.zeros((2, len(t)))
+        for i in range(INTERPOLATOR_POWER - 1, -1, -1):
+            y += np.repeat(self.coeffs[i], runs, axis=1)
+            y *= x if i % 2 == 0 else x1
+        y += np.repeat(self.ys[:-1].T, runs, axis=1)
+        return y
 
     def crossing(self, level: float) -> Optional[float]:
         """The first radius where the first component falls through level, or None.
@@ -386,7 +406,7 @@ class DenseSolution:
         if not falls.size:
             return None
         k = int(falls[0])
-        poly, (t_old, t_new) = self.coeffs[:, k, 0].tolist(), self.ts[k:k + 2].tolist()
+        poly, (t_old, t_new) = self.coeffs[:, 0, k].tolist(), self.ts[k:k + 2].tolist()
         h, a_old = float(self.h[k]), float(a[k])
         return brentq(lambda r: _horner(poly, (r - t_old) / h) + a_old - level, t_old, t_new,
                       xtol=4 * EPS * min(1.0, abs(t_new)), rtol=4 * EPS)
@@ -406,25 +426,25 @@ def _horner(coeffs, x):
 
 
 def _dense_coefficients(records: np.ndarray) -> np.ndarray:
-    """Dense-output coefficients (7, n, 2) of n step records.
+    """Dense-output coefficients (7, 2, n) of n step records.
 
     Each element is computed by elementwise operations alone, so a record's
     coefficients do not depend on the batch it is computed in.
     """
     n = len(records)
-    h = records[:, 1, None]
-    dy = records[:, 4:6] - records[:, 2:4]
-    k = records[:, _K0:].reshape(n, 2, N_STAGES_EXTENDED)
-    f_old, f_new = k[:, :, 0], k[:, :, N_STAGES]
-    out = np.empty((INTERPOLATOR_POWER, n, 2))
+    h = records[:, 1]
+    dy = (records[:, 4:6] - records[:, 2:4]).T
+    k = records[:, _K0:].reshape(n, 2, N_STAGES_EXTENDED).transpose(2, 1, 0)  # k[j] is (2, n)
+    f_old, f_new = k[0], k[N_STAGES]
+    out = np.empty((INTERPOLATOR_POWER, 2, n))
     out[0] = dy
     out[1] = h * f_old - dy
     out[2] = 2.0 * dy - h * (f_new + f_old)
     # the four high-order rows share their 12 columns: one broadcast term per
     # column, added in column order to sums that start from 0.0
-    acc = np.zeros((INTERPOLATOR_POWER - 3, n, 2))
+    acc = np.zeros((INTERPOLATOR_POWER - 3, 2, n))
     for j in _D_COLUMNS:
-        acc += D[:, j, None, None] * k[:, :, j]
+        acc += D[:, j, None, None] * k[j]
     np.multiply(h, acc, out=out[3:])
     return out
 

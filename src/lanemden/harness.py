@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -40,12 +40,12 @@ from .steady import (
     Profile,
     RunStar,
     _fmt,
-    _liquid_read,
     decay_bound,
     explicit_profile_critical,
     integrate_gas_profile,
     integrate_line,
     liquid_radius,
+    liquid_read,
     liquid_star,
     pohozaev_residual,
     scale_profile,
@@ -170,15 +170,15 @@ class SweepRow:
 _ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
-    """The sweep row of one liquid-cut star: R, M and the certified verdict."""
-    R = liquid_radius(profile)
-    result = classify_stability(profile, mesh_size=mesh, tol_eig=tol_eig)
+def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
+    """The sweep row of one liquid star read off a run: R, M and the certified verdict."""
+    R = liquid_radius(star)
+    result = classify_stability(star, mesh_size=mesh, tol_eig=tol_eig)
     verdict = MARGINAL if result.marginal else result.verdict
     return SweepRow(
-        rho0=profile.config.rho_center,
+        rho0=star.config.rho_center,
         R=R,
-        M_total=profile.total_mass,
+        M_total=star.total_mass,
         mu_star=result.mu_star,
         verdict=verdict,
         inertia_counts=result.inertia_counts,
@@ -186,19 +186,14 @@ def _classified_row(profile: Profile, mesh: int, tol_eig: float) -> SweepRow:
     )
 
 
-def _line_profile(
-    line: Optional[LiquidLine], d: int, gamma: float, rho0: float, tol: float, rmax: float
-) -> Tuple[Profile, bool]:
-    """rho0's liquid-cut star off the line's run, or off its own line where the run cannot serve.
+def _line_read(line: Optional[LiquidLine], config: StarConfig, tol: float, rmax: float) -> RunStar:
+    """config's liquid star read off the line's run, or off its own line's where the run cannot serve.
 
-    The run cannot serve when there is no line or LiquidLine.star returns
-    None; then the star is liquid_star's, the top star of its own line.
-    The flag is True when the star was built off its own line.
+    The run cannot serve when there is no line or LiquidLine.read returns
+    None; then the star is liquid_read's, the top star of its own line.
     """
-    profile = None if line is None else line.star(rho0)
-    if profile is not None:
-        return profile, False
-    return liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax), True
+    star = None if line is None else line.read(config.rho_center)
+    return liquid_read(config, tol=tol, r_max=rmax) if star is None else star
 
 
 def sweep_row(
@@ -210,15 +205,14 @@ def sweep_row(
     tol_eig: float = 1e-8,
     rmax: float = 50.0,
 ) -> SweepRow:
-    """Compute one sweep row from scratch (independent of any other row): its star is liquid_star's.
+    """Compute one sweep row from scratch (independent of any other row): its star is liquid_read's.
 
-    run_sweep and critical_density read most stars off one integration per
-    line instead.  Such a star's profile samples the same star on another
-    grid, so its mu* differs from this one's by up to about 3e-10 relative at
-    mesh 2048 (1.9e-9 was seen at rho0 = 1 + 1e-9).
+    The star is read straight off its own line's run (steady.liquid_read),
+    with no samples.  run_sweep and critical_density read most stars off
+    one integration per line instead: the same star off another run, so its
+    mu* differs from this one's by up to about 5e-10 relative at mesh 2048.
     """
-    profile = liquid_star(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax)
-    return _classified_row(profile, mesh, tol_eig)
+    return _classified_row(liquid_read(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax), mesh, tol_eig)
 
 
 def run_sweep(spec: RunSpec) -> List[SweepRow]:
@@ -226,15 +220,17 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
 
     The line is integrated once, at its largest rho0, and every other star is
     read off that run through the rescaling law (steady.integrate_line), its
-    liquid radius found on the run's dense output after the run.  The
-    largest star's row is bit for bit sweep_row's.  The others' R and M agree
-    with sweep_row's to about 1e-10 and their mu* to about 3e-10 relative at
-    mesh 2048, so a row's mu* depends on its line at that level.  A row's
-    star is sweep_row's, off its own line (steady.liquid_star), when its
-    liquid level is not crossed after the largest star's seed or its R would
-    exceed rmax (_line_profile), and every row's is when the line's own
-    integration fails, so each Error row keeps its own reason.  The profiles
-    are built one at a time.
+    liquid radius found on the run's dense output after the run.  Each row's
+    pencil reads its star straight off the run (a RunStar: no samples, no
+    Hermite table), and M is the run's mass at R.  The largest star's row
+    is bit for bit sweep_row's.  The others' R and M agree with sweep_row's
+    to about 1e-10 and their mu* to about 5e-10 relative at mesh 2048, so a
+    row's mu* depends on its line at that level.  A row's star is
+    sweep_row's, off its own line (steady.liquid_read), when its liquid
+    level is not crossed after the largest star's seed or its R would
+    exceed rmax (_line_read), and every row's is when the line's own
+    integration fails, so each Error row keeps its own reason.  The stars
+    are read one at a time.
 
     Only numerical and usage failures (ValueError, RuntimeError,
     ArithmeticError, LinAlgError) become Error rows, with the exception kept
@@ -253,8 +249,8 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     rows = []
     for rho0 in densities:
         try:
-            profile, _ = _line_profile(line, spec.d, spec.gamma, rho0, spec.tol, spec.rmax)
-            rows.append(_classified_row(profile, spec.mesh, spec.tol_eig))
+            star = _line_read(line, StarConfig(spec.d, spec.gamma, rho0), spec.tol, spec.rmax)
+            rows.append(_classified_row(star, spec.mesh, spec.tol_eig))
         except _ROW_ERRORS as exc:
             rows.append(
                 SweepRow(
@@ -266,7 +262,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
                     reason=f"{type(exc).__name__}: {exc}",
                 )
             )
-        profile = None  # freed before the next row's star is built
+        star = None  # freed, with an own line's run, before the next row's star is read
     return rows
 
 
@@ -288,8 +284,9 @@ class CriticalDensityResult:
     once per count (a star counted at both meshes counts twice); nfev and
     steps are summed over them.  inertia_counts and solves are the
     eigensolver's work: the two bracket ends' full solves, plus every count
-    taken, at _STEER_MESH (512, on pencils read off a run) and at mesh.  At
-    the default mesh 2048 that is the guide's counts at 512 and two at 2048.
+    taken, at _STEER_MESH (512) and at mesh, every pencil read off a run.
+    At the default mesh 2048 that is the guide's counts at 512 and two at
+    2048.
     """
 
     rho0_crit: float
@@ -345,33 +342,32 @@ def critical_density(
 
     The two bracket ends get the full certified solve of sweep_row, reported
     as mu_lo and mu_hi: lo's star is the top star of its own line
-    (steady.liquid_star, first, so a bad bracket fails as before), and hi's
+    (steady.liquid_read, first, so a bad bracket fails as before), and hi's
     the top star of the line run that serves every interior star
     (steady.integrate_line), so both are sweep_row's bit for bit.
     Each interior star is read off that run as run_sweep's rows are
-    (_line_profile); it needs only the sign of mu*, so the pencil is
+    (_line_read); it needs only the sign of mu*, so the pencil is
     assembled and its side decided with one LDL^T inertia count
     (spectral.stable_at_zero).  A zero pivot reads as not stable, so mu* = 0
     falls on the unstable side, as its negatively signed zero does in the
     full solve.  A step's side can differ from that of the star's own
-    integration only where |mu*| lies within their ~3e-10 relative gap.
+    integration only where |mu*| lies within their ~5e-10 relative gap.
 
     The single crossing also decides sides without a count: a midpoint at
     or below a density counted on lo's side at mesh is on lo's side, one at
     or above a density counted on hi's side is on hi's, and any other is
     counted at mesh; at mesh <= _STEER_MESH (512) that is every midpoint.
     Above it, the default mesh 2048 included, the bisection first runs as a
-    guide only, each midpoint counted at _STEER_MESH on its star read
-    straight off the line's run (LiquidLine.read: no samples, no Hermite
-    table), or, where the run cannot serve it, off the run of its own line
-    (steady._liquid_read, liquid_star's star unsampled), so the guide
-    samples no star.  The two ends of the guide's final bracket are counted
-    at mesh on MIN_POINTS-sample profiles (LiquidLine.star), as the bracket
-    ends' full solves are, then the bisection runs at mesh.  Every earlier
-    midpoint lies outside that nested bracket, so where the guide agrees
-    with mesh no other count is taken, and where it does not the midpoints
-    left undecided are counted: the history is always that of counting
-    every midpoint at mesh on MIN_POINTS-sample stars.
+    guide only, each midpoint counted at _STEER_MESH.  The two ends of the
+    guide's final bracket are counted at mesh, then the bisection runs at
+    mesh.  Every earlier midpoint lies outside that nested bracket, so where
+    the guide agrees with mesh no other count is taken, and where it does
+    not the midpoints left undecided are counted: the history is always
+    that of counting every midpoint at mesh on stars read off the run.
+    Every star, at either mesh and at the ends, is read straight off the
+    line's run (LiquidLine.read: no samples, no Hermite table), or, where
+    the run cannot serve it, off the run of its own line
+    (steady.liquid_read), so no star is sampled.
     """
     if gamma >= stability_threshold(d):
         raise ValueError(
@@ -383,16 +379,16 @@ def critical_density(
     if not (tol_rho > 0.0 and math.isfinite(tol_rho)):
         raise ValueError(f"tol_rho must be positive and finite, got {tol_rho}")
 
-    own = liquid_star(StarConfig(d, gamma, lo), tol=tol, r_max=rmax)
+    own = liquid_read(StarConfig(d, gamma, lo), tol=tol, r_max=rmax)
     row_lo = _classified_row(own, mesh, tol_eig)
     line = integrate_line(StarConfig(d, gamma, hi), tol=tol, r_max=rmax)
-    runs = [(own.nfev, own.steps), (line.sol.nfev, line.sol.n_steps)]
+    runs = [own.sol, line.sol]
 
-    def star(rho0: float) -> Profile:
-        profile, integrated = _line_profile(line, d, gamma, rho0, tol, rmax)
-        if integrated:
-            runs.append((profile.nfev, profile.steps))
-        return profile
+    def star(rho0: float) -> RunStar:
+        read = _line_read(line, StarConfig(d, gamma, rho0), tol, rmax)
+        if read.sol is not line.sol:
+            runs.append(read.sol)
+        return read
 
     row_hi = _classified_row(star(hi), mesh, tol_eig)
     mu_lo, mu_hi = row_lo.mu_star, row_hi.mu_star
@@ -403,17 +399,10 @@ def critical_density(
     lo_stable = math.copysign(1.0, mu_lo) > 0.0
     counts = 0
 
-    def counted_on_lo_side(profile: Union[Profile, RunStar], at_mesh: int) -> bool:
+    def counted_on_lo_side(rho0: float, at_mesh: int) -> bool:
         nonlocal counts
         counts += 1
-        return stable_at_zero(assemble(build_sl_data(profile), at_mesh)) == lo_stable
-
-    def guided_on_lo_side(rho0: float) -> bool:
-        read = line.read(rho0)
-        if read is None:
-            read = _liquid_read(StarConfig(d, gamma, rho0), tol, rmax)
-            runs.append((read.sol.nfev, read.sol.n_steps))
-        return counted_on_lo_side(read, _STEER_MESH)
+        return stable_at_zero(assemble(build_sl_data(star(rho0)), at_mesh)) == lo_stable
 
     # the largest density known to lie on lo's side at mesh, and the smallest on hi's
     known = [lo, hi]
@@ -423,12 +412,12 @@ def critical_density(
             return True
         if rho0 >= known[1]:
             return False
-        side = counted_on_lo_side(star(rho0), mesh)
+        side = counted_on_lo_side(rho0, mesh)
         known[0 if side else 1] = rho0
         return side
 
     if mesh > _STEER_MESH:
-        guide = _bisect(lo, hi, tol_rho, guided_on_lo_side)
+        guide = _bisect(lo, hi, tol_rho, lambda rho0: counted_on_lo_side(rho0, _STEER_MESH))
         for end in guide[-1]:
             on_lo_side(end)
     history = _bisect(lo, hi, tol_rho, on_lo_side)
@@ -440,8 +429,8 @@ def critical_density(
         mu_hi=mu_hi,
         history=tuple(history),
         integrations=len(runs),
-        nfev=sum(n for n, _ in runs),
-        steps=sum(k for _, k in runs),
+        nfev=sum(sol.nfev for sol in runs),
+        steps=sum(sol.n_steps for sol in runs),
         inertia_counts=row_lo.inertia_counts + row_hi.inertia_counts + counts,
         solves=row_lo.solves + row_hi.solves,
     )

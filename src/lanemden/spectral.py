@@ -19,7 +19,10 @@ q is evaluated through the equilibrium identity y^d (rhobar^gamma)' =
 profile: with p = gamma rhobar^(gamma-1) wgt, every coefficient is wgt times
 a column the profile's interpolant already holds (the enthalpy gives
 rhobar^(gamma-1), and m/y^d is the other column), so the only power of
-rhobar taken is rhobar itself.
+rhobar taken is rhobar itself.  The same two columns come straight off a
+DOP853 run for a steady.RunStar, which is what the drivers certify: the
+Gauss points of a mesh are read in ascending order, element by element,
+so the run locates them in one pass over its steps.
 
 The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
 eigenvector solved for with its dpttrs.  Both are called through ctypes in
@@ -178,37 +181,45 @@ def _element_integrals(data: SturmLiouvilleData, nodes: np.ndarray):
     the only place the coefficients are evaluated at quadrature points:
     assemble, quadratic_form and weighted_norm_sq all go through it.
 
-    The coefficients are evaluated at yl + h _REF_X, laid out (3, M), one
-    row per Gauss point of gauss_rule(3).  The hat functions take the same
-    values at the Gauss points of every element, so each integral is one
-    contraction with a reference-element table: kp = (_REF_W @ p) / h, and
-    the rows ll, lr, rr are (_REF_HAT @ q) h and (_REF_HAT @ wgt) h.
+    The coefficients are evaluated at yl + h _REF_X element by element, so
+    the points ascend (a RunStar's run reads ascending radii in one pass),
+    then laid out (3, M), one contiguous row per Gauss point of
+    gauss_rule(3).  The hat functions take the same values at the Gauss
+    points of every element, so each integral is one contraction with a
+    reference-element table: kp = (_REF_W @ p) / h, and the rows ll, lr, rr
+    are (_REF_HAT @ q) h and (_REF_HAT @ wgt) h.
     """
     yl = nodes[:-1]
     h = nodes[1:] - yl
     if np.any(h <= 0.0):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
-    pts = yl + h * _REF_X[:, None]
-    p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
+    pts = yl[:, None] + h[:, None] * _REF_X
+    # a matrix-vector product rounds by its matrix's layout: contract contiguous rows
+    p, q, wgt = (np.ascontiguousarray(np.reshape(c, pts.shape).T) for c in data.coeffs(pts.ravel()))
     return (_REF_W @ p) / h, (_REF_HAT @ q) * h, (_REF_HAT @ wgt) * h, q / wgt
 
 
 def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
-    """The weak-form pencil on strictly increasing `nodes` (see assemble)."""
-    kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio = _element_integrals(data, nodes)
-    n = len(nodes)
-    k_diag = np.zeros(n)
-    m_diag = np.zeros(n)
-    k_diag[:-1] += kp + q_ll
-    k_diag[1:] += kp + q_rr
-    k_off = -kp + q_lr
-    m_diag[:-1] += m_ll
-    m_diag[1:] += m_rr
-    m_off = m_lr
-    k_diag[-1] += data.robin_weight
+    """The weak-form pencil on strictly increasing `nodes` (see assemble).
 
-    mu_lower = float(np.minimum(ratio.min(), 0.0))
-    mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
+    Overflow and invalid values are not warned about: the finiteness check
+    at the end is the one way out for them, and it names the cause.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio = _element_integrals(data, nodes)
+        n = len(nodes)
+        k_diag = np.zeros(n)
+        m_diag = np.zeros(n)
+        k_diag[:-1] += kp + q_ll
+        k_diag[1:] += kp + q_rr
+        k_off = -kp + q_lr
+        m_diag[:-1] += m_ll
+        m_diag[1:] += m_rr
+        m_off = m_lr
+        k_diag[-1] += data.robin_weight
+
+        mu_lower = float(np.minimum(ratio.min(), 0.0))
+        mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
     # the LDL^T certificate reads a NaN pivot as positive: never let one in
     if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
         raise RuntimeError(_NON_FINITE)
@@ -779,15 +790,18 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     """
     nodes, chi, mu = result.nodes, result.chi_star, result.mu_star
     h = np.diff(nodes)
-    n_mid = len(h)
-    # one coefficient evaluation: p at the element midpoints, q and wgt at
-    # the interior nodes
-    p, q, wgt = data.coeffs(np.concatenate([0.5 * (nodes[:-1] + nodes[1:]), nodes[1:-1]]))
-    flux = p[:n_mid] * np.diff(chi) / h
+    # one coefficient evaluation at ascending radii, the element midpoints
+    # interleaved with the interior nodes: p at the midpoints, q and wgt at
+    # the nodes
+    y = np.empty(2 * len(h) - 1)
+    y[0::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    y[1::2] = nodes[1:-1]
+    p, q, wgt = data.coeffs(y)
+    flux = p[0::2] * np.diff(chi) / h
     hbar = 0.5 * (nodes[2:] - nodes[:-2])
     div = (flux[1:] - flux[:-1]) / hbar
-    qi = q[n_mid:]
-    wi = wgt[n_mid:]
+    qi = q[1::2]
+    wi = wgt[1::2]
     res = -div + qi * chi[1:-1] - mu * wi * chi[1:-1]
     scale = np.abs(div) + np.abs(qi * chi[1:-1]) + np.abs(mu * wi * chi[1:-1])
     num = math.sqrt(float((hbar * res**2).sum()))
@@ -796,8 +810,9 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     return StrongFormResidual(interior_norm=interior, robin_defect=_robin_defect(data, result))
 
 
-def classify_stability(profile: Profile, mesh_size: int = 2048, tol_eig: float = 1e-8) -> SpectralResult:
-    """Assemble the pencil for a liquid profile and decide the verdict by sign of mu*."""
+def classify_stability(profile: Union[Profile, RunStar], mesh_size: int = 2048,
+                       tol_eig: float = 1e-8) -> SpectralResult:
+    """Assemble the pencil for a liquid star (a Profile or a RunStar) and decide the verdict by sign of mu*."""
     data = build_sl_data(profile)
     op = assemble(data, mesh_size)
     result = smallest_eigenpair(op, tol_eig)

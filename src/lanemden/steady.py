@@ -17,9 +17,11 @@ once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats.  A RunStar is the only code that evaluates a
 star off a run's dense output, and an integrated Profile is its samples.
-Between samples a Profile reads one cubic Hermite of the enthalpy and m/r^d
-with the ODE's own slopes at the samples, built and evaluated here in numpy,
-so import loads no part of scipy.interpolate.
+The stability drivers certify a RunStar itself: its pencil reads the run at
+the Gauss points, with no samples and no interpolant.  Between samples a
+Profile reads one cubic Hermite of the enthalpy and m/r^d with the ODE's own
+slopes at the samples, built and evaluated here in numpy, so import loads
+no part of scipy.interpolate.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.
@@ -383,7 +385,9 @@ class RunStar:
     config's own Taylor seed (_seed) below seed_radius, the run's dense
     output at lam y through _rescaled from there on.  radii are r = 0 and
     the run's step boundaries below end, over lam: the nodes between which
-    the read is one polynomial.  spectral.build_sl_data takes a liquid one.
+    the read is one polynomial.  spectral.build_sl_data takes a liquid one,
+    and total_mass is the run's mass at its liquid radius, the mass its
+    profile's last sample holds.
     """
 
     config: StarConfig
@@ -415,21 +419,34 @@ class RunStar:
         ts = self.sol.ts
         return np.concatenate([[0.0], ts[ts < self.end] / self.lam])
 
+    @property
+    def total_mass(self) -> float:
+        """The run's mass at the liquid radius if there is one, else where the star ends."""
+        end = self.end if self.liquid is None else self.liquid
+        _, mass = self._read(np.array([end / self.lam]))
+        return float(mass[0])
+
     def _read(self, y: np.ndarray):
-        """The enthalpy and mass at the radii y (1-D, in [0, end / lam])."""
+        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""
         enthalpy, mass = np.empty_like(y), np.empty_like(y)
-        seed = y < self.seed_radius
-        enthalpy[seed], mass[seed] = _seed(self.config, y[seed])
-        run = ~seed
-        enthalpy[run], mass[run] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[run]))
+        k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
+        enthalpy[:k], mass[:k] = _seed(self.config, y[:k])
+        enthalpy[k:], mass[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
         return enthalpy, mass
 
     def enthalpy_and_mass_hat_at(self, r):
-        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r."""
+        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
+
+        Radii in any order are read in ascending order, sorted once.
+        """
         r = _checked_radii(r, self.end / self.lam, "star")
         y = r.ravel()
+        order = np.argsort(y) if np.any(y[1:] < y[:-1]) else slice(None)
+        y = y[order]
         enthalpy, mass = self._read(y)
-        return enthalpy.reshape(r.shape), _mass_hat(self.config, y, mass).reshape(r.shape)
+        out = np.empty((2, len(y)))
+        out[0, order], out[1, order] = enthalpy, _mass_hat(self.config, y, mass)
+        return out[0].reshape(r.shape), out[1].reshape(r.shape)
 
     def profile(self, points: int = MIN_POINTS) -> Profile:
         """The star's samples as a Profile, read in one _read.
@@ -513,11 +530,11 @@ class LiquidLine:
     found on the run's dense output, so any density in (1, rho_top] can be
     asked for after the run; its level is never below the top star's, where
     the run ends (after the step that falls through it).  read gives each
-    star as a RunStar on the run itself, and star samples it
-    (RunStar.profile), as integrate_gas_profile samples its own run.
-    Every liquid star comes from here: liquid_star builds a lone star as the
-    top star of its own line, harness.run_sweep reads each scan row's star
-    off one, and harness.critical_density each bisection star.
+    star as a RunStar on the run itself; read(rho0).profile(points) samples
+    it, as integrate_gas_profile samples its own run.  Every liquid star
+    comes from here: liquid_read reads a lone star as the top star of its
+    own line (and liquid_star samples it), harness.run_sweep reads each scan
+    row's star off one, and harness.critical_density each bisection star.
     """
 
     top: StarConfig
@@ -543,16 +560,6 @@ class LiquidLine:
         star = RunStar(StarConfig(self.top.d, self.top.gamma, rho0), self.sol, kappa, self.r0, root, root)
         return star if star.liquid_radius <= self.r_max else None
 
-    def star(self, rho0: float, points: int = MIN_POINTS) -> Optional[Profile]:
-        """read's star sampled with points samples (RunStar.profile), or None where read is.
-
-        points is the sample count the run's steps are refined to, as
-        integrate_gas_profile's min_points; the liquid radius is the same
-        crossing whatever it is.  Raises read's ValueError.
-        """
-        star = self.read(rho0)
-        return None if star is None else star.profile(points)
-
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
     """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
@@ -560,7 +567,7 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
     The run is integrate_gas_profile's with the liquid surface rho = 1 as
     its stop level; LiquidLine.read reads each star off it on demand, for a
     scan line (top its largest rho0), a critical-density bracket (top its
-    upper end) or a lone star (liquid_star).
+    upper end) or a lone star (liquid_read).
     The top star's seed radius is kept, so the seed covers r0 / lam of each
     smaller star, a larger share of its radius than its own seed would.
     """
@@ -570,8 +577,12 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
     return LiquidLine(top, r_max, r0, sol)
 
 
-def _liquid_read(config: StarConfig, tol: float, r_max: float) -> RunStar:
-    """liquid_star's star as a RunStar: the top star of its own line, read off its run."""
+def liquid_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
+    """The liquid star of config as a RunStar: the top star of its own line, read off its run.
+
+    Raises RuntimeError when its liquid radius lies beyond r_max, and
+    integrate_line's errors otherwise.
+    """
     star = integrate_line(config, tol, r_max).read(config.rho_center)
     if star is None:
         raise RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
@@ -583,12 +594,12 @@ def liquid_star(
 ) -> Profile:
     """The liquid star of config, the top star of its own line: its gas profile cut at R.
 
-    integrate_line(config, tol, r_max).star(config.rho_center, min_points).
-    Its run takes integrate_gas_profile's steps up to R, so R is bit for bit
-    the liquid_radius config's gas profile records.  Raises RuntimeError
-    when R lies beyond r_max, and integrate_line's errors otherwise.
+    liquid_read(config, tol, r_max) sampled with min_points samples.  Its
+    run takes integrate_gas_profile's steps up to R, so R is bit for bit
+    the liquid_radius config's gas profile records.  Raises liquid_read's
+    errors.
     """
-    return _liquid_read(config, tol, r_max).profile(min_points)
+    return liquid_read(config, tol, r_max).profile(min_points)
 
 
 def liquid_radius(profile: Profile) -> float:

@@ -398,6 +398,14 @@ CLEAN_EXITS = {
                                       "--mesh", "64"), None, 0),
     "mass-hat-underflow-gamma=1": (("stability", "--d", "7", "--gamma", "1", "--rho0", "1e100",
                                     "--mesh", "64"), None, 0),
+    # rho0 = 1e150: the sampled star's Hermite table overflowed; the star
+    # read off its run certifies without a warning
+    **{f"hermite-overflow-{d}-{gamma}": (("stability", "--d", d, "--gamma", gamma, "--rho0", "1e150",
+                                          "--mesh", "256"), None, 0)
+       for d, gamma in (("3", "1"), ("3", "1.0001"), ("3", "1.2"), ("4", "1.0001"), ("4", "1.2"))},
+    # the pencil overflows: one line names the cause, and numpy warns of nothing
+    "pencil-overflow": (("stability", "--d", "30", "--gamma", "2", "--rho0", "1e150", "--mesh", "256"),
+                        None, 2),
     # the liquid radius lies beyond r_max
     "radius-beyond-rmax": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1.5",
                             "--rmax", "0.01"), None, 2),
@@ -411,6 +419,7 @@ CAUSES = {
     "no-seed-gap": "w0 - 1 rounds to 0",
     "no-seed-gap-scan": "RuntimeError: the central enthalpy",
     "radius-beyond-rmax": "rho_center=1.5) lies beyond r_max = 0.01",
+    "pencil-overflow": "numerical failure: non-finite pencil entries",
     **{f"liquid-cut-{rho0}": f"of {lanemden.StarConfig(3, 1.2, float(rho0))} fails its profile check: "
        "mass must be strictly increasing" for rho0 in LIQUID_CUT_RHO0},
 }

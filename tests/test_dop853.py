@@ -483,13 +483,13 @@ def _assert_bitwise(sol, ref, levels):
     assert sol.ts[:n].tobytes() == ref["t_old"].tobytes()
     assert sol.h[:n].tobytes() == ref["h"].tobytes()
     assert sol.ys[:n].tobytes() == ref["y_old"].tobytes()
-    assert sol.coeffs[:, :n].tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 0, 2)).tobytes()
+    assert sol.coeffs[:, :, :n].tobytes() == np.ascontiguousarray(ref["coeffs"].transpose(1, 2, 0)).tobytes()
     # each level's first fall, read off the finished run, is the in-loop root
     want = [roots[0] if roots else None for roots in ref["event_roots"]]
     assert _hex([sol.crossing(level) for level in levels]) == _hex(want)
     assert sol.nfev == ref["nfev"]
-    # every step boundary up to the terminal root, the root, and every midpoint
-    r = np.concatenate([ref["ts"], ref["t_old"] + 0.5 * ref["h"]])
+    # every step boundary up to the terminal root, the root, and every midpoint, ascending
+    r = np.sort(np.concatenate([ref["ts"], ref["t_old"] + 0.5 * ref["h"]]))
     assert sol(r).tobytes() == np.ascontiguousarray(_reference_eval(ref, r)).tobytes()
 
 
@@ -534,30 +534,48 @@ def test_line_run_matches_loop_reference_bitwise(monkeypatch):
     assert None not in roots and len(set(steps.tolist())) < 8
     for x, root in zip(densities, roots):
         lam = (x / top.rho_center) ** (1.0 - top.gamma / 2.0)
-        assert line.star(x).liquid_radius == root / lam
+        assert line.read(x).liquid_radius == root / lam
+
+
+def _random_solution(seed: int, n: int = 5) -> dop853.DenseSolution:
+    """A DenseSolution of n random steps, step 2's coefficients and start value all -0.0."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(np.concatenate([[0.5], rng.uniform(0.1, 1.0, n)]))
+    coeffs = rng.standard_normal((dop853.INTERPOLATOR_POWER, 2, n))
+    coeffs[:, :, 2] = -0.0
+    ys = rng.standard_normal((n + 1, 2))
+    ys[2] = -0.0
+    return dop853.DenseSolution(ts=ts, ys=ys, h=np.diff(ts), coeffs=coeffs, nfev=0)
 
 
 def test_dense_output_is_the_scalar_horner_bitwise():
-    # the vectorised evaluation picks each radius's step and gives, signed
+    # the run-wise evaluation picks each radius's step and gives, signed
     # zeros included, the bits of _horner on that step's floats: all-(-0.0)
-    # coefficients and start value give 0.0 + -0.0 = 0.0 there, not -0.0
-    rng = np.random.default_rng(3)
-    n = 5
-    ts = np.cumsum(np.concatenate([[0.5], rng.uniform(0.1, 1.0, n)]))
-    coeffs = rng.standard_normal((dop853.INTERPOLATOR_POWER, n, 2))
-    coeffs[:, 2] = -0.0
-    ys = rng.standard_normal((n + 1, 2))
-    ys[2] = -0.0
-    sol = dop853.DenseSolution(ts=ts, ys=ys, h=np.diff(ts), coeffs=coeffs, nfev=0)
-    r = np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts)])
+    # coefficients and start value give 0.0 + -0.0 = 0.0 there, not -0.0.
+    # The radii ascend and hold every step boundary, repeated radii, and
+    # radii just outside [ts[0], ts[-1]], which the end steps take
+    sol = _random_solution(3)
+    ts, n = sol.ts, sol.n_steps
+    outside = [np.nextafter(ts[0], -np.inf), ts[0] - 0.1, np.nextafter(ts[-1], np.inf), ts[-1] + 0.1]
+    r = np.sort(np.concatenate([ts, ts, ts[:-1] + 0.3 * np.diff(ts), np.nextafter(ts, np.inf), outside]))
     got = sol(r)
+    assert got.shape == (2, len(r))
     for col, radius in enumerate(r):
         k = min(max(np.searchsorted(ts, radius) - 1, 0), n - 1)
         x = (radius - ts[k]) / sol.h[k]
         for comp in range(2):
-            want = dop853._horner(coeffs[:, k, comp].tolist(), x) + ys[k, comp]
+            want = dop853._horner(sol.coeffs[:, comp, k].tolist(), x) + sol.ys[k, comp]
             assert float(got[comp, col]).hex() == float(want).hex()
-    assert math.copysign(1.0, got[0, -3]) == 1.0  # a point inside the signed-zero step
+    inside = (r > ts[2]) & (r < ts[3])
+    assert np.all(np.copysign(1.0, got[0, inside]) == 1.0)  # the signed-zero step
+    assert sol(r[:0]).shape == (2, 0)
+
+
+@pytest.mark.parametrize("radii", [[1.0, 0.9], [0.6, 1.0, math.nan], [2.0, 1.0, 3.0]])
+def test_dense_output_refuses_radii_out_of_order(radii):
+    sol = _random_solution(4)
+    with pytest.raises(ValueError, match="ascending"):
+        sol(np.array(radii))
 
 
 # dop853.brentq, the port of scipy's brentq.c, against scipy.optimize.brentq
@@ -607,8 +625,9 @@ def _captured_brentq_calls(monkeypatch):
     for d, g, top in [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6), (3, 1.25, 1.0 + 1e-9)]:
         line = steady.integrate_line(StarConfig(d, g, top))
         for rho0 in np.geomspace(1.0 + 1e-9, top, 12)[1:]:
-            profile = line.star(float(rho0))
-            if profile is not None:
+            star = line.read(float(rho0))
+            if star is not None:
+                profile = star.profile()
                 steady._enthalpy_crossing(profile, 0.5 * (profile.enthalpy[0] + profile.enthalpy[-1]))
     return calls
 

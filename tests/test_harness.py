@@ -223,7 +223,7 @@ class TestLineFamily:
     def counted(self, monkeypatch):
         """Counts of DOP853 runs and of rows whose star fell back to its own line."""
         counts = {"solves": 0, "fallbacks": 0}
-        real_solve, real_star = dop853.solve, harness.liquid_star
+        real_solve, real_star = dop853.solve, harness.liquid_read
 
         def solve(*args, **kwargs):
             counts["solves"] += 1
@@ -234,7 +234,7 @@ class TestLineFamily:
             return real_star(*args, **kwargs)
 
         monkeypatch.setattr(dop853, "solve", solve)
-        monkeypatch.setattr(harness, "liquid_star", integrate)
+        monkeypatch.setattr(harness, "liquid_read", integrate)
         return counts
 
     @pytest.mark.parametrize("d,gamma,extra,fallbacks", LINES, ids=[str(c) for c in LINES])
@@ -275,9 +275,9 @@ class TestLineFamily:
         assert rows[0].reason == "ValueError: tol must be positive, got -1.0"
 
     def test_one_profile_alive_at_a_time(self, monkeypatch):
-        # each row's star is freed before the next row's is built
+        # each row's star is freed before the next row's is read
         alive = []
-        real, real_build = harness.classify_stability, harness._line_profile
+        real, real_build = harness.classify_stability, harness._line_read
 
         def built(*args):
             assert all(ref() is None for ref in alive)
@@ -287,10 +287,29 @@ class TestLineFamily:
             alive.append(weakref.ref(profile))
             return real(profile, **kwargs)
 
-        monkeypatch.setattr(harness, "_line_profile", built)
+        monkeypatch.setattr(harness, "_line_read", built)
         monkeypatch.setattr(harness, "classify_stability", watched)
         run_sweep(RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256))
         assert len(alive) == 5
+
+
+class TestRunReadRows:
+    """A scan row certified on its star read off the run, against the same star sampled (MIN_POINTS)."""
+
+    @pytest.mark.parametrize("d,gamma", SEED0_LINES, ids=str)
+    def test_row_matches_its_sampled_profile(self, d, gamma):
+        # the pencil reads the run at the Gauss points instead of the
+        # profile's Hermite table: R is the same crossing, M the same run's
+        # mass at R, and mu* moves by the interpolation error alone
+        rows = run_sweep(RunSpec(d=d, gamma=gamma, rho0_min=1.01, rho0_max=1e6, points=8, mesh=2048))
+        line = steady.integrate_line(StarConfig(d, gamma, 1e6))
+        for row in rows:
+            profile = line.read(row.rho0).profile()
+            result = spectral.classify_stability(profile, mesh_size=2048)
+            assert row.R == profile.liquid_radius
+            assert row.verdict == (harness.MARGINAL if result.marginal else result.verdict)
+            assert row.mu_star == pytest.approx(result.mu_star, rel=1e-7, abs=0)
+            assert row.M_total == pytest.approx(profile.total_mass, rel=1e-15, abs=0)
 
 
 class TestCriticalDensity:
@@ -392,9 +411,8 @@ class TestCriticalDensityCount:
     def counted(self, monkeypatch):
         """The eigensolves, own-line runs and line runs of each call, by density.
 
-        A star off its own line, sampled (liquid_star) or not (a guide
-        star's), is the top star of a run of steady's integrate_line;
-        critical_density's own line is harness's.
+        A star off its own line (liquid_read) is the top star of a run of
+        steady's integrate_line; critical_density's own line is harness's.
         """
         calls = {"solves": [], "stars": [], "lines": []}
         real_solve = spectral.smallest_eigenpair
@@ -537,21 +555,16 @@ class TestCriticalDensityCount:
         assert res.solves == sum(r.solves for r in results)
 
     @pytest.mark.parametrize("mesh", [2048, 4096])
-    def test_steered_run_builds_profiles_only_for_its_ends_and_final_bracket(self, counted, monkeypatch, mesh):
-        # the guide reads each midpoint's star off the run (LiquidLine.read);
-        # profiles are sampled (RunStar.profile) only for the two ends' full
-        # solves (lo's by liquid_star) and the final bracket's two counts at
-        # mesh.  The line's star reads each star it samples, too
-        served, profiles = {"star": [], "read": []}, []
+    def test_steered_run_samples_no_profile(self, counted, monkeypatch, mesh):
+        # every pencil reads its star straight off the run (LiquidLine.read):
+        # the hi end's full solve, the guide's midpoints at 512 and the final
+        # bracket's two counts at mesh; lo's is its own line's (liquid_read)
+        reads, profiles = [], []
         line, sampled = harness.integrate_line, steady.RunStar.profile
 
         class ServingLine(steady.LiquidLine):
-            def star(self, rho0, points=steady.MIN_POINTS):
-                served["star"].append((rho0, points))
-                return super().star(rho0, points)
-
             def read(self, rho0):
-                served["read"].append(rho0)
+                reads.append(rho0)
                 return super().read(rho0)
 
         def sampled_profile(star, *args):
@@ -563,10 +576,9 @@ class TestCriticalDensityCount:
         res = critical_density(3, 1.25, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         final = list(res.history[-1])
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
-        assert served["star"] == [(1e6, steady.MIN_POINTS)] + [(end, steady.MIN_POINTS) for end in final]
         assert counted["stars"] == [1.01] and counted["lines"] == [1e6]
-        assert profiles == [1.01, 1e6] + final
-        assert served["read"] == [1e6] + mids + final and len(mids) == 14
+        assert profiles == []
+        assert reads == [1e6] + mids + final and len(mids) == 14
         assert res.integrations == 2
 
     def test_run_read_guide_takes_the_sampled_stars_sides(self):
@@ -580,7 +592,8 @@ class TestCriticalDensityCount:
         sides = []
 
         def on_lo_side(rho0):
-            sides.append((stable(line.read(rho0)), stable(line.star(rho0, 512))))
+            star = line.read(rho0)
+            sides.append((stable(star), stable(star.profile(512))))
             return sides[-1][0]  # mu*(1.01) > 0: lo's side is the stable one
 
         history = harness._bisect(1.01, 1e6, 1e-3, on_lo_side)
@@ -591,7 +604,7 @@ class TestCriticalDensityCount:
     def test_own_integrations_counted_per_build(self, counted, meshes, monkeypatch):
         # with no star served by the line, each count reads its star off its
         # own line's run, and the final bracket's two are integrated twice;
-        # the guide's stars are read, not sampled
+        # no star is sampled
         profiles, sampled = [], steady.RunStar.profile
 
         def sampled_profile(star, *args):
@@ -604,7 +617,7 @@ class TestCriticalDensityCount:
         iterations = len(res.history) - 1
         mids = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in res.history[:-1]]
         assert counted["stars"] == [1.01, 1e6] + mids + list(res.history[-1])
-        assert profiles == [1.01, 1e6] + list(res.history[-1])
+        assert profiles == []
         assert res.integrations == 3 + iterations + 2 == len(counted["stars"]) + 1
         crit, mu_lo, mu_hi, history = reference_critical_density(3, 1.25, (1.01, 1e6), 1e-3, 4096)
         assert res.rho0_crit.hex() == crit.hex() and res.history == history

@@ -806,6 +806,47 @@ class TestFusedCoefficients:
                 assert got.tobytes() == want.tobytes(), (star, mesh)
             assert float(op.mu_lower).hex() == float(ref[4]).hex(), (star, mesh)
 
+    @staticmethod
+    def point_major_assemble(data, mesh):
+        """The pencil with its Gauss points read point-major, (3, M), not element by element."""
+        nodes = graded_mesh(data.R, mesh)
+        yl = nodes[:-1]
+        h = nodes[1:] - yl
+        pts = yl + h * spectral._REF_X[:, None]
+        p, q, wgt = (np.reshape(c, pts.shape) for c in data.coeffs(pts.ravel()))
+        kp = (spectral._REF_W @ p) / h
+        (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr) = (spectral._REF_HAT @ q) * h, (spectral._REF_HAT @ wgt) * h
+        k_diag, m_diag = np.zeros(len(nodes)), np.zeros(len(nodes))
+        k_diag[:-1] += kp + q_ll
+        k_diag[1:] += kp + q_rr
+        m_diag[:-1] += m_ll
+        m_diag[1:] += m_rr
+        k_diag[-1] += data.robin_weight
+        mu_lower = float(np.minimum((q / wgt).min(), 0.0)) * (1.0 + 1e-12) - 1e-300
+        return k_diag, -kp + q_lr, m_diag, m_lr, mu_lower
+
+    @pytest.mark.parametrize("star", [(3, 1.25, 50.0), (4, 1.4, 1e3), (7, 1.01, 1e3)], ids=str)
+    def test_ascending_points_keep_the_point_major_pencil(self, star):
+        # assemble reads its Gauss points in ascending order, element by
+        # element, and contracts the same contiguous (3, M) tables: a
+        # profile's pencil has the bits of the point-major reads
+        data = build_sl_data(get_liquid(*star))
+        read = []
+
+        def recorded(y):
+            read.append(np.array(y))
+            return data.coeffs(y)
+
+        for mesh in (512, 2048, 8192):
+            read.clear()
+            op = assemble(replace(data, coeffs=recorded), mesh)
+            (y,) = read
+            assert len(y) == 3 * mesh and np.all(np.diff(y) > 0.0)
+            ref = self.point_major_assemble(data, mesh)
+            for got, want in zip((op.k_diag, op.k_off, op.m_diag, op.m_off), ref[:4]):
+                assert got.tobytes() == want.tobytes(), (star, mesh)
+            assert float(op.mu_lower).hex() == float(ref[4]).hex(), (star, mesh)
+
     @pytest.mark.parametrize("star", STARS[:4], ids=str)
     def test_coefficients_bitwise_at_breakpoints(self, star):
         # interval ends, including both ends of the grid, are where the

@@ -138,7 +138,7 @@ class TestIntegratorCounts:
     def test_line_star_reports_the_line_run(self):
         line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
         for rho0 in (10.0, 100.0, 1e4):
-            star = line.star(rho0)
+            star = line.read(rho0).profile()
             assert (star.nfev, star.steps) == (line.sol.nfev, line.sol.n_steps)
 
 
@@ -169,7 +169,7 @@ class TestLiquidLine:
         d, gamma, rho_top = top
         line = steady.integrate_line(StarConfig(*top))
         for rho0 in (1.02, 2.718, 37.7, 411.0, 0.999 * rho_top):
-            star = line.star(rho0)
+            star = line.read(rho0)
             own = liquid_star(StarConfig(d, gamma, rho0))
             assert star.config.rho_center == rho0
             assert star.liquid_radius == pytest.approx(own.liquid_radius, rel=1e-10, abs=0)
@@ -188,12 +188,13 @@ class TestLiquidLine:
         top = StarConfig(3, 1.25, 1e4)
         line = steady.integrate_line(top)
         own = liquid_star(top, min_points=512)
-        coarse_top = line.star(1e4, 512)
+        coarse_top = line.read(1e4).profile(512)
         for name in ("radii", "rho", "enthalpy", "mass"):
             assert getattr(coarse_top, name).tobytes() == getattr(own, name).tobytes(), name
         for rho0 in (1.02, 37.7, 411.0, 1e4):
-            fine, coarse = line.star(rho0), line.star(rho0, 512)
-            explicit = line.star(rho0, steady.MIN_POINTS)
+            star = line.read(rho0)
+            fine, coarse = star.profile(), star.profile(512)
+            explicit = star.profile(steady.MIN_POINTS)
             for name in ("radii", "rho", "enthalpy", "mass"):
                 assert getattr(fine, name).tobytes() == getattr(explicit, name).tobytes(), name
             assert len(fine.radii) >= steady.MIN_POINTS
@@ -207,8 +208,6 @@ class TestLiquidLine:
     @pytest.mark.parametrize("rho0", [1.0, 0.5, math.nextafter(1e4, math.inf), 2e4, math.nan])
     def test_density_outside_the_line_raises(self, rho0):
         line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
-        with pytest.raises(ValueError, match="line densities"):
-            line.star(rho0)
         with pytest.raises(ValueError, match="line densities"):
             line.read(rho0)
 
@@ -227,7 +226,8 @@ class TestRunStar:
         d = line[0]
         run = steady.integrate_line(StarConfig(*line, 1e6))
         for rho0 in (1.01, 1.5, 50.3231, 1e4, 1e6):
-            profile, read = run.star(rho0), run.read(rho0)
+            read = run.read(rho0)
+            profile = read.profile()
             assert read.config == profile.config
             assert read.liquid_radius == profile.liquid_radius
             r = profile.radii
@@ -236,15 +236,30 @@ class TestRunStar:
             assert enthalpy.tobytes() == profile.enthalpy.tobytes()
             assert mass_hat[0] == FOUR_PI / d * rho0
             assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
+            assert r[-1] == read.liquid_radius and read.total_mass == profile.mass[-1]
 
-    def test_refuses_exactly_what_star_refuses(self):
+    def test_reads_radii_in_any_order(self):
+        # radii out of order are sorted once, read ascending and put back
+        read = steady.integrate_line(StarConfig(3, 1.25, 1e6)).read(50.3231)
+        r = read.profile(512).radii
+        r = r[:len(r) // 2 * 2]
+        shuffled = np.random.default_rng(7).permutation(r)
+        for got, want in zip(read.enthalpy_and_mass_hat_at(shuffled.reshape(-1, 2)),
+                             read.enthalpy_and_mass_hat_at(r)):
+            assert got.shape == (len(r) // 2, 2)
+            assert got.ravel().tobytes() == want[np.searchsorted(r, shuffled)].tobytes()
+
+    def test_refuses_near_one_and_beyond_r_max(self):
         # near 1 the level is crossed before the seed radius, and below
-        # rho0 ~ 700 the liquid radius exceeds r_max = 0.3
+        # rho0 ~ 700 the liquid radius exceeds r_max = 0.3; a served star
+        # lies inside r_max and samples as a profile
         run = steady.integrate_line(StarConfig(3, 1.25, 1e6), r_max=0.3)
         served = []
         for rho0 in np.geomspace(1.0 + 1e-12, 1e6, 40).tolist():
             read = run.read(rho0)
-            assert (read is None) == (run.star(rho0, 64) is None)
+            if read is not None:
+                assert read.liquid_radius <= 0.3
+                assert read.profile(64).liquid_radius == read.liquid_radius
             served.append(read is not None)
         assert served == sorted(served) and 0 < sum(served) < len(served)
         assert steady.integrate_line(StarConfig(3, 1.25, 1e6)).read(1.0 + 1e-9) is None
@@ -383,7 +398,7 @@ def _tight_crossing(sol, level):
     """DenseSolution.crossing's root, taken with an absolute tolerance of 1e-300."""
     a = sol.ys[:, 0]
     k = int(np.nonzero((a[:-1] >= level) & (a[1:] <= level))[0][0])
-    poly, (t_old, t_new) = sol.coeffs[:, k, 0].tolist(), sol.ts[k:k + 2].tolist()
+    poly, (t_old, t_new) = sol.coeffs[:, 0, k].tolist(), sol.ts[k:k + 2].tolist()
     h, a_old = float(sol.h[k]), float(a[k])
     return dop853.brentq(lambda r: dop853._horner(poly, (r - t_old) / h) + a_old - level, t_old, t_new,
                          xtol=1e-300, rtol=4 * dop853.EPS)
@@ -694,9 +709,9 @@ class TestPchipTable:
     def test_line_built(self, top):
         line = steady.integrate_line(StarConfig(*top))
         for rho0 in (top[2], 50.0, 1.0 + 1e-9):
-            profile = line.star(rho0)
-            if profile is not None:
-                _assert_hermite_bitwise(profile)
+            star = line.read(rho0)
+            if star is not None:
+                _assert_hermite_bitwise(star.profile())
 
     def test_rescaled_csv_read_and_closed_form(self):
         base = get_profile(3, 1.5, 10.0)
