@@ -390,6 +390,18 @@ class DenseSolution:
         y += np.repeat(self.ys[:-1].T, runs, axis=1)
         return y
 
+    def at(self, t: float, component: int) -> float:
+        """One component at the one radius t, with the bits __call__ gives it.
+
+        t is evaluated on the step __call__ takes for it (the step that ends
+        at a boundary radius, the first below ts[0], the last above ts[-1]),
+        by _horner on that step's floats: __call__'s arithmetic, without its
+        arrays.
+        """
+        k = min(max(int(np.searchsorted(self.ts, t)) - 1, 0), self.n_steps - 1)
+        x = (t - float(self.ts[k])) / float(self.h[k])
+        return _horner(self.coeffs[:, component, k].tolist(), x) + float(self.ys[k, component])
+
     def crossing(self, level: float) -> Optional[float]:
         """The first radius where the first component falls through level, or None.
 

@@ -29,7 +29,7 @@ from .spectral import (
     _apply_tridiagonal,
     assemble,
     build_sl_data,
-    classify_stability,
+    certified_search,
     eigen_residual_strongform,
     manufactured_sl_data,
     smallest_eigenpair,
@@ -152,8 +152,10 @@ class SweepRow:
     """One central density of a sweep: geometry, mass, and the verdict.
 
     reason is "<ExcType>: <message>" for an Error row and empty otherwise.
-    inertia_counts and solves are the eigensolver's (SpectralResult), 0 for
-    an Error row; neither is printed.
+    inertia_counts and solves are the certified search's
+    (spectral.CertifiedEigenvalue): solves counts its inverse-iteration
+    solves only, with no eigenvector finish.  Both are 0 for an Error row;
+    neither is printed.
     """
 
     rho0: float
@@ -171,9 +173,15 @@ _ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
-    """The sweep row of one liquid star read off a run: R, M and the certified verdict."""
+    """The sweep row of one liquid star read off a run: R, M and the certified verdict.
+
+    A row prints no eigenvector, so its pencil gets the certified search
+    alone (spectral.certified_search): mu*, the verdict and the evidence are
+    classify_stability's bitwise, with no eigenvector finish and no Robin
+    defect.
+    """
     R = liquid_radius(star)
-    result = classify_stability(star, mesh_size=mesh, tol_eig=tol_eig)
+    result = certified_search(assemble(build_sl_data(star), mesh), tol_eig)
     verdict = MARGINAL if result.marginal else result.verdict
     return SweepRow(
         rho0=star.config.rho_center,
@@ -222,7 +230,9 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     read off that run through the rescaling law (steady.integrate_line), its
     liquid radius found on the run's dense output after the run.  Each row's
     pencil reads its star straight off the run (a RunStar: no samples, no
-    Hermite table), and M is the run's mass at R.  The largest star's row
+    Hermite table) and gets the certified search alone
+    (spectral.certified_search: no eigenvector, no Robin defect), and M is
+    the run's mass at R, one scalar read.  The largest star's row
     is bit for bit sweep_row's.  The others' R and M agree with sweep_row's
     to about 1e-10 and their mu* to about 5e-10 relative at mesh 2048, so a
     row's mu* depends on its line at that level.  A row's star is
@@ -283,10 +293,11 @@ class CriticalDensityResult:
     line's, and the own line of every interior star the line cannot serve,
     once per count (a star counted at both meshes counts twice); nfev and
     steps are summed over them.  inertia_counts and solves are the
-    eigensolver's work: the two bracket ends' full solves, plus every count
-    taken, at _STEER_MESH (512) and at mesh, every pencil read off a run.
-    At the default mesh 2048 that is the guide's counts at 512 and two at
-    2048.
+    eigensolver's work: the two bracket ends' certified searches
+    (spectral.certified_search, whose solves count no eigenvector finish),
+    plus every count taken, at _STEER_MESH (512) and at mesh, every pencil
+    read off a run.  At the default mesh 2048 that is the guide's counts at
+    512 and two at 2048.
     """
 
     rho0_crit: float
@@ -340,8 +351,9 @@ def critical_density(
     single crossing inside the bracket; the endpoint signs are certified, the
     interior is not scanned.
 
-    The two bracket ends get the full certified solve of sweep_row, reported
-    as mu_lo and mu_hi: lo's star is the top star of its own line
+    The two bracket ends get sweep_row's certified search
+    (spectral.certified_search: mu* and its bracket, no eigenvector),
+    reported as mu_lo and mu_hi: lo's star is the top star of its own line
     (steady.liquid_read, first, so a bad bracket fails as before), and hi's
     the top star of the line run that serves every interior star
     (steady.integrate_line), so both are sweep_row's bit for bit.
@@ -350,7 +362,7 @@ def critical_density(
     assembled and its side decided with one LDL^T inertia count
     (spectral.stable_at_zero).  A zero pivot reads as not stable, so mu* = 0
     falls on the unstable side, as its negatively signed zero does in the
-    full solve.  A step's side can differ from that of the star's own
+    certified search.  A step's side can differ from that of the star's own
     integration only where |mu*| lies within their ~5e-10 relative gap.
 
     The single crossing also decides sides without a count: a midpoint at

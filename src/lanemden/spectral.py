@@ -283,8 +283,8 @@ def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: Optional[np.ndarray] 
 
 
 @dataclass(frozen=True)
-class SpectralResult:
-    """Smallest eigenpair of the discrete pencil, the verdict and its evidence.
+class CertifiedEigenvalue:
+    """Smallest eigenvalue of the discrete pencil, the verdict and its evidence: certified_search's.
 
     bracket = (lo, hi) is certified by two inertia counts, K - lo Mw positive
     definite and K - hi Mw not, so lo < mu* <= hi; mu_star is its midpoint.
@@ -292,30 +292,41 @@ class SpectralResult:
     |RQ(1)|), above the band over which the counts flip by rounding (see
     smallest_eigenpair).  inertia_counts is the number of LDL^T
     factorisations the search took and solves the number of
-    inverse-iteration solves: those that settled the Rayleigh quotient the
-    bracket is certified around, and at least one more on the factor of
-    its final lower end.  residual is
-    ||K chi - mu* Mw chi|| / (max(|mu*|, |RQ(1)|) ||Mw chi||) in the
-    Jacobi-scaled pencil: the eigenvector's defect relative to the spectrum
-    near mu*.  It sits at the rounding floor of K chi, which grows like
-    mesh^2 (5.1e-10, 9.4e-9 and 3.1e-8 at meshes 2048, 8192 and 16384 on
-    (4, 1.4, 50.3231), where more inverse iteration does not lower it), so
-    above a mesh of about 8192 it can exceed tol_eig for a converged
-    eigenvector and is no acceptance test there.
+    inverse-iteration solves that settled the Rayleigh quotient the bracket
+    is certified around.
     """
 
     mu_star: float
-    chi_star: np.ndarray
-    nodes: np.ndarray
     lam: Optional[float]
     verdict: str
     marginal: bool
     mesh_size: int
-    residual: float
-    robin_defect: float
     bracket: Tuple[float, float]
     inertia_counts: int
     solves: int
+
+
+@dataclass(frozen=True)
+class SpectralResult(CertifiedEigenvalue):
+    """The certified search's record plus the eigenvector finish: smallest_eigenpair's.
+
+    Every field of CertifiedEigenvalue is the search's, bitwise, except
+    solves, which adds the finish's: at least one more on the factor of the
+    bracket's final lower end.  chi_star is the eigenvector at nodes.
+    residual is ||K chi - mu* Mw chi|| / (max(|mu*|, |RQ(1)|) ||Mw chi||) in
+    the Jacobi-scaled pencil: the eigenvector's defect relative to the
+    spectrum near mu*.  It sits at the rounding floor of K chi, which grows
+    like mesh^2 (5.1e-10, 9.4e-9 and 3.1e-8 at meshes 2048, 8192 and 16384
+    on (4, 1.4, 50.3231), where more inverse iteration does not lower it),
+    so above a mesh of about 8192 it can exceed tol_eig for a converged
+    eigenvector and is no acceptance test there.  robin_defect is
+    classify_stability's (NaN from smallest_eigenpair alone).
+    """
+
+    chi_star: np.ndarray
+    nodes: np.ndarray
+    residual: float
+    robin_defect: float
 
 
 class _Tridiagonal:
@@ -469,6 +480,8 @@ _PROBE_WIDTH = 5e-11
 # _PROBE_SOLVES solves
 _SETTLE = 0.3
 _PROBE_SOLVES = 10
+# the smallest positive normal double
+_NORMAL_MIN = 2.0**-1022
 
 
 class _CertifiedBracket:
@@ -600,11 +613,24 @@ def _solve(scaled: DiscreteOperator, factor: _Tridiagonal, Mx: np.ndarray):
     When T = K - shift Mw and Mx = Mw x, y.T y = y.Mw x, so the ratio is
     RQ(y) - shift: the shift-invert identity gives y's Rayleigh quotient
     without a product with K.
+
+    Where y.Mw y underflows below the normal doubles (a star of radius
+    1e-38 has y of about 1e-160), y is first scaled by 2^-e, the power of
+    two that brings its largest entry into [0.5, 1), and the ratio is
+    2^-e y.Mx / y.Mw y.  Scaling by a power of two is exact, and so is the
+    square root of 2^-2e y.Mw y, so z, Mw z and the ratio keep the bits
+    they would have had wherever nothing else underflows.
     """
     y = _pttrs(factor, Mx)
     My = scaled.apply_Mw(y)
     yMy = float(y @ My)
-    ratio = float(y @ Mx) / yMy
+    e = 0
+    if abs(yMy) < _NORMAL_MIN:
+        e = math.frexp(float(np.abs(y).max()))[1]
+        np.ldexp(y, -e, out=y)
+        My = scaled.apply_Mw(y)
+        yMy = float(y @ My)
+    ratio = math.ldexp(float(y @ Mx), -e) / yMy
     nrm = math.sqrt(abs(yMy))
     y /= nrm
     My /= nrm
@@ -633,6 +659,59 @@ def _inverse_iteration(scaled: DiscreteOperator, factor: _Tridiagonal, shift: fl
             return x, Mx, rq, solves
         last = change
     return x, Mx, None, max_solves
+
+
+def _search(op: DiscreteOperator, tol_eig: float):
+    """Steps 1-4 of smallest_eigenpair: (its CertifiedEigenvalue, what the eigenvector finish goes on from).
+
+    That is (s, scaled, bracket, z, Mz): the Jacobi scaling and the scaled
+    pencil, the _CertifiedBracket, whose factor is its final lower end's,
+    and the iterate z of step 2 with Mw z.
+    """
+    if not (tol_eig > 0.0):
+        raise ValueError("tol_eig must be positive")
+    n = len(op.k_diag)
+    ones = np.ones(n)
+    rq_ones = op.rayleigh(ones)
+
+    s, scaled = _jacobi_scaled(op)
+    hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
+    bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq_ones)
+    bracket.narrow(_COARSE_WIDTH)
+    half_width = _PROBE_WIDTH * max(1.0, ((n - 1) / 2048.0) ** 2)  # w / scale
+    tol = _SETTLE * half_width * bracket.scale(0.5 * (bracket.lo + bracket.hi))
+    # from the constant vector, 1 / s in the scaled pencil, whose Rayleigh quotient is RQ(1)
+    z, Mz, rq, solves = _inverse_iteration(scaled, bracket.factor, bracket.lo, 1.0 / s, rq_ones, tol,
+                                           _PROBE_SOLVES)
+    if rq is None or not bracket.probe(rq, half_width):
+        bracket.narrow(2.0 * half_width)
+    bracket.settle(tol_eig)
+    lo, hi = bracket.lo, bracket.hi
+    mu = 0.5 * (lo + hi)
+    margin = tol_eig * bracket.scale(mu)
+    unstable = mu < -margin
+    certificate = CertifiedEigenvalue(
+        mu_star=mu,
+        lam=math.sqrt(-mu) if unstable else None,
+        verdict=UNSTABLE if unstable else STABLE,
+        marginal=abs(mu) <= margin,
+        mesh_size=n - 1,
+        bracket=(lo, hi),
+        inertia_counts=bracket.counts,
+        solves=solves,
+    )
+    return certificate, (s, scaled, bracket, z, Mz)
+
+
+def certified_search(op: DiscreteOperator, tol_eig: float = 1e-8) -> CertifiedEigenvalue:
+    """The smallest generalized eigenvalue and the verdict, certified by inertia counts: no eigenvector.
+
+    This is steps 1-4 of smallest_eigenpair, which runs it and then the
+    eigenvector finish, so every field is smallest_eigenpair's bitwise but
+    solves, which leaves out the finish's.  The scan rows and critical's
+    bracket ends (harness) read nothing else.
+    """
+    return _search(op, tol_eig)[0]
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:
@@ -676,10 +755,12 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     of mu* (which stable_at_zero reads with one count) never depend on the
     width, by step 4.
 
-    The eigenvector comes from the inverse iteration of step 2, continued
-    on the factor of the bracket's final lower end, which lies within 2 w
-    of mu*.  It is normalized to unit weighted norm with a deterministic
-    sign and accepted once
+    Steps 1-4 are the certified search, certified_search on its own.  The
+    eigenvector finish comes after it: the inverse iteration of step 2,
+    continued on the factor of the bracket's final lower end, which lies
+    within 2 w of mu*, with no count of its own.  The eigenvector is
+    normalized to unit weighted norm with a deterministic sign and accepted
+    once
     ||K chi - mu Mw chi|| <= tol_eig * spectral_scale * ||Mw chi||, where
     spectral_scale is a Gershgorin bound on the pencil spectrum (the level a
     backward-stable solve can achieve regardless of |mu*|), after at least
@@ -688,26 +769,8 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     Unstable iff mu* < -margin with margin = tol_eig * max(|mu*|, |RQ(1)|);
     |mu*| <= margin reports Stable with the marginal flag set.
     """
-    if not (tol_eig > 0.0):
-        raise ValueError("tol_eig must be positive")
-    n = len(op.k_diag)
-    ones = np.ones(n)
-    rq_ones = op.rayleigh(ones)
-
-    s, scaled = _jacobi_scaled(op)
-    hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
-    bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq_ones)
-    bracket.narrow(_COARSE_WIDTH)
-    half_width = _PROBE_WIDTH * max(1.0, ((n - 1) / 2048.0) ** 2)  # w / scale
-    tol = _SETTLE * half_width * bracket.scale(0.5 * (bracket.lo + bracket.hi))
-    # from the constant vector, 1 / s in the scaled pencil, whose Rayleigh quotient is RQ(1)
-    z, Mz, rq, solves = _inverse_iteration(scaled, bracket.factor, bracket.lo, 1.0 / s, rq_ones, tol,
-                                           _PROBE_SOLVES)
-    if rq is None or not bracket.probe(rq, half_width):
-        bracket.narrow(2.0 * half_width)
-    bracket.settle(tol_eig)
-    lo, hi = bracket.lo, bracket.hi
-    mu = 0.5 * (lo + hi)
+    certificate, (s, scaled, bracket, z, Mz) = _search(op, tol_eig)
+    mu = certificate.mu_star
     scale = bracket.scale(mu)
 
     # Gershgorin bound on the scaled pencil spectrum: eigenvector residuals
@@ -720,7 +783,7 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     spectral_scale = float(row_sum.max()) / mass_floor
 
     # the iterate goes on from the bracket's final lower end, within 2 w of mu*
-    for solves in range(solves + 1, 51):
+    for solves in range(certificate.solves + 1, 51):
         z, Mz, _ = _solve(scaled, bracket.factor, Mz)
         defect = float(np.linalg.norm(scaled.apply_K(z) - mu * Mz))
         mz_norm = float(np.linalg.norm(Mz))
@@ -737,21 +800,12 @@ def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralR
     if x[imax] < 0.0:
         x = -x
 
-    margin = tol_eig * scale
-    unstable = mu < -margin
     return SpectralResult(
-        mu_star=mu,
+        **{**vars(certificate), "solves": solves},
         chi_star=x,
         nodes=op.nodes,
-        lam=math.sqrt(-mu) if unstable else None,
-        verdict=UNSTABLE if unstable else STABLE,
-        marginal=abs(mu) <= margin,
-        mesh_size=n - 1,
         residual=residual,
         robin_defect=math.nan,
-        bracket=(lo, hi),
-        inertia_counts=bracket.counts,
-        solves=solves,
     )
 
 

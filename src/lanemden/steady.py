@@ -51,9 +51,26 @@ INFINITE = "infinite"
 MIN_POINTS = 2048
 
 
+# numpy.polynomial.legendre.leggauss(n) on [-1, 1], (points, weights), bit
+# for bit: held as literals, so that importing the package loads no
+# numpy.polynomial
+_LEGGAUSS = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+         0.23692688505618928)),
+}
+
+
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre rule on [0, 1]: (points, weights), exact to degree 2n - 1."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """numpy's n-point Gauss-Legendre rule on [0, 1], n = 3 or 5: (points, weights), exact to degree 2n - 1.
+
+    ValueError for any other n.
+    """
+    if n not in _LEGGAUSS:
+        raise ValueError(f"gauss_rule holds the 3- and 5-point rules, not n = {n}")
+    x, w = (np.array(a) for a in _LEGGAUSS[n])
     return 0.5 * (1.0 + x), 0.5 * w
 
 
@@ -313,10 +330,14 @@ def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.n
     """Enthalpy and mass of rho_k(r) = kappa rho(kappa^(1-gamma/2) r) from those of rho.
 
     The enthalpy is config.rescaled_enthalpy's, the mass scaled by
-    kappa^(1-d(1-gamma/2)); kappa = 1 returns the same values.
+    _mass_scale; kappa = 1 returns the same values.
     """
-    scale = kappa ** (1.0 - config.d * (1.0 - config.gamma / 2.0))
-    return config.rescaled_enthalpy(enthalpy, kappa), scale * mass
+    return config.rescaled_enthalpy(enthalpy, kappa), _mass_scale(config, kappa) * mass
+
+
+def _mass_scale(config: StarConfig, kappa: float) -> float:
+    """kappa^(1-d(1-gamma/2)): the mass of rho_k at r over that of rho at kappa^(1-gamma/2) r."""
+    return kappa ** (1.0 - config.d * (1.0 - config.gamma / 2.0))
 
 
 def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
@@ -421,10 +442,14 @@ class RunStar:
 
     @property
     def total_mass(self) -> float:
-        """The run's mass at the liquid radius if there is one, else where the star ends."""
+        """The run's mass at the liquid radius if there is one, else where the star ends.
+
+        That radius is read as _read reads it, with the same bits, by the
+        run's scalar read (DenseSolution.at): every surface lies on the run,
+        so at or beyond the seed radius.
+        """
         end = self.end if self.liquid is None else self.liquid
-        _, mass = self._read(np.array([end / self.lam]))
-        return float(mass[0])
+        return _mass_scale(self.config, self.kappa) * self.sol.at(self.lam * (end / self.lam), 1)
 
     def _read(self, y: np.ndarray):
         """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""

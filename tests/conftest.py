@@ -7,6 +7,11 @@ import pytest
 from lanemden import StarConfig, integrate_gas_profile, liquid_star
 
 
+# the nine lines (d, gamma) of the benchmark's seed-0 sweep
+SEED0_LINES = [(3, 1.034), (3, 1.245), (3, 1.794), (4, 1.076), (4, 1.447), (4, 1.943),
+               (5, 1.215), (5, 1.546), (5, 1.73)]
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_profile(build, d, gamma, rho0, tol, r_max):
     return build(StarConfig(d, gamma, rho0), tol=tol, r_max=r_max)

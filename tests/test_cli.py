@@ -132,14 +132,16 @@ class TestScanCommand:
         assert rows[0]["verdict"] == "Stable"
 
     def test_failed_row_reason_on_stderr(self, capsys, monkeypatch):
-        real = harness.classify_stability
+        real = harness.certified_search
+        calls = []
 
-        def flaky(profile, mesh_size=2048, tol_eig=1e-8):
-            if profile.config.rho_center > 5.0:
+        def flaky(op, tol_eig=1e-8):
+            calls.append(op)
+            if len(calls) == 2:  # the rows run in order: rho0 = 8's pencil
                 raise RuntimeError("synthetic failure")
-            return real(profile, mesh_size=mesh_size, tol_eig=tol_eig)
+            return real(op, tol_eig)
 
-        monkeypatch.setattr(harness, "classify_stability", flaky)
+        monkeypatch.setattr(harness, "certified_search", flaky)
         code, outtext, err = run_cli(
             capsys, "scan", "--d", "3", "--gamma", "1.5", "--rho0-min", "2",
             "--rho0-max", "8", "--points", "2", "--mesh", "256",
@@ -403,6 +405,9 @@ CLEAN_EXITS = {
     **{f"hermite-overflow-{d}-{gamma}": (("stability", "--d", d, "--gamma", gamma, "--rho0", "1e150",
                                           "--mesh", "256"), None, 0)
        for d, gamma in (("3", "1"), ("3", "1.0001"), ("3", "1.2"), ("4", "1.0001"), ("4", "1.2"))},
+    # R = 2.1e-38: y.Mw y of the first inverse-iteration solve underflowed to 0
+    "iterate-underflow": (("stability", "--d", "3", "--gamma", "1.5", "--rho0", "1e150", "--mesh", "256"),
+                          None, 0),
     # the pencil overflows: one line names the cause, and numpy warns of nothing
     "pencil-overflow": (("stability", "--d", "30", "--gamma", "2", "--rho0", "1e150", "--mesh", "256"),
                         None, 2),

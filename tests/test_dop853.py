@@ -315,6 +315,23 @@ def test_import_leaves_scipy_modules_out(commands):
         assert [m for m in UNLOADED_SCIPY if m in loaded] == []
 
 
+@pytest.mark.parametrize("commands", [[], TINY_COMMANDS], ids=["after-import", "after-commands"])
+def test_import_leaves_numpy_polynomial_out(commands):
+    # steady holds the two Gauss-Legendre rules it uses as literals
+    code = (
+        "import contextlib, io, sys, lanemden\n"
+        "from lanemden import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    src = str(Path(lanemden.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert ast.literal_eval(out.stdout.strip()) == []
+
+
 # The loop-form stepper that the straight-line kernels replaced, kept as a
 # bitwise reference: stage sums accumulated in loops over the sparse tableau
 # rows, every level's crossings found inside the loop (one
@@ -569,6 +586,23 @@ def test_dense_output_is_the_scalar_horner_bitwise():
     inside = (r > ts[2]) & (r < ts[3])
     assert np.all(np.copysign(1.0, got[0, inside]) == 1.0)  # the signed-zero step
     assert sol(r[:0]).shape == (2, 0)
+
+
+def test_scalar_read_is_the_dense_output_bitwise():
+    # at, one radius at a time, takes __call__'s step and bits: on random
+    # steps (signed zeros included) at the radii of the test above, and on
+    # a liquid star's run at every step boundary, which __call__ evaluates
+    # on the step that ends there
+    sol = _random_solution(3)
+    ts = sol.ts
+    outside = [np.nextafter(ts[0], -np.inf), ts[0] - 0.1, np.nextafter(ts[-1], np.inf), ts[-1] + 0.1]
+    r = np.sort(np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts), np.nextafter(ts, np.inf), outside]))
+    run = steady.integrate_line(StarConfig(3, 1.25, 1e6)).sol
+    for sol, radii in ((sol, r), (run, run.ts)):
+        want = sol(radii)
+        for col, radius in enumerate(radii.tolist()):
+            for comp in range(2):
+                assert sol.at(radius, comp).hex() == float(want[comp, col]).hex(), (radius, comp)
 
 
 @pytest.mark.parametrize("radii", [[1.0, 0.9], [0.6, 1.0, math.nan], [2.0, 1.0, 3.0]])

@@ -25,7 +25,7 @@ from lanemden import (
     write_sweep_csv,
 )
 
-from conftest import get_profile
+from conftest import SEED0_LINES, get_profile
 
 
 class TestRunSpec:
@@ -105,15 +105,15 @@ class TestRunSweep:
 
     def test_row_errors_isolated(self, monkeypatch):
         calls = {"n": 0}
-        real = harness.classify_stability
+        real = harness.certified_search
 
-        def flaky(profile, mesh_size=2048, tol_eig=1e-8):
+        def flaky(op, tol_eig=1e-8):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic failure")
-            return real(profile, mesh_size=mesh_size, tol_eig=tol_eig)
+            return real(op, tol_eig)
 
-        monkeypatch.setattr(harness, "classify_stability", flaky)
+        monkeypatch.setattr(harness, "certified_search", flaky)
         spec = RunSpec(d=3, gamma=1.5, rho0_min=2.0, rho0_max=8.0, points=3, mesh=256)
         rows = run_sweep(spec)
         assert [r.verdict for r in rows] == ["Stable", "Error", "Stable"]
@@ -122,10 +122,10 @@ class TestRunSweep:
         assert (rows[1].inertia_counts, rows[1].solves) == (0, 0)
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(profile, mesh_size=2048, tol_eig=1e-8):
+        def broken(op, tol_eig=1e-8):
             raise TypeError("synthetic programming error")
 
-        monkeypatch.setattr(harness, "classify_stability", broken)
+        monkeypatch.setattr(harness, "certified_search", broken)
         spec = RunSpec(d=3, gamma=1.5, rho0_min=2.0, rho0_max=8.0, points=3, mesh=256)
         with pytest.raises(TypeError, match="synthetic"):
             run_sweep(spec)
@@ -147,13 +147,13 @@ class TestRunSweep:
 
     def test_rows_carry_the_eigensolver_evidence(self, monkeypatch):
         results = []
-        real_solve = spectral.smallest_eigenpair
+        real_solve = harness.certified_search
 
         def recorded(*args, **kwargs):
             results.append(real_solve(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        monkeypatch.setattr(harness, "certified_search", recorded)
         rows = run_sweep(RunSpec(d=3, gamma=1.25, rho0_min=2.0, rho0_max=1e4, points=3, mesh=512))
         assert [(r.inertia_counts, r.solves) for r in rows] == [
             (res.inertia_counts, res.solves) for res in results]
@@ -202,8 +202,6 @@ def reference_sweep(spec):
 
 
 # the nine lines of the benchmark's seed-0 sweep, then the extremes of the domain
-SEED0_LINES = [(3, 1.034), (3, 1.245), (3, 1.794), (4, 1.076), (4, 1.447), (4, 1.943),
-               (5, 1.215), (5, 1.546), (5, 1.73)]
 LINES = [(d, g, {}, 0) for d, g in SEED0_LINES] + [
     (3, 1.0, {}, 0),
     (3, 1.001, {}, 0),
@@ -275,20 +273,21 @@ class TestLineFamily:
         assert rows[0].reason == "ValueError: tol must be positive, got -1.0"
 
     def test_one_profile_alive_at_a_time(self, monkeypatch):
-        # each row's star is freed before the next row's is read
+        # each row's star is freed before the next row's is read; the star
+        # reaches the certified search through its pencil's coefficients
         alive = []
-        real, real_build = harness.classify_stability, harness._line_read
+        real, real_build = harness.build_sl_data, harness._line_read
 
         def built(*args):
             assert all(ref() is None for ref in alive)
             return real_build(*args)
 
-        def watched(profile, **kwargs):
+        def watched(profile):
             alive.append(weakref.ref(profile))
-            return real(profile, **kwargs)
+            return real(profile)
 
         monkeypatch.setattr(harness, "_line_read", built)
-        monkeypatch.setattr(harness, "classify_stability", watched)
+        monkeypatch.setattr(harness, "build_sl_data", watched)
         run_sweep(RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256))
         assert len(alive) == 5
 
@@ -350,7 +349,7 @@ class TestCriticalDensity:
 
 
 def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
-    """The bisection with the full certified solve at every step."""
+    """The bisection with sweep_row's certified search at every step."""
     lo, hi = bracket
 
     def mu_at(rho0):
@@ -396,7 +395,7 @@ BASELINE = json.loads((pathlib.Path(__file__).parent / "data" / "critical_densit
 
 
 class TestCriticalDensityCount:
-    """Interior stars read off the hi end's run, against the full solve of each own star."""
+    """Interior stars read off the hi end's run, against the certified search of each own star."""
 
     @pytest.mark.parametrize("line,mesh", BITWISE_LINES, ids=[f"{l}-{m}" for l, m in BITWISE_LINES])
     def test_matches_full_solve_bitwise(self, line, mesh):
@@ -415,7 +414,7 @@ class TestCriticalDensityCount:
         steady's integrate_line; critical_density's own line is harness's.
         """
         calls = {"solves": [], "stars": [], "lines": []}
-        real_solve = spectral.smallest_eigenpair
+        real_solve = harness.certified_search
         real_own, real_line = steady.integrate_line, harness.integrate_line
 
         def counted_solve(*args, **kwargs):
@@ -430,7 +429,7 @@ class TestCriticalDensityCount:
             calls["lines"].append(top.rho_center)
             return real_line(top, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "smallest_eigenpair", counted_solve)
+        monkeypatch.setattr(harness, "certified_search", counted_solve)
         monkeypatch.setattr(steady, "integrate_line", counted_own)
         monkeypatch.setattr(harness, "integrate_line", counted_line)
         return calls
@@ -475,15 +474,15 @@ class TestCriticalDensityCount:
         assert res.nfev > 0 and res.steps > 0
 
     def test_evidence_counts_the_eigensolver_work(self, monkeypatch):
-        # the two ends' full solves, plus one inertia count per bisection step
+        # the two ends' certified searches, plus one inertia count per bisection step
         results = []
-        real_solve = spectral.smallest_eigenpair
+        real_solve = harness.certified_search
 
         def recorded(*args, **kwargs):
             results.append(real_solve(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        monkeypatch.setattr(harness, "certified_search", recorded)
         res = critical_density(3, 1.25, (40.0, 60.0), tol_rho=1e-2, mesh=512)
         assert len(results) == 2 and len(res.history) > 2
         assert res.inertia_counts == sum(r.inertia_counts for r in results) + len(res.history) - 1
@@ -538,15 +537,15 @@ class TestCriticalDensityCount:
     def test_steered_run_counts_the_final_bracket_at_mesh(self, meshes, monkeypatch, line, mesh):
         # the bisection at 512 counts every midpoint; at mesh only its final
         # bracket's two ends are counted, each star built again off the line.
-        # The evidence holds the ends' full solves and the counts at both meshes
+        # The evidence holds the ends' certified searches and the counts at both meshes
         results = []
-        real_solve = spectral.smallest_eigenpair
+        real_solve = harness.certified_search
 
         def recorded(*args, **kwargs):
             results.append(real_solve(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(spectral, "smallest_eigenpair", recorded)
+        monkeypatch.setattr(harness, "certified_search", recorded)
         res = critical_density(*line, (1.01, 1e6), tol_rho=1e-3, mesh=mesh)
         iterations = len(res.history) - 1
         assert meshes == [512] * iterations + [mesh] * 2
@@ -557,7 +556,7 @@ class TestCriticalDensityCount:
     @pytest.mark.parametrize("mesh", [2048, 4096])
     def test_steered_run_samples_no_profile(self, counted, monkeypatch, mesh):
         # every pencil reads its star straight off the run (LiquidLine.read):
-        # the hi end's full solve, the guide's midpoints at 512 and the final
+        # the hi end's certified search, the guide's midpoints at 512 and the final
         # bracket's two counts at mesh; lo's is its own line's (liquid_read)
         reads, profiles = [], []
         line, sampled = harness.integrate_line, steady.RunStar.profile

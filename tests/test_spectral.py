@@ -17,6 +17,7 @@ from lanemden import (
     StarConfig,
     assemble,
     build_sl_data,
+    certified_search,
     classify_stability,
     eigen_residual_strongform,
     graded_mesh,
@@ -32,7 +33,7 @@ from lanemden import (
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
-from lanemden import spectral
+from lanemden import harness, spectral, steady
 from lanemden.spectral import (
     STABLE,
     UNSTABLE,
@@ -40,10 +41,11 @@ from lanemden.spectral import (
     _jacobi_scaled,
     _positive_definite,
     _robin_defect,
+    _solve,
     _Tridiagonal,
 )
 
-from conftest import get_liquid, get_profile, ode_hermite_data
+from conftest import SEED0_LINES, get_liquid, get_profile, ode_hermite_data
 
 FOUR_PI = 4 * math.pi
 
@@ -736,6 +738,106 @@ class TestCertifiedSearch:
         # both sit at the rounding floor of K z, so they agree in size only
         assert 0.5 * want <= res.residual <= 2.0 * want
         assert 1e-14 < res.residual <= 1e-8
+
+
+def bits(value):
+    """A value with every float replaced by its hex form: equal bits compare equal, signed zeros apart."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+class TestSearchAlone:
+    """certified_search is smallest_eigenpair's certificate: its record, without the eigenvector finish."""
+
+    CERTIFIED = ("mu_star", "lam", "verdict", "marginal", "mesh_size", "bracket", "inertia_counts")
+
+    @staticmethod
+    def sweep_stars():
+        """The 72 stars of the seed-0 sweep, read as run_sweep reads them, then the pinned (3, 1.25, 50.3231)."""
+        for d, g in SEED0_LINES:
+            line = steady.integrate_line(StarConfig(d, g, 1e6))
+            for rho0 in np.geomspace(1.01, 1e6, 8).tolist():
+                yield harness._line_read(line, StarConfig(d, g, rho0), 1e-10, 50.0)
+        yield steady.liquid_read(StarConfig(3, 1.25, 50.3231))
+
+    @pytest.mark.parametrize("mesh", [512, 2048, 8192])
+    def test_search_is_the_full_solves_certificate(self, monkeypatch, mesh):
+        # every _solve and LDL^T count is tallied; the finish starts where
+        # _search returns, and it takes no count of its own
+        tally = {"solves": 0, "counts": 0, "searched": None}
+        real_solve, real_pttrf, real_search = spectral._solve, spectral._pttrf, spectral._search
+
+        def counted_solve(*args):
+            tally["solves"] += 1
+            return real_solve(*args)
+
+        def counted_pttrf(t):
+            tally["counts"] += 1
+            return real_pttrf(t)
+
+        def search(*args):
+            out = real_search(*args)
+            tally["searched"] = tally["solves"]
+            return out
+
+        monkeypatch.setattr(spectral, "_solve", counted_solve)
+        monkeypatch.setattr(spectral, "_pttrf", counted_pttrf)
+        monkeypatch.setattr(spectral, "_search", search)
+        stars = 0
+        for star in self.sweep_stars():
+            op = assemble(build_sl_data(star), mesh)
+            tally.update(solves=0, counts=0)
+            alone = certified_search(op)
+            assert (tally["solves"], tally["counts"]) == (alone.solves, alone.inertia_counts)
+            tally.update(solves=0, counts=0)
+            full = smallest_eigenpair(op)
+            finish = tally["solves"] - tally["searched"]
+            assert type(alone) is spectral.CertifiedEigenvalue
+            assert [bits(getattr(alone, f)) for f in self.CERTIFIED] == [
+                bits(getattr(full, f)) for f in self.CERTIFIED]
+            assert finish >= 1 and full.solves == tally["solves"]
+            assert alone.solves == full.solves - finish
+            assert tally["counts"] == full.inertia_counts
+            stars += 1
+        assert stars == 73
+
+    def test_rejects_a_tolerance_that_is_not_positive(self):
+        op = assemble(build_sl_data(get_liquid(3, 1.25, 1e4)), 64)
+        with pytest.raises(ValueError, match="tol_eig must be positive"):
+            certified_search(op, 0.0)
+
+
+class TestSolveScaling:
+    """_solve scales an iterate whose y.Mw y underflows by a power of two, and moves no bit."""
+
+    @pytest.mark.parametrize("power", [-520, -600])
+    def test_scaled_right_hand_side_gives_the_same_bits(self, power):
+        # Mw x scaled by 2^power scales y exactly, and y.Mw y (about 2e-5
+        # unscaled) falls below the normal doubles at -520 and to 0 at -600;
+        # the step's z, Mw z and Rayleigh ratio are the unscaled step's, bit
+        # for bit
+        op = assemble(build_sl_data(get_liquid(3, 1.25, 1e4)), 512)
+        _, scaled = _jacobi_scaled(op)
+        bracket = _CertifiedBracket(scaled, op.mu_lower, 0.0, 1.0)
+        Mx = scaled.apply_Mw(np.linspace(1.0, 2.0, len(op.nodes)))
+        z, Mz, ratio = _solve(scaled, bracket.factor, Mx)
+        zs, Mzs, ratios = _solve(scaled, bracket.factor, Mx * 2.0**power)
+        assert zs.tobytes() == z.tobytes() and Mzs.tobytes() == Mz.tobytes()
+        assert ratios.hex() == ratio.hex()
+
+    def test_star_of_radius_1e_minus_38_is_certified_stable(self):
+        # (3, 1.5, 1e150): R = 2.1e-38 and y.Mw y underflowed to 0 in the
+        # first solve; gamma >= 4/3, so every liquid star is stable
+        star = steady.liquid_read(StarConfig(3, 1.5, 1e150))
+        for mesh in (256, 2048):
+            op = assemble(build_sl_data(star), mesh)
+            alone, full = certified_search(op), smallest_eigenpair(op)
+            assert alone.verdict == full.verdict == STABLE and not full.marginal
+            assert bits(alone.bracket) == bits(full.bracket)
+            assert np.all(np.isfinite(full.chi_star))
 
 
 class TestFusedCoefficients:

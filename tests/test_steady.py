@@ -30,7 +30,7 @@ from lanemden.harness import PROFILE_BATTERY
 from lanemden.phase import fixed_points, radius_limit
 from lanemden.steady import _refined_grid
 
-from conftest import get_liquid, get_profile, ode_hermite_data
+from conftest import SEED0_LINES, get_liquid, get_profile, ode_hermite_data
 
 FOUR_PI = 4 * math.pi
 
@@ -284,6 +284,26 @@ class TestRunStar:
         assert mass_hat[0] == FOUR_PI / d * config.rho_center
         assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
 
+    @pytest.mark.parametrize("line", SEED0_LINES + [(3, 1.0)], ids=str)
+    def test_total_mass_is_the_vector_read_bitwise(self, line):
+        # the scalar read at R gives the bits of _read at R, on the stars a
+        # sweep reads off the line's run and on each star's own line
+        run = steady.integrate_line(StarConfig(*line, 1e6))
+        stars = []
+        for rho0 in np.geomspace(1.01, 1e6, 8).tolist():
+            stars += [run.read(rho0), steady.liquid_read(StarConfig(*line, rho0))]
+        stars = [star for star in stars if star is not None]
+        assert len(stars) >= 14
+        for star in stars:
+            want = float(star._read(np.array([star.liquid_radius]))[1][0])
+            assert star.total_mass.hex() == want.hex()
+
+    def test_total_mass_where_a_gas_star_ends_is_the_vector_read_bitwise(self):
+        # rho0 < 1 has no liquid surface: the mass is read where the run ends
+        run = steady._gas_run(StarConfig(5, 1.3, 0.5), 1e-10, 20.0)
+        assert run.liquid is None
+        assert run.total_mass.hex() == float(run._read(np.array([run.end]))[1][0]).hex()
+
     @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
     def test_radius_outside_the_star_raises(self, where):
         read = steady.integrate_line(StarConfig(3, 1.25, 1e4)).read(50.0)
@@ -502,6 +522,22 @@ class TestGaussRule:
         # degree 2n is the first the rule misses
         exact = 1.0 / (2 * n + 1)
         assert abs(float(w @ x ** (2 * n)) - exact) > 1e6 * np.spacing(exact)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_literals_are_leggauss_bitwise(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(n)
+        held = tuple(np.array(a) for a in steady._LEGGAUSS[n])
+        assert held[0].tobytes() == x.tobytes() and held[1].tobytes() == w.tobytes()
+        got = steady.gauss_rule(n)
+        assert got[0].tobytes() == (0.5 * (1.0 + x)).tobytes()
+        assert got[1].tobytes() == (0.5 * w).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_other_rules_raise(self, n):
+        with pytest.raises(ValueError, match="3- and 5-point rules"):
+            steady.gauss_rule(n)
 
 
 class TestPohozaev:
