@@ -42,15 +42,14 @@ from .steady import (
     _fmt,
     decay_bound,
     explicit_profile_critical,
+    gas_read,
     integrate_gas_profile,
     integrate_line,
     liquid_radius,
     liquid_read,
-    liquid_star,
     pohozaev_residual,
     scale_profile,
     singular_star,
-    truncate_liquid,
     write_profile_csv,
 )
 
@@ -102,9 +101,9 @@ class RunSpec:
         return np.linspace(self.rho0_min, self.rho0_max, self.points)
 
 
-def _worst_defects(profile: Profile) -> Tuple[float, float]:
-    """The largest |Pohozaev residual| over the grid, and the decay slack max(rho / decay_bound) - 1."""
-    poho = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
+def _worst_defects(star: RunStar, profile: Profile) -> Tuple[float, float]:
+    """The worst |Pohozaev residual| at the profile's radii, read off star, and max(rho / decay_bound) - 1."""
+    poho = float(np.max(np.abs(pohozaev_residual(star, profile.radii))))
     slack = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
     return poho, slack
 
@@ -112,39 +111,39 @@ def _worst_defects(profile: Profile) -> Tuple[float, float]:
 def run_profile(spec: RunSpec, csv_out: Optional[TextIO] = None) -> Tuple[Profile, dict]:
     """Integrate one star, emit its CSV, and return (profile, diagnostics).
 
-    Liquid output (the default) requires rho0 > 1 and writes the profile
-    truncated at R; with spec.gas the full gas profile is written instead.
+    Liquid output (the default) requires rho0 > 1 and writes liquid_read's
+    star, which ends at R; with spec.gas gas_read's star is written instead.
     Diagnostics report the worst decay-bound slack and integral-identity
-    residual over the grid, R, the total mass, and the integrator's
-    right-hand-side evaluations (nfev) and accepted steps.
+    residual (read off the run) at the samples, R, the total mass, and the
+    integrator's right-hand-side evaluations (nfev) and accepted steps.
     """
     config = spec.config()
     if not spec.gas and config.rho_center <= 1.0:
         raise ValueError(
             "no liquid truncation exists for rho0 <= 1; pass gas=True for a gas profile"
         )
-    profile = (integrate_gas_profile if spec.gas else liquid_star)(config, tol=spec.tol, r_max=spec.rmax)
-    emitted = profile if spec.gas else truncate_liquid(profile)
-    poho, slack = _worst_defects(profile)
+    star = (gas_read if spec.gas else liquid_read)(config, tol=spec.tol, r_max=spec.rmax)
+    profile = star.profile()
+    poho, slack = _worst_defects(star, profile)
     diagnostics = {
         "d": config.d,
         "gamma": config.gamma,
         "rho0": config.rho_center,
-        "R": emitted.liquid_radius,
-        "M_total": emitted.total_mass,
+        "R": profile.liquid_radius,
+        "M_total": profile.total_mass,
         "gas_radius": profile.gas_radius,
         "max_decay_slack": slack,
         "max_pohozaev_residual": poho,
-        "grid_points": int(len(emitted.radii)),
-        "nfev": emitted.nfev,
-        "steps": emitted.steps,
+        "grid_points": int(len(profile.radii)),
+        "nfev": profile.nfev,
+        "steps": profile.steps,
     }
     if spec.out is not None:
         with open(spec.out, "w") as f:
-            write_profile_csv(emitted, f)
+            write_profile_csv(profile, f)
     elif csv_out is not None:
-        write_profile_csv(emitted, csv_out)
-    return emitted, diagnostics
+        write_profile_csv(profile, csv_out)
+    return profile, diagnostics
 
 
 @dataclass(frozen=True)
@@ -473,11 +472,12 @@ _BATTERY_TOL = 1e-10
 
 
 def _battery_stars() -> Tuple[BatteryStar, ...]:
-    """Integrate each battery star once and keep only its three measures."""
+    """Integrate each battery star once and keep only its three measures (Pohozaev off its run)."""
     stars = []
     for d, g, rho0 in PROFILE_BATTERY:
-        profile = integrate_gas_profile(StarConfig(d, g, rho0), tol=_BATTERY_TOL, r_max=20.0)
-        poho, decay = _worst_defects(profile)
+        run = gas_read(StarConfig(d, g, rho0), tol=_BATTERY_TOL, r_max=20.0)
+        profile = run.profile()
+        poho, decay = _worst_defects(run, profile)
         buchdahl = None
         if g < 2.0:
             v1b, v2b = buchdahl_bounds(d, g)
@@ -489,9 +489,10 @@ def _battery_stars() -> Tuple[BatteryStar, ...]:
     return tuple(stars)
 
 
-def _far_star(g: float) -> Profile:
-    """The (3, g, 1) gas star out to r = 1e3, where the tail and radius-limit checks read its spiral."""
-    return integrate_gas_profile(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
+def _far_star(g: float) -> Tuple[RunStar, Profile]:
+    """The run and samples of the (3, g, 1) gas star to r = 1e3: tail and radius-limit read its spiral."""
+    run = gas_read(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
+    return run, run.profile()
 
 
 @dataclass(frozen=True)
@@ -502,7 +503,7 @@ class _Shared:
     """
 
     battery: Callable[[], Tuple[BatteryStar, ...]]
-    far_star: Callable[[float], Profile]
+    far_star: Callable[[float], Tuple[RunStar, Profile]]
 
 
 def _check_explicit(shared: _Shared) -> VerifyCheck:
@@ -564,10 +565,10 @@ def _check_tail(shared: _Shared) -> VerifyCheck:
     ok = True
     worst = 0.0
     for g in (1.0, 1.1):
-        profile = shared.far_star(g)
+        run, profile = shared.far_star(g)
         fit = tail_convergence_rate(profile)
         _, vs = fixed_points(3, g)
-        initial = abs(profile_to_phase(profile, 1.0).v1 - vs[0])
+        initial = abs(profile_to_phase(run, 1.0).v1 - vs[0])
         ok = ok and fit.exponent > 0.0 and fit.terminal_deviation < initial
         worst = max(worst, fit.terminal_deviation / vs[0])
     return VerifyCheck(
@@ -577,13 +578,13 @@ def _check_tail(shared: _Shared) -> VerifyCheck:
 
 def _check_radius_limit(shared: _Shared) -> VerifyCheck:
     d, g = 3, 1.1
-    base = shared.far_star(g)
+    _, base = shared.far_star(g)
     r_inf = radius_limit(d, g)
     devs = {}
     for kappa in (10.0, 1e6):
         scaled = scale_profile(base, kappa)
         devs[kappa] = abs(scaled.liquid_radius - r_inf) / r_inf
-    direct = liquid_star(StarConfig(d, g, 32.0), tol=1e-10, r_max=5.0)
+    direct = liquid_read(StarConfig(d, g, 32.0), tol=1e-10, r_max=5.0)
     law = scale_profile(base, 32.0).liquid_radius
     cross = abs(direct.liquid_radius - law) / direct.liquid_radius
     ok = devs[1e6] < devs[10.0] and cross <= 1e-5
@@ -632,8 +633,7 @@ def _check_strongform(shared: _Shared) -> VerifyCheck:
     manufactured = eigen_residual_strongform(data, result).interior_norm
     ok = manufactured <= 1e-8 and abs(result.mu_star + 1.0) <= 1e-10
 
-    profile = liquid_star(StarConfig(3, 1.4, 10.0), tol=1e-10, r_max=50.0)
-    star_data = build_sl_data(profile)
+    star_data = build_sl_data(liquid_read(StarConfig(3, 1.4, 10.0), tol=1e-10, r_max=50.0))
     norms = {}
     for mesh in (512, 1024):
         res = smallest_eigenpair(assemble(star_data, mesh))

@@ -16,12 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from .config import StarConfig, support_threshold
-from .steady import FOUR_PI, Profile, singular_base
+from .steady import FOUR_PI, Profile, RunStar, singular_base
 
 
 def _check_gamma(d: int, gamma: float) -> None:
@@ -118,14 +118,15 @@ def _scaled(config: StarConfig, r, rho, mass):
     return r**power * rho, r ** (power - config.d) * mass
 
 
-def profile_to_phase(profile: Profile, r) -> PhaseState:
-    """Push a profile forward into the scaled plane at radius r (scalar or array)."""
-    config = profile.config
+def profile_to_phase(star: Union[Profile, RunStar], r) -> PhaseState:
+    """Push a star (a Profile or a RunStar, read once) into the scaled plane at radius r (scalar or array)."""
+    config = star.config
     _check_gamma(config.d, config.gamma)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr <= 0.0):
         raise ValueError("phase variables are defined for r > 0")
-    v1, v2 = _scaled(config, r_arr, profile.rho_at(r_arr), profile.mass_at(r_arr))
+    enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)
+    v1, v2 = _scaled(config, r_arr, config.rho_of_enthalpy(enthalpy), mass_hat * r_arr**config.d)
     tau = np.log(r_arr)
     if np.ndim(r) == 0:
         return PhaseState(v1=float(v1[0]), v2=float(v2[0]), tau=float(tau[0]))

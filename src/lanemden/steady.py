@@ -17,14 +17,15 @@ once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats.  A RunStar is the only code that evaluates a
 star off a run's dense output, and an integrated Profile is its samples.
-The stability drivers certify a RunStar itself: its pencil reads the run at
-the Gauss points, with no samples and no interpolant.  Between samples a
-Profile reads one cubic Hermite of the enthalpy and m/r^d with the ODE's own
-slopes at the samples, built and evaluated here in numpy, so import loads
-no part of scipy.interpolate.
+The pencils, the Pohozaev identity and the phase map read a RunStar itself,
+with no samples and no interpolant.  Between samples a Profile reads one
+cubic Hermite of the enthalpy and m/r^d with the ODE's own slopes at the
+samples, for profiles with no run behind them (CSV, closed form, rescaled),
+built and evaluated here in numpy, so import loads no part of
+scipy.interpolate.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
-exists iff rho(0) > 1.
+exists iff rho(0) > 1.  The run makes the one cut (LiquidLine.read).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
 
@@ -136,10 +137,14 @@ class Profile:
 
     @property
     def total_mass(self) -> float:
-        """Mass inside the liquid radius if present, else inside the full grid."""
-        if self.liquid_radius is not None:
-            return float(self.mass_at(self.liquid_radius))
-        return float(self.mass[-1])
+        """Mass inside the liquid radius if present (its sample's, else the interpolant's), else the grid's."""
+        R = self.liquid_radius
+        if R is None:
+            return float(self.mass[-1])
+        i = int(np.searchsorted(self.radii, R))
+        if i < len(self.radii) and self.radii[i] == R:
+            return float(self.mass[i])
+        return float(self.mass_at(R))
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
@@ -408,7 +413,7 @@ class RunStar:
     the run's step boundaries below end, over lam: the nodes between which
     the read is one polynomial.  spectral.build_sl_data takes a liquid one,
     and total_mass is the run's mass at its liquid radius, the mass its
-    profile's last sample holds.
+    profile's sample there holds.
     """
 
     config: StarConfig
@@ -462,11 +467,12 @@ class RunStar:
     def enthalpy_and_mass_hat_at(self, r):
         """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
 
-        Radii in any order are read in ascending order, sorted once.
+        Radii in any order are read in ascending order, sorted once (a
+        stable sort, which merges ascending runs).
         """
         r = _checked_radii(r, self.end / self.lam, "star")
         y = r.ravel()
-        order = np.argsort(y) if np.any(y[1:] < y[:-1]) else slice(None)
+        order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
         y = y[order]
         enthalpy, mass = self._read(y)
         out = np.empty((2, len(y)))
@@ -479,13 +485,16 @@ class RunStar:
         The grid is the run's steps below end, then end, over lam, refined
         to at least points samples plus the crossing radii, after the seed's
         r = 0 and three radii inside (0, seed_radius) that show the
-        interpolants the curvature.  A compact surface is pinned to the stop
-        level, where it lies exactly.  Samples where rho or m has stopped
-        moving in float64 are dropped (r = 0 and the crossing radii are
-        kept); RuntimeError when that leaves r = 0 alone.
+        interpolants the curvature.  A surface the star ends at is pinned to
+        its level, where it lies exactly: a compact one to the stop level, a
+        liquid one to rho = 1, which makes a LIQUID_TRUNCATED profile whose
+        mass stays the run's.  Samples where rho or m has stopped moving in
+        float64 are dropped (r = 0 and the crossing radii are kept);
+        RuntimeError when that leaves r = 0 alone.
         """
         config, lam = self.config, self.lam
         liquid_r, gas_r = self.liquid_radius, self.gas_radius
+        cut = self.end == self.liquid
         ts = self.sol.ts
         grid = _refined_grid(np.append(ts[ts < self.end], self.end) / lam, points)
         crossings = [x for x in (liquid_r, gas_r) if x is not None]
@@ -496,6 +505,8 @@ class RunStar:
         enth, mass = self._read(radii)
         if gas_r is not None and grid[-1] >= gas_r:
             enth[-1] = config.gas_stop
+        if cut:
+            enth[-1] = config.boundary_enthalpy
         rho = config.rho_of_enthalpy(enth)
         rho[0] = config.rho_center
 
@@ -504,12 +515,13 @@ class RunStar:
         if len(radii) < 2:
             raise RuntimeError(f"the density of {config} is flat to float64 on [0, {grid[-1]:.17g}]")
 
-        return Profile(config=config, radii=radii, rho=rho, enthalpy=enth, mass=mass, kind=GAS,
-                       liquid_radius=liquid_r, gas_radius=gas_r, nfev=self.sol.nfev, steps=self.sol.n_steps)
+        return Profile(config=config, radii=radii, rho=rho, enthalpy=enth, mass=mass,
+                       kind=LIQUID_TRUNCATED if cut else GAS, liquid_radius=liquid_r, gas_radius=gas_r,
+                       nfev=self.sol.nfev, steps=self.sol.n_steps)
 
 
-def _gas_run(config: StarConfig, tol: float, r_max: float) -> RunStar:
-    """config's gas run as its kappa = 1 RunStar, ended at the compact surface, the guard or r_max."""
+def gas_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
+    """config's gas star off its own run (liquid_read's twin), ended at a compact surface, guard or r_max."""
     stop = config.gas_stop
     r0, sol = _integrate(config, tol, r_max, stop)
     end = sol.crossing(stop)
@@ -536,12 +548,12 @@ def integrate_gas_profile(
     surface or guard; every radius above is a downward crossing of the
     enthalpy, read off the run by DenseSolution.crossing: Brent's method
     (dop853.brentq) on the step's dense polynomial.  The profile is the
-    run's own star sampled (RunStar.profile with min_points samples).
+    run's own star sampled: gas_read(config, tol, r_max).profile(min_points).
     Raises RuntimeError when the seed overflows, the step size underflows,
     the state is not finite, or the density is flat to float64 over the
     whole profile.
     """
-    return _gas_run(config, tol, r_max).profile(min_points)
+    return gas_read(config, tol, r_max).profile(min_points)
 
 
 @dataclass(frozen=True)
@@ -619,9 +631,10 @@ def liquid_star(
 ) -> Profile:
     """The liquid star of config, the top star of its own line: its gas profile cut at R.
 
-    liquid_read(config, tol, r_max) sampled with min_points samples.  Its
-    run takes integrate_gas_profile's steps up to R, so R is bit for bit
-    the liquid_radius config's gas profile records.  Raises liquid_read's
+    liquid_read(config, tol, r_max) sampled with min_points samples: its
+    last sample is R, with rho = 1 and the run's mass there.  Its run takes
+    integrate_gas_profile's steps up to R, so R is bit for bit the
+    liquid_radius config's gas profile records.  Raises liquid_read's
     errors.
     """
     return liquid_read(config, tol, r_max).profile(min_points)
@@ -667,38 +680,6 @@ def _enthalpy_crossing(profile: Profile, target: float) -> float:
     return dop853.brentq(f, profile.radii[i - 1], r, xtol=1e-15 * min(1.0, r), rtol=4 * dop853.EPS)
 
 
-def truncate_liquid(profile: Profile) -> Profile:
-    """Cut a gas profile at rho = 1, yielding the liquid star on [0, R].
-
-    The cut profile is checked as every Profile is.  Where it fails (the
-    mass the interpolant reads at R need not exceed the last sample's when
-    the grid is sparse just inside R), the valid input profile was cut
-    badly, so that is a RuntimeError naming the star and the failed check.
-    """
-    R = liquid_radius(profile)
-    keep = profile.radii < R
-    radii = np.concatenate([profile.radii[keep], [R]])
-    rho = np.concatenate([profile.rho[keep], [1.0]])
-    enth = np.concatenate([profile.enthalpy[keep], [profile.config.boundary_enthalpy]])
-    mass = np.concatenate([profile.mass[keep], [float(profile.mass_at(R))]])
-    try:
-        return Profile(
-            config=profile.config,
-            radii=radii,
-            rho=rho,
-            enthalpy=enth,
-            mass=mass,
-            kind=LIQUID_TRUNCATED,
-            liquid_radius=R,
-            nfev=profile.nfev,
-            steps=profile.steps,
-        )
-    except ValueError as exc:
-        raise RuntimeError(
-            f"the liquid cut at R = {R:.17g} of {profile.config} fails its profile check: {exc}"
-        ) from exc
-
-
 def decay_bound(config: StarConfig, r) -> np.ndarray:
     """Pointwise upper bound on the density of any steady state.
 
@@ -723,13 +704,17 @@ _INTERVAL_X, _INTERVAL_W = gauss_rule(5)
 
 
 def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of f over each [a_k, b_k]: h (f(a + h X) @ W), h = b - a, (X, W) = gauss_rule(5)."""
+    """Integral of f over each [a_k, b_k]: h (f(a + h X) @ W), h = b - a, (X, W) = gauss_rule(5).
+
+    f reads the points node by node, so where the a_k and b_k ascend it reads
+    five ascending runs, which a RunStar sorts in one merge.
+    """
     h = b - a
-    pts = a[:, None] + h[:, None] * _INTERVAL_X
-    return h * (f(pts.ravel()).reshape(pts.shape) @ _INTERVAL_W)
+    pts = a + h * _INTERVAL_X[:, None]
+    return h * (np.ascontiguousarray(f(pts.ravel()).reshape(pts.shape).T) @ _INTERVAL_W)
 
 
-def pohozaev_residual(profile: Profile, r) -> np.ndarray:
+def pohozaev_residual(star: Union[Profile, RunStar], r) -> np.ndarray:
     """Defect of the Pohozaev-type identity satisfied by steady states.
 
     The enthalpy solves e'' + (d-1)/r e' + f(e) = 0 with f = 4 pi c rho and
@@ -737,23 +722,28 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
 
         int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
 
-    The defect is normalized by the largest of the four terms, so a correct
-    profile yields values at the quadrature/integration error level.  It is
-    exactly 0 at r = 0; a scalar r gives a float.
+    star is a Profile or a RunStar, read (enthalpy_and_mass_hat_at) at r and
+    at the Gauss points of the segments between its radii, and of the one
+    from the last radius below each r to r, so each r's value is r's alone
+    whatever radii are asked with it.  The defect is normalized by the
+    largest of the four terms, so a correct star yields values at the
+    quadrature/integration error level.  It is exactly 0 at r = 0; a scalar
+    r gives a float.
     """
-    r_arr = profile._check_range(np.atleast_1d(r))
-    config = profile.config
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    config = star.config
     d, g, c = config.d, config.gamma, config.slope_factor
-    radii = profile.radii
+    e, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)  # rejects radii outside the star
 
     def integrand(y):
         """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c)."""
-        e = profile.enthalpy_at(y)
+        e, _ = star.enthalpy_and_mass_hat_at(y)
         rho = config.rho_of_enthalpy(e)
         return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
 
-    # cumulative integral up to the grid radius at or below each r, plus the
-    # partial segment from there to r for off-grid radii
+    # cumulative integral up to the star's radius at or below each r, plus
+    # the partial segment from there to r for radii off the star's
+    radii = star.radii
     cum = np.zeros_like(radii)
     np.cumsum(_gauss_intervals(integrand, radii[:-1], radii[1:]), out=cum[1:])
     i = np.searchsorted(radii, r_arr, side="right") - 1
@@ -763,9 +753,8 @@ def pohozaev_residual(profile: Profile, r) -> np.ndarray:
         integral[off] += _gauss_intervals(integrand, radii[i[off]], r_arr[off])
 
     pos = r_arr > 0.0
-    rp, integral = r_arr[pos], integral[pos]
-    e, m_r = profile.enthalpy_at(rp), profile.mass_at(rp)
-    eprime = _enthalpy_slope(config, rp, m_r)
+    rp, integral, e = r_arr[pos], integral[pos], e[pos]
+    eprime = _enthalpy_slope(config, rp, mass_hat[pos] * rp**d)
     lhs = FOUR_PI * c * integral
     t1 = 0.5 * eprime**2 * rp**d
     t2 = FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g * rp**d

@@ -13,6 +13,7 @@ import lanemden
 import lanemden.cli as cli
 import lanemden.harness as harness
 import lanemden.spectral as spectral
+import lanemden.steady as steady
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,35 @@ class TestCriticalCommand:
         assert "tol_rho must be positive and finite" in err
 
 
+# one small run of each command that reads its stars off a run
+NO_TABLE_ARGV = {
+    "profile": ("profile", "--d", "3", "--gamma", "1.2", "--rho0", "32", "--mesh", "64"),
+    "profile-gas": ("profile", "--gas", "--d", "3", "--gamma", "1.5", "--rho0", "0.5", "--mesh", "64"),
+    "scan": ("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "1e4", "--points", "4",
+             "--mesh", "64"),
+    "critical": ("critical", "--d", "3", "--gamma", "1.25", "--mesh", "64"),
+    "stability": ("stability", "--d", "3", "--gamma", "1.25", "--rho0", "50", "--mesh", "64"),
+}
+
+
+class TestNoHermiteTable:
+    """profile, scan, critical and stability read every star off its run: none builds a Hermite table."""
+
+    @pytest.mark.parametrize("name", list(NO_TABLE_ARGV))
+    def test_same_stdout_with_the_table_refused(self, capsys, monkeypatch, name):
+        argv = NO_TABLE_ARGV[name]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("a Hermite table was built")
+
+        monkeypatch.setattr(steady, "_hermite_coefficients", refuse)
+        code, got, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert got == want
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, outtext, _ = run_cli(capsys, "verify", "--suite", "fixed-point")
@@ -401,7 +431,10 @@ CLEAN_EXITS = {
     "mass-hat-underflow-gamma=1": (("stability", "--d", "7", "--gamma", "1", "--rho0", "1e100",
                                     "--mesh", "64"), None, 0),
     # rho0 = 1e150: the sampled star's Hermite table overflowed; the star
-    # read off its run certifies without a warning
+    # read off its run certifies, and its profile reports, without a warning
+    "hermite-overflow-profile": (("profile", "--d", "3", "--gamma", "1", "--rho0", "1e150"), None, 0),
+    "hermite-overflow-profile-gas": (("profile", "--gas", "--d", "3", "--gamma", "1", "--rho0", "1e150"),
+                                     None, 0),
     **{f"hermite-overflow-{d}-{gamma}": (("stability", "--d", d, "--gamma", gamma, "--rho0", "1e150",
                                           "--mesh", "256"), None, 0)
        for d, gamma in (("3", "1"), ("3", "1.0001"), ("3", "1.2"), ("4", "1.0001"), ("4", "1.2"))},
@@ -414,10 +447,15 @@ CLEAN_EXITS = {
     # the liquid radius lies beyond r_max
     "radius-beyond-rmax": (("stability", "--d", "3", "--gamma", "1.25", "--rho0", "1.5",
                             "--rmax", "0.01"), None, 2),
-    # on gamma = 2d/(d+2) the mass read at R falls below the last sample inside it
-    **{f"liquid-cut-{rho0}": (("profile", "--d", "3", "--gamma", "1.2", "--rho0", rho0), None, 2)
+    # on gamma = 2d/(d+2) the liquid star is cut once, on its run, and exits
+    # 0; its radius is wrong at these rho0, which the identity's residual shows
+    **{f"liquid-cut-{rho0}": (("profile", "--d", "3", "--gamma", "1.2", "--rho0", rho0), None, 0)
        for rho0 in LIQUID_CUT_RHO0},
 }
+
+# profile rows whose star keeps a known defect: the worst Pohozaev residual
+# the diagnostics report must exceed this
+DEFECTS = {f"liquid-cut-{rho0}": 1e-6 for rho0 in LIQUID_CUT_RHO0}
 
 # what stderr must name for some rows
 CAUSES = {
@@ -425,8 +463,6 @@ CAUSES = {
     "no-seed-gap-scan": "RuntimeError: the central enthalpy",
     "radius-beyond-rmax": "rho_center=1.5) lies beyond r_max = 0.01",
     "pencil-overflow": "numerical failure: non-finite pencil entries",
-    **{f"liquid-cut-{rho0}": f"of {lanemden.StarConfig(3, 1.2, float(rho0))} fails its profile check: "
-       "mass must be strictly increasing" for rho0 in LIQUID_CUT_RHO0},
 }
 
 
@@ -445,9 +481,12 @@ class TestCleanExits:
         if code == 0:
             if argv[0] == "stability":  # a certified star writes nothing to stderr
                 assert out.stderr == "", out.stderr
-            if argv[0] == "profile":  # a gas profile reports both radii
+            if argv[0] == "profile":  # R lies inside the compact surface, if there is one
                 diag = json.loads(out.stderr)
-                assert 0.0 < diag["R"] < diag["gas_radius"], diag
+                assert 0.0 < diag["R"], diag
+                assert diag["gas_radius"] is None or diag["R"] < diag["gas_radius"], diag
+                if name in DEFECTS:
+                    assert diag["max_pohozaev_residual"] > DEFECTS[name], diag
             return
         prefix = {1: "usage error: ", 2: "numerical failure: "}[code]
         lines = out.stderr.splitlines()

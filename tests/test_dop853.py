@@ -652,8 +652,6 @@ def _captured_brentq_calls(monkeypatch):
     monkeypatch.setattr(dop853, "brentq", recording)
     for d, g, rho0 in PROFILE_BATTERY:
         profile = integrate_gas_profile(StarConfig(d, g, rho0), r_max=20.0)
-        if rho0 > 1.0:
-            steady.truncate_liquid(profile)
         for kappa in (0.5, 4.0):
             steady.scale_profile(profile, kappa)
     for d, g, top in [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6), (3, 1.25, 1.0 + 1e-9)]:

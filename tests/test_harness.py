@@ -693,7 +693,7 @@ class TestVerifyBattery:
     def integrations(self, monkeypatch):
         """The star of every gas and liquid integration verify makes."""
         calls = []
-        for name in ("integrate_gas_profile", "liquid_star"):
+        for name in ("integrate_gas_profile", "gas_read", "liquid_read"):
             monkeypatch.setattr(harness, name, functools.partial(_recorded, getattr(harness, name), calls))
         return calls
 

@@ -29,7 +29,6 @@ from lanemden import (
     smallest_eigenpair,
     spectral_result_dict,
     stable_at_zero,
-    truncate_liquid,
     weighted_norm_sq,
     write_eigenfunction_csv,
 )
@@ -115,7 +114,8 @@ class TestBuildSlData:
         assert data.grid[-1] == data.R
 
     def test_accepts_truncated_profile(self):
-        t = truncate_liquid(get_liquid(3, 1.4, 10.0))
+        t = get_liquid(3, 1.4, 10.0)
+        assert t.kind == "liquid-truncated"
         data = build_sl_data(t)
         assert data.R == t.liquid_radius
 
@@ -1196,7 +1196,7 @@ class TestExports:
         # a reloaded star must classify identically (bitwise, 17 sig digits)
         from lanemden import read_profile_csv, write_profile_csv
 
-        p = truncate_liquid(get_liquid(3, 1.25, 1e4))
+        p = get_liquid(3, 1.25, 1e4)
         buf = io.StringIO()
         write_profile_csv(p, buf)
         back = read_profile_csv(io.StringIO(buf.getvalue()))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -22,12 +23,11 @@ from lanemden import (
     read_profile_csv,
     scale_profile,
     singular_star,
-    truncate_liquid,
     write_profile_csv,
 )
 from lanemden import dop853, steady
 from lanemden.harness import PROFILE_BATTERY
-from lanemden.phase import fixed_points, radius_limit
+from lanemden.phase import fixed_points, profile_to_phase, radius_limit
 from lanemden.steady import _refined_grid
 
 from conftest import SEED0_LINES, get_liquid, get_profile, ode_hermite_data
@@ -129,8 +129,8 @@ class TestIntegratorCounts:
         _, sol = steady._integrate(config, 1e-10, 50.0, config.boundary_enthalpy)
         assert (p.nfev, p.steps) == (sol.nfev, sol.n_steps)
         assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
-        cut = truncate_liquid(p)
-        assert (cut.nfev, cut.steps) == (p.nfev, p.steps)
+        # the liquid star is its own cut, and carries its run's counts
+        assert p.kind == "liquid-truncated" and p.radii[-1] == p.liquid_radius
         gas = integrate_gas_profile(config)
         scaled = scale_profile(gas, 2.0)
         assert (scaled.nfev, scaled.steps) == (gas.nfev, gas.steps) and gas.steps > 0
@@ -233,7 +233,10 @@ class TestRunStar:
             r = profile.radii
             assert np.count_nonzero(r >= read.seed_radius) > 512
             enthalpy, mass_hat = read.enthalpy_and_mass_hat_at(r)
-            assert enthalpy.tobytes() == profile.enthalpy.tobytes()
+            # the last sample is the liquid surface, pinned to its level as
+            # a compact surface is to the stop level
+            assert enthalpy[:-1].tobytes() == profile.enthalpy[:-1].tobytes()
+            assert profile.enthalpy[-1] == read.config.boundary_enthalpy and profile.rho[-1] == 1.0
             assert mass_hat[0] == FOUR_PI / d * rho0
             assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
             assert r[-1] == read.liquid_radius and read.total_mass == profile.mass[-1]
@@ -270,7 +273,7 @@ class TestRunStar:
         # only a compact surface's enthalpy is pinned to the stop level
         # instead of read.  Infinite support, compact support, rho0 < 1
         config, d = StarConfig(*star), star[0]
-        run = steady._gas_run(config, 1e-10, 20.0)
+        run = steady.gas_read(config, 1e-10, 20.0)
         profile = integrate_gas_profile(config, r_max=20.0)
         assert run.kappa == run.lam == 1.0
         assert run.liquid_radius == profile.liquid_radius and run.gas_radius == profile.gas_radius
@@ -300,7 +303,7 @@ class TestRunStar:
 
     def test_total_mass_where_a_gas_star_ends_is_the_vector_read_bitwise(self):
         # rho0 < 1 has no liquid surface: the mass is read where the run ends
-        run = steady._gas_run(StarConfig(5, 1.3, 0.5), 1e-10, 20.0)
+        run = steady.gas_read(StarConfig(5, 1.3, 0.5), 1e-10, 20.0)
         assert run.liquid is None
         assert run.total_mass.hex() == float(run._read(np.array([run.end]))[1][0]).hex()
 
@@ -331,7 +334,7 @@ class TestStalledSamples:
         assert p.radii[0] == 0.0 and p.rho[0] == rho0
         assert p.radii[-1] == p.liquid_radius
         assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
-        assert truncate_liquid(p).liquid_radius == p.liquid_radius
+        assert p.kind == "liquid-truncated" and p.rho[-1] == 1.0
 
     def test_moving_mask(self):
         from lanemden.steady import _moving
@@ -407,11 +410,15 @@ class TestLiquidRadius:
         assert abs(float(p.rho_at(R)) - 1.0) <= 1e-12
 
     def test_truncate(self):
-        t = truncate_liquid(get_liquid(3, 1.4, 10.0))
-        assert t.kind == "liquid-truncated"
-        assert t.radii[-1] == t.liquid_radius
-        assert t.rho[-1] == 1.0
-        assert t.total_mass == pytest.approx(float(t.mass[-1]), rel=1e-14)
+        # liquid_star is the cut itself: its last sample is R, pinned to
+        # rho = 1 at the boundary level, and holds the run's mass there
+        for line, rho0 in itertools.product(SEED0_LINES + [(3, 1.0), (7, 1.5)], np.geomspace(1.01, 1e6, 8)):
+            config = StarConfig(*line, float(rho0))
+            t, run = liquid_star(config), steady.liquid_read(config)
+            assert t.kind == "liquid-truncated"
+            assert t.radii[-1] == t.liquid_radius == run.liquid_radius
+            assert t.rho[-1] == 1.0 and t.enthalpy[-1] == config.boundary_enthalpy
+            assert t.mass[-1].hex() == t.total_mass.hex() == run.total_mass.hex()
 
 
 def _tight_crossing(sol, level):
@@ -689,6 +696,28 @@ class TestPohozaev:
         )
 
 
+class TestOneReader:
+    """pohozaev_residual and profile_to_phase read a RunStar and its Profile alike."""
+
+    @pytest.mark.parametrize("star", PROFILE_BATTERY, ids=str)
+    def test_run_and_samples_agree(self, star):
+        run = steady.gas_read(StarConfig(*star), 1e-10, 20.0)
+        p = run.profile()
+        assert np.max(np.abs(pohozaev_residual(run, p.radii))) <= 1e-5
+        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
+        assert isinstance(pohozaev_residual(run, min(1.0, p.r_end)), float)
+        if star[1] == 2.0:  # the phase plane needs gamma < 2
+            return
+        # the run's dense output and the samples' Hermite agree to 2e-9 on the battery
+        r = np.array([x for x in (0.5, 1.0, 2.0) if x <= p.r_end])
+        off_run, off_samples = profile_to_phase(run, r), profile_to_phase(p, r)
+        np.testing.assert_allclose(off_run.v1, off_samples.v1, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(off_run.v2, off_samples.v2, rtol=1e-8, atol=0)
+        assert off_run.tau.tobytes() == off_samples.tau.tobytes()
+        scalar = profile_to_phase(run, float(r[0]))
+        assert isinstance(scalar.v1, float) and scalar.v1 == off_run.v1[0]
+
+
 class TestProfileRange:
     def test_rejects_nan_radius(self):
         p = get_profile(3, 1.2, 1.0)
@@ -752,7 +781,7 @@ class TestPchipTable:
     def test_rescaled_csv_read_and_closed_form(self):
         base = get_profile(3, 1.5, 10.0)
         _assert_hermite_bitwise(scale_profile(base, 0.3))
-        _assert_hermite_bitwise(truncate_liquid(get_liquid(5, 1.3, 1e6)))
+        _assert_hermite_bitwise(get_liquid(5, 1.3, 1e6))
         buf = io.StringIO()
         write_profile_csv(get_liquid(4, 1.2, 50.0), buf)
         _assert_hermite_bitwise(read_profile_csv(io.StringIO(buf.getvalue())))
@@ -804,7 +833,7 @@ class TestScaling:
         with pytest.raises(ValueError):
             scale_profile(p, 0.0)
         with pytest.raises(ValueError):
-            scale_profile(truncate_liquid(get_liquid(3, 1.2, 32.0)), 2.0)
+            scale_profile(get_liquid(3, 1.2, 32.0), 2.0)
 
     def test_scaled_radius_matches_direct_integration(self):
         base = get_profile(3, 1.2, 1.0, r_max=10.0)
@@ -915,7 +944,7 @@ class TestExplicitCritical:
 
 class TestCsv:
     def test_roundtrip_and_format(self):
-        p = truncate_liquid(get_liquid(3, 1.2, 32.0))
+        p = get_liquid(3, 1.2, 32.0)
         buf = io.StringIO()
         write_profile_csv(p, buf)
         text = buf.getvalue()
@@ -954,7 +983,7 @@ class TestCsv:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown profile kind 'banana'"):
-            read_profile_csv(self.edited_csv("kind=gas", "kind=banana"))
+            read_profile_csv(self.edited_csv("kind=liquid-truncated", "kind=banana"))
         # the two kinds write_profile_csv emits both load
         for kind in ("gas", "liquid-truncated"):
-            assert read_profile_csv(self.edited_csv("kind=gas", f"kind={kind}")).kind == kind
+            assert read_profile_csv(self.edited_csv("kind=liquid-truncated", f"kind={kind}")).kind == kind
