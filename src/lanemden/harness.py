@@ -36,7 +36,6 @@ from .spectral import (
     stable_at_zero,
 )
 from .steady import (
-    LiquidLine,
     Profile,
     RunStar,
     _fmt,
@@ -48,7 +47,6 @@ from .steady import (
     liquid_radius,
     liquid_read,
     pohozaev_residual,
-    scale_profile,
     singular_star,
     write_profile_csv,
 )
@@ -177,14 +175,14 @@ def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
     A row prints no eigenvector, so its pencil gets the certified search
     alone (spectral.certified_search): mu*, the verdict and the evidence are
     classify_stability's bitwise, with no eigenvector finish and no Robin
-    defect.
+    defect.  R is the pencil's (build_sl_data finds it, by liquid_radius).
     """
-    R = liquid_radius(star)
-    result = certified_search(assemble(build_sl_data(star), mesh), tol_eig)
+    data = build_sl_data(star)
+    result = certified_search(assemble(data, mesh), tol_eig)
     verdict = MARGINAL if result.marginal else result.verdict
     return SweepRow(
         rho0=star.config.rho_center,
-        R=R,
+        R=data.R,
         M_total=star.total_mass,
         mu_star=result.mu_star,
         verdict=verdict,
@@ -193,14 +191,17 @@ def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
     )
 
 
-def _line_read(line: Optional[LiquidLine], config: StarConfig, tol: float, rmax: float) -> RunStar:
+def _line_read(line: Optional[RunStar], config: StarConfig, tol: float, rmax: float) -> RunStar:
     """config's liquid star read off the line's run, or off its own line's where the run cannot serve.
 
-    The run cannot serve when there is no line or LiquidLine.read returns
-    None; then the star is liquid_read's, the top star of its own line.
+    The run cannot serve when there is no line, when RunStar.read returns
+    None, or when the star's liquid radius exceeds rmax; then the star is
+    liquid_read's, the top star of its own line.
     """
     star = None if line is None else line.read(config.rho_center)
-    return liquid_read(config, tol=tol, r_max=rmax) if star is None else star
+    if star is None or star.liquid_radius > rmax:
+        return liquid_read(config, tol=tol, r_max=rmax)
+    return star
 
 
 def sweep_row(
@@ -226,10 +227,11 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     """One SweepRow per central density; a failed row is recorded, not fatal.
 
     The line is integrated once, at its largest rho0, and every other star is
-    read off that run through the rescaling law (steady.integrate_line), its
-    liquid radius found on the run's dense output after the run.  Each row's
-    pencil reads its star straight off the run (a RunStar: no samples, no
-    Hermite table) and gets the certified search alone
+    read off that run through the rescaling law (RunStar.read on the line
+    steady.integrate_line returns), its liquid radius found on the run's
+    dense output after the run.  Each row's pencil reads its star straight
+    off the run (a RunStar: no samples, no Hermite table) and gets the
+    certified search alone
     (spectral.certified_search: no eigenvector, no Robin defect), and M is
     the run's mass at R, one scalar read.  The largest star's row
     is bit for bit sweep_row's.  The others' R and M agree with sweep_row's
@@ -376,7 +378,7 @@ def critical_density(
     not the midpoints left undecided are counted: the history is always
     that of counting every midpoint at mesh on stars read off the run.
     Every star, at either mesh and at the ends, is read straight off the
-    line's run (LiquidLine.read: no samples, no Hermite table), or, where
+    line's run (RunStar.read: no samples, no Hermite table), or, where
     the run cannot serve it, off the run of its own line
     (steady.liquid_read), so no star is sampled.
     """
@@ -489,10 +491,9 @@ def _battery_stars() -> Tuple[BatteryStar, ...]:
     return tuple(stars)
 
 
-def _far_star(g: float) -> Tuple[RunStar, Profile]:
-    """The run and samples of the (3, g, 1) gas star to r = 1e3: tail and radius-limit read its spiral."""
-    run = gas_read(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
-    return run, run.profile()
+def _far_star(g: float) -> RunStar:
+    """The (3, g, 1) gas star off its run to r = 1e3: tail and radius-limit read its spiral."""
+    return gas_read(StarConfig(3, g, 1.0), tol=1e-10, r_max=1e3)
 
 
 @dataclass(frozen=True)
@@ -503,7 +504,7 @@ class _Shared:
     """
 
     battery: Callable[[], Tuple[BatteryStar, ...]]
-    far_star: Callable[[float], Tuple[RunStar, Profile]]
+    far_star: Callable[[float], RunStar]
 
 
 def _check_explicit(shared: _Shared) -> VerifyCheck:
@@ -565,8 +566,8 @@ def _check_tail(shared: _Shared) -> VerifyCheck:
     ok = True
     worst = 0.0
     for g in (1.0, 1.1):
-        run, profile = shared.far_star(g)
-        fit = tail_convergence_rate(profile)
+        run = shared.far_star(g)
+        fit = tail_convergence_rate(run.profile())
         _, vs = fixed_points(3, g)
         initial = abs(profile_to_phase(run, 1.0).v1 - vs[0])
         ok = ok and fit.exponent > 0.0 and fit.terminal_deviation < initial
@@ -577,15 +578,13 @@ def _check_tail(shared: _Shared) -> VerifyCheck:
 
 
 def _check_radius_limit(shared: _Shared) -> VerifyCheck:
+    """R_kappa of the far star's family (RunStar.read on its run) nears its limit, and matches a direct run at 32."""
     d, g = 3, 1.1
-    _, base = shared.far_star(g)
+    run = shared.far_star(g)
     r_inf = radius_limit(d, g)
-    devs = {}
-    for kappa in (10.0, 1e6):
-        scaled = scale_profile(base, kappa)
-        devs[kappa] = abs(scaled.liquid_radius - r_inf) / r_inf
+    devs = {kappa: abs(run.read(kappa).liquid_radius - r_inf) / r_inf for kappa in (10.0, 1e6)}
     direct = liquid_read(StarConfig(d, g, 32.0), tol=1e-10, r_max=5.0)
-    law = scale_profile(base, 32.0).liquid_radius
+    law = run.read(32.0).liquid_radius
     cross = abs(direct.liquid_radius - law) / direct.liquid_radius
     ok = devs[1e6] < devs[10.0] and cross <= 1e-5
     return VerifyCheck(

@@ -20,12 +20,14 @@ star off a run's dense output, and an integrated Profile is its samples.
 The pencils, the Pohozaev identity and the phase map read a RunStar itself,
 with no samples and no interpolant.  Between samples a Profile reads one
 cubic Hermite of the enthalpy and m/r^d with the ODE's own slopes at the
-samples, for profiles with no run behind them (CSV, closed form, rescaled),
+samples, for profiles with no run behind them (CSV-read or closed form),
 built and evaluated here in numpy, so import loads no part of
 scipy.interpolate.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
-exists iff rho(0) > 1.  The run makes the one cut (LiquidLine.read).
+exists iff rho(0) > 1.  The run makes the one cut, and applies the one
+rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r) that gives every
+other star of its (d, gamma) family (RunStar.read).
 """
 
 from __future__ import annotations
@@ -404,10 +406,11 @@ class RunStar:
     """One star read straight off a DOP853 run; a Profile is its samples (profile).
 
     config's star is rho(y) = kappa rho_run(lam y), lam = kappa^(1-gamma/2):
-    the run's own star at kappa = 1, a line's smaller star below it.  r0
-    (the seed radius), end (where the star ends) and the liquid and compact
-    surfaces liquid and gas (or None) are radii of the run; the star's are
-    these over lam.  _read is the one evaluation of a star off a run:
+    the run's own star at kappa = 1 (gas_read, integrate_line), any other
+    star of its (d, gamma) family otherwise (read).  r0 (the seed radius),
+    end (where the star ends) and the liquid and compact surfaces liquid
+    and gas (or None) are radii of the run; the star's are these over
+    lam.  _read is the one evaluation of a star off a run:
     config's own Taylor seed (_seed) below seed_radius, the run's dense
     output at lam y through _rescaled from there on.  radii are r = 0 and
     the run's step boundaries below end, over lam: the nodes between which
@@ -455,6 +458,25 @@ class RunStar:
         """
         end = self.end if self.liquid is None else self.liquid
         return _mass_scale(self.config, self.kappa) * self.sol.at(self.lam * (end / self.lam), 1)
+
+    def read(self, rho0: float) -> Optional[RunStar]:
+        """The liquid star of central density rho0 in the run's family, cut at its liquid radius, or None.
+
+        By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), with
+        kappa = rho0 over the run's own central density, the star is the
+        run's solution on radii over lam, cut where the run's enthalpy falls
+        to that of density 1/kappa (DenseSolution.crossing).  None when the
+        run does not fall through that level after its seed: rho0 so close
+        to 1 that the run starts below it, or, above the run's own density,
+        a run that stops before reaching it.  Raises ValueError when rho0 is
+        not above 1, or StarConfig rejects it.
+        """
+        if not rho0 > 1.0:
+            raise ValueError(f"a liquid star needs rho0 > 1, got {rho0}")
+        config = StarConfig(self.config.d, self.config.gamma, rho0)
+        kappa = rho0 / (self.config.rho_center / self.kappa)
+        root = self.sol.crossing(config.enthalpy_of_inverse(kappa))
+        return None if root is None else RunStar(config, self.sol, kappa, self.r0, root, root)
 
     def _read(self, y: np.ndarray):
         """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""
@@ -520,15 +542,20 @@ class RunStar:
                        nfev=self.sol.nfev, steps=self.sol.n_steps)
 
 
-def gas_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
-    """config's gas star off its own run (liquid_read's twin), ended at a compact surface, guard or r_max."""
-    stop = config.gas_stop
+def _run_star(config: StarConfig, tol: float, r_max: float, stop: float) -> RunStar:
+    """config's own star off one run to the stop level (_integrate), ended at its crossing or r_max."""
     r0, sol = _integrate(config, tol, r_max, stop)
-    end = sol.crossing(stop)
-    liquid = sol.crossing(config.boundary_enthalpy) if config.rho_center > 1.0 else None
+    end, level = sol.crossing(stop), config.boundary_enthalpy
+    # a line's run stops at its liquid surface, so that crossing is end
+    liquid = (end if stop == level else sol.crossing(level)) if config.rho_center > 1.0 else None
     # a run whose stop level has density 0 stops at the compact surface
     gas = end if config.rho_of_enthalpy(stop) == 0.0 else None
     return RunStar(config, sol, 1.0, r0, sol.ts[-1] if end is None else end, liquid, gas)
+
+
+def gas_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
+    """config's gas star off its own run, ended at a compact surface, guard or r_max."""
+    return _run_star(config, tol, r_max, config.gas_stop)
 
 
 def integrate_gas_profile(
@@ -556,69 +583,26 @@ def integrate_gas_profile(
     return gas_read(config, tol, r_max).profile(min_points)
 
 
-@dataclass(frozen=True)
-class LiquidLine:
-    """The liquid stars of one (d, gamma) line, read off one run of its densest star.
+def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
+    """The liquid star top off one run, for the stars of every density in (1, rho_top].
 
-    By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), the star
-    of central density rho0 = kappa rho_top (kappa <= 1) is the top star's
-    gas solution on radii divided by kappa^(1-gamma/2), cut where the top
-    star's enthalpy falls to that of density 1/kappa.  That crossing is
-    found on the run's dense output, so any density in (1, rho_top] can be
-    asked for after the run; its level is never below the top star's, where
-    the run ends (after the step that falls through it).  read gives each
-    star as a RunStar on the run itself; read(rho0).profile(points) samples
-    it, as integrate_gas_profile samples its own run.  Every liquid star
-    comes from here: liquid_read reads a lone star as the top star of its
-    own line (and liquid_star samples it), harness.run_sweep reads each scan
-    row's star off one, and harness.critical_density each bisection star.
-    """
-
-    top: StarConfig
-    r_max: float
-    r0: float
-    sol: dop853.DenseSolution
-
-    def read(self, rho0: float) -> Optional[RunStar]:
-        """rho0's star read off the run, cut at its liquid radius, or None when the run cannot serve it.
-
-        It cannot when rho0 is so close to 1 that the top star's enthalpy is
-        already below the star's level at the seed radius, or when the
-        star's liquid radius, the crossing over lam, exceeds r_max.  Raises
-        ValueError when rho0 is outside (1, rho_top].
-        """
-        rho_top = self.top.rho_center
-        if not 1.0 < rho0 <= rho_top:
-            raise ValueError(f"line densities must lie in (1, {rho_top:g}], got {rho0}")
-        kappa = rho0 / rho_top
-        root = self.sol.crossing(self.top.enthalpy_of_inverse(kappa))
-        if root is None:
-            return None
-        star = RunStar(StarConfig(self.top.d, self.top.gamma, rho0), self.sol, kappa, self.r0, root, root)
-        return star if star.liquid_radius <= self.r_max else None
-
-
-def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> LiquidLine:
-    """Integrate the liquid star top once, for the stars of every density in (1, rho_top].
-
-    The run is integrate_gas_profile's with the liquid surface rho = 1 as
-    its stop level; LiquidLine.read reads each star off it on demand, for a
-    scan line (top its largest rho0), a critical-density bracket (top its
-    upper end) or a lone star (liquid_read).
-    The top star's seed radius is kept, so the seed covers r0 / lam of each
-    smaller star, a larger share of its radius than its own seed would.
+    The run is gas_read's with the liquid surface rho = 1 as its stop level;
+    RunStar.read reads each star off it on demand, for a scan line (top its
+    largest rho0), a critical-density bracket (top its upper end) or a lone
+    star (liquid_read).  The top star's seed radius is kept, so the seed
+    covers r0 / lam of each smaller star, a larger share of its radius than
+    its own seed would.
     """
     if not top.rho_center > 1.0:
         raise ValueError(f"a liquid line needs rho_top > 1, got {top.rho_center}")
-    r0, sol = _integrate(top, tol, r_max, top.boundary_enthalpy)
-    return LiquidLine(top, r_max, r0, sol)
+    return _run_star(top, tol, r_max, top.boundary_enthalpy)
 
 
 def liquid_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
     """The liquid star of config as a RunStar: the top star of its own line, read off its run.
 
-    Raises RuntimeError when its liquid radius lies beyond r_max, and
-    integrate_line's errors otherwise.
+    Raises RuntimeError when the run ends at r_max before its liquid
+    radius, and integrate_line's errors otherwise.
     """
     star = integrate_line(config, tol, r_max).read(config.rho_center)
     if star is None:
@@ -769,51 +753,6 @@ def classify_support(d: int, gamma: float) -> str:
     """COMPACT iff gamma > 2d/(d+2), INFINITE otherwise (gas stars)."""
     StarConfig(d, gamma, 1.0)  # validate ranges
     return COMPACT if gamma > support_threshold(d) else INFINITE
-
-
-def scale_profile(profile: Profile, kappa: float) -> Profile:
-    """Rescaled steady state rho_k(r) = kappa rho(kappa^(1-gamma/2) r).
-
-    The mass transforms as m_k(r) = kappa^(1-d(1-gamma/2)) m(kappa^(1-gamma/2) r).
-    The liquid radius of the scaled star, kappa^-(1-gamma/2) rho^-1(1/kappa),
-    is resolved when kappa rho0 > 1 and the base grid reaches density 1/kappa.
-    """
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if profile.kind != GAS:
-        raise ValueError("only gas profiles can be rescaled")
-    config = profile.config
-    g = config.gamma
-    lam = kappa ** (1.0 - g / 2.0)  # radius contraction factor
-    new_config = StarConfig(config.d, g, kappa * config.rho_center)
-    radii = profile.radii / lam
-    rho = kappa * profile.rho
-    enth, mass = _rescaled(config, kappa, profile.enthalpy, profile.mass)
-
-    liquid_r = None
-    if kappa * config.rho_center > 1.0:
-        try:
-            liquid_r = _enthalpy_crossing(profile, config.enthalpy_of_inverse(kappa)) / lam
-        except RuntimeError:  # no crossing on the base grid
-            if kappa == 1.0:
-                liquid_r = profile.liquid_radius
-    gas_r = None if profile.gas_radius is None else profile.gas_radius / lam
-
-    rho[0] = new_config.rho_center
-    # the factors can round neighbouring samples onto one value
-    radii, rho, enth, mass = _drop_stalled(radii, rho, enth, mass, [] if gas_r is None else [gas_r])
-    return Profile(
-        config=new_config,
-        radii=radii,
-        rho=rho,
-        enthalpy=enth,
-        mass=mass,
-        kind=GAS,
-        liquid_radius=liquid_r,
-        gas_radius=gas_r,
-        nfev=profile.nfev,
-        steps=profile.steps,
-    )
 
 
 @dataclass(frozen=True)

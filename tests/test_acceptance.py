@@ -21,6 +21,7 @@ from lanemden import (
     critical_density,
     decay_bound,
     fixed_points,
+    gas_read,
     instability_witness,
     integrate_gas_profile,
     jacobian_spectrum,
@@ -30,7 +31,6 @@ from lanemden import (
     profile_to_phase,
     quadratic_form,
     radius_limit,
-    scale_profile,
     singular_star,
     tail_convergence_rate,
     vector_field,
@@ -170,11 +170,11 @@ def test_criterion_5_tail_theorem():
 
 def test_criterion_6_radius_limit():
     failures = []
-    base = get_profile(3, 1.1, 1.0, r_max=1e3)
+    base = gas_read(StarConfig(3, 1.1, 1.0), r_max=1e3)
     r_inf = radius_limit(3, 1.1)
     devs = []
     for kappa in (1e2, 1e3, 1e4, 1e5, 1e6):
-        scaled = scale_profile(base, kappa)
+        scaled = base.read(kappa)
         devs.append(abs(scaled.liquid_radius - r_inf) / r_inf)
     if devs[-1] > 0.05:
         failures.append(f"|R_kappa - R_inf|/R_inf at kappa=1e6: {devs[-1]:.3e} > 0.05")

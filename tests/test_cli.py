@@ -267,11 +267,17 @@ NO_TABLE_ARGV = {
              "--mesh", "64"),
     "critical": ("critical", "--d", "3", "--gamma", "1.25", "--mesh", "64"),
     "stability": ("stability", "--d", "3", "--gamma", "1.25", "--rho0", "50", "--mesh", "64"),
+    "verify": ("verify", "--suite", "all"),
 }
 
 
 class TestNoHermiteTable:
-    """profile, scan, critical and stability read every star off its run: none builds a Hermite table."""
+    """profile, scan, critical, stability and verify read every star off its run: none builds a Hermite table.
+
+    One known table remains: Profile.total_mass reads the table where a
+    profile's liquid radius is not one of its samples, which
+    `profile --gas --d 3 --gamma 1.25 --rho0 1e40` reaches.
+    """
 
     @pytest.mark.parametrize("name", list(NO_TABLE_ARGV))
     def test_same_stdout_with_the_table_refused(self, capsys, monkeypatch, name):

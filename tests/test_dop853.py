@@ -651,9 +651,12 @@ def _captured_brentq_calls(monkeypatch):
 
     monkeypatch.setattr(dop853, "brentq", recording)
     for d, g, rho0 in PROFILE_BATTERY:
-        profile = integrate_gas_profile(StarConfig(d, g, rho0), r_max=20.0)
+        # each level of the rescaled stars, on the run and on its samples
+        run = steady.gas_read(StarConfig(d, g, rho0), r_max=20.0)
+        profile = run.profile()
         for kappa in (0.5, 4.0):
-            steady.scale_profile(profile, kappa)
+            if kappa * rho0 > 1.0 and run.read(kappa * rho0) is not None:
+                steady._enthalpy_crossing(profile, run.config.enthalpy_of_inverse(kappa))
     for d, g, top in [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6), (3, 1.25, 1.0 + 1e-9)]:
         line = steady.integrate_line(StarConfig(d, g, top))
         for rho0 in np.geomspace(1.0 + 1e-9, top, 12)[1:]:

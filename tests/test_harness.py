@@ -19,13 +19,12 @@ from lanemden import (
     critical_density,
     run_profile,
     run_sweep,
-    scale_profile,
     sweep_row,
     verify_suite,
     write_sweep_csv,
 )
 
-from conftest import SEED0_LINES, get_profile
+from conftest import SEED0_LINES
 
 
 class TestRunSpec:
@@ -94,13 +93,13 @@ class TestRunSweep:
         assert rows[-1].verdict == "Unstable"
 
     def test_rows_match_scaling_law(self):
-        # per-row direct integration against the self-similar rescaling of one
-        # base star: an independent route to every R in the sweep
-        base = get_profile(3, 1.1, 1.0, r_max=1e3)
+        # every R in the sweep (read off the line's run at its top) against
+        # the self-similar rescaling of one base gas star below the line
+        base = steady.gas_read(StarConfig(3, 1.1, 1.0), r_max=1e3)
         spec = RunSpec(d=3, gamma=1.1, rho0_min=1e2, rho0_max=1e6, points=5, mesh=512)
         rows = run_sweep(spec)
         for row in rows:
-            law = scale_profile(base, row.rho0).liquid_radius
+            law = base.read(row.rho0).liquid_radius
             assert row.R == pytest.approx(law, rel=1e-5)
 
     def test_row_errors_isolated(self, monkeypatch):
@@ -384,8 +383,8 @@ def too_short(rho0, rmax):
     return f"the liquid radius of {star} lies beyond r_max = {rmax:g} (increase r_max)"
 
 
-class UnservingLine(steady.LiquidLine):
-    """A line whose run serves no star (read, and so star), so that each star comes off its own line."""
+class UnservingLine(steady.RunStar):
+    """A line whose run serves no star (read), so that each star comes off its own line."""
 
     def read(self, rho0):
         return None
@@ -555,13 +554,13 @@ class TestCriticalDensityCount:
 
     @pytest.mark.parametrize("mesh", [2048, 4096])
     def test_steered_run_samples_no_profile(self, counted, monkeypatch, mesh):
-        # every pencil reads its star straight off the run (LiquidLine.read):
+        # every pencil reads its star straight off the run (RunStar.read):
         # the hi end's certified search, the guide's midpoints at 512 and the final
         # bracket's two counts at mesh; lo's is its own line's (liquid_read)
         reads, profiles = [], []
         line, sampled = harness.integrate_line, steady.RunStar.profile
 
-        class ServingLine(steady.LiquidLine):
+        class ServingLine(steady.RunStar):
             def read(self, rho0):
                 reads.append(rho0)
                 return super().read(rho0)

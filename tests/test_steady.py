@@ -21,7 +21,6 @@ from lanemden import (
     liquid_star,
     pohozaev_residual,
     read_profile_csv,
-    scale_profile,
     singular_star,
     write_profile_csv,
 )
@@ -131,8 +130,9 @@ class TestIntegratorCounts:
         assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
         # the liquid star is its own cut, and carries its run's counts
         assert p.kind == "liquid-truncated" and p.radii[-1] == p.liquid_radius
+        # a star read off a gas run above its own density carries that run's counts
         gas = integrate_gas_profile(config)
-        scaled = scale_profile(gas, 2.0)
+        scaled = steady.gas_read(config).read(2.0 * config.rho_center).profile()
         assert (scaled.nfev, scaled.steps) == (gas.nfev, gas.steps) and gas.steps > 0
 
     def test_line_star_reports_the_line_run(self):
@@ -162,7 +162,7 @@ LONE_STARS = [
 
 
 class TestLiquidLine:
-    """A line's stars are read off its run for any density, after the run."""
+    """A line's stars are read off its run (RunStar.read) for any density, after the run."""
 
     @pytest.mark.parametrize("top", [(3, 1.25, 1e4), (3, 1.0, 1e3), (5, 1.6, 1e6)], ids=str)
     def test_any_density_matches_its_own_integration(self, top):
@@ -207,9 +207,21 @@ class TestLiquidLine:
 
     @pytest.mark.parametrize("rho0", [1.0, 0.5, math.nextafter(1e4, math.inf), 2e4, math.nan])
     def test_density_outside_the_line_raises(self, rho0):
+        # no liquid star exists at rho0 <= 1 or NaN; above the top star a
+        # star is served where the run, stopped after the step that falls
+        # through the top star's surface, still crosses its level: one ulp
+        # above, not at twice the density
         line = steady.integrate_line(StarConfig(3, 1.25, 1e4))
-        with pytest.raises(ValueError, match="line densities"):
-            line.read(rho0)
+        if not rho0 > 1e4:
+            with pytest.raises(ValueError, match="needs rho0 > 1"):
+                line.read(rho0)
+            return
+        kappa = rho0 / 1e4
+        root = line.sol.crossing(line.config.enthalpy_of_inverse(kappa))
+        star = line.read(rho0)
+        assert (star is None) == (root is None) == (rho0 == 2e4)
+        if star is not None:
+            assert star.config.rho_center == rho0 and star.liquid_radius == root / kappa ** (1.0 - 1.25 / 2.0)
 
     def test_gas_top_star_raises(self):
         with pytest.raises(ValueError, match="rho_top > 1"):
@@ -217,7 +229,7 @@ class TestLiquidLine:
 
 
 class TestRunStar:
-    """A star read straight off a run, with no samples: a line's (LiquidLine.read) or a gas run's own."""
+    """A star read straight off a run, with no samples: a line's (RunStar.read) or a gas run's own."""
 
     @pytest.mark.parametrize("line", [(3, 1.25), (4, 1.4), (3, 1.0), (7, 1.01)], ids=str)
     def test_reads_the_profile_samples_bit_for_bit(self, line):
@@ -253,18 +265,20 @@ class TestRunStar:
             assert got.ravel().tobytes() == want[np.searchsorted(r, shuffled)].tobytes()
 
     def test_refuses_near_one_and_beyond_r_max(self):
-        # near 1 the level is crossed before the seed radius, and below
-        # rho0 ~ 700 the liquid radius exceeds r_max = 0.3; a served star
-        # lies inside r_max and samples as a profile
+        # near 1 the level is crossed before the seed radius, so no star is
+        # served.  Below rho0 ~ 700 the liquid radius exceeds r_max = 0.3:
+        # read still serves those stars, and the scan's fallback
+        # (harness._line_read) refuses them.  A served star samples as a profile
         run = steady.integrate_line(StarConfig(3, 1.25, 1e6), r_max=0.3)
-        served = []
+        served, inside = [], []
         for rho0 in np.geomspace(1.0 + 1e-12, 1e6, 40).tolist():
             read = run.read(rho0)
             if read is not None:
-                assert read.liquid_radius <= 0.3
                 assert read.profile(64).liquid_radius == read.liquid_radius
             served.append(read is not None)
+            inside.append(read is not None and read.liquid_radius <= 0.3)
         assert served == sorted(served) and 0 < sum(served) < len(served)
+        assert inside == sorted(inside) and 0 < sum(inside) < sum(served)
         assert steady.integrate_line(StarConfig(3, 1.25, 1e6)).read(1.0 + 1e-9) is None
 
     @pytest.mark.parametrize("star", [(3, 1.0, 10.0), (3, 1.5, 10.0), (5, 1.3, 0.5)], ids=str)
@@ -779,8 +793,8 @@ class TestPchipTable:
                 _assert_hermite_bitwise(star.profile())
 
     def test_rescaled_csv_read_and_closed_form(self):
-        base = get_profile(3, 1.5, 10.0)
-        _assert_hermite_bitwise(scale_profile(base, 0.3))
+        # a star read off a gas run through the rescaling law, then sampled
+        _assert_hermite_bitwise(steady.gas_read(StarConfig(3, 1.5, 10.0), r_max=20.0).read(3.0).profile())
         _assert_hermite_bitwise(get_liquid(5, 1.3, 1e6))
         buf = io.StringIO()
         write_profile_csv(get_liquid(4, 1.2, 50.0), buf)
@@ -820,63 +834,69 @@ class TestClassifySupport:
         assert classify_support(d, gamma) == expected
 
 
+class TestExports:
+    def test_run_readers_exported_and_the_sample_rescaling_gone(self):
+        # every star of a family is read off a run: RunStar.read replaces
+        # LiquidLine.read and scale_profile
+        import lanemden
+        from lanemden import RunStar, gas_read, liquid_read
+
+        assert (RunStar, gas_read, liquid_read) == (steady.RunStar, steady.gas_read, steady.liquid_read)
+        for name in ("LiquidLine", "scale_profile"):
+            assert not hasattr(lanemden, name) and not hasattr(steady, name), name
+
+
 class TestScaling:
+    """The rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), read off a run (RunStar.read)."""
+
     def test_identity(self):
-        p = get_profile(3, 1.2, 1.0, r_max=10.0)
-        q = scale_profile(p, 1.0)
-        assert np.array_equal(q.radii, p.radii)
-        assert np.array_equal(q.rho, p.rho)
-        assert np.array_equal(q.mass, p.mass)
+        # at the run's own density the law is the identity: the run's own
+        # star, cut at its own liquid radius
+        run = steady.gas_read(StarConfig(3, 1.2, 10.0), r_max=10.0)
+        star = run.read(10.0)
+        assert star.config == run.config and star.kappa == star.lam == 1.0
+        assert star.sol is run.sol and star.r0 == run.r0
+        assert star.end == star.liquid == run.liquid_radius == star.liquid_radius
+        r = np.linspace(0.0, star.liquid_radius, 257)
+        for got, want in zip(star.enthalpy_and_mass_hat_at(r), run.enthalpy_and_mass_hat_at(r)):
+            assert got.tobytes() == want.tobytes()
 
     def test_invalid(self):
-        p = get_profile(3, 1.2, 1.0, r_max=10.0)
-        with pytest.raises(ValueError):
-            scale_profile(p, 0.0)
-        with pytest.raises(ValueError):
-            scale_profile(get_liquid(3, 1.2, 32.0), 2.0)
+        # no liquid star at rho0 <= 1 or NaN; StarConfig rejects an infinite one
+        run = steady.gas_read(StarConfig(3, 1.2, 1.0), r_max=10.0)
+        for rho0 in (0.0, 1.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                run.read(rho0)
 
     def test_scaled_radius_matches_direct_integration(self):
-        base = get_profile(3, 1.2, 1.0, r_max=10.0)
-        scaled = scale_profile(base, 32.0)
+        base = steady.gas_read(StarConfig(3, 1.2, 1.0), r_max=10.0)
+        scaled = base.read(32.0)
         direct = liquid_radius(get_liquid(3, 1.2, 32.0))
         assert scaled.liquid_radius == pytest.approx(direct, rel=1e-5)
 
     def test_radius_limit_approach(self):
-        base = get_profile(3, 1.1, 1.0, r_max=1e3)
+        base = steady.gas_read(StarConfig(3, 1.1, 1.0), r_max=1e3)
         r_inf = radius_limit(3, 1.1)
-        dev_near = abs(scale_profile(base, 10.0).liquid_radius - r_inf)
-        dev_far = abs(scale_profile(base, 1e6).liquid_radius - r_inf)
+        dev_near = abs(base.read(10.0).liquid_radius - r_inf)
+        dev_far = abs(base.read(1e6).liquid_radius - r_inf)
         assert dev_far < dev_near
 
-    def test_mass_transform(self):
-        base = get_profile(3, 1.2, 1.0, r_max=10.0)
-        kappa = 5.0
-        scaled = scale_profile(base, kappa)
-        lam = kappa ** (1 - 1.2 / 2)
-        i = len(base.radii) // 2
-        assert scaled.radii[i] == pytest.approx(base.radii[i] / lam, rel=1e-14)
-        expected_m = kappa ** (1 - 3 * (1 - 1.2 / 2)) * base.mass[i]
-        assert scaled.mass[i] == pytest.approx(expected_m, rel=1e-13)
-
-    @pytest.mark.parametrize("star", [(3, 1.25, 1.01), (3, 1.21, 1.01)])
-    def test_no_rejected_rescaling(self, star):
-        # the mass factor kappa^(1-d(1-gamma/2)) can merge masses one ulp
-        # apart near a compact surface; those samples are dropped instead
-        base = integrate_gas_profile(StarConfig(*star), r_max=5e3, min_points=8192)
-        for kappa in np.logspace(-3, 6, 200):
-            scaled = scale_profile(base, kappa)
-            assert scaled.radii[-1] == scaled.gas_radius
-            assert scaled.rho[0] == scaled.config.rho_center
-
-    @settings(max_examples=20, deadline=None)
-    @given(k1=st.floats(0.5, 8.0), k2=st.floats(0.5, 8.0))
-    def test_closure(self, k1, k2):
-        base = get_profile(3, 1.2, 1.0, r_max=10.0)
-        twice = scale_profile(scale_profile(base, k1), k2)
-        once = scale_profile(base, k1 * k2)
-        assert np.allclose(twice.radii, once.radii, rtol=1e-13)
-        assert np.allclose(twice.rho, once.rho, rtol=1e-12)
-        assert np.allclose(twice.mass, once.mass, rtol=1e-12)
+    @pytest.mark.parametrize("star", PROFILE_BATTERY[::2], ids=str)
+    def test_law_matches_direct_integration(self, star):
+        # a line reads its stars below the run's density (TestLiquidLine);
+        # here the battery's rho0 = 1 gas runs are read above it, up to
+        # kappa = 1e3, and each star's R and M match its own run's
+        d, g, _ = star
+        run = steady.gas_read(StarConfig(*star), r_max=20.0)
+        for kappa in (1.5, 4.0, 32.0, 1e3):
+            read = run.read(kappa)
+            if (d, g, kappa) == (5, 1.0, 1e3):
+                # the level -ln 1e3 lies beyond r = 20 on this run
+                assert read is None
+                continue
+            direct = steady.liquid_read(StarConfig(d, g, kappa))
+            assert abs(read.liquid_radius / direct.liquid_radius - 1.0) <= 2e-10, kappa
+            assert abs(read.total_mass / direct.total_mass - 1.0) <= 1e-9, kappa
 
 
 class TestSingularStar:
@@ -915,9 +935,10 @@ class TestExplicitCritical:
         star = explicit_profile_critical(3, 32.0)
         expected = 32 * (1 + (2 * math.pi / 9) * 16 * 0.0625) ** -2.5
         assert float(star.rho_at(0.25)) == pytest.approx(expected, rel=1e-14)
-        # independent route: integrate the unit star and rescale
-        scaled = scale_profile(get_profile(3, 1.2, 1.0, r_max=10.0), 32.0)
-        assert float(scaled.rho_at(0.25)) == pytest.approx(expected, rel=1e-8)
+        # independent route: integrate the unit star and read the rescaled star off its run
+        scaled = steady.gas_read(StarConfig(3, 1.2, 1.0), r_max=10.0).read(32.0)
+        enthalpy, _ = scaled.enthalpy_and_mass_hat_at(0.25)
+        assert float(scaled.config.rho_of_enthalpy(enthalpy)) == pytest.approx(expected, rel=1e-8)
 
     def test_residual_machine_zero(self):
         star = explicit_profile_critical(4, 10.0)
