@@ -15,7 +15,7 @@ import sys
 from lanemden import (
     StarConfig,
     fixed_points,
-    integrate_gas_profile,
+    gas_read,
     jacobian_spectrum,
     profile_to_phase,
     tail_convergence_rate,
@@ -29,9 +29,8 @@ def main() -> int:
     parser.add_argument("--rmax", type=float, default=1e3)
     args = parser.parse_args()
 
-    profile = integrate_gas_profile(
-        StarConfig(args.d, args.gamma, 1.0), tol=1e-10, r_max=args.rmax
-    )
+    run = gas_read(StarConfig(args.d, args.gamma, 1.0), tol=1e-10, r_max=args.rmax)
+    profile = run.profile()
     _, vs = fixed_points(args.d, args.gamma)
     rep = jacobian_spectrum(args.d, args.gamma)
     lam = max(rep.eigenvalues, key=lambda z: z.real)
@@ -48,7 +47,7 @@ def main() -> int:
     sys.stdout.write("r,v1,v2,rel_dev_v1\n")
     r = profile.radii[1]
     while r <= profile.r_end:
-        state = profile_to_phase(profile, r)
+        state = profile_to_phase(run, r)
         dev = abs(state.v1 - vs[0]) / vs[0]
         sys.stdout.write(f"{r:.17g},{state.v1:.17g},{state.v2:.17g},{dev:.17g}\n")
         r *= math.sqrt(10.0)

@@ -44,7 +44,6 @@ from .steady import (
     gas_read,
     integrate_gas_profile,
     integrate_line,
-    liquid_radius,
     liquid_read,
     pohozaev_residual,
     singular_star,
@@ -230,7 +229,7 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     read off that run through the rescaling law (RunStar.read on the line
     steady.integrate_line returns), its liquid radius found on the run's
     dense output after the run.  Each row's pencil reads its star straight
-    off the run (a RunStar: no samples, no Hermite table) and gets the
+    off the run (a RunStar, with no samples) and gets the
     certified search alone
     (spectral.certified_search: no eigenvector, no Robin defect), and M is
     the run's mass at R, one scalar read.  The largest star's row
@@ -378,7 +377,7 @@ def critical_density(
     not the midpoints left undecided are counted: the history is always
     that of counting every midpoint at mesh on stars read off the run.
     Every star, at either mesh and at the ends, is read straight off the
-    line's run (RunStar.read: no samples, no Hermite table), or, where
+    line's run (RunStar.read, with no samples), or, where
     the run cannot serve it, off the run of its own line
     (steady.liquid_read), so no star is sampled.
     """
@@ -515,7 +514,7 @@ def _check_explicit(shared: _Shared) -> VerifyCheck:
         exact = star.rho_at(profile.radii)
         worst = max(worst, float(np.max(np.abs(profile.rho - exact) / exact)))
         if C > 1.0:
-            R = liquid_radius(profile)
+            R = profile.liquid_radius
             worst = max(worst, abs(R - star.radius) / star.radius)
     return VerifyCheck(
         "explicit", worst <= 1e-6, worst, "integrator vs closed form, max relative error"

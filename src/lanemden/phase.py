@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -118,8 +118,8 @@ def _scaled(config: StarConfig, r, rho, mass):
     return r**power * rho, r ** (power - config.d) * mass
 
 
-def profile_to_phase(star: Union[Profile, RunStar], r) -> PhaseState:
-    """Push a star (a Profile or a RunStar, read once) into the scaled plane at radius r (scalar or array)."""
+def profile_to_phase(star: RunStar, r) -> PhaseState:
+    """Push a star, read once off its run, into the scaled plane at radius r (scalar or array)."""
     config = star.config
     _check_gamma(config.d, config.gamma)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))

@@ -17,12 +17,11 @@ rate sqrt(-mu*).
 q is evaluated through the equilibrium identity y^d (rhobar^gamma)' =
 -y rhobar m = -(m/y^d) wgt, which avoids numerical differentiation of the
 profile: with p = gamma rhobar^(gamma-1) wgt, every coefficient is wgt times
-a column the profile's interpolant already holds (the enthalpy gives
-rhobar^(gamma-1), and m/y^d is the other column), so the only power of
-rhobar taken is rhobar itself.  The same two columns come straight off a
-DOP853 run for a steady.RunStar, which is what the drivers certify: the
-Gauss points of a mesh are read in ascending order, element by element,
-so the run locates them in one pass over its steps.
+one of the two columns a steady.RunStar reads off its DOP853 run (the
+enthalpy gives rhobar^(gamma-1), and m/y^d is the other column), so the
+only power of rhobar taken is rhobar itself.  The Gauss points of a mesh
+are read in ascending order, element by element, so the run locates them
+in one pass over its steps.
 
 The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
 eigenvector solved for with its dpttrs.  Both are called through ctypes in
@@ -37,12 +36,12 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, TextIO, Tuple, Union
+from typing import Callable, Optional, TextIO, Tuple
 
 import numpy as np
 
 from .config import stability_threshold, support_threshold
-from .steady import Profile, RunStar, gauss_rule, liquid_radius
+from .steady import RunStar, gauss_rule, liquid_radius
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -63,45 +62,36 @@ class SturmLiouvilleData:
     """Coefficients of the pencil on [0, R].
 
     `coeffs(y)` returns the three coefficients (p, q, wgt) anywhere in [0, R]
-    (for a star, through the profile's cubic Hermite interpolant, or a
-    RunStar's run).  `grid` is the default node set of quadratic_form and
-    weighted_norm_sq: the star's radii restricted to [0, R].
+    (for a star, read off its RunStar's run).  The nodes they are integrated
+    on are the caller's: assemble's graded mesh, or those passed to
+    quadratic_form and weighted_norm_sq.
     """
 
     d: int
     gamma: float
     R: float
     robin_weight: float
-    grid: np.ndarray
     coeffs: Callable
 
 
-def build_sl_data(profile: Union[Profile, RunStar]) -> SturmLiouvilleData:
-    """Assemble the pencil coefficients for a liquid star: a sampled Profile or a RunStar.
+def build_sl_data(star: RunStar) -> SturmLiouvilleData:
+    """The pencil coefficients of a liquid star, read off its run (enthalpy_and_mass_hat_at) anywhere in [0, R].
 
-    Either kind gives the enthalpy and m/r^d at any radius in [0, R]
-    (enthalpy_and_mass_hat_at); the grid is its radii below R, then R.
+    Raises liquid_radius's errors: a star with rho0 <= 1, or a run that ends
+    before its liquid radius.
     """
-    config = profile.config
-    R = liquid_radius(profile)
+    config = star.config
+    R = liquid_radius(star)
     d, g = config.d, config.gamma
     coef = 2.0 * (d - 1.0) - d * g
 
     def coeffs(y):
         y = np.asarray(y, dtype=float)
-        enthalpy, mass_hat = profile.enthalpy_and_mass_hat_at(y)
+        enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(y)
         wgt = y ** (d + 1) * config.rho_of_enthalpy(enthalpy)
         return g * config.rho_power_of_enthalpy(enthalpy) * wgt, -coef * mass_hat * wgt, wgt
 
-    inside = profile.radii < R
-    return SturmLiouvilleData(
-        d=d,
-        gamma=g,
-        R=float(R),
-        robin_weight=d * g * R**d,
-        grid=np.concatenate([profile.radii[inside], [R]]),
-        coeffs=coeffs,
-    )
+    return SturmLiouvilleData(d=d, gamma=g, R=float(R), robin_weight=d * g * R**d, coeffs=coeffs)
 
 
 def manufactured_sl_data(
@@ -112,7 +102,6 @@ def manufactured_sl_data(
     q_fn: Callable,
     wgt_fn: Callable,
     robin_weight: float = 0.0,
-    n_grid: int = 257,
 ) -> SturmLiouvilleData:
     """Pencil with user-supplied coefficients (for oracles and manufactured modes)."""
     if robin_weight < 0.0:
@@ -121,14 +110,7 @@ def manufactured_sl_data(
     def coeffs(y):
         return p_fn(y), q_fn(y), wgt_fn(y)
 
-    return SturmLiouvilleData(
-        d=d,
-        gamma=gamma,
-        R=float(R),
-        robin_weight=float(robin_weight),
-        grid=np.linspace(0.0, R, n_grid),
-        coeffs=coeffs,
-    )
+    return SturmLiouvilleData(d=d, gamma=gamma, R=float(R), robin_weight=float(robin_weight), coeffs=coeffs)
 
 
 def graded_mesh(R: float, mesh_size: int) -> np.ndarray:
@@ -245,15 +227,13 @@ def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
     return _assemble_on(data, graded_mesh(data.R, mesh_size))
 
 
-def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndarray] = None) -> float:
-    """Q[chi1, chi2] of the P1 interpolants on `nodes` (default: the coefficient grid).
+def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: np.ndarray) -> float:
+    """Q[chi1, chi2] of the P1 interpolants on `nodes`.
 
     The same element integrals as K, but the p part is summed in flux form,
     int_p/h^2 (chi1_r - chi1_l)(chi2_r - chi2_l) per element, so a constant
     test function gets exactly no p contribution.
     """
-    if nodes is None:
-        nodes = data.grid
     chi1 = np.asarray(chi1, dtype=float)
     chi2 = np.asarray(chi2, dtype=float)
     if chi1.shape != nodes.shape or chi2.shape != nodes.shape:
@@ -272,10 +252,8 @@ def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: Optional[np.ndar
     return value
 
 
-def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: Optional[np.ndarray] = None) -> float:
+def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: np.ndarray) -> float:
     """<chi, chi>_wgt of the P1 interpolant: chi . Mw chi with Mw assembled on `nodes`."""
-    if nodes is None:
-        nodes = data.grid
     chi = np.asarray(chi, dtype=float)
     if chi.shape != nodes.shape:
         raise ValueError("mesh mismatch: test function must be sampled on the nodes")
@@ -864,16 +842,15 @@ def eigen_residual_strongform(data: SturmLiouvilleData, result: SpectralResult) 
     return StrongFormResidual(interior_norm=interior, robin_defect=_robin_defect(data, result))
 
 
-def classify_stability(profile: Union[Profile, RunStar], mesh_size: int = 2048,
-                       tol_eig: float = 1e-8) -> SpectralResult:
-    """Assemble the pencil for a liquid star (a Profile or a RunStar) and decide the verdict by sign of mu*."""
-    data = build_sl_data(profile)
+def classify_stability(star: RunStar, mesh_size: int = 2048, tol_eig: float = 1e-8) -> SpectralResult:
+    """Assemble the pencil for a liquid star read off its run and decide the verdict by sign of mu*."""
+    data = build_sl_data(star)
     op = assemble(data, mesh_size)
     result = smallest_eigenpair(op, tol_eig)
     return replace(result, robin_defect=_robin_defect(data, result))
 
 
-def instability_witness(profile: Profile, case: int, mesh_size: int = 4096) -> float:
+def instability_witness(star: RunStar, case: int, mesh_size: int = 4096) -> float:
     """Q evaluated on the closed-form destabilizing test function of one regime.
 
     case 1 (2d/(d+2) < gamma < 2(d-1)/d): the constant function.
@@ -884,7 +861,7 @@ def instability_witness(profile: Profile, case: int, mesh_size: int = 4096) -> f
 
     A negative return certifies linear instability without an eigensolve.
     """
-    data = build_sl_data(profile)
+    data = build_sl_data(star)
     d, g, R = data.d, data.gamma, data.R
     t_sup, t_stab = support_threshold(d), stability_threshold(d)
     crit = math.isclose(g, t_sup, rel_tol=1e-12)
@@ -893,7 +870,7 @@ def instability_witness(profile: Profile, case: int, mesh_size: int = 4096) -> f
     if case == 2 and not crit:
         raise ValueError(f"case 2 requires gamma = {t_sup:g} exactly, got {g}")
     if case in (1, 2):
-        amplitude = 1.0 if case == 1 else profile.config.rho_center ** (d / (d + 2.0))
+        amplitude = 1.0 if case == 1 else star.config.rho_center ** (d / (d + 2.0))
         nodes = graded_mesh(R, mesh_size)
         chi = np.full_like(nodes, amplitude)
         return quadratic_form(data, chi, chi, nodes)

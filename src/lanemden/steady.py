@@ -15,14 +15,11 @@ with the cumulative mass m carried as a state variable, so the enthalpy
 slope is always consistent with the mass.  Each formula here is written
 once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
-dop853.py, on Python floats.  A RunStar is the only code that evaluates a
-star off a run's dense output, and an integrated Profile is its samples.
-The pencils, the Pohozaev identity and the phase map read a RunStar itself,
-with no samples and no interpolant.  Between samples a Profile reads one
-cubic Hermite of the enthalpy and m/r^d with the ODE's own slopes at the
-samples, for profiles with no run behind them (CSV-read or closed form),
-built and evaluated here in numpy, so import loads no part of
-scipy.interpolate.
+dop853.py, on Python floats.  A RunStar is the one reader of a star between
+radii, off its run's dense output; a Profile is samples and nothing more.
+The pencils, the Pohozaev identity and the phase map read a RunStar, and a
+Profile (integrated, CSV-read or closed form) is data: to analyse a star,
+integrate it.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.  The run makes the one cut, and applies the one
@@ -34,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, TextIO, Union
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -90,11 +86,8 @@ class Profile:
     the DOP853 run the profile was read off (for a star built from a line,
     the line's run); both are 0 for a profile that was not integrated.
 
-    Between samples, enthalpy_at, mass_at and enthalpy_and_mass_hat_at read one
-    two-column cubic Hermite of the enthalpy and m/r^d, its slopes those the
-    ODE gives at the samples (_ode_slopes), stored as a power-form table
-    (_hermite_coefficients).  Each radius costs one interval search, and the
-    values are scipy's CubicHermiteSpline's bit for bit (a test checks).
+    A Profile is read at its samples only; a star is read between radii
+    off its run (RunStar).
     """
 
     config: StarConfig
@@ -139,75 +132,21 @@ class Profile:
 
     @property
     def total_mass(self) -> float:
-        """Mass inside the liquid radius if present (its sample's, else the interpolant's), else the grid's."""
+        """Mass inside the liquid radius if present, else the grid's.
+
+        That is the mass of the first sample at or beyond the liquid radius:
+        an integrated profile holds R as a sample, or drops it where it ties
+        the compact surface just outside in mass (_drop_stalled), and that
+        surface's sample holds the same mass.  ValueError when R lies beyond
+        the grid.
+        """
         R = self.liquid_radius
         if R is None:
             return float(self.mass[-1])
         i = int(np.searchsorted(self.radii, R))
-        if i < len(self.radii) and self.radii[i] == R:
-            return float(self.mass[i])
-        return float(self.mass_at(R))
-
-    @cached_property
-    def _coefficients(self) -> np.ndarray:
-        # the enthalpy and m(r)/r^d as the two columns of one piecewise cubic,
-        # so each radius is located once for both.  m/r^d tends to
-        # (4 pi / d) rho0 at the center, so that the polynomial factor r^d
-        # never has to be resolved by the fit
-        r = self.radii
-        mhat = _mass_hat(self.config, r, self.mass)
-        slopes = _ode_slopes(self.config, r, self.rho, self.mass, mhat)
-        return _hermite_coefficients(r, np.stack([self.enthalpy, mhat]), slopes)
-
-    def _interpolate(self, r: np.ndarray, *columns: int):
-        """The interpolant's columns at the checked radii r, each shaped like r."""
-        x = self.radii
-        i, s = _locate(x, r.ravel())
-        s2 = s * s
-        s3 = s2 * s
-        term = np.empty_like(s)
-        out = []
-        for k in columns:
-            c = self._coefficients[k]
-            # PPoly's order: 0.0 + c3, then + c2 s, + c1 s^2, + c0 s^3.  The
-            # indices are in range; mode "clip" lets take fill term unbuffered
-            y = c[3].take(i)
-            y += 0.0
-            for p, power in ((2, s), (1, s2), (0, s3)):
-                c[p].take(i, out=term, mode="clip")
-                term *= power
-                y += term
-            out.append(y.reshape(r.shape))
-        return out
-
-    def _check_range(self, r):
-        return _checked_radii(r, self.radii[-1], "profile grid")
-
-    def enthalpy_at(self, r):
-        (enthalpy,) = self._interpolate(self._check_range(r), 0)
-        return enthalpy
-
-    def rho_at(self, r):
-        return self.config.rho_of_enthalpy(self.enthalpy_at(r))
-
-    def mass_at(self, r):
-        r = self._check_range(r)
-        (mass_hat,) = self._interpolate(r, 1)
-        return mass_hat * r ** self.config.d
-
-    def enthalpy_and_mass_hat_at(self, r):
-        """The interpolant's two columns at r, the enthalpy and m/r^d, from one interval search per radius."""
-        enthalpy, mass_hat = self._interpolate(self._check_range(r), 0, 1)
-        return enthalpy, mass_hat
-
-
-def _checked_radii(r, end: float, what: str) -> np.ndarray:
-    """r as a float array, or ValueError naming what [0, end] is when a radius lies outside it."""
-    r = np.asarray(r, dtype=float)
-    # one pass; the comparisons are False for NaN, so NaN is rejected too
-    if not np.all((r >= 0.0) & (r <= end)):
-        raise ValueError(f"radius outside the {what} [0, {end:g}]")
-    return r
+        if i == len(self.radii):
+            raise ValueError(f"liquid radius {R:g} beyond the profile grid [0, {self.r_end:g}]")
+        return float(self.mass[i])
 
 
 def _mass_hat(config: StarConfig, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -220,52 +159,6 @@ def _mass_hat(config: StarConfig, r: np.ndarray, mass: np.ndarray) -> np.ndarray
 def _enthalpy_slope(config: StarConfig, r, mass):
     """e' = -c m / r^(d-1), c = config.slope_factor, at radii r > 0."""
     return -config.slope_factor * mass / r ** (config.d - 1)
-
-
-def _ode_slopes(config: StarConfig, r, rho, mass, mhat) -> np.ndarray:
-    """The (2, n) slopes of the enthalpy and mhat = m/r^d at samples r (r[0] = 0), from the ODE.
-
-    _enthalpy_slope and (m/r^d)' = (4 pi rho - d m/r^d) / r; both are 0 at r = 0.
-    """
-    slopes = np.zeros((2, len(r)))
-    slopes[0, 1:] = _enthalpy_slope(config, r[1:], mass[1:])
-    slopes[1, 1:] = (FOUR_PI * rho[1:] - config.d * mhat[1:]) / r[1:]
-    return slopes
-
-
-def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
-    """Power-form coefficients of the cubic Hermite interpolant of each row of y.
-
-    y and its slopes dydx have one row per column, shape (k, n); the result c
-    has shape (k, 4, n - 1), and on [x_j, x_j+1] column q is
-    c[q, 0, j] s^3 + c[q, 1, j] s^2 + c[q, 2, j] s + c[q, 3, j] in
-    s = r - x_j.  The formulas are scipy's CubicHermiteSpline, in its order,
-    so the table holds its bits for the same slopes.
-    """
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / h
-    return np.stack([t / h, (slope - dydx[:, :-1]) / h - t, dydx[:, :-1], y[:, :-1]], axis=1)
-
-
-def _locate(x: np.ndarray, r: np.ndarray):
-    """Interval j with x_j <= r < x_j+1 of each r in [x_0, x_-1] (the last closed), and r - x_j.
-
-    That is PPoly's interval (searchsorted on the right side, clipped to the
-    last interval) and its local coordinate.  np.interp on the sample
-    positions finds it with a guessed start, which makes a run of sorted
-    radii (the Gauss points of a mesh) cheap; the position's rounding can
-    land one interval high just below a breakpoint, where r - x_j < 0, and
-    those few step back.
-    """
-    i = np.interp(r, x, np.arange(len(x), dtype=float)).astype(np.intp)
-    np.minimum(i, len(x) - 2, out=i)
-    s = r - x[i]
-    high = s < 0.0
-    if high.any():
-        i[high] -= 1
-        s[high] = r[high] - x[i[high]]
-    return i, s
 
 
 def _seed_coefficients(config: StarConfig):
@@ -490,9 +383,14 @@ class RunStar:
         """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
 
         Radii in any order are read in ascending order, sorted once (a
-        stable sort, which merges ascending runs).
+        stable sort, which merges ascending runs).  ValueError for a radius
+        outside [0, end / lam].
         """
-        r = _checked_radii(r, self.end / self.lam, "star")
+        end = self.end / self.lam
+        r = np.asarray(r, dtype=float)
+        # one pass; the comparisons are False for NaN, so NaN is rejected too
+        if not np.all((r >= 0.0) & (r <= end)):
+            raise ValueError(f"radius outside the star [0, {end:g}]")
         y = r.ravel()
         order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
         y = y[order]
@@ -506,8 +404,8 @@ class RunStar:
 
         The grid is the run's steps below end, then end, over lam, refined
         to at least points samples plus the crossing radii, after the seed's
-        r = 0 and three radii inside (0, seed_radius) that show the
-        interpolants the curvature.  A surface the star ends at is pinned to
+        r = 0 and three radii inside (0, seed_radius) that sample the seed's
+        curvature.  A surface the star ends at is pinned to
         its level, where it lies exactly: a compact one to the stop level, a
         liquid one to rho = 1, which makes a LIQUID_TRUNCATED profile whose
         mass stays the run's.  Samples where rho or m has stopped moving in
@@ -606,8 +504,12 @@ def liquid_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
     """
     star = integrate_line(config, tol, r_max).read(config.rho_center)
     if star is None:
-        raise RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
+        raise _beyond_r_max(config, r_max)
     return star
+
+
+def _beyond_r_max(config: StarConfig, r_max: float) -> RuntimeError:
+    return RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
 
 
 def liquid_star(
@@ -624,44 +526,20 @@ def liquid_star(
     return liquid_read(config, tol, r_max).profile(min_points)
 
 
-def liquid_radius(profile: Profile) -> float:
-    """Radius R where rho(R) = 1, located to root-finding accuracy.
+def liquid_radius(star: RunStar) -> float:
+    """Radius R where rho(R) = 1: the crossing the star's run recorded.
 
-    Uses the radius recorded by the integrator when available; otherwise
-    brackets rho - 1 between adjacent grid samples and refines it on the
-    interpolant with Brent's bisection/inverse-quadratic hybrid
-    (_enthalpy_crossing).
+    Raises ValueError when rho_center <= 1, and RuntimeError, as
+    liquid_read does, when the run ends at r_max before R.
     """
-    config = profile.config
+    config = star.config
     if config.rho_center <= 1.0:
         raise ValueError(
             f"no liquid truncation exists: rho_center = {config.rho_center} <= 1"
         )
-    if profile.liquid_radius is not None:
-        return float(profile.liquid_radius)
-    return _enthalpy_crossing(profile, config.boundary_enthalpy)
-
-
-def _enthalpy_crossing(profile: Profile, target: float) -> float:
-    """First radius where the enthalpy falls to target.
-
-    Brackets the crossing between adjacent grid samples and refines it on the
-    interpolant with dop853.brentq (xtol 1e-15 min(1, r), for r the grid
-    radius past the crossing, and rtol 4 eps), the port of
-    scipy.optimize.brentq.  Raises RuntimeError when the grid ends before the
-    crossing or starts below target.
-    """
-    below = np.nonzero(profile.enthalpy < target)[0]
-    if len(below) == 0:
-        raise RuntimeError(
-            "profile too short: grid ends before rho reaches 1 (increase r_max)"
-        )
-    i = below[0]
-    if i == 0:
-        raise RuntimeError("profile starts below the boundary density")
-    f = lambda r: float(profile.enthalpy_at(r)) - target
-    r = profile.radii[i]
-    return dop853.brentq(f, profile.radii[i - 1], r, xtol=1e-15 * min(1.0, r), rtol=4 * dop853.EPS)
+    if star.liquid_radius is None:
+        raise _beyond_r_max(config, star.end)
+    return float(star.liquid_radius)
 
 
 def decay_bound(config: StarConfig, r) -> np.ndarray:
@@ -688,17 +566,23 @@ _INTERVAL_X, _INTERVAL_W = gauss_rule(5)
 
 
 def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of f over each [a_k, b_k]: h (f(a + h X) @ W), h = b - a, (X, W) = gauss_rule(5).
+    """Integral of f over each [a_k, b_k]: h sum_j W_j f(a + h X_j), h = b - a, (X, W) = gauss_rule(5).
 
     f reads the points node by node, so where the a_k and b_k ascend it reads
-    five ascending runs, which a RunStar sorts in one merge.
+    five ascending runs, which a RunStar sorts in one merge.  The sum takes
+    the nodes in order, one elementwise step each, so each interval's value
+    is its own whatever intervals come with it (a matrix-vector product
+    rounds by its length).
     """
     h = b - a
-    pts = a + h * _INTERVAL_X[:, None]
-    return h * (np.ascontiguousarray(f(pts.ravel()).reshape(pts.shape).T) @ _INTERVAL_W)
+    values = f((a + h * _INTERVAL_X[:, None]).ravel()).reshape(len(_INTERVAL_X), -1)
+    total = values[0] * _INTERVAL_W[0]
+    for v, w in zip(values[1:], _INTERVAL_W[1:]):
+        total += v * w
+    return h * total
 
 
-def pohozaev_residual(star: Union[Profile, RunStar], r) -> np.ndarray:
+def pohozaev_residual(star: RunStar, r) -> np.ndarray:
     """Defect of the Pohozaev-type identity satisfied by steady states.
 
     The enthalpy solves e'' + (d-1)/r e' + f(e) = 0 with f = 4 pi c rho and
@@ -706,8 +590,8 @@ def pohozaev_residual(star: Union[Profile, RunStar], r) -> np.ndarray:
 
         int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
 
-    star is a Profile or a RunStar, read (enthalpy_and_mass_hat_at) at r and
-    at the Gauss points of the segments between its radii, and of the one
+    star is read (RunStar.enthalpy_and_mass_hat_at) at r and at the Gauss
+    points of the segments between its radii, and of the one
     from the last radius below each r to r, so each r's value is r's alone
     whatever radii are asked with it.  The defect is normalized by the
     largest of the four terms, so a correct star yields values at the
@@ -812,16 +696,21 @@ class ClosedFormStar:
         return (t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
     def to_profile(self, radii) -> Profile:
-        """Sample the critical-explicit solution into a Profile (grid must start at 0)."""
+        """Sample the critical-explicit solution into a Profile (grid must start at 0).
+
+        A liquid radius inside the grid is added to the samples, so
+        total_mass is the closed form's mass there.
+        """
         if self.variant != "critical-explicit":
             raise ValueError("only the critical-explicit variant is bounded at r = 0")
         radii = np.asarray(radii, dtype=float)
         config = StarConfig(self.d, self.gamma, self.amplitude)
-        rho = self.rho_at(radii)
-        rho[0] = config.rho_center
         liquid_r = None
         if self.radius is not None and 0.0 < self.radius <= radii[-1]:
             liquid_r = self.radius
+            radii = np.union1d(radii, [liquid_r])
+        rho = self.rho_at(radii)
+        rho[0] = config.rho_center
         return Profile(
             config=config,
             radii=radii,

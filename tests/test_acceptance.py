@@ -22,8 +22,8 @@ from lanemden import (
     decay_bound,
     fixed_points,
     gas_read,
+    graded_mesh,
     instability_witness,
-    integrate_gas_profile,
     jacobian_spectrum,
     liquid_radius,
     phase_trajectory,
@@ -38,7 +38,7 @@ from lanemden import (
 from lanemden.config import stability_threshold
 from lanemden.spectral import UNSTABLE
 
-from conftest import get_liquid, get_profile
+from conftest import get_gas, get_liquid, get_profile
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "critical_density_baseline.json"
 
@@ -67,7 +67,8 @@ def test_criterion_1_explicit_solution_oracle():
     radius = None
     worst = 0.0
     for C in (1.0, 32.0):
-        profile = integrate_gas_profile(StarConfig(3, 1.2, C), tol=1e-10, r_max=5.0)
+        run = gas_read(StarConfig(3, 1.2, C), tol=1e-10, r_max=5.0)
+        profile = run.profile()
         q = (2 * math.pi / 9) * C ** (4 / 5)
         exact = C * (1 + q * profile.radii**2) ** -2.5
         err = float(np.max(np.abs(profile.rho - exact) / exact))
@@ -75,7 +76,7 @@ def test_criterion_1_explicit_solution_oracle():
         if err > 1e-6:
             failures.append(f"C={C}: max relative error {err:.3e} > 1e-6")
         if C == 32.0:
-            radius = liquid_radius(profile)
+            radius = liquid_radius(run)
             exact_R = math.sqrt(27 / (32 * math.pi))
             if abs(radius - exact_R) / exact_R > 1e-6:
                 failures.append(f"R relative error {abs(radius-exact_R)/exact_R:.3e} > 1e-6")
@@ -91,8 +92,7 @@ def test_criterion_2_pohozaev_battery():
     t0 = time.perf_counter()
     worst = 0.0
     for d, g, rho0 in BATTERY:
-        profile = get_profile(d, g, rho0)
-        res = float(np.max(np.abs(pohozaev_residual(profile, profile.radii))))
+        res = float(np.max(np.abs(pohozaev_residual(get_gas(d, g, rho0), get_profile(d, g, rho0).radii))))
         worst = max(worst, res)
         if res > 1e-5:
             failures.append(f"(d={d}, gamma={g}, rho0={rho0}): residual {res:.3e} > 1e-5")
@@ -155,9 +155,9 @@ def test_criterion_5_tail_theorem():
     failures = []
     details = []
     for g in (1.0, 1.1):
-        profile = get_profile(3, g, 1.0, r_max=1e3)
+        run, profile = get_gas(3, g, 1.0, r_max=1e3), get_profile(3, g, 1.0, r_max=1e3)
         _, vs = fixed_points(3, g)
-        state = profile_to_phase(profile, profile.r_end)
+        state = profile_to_phase(run, profile.r_end)
         rel_dev = abs(state.v1 - vs[0]) / vs[0]
         fit = tail_convergence_rate(profile)
         details.append(f"gamma={g}: rel dev {rel_dev:.3e}, fitted c {fit.exponent:.3f}")
@@ -248,11 +248,12 @@ def test_criterion_9_mesh_convergence_and_symmetry():
         if rel > 1e-4:
             failures.append(f"(gamma={g}, rho0={rho0}): |mu(4096)-mu(2048)|/|mu| = {rel:.2e} > 1e-4")
     data = build_sl_data(get_liquid(3, 1.25, 1e4))
+    nodes = graded_mesh(data.R, 2048)
     rng = np.random.default_rng(11)
-    c1 = rng.standard_normal(len(data.grid))
-    c2 = rng.standard_normal(len(data.grid))
-    a = quadratic_form(data, c1, c2)
-    b = quadratic_form(data, c2, c1)
+    c1 = rng.standard_normal(len(nodes))
+    c2 = rng.standard_normal(len(nodes))
+    a = quadratic_form(data, c1, c2, nodes)
+    b = quadratic_form(data, c2, c1, nodes)
     sym = abs(a - b) / max(abs(a), abs(b))
     if sym > 1e-12:
         failures.append(f"Q symmetry defect {sym:.2e} > 1e-12")

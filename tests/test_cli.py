@@ -259,41 +259,6 @@ class TestCriticalCommand:
         assert "tol_rho must be positive and finite" in err
 
 
-# one small run of each command that reads its stars off a run
-NO_TABLE_ARGV = {
-    "profile": ("profile", "--d", "3", "--gamma", "1.2", "--rho0", "32", "--mesh", "64"),
-    "profile-gas": ("profile", "--gas", "--d", "3", "--gamma", "1.5", "--rho0", "0.5", "--mesh", "64"),
-    "scan": ("scan", "--d", "3", "--gamma", "1.25", "--rho0-min", "2", "--rho0-max", "1e4", "--points", "4",
-             "--mesh", "64"),
-    "critical": ("critical", "--d", "3", "--gamma", "1.25", "--mesh", "64"),
-    "stability": ("stability", "--d", "3", "--gamma", "1.25", "--rho0", "50", "--mesh", "64"),
-    "verify": ("verify", "--suite", "all"),
-}
-
-
-class TestNoHermiteTable:
-    """profile, scan, critical, stability and verify read every star off its run: none builds a Hermite table.
-
-    One known table remains: Profile.total_mass reads the table where a
-    profile's liquid radius is not one of its samples, which
-    `profile --gas --d 3 --gamma 1.25 --rho0 1e40` reaches.
-    """
-
-    @pytest.mark.parametrize("name", list(NO_TABLE_ARGV))
-    def test_same_stdout_with_the_table_refused(self, capsys, monkeypatch, name):
-        argv = NO_TABLE_ARGV[name]
-        code, want, _ = run_cli(capsys, *argv)
-        assert code == 0
-
-        def refuse(*args):
-            raise AssertionError("a Hermite table was built")
-
-        monkeypatch.setattr(steady, "_hermite_coefficients", refuse)
-        code, got, err = run_cli(capsys, *argv)
-        assert code == 0, err
-        assert got == want
-
-
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, outtext, _ = run_cli(capsys, "verify", "--suite", "fixed-point")

@@ -640,7 +640,7 @@ def test_brentq_bitwise_on_random_polynomial_brackets():
 
 
 def _captured_brentq_calls(monkeypatch):
-    """Every brentq call that the crossing finders make on the battery and on line runs."""
+    """Every brentq call that the crossing finder makes reading stars off the battery's runs and line runs."""
     calls = []
     port = dop853.brentq
 
@@ -651,34 +651,27 @@ def _captured_brentq_calls(monkeypatch):
 
     monkeypatch.setattr(dop853, "brentq", recording)
     for d, g, rho0 in PROFILE_BATTERY:
-        # each level of the rescaled stars, on the run and on its samples
+        # each level of the rescaled stars
         run = steady.gas_read(StarConfig(d, g, rho0), r_max=20.0)
-        profile = run.profile()
         for kappa in (0.5, 4.0):
-            if kappa * rho0 > 1.0 and run.read(kappa * rho0) is not None:
-                steady._enthalpy_crossing(profile, run.config.enthalpy_of_inverse(kappa))
+            if kappa * rho0 > 1.0:
+                run.read(kappa * rho0)
     for d, g, top in [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6), (3, 1.25, 1.0 + 1e-9)]:
         line = steady.integrate_line(StarConfig(d, g, top))
         for rho0 in np.geomspace(1.0 + 1e-9, top, 12)[1:]:
-            star = line.read(float(rho0))
-            if star is not None:
-                profile = star.profile()
-                steady._enthalpy_crossing(profile, 0.5 * (profile.enthalpy[0] + profile.enthalpy[-1]))
+            line.read(float(rho0))
     return calls
 
 
 def test_brentq_bitwise_on_every_crossing_call(monkeypatch):
     calls = _captured_brentq_calls(monkeypatch)
-    # both callers, many times, each told apart by its xtol relative to the
-    # bracket's right end: DenseSolution.crossing (4 eps) and
-    # _enthalpy_crossing (1e-15), both with rtol 4 eps
+    # DenseSolution.crossing is the one crossing finder, told by its xtol
+    # relative to the bracket's right end (4 eps) and its rtol (4 eps)
     per_caller = Counter(
-        "crossing" if xtol == 4 * dop853.EPS * min(1.0, abs(b))
-        else "grid" if xtol == 1e-15 * min(1.0, b) else "other"
-        for _, _, b, xtol, rtol, _ in calls if rtol == 4 * dop853.EPS
+        "crossing" if xtol == 4 * dop853.EPS * min(1.0, abs(b)) and rtol == 4 * dop853.EPS else "other"
+        for _, _, b, xtol, rtol, _ in calls
     )
-    assert set(per_caller) == {"crossing", "grid"} and sum(per_caller.values()) == len(calls)
-    assert min(per_caller.values()) >= 50
+    assert set(per_caller) == {"crossing"} and per_caller["crossing"] >= 50
     for f, a, b, xtol, rtol, root in calls:
         assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)
 

@@ -292,22 +292,22 @@ class TestLineFamily:
 
 
 class TestRunReadRows:
-    """A scan row certified on its star read off the run, against the same star sampled (MIN_POINTS)."""
+    """A scan row is classify_stability's on its star read off the run; R and M are the star's samples' (MIN_POINTS)."""
 
     @pytest.mark.parametrize("d,gamma", SEED0_LINES, ids=str)
     def test_row_matches_its_sampled_profile(self, d, gamma):
-        # the pencil reads the run at the Gauss points instead of the
-        # profile's Hermite table: R is the same crossing, M the same run's
-        # mass at R, and mu* moves by the interpolation error alone
+        # the row is classify_stability's on the same star read off the line,
+        # bit for bit; R is its samples' last radius and M the mass there
         rows = run_sweep(RunSpec(d=d, gamma=gamma, rho0_min=1.01, rho0_max=1e6, points=8, mesh=2048))
         line = steady.integrate_line(StarConfig(d, gamma, 1e6))
         for row in rows:
-            profile = line.read(row.rho0).profile()
-            result = spectral.classify_stability(profile, mesh_size=2048)
-            assert row.R == profile.liquid_radius
+            star = line.read(row.rho0)
+            profile = star.profile()
+            result = spectral.classify_stability(star, mesh_size=2048)
+            assert row.R == profile.liquid_radius == profile.radii[-1]
             assert row.verdict == (harness.MARGINAL if result.marginal else result.verdict)
-            assert row.mu_star == pytest.approx(result.mu_star, rel=1e-7, abs=0)
-            assert row.M_total == pytest.approx(profile.total_mass, rel=1e-15, abs=0)
+            assert row.mu_star.hex() == result.mu_star.hex()
+            assert row.M_total.hex() == profile.total_mass.hex() == profile.mass[-1].hex()
 
 
 class TestCriticalDensity:
@@ -581,7 +581,9 @@ class TestCriticalDensityCount:
 
     def test_run_read_guide_takes_the_sampled_stars_sides(self):
         # at mesh 512 each of the pinned line's guide midpoints falls on the
-        # same side on the pencil read off the run as on a 512-sample star
+        # same side on the pencil read off the line's run as on the star's
+        # own run (the test keeps the name of the 512-sample star it once
+        # compared with)
         line = steady.integrate_line(StarConfig(3, 1.25, 1e6))
 
         def stable(star):
@@ -590,8 +592,7 @@ class TestCriticalDensityCount:
         sides = []
 
         def on_lo_side(rho0):
-            star = line.read(rho0)
-            sides.append((stable(star), stable(star.profile(512))))
+            sides.append((stable(line.read(rho0)), stable(steady.liquid_read(StarConfig(3, 1.25, rho0)))))
             return sides[-1][0]  # mu*(1.01) > 0: lo's side is the stable one
 
         history = harness._bisect(1.01, 1e6, 1e-3, on_lo_side)

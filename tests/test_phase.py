@@ -24,7 +24,7 @@ from lanemden import (
 )
 from lanemden.config import stability_threshold, support_threshold
 
-from conftest import get_profile
+from conftest import get_gas, get_profile
 
 FOUR_PI = 4 * math.pi
 
@@ -147,25 +147,21 @@ class TestJacobianSpectrum:
 class TestProfileToPhase:
     def test_small_r_ratios(self):
         for d, g, rho0 in ((3, 1.2, 1.0), (4, 1.0, 10.0)):
-            p = get_profile(d, g, rho0)
-            r1 = p.radii[1]
-            state = profile_to_phase(p, r1)
+            r1 = get_profile(d, g, rho0).radii[1]
+            state = profile_to_phase(get_gas(d, g, rho0), r1)
             power = 2 / (2 - g)
             assert state.v1 / (r1**power * rho0) == pytest.approx(1.0, abs=1e-3)
             assert state.v2 / (r1**power * rho0 * FOUR_PI / d) == pytest.approx(1.0, abs=1e-3)
 
     def test_buchdahl_bound_at_r10(self):
-        p = get_profile(3, 1.0, 1.0)
-        state = profile_to_phase(p, 10.0)
+        state = profile_to_phase(get_gas(3, 1.0, 1.0), 10.0)
         assert state.v1 <= 3 / (2 * math.pi)
 
     def test_rejects_center_and_gamma_two(self):
-        p = get_profile(3, 1.2, 1.0)
         with pytest.raises(ValueError):
-            profile_to_phase(p, 0.0)
-        p2 = get_profile(3, 2.0, 10.0)
+            profile_to_phase(get_gas(3, 1.2, 1.0), 0.0)
         with pytest.raises(ValueError):
-            profile_to_phase(p2, 0.5)
+            profile_to_phase(get_gas(3, 2.0, 10.0), 0.5)
 
     def test_containment_battery(self):
         tol = 1e-10
@@ -189,9 +185,9 @@ class TestProfileToPhase:
                 assert u2 == pytest.approx(vs[1], rel=1e-13)
 
     def test_pushforward_matches_direct_tau_integration(self):
-        p = get_profile(3, 1.2, 1.0, r_max=10.0)
-        s0 = profile_to_phase(p, 1.0)
-        s1 = profile_to_phase(p, 4.0)
+        run = get_gas(3, 1.2, 1.0, r_max=10.0)
+        s0 = profile_to_phase(run, 1.0)
+        s1 = profile_to_phase(run, 4.0)
         v_end = flow_forward([s0.v1, s0.v2], 3, 1.2, (0.0, math.log(4.0)))
         assert v_end[0] == pytest.approx(s1.v1, rel=1e-7)
         assert v_end[1] == pytest.approx(s1.v2, rel=1e-7)
@@ -223,14 +219,14 @@ class TestTail:
         p = get_profile(3, 1.1, 1.0, r_max=1e3)
         fit = tail_convergence_rate(p)
         _, vs = fixed_points(3, 1.1)
-        initial = abs(float(profile_to_phase(p, 1.0).v1) - vs[0])
+        initial = abs(float(profile_to_phase(get_gas(3, 1.1, 1.0, r_max=1e3), 1.0).v1) - vs[0])
         assert fit.exponent > 0
         assert fit.terminal_deviation < initial
         assert fit.window == (100.0, 1000.0)
 
     def test_isothermal_mass_state_near_fixed_point(self):
-        p = get_profile(3, 1.0, 1.0, r_max=1e3)
-        state = profile_to_phase(p, p.r_end)
+        run = get_gas(3, 1.0, 1.0, r_max=1e3)
+        state = profile_to_phase(run, run.end)
         assert abs(state.v2 - 2.0) / 2.0 <= 1e-2
 
     def test_rejects_compact_support(self):

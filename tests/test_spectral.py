@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import eigh, solve_banded
 import scipy.linalg.lapack
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -23,7 +22,6 @@ from lanemden import (
     graded_mesh,
     instability_witness,
     liquid_radius,
-    liquid_star,
     manufactured_sl_data,
     quadratic_form,
     smallest_eigenpair,
@@ -44,7 +42,7 @@ from lanemden.spectral import (
     _Tridiagonal,
 )
 
-from conftest import SEED0_LINES, get_liquid, get_profile, ode_hermite_data
+from conftest import SEED0_LINES, get_gas, get_liquid, rho_and_mass
 
 FOUR_PI = 4 * math.pi
 
@@ -53,11 +51,9 @@ def poly_coeff(d):
     return lambda y: np.asarray(y, dtype=float) ** (d + 1)
 
 
-def manufactured(d=3, n_grid=257):
+def manufactured(d=3):
     p = poly_coeff(d)
-    return manufactured_sl_data(
-        d, 1.5, 1.0, p_fn=p, q_fn=lambda y: -p(y), wgt_fn=p, robin_weight=0.0, n_grid=n_grid
-    )
+    return manufactured_sl_data(d, 1.5, 1.0, p_fn=p, q_fn=lambda y: -p(y), wgt_fn=p, robin_weight=0.0)
 
 
 def ldl_pivots(diag, off):
@@ -81,43 +77,58 @@ def dense_smallest(op):
     return float(eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
+def mesh_of(data, mesh=2048):
+    """The graded mesh assemble puts on data's [0, R]."""
+    return graded_mesh(data.R, mesh)
+
+
 class TestBuildSlData:
     def test_requires_liquid(self):
-        gas = get_profile(3, 1.2, 0.5)
         with pytest.raises(ValueError, match="no liquid truncation"):
-            build_sl_data(gas)
+            build_sl_data(get_gas(3, 1.2, 0.5))
+
+    def test_run_ending_before_its_surface_raises_cleanly(self):
+        # the run stops at r_max = 0.01, short of R: liquid_read's error, not
+        # a missing attribute
+        run = steady.gas_read(StarConfig(3, 1.2, 10.0), r_max=0.01)
+        for call in (build_sl_data, classify_stability):
+            with pytest.raises(RuntimeError, match=r"lies beyond r_max = 0\.01 \(increase r_max\)"):
+                call(run)
 
     def test_q_vanishes_at_neutral_gamma(self):
         # 2(d-1) - d gamma = 0 kills the potential coefficient
         data = build_sl_data(get_liquid(3, 4 / 3, 10.0))
-        p, q, _ = data.coeffs(data.grid)
+        p, q, _ = data.coeffs(mesh_of(data))
         assert np.max(np.abs(q)) <= 1e-12 * np.max(np.abs(p))
 
     def test_q_sign(self):
         below = build_sl_data(get_liquid(3, 1.25, 10.0))
-        assert np.all(below.coeffs(below.grid)[1][1:] < 0)
+        assert np.all(below.coeffs(mesh_of(below))[1][1:] < 0)
         above = build_sl_data(get_liquid(3, 1.5, 10.0))
-        assert np.all(above.coeffs(above.grid)[1][1:] > 0)
+        assert np.all(above.coeffs(mesh_of(above))[1][1:] > 0)
 
     def test_q_near_origin_limit(self):
         d, g, rho0 = 3, 1.25, 10.0
         data = build_sl_data(get_liquid(d, g, rho0))
         expected = -(2 * (d - 1) - d * g) * (FOUR_PI / d) * rho0**2
-        y = data.grid[1:6]
+        y = mesh_of(data)[1:6]
         ratio = data.coeffs(y)[1] / y ** (d + 1)
         assert np.max(np.abs(ratio / expected - 1)) <= 1e-3
 
     def test_robin_weight_and_grid(self):
         data = build_sl_data(get_liquid(3, 1.4, 10.0))
         assert data.robin_weight == pytest.approx(3 * 1.4 * data.R**3, rel=1e-14)
-        assert data.grid[0] == 0.0
-        assert data.grid[-1] == data.R
+        nodes = assemble(data, 64).nodes
+        assert nodes[0] == 0.0
+        assert nodes[-1] == data.R
 
     def test_accepts_truncated_profile(self):
+        # the liquid star's samples end at R, the pencil's end
         t = get_liquid(3, 1.4, 10.0)
-        assert t.kind == "liquid-truncated"
+        samples = t.profile()
+        assert samples.kind == "liquid-truncated"
         data = build_sl_data(t)
-        assert data.R == t.liquid_radius
+        assert data.R == t.liquid_radius == samples.radii[-1]
 
 
 class TestQuadraticForm:
@@ -125,38 +136,43 @@ class TestQuadraticForm:
         # the q term carries a zero coefficient at gamma = 2(d-1)/d, leaving
         # exactly the boundary term
         data = build_sl_data(get_liquid(3, 4 / 3, 10.0))
-        ones = np.ones_like(data.grid)
-        assert quadratic_form(data, ones, ones) == pytest.approx(4 * data.R**3, rel=1e-12)
+        nodes = mesh_of(data)
+        ones = np.ones_like(nodes)
+        assert quadratic_form(data, ones, ones, nodes) == pytest.approx(4 * data.R**3, rel=1e-12)
 
     @pytest.mark.parametrize("min_points", [2048, 4096, 8192])
     def test_constant_function_value_on_finer_grids(self, min_points):
         # the p part is summed from element differences, so it vanishes
-        # exactly for a constant however many elements the grid has
-        profile = liquid_star(StarConfig(3, 4 / 3, 10.0), r_max=50.0, min_points=min_points)
-        data = build_sl_data(profile)
-        ones = np.ones_like(data.grid)
-        assert quadratic_form(data, ones, ones) == pytest.approx(4 * data.R**3, rel=1e-12)
+        # exactly for a constant however many elements the grid has: here
+        # the star's own samples at min_points
+        star = get_liquid(3, 4 / 3, 10.0)
+        data = build_sl_data(star)
+        nodes = star.profile(min_points).radii
+        ones = np.ones_like(nodes)
+        assert quadratic_form(data, ones, ones, nodes) == pytest.approx(4 * data.R**3, rel=1e-12)
 
     def test_negative_for_large_density(self):
         data = build_sl_data(get_liquid(3, 1.25, 1e4))
-        ones = np.ones_like(data.grid)
-        assert quadratic_form(data, ones, ones) < 0
+        nodes = mesh_of(data)
+        ones = np.ones_like(nodes)
+        assert quadratic_form(data, ones, ones, nodes) < 0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_symmetry(self, seed):
         data = build_sl_data(get_liquid(3, 1.25, 10.0))
+        nodes = mesh_of(data)
         rng = np.random.default_rng(seed)
-        c1 = rng.standard_normal(len(data.grid))
-        c2 = rng.standard_normal(len(data.grid))
-        a = quadratic_form(data, c1, c2)
-        b = quadratic_form(data, c2, c1)
+        c1 = rng.standard_normal(len(nodes))
+        c2 = rng.standard_normal(len(nodes))
+        a = quadratic_form(data, c1, c2, nodes)
+        b = quadratic_form(data, c2, c1, nodes)
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
     def test_mesh_mismatch(self):
         data = build_sl_data(get_liquid(3, 1.25, 10.0))
         with pytest.raises(ValueError, match="mesh mismatch"):
-            quadratic_form(data, np.ones(7), np.ones(7))
+            quadratic_form(data, np.ones(7), np.ones(7), mesh_of(data, 64))
 
     @pytest.mark.parametrize("layout", ["uniform", "graded plus one node"])
     def test_arbitrary_nodes_match_closed_form(self, layout):
@@ -186,10 +202,11 @@ class TestQuadraticForm:
     @given(c=st.floats(-100.0, 100.0).filter(lambda x: abs(x) > 1e-6), seed=st.integers(0, 999))
     def test_rayleigh_scale_invariance(self, c, seed):
         data = build_sl_data(get_liquid(3, 1.25, 10.0))
+        nodes = mesh_of(data)
         rng = np.random.default_rng(seed)
-        chi = rng.standard_normal(len(data.grid))
-        rq1 = quadratic_form(data, chi, chi) / weighted_norm_sq(data, chi)
-        rq2 = quadratic_form(data, c * chi, c * chi) / weighted_norm_sq(data, c * chi)
+        chi = rng.standard_normal(len(nodes))
+        rq1 = quadratic_form(data, chi, chi, nodes) / weighted_norm_sq(data, chi, nodes)
+        rq2 = quadratic_form(data, c * chi, c * chi, nodes) / weighted_norm_sq(data, c * chi, nodes)
         assert rq2 == pytest.approx(rq1, rel=1e-10)
 
 
@@ -210,8 +227,9 @@ class TestAssemble:
         op = assemble(data, 1024)
         ones = np.ones(len(op.nodes))
         lhs = op.rayleigh(ones)
-        ones_g = np.ones_like(data.grid)
-        rhs = quadratic_form(data, ones_g, ones_g) / weighted_norm_sq(data, ones_g)
+        nodes = mesh_of(data)
+        ones_g = np.ones_like(nodes)
+        rhs = quadratic_form(data, ones_g, ones_g, nodes) / weighted_norm_sq(data, ones_g, nodes)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_mesh_too_small(self):
@@ -676,23 +694,28 @@ class TestCertifiedSearch:
         # the Rayleigh quotient pushed 3 w off: one of the probe's counts
         # disagrees, and the count search must finish the bracket itself
         op = assemble(build_sl_data(get_liquid(*star)), 2048)
-        want = smallest_eigenpair(op)
         rq_ones = op.rayleigh(np.ones(len(op.nodes)))
         real_iteration, real_narrow = spectral._inverse_iteration, _CertifiedBracket.narrow
         narrowed = []
+
+        def narrow(self, width):
+            before = self.counts
+            real_narrow(self, width)
+            narrowed.append((width, self.counts - before))
+
+        monkeypatch.setattr(_CertifiedBracket, "narrow", narrow)
+        want = smallest_eigenpair(op)
+        settled_by_probe = len(narrowed) == 1
+        narrowed.clear()
 
         def off_by(*args):
             z, Mz, rq, solves = real_iteration(*args)
             return z, Mz, rq + offset * 5e-11 * max(abs(rq), abs(rq_ones)), solves  # w at mesh 2048
 
-        def narrow(self, width):
-            narrowed.append(width)
-            return real_narrow(self, width)
-
         monkeypatch.setattr(spectral, "_inverse_iteration", off_by)
-        monkeypatch.setattr(_CertifiedBracket, "narrow", narrow)
         res = smallest_eigenpair(op)
-        assert narrowed == [0.1, 1e-10]
+        assert [width for width, _ in narrowed] == [0.1, 1e-10]
+        assert narrowed[1][1] >= 1  # the counts after the probe finish the bracket
         lo, hi = res.bracket
         _, scaled = _jacobi_scaled(op)
         pencil = (scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off)
@@ -701,7 +724,9 @@ class TestCertifiedSearch:
         assert hi - lo <= stated_width(res, op)
         assert (res.verdict, res.marginal) == (want.verdict, want.marginal)
         assert abs(res.mu_star - want.mu_star) <= stated_width(res, op)
-        assert res.inertia_counts > want.inertia_counts
+        # where the unshifted quotient settles by the probe, the fallback costs
+        # counts; where it falls back too, both searches narrow by counts
+        assert res.inertia_counts > want.inertia_counts or not settled_by_probe
         assert abs(float(res.chi_star @ op.apply_Mw(want.chi_star))) == pytest.approx(1.0, abs=1e-8)
 
     @settings(max_examples=60, deadline=None)
@@ -841,7 +866,7 @@ class TestSolveScaling:
 
 
 class TestFusedCoefficients:
-    """build_sl_data's one-search coefficients against separate reads and the two-interpolant path."""
+    """build_sl_data's fused coefficients against the explicit formula on the star's read, and the pencil's layout."""
 
     STARS = [(3, 1.0, 1.01), (3, 1.0, 1e6), (3, 1.25, 50.0), (3, 2.0, 1.01), (3, 2.0, 1e6),
              (4, 1.4, 1e3), (5, 1.5, 10.0), (7, 1.01, 1e3), (7, 1.5, 1.01), (7, 2.0, 1e6),
@@ -860,13 +885,12 @@ class TestFusedCoefficients:
         return g * rho_power * wgt, -coef * mass_hat * wgt, wgt
 
     @classmethod
-    def reference_coeffs(cls, profile):
-        """The coefficients from one read per column: enthalpy_at and the m/r^d column alone."""
+    def reference_coeffs(cls, star):
+        """The coefficients by the explicit formula, from the star's read of both columns."""
 
         def coeffs(y):
             y = np.asarray(y, dtype=float)
-            (mass_hat,) = profile._interpolate(y, 1)
-            return cls.formula(profile.config, profile.enthalpy_at(y), mass_hat, y)
+            return cls.formula(star.config, *star.enthalpy_and_mass_hat_at(y), y)
 
         return coeffs
 
@@ -898,9 +922,9 @@ class TestFusedCoefficients:
 
     @pytest.mark.parametrize("star", STARS, ids=str)
     def test_pencil_bitwise(self, star):
-        profile = get_liquid(*star)
-        data = build_sl_data(profile)
-        reference = replace(data, coeffs=self.reference_coeffs(profile))
+        star = get_liquid(*star)
+        data = build_sl_data(star)
+        reference = replace(data, coeffs=self.reference_coeffs(star))
         for mesh in (256, 2048, 8192):
             op = assemble(data, mesh)
             ref = self.reference_assemble(reference, mesh)
@@ -931,7 +955,7 @@ class TestFusedCoefficients:
     def test_ascending_points_keep_the_point_major_pencil(self, star):
         # assemble reads its Gauss points in ascending order, element by
         # element, and contracts the same contiguous (3, M) tables: a
-        # profile's pencil has the bits of the point-major reads
+        # star's pencil has the bits of the point-major reads
         data = build_sl_data(get_liquid(*star))
         read = []
 
@@ -951,47 +975,32 @@ class TestFusedCoefficients:
 
     @pytest.mark.parametrize("star", STARS[:4], ids=str)
     def test_coefficients_bitwise_at_breakpoints(self, star):
-        # interval ends, including both ends of the grid, are where the
-        # interval search could pick the wrong cubic
-        profile = get_liquid(*star)
-        data = build_sl_data(profile)
-        r = profile.radii
+        # the run's step ends, the seed radius and both ends of [0, R] are
+        # where the read changes polynomial
+        star = get_liquid(*star)
+        data = build_sl_data(star)
+        r = np.sort(np.append(star.radii, [star.seed_radius, star.liquid_radius]))
         y = np.concatenate([r, 0.5 * (r[:-1] + r[1:]), np.nextafter(r[1:], 0.0)])
-        for got, want in zip(data.coeffs(y), self.reference_coeffs(profile)(y)):
+        for got, want in zip(data.coeffs(y), self.reference_coeffs(star)(y)):
             assert got.tobytes() == want.tobytes()
-
-    @staticmethod
-    def two_column_builds(profile):
-        """One CubicHermiteSpline per column with the ODE's slopes, stacked into one PPoly."""
-        r = profile.radii
-        y, dydx = ode_hermite_data(profile)
-        c = np.stack([CubicHermiteSpline(r, y[:, k], dydx[:, k], extrapolate=False).c for k in (0, 1)],
-                     axis=-1)
-        return PPoly.construct_fast(c, r, extrapolate=False)
 
     # the name is that of the two PCHIP builds this once checked; the ids stay
     @pytest.mark.parametrize(
         "star", [(3, 1.0, 1e3), (3, 2.0, 1.01), (7, 1.5, 1.01), (7, 2.0, 1e6), (4, 1.25, 1 + 1e-9),
                  (5, 1.3, 50.0)], ids=str)
     def test_one_pchip_build_matches_two(self, star):
-        profile = get_liquid(*star)
-        two = self.two_column_builds(profile)
-        assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == two.c.tobytes()
-        d = profile.config.d
+        # each Gauss point's coefficients are its own: the pencil read in one
+        # call has the bits of the same points read in two interleaved halves
+        data = build_sl_data(get_liquid(*star))
 
-        def two_coeffs(y):
-            y = np.asarray(y, dtype=float)
-            enthalpy, mass_hat = np.moveaxis(two(y), -1, 0)
-            return self.formula(profile.config, enthalpy, mass_hat, y)
+        def two_reads(y):
+            out = tuple(np.empty_like(y) for _ in range(3))
+            for half in (slice(0, None, 2), slice(1, None, 2)):
+                for o, c in zip(out, data.coeffs(y[half])):
+                    o[half] = c
+            return out
 
-        # the single-column reads (Pohozaev, truncation) too
-        y = 0.5 * (profile.radii[:-1] + profile.radii[1:])
-        enthalpy, mass_hat = np.moveaxis(two(y), -1, 0)
-        assert profile.enthalpy_at(y).tobytes() == enthalpy.tobytes()
-        assert profile.mass_at(y).tobytes() == (mass_hat * y**d).tobytes()
-
-        data = build_sl_data(profile)
-        reference = replace(data, coeffs=two_coeffs)
+        reference = replace(data, coeffs=two_reads)
         for mesh in (256, 2048):
             op, ref = assemble(data, mesh), assemble(reference, mesh)
             for name in ("k_diag", "k_off", "m_diag", "m_off"):
@@ -1001,24 +1010,24 @@ class TestFusedCoefficients:
     @pytest.mark.parametrize("star", STARS, ids=str)
     def test_coefficient_identities(self, star):
         # q / wgt = -coef m / r^d and p / wgt = gamma rho^(gamma-1), each
-        # side from the profile's own reads, away from y = 0 where wgt = 0
-        profile = get_liquid(*star)
-        config = profile.config
+        # side from the star's own read, away from y = 0 where wgt = 0
+        star = get_liquid(*star)
+        config = star.config
         d, g = config.d, config.gamma
         coef = 2.0 * (d - 1.0) - d * g
-        y = graded_mesh(liquid_radius(profile), 512)[1:]
-        p, q, wgt = build_sl_data(profile).coeffs(y)
-        rho = profile.rho_at(y)
+        y = graded_mesh(liquid_radius(star), 512)[1:]
+        p, q, wgt = build_sl_data(star).coeffs(y)
+        rho, mass = rho_and_mass(star, y)
         ulp = np.finfo(float).eps
-        assert np.allclose(q / wgt, -coef * profile.mass_at(y) / y**d, rtol=8 * ulp, atol=0.0)
+        assert np.allclose(q / wgt, -coef * mass / y**d, rtol=8 * ulp, atol=0.0)
         assert np.allclose(p / wgt, g * rho ** (g - 1.0), rtol=8 * ulp, atol=0.0)
         assert np.array_equal(wgt, y ** (d + 1) * rho)
 
     def test_rejects_nan_and_out_of_range(self):
-        profile = get_liquid(3, 1.25, 50.0)
-        coeffs = build_sl_data(profile).coeffs
-        for y in ([0.1, math.nan], [-1e-12, 0.1], [0.1, np.nextafter(profile.r_end, math.inf)]):
-            with pytest.raises(ValueError, match="outside the profile grid"):
+        star = get_liquid(3, 1.25, 50.0)
+        coeffs = build_sl_data(star).coeffs
+        for y in ([0.1, math.nan], [-1e-12, 0.1], [0.1, np.nextafter(star.liquid_radius, math.inf)]):
+            with pytest.raises(ValueError, match="outside the star"):
                 coeffs(np.array(y))
 
 
@@ -1056,8 +1065,9 @@ class TestSmallestEigenpair:
         for _ in range(20):
             chi = rng.standard_normal(len(op.nodes))
             assert res.mu_star <= op.rayleigh(chi) + 1e-9 * abs(res.mu_star)
-            chi_g = rng.standard_normal(len(data.grid))
-            rq = quadratic_form(data, chi_g, chi_g) / weighted_norm_sq(data, chi_g)
+            nodes = mesh_of(data)
+            chi_g = rng.standard_normal(len(nodes))
+            rq = quadratic_form(data, chi_g, chi_g, nodes) / weighted_norm_sq(data, chi_g, nodes)
             assert res.mu_star <= rq + max(1e-6 * abs(rq), 1e-9)
 
     def test_monotone_mesh_convergence(self):
@@ -1172,8 +1182,7 @@ class TestStrongForm:
     def test_robin_defect_near_flat_centre(self):
         # rho0 = 1 + 1e-9 gives a tiny star whose chi(R) is far from 1; the
         # absolute defect read 6e5 there, the relative one is small
-        profile = liquid_star(StarConfig(3, 1.25, 1 + 1e-9))
-        res = classify_stability(profile, mesh_size=2048)
+        res = classify_stability(steady.liquid_read(StarConfig(3, 1.25, 1 + 1e-9)), mesh_size=2048)
         assert res.verdict == STABLE
         assert 0.0 <= res.robin_defect <= 1e-6
 
@@ -1192,16 +1201,22 @@ class TestStrongForm:
 
 class TestExports:
     def test_csv_roundtrip_preserves_stability_analysis(self):
-        # the profile CSV schema carries everything the eigenproblem needs:
-        # a reloaded star must classify identically (bitwise, 17 sig digits)
+        # a profile CSV is data: its samples and metadata come back bit for
+        # bit (17 significant digits), and the star its metadata names,
+        # integrated again, classifies as the original does
         from lanemden import read_profile_csv, write_profile_csv
 
-        p = get_liquid(3, 1.25, 1e4)
+        star = get_liquid(3, 1.25, 1e4)
+        p = star.profile()
         buf = io.StringIO()
         write_profile_csv(p, buf)
         back = read_profile_csv(io.StringIO(buf.getvalue()))
-        direct = classify_stability(p, mesh_size=512)
-        reloaded = classify_stability(back, mesh_size=512)
+        for name in ("radii", "rho", "enthalpy", "mass"):
+            assert getattr(back, name).tobytes() == getattr(p, name).tobytes(), name
+        assert (back.config, back.kind, back.liquid_radius, back.total_mass) == (
+            p.config, p.kind, p.liquid_radius, p.total_mass)
+        direct = classify_stability(star, mesh_size=512)
+        reloaded = classify_stability(steady.liquid_read(back.config), mesh_size=512)
         assert reloaded.mu_star == direct.mu_star
         assert reloaded.verdict == direct.verdict
 

@@ -1,15 +1,15 @@
+import dataclasses
 import io
 import itertools
 import math
+import types
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
 
 from lanemden import (
     StarConfig,
@@ -24,12 +24,12 @@ from lanemden import (
     singular_star,
     write_profile_csv,
 )
-from lanemden import dop853, steady
+from lanemden import dop853, spectral, steady
 from lanemden.harness import PROFILE_BATTERY
-from lanemden.phase import fixed_points, profile_to_phase, radius_limit
+from lanemden.phase import fixed_points, phase_trajectory, profile_to_phase, radius_limit
 from lanemden.steady import _refined_grid
 
-from conftest import SEED0_LINES, get_liquid, get_profile, ode_hermite_data
+from conftest import SEED0_LINES, get_gas, get_liquid, get_profile, rho_and_mass
 
 FOUR_PI = 4 * math.pi
 
@@ -94,10 +94,10 @@ class TestIntegration:
 
     def test_mass_consistent_with_density_quadrature(self):
         # the carried mass state against an independent quadrature of rho
-        p = get_profile(3, 1.5, 10.0)
+        run, p = get_gas(3, 1.5, 10.0), get_profile(3, 1.5, 10.0)
         r_probe = p.radii[len(p.radii) // 2]
-        m_quad = FOUR_PI * quad(lambda y: y**2 * float(p.rho_at(y)), 0, r_probe, limit=200)[0]
-        assert float(p.mass_at(r_probe)) == pytest.approx(m_quad, rel=1e-9)
+        m_quad = FOUR_PI * quad(lambda y: y**2 * float(rho_and_mass(run, y)[0]), 0, r_probe, limit=200)[0]
+        assert float(rho_and_mass(run, r_probe)[1]) == pytest.approx(m_quad, rel=1e-9)
 
     def test_support_dichotomy(self):
         assert get_profile(3, 1.5, 1.0).gas_radius is not None
@@ -202,8 +202,7 @@ class TestLiquidLine:
             kappa = rho0 / top.rho_center
             root = line.sol.crossing(top.enthalpy_of_inverse(kappa))
             lam = kappa ** (1.0 - top.gamma / 2.0)
-            assert fine.liquid_radius == coarse.liquid_radius == root / lam
-            assert liquid_radius(coarse) == liquid_radius(fine)
+            assert fine.liquid_radius == coarse.liquid_radius == root / lam == liquid_radius(star)
 
     @pytest.mark.parametrize("rho0", [1.0, 0.5, math.nextafter(1e4, math.inf), 2e4, math.nan])
     def test_density_outside_the_line_raises(self, rho0):
@@ -228,6 +227,18 @@ class TestLiquidLine:
             steady.integrate_line(StarConfig(3, 1.25, 1.0))
 
 
+def _assert_samples_read_off(star, profile):
+    """profile's samples are star's reads at its radii, bit for bit; a surface it ends at is pinned to its level."""
+    config, r = star.config, profile.radii
+    enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(r)
+    cut = profile.kind == "liquid-truncated"
+    pinned = r == (profile.liquid_radius if cut else profile.gas_radius)
+    assert enthalpy[~pinned].tobytes() == profile.enthalpy[~pinned].tobytes()
+    assert np.all(profile.enthalpy[pinned] == (config.boundary_enthalpy if cut else config.gas_stop))
+    assert mass_hat[0] == FOUR_PI / config.d * config.rho_center
+    assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** config.d).tobytes()
+
+
 class TestRunStar:
     """A star read straight off a run, with no samples: a line's (RunStar.read) or a gas run's own."""
 
@@ -235,7 +246,6 @@ class TestRunStar:
     def test_reads_the_profile_samples_bit_for_bit(self, line):
         # beyond the seed both evaluate the run at lam r; inside it both
         # evaluate the star's own Taylor seed at the same radii
-        d = line[0]
         run = steady.integrate_line(StarConfig(*line, 1e6))
         for rho0 in (1.01, 1.5, 50.3231, 1e4, 1e6):
             read = run.read(rho0)
@@ -244,13 +254,10 @@ class TestRunStar:
             assert read.liquid_radius == profile.liquid_radius
             r = profile.radii
             assert np.count_nonzero(r >= read.seed_radius) > 512
-            enthalpy, mass_hat = read.enthalpy_and_mass_hat_at(r)
             # the last sample is the liquid surface, pinned to its level as
             # a compact surface is to the stop level
-            assert enthalpy[:-1].tobytes() == profile.enthalpy[:-1].tobytes()
-            assert profile.enthalpy[-1] == read.config.boundary_enthalpy and profile.rho[-1] == 1.0
-            assert mass_hat[0] == FOUR_PI / d * rho0
-            assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
+            _assert_samples_read_off(read, profile)
+            assert profile.kind == "liquid-truncated" and profile.rho[-1] == 1.0
             assert r[-1] == read.liquid_radius and read.total_mass == profile.mass[-1]
 
     def test_reads_radii_in_any_order(self):
@@ -286,20 +293,15 @@ class TestRunStar:
         # integrate_gas_profile samples its own run as a kappa = 1 RunStar;
         # only a compact surface's enthalpy is pinned to the stop level
         # instead of read.  Infinite support, compact support, rho0 < 1
-        config, d = StarConfig(*star), star[0]
+        config = StarConfig(*star)
         run = steady.gas_read(config, 1e-10, 20.0)
         profile = integrate_gas_profile(config, r_max=20.0)
         assert run.kappa == run.lam == 1.0
         assert run.liquid_radius == profile.liquid_radius and run.gas_radius == profile.gas_radius
         r = profile.radii
         assert r[-1] == run.end and np.count_nonzero(r >= run.seed_radius) > 2048
-        enthalpy, mass_hat = run.enthalpy_and_mass_hat_at(r)
-        read = r != profile.gas_radius
-        assert np.count_nonzero(~read) == (profile.gas_radius is not None)
-        assert enthalpy[read].tobytes() == profile.enthalpy[read].tobytes()
-        assert np.all(profile.enthalpy[~read] == config.gas_stop)
-        assert mass_hat[0] == FOUR_PI / d * config.rho_center
-        assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** d).tobytes()
+        assert np.count_nonzero(r == profile.gas_radius) == (profile.gas_radius is not None)
+        _assert_samples_read_off(run, profile)
 
     @pytest.mark.parametrize("line", SEED0_LINES + [(3, 1.0)], ids=str)
     def test_total_mass_is_the_vector_read_bitwise(self, line):
@@ -334,20 +336,22 @@ class TestStalledSamples:
 
     def test_compact_surface(self):
         # near the surface rho = w^alpha is so small that m stalls in float64
-        p = integrate_gas_profile(StarConfig(3, 1.25, 50.0), r_max=20.0)
+        run = steady.gas_read(StarConfig(3, 1.25, 50.0), r_max=20.0)
+        p = run.profile()
         assert p.radii[-1] == p.gas_radius
         assert p.rho[-1] == 0.0
         assert np.any(p.radii == p.liquid_radius)
-        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
+        assert np.max(np.abs(pohozaev_residual(run, p.radii))) <= 1e-5
         assert np.max(p.rho / decay_bound(p.config, p.radii)) - 1 <= 1e-9
 
     def test_flat_centre(self):
         # rho0 = 1 + 1e-9: near the centre rho equals rho0 in float64
         rho0 = 1 + 1e-9
-        p = liquid_star(StarConfig(3, 1.25, rho0))
+        run = steady.liquid_read(StarConfig(3, 1.25, rho0))
+        p = run.profile()
         assert p.radii[0] == 0.0 and p.rho[0] == rho0
         assert p.radii[-1] == p.liquid_radius
-        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
+        assert np.max(np.abs(pohozaev_residual(run, p.radii))) <= 1e-5
         assert p.kind == "liquid-truncated" and p.rho[-1] == 1.0
 
     def test_moving_mask(self):
@@ -409,19 +413,20 @@ class TestLiquidRadius:
         assert radii[2] < 0.02
 
     def test_no_truncation_below_one(self):
-        p = get_profile(3, 1.2, 0.5)
         with pytest.raises(ValueError, match="no liquid truncation"):
-            liquid_radius(p)
+            liquid_radius(get_gas(3, 1.2, 0.5))
 
     def test_profile_too_short(self):
-        p = integrate_gas_profile(StarConfig(3, 1.2, 32.0), r_max=0.05)
-        with pytest.raises(RuntimeError, match="too short"):
-            liquid_radius(p)
+        # the run ends at r_max before the liquid surface: liquid_read's error
+        run = steady.gas_read(StarConfig(3, 1.2, 32.0), r_max=0.05)
+        assert run.liquid_radius is None
+        with pytest.raises(RuntimeError, match=r"lies beyond r_max = 0\.05 \(increase r_max\)"):
+            liquid_radius(run)
 
     def test_boundary_density_is_one(self):
-        p = get_liquid(3, 1.4, 10.0)
-        R = liquid_radius(p)
-        assert abs(float(p.rho_at(R)) - 1.0) <= 1e-12
+        star = get_liquid(3, 1.4, 10.0)
+        rho, _ = rho_and_mass(star, liquid_radius(star))
+        assert abs(float(rho) - 1.0) <= 1e-12
 
     def test_truncate(self):
         # liquid_star is the cut itself: its last sample is R, pinned to
@@ -466,12 +471,6 @@ class TestSmallStars:
         p = liquid_star(StarConfig(3, 1.25, rho0))
         assert p.radii[-1] == p.liquid_radius
         assert abs(p.rho[-1] - 1.0) <= 1e-6
-
-    def test_grid_crossing_is_relative(self):
-        # liquid_radius without a recorded radius roots the interpolant
-        p = integrate_gas_profile(StarConfig(3, 1.25, 1e30))
-        R = liquid_radius(replace(p, liquid_radius=None))
-        assert abs(R - p.liquid_radius) <= 1e-12 * p.liquid_radius
 
 
 class TestDecayBound:
@@ -563,8 +562,7 @@ class TestGaussRule:
 
 class TestPohozaev:
     def test_zero_at_center(self):
-        p = get_profile(3, 1.2, 1.0)
-        assert pohozaev_residual(p, 0.0) == 0.0
+        assert pohozaev_residual(get_gas(3, 1.2, 1.0), 0.0) == 0.0
 
     @staticmethod
     def _oracle_residual(d, g, rho_fn, r):
@@ -595,8 +593,7 @@ class TestPohozaev:
         res = self._oracle_residual(4, 1.2, lambda y: float(star.rho_at(y)), 1.0)
         assert abs(res) <= 1e-9
 
-        p = get_profile(3, 1.2, 1.0, r_max=5.0)
-        assert abs(pohozaev_residual(p, 1.0)) <= 1e-6
+        assert abs(pohozaev_residual(get_gas(3, 1.2, 1.0, r_max=5.0), 1.0)) <= 1e-6
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_identity_on_the_isothermal_singular_star(self, d):
@@ -614,69 +611,72 @@ class TestPohozaev:
     def test_isothermal_residual_sees_a_non_solution(self):
         # twice a steady density with its own mass is no steady state: the
         # columns agree, so only the identity itself can flag it
-        p = get_profile(3, 1.0, 1.0)
-        doubled = steady.Profile(config=StarConfig(3, 1.0, 2.0), radii=p.radii, rho=2.0 * p.rho,
-                                 enthalpy=p.enthalpy + math.log(2.0), mass=2.0 * p.mass)
-        assert abs(pohozaev_residual(p, 1.0)) <= 1e-6
+        run = get_gas(3, 1.0, 1.0)
+
+        def doubled_read(r):
+            enthalpy, mass_hat = run.enthalpy_and_mass_hat_at(r)
+            return enthalpy + math.log(2.0), 2.0 * mass_hat
+
+        doubled = types.SimpleNamespace(config=StarConfig(3, 1.0, 2.0), radii=run.radii,
+                                        enthalpy_and_mass_hat_at=doubled_read)
+        assert abs(pohozaev_residual(run, 1.0)) <= 1e-6
         assert abs(pohozaev_residual(doubled, 1.0)) >= 0.1
 
     def test_isothermal_profile(self):
-        p = get_profile(3, 1.0, 1.0)
-        assert abs(pohozaev_residual(p, 0.5)) <= 1e-6
+        assert abs(pohozaev_residual(get_gas(3, 1.0, 1.0), 0.5)) <= 1e-6
 
     def test_battery_grid(self):
         for d, g, rho0 in ((3, 1.0, 1.0), (4, 1.2, 10.0), (5, 2.0, 1.0), (3, 1.5, 10.0)):
-            p = get_profile(d, g, rho0)
-            res = pohozaev_residual(p, p.radii)
+            res = pohozaev_residual(get_gas(d, g, rho0), get_profile(d, g, rho0).radii)
             assert np.max(np.abs(res)) <= 1e-5
 
     def test_outside_grid(self):
-        p = get_profile(3, 1.2, 1.0)
+        run = get_gas(3, 1.2, 1.0)
         with pytest.raises(ValueError):
-            pohozaev_residual(p, p.r_end * 2)
+            pohozaev_residual(run, run.end * 2)
         with pytest.raises(ValueError):
-            pohozaev_residual(p, [0.5, math.nan])
+            pohozaev_residual(run, [0.5, math.nan])
 
     @pytest.mark.parametrize("gamma", [1.0, 1.2, 2.0])
     def test_mixed_radii_match_scalar_calls(self, gamma):
         # gamma = 2 in d = 3 has compact support: r_end is the surface, where
         # w is clamped at 0
-        p = get_profile(3, gamma, 1.0)
+        run, p = get_gas(3, gamma, 1.0), get_profile(3, gamma, 1.0)
         assert (p.gas_radius == p.r_end) == (gamma == 2.0)
         grid = p.radii[1::211]
         mids = 0.5 * (p.radii[:-1] + p.radii[1:])[::173]
         r = np.concatenate([[0.0], grid, mids, [p.r_end]])
-        res = pohozaev_residual(p, r)
+        res = pohozaev_residual(run, r)
         assert res.shape == r.shape
         assert res[0] == 0.0
-        scalar = [pohozaev_residual(p, float(x)) for x in r]
+        scalar = [pohozaev_residual(run, float(x)) for x in r]
         assert all(isinstance(x, float) for x in scalar)
         np.testing.assert_array_equal(res, scalar)
         assert np.max(np.abs(res)) <= 1e-5
 
     @staticmethod
-    def _loop_reference(profile, radii):
-        """Per-point reference: scalar Gauss segments and scalar boundary terms.
+    def _loop_reference(star, radii):
+        """Per-point reference: scalar Gauss segments and scalar boundary terms, on the star's radii.
 
         The identity int_0^r s^(d-1) (d F - (d-2)/2 e f) ds
         = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e' with f = 4 pi c rho(e) and
         F = 4 pi c^2 rho^gamma, for w (gamma > 1) and h = ln rho (gamma = 1).
         """
-        d, g = profile.config.d, profile.config.gamma
+        d, g = star.config.d, star.config.gamma
         c = 1.0 if g == 1.0 else (g - 1) / g
         rho_of = np.exp if g == 1.0 else (lambda e: np.maximum(e, 0.0) ** (1 / (g - 1)))
         F = lambda e: FOUR_PI * c**2 * rho_of(e) ** g
         gx, gw = np.polynomial.legendre.leggauss(5)
 
         def f(y):
-            e = profile.enthalpy_at(y)
+            e, _ = star.enthalpy_and_mass_hat_at(y)
             return (d * F(e) - 0.5 * (d - 2) * e * FOUR_PI * c * rho_of(e)) * y ** (d - 1)
 
         def segment(a, b):
             half = 0.5 * (b - a)
             return half * float(np.dot(f(0.5 * (a + b) + half * gx), gw))
 
-        grid = profile.radii
+        grid = star.radii
         cum = [0.0]
         for a, b in zip(grid[:-1], grid[1:]):
             cum.append(cum[-1] + segment(a, b))
@@ -687,8 +687,8 @@ class TestPohozaev:
                 continue
             k = int(np.searchsorted(grid, rv, side="right")) - 1
             lhs = cum[k] + (segment(grid[k], rv) if rv > grid[k] else 0.0)
-            m = float(profile.mass_at(rv))
-            e = float(profile.enthalpy_at(rv))
+            e, mass_hat = (float(v) for v in star.enthalpy_and_mass_hat_at(rv))
+            m = mass_hat * rv**d
             eprime = -c * m / rv ** (d - 1)
             t1 = 0.5 * eprime**2 * rv**d
             t2 = float(F(e)) * rv**d
@@ -702,87 +702,63 @@ class TestPohozaev:
         # the residual is a defect normalized by its largest term, so rounding
         # differences in the terms (array vs scalar pow, Gauss weights) stay
         # within a few ulps of 1
-        p = get_profile(d, gamma, rho0)
+        run, p = get_gas(d, gamma, rho0), get_profile(d, gamma, rho0)
         mids = 0.5 * (p.radii[:-1] + p.radii[1:])[::5]
         r = np.concatenate([p.radii, mids])
         np.testing.assert_allclose(
-            pohozaev_residual(p, r), self._loop_reference(p, r), rtol=0, atol=32 * np.finfo(float).eps
+            pohozaev_residual(run, r), self._loop_reference(run, r), rtol=0, atol=32 * np.finfo(float).eps
         )
 
 
 class TestOneReader:
-    """pohozaev_residual and profile_to_phase read a RunStar and its Profile alike."""
+    """pohozaev_residual and profile_to_phase read a star off its run, and its samples are that read."""
 
     @pytest.mark.parametrize("star", PROFILE_BATTERY, ids=str)
     def test_run_and_samples_agree(self, star):
-        run = steady.gas_read(StarConfig(*star), 1e-10, 20.0)
-        p = run.profile()
+        run, p = get_gas(*star), get_profile(*star)
         assert np.max(np.abs(pohozaev_residual(run, p.radii))) <= 1e-5
-        assert np.max(np.abs(pohozaev_residual(p, p.radii))) <= 1e-5
         assert isinstance(pohozaev_residual(run, min(1.0, p.r_end)), float)
         if star[1] == 2.0:  # the phase plane needs gamma < 2
             return
-        # the run's dense output and the samples' Hermite agree to 2e-9 on the battery
-        r = np.array([x for x in (0.5, 1.0, 2.0) if x <= p.r_end])
-        off_run, off_samples = profile_to_phase(run, r), profile_to_phase(p, r)
-        np.testing.assert_allclose(off_run.v1, off_samples.v1, rtol=1e-8, atol=0)
-        np.testing.assert_allclose(off_run.v2, off_samples.v2, rtol=1e-8, atol=0)
-        assert off_run.tau.tobytes() == off_samples.tau.tobytes()
+        # the run read at the samples is the samples' trajectory: rho has the
+        # same bits, and m = (m / r^d) r^d is two roundings off the sample's;
+        # a compact surface's sample is pinned to the stop level
+        r = p.radii[1:]
+        read = r != p.gas_radius
+        off_run, samples = profile_to_phase(run, r), phase_trajectory(p)
+        assert off_run.v1[read].tobytes() == samples.v1[read].tobytes()
+        np.testing.assert_allclose(off_run.v2, samples.v2, rtol=4 * np.finfo(float).eps, atol=0)
+        assert off_run.tau.tobytes() == samples.tau.tobytes()
         scalar = profile_to_phase(run, float(r[0]))
         assert isinstance(scalar.v1, float) and scalar.v1 == off_run.v1[0]
 
 
 class TestProfileRange:
+    """A star is read on [0, end] only; the class keeps the name of the profile range it checked before."""
+
     def test_rejects_nan_radius(self):
-        p = get_profile(3, 1.2, 1.0)
-        with pytest.raises(ValueError, match="outside the profile grid"):
-            p.rho_at(math.nan)
-        with pytest.raises(ValueError, match="outside the profile grid"):
-            p.mass_at([0.1, math.nan])
-        with pytest.raises(ValueError, match="outside the profile grid"):
-            p.enthalpy_at(np.array([[0.1], [math.nan]]))
+        run = get_gas(3, 1.2, 1.0)
+        for r in (math.nan, [0.1, math.nan], np.array([[0.1], [math.nan]])):
+            with pytest.raises(ValueError, match="outside the star"):
+                run.enthalpy_and_mass_hat_at(r)
 
     def test_accepts_grid_ends(self):
-        p = get_profile(3, 1.2, 1.0)
-        assert float(p.rho_at(0.0)) == 1.0
-        assert np.all(np.isfinite(p.mass_at([0.0, p.r_end])))
-
-
-def _scipy_hermite(profile):
-    """scipy's two-column cubic Hermite of the enthalpy and m/r^d, slopes from the ODE."""
-    y, dydx = ode_hermite_data(profile)
-    return CubicHermiteSpline(profile.radii, y, dydx, extrapolate=False)
-
-
-def _assert_hermite_bitwise(profile):
-    """Table and values against scipy, bit for bit, where the interval search could slip."""
-    ref = _scipy_hermite(profile)
-    assert np.moveaxis(profile._coefficients, 0, -1).tobytes() == ref.c.tobytes()
-    r, d = profile.radii, profile.config.d
-    # every breakpoint (r = 0 and r_end among them), a float either side, midpoints
-    y = np.concatenate([r, np.nextafter(r[1:], 0.0), np.nextafter(r[:-1], np.inf), 0.5 * (r[:-1] + r[1:])])
-    enthalpy, mass_hat = np.moveaxis(ref(y), -1, 0)
-    assert profile.enthalpy_at(y).tobytes() == enthalpy.tobytes()
-    assert profile.mass_at(y).tobytes() == (mass_hat * y**d).tobytes()
-    got_enthalpy, got_mass_hat = profile.enthalpy_and_mass_hat_at(y)
-    assert got_enthalpy.tobytes() == enthalpy.tobytes() and got_mass_hat.tobytes() == mass_hat.tobytes()
-    # a 0-d radius gives a 0-d array, as PPoly does
-    for x in (0.0, profile.r_end, 0.5 * profile.r_end):
-        got = profile.enthalpy_at(np.array(x))
-        assert isinstance(got, np.ndarray) and got.shape == ()
-        assert got.tobytes() == ref(x)[0].tobytes()
+        run = get_gas(3, 1.2, 1.0)
+        rho, mass = rho_and_mass(run, [0.0, run.end])
+        assert rho[0] == 1.0 and mass[0] == 0.0
+        assert np.all(np.isfinite(rho)) and np.all(np.isfinite(mass))
 
 
 class TestPchipTable:
-    """Profile's cubic table against scipy's CubicHermiteSpline with the ODE's slopes.
+    """A profile is its run's samples, bit for bit, however the star is read off the run.
 
-    The class keeps the name of the PCHIP table it checked before the
-    slopes came from the ODE, so its test ids stay stable.
+    The class keeps the name of the cubic table it checked before a profile
+    became samples alone, so its test ids stay stable.
     """
 
     @pytest.mark.parametrize("star", PROFILE_BATTERY, ids=str)
     def test_battery(self, star):
-        _assert_hermite_bitwise(get_profile(*star))
+        _assert_samples_read_off(get_gas(*star), get_profile(*star))
 
     @pytest.mark.parametrize("top", [(3, 1.25, 1e6), (7, 1.01, 1e6), (3, 1.0, 1e6)], ids=str)
     def test_line_built(self, top):
@@ -790,39 +766,38 @@ class TestPchipTable:
         for rho0 in (top[2], 50.0, 1.0 + 1e-9):
             star = line.read(rho0)
             if star is not None:
-                _assert_hermite_bitwise(star.profile())
+                _assert_samples_read_off(star, star.profile())
 
     def test_rescaled_csv_read_and_closed_form(self):
         # a star read off a gas run through the rescaling law, then sampled
-        _assert_hermite_bitwise(steady.gas_read(StarConfig(3, 1.5, 10.0), r_max=20.0).read(3.0).profile())
-        _assert_hermite_bitwise(get_liquid(5, 1.3, 1e6))
+        star = steady.gas_read(StarConfig(3, 1.5, 10.0), r_max=20.0).read(3.0)
+        _assert_samples_read_off(star, star.profile())
+        # a CSV keeps the samples and the metadata, bit for bit
+        p = get_liquid(4, 1.2, 50.0).profile()
         buf = io.StringIO()
-        write_profile_csv(get_liquid(4, 1.2, 50.0), buf)
-        _assert_hermite_bitwise(read_profile_csv(io.StringIO(buf.getvalue())))
-        star = explicit_profile_critical(3, 100.0)
-        _assert_hermite_bitwise(star.to_profile(np.linspace(0.0, 2.0 * star.radius, 257)))
+        write_profile_csv(p, buf)
+        back = read_profile_csv(io.StringIO(buf.getvalue()))
+        for name in ("radii", "rho", "enthalpy", "mass"):
+            assert getattr(back, name).tobytes() == getattr(p, name).tobytes(), name
+        assert (back.config, back.kind, back.liquid_radius) == (p.config, p.kind, p.liquid_radius)
+        assert back.total_mass.hex() == p.total_mass.hex()
+        # a closed form adds its liquid radius to the samples, and its mass is the closed form's there
+        closed = explicit_profile_critical(3, 100.0)
+        q = closed.to_profile(np.linspace(0.0, 2.0 * closed.radius, 256))
+        assert len(q.radii) == 257 and np.count_nonzero(q.radii == closed.radius) == 1
+        assert q.total_mass == float(closed.mass_at(closed.radius))
 
     def test_agrees_with_a_finer_sampling(self):
-        # the star whose length-spaced grid is coarsest where rho bends: its
-        # samples at 32x the points are the run's dense output itself
-        config = StarConfig(7, 1.01, 1.39e5)
-        coarse = liquid_star(config, r_max=50.0)
-        fine = liquid_star(config, r_max=50.0, min_points=65536)
+        # the star whose length-spaced grid is coarsest where rho bends: at
+        # every radius it shares with its sampling at 32x the points (the
+        # run's steps, the seed's radii and R) it holds the same bits
+        star = steady.liquid_read(StarConfig(7, 1.01, 1.39e5), r_max=50.0)
+        coarse, fine = star.profile(), star.profile(65536)
         assert coarse.liquid_radius == fine.liquid_radius
-        y = fine.radii
-        rho_err = np.abs(coarse.rho_at(y) / fine.rho - 1.0).max()
-        mass_err = np.abs(coarse.mass_at(y[1:]) / fine.mass[1:] - 1.0).max()
-        assert rho_err <= 5e-7 and mass_err <= 5e-7, (rho_err, mass_err)
-
-    def test_locate_is_the_right_side_search(self):
-        x = get_liquid(3, 1.25, 1e4).radii
-        rng = np.random.default_rng(3)
-        r = np.concatenate([x, np.nextafter(x[1:], 0.0), np.nextafter(x[:-1], np.inf), rng.uniform(0.0, x[-1], 4000)])
-        want = np.minimum(np.searchsorted(x, r, side="right") - 1, len(x) - 2)
-        for order in (np.arange(len(r)), np.argsort(r), rng.permutation(len(r))):
-            i, s = steady._locate(x, r[order])
-            assert np.array_equal(i, want[order])
-            assert s.tobytes() == (r[order] - x[want[order]]).tobytes()
+        shared, i, j = np.intersect1d(coarse.radii, fine.radii, assume_unique=True, return_indices=True)
+        assert len(shared) >= 64 and shared[-1] == coarse.liquid_radius
+        for name in ("rho", "enthalpy", "mass"):
+            assert getattr(coarse, name)[i].tobytes() == getattr(fine, name)[j].tobytes(), name
 
 
 class TestClassifySupport:
@@ -844,6 +819,17 @@ class TestExports:
         assert (RunStar, gas_read, liquid_read) == (steady.RunStar, steady.gas_read, steady.liquid_read)
         for name in ("LiquidLine", "scale_profile"):
             assert not hasattr(lanemden, name) and not hasattr(steady, name), name
+
+    def test_one_reader_between_samples(self):
+        # a Profile is its samples: it reads nothing between them, steady
+        # builds no cubic table and keeps no crossing finder of its own
+        # (DenseSolution.crossing is the one), and a pencil carries no grid
+        readers = [n for n in dir(steady.Profile)
+                   if n.endswith("_at") or n in ("_coefficients", "_interpolate", "_check_range")]
+        assert readers == []
+        tables = [n for n in vars(steady) if any(w in n.lower() for w in ("hermite", "locate", "slopes", "crossing"))]
+        assert tables == []
+        assert "grid" not in {f.name for f in dataclasses.fields(spectral.SturmLiouvilleData)}
 
 
 class TestScaling:
@@ -965,7 +951,7 @@ class TestExplicitCritical:
 
 class TestCsv:
     def test_roundtrip_and_format(self):
-        p = get_liquid(3, 1.2, 32.0)
+        p = get_liquid(3, 1.2, 32.0).profile()
         buf = io.StringIO()
         write_profile_csv(p, buf)
         text = buf.getvalue()
@@ -991,7 +977,7 @@ class TestCsv:
     @staticmethod
     def edited_csv(old, new):
         buf = io.StringIO()
-        write_profile_csv(get_liquid(3, 1.25, 50.0), buf)
+        write_profile_csv(get_liquid(3, 1.25, 50.0).profile(), buf)
         text = buf.getvalue()
         assert old in text
         return io.StringIO(text.replace(old, new, 1))
