@@ -29,6 +29,7 @@ kept here so that no part of scipy.optimize loads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -281,6 +282,7 @@ _D = tuple(_sparse(row) for row in D)
 # one accepted step as a flat record: t_old, h, y_old (2), y_new (2), then the
 # 16 stage slopes of each component
 _K0 = 6
+_RECORD_WIDTH = _K0 + 2 * N_STAGES_EXTENDED
 
 
 def _sum(row: Tuple[Tuple[int, float], ...], k: str) -> str:
@@ -360,15 +362,17 @@ class DenseSolution:
     def n_steps(self) -> int:
         return len(self.h)
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t, component: Optional[int] = None) -> np.ndarray:
         """Both components at the ascending radii t (1-D array): shape (2, len(t)).
 
-        A radius on a step boundary is evaluated on the step that ends there,
-        one below ts[0] on the first step and one above ts[-1] on the last.
-        The radii of step k are a run of t, found by searching t for each
-        step boundary; each coefficient row is repeated over those runs, and
-        each radius gets _horner's arithmetic on its step's floats, so its
-        bits.  Raises ValueError when t is not ascending.
+        Given a component (0 or 1), that component alone: shape (len(t),),
+        bit for bit its row of the two-component read.  A radius on a step
+        boundary is evaluated on the step that ends there, one below ts[0]
+        on the first step and one above ts[-1] on the last.  The radii of
+        step k are a run of t, found by searching t for each step boundary;
+        each coefficient row is repeated over those runs, and each radius
+        gets _horner's arithmetic on its step's floats, so its bits.  Raises
+        ValueError when t is not ascending.
         """
         t = np.asarray(t, dtype=float)
         if not np.all(t[1:] >= t[:-1]):
@@ -383,11 +387,14 @@ class DenseSolution:
         np.subtract(t, x, out=x)
         x /= np.repeat(self.h, runs)
         x1 = 1.0 - x
-        y = np.zeros((2, len(t)))
+        if component is None:
+            coeffs, y0, y = self.coeffs, self.ys[:-1].T, np.zeros((2, len(t)))
+        else:
+            coeffs, y0, y = self.coeffs[:, component], self.ys[:-1, component], np.zeros(len(t))
         for i in range(INTERPOLATOR_POWER - 1, -1, -1):
-            y += np.repeat(self.coeffs[i], runs, axis=1)
+            y += np.repeat(coeffs[i], runs, axis=-1)
             y *= x if i % 2 == 0 else x1
-        y += np.repeat(self.ys[:-1].T, runs, axis=1)
+        y += np.repeat(y0, runs, axis=-1)
         return y
 
     def at(self, t: float, component: int) -> float:
@@ -459,6 +466,16 @@ def _dense_coefficients(records: np.ndarray) -> np.ndarray:
         acc += D[:, j, None, None] * k[j]
     np.multiply(h, acc, out=out[3:])
     return out
+
+
+def _pack(records: list) -> np.ndarray:
+    """The step records (tuples of floats) as one (len(records), _RECORD_WIDTH) float64 array.
+
+    np.array(records) gives the same bits, but converts each tuple apart;
+    one flat pass with the count known up front costs about two thirds.
+    """
+    flat = itertools.chain.from_iterable(records)
+    return np.fromiter(flat, float, count=len(records) * _RECORD_WIDTH).reshape(-1, _RECORD_WIDTH)
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -642,14 +659,14 @@ def solve(
         records.append((t, h, a, b, a_new, b_new) + k)
         n_steps += 1
         if len(records) == RECORD_BLOCK:
-            blocks.append(np.array(records))
+            blocks.append(_pack(records))
             records = []
         if stop is not None and a >= stop >= a_new:
             break
         t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
 
     if records:
-        blocks.append(np.array(records))
+        blocks.append(_pack(records))
     rec = np.concatenate(blocks)
     del blocks  # freed before the dense coefficients are computed
     return DenseSolution(

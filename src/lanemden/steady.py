@@ -182,17 +182,23 @@ def _seed(config: StarConfig, r):
 
 
 def _refined_grid(steps: np.ndarray, n_target: int) -> np.ndarray:
-    """Subdivide integrator steps (at least 4x, by length beyond that) to ~n_target points.
+    """Subdivide integrator steps to ~n_target points: max(f, ceil(h / quantum)) pieces a step.
 
-    Step [a, b] cut into n pieces contributes a + k ((b - a)/n) for k < n and
-    b itself, the points np.linspace(a, b, n + 1)[1:] gives.
+    quantum is the span over n_target, and f = max(1, min(4, n_target //
+    steps)), so at most max(steps, n_target) + n_target + 1 points come out:
+    every step is cut in at least 4 where 4 steps fit the target, and a run
+    of more steps than the target keeps its steps, cutting only those longer
+    than a quantum.  Step [a, b] cut into n pieces contributes
+    a + k ((b - a)/n) for k < n and b itself, the points
+    np.linspace(a, b, n + 1)[1:] gives.
     """
     total = steps[-1] - steps[0]
     if total <= 0:
         return steps
     quantum = total / max(n_target, 1)
     a, b = steps[:-1], steps[1:]
-    n = np.maximum(4, np.ceil((b - a) / quantum)).astype(np.int64)
+    floor = max(1, min(4, n_target // len(a)))
+    n = np.maximum(floor, np.ceil((b - a) / quantum)).astype(np.int64)
     step = np.repeat((b - a) / n, n)
     start = np.repeat(a, n)
     # k = 1..n within each step
@@ -371,33 +377,61 @@ class RunStar:
         root = self.sol.crossing(config.enthalpy_of_inverse(kappa))
         return None if root is None else RunStar(config, self.sol, kappa, self.r0, root, root)
 
-    def _read(self, y: np.ndarray):
-        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""
-        enthalpy, mass = np.empty_like(y), np.empty_like(y)
+    def _read(self, y: np.ndarray, mass: bool = True):
+        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam]), or the enthalpy alone.
+
+        mass=False reads the run's enthalpy column alone, with the bits of
+        the pair's first column.
+        """
         k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
-        enthalpy[:k], mass[:k] = _seed(self.config, y[:k])
-        enthalpy[k:], mass[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
-        return enthalpy, mass
+        seed = _seed(self.config, y[:k])
+        if not mass:
+            run = self.sol(self.lam * y[k:], 0)
+            return np.concatenate([seed[0], self.config.rescaled_enthalpy(run, self.kappa)])
+        enthalpy, m = np.empty_like(y), np.empty_like(y)
+        enthalpy[:k], m[:k] = seed
+        enthalpy[k:], m[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
+        return enthalpy, m
 
-    def enthalpy_and_mass_hat_at(self, r):
-        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
+    def _ascending(self, r: np.ndarray):
+        """r's radii, ravelled and in ascending order, and the order that sorts them.
 
-        Radii in any order are read in ascending order, sorted once (a
-        stable sort, which merges ascending runs).  ValueError for a radius
-        outside [0, end / lam].
+        The sort is stable, which merges ascending runs.  ValueError for a
+        radius outside [0, end / lam].
         """
         end = self.end / self.lam
-        r = np.asarray(r, dtype=float)
         # one pass; the comparisons are False for NaN, so NaN is rejected too
         if not np.all((r >= 0.0) & (r <= end)):
             raise ValueError(f"radius outside the star [0, {end:g}]")
         y = r.ravel()
         order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
-        y = y[order]
+        return y[order], order
+
+    def enthalpy_and_mass_hat_at(self, r):
+        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
+
+        Radii in any order are read in ascending order, sorted once.
+        ValueError for a radius outside [0, end / lam].
+        """
+        r = np.asarray(r, dtype=float)
+        y, order = self._ascending(r)
         enthalpy, mass = self._read(y)
         out = np.empty((2, len(y)))
         out[0, order], out[1, order] = enthalpy, _mass_hat(self.config, y, mass)
         return out[0].reshape(r.shape), out[1].reshape(r.shape)
+
+    def enthalpy_at(self, r):
+        """The enthalpy at radii r in [0, end / lam], shaped like r.
+
+        Bit for bit enthalpy_and_mass_hat_at's first column, from the run's
+        enthalpy column alone (DenseSolution.__call__ on component 0): no
+        mass and no m/r^d.  ValueError as enthalpy_and_mass_hat_at.
+        """
+        r = np.asarray(r, dtype=float)
+        y, order = self._ascending(r)
+        out = np.empty(len(y))
+        out[order] = self._read(y, mass=False)
+        return out.reshape(r.shape)
 
     def profile(self, points: int = MIN_POINTS) -> Profile:
         """The star's samples as a Profile, read in one _read.
@@ -590,9 +624,10 @@ def pohozaev_residual(star: RunStar, r) -> np.ndarray:
 
         int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
 
-    star is read (RunStar.enthalpy_and_mass_hat_at) at r and at the Gauss
-    points of the segments between its radii, and of the one
-    from the last radius below each r to r, so each r's value is r's alone
+    star is read at r (RunStar.enthalpy_and_mass_hat_at), and its enthalpy
+    alone (RunStar.enthalpy_at) at the Gauss points of the segments between
+    its radii and of the one from the last radius below each r to r, so
+    each r's value is r's alone
     whatever radii are asked with it.  The defect is normalized by the
     largest of the four terms, so a correct star yields values at the
     quadrature/integration error level.  It is exactly 0 at r = 0; a scalar
@@ -605,7 +640,7 @@ def pohozaev_residual(star: RunStar, r) -> np.ndarray:
 
     def integrand(y):
         """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c)."""
-        e, _ = star.enthalpy_and_mass_hat_at(y)
+        e = star.enthalpy_at(y)
         rho = config.rho_of_enthalpy(e)
         return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
 

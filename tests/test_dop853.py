@@ -605,6 +605,28 @@ def test_scalar_read_is_the_dense_output_bitwise():
                 assert sol.at(radius, comp).hex() == float(want[comp, col]).hex(), (radius, comp)
 
 
+def test_one_component_read_is_its_row_bitwise():
+    # __call__ on one component gives that component's row of the
+    # two-component read, signed zeros included: on random steps at every
+    # step boundary, repeated, just inside and just outside [ts[0], ts[-1]],
+    # and on a liquid star's run at its step boundaries and midpoints
+    sol = _random_solution(3)
+    ts = sol.ts
+    outside = [np.nextafter(ts[0], -np.inf), ts[0] - 0.1, np.nextafter(ts[-1], np.inf), ts[-1] + 0.1]
+    r = np.sort(np.concatenate([ts, ts, ts[:-1] + 0.3 * np.diff(ts), np.nextafter(ts, np.inf), outside]))
+    run = steady.integrate_line(StarConfig(3, 1.25, 1e6)).sol
+    run_r = np.sort(np.concatenate([run.ts, 0.5 * (run.ts[:-1] + run.ts[1:]), [0.5 * run.ts[0]]]))
+    for sol, radii in ((sol, r), (run, run_r)):
+        both = sol(radii)
+        for comp in range(2):
+            one = sol(radii, comp)
+            assert one.shape == (len(radii),)
+            assert one.tobytes() == both[comp].tobytes(), comp
+    assert sol(r[:0], 0).shape == (0,)
+    with pytest.raises(ValueError, match="ascending"):
+        sol(r[::-1], 1)
+
+
 @pytest.mark.parametrize("radii", [[1.0, 0.9], [0.6, 1.0, math.nan], [2.0, 1.0, 3.0]])
 def test_dense_output_refuses_radii_out_of_order(radii):
     sol = _random_solution(4)

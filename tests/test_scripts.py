@@ -1,6 +1,7 @@
 """Each script under scripts/ runs end to end on a tiny input and prints parseable CSV."""
 
 import csv
+import importlib.util
 import io
 import os
 import subprocess
@@ -17,6 +18,7 @@ ARGS = {
     "run_mass_radius.py": ["--points", "4", "--mesh", "128", "--rho0-max", "100"],
     "run_phase_diagram.py": ["--points", "2", "--mesh", "128", "--rho0-max", "100"],
     "run_tail_study.py": ["--rmax", "100"],
+    "run_domain_probe.py": ["--dims", "3", "--gammas", "1.5,threshold", "--rho0s", "1.5,1e150", "--mesh", "64"],
 }
 
 # the columns every data row must hold, by header
@@ -24,8 +26,9 @@ HEADERS = {
     "run_mass_radius.py": "rho0,R,M,mu_star,verdict,mass_slope",
     "run_phase_diagram.py": "rho0,R,M,mu_star,verdict",
     "run_tail_study.py": "r,v1,v2,rel_dev_v1",
+    "run_domain_probe.py": "d,gamma,rho0,exit,seconds,cause",
 }
-TEXT_COLUMNS = {"verdict", "mass_slope"}
+TEXT_COLUMNS = {"verdict", "mass_slope", "cause"}
 
 
 def test_every_script_has_a_tiny_input():
@@ -68,6 +71,49 @@ def test_script_prints_csv(name):
                     float(value)
     if name == "run_phase_diagram.py":
         assert len(blocks) == 7 and all(len(rows) == 2 for rows in blocks)
+    if name == "run_domain_probe.py":
+        (rows,) = blocks
+        assert [(row["gamma"], row["rho0"], row["exit"]) for row in rows] == [
+            ("1.5", "1.5", "0"), ("1.5", "1e150", "0"), ("1.3333333333333333", "1.5", "0"),
+            ("1.3333333333333333", "1e150", "2")]
+        assert rows[-1]["cause"].startswith("numerical failure: ")
     if name == "run_mass_radius.py":
         (rows,) = blocks
         assert len(rows) == 4 and {row["verdict"] for row in rows} <= {"Stable", "Unstable"}
+
+
+def _domain_probe():
+    spec = importlib.util.spec_from_file_location("run_domain_probe", SCRIPTS / "run_domain_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# what an exit 2 of the reduced probe grid may name as its cause
+PROBE_CAUSES = (
+    "eigensolver failed to certify",  # gamma = 2(d-1)/d at large rho0 (q = 0)
+    "underflows float64",  # the Taylor seed radius at large d and rho0
+    "non-finite pencil entries",  # the pencil overflows
+)
+
+
+def test_domain_probe_grid_exits_cleanly():
+    # stability --mesh 64 in process over d in {3, 7, 30}, gamma in {1, 1.5,
+    # 2(d-1)/d, 2} and four rho0 up to 1e150, warnings raised as errors:
+    # each argv certifies or fails with one line that names its cause, in
+    # under 2 s
+    probe = _domain_probe()
+    exits = []
+    for d, gamma, rho0 in probe.grid("3,7,30", "1,1.5,threshold,2", "1.0000001,1.5,1e8,1e150"):
+        code, seconds, err = probe.probe(d, gamma, rho0, mesh=64, budget=2.0)
+        label = (d, gamma, rho0)
+        assert code in (0, 2), (label, err)
+        assert seconds < 2.0, label
+        if code == 0:
+            assert err == "", (label, err)
+        else:
+            (line,) = err.splitlines()
+            assert line.startswith("numerical failure: "), (label, err)
+            assert any(cause in line for cause in PROBE_CAUSES), (label, err)
+        exits.append(code)
+    assert len(exits) == 48 and 0 < exits.count(2) < 12

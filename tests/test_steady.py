@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -330,6 +331,44 @@ class TestRunStar:
         with pytest.raises(ValueError, match="radius outside the star"):
             read.enthalpy_and_mass_hat_at(np.array([0.5 * read.liquid_radius, r]))
 
+    @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
+    def test_enthalpy_read_outside_the_star_raises(self, where):
+        # the one-column read takes the pair's range check and its message
+        read = steady.integrate_line(StarConfig(3, 1.25, 1e4)).read(50.0)
+        r = math.nextafter(read.liquid_radius, math.inf) if where == "beyond" else where
+        for radii in (np.array([0.5 * read.liquid_radius, r]), r):
+            with pytest.raises(ValueError, match="radius outside the star") as got:
+                read.enthalpy_at(radii)
+            with pytest.raises(ValueError) as want:
+                read.enthalpy_and_mass_hat_at(radii)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "star",
+        [("battery",) + star for star in PROFILE_BATTERY]
+        + [("line", 3, 1.25, 1e6, 50.3231), ("line", 3, 1.0, 1e3, 10.0), ("line", 4, 1.0, 1e6, 1e6)],
+        ids=str,
+    )
+    def test_enthalpy_read_is_the_first_column_bitwise(self, star):
+        # the one-column read takes the pair's range check, sort and seed
+        # branch: below the seed radius, on the step boundaries and between
+        # them, at the end, in ascending and in shuffled order
+        if star[0] == "battery":
+            run = get_gas(*star[1:])
+        else:
+            run = steady.integrate_line(StarConfig(*star[1:4])).read(star[4])
+        end = run.end / run.lam
+        radii = run.radii
+        r = np.concatenate([run.seed_radius * np.array([0.0, 0.25, 0.5, 0.999]), radii,
+                            0.5 * (radii[:-1] + radii[1:]), [end]])
+        r = np.sort(r[r <= end])
+        assert np.count_nonzero(r < run.seed_radius) >= 4 and r[-1] == end
+        shuffled = np.random.default_rng(3).permutation(r)
+        for radii in (r, shuffled, shuffled[:len(r) // 2 * 2].reshape(-1, 2), np.float64(end)):
+            got, want = run.enthalpy_at(radii), run.enthalpy_and_mass_hat_at(radii)[0]
+            assert got.shape == np.shape(radii)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestStalledSamples:
     """Samples where rho or m stops moving in float64 are dropped, not rejected."""
@@ -372,10 +411,15 @@ def _refined_grid_loop(steps, n_target):
         return steps
     pieces = [np.array([steps[0]])]
     quantum = total / max(n_target, 1)
+    floor = max(1, min(4, n_target // (len(steps) - 1)))
     for a, b in zip(steps[:-1], steps[1:]):
-        n = max(4, int(math.ceil((b - a) / quantum)))
+        n = max(floor, int(math.ceil((b - a) / quantum)))
         pieces.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(pieces)
+
+
+# the boundaries of 10,000 steps whose lengths spread over ten decades
+_SYNTHETIC_STEPS = np.cumsum(np.concatenate([[0.1], np.random.default_rng(11).lognormal(-9.0, 2.0, 10_000)]))
 
 
 class TestRefinedGrid:
@@ -390,8 +434,10 @@ class TestRefinedGrid:
             (np.cumsum(np.logspace(-8, 2, 40)), 2048),
             # 4 (0.7/4) + 0.2 rounds away from 0.9: the endpoint is set exactly
             (np.array([0.2, 0.9, 2.9]), 8),
-            # one step of n_target quanta and a one-point target
+            # one step of n_target quanta and a one-point target: one piece a step
             (np.cumsum(np.random.default_rng(5).lognormal(-2.0, 1.5, 60)), 1),
+            # more steps than the target: uncut, but for those above a quantum
+            (_SYNTHETIC_STEPS, 2048),
         ],
     )
     def test_bitwise_equal_to_loop(self, steps, n_target):
@@ -399,6 +445,21 @@ class TestRefinedGrid:
         want = _refined_grid_loop(steps, n_target)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_target", [1, 2048, 10_000, 40_000, 40_001])
+    def test_many_steps_stay_near_the_target(self, n_target):
+        # 10,000 steps over ten decades: each step gives max(f, ceil(h / quantum))
+        # samples, f = max(1, min(4, n_target // steps)), so the grid holds
+        # no more than max(steps, n_target) + n_target + 1 samples
+        steps = len(_SYNTHETIC_STEPS) - 1
+        grid = _refined_grid(_SYNTHETIC_STEPS, n_target)
+        assert len(grid) <= max(steps, n_target) + n_target + 1
+        if n_target <= steps:
+            assert len(grid) <= steps + n_target + 1
+        assert grid[0] == _SYNTHETIC_STEPS[0] and grid[-1] == _SYNTHETIC_STEPS[-1]
+        assert np.all(np.diff(grid) > 0)
+        # every step boundary is a sample
+        assert np.isin(_SYNTHETIC_STEPS, grid).all()
 
 
 class TestLiquidRadius:
@@ -618,12 +679,29 @@ class TestPohozaev:
             return enthalpy + math.log(2.0), 2.0 * mass_hat
 
         doubled = types.SimpleNamespace(config=StarConfig(3, 1.0, 2.0), radii=run.radii,
-                                        enthalpy_and_mass_hat_at=doubled_read)
+                                        enthalpy_and_mass_hat_at=doubled_read,
+                                        enthalpy_at=lambda r: doubled_read(r)[0])
         assert abs(pohozaev_residual(run, 1.0)) <= 1e-6
         assert abs(pohozaev_residual(doubled, 1.0)) >= 0.1
 
     def test_isothermal_profile(self):
         assert abs(pohozaev_residual(get_gas(3, 1.0, 1.0), 0.5)) <= 1e-6
+
+    def test_enthalpy_read_keeps_the_battery_bits(self):
+        # the integrand reads the enthalpy column alone; over the battery's
+        # profile radii the residuals hash as those of a star whose enthalpy
+        # read is the first column of its two-column read
+        def two_column(run):
+            return types.SimpleNamespace(config=run.config, radii=run.radii,
+                                         enthalpy_and_mass_hat_at=run.enthalpy_and_mass_hat_at,
+                                         enthalpy_at=lambda r: run.enthalpy_and_mass_hat_at(r)[0])
+
+        got, want = hashlib.sha256(), hashlib.sha256()
+        for star in PROFILE_BATTERY:
+            run, radii = get_gas(*star), get_profile(*star).radii
+            got.update(pohozaev_residual(run, radii).tobytes())
+            want.update(pohozaev_residual(two_column(run), radii).tobytes())
+        assert got.hexdigest() == want.hexdigest()
 
     def test_battery_grid(self):
         for d, g, rho0 in ((3, 1.0, 1.0), (4, 1.2, 10.0), (5, 2.0, 1.0), (3, 1.5, 10.0)):
