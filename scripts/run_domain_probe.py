@@ -4,7 +4,7 @@
 Every valid input should certify a verdict (exit 0) or fail cleanly (exit 2,
 one "numerical failure:" line that names its cause), within a time budget
 and without a warning.  Each argv runs `lanemden.cli.main` with warnings
-raised as errors and an alarm at the budget; anything that escapes main (a
+raised as errors and an alarm at BUDGET seconds; anything that escapes main (a
 warning, an uncaught exception, the alarm) is reported with exit -1.  The
 default grid is 280 argv: d in {3, 4, 7, 12, 30}, gamma in {1, 1.0001, 1.2,
 1.5, 2(d-1)/d, 1.99, 2} ("threshold" below stands for 2(d-1)/d) and eight
@@ -27,6 +27,7 @@ from lanemden import cli
 DIMS = "3,4,7,12,30"
 GAMMAS = "1,1.0001,1.2,1.5,threshold,1.99,2"
 RHO0S = "1.000000000001,1.0000001,1.5,1e3,1e8,1e20,1e60,1e150"
+BUDGET = 15.0  # seconds an argv may take before the alarm stops it
 
 
 class OverBudget(BaseException):
@@ -80,13 +81,12 @@ def main() -> int:
     parser.add_argument("--gammas", default=GAMMAS, help="comma-separated gammas, or threshold")
     parser.add_argument("--rho0s", default=RHO0S, help="comma-separated central densities")
     parser.add_argument("--mesh", type=int, default=256)
-    parser.add_argument("--budget", type=float, default=15.0, help="seconds per argv")
     args = parser.parse_args()
 
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["d", "gamma", "rho0", "exit", "seconds", "cause"])
     for d, gamma, rho0 in grid(args.dims, args.gammas, args.rho0s):
-        code, seconds, err = probe(d, gamma, rho0, args.mesh, args.budget)
+        code, seconds, err = probe(d, gamma, rho0, args.mesh, BUDGET)
         out.writerow([d, gamma, rho0, code, f"{seconds:.3f}", err.splitlines()[0] if code != 0 and err else ""])
         sys.stdout.flush()
     return 0

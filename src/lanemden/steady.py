@@ -377,21 +377,13 @@ class RunStar:
         root = self.sol.crossing(config.enthalpy_of_inverse(kappa))
         return None if root is None else RunStar(config, self.sol, kappa, self.r0, root, root)
 
-    def _read(self, y: np.ndarray, mass: bool = True):
-        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam]), or the enthalpy alone.
-
-        mass=False reads the run's enthalpy column alone, with the bits of
-        the pair's first column.
-        """
+    def _read(self, y: np.ndarray):
+        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""
+        enthalpy, mass = np.empty_like(y), np.empty_like(y)
         k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
-        seed = _seed(self.config, y[:k])
-        if not mass:
-            run = self.sol(self.lam * y[k:], 0)
-            return np.concatenate([seed[0], self.config.rescaled_enthalpy(run, self.kappa)])
-        enthalpy, m = np.empty_like(y), np.empty_like(y)
-        enthalpy[:k], m[:k] = seed
-        enthalpy[k:], m[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
-        return enthalpy, m
+        enthalpy[:k], mass[:k] = _seed(self.config, y[:k])
+        enthalpy[k:], mass[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
+        return enthalpy, mass
 
     def _ascending(self, r: np.ndarray):
         """r's radii, ravelled and in ascending order, and the order that sorts them.
@@ -429,8 +421,10 @@ class RunStar:
         """
         r = np.asarray(r, dtype=float)
         y, order = self._ascending(r)
+        k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
+        run = self.config.rescaled_enthalpy(self.sol(self.lam * y[k:], 0), self.kappa)
         out = np.empty(len(y))
-        out[order] = self._read(y, mass=False)
+        out[order] = np.concatenate([_seed(self.config, y[:k])[0], run])
         return out.reshape(r.shape)
 
     def profile(self, points: int = MIN_POINTS) -> Profile:
