@@ -6,9 +6,10 @@ one "numerical failure:" line that names its cause), within a time budget
 and without a warning.  Each argv runs `lanemden.cli.main` with warnings
 raised as errors and an alarm at BUDGET seconds; anything that escapes main (a
 warning, an uncaught exception, the alarm) is reported with exit -1.  The
-default grid is 280 argv: d in {3, 4, 7, 12, 30}, gamma in {1, 1.0001, 1.2,
-1.5, 2(d-1)/d, 1.99, 2} ("threshold" below stands for 2(d-1)/d) and eight
-rho0 from 1 + 1e-12 to 1e150.  Prints one CSV row per argv:
+default grid is 272 argv: d in {3, 4, 7, 12, 30}, gamma in {1, 1.0001, 1.2,
+1.5, 2(d-1)/d, 1.99, 2} ("threshold" below stands for 2(d-1)/d, and is
+skipped where it equals a listed gamma, as 1.5 at d = 4) and eight rho0 from
+1 + 1e-12 to 1e150.  Prints one CSV row per argv:
 d,gamma,rho0,exit,seconds,cause, cause being stderr's first line where the exit
 is not 0.
 """
@@ -39,10 +40,18 @@ def _alarm(signum, frame):
 
 
 def grid(dims: str = DIMS, gammas: str = GAMMAS, rho0s: str = RHO0S):
-    """(d, gamma, rho0) strings of the grid, gamma "threshold" read as 2(d-1)/d."""
+    """(d, gamma, rho0) strings of the grid, gamma "threshold" read as 2(d-1)/d.
+
+    A threshold equal to a listed gamma is skipped, so no argv repeats
+    (2(d-1)/d is 1.5 at d = 4).
+    """
+    listed = [float(g) for g in gammas.split(",") if g != "threshold"]
     for d in (int(x) for x in dims.split(",")):
+        threshold = 2.0 * (d - 1) / d
         for g in gammas.split(","):
-            gamma = repr(2.0 * (d - 1) / d) if g == "threshold" else g
+            if g == "threshold" and threshold in listed:
+                continue
+            gamma = repr(threshold) if g == "threshold" else g
             for rho0 in rho0s.split(","):
                 yield str(d), gamma, rho0
 

@@ -7,15 +7,12 @@ from .steady import (
     ClosedFormStar,
     Profile,
     RunStar,
-    classify_support,
     decay_bound,
     explicit_profile_critical,
     gas_read,
-    integrate_gas_profile,
     integrate_line,
     liquid_radius,
     liquid_read,
-    liquid_star,
     pohozaev_residual,
     read_profile_csv,
     singular_star,
@@ -26,8 +23,6 @@ from .phase import (
     PhaseState,
     TailFit,
     buchdahl_bounds,
-    fixed_point_jacobian,
-    fixed_point_report_dict,
     fixed_points,
     jacobian_spectrum,
     phase_trajectory,
@@ -35,7 +30,6 @@ from .phase import (
     radius_limit,
     tail_convergence_rate,
     vector_field,
-    write_phase_csv,
 )
 from .spectral import (
     CertifiedEigenvalue,
@@ -65,7 +59,6 @@ from .harness import (
     critical_density,
     run_profile,
     run_sweep,
-    sweep_row,
     verify_suite,
     write_sweep_csv,
 )

@@ -90,10 +90,6 @@ class StarConfig:
         """The fall of e over which the centre's density changes by order one: w0, or 1 for h."""
         return 1.0 if self.isothermal else self.enthalpy_center
 
-    def enthalpy_of_rho(self, rho):
-        """Map density to the enthalpy variable (w = rho^(gamma-1), or h = ln rho)."""
-        return np.log(rho) if self.isothermal else np.asarray(rho) ** (self.gamma - 1.0)
-
     def enthalpy_of_inverse(self, kappa: float) -> float:
         """Enthalpy of density 1/kappa, without rounding 1/kappa: kappa^(1-gamma), or -ln kappa."""
         return -math.log(kappa) if self.isothermal else kappa ** (1.0 - self.gamma)

@@ -42,7 +42,6 @@ from .steady import (
     decay_bound,
     explicit_profile_critical,
     gas_read,
-    integrate_gas_profile,
     integrate_line,
     liquid_read,
     pohozaev_residual,
@@ -203,25 +202,6 @@ def _line_read(line: Optional[RunStar], config: StarConfig, tol: float, rmax: fl
     return star
 
 
-def sweep_row(
-    d: int,
-    gamma: float,
-    rho0: float,
-    mesh: int = 2048,
-    tol: float = 1e-10,
-    tol_eig: float = 1e-8,
-    rmax: float = 50.0,
-) -> SweepRow:
-    """Compute one sweep row from scratch (independent of any other row): its star is liquid_read's.
-
-    The star is read straight off its own line's run (steady.liquid_read),
-    with no samples.  run_sweep and critical_density read most stars off
-    one integration per line instead: the same star off another run, so its
-    mu* differs from this one's by up to about 5e-10 relative at mesh 2048.
-    """
-    return _classified_row(liquid_read(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax), mesh, tol_eig)
-
-
 def run_sweep(spec: RunSpec) -> List[SweepRow]:
     """One SweepRow per central density; a failed row is recorded, not fatal.
 
@@ -232,15 +212,17 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     off the run (a RunStar, with no samples) and gets the
     certified search alone
     (spectral.certified_search: no eigenvector, no Robin defect), and M is
-    the run's mass at R, one scalar read.  The largest star's row
-    is bit for bit sweep_row's.  The others' R and M agree with sweep_row's
-    to about 1e-10 and their mu* to about 5e-10 relative at mesh 2048, so a
-    row's mu* depends on its line at that level.  A row's star is
-    sweep_row's, off its own line (steady.liquid_read), when its liquid
-    level is not crossed after the largest star's seed or its R would
-    exceed rmax (_line_read), and every row's is when the line's own
-    integration fails, so each Error row keeps its own reason.  The stars
-    are read one at a time.
+    the run's mass at R, one scalar read.  The largest star's row is bit
+    for bit the row of the star built alone, _classified_row on
+    steady.liquid_read's star, the top star of its own line.  The others'
+    R and M agree with their own lines' to about 1e-10 and their mu* to
+    about 5e-10 relative at mesh 2048, since the two runs take different
+    steps, so a row's mu* depends on its line at that level.  A row's star
+    is liquid_read's, off its own line, when its liquid level is not
+    crossed after the largest star's seed or its R would exceed rmax
+    (_line_read), and every row's is when the line's own integration
+    fails, so each Error row keeps its own reason.  The stars are read one
+    at a time.
 
     Only numerical and usage failures (ValueError, RuntimeError,
     ArithmeticError, LinAlgError) become Error rows, with the exception kept
@@ -351,12 +333,13 @@ def critical_density(
     single crossing inside the bracket; the endpoint signs are certified, the
     interior is not scanned.
 
-    The two bracket ends get sweep_row's certified search
-    (spectral.certified_search: mu* and its bracket, no eigenvector),
+    The two bracket ends get a row's certified search (_classified_row:
+    spectral.certified_search, mu* and its bracket, no eigenvector),
     reported as mu_lo and mu_hi: lo's star is the top star of its own line
     (steady.liquid_read, first, so a bad bracket fails as before), and hi's
     the top star of the line run that serves every interior star
-    (steady.integrate_line), so both are sweep_row's bit for bit.
+    (steady.integrate_line), so both are bit for bit the rows of
+    _classified_row on liquid_read's star at that density.
     Each interior star is read off that run as run_sweep's rows are
     (_line_read); it needs only the sign of mu*, so the pencil is
     assembled and its side decided with one LDL^T inertia count
@@ -510,7 +493,7 @@ def _check_explicit(shared: _Shared) -> VerifyCheck:
     worst = 0.0
     for C in (1.0, 32.0):
         star = explicit_profile_critical(3, C)
-        profile = integrate_gas_profile(StarConfig(3, 1.2, C), tol=1e-10, r_max=5.0)
+        profile = gas_read(StarConfig(3, 1.2, C), tol=1e-10, r_max=5.0).profile()
         exact = star.rho_at(profile.radii)
         worst = max(worst, float(np.max(np.abs(profile.rho - exact) / exact)))
         if C > 1.0:

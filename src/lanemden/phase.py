@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,21 +70,6 @@ def fixed_points(d: int, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     v1 = base ** (1.0 / (2.0 - gamma))
     v2 = (2.0 * gamma / (2.0 - gamma)) * base ** ((gamma - 1.0) / (2.0 - gamma))
     return np.zeros(2), np.array([v1, v2])
-
-
-def fixed_point_jacobian(d: int, gamma: float) -> np.ndarray:
-    """The 2x2 linearization of F at the interior fixed point."""
-    _, vs = fixed_points(d, gamma)
-    v1, v2 = vs
-    return np.array(
-        [
-            [
-                -(2.0 - gamma) / gamma * v1 ** (1.0 - gamma) * v2 + 2.0 / (2.0 - gamma),
-                -(1.0 / gamma) * v1 ** (2.0 - gamma),
-            ],
-            [FOUR_PI, -(d - 2.0 / (2.0 - gamma))],
-        ]
-    )
 
 
 def jacobian_spectrum(d: int, gamma: float) -> FixedPointReport:
@@ -194,29 +179,3 @@ def radius_limit(d: int, gamma: float) -> float:
         )
     _, vs = fixed_points(d, gamma)
     return float(vs[0] ** (1.0 - gamma / 2.0))
-
-
-def write_phase_csv(state: PhaseState, out: TextIO) -> None:
-    """Emit a trajectory as CSV with header tau,v1,v2."""
-    out.write("tau,v1,v2\n")
-    tau = np.atleast_1d(state.tau)
-    v1 = np.atleast_1d(state.v1)
-    v2 = np.atleast_1d(state.v2)
-    for t, a, b in zip(tau, v1, v2):
-        out.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
-
-
-def fixed_point_report_dict(report: FixedPointReport) -> dict:
-    """JSON-ready view of a FixedPointReport.
-
-    lambda_re/lambda_im describe the eigenvalue with the largest real part
-    (the pair is complex-conjugate whenever lambda_im != 0).
-    """
-    lam = max(report.eigenvalues, key=lambda z: z.real)
-    return {
-        "v1_star": float(report.v_star[0]),
-        "v2_star": float(report.v_star[1]),
-        "lambda_re": float(lam.real),
-        "lambda_im": abs(float(lam.imag)),
-        "stable": bool(report.exponentially_stable),
-    }

@@ -204,7 +204,17 @@ def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperato
         mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
     # the LDL^T certificate reads a NaN pivot as positive: never let one in
     if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
-        raise RuntimeError(_NON_FINITE)
+        # name the matrix and the kind of value: an infinity is a float64
+        # overflow of a coefficient, a NaN an invalid operation such as inf - inf
+        def holds(name, *parts):
+            kinds = [kind for kind, test in (("infinities (float64 overflow)", np.isinf), ("NaNs", np.isnan))
+                     if any(test(a).any() for a in parts)]
+            return f"{name} holds {' and '.join(kinds)}" if kinds else f"{name} is finite"
+
+        found = [holds("K", k_diag, k_off), holds("Mw", m_diag, m_off)]
+        if not math.isfinite(mu_lower):
+            found.append(holds("min(q/wgt)", mu_lower))
+        raise RuntimeError(f"{_NON_FINITE}; {'; '.join(found)}")
     return DiscreteOperator(
         nodes=nodes,
         k_diag=k_diag,

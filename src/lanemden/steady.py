@@ -17,8 +17,11 @@ once for every gamma, in StarConfig's terms.
 The two-state system is stepped by the Dormand-Prince 8(5,3) pair in
 dop853.py, on Python floats.  A RunStar is the one reader of a star between
 radii, off its run's dense output; a Profile is samples and nothing more.
-The pencils, the Pohozaev identity and the phase map read a RunStar, and a
-Profile (integrated, CSV-read or closed form) is data: to analyse a star,
+The readers are gas_read (a gas star off its own run), integrate_line (a
+liquid line's run, read at any density by RunStar.read) and liquid_read
+(the top star of a liquid star's own line); RunStar.profile samples any of
+them.  The pencils, the Pohozaev identity and the phase map read a RunStar,
+and a Profile (integrated or CSV-read) is data: to analyse a star,
 integrate it.
 
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
@@ -42,9 +45,6 @@ FOUR_PI = 4.0 * math.pi
 
 GAS = "gas"
 LIQUID_TRUNCATED = "liquid-truncated"
-
-COMPACT = "compact"
-INFINITE = "infinite"
 
 # default number of samples a profile grid is refined to
 MIN_POINTS = 2048
@@ -480,33 +480,26 @@ def _run_star(config: StarConfig, tol: float, r_max: float, stop: float) -> RunS
 
 
 def gas_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
-    """config's gas star off its own run, ended at a compact surface, guard or r_max."""
-    return _run_star(config, tol, r_max, config.gas_stop)
+    """config's gas star off its own run, integrated outward from the center.
 
-
-def integrate_gas_profile(
-    config: StarConfig, tol: float = 1e-10, r_max: float = 50.0, *, min_points: int = MIN_POINTS
-) -> Profile:
-    """Integrate the gas steady state outward from the center.
-
-    The profile ends at r_max, at the compact-support surface (w crossing 0,
+    The run ends at r_max, at the compact-support surface (w crossing 0,
     recorded as gas_radius), or at an enthalpy underflow guard.  When
-    rho_center > 1 the liquid surface rho = 1 it passes is stored as
-    liquid_radius; the liquid star cut there is liquid_star's.
+    rho_center > 1 the liquid surface rho = 1 it passes is recorded as
+    liquid_radius; the liquid star cut there is liquid_read's.
 
-    tol is the delivered relative accuracy of the profile; the embedded
+    tol is the delivered relative accuracy of the star; the embedded
     Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
     per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
     error growth.  The run ends after the step that falls through the
     surface or guard; every radius above is a downward crossing of the
     enthalpy, read off the run by DenseSolution.crossing: Brent's method
-    (dop853.brentq) on the step's dense polynomial.  The profile is the
-    run's own star sampled: gas_read(config, tol, r_max).profile(min_points).
-    Raises RuntimeError when the seed overflows, the step size underflows,
-    the state is not finite, or the density is flat to float64 over the
-    whole profile.
+    (dop853.brentq) on the step's dense polynomial.  Its profile is the
+    run's own star sampled (RunStar.profile).  Raises RuntimeError when the
+    seed overflows, the step size underflows or the state is not finite,
+    and profile raises it when the density is flat to float64 over the
+    whole star.
     """
-    return gas_read(config, tol, r_max).profile(min_points)
+    return _run_star(config, tol, r_max, config.gas_stop)
 
 
 def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
@@ -527,8 +520,11 @@ def integrate_line(top: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
 def liquid_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> RunStar:
     """The liquid star of config as a RunStar: the top star of its own line, read off its run.
 
-    Raises RuntimeError when the run ends at r_max before its liquid
-    radius, and integrate_line's errors otherwise.
+    Its run takes gas_read's steps up to R, so R is bit for bit the
+    liquid_radius of config's gas_read; its profile's last sample is R,
+    with rho = 1 and the run's mass there.  Raises RuntimeError when the
+    run ends at r_max before its liquid radius, and integrate_line's errors
+    otherwise.
     """
     star = integrate_line(config, tol, r_max).read(config.rho_center)
     if star is None:
@@ -538,20 +534,6 @@ def liquid_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> 
 
 def _beyond_r_max(config: StarConfig, r_max: float) -> RuntimeError:
     return RuntimeError(f"the liquid radius of {config} lies beyond r_max = {r_max:g} (increase r_max)")
-
-
-def liquid_star(
-    config: StarConfig, tol: float = 1e-10, r_max: float = 50.0, *, min_points: int = MIN_POINTS
-) -> Profile:
-    """The liquid star of config, the top star of its own line: its gas profile cut at R.
-
-    liquid_read(config, tol, r_max) sampled with min_points samples: its
-    last sample is R, with rho = 1 and the run's mass there.  Its run takes
-    integrate_gas_profile's steps up to R, so R is bit for bit the
-    liquid_radius config's gas profile records.  Raises liquid_read's
-    errors.
-    """
-    return liquid_read(config, tol, r_max).profile(min_points)
 
 
 def liquid_radius(star: RunStar) -> float:
@@ -662,12 +644,6 @@ def pohozaev_residual(star: RunStar, r) -> np.ndarray:
     return out if np.ndim(r) else float(out[0])
 
 
-def classify_support(d: int, gamma: float) -> str:
-    """COMPACT iff gamma > 2d/(d+2), INFINITE otherwise (gas stars)."""
-    StarConfig(d, gamma, 1.0)  # validate ranges
-    return COMPACT if gamma > support_threshold(d) else INFINITE
-
-
 @dataclass(frozen=True)
 class ClosedFormStar:
     """An exact steady state known in closed form.
@@ -723,32 +699,6 @@ class ClosedFormStar:
             t1, t2 = w2, (d - 1.0) / r * w1
             t3 = FOUR_PI * (g - 1.0) / g * float(self.rho_at(r))
         return (t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3))
-
-    def to_profile(self, radii) -> Profile:
-        """Sample the critical-explicit solution into a Profile (grid must start at 0).
-
-        A liquid radius inside the grid is added to the samples, so
-        total_mass is the closed form's mass there.
-        """
-        if self.variant != "critical-explicit":
-            raise ValueError("only the critical-explicit variant is bounded at r = 0")
-        radii = np.asarray(radii, dtype=float)
-        config = StarConfig(self.d, self.gamma, self.amplitude)
-        liquid_r = None
-        if self.radius is not None and 0.0 < self.radius <= radii[-1]:
-            liquid_r = self.radius
-            radii = np.union1d(radii, [liquid_r])
-        rho = self.rho_at(radii)
-        rho[0] = config.rho_center
-        return Profile(
-            config=config,
-            radii=radii,
-            rho=rho,
-            enthalpy=config.enthalpy_of_rho(rho),
-            mass=self.mass_at(radii),
-            kind=GAS,
-            liquid_radius=liquid_r,
-        )
 
 
 def singular_base(d: int, gamma: float) -> float:

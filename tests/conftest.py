@@ -22,7 +22,7 @@ def get_gas(d, gamma, rho0, tol=1e-10, r_max=20.0):
 
 @functools.lru_cache(maxsize=None)
 def get_profile(d, gamma, rho0, tol=1e-10, r_max=20.0):
-    """get_gas's star sampled (RunStar.profile): integrate_gas_profile's profile."""
+    """get_gas's star sampled at the default MIN_POINTS (RunStar.profile): gas_read(...).profile()."""
     return get_gas(d, gamma, rho0, tol, r_max).profile()
 
 

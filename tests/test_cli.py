@@ -193,6 +193,17 @@ class TestStabilityCommand:
         )
         assert code == 2 and outtext == ""
         assert err.startswith("numerical failure: non-finite pencil entries") and err.count("\n") == 1
+        assert err.endswith("; K holds NaNs; Mw is finite; min(q/wgt) holds NaNs\n")
+
+    def test_pencil_overflow_names_its_cause(self, capsys):
+        # a valid star (R = 7.54) whose p and q overflow float64 on the mesh:
+        # K holds infinities, and their differences NaNs; Mw stays finite
+        code, outtext, err = run_cli(
+            capsys, "stability", "--d", "30", "--gamma", "2", "--rho0", "1e150", "--mesh", "256"
+        )
+        assert code == 2 and outtext == ""
+        assert err == ("numerical failure: non-finite pencil entries: the coefficients must be finite on [0, R]; "
+                       "K holds infinities (float64 overflow) and NaNs; Mw is finite\n")
 
     def test_star_of_radius_1e_minus_14(self, capsys):
         # R = 9.4e-15: the liquid surface must be rooted to a relative tolerance

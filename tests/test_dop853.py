@@ -19,7 +19,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 from scipy.optimize import brentq
 
 import lanemden
-from lanemden import StarConfig, dop853, integrate_gas_profile, spectral, steady
+from lanemden import StarConfig, dop853, gas_read, liquid_read, spectral, steady
 from lanemden.harness import PROFILE_BATTERY
 
 LIQUID_STARS = [(3, 1.25, 50.0), (3, 1.25, 1e4), (4, 1.4, 1e6), (5, 1.1, 1.01), (3, 1.0, 1e3)]
@@ -61,19 +61,19 @@ def _spy_on_solve(monkeypatch):
 def _captured_run(monkeypatch, star, kwargs):
     """Integrate one star and return the stepper's inputs and its solution.
 
-    kwargs with liquid=True builds the star with liquid_star, otherwise with
-    integrate_gas_profile.
+    kwargs with liquid=True reads the star with liquid_read, otherwise with
+    gas_read, and samples it (RunStar.profile).
     """
     calls = _spy_on_solve(monkeypatch)
     kwargs = dict(kwargs)
-    build = steady.liquid_star if kwargs.pop("liquid", False) else integrate_gas_profile
-    profile = build(StarConfig(*star), tol=1e-10, **kwargs)
+    read = liquid_read if kwargs.pop("liquid", False) else gas_read
+    profile = read(StarConfig(*star), tol=1e-10, **kwargs).profile()
     (args, kw, sol), = calls
     return profile, args, kw, sol
 
 
 def _read_levels(config, stop):
-    """The levels integrate_gas_profile reads off a run: its stop and rho = 1.
+    """The levels a star's run is read at: its stop and rho = 1.
 
     On a gas run with gamma > 1 the stop is w = 0, the compact surface.
     """
@@ -149,7 +149,7 @@ def test_floor_event_stops_isothermal_star(monkeypatch):
 
 
 def test_compact_surface_event():
-    profile = integrate_gas_profile(StarConfig(3, 1.3, 0.5), r_max=20.0)
+    profile = gas_read(StarConfig(3, 1.3, 0.5), r_max=20.0).profile()
     assert profile.gas_radius is not None and profile.gas_radius < 20.0
     assert profile.radii[-1] == profile.gas_radius
     assert profile.enthalpy[-1] == 0.0
@@ -248,7 +248,7 @@ def test_step_budget(monkeypatch):
     # the budget fails a star's integration as any other RuntimeError does
     monkeypatch.setattr(dop853, "MAX_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"\(dop853.MAX_STEPS\)"):
-        steady.liquid_star(StarConfig(3, 1.25, 50.0))
+        liquid_read(StarConfig(3, 1.25, 50.0)).profile()
 
 
 @pytest.mark.parametrize("run", [

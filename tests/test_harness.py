@@ -19,12 +19,17 @@ from lanemden import (
     critical_density,
     run_profile,
     run_sweep,
-    sweep_row,
     verify_suite,
     write_sweep_csv,
 )
 
 from conftest import SEED0_LINES
+
+
+def own_row(d, gamma, rho0, mesh=2048, tol=1e-10, tol_eig=1e-8, rmax=50.0):
+    """The row of one star built alone: its certified search on liquid_read's star, the top star of its own line."""
+    star = steady.liquid_read(StarConfig(d, gamma, rho0), tol=tol, r_max=rmax)
+    return harness._classified_row(star, mesh, tol_eig)
 
 
 class TestRunSpec:
@@ -162,7 +167,7 @@ class TestRunSweep:
         spec = RunSpec(d=3, gamma=1.4, rho0_min=2.0, rho0_max=50.0, points=3, mesh=512)
         rows = run_sweep(spec)
         for row in rows:
-            again = sweep_row(3, 1.4, row.rho0, mesh=512)
+            again = own_row(3, 1.4, row.rho0, mesh=512)
             assert again.R == pytest.approx(row.R, rel=1e-10)
             assert again.M_total == pytest.approx(row.M_total, rel=1e-10)
             assert again.mu_star == pytest.approx(row.mu_star, rel=1e-10)
@@ -188,12 +193,12 @@ ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def reference_sweep(spec):
-    """The per-row sweep: every star integrated on its own by sweep_row."""
+    """The per-row sweep: every star integrated on its own (own_row)."""
     rows = []
     for rho0 in spec.rho0_values().tolist():
         try:
-            rows.append(sweep_row(spec.d, spec.gamma, rho0, mesh=spec.mesh, tol=spec.tol,
-                                  tol_eig=spec.tol_eig, rmax=spec.rmax))
+            rows.append(own_row(spec.d, spec.gamma, rho0, mesh=spec.mesh, tol=spec.tol,
+                                tol_eig=spec.tol_eig, rmax=spec.rmax))
         except ROW_ERRORS as exc:
             rows.append(SweepRow(rho0, math.nan, math.nan, math.nan, "Error",
                                  f"{type(exc).__name__}: {exc}"))
@@ -348,11 +353,11 @@ class TestCriticalDensity:
 
 
 def reference_critical_density(d, gamma, bracket, tol_rho, mesh):
-    """The bisection with sweep_row's certified search at every step."""
+    """The bisection with own_row's certified search at every step."""
     lo, hi = bracket
 
     def mu_at(rho0):
-        return sweep_row(d, gamma, rho0, mesh=mesh).mu_star
+        return own_row(d, gamma, rho0, mesh=mesh).mu_star
 
     mu_lo, mu_hi = mu_at(lo), mu_at(hi)
     history = [(lo, hi)]
@@ -465,7 +470,7 @@ class TestCriticalDensityCount:
 
     def test_evidence_sums_the_runs(self):
         res = critical_density(3, 1.25, (40.0, 60.0), tol_rho=1e-2, mesh=512)
-        lo = steady.liquid_star(StarConfig(3, 1.25, 40.0))
+        lo = steady.liquid_read(StarConfig(3, 1.25, 40.0)).profile()
         line = steady.integrate_line(StarConfig(3, 1.25, 60.0))
         assert res.integrations == 2
         assert res.nfev == lo.nfev + line.sol.nfev
@@ -693,7 +698,7 @@ class TestVerifyBattery:
     def integrations(self, monkeypatch):
         """The star of every gas and liquid integration verify makes."""
         calls = []
-        for name in ("integrate_gas_profile", "gas_read", "liquid_read"):
+        for name in ("gas_read", "liquid_read"):
             monkeypatch.setattr(harness, name, functools.partial(_recorded, getattr(harness, name), calls))
         return calls
 

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 import numpy as np
@@ -10,8 +8,6 @@ from scipy.integrate import solve_ivp
 
 from lanemden import (
     buchdahl_bounds,
-    fixed_point_jacobian,
-    fixed_point_report_dict,
     fixed_points,
     jacobian_spectrum,
     phase_trajectory,
@@ -20,13 +16,27 @@ from lanemden import (
     singular_star,
     tail_convergence_rate,
     vector_field,
-    write_phase_csv,
 )
 from lanemden.config import stability_threshold, support_threshold
 
 from conftest import get_gas, get_profile
 
 FOUR_PI = 4 * math.pi
+
+
+def fixed_point_jacobian(d, gamma):
+    """The 2x2 linearization of the vector field at the interior fixed point: jacobian_spectrum's oracle."""
+    _, (v1, v2) = fixed_points(d, gamma)
+    return np.array(
+        [
+            [
+                -(2.0 - gamma) / gamma * v1 ** (1.0 - gamma) * v2 + 2.0 / (2.0 - gamma),
+                -(1.0 / gamma) * v1 ** (2.0 - gamma),
+            ],
+            [FOUR_PI, -(d - 2.0 / (2.0 - gamma))],
+        ]
+    )
+
 
 admissible = st.tuples(st.integers(3, 9), st.floats(1.0, 1.95)).filter(
     lambda t: 2 * (t[0] - 1) - t[0] * t[1] > 1e-6
@@ -100,9 +110,11 @@ class TestJacobianSpectrum:
     def test_isothermal_pair(self):
         rep = jacobian_spectrum(3, 1.0)
         lam = max(rep.eigenvalues, key=lambda z: z.imag)
-        assert lam.real == pytest.approx(-0.5, abs=1e-12)
-        assert lam.imag == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
+        assert lam.real == pytest.approx(-0.5, abs=1e-13)
+        assert lam.imag == pytest.approx(math.sqrt(7) / 2, abs=1e-13)
         assert rep.exponentially_stable
+        # the report carries v* = (1/(2 pi), 2), fixed_points' bit for bit
+        assert rep.v_star.tobytes() == fixed_points(3, 1.0)[1].tobytes()
 
     @settings(max_examples=60)
     @given(params=admissible)
@@ -252,28 +264,3 @@ class TestRadiusLimit:
     def test_rejects_supercritical(self):
         with pytest.raises(ValueError):
             radius_limit(3, 1.3)
-
-
-class TestExports:
-    def test_phase_csv(self):
-        p = get_profile(3, 1.2, 1.0)
-        traj = phase_trajectory(p)
-        buf = io.StringIO()
-        write_phase_csv(traj, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "tau,v1,v2"
-        assert len(lines) == len(traj.tau) + 1
-        first = [float(t) for t in lines[1].split(",")]
-        assert first[0] == traj.tau[0]
-
-    def test_fixed_point_json(self):
-        rep = jacobian_spectrum(3, 1.0)
-        payload = fixed_point_report_dict(rep)
-        text = json.dumps(payload)
-        back = json.loads(text)
-        assert set(back) == {"v1_star", "v2_star", "lambda_re", "lambda_im", "stable"}
-        assert back["v1_star"] == pytest.approx(1 / (2 * math.pi), rel=1e-14)
-        assert back["v2_star"] == pytest.approx(2.0, rel=1e-14)
-        assert back["lambda_re"] == pytest.approx(-0.5, abs=1e-13)
-        assert back["lambda_im"] == pytest.approx(math.sqrt(7) / 2, abs=1e-13)
-        assert back["stable"] is True

@@ -117,3 +117,10 @@ def test_domain_probe_grid_exits_cleanly():
             assert any(cause in line for cause in PROBE_CAUSES), (label, err)
         exits.append(code)
     assert len(exits) == 48 and 0 < exits.count(2) < 12
+
+
+def test_domain_probe_default_grid_has_no_duplicates():
+    # 2(d-1)/d is 1.5 at d = 4, a listed gamma: the threshold is skipped there
+    argv = list(_domain_probe().grid())
+    assert len(argv) == len(set(argv)) == 272
+    assert argv.count(("4", "1.5", "1e150")) == 1

@@ -14,15 +14,15 @@ from scipy.integrate import quad
 
 from lanemden import (
     StarConfig,
-    classify_support,
     decay_bound,
     explicit_profile_critical,
-    integrate_gas_profile,
+    gas_read,
     liquid_radius,
-    liquid_star,
+    liquid_read,
     pohozaev_residual,
     read_profile_csv,
     singular_star,
+    support_threshold,
     write_profile_csv,
 )
 from lanemden import dop853, spectral, steady
@@ -54,10 +54,11 @@ class TestStarConfig:
             StarConfig(3.0, 1.2, 1.0)
 
     def test_enthalpy_roundtrip(self):
-        cfg = StarConfig(3, 1.4, 7.0)
-        assert cfg.rho_of_enthalpy(cfg.enthalpy_of_rho(3.5)) == pytest.approx(3.5, rel=1e-14)
-        iso = StarConfig(3, 1.0, 7.0)
-        assert iso.rho_of_enthalpy(iso.enthalpy_of_rho(3.5)) == pytest.approx(3.5, rel=1e-14)
+        # the central enthalpy maps back to the central density
+        cfg = StarConfig(3, 1.4, 3.5)
+        assert cfg.rho_of_enthalpy(cfg.enthalpy_center) == pytest.approx(3.5, rel=1e-14)
+        iso = StarConfig(3, 1.0, 3.5)
+        assert iso.rho_of_enthalpy(iso.enthalpy_center) == pytest.approx(3.5, rel=1e-14)
 
 
 class TestIntegration:
@@ -117,22 +118,22 @@ class TestIntegration:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            integrate_gas_profile(StarConfig(3, 1.2, 1.0), tol=0.0)
+            gas_read(StarConfig(3, 1.2, 1.0), tol=0.0)
         with pytest.raises(ValueError):
-            integrate_gas_profile(StarConfig(3, 1.2, 1.0), r_max=math.inf)
+            gas_read(StarConfig(3, 1.2, 1.0), r_max=math.inf)
 
 
 class TestIntegratorCounts:
     def test_profile_carries_its_run(self):
         config = StarConfig(3, 1.25, 50.0)
-        p = liquid_star(config)
+        p = liquid_read(config).profile()
         _, sol = steady._integrate(config, 1e-10, 50.0, config.boundary_enthalpy)
         assert (p.nfev, p.steps) == (sol.nfev, sol.n_steps)
         assert p.steps > 0 and p.nfev >= 15 * p.steps + 2
         # the liquid star is its own cut, and carries its run's counts
         assert p.kind == "liquid-truncated" and p.radii[-1] == p.liquid_radius
         # a star read off a gas run above its own density carries that run's counts
-        gas = integrate_gas_profile(config)
+        gas = gas_read(config).profile()
         scaled = steady.gas_read(config).read(2.0 * config.rho_center).profile()
         assert (scaled.nfev, scaled.steps) == (gas.nfev, gas.steps) and gas.steps > 0
 
@@ -144,8 +145,6 @@ class TestIntegratorCounts:
 
 
     def test_profiles_not_integrated_report_zero(self):
-        p = explicit_profile_critical(3, 32.0).to_profile(np.linspace(0.0, 0.5, 50))
-        assert (p.nfev, p.steps) == (0, 0)
         buf = io.StringIO()
         write_profile_csv(get_profile(3, 1.5, 10.0), buf)
         back = read_profile_csv(io.StringIO(buf.getvalue()))
@@ -171,7 +170,7 @@ class TestLiquidLine:
         line = steady.integrate_line(StarConfig(*top))
         for rho0 in (1.02, 2.718, 37.7, 411.0, 0.999 * rho_top):
             star = line.read(rho0)
-            own = liquid_star(StarConfig(d, gamma, rho0))
+            own = liquid_read(StarConfig(d, gamma, rho0)).profile()
             assert star.config.rho_center == rho0
             assert star.liquid_radius == pytest.approx(own.liquid_radius, rel=1e-10, abs=0)
 
@@ -180,15 +179,15 @@ class TestLiquidLine:
         # the liquid run takes the gas run's steps up to R, and both root the
         # crossing on the same step's dense output
         config = StarConfig(*star)
-        assert liquid_star(config).liquid_radius == integrate_gas_profile(config).liquid_radius
+        assert liquid_read(config).profile().liquid_radius == gas_read(config).profile().liquid_radius
 
     def test_sample_count_refines_the_same_cut(self):
-        # points plays integrate_gas_profile's min_points, and liquid_star
-        # passes its min_points on; the default is MIN_POINTS, and the liquid
-        # radius is the run's crossing either way
+        # points sets the sample count of any star's profile, the top star
+        # of a line's own included; the default is MIN_POINTS, and the
+        # liquid radius is the run's crossing either way
         top = StarConfig(3, 1.25, 1e4)
         line = steady.integrate_line(top)
-        own = liquid_star(top, min_points=512)
+        own = liquid_read(top).profile(512)
         coarse_top = line.read(1e4).profile(512)
         for name in ("radii", "rho", "enthalpy", "mass"):
             assert getattr(coarse_top, name).tobytes() == getattr(own, name).tobytes(), name
@@ -291,12 +290,12 @@ class TestRunStar:
 
     @pytest.mark.parametrize("star", [(3, 1.0, 10.0), (3, 1.5, 10.0), (5, 1.3, 0.5)], ids=str)
     def test_gas_run_reads_its_profile_samples_bit_for_bit(self, star):
-        # integrate_gas_profile samples its own run as a kappa = 1 RunStar;
+        # a gas star's profile samples its own run as a kappa = 1 RunStar;
         # only a compact surface's enthalpy is pinned to the stop level
         # instead of read.  Infinite support, compact support, rho0 < 1
         config = StarConfig(*star)
         run = steady.gas_read(config, 1e-10, 20.0)
-        profile = integrate_gas_profile(config, r_max=20.0)
+        profile = gas_read(config, r_max=20.0).profile()
         assert run.kappa == run.lam == 1.0
         assert run.liquid_radius == profile.liquid_radius and run.gas_radius == profile.gas_radius
         r = profile.radii
@@ -490,11 +489,11 @@ class TestLiquidRadius:
         assert abs(float(rho) - 1.0) <= 1e-12
 
     def test_truncate(self):
-        # liquid_star is the cut itself: its last sample is R, pinned to
-        # rho = 1 at the boundary level, and holds the run's mass there
+        # a liquid star's profile is the cut itself: its last sample is R,
+        # pinned to rho = 1 at the boundary level, and holds the run's mass there
         for line, rho0 in itertools.product(SEED0_LINES + [(3, 1.0), (7, 1.5)], np.geomspace(1.01, 1e6, 8)):
             config = StarConfig(*line, float(rho0))
-            t, run = liquid_star(config), steady.liquid_read(config)
+            t, run = liquid_read(config).profile(), steady.liquid_read(config)
             assert t.kind == "liquid-truncated"
             assert t.radii[-1] == t.liquid_radius == run.liquid_radius
             assert t.rho[-1] == 1.0 and t.enthalpy[-1] == config.boundary_enthalpy
@@ -520,7 +519,7 @@ class TestSmallStars:
     @pytest.mark.parametrize("star", STARS, ids=str)
     def test_radius_is_the_tight_root(self, star):
         config = StarConfig(*star)
-        p = liquid_star(config)
+        p = liquid_read(config).profile()
         stop = config.boundary_enthalpy
         _, sol = steady._integrate(config, 1e-10, 50.0, stop)
         assert p.liquid_radius == _tight_crossing(sol, stop)
@@ -529,7 +528,7 @@ class TestSmallStars:
     # last step, so rho at the cut reads 1.02 and 0 however tightly R is rooted
     @pytest.mark.parametrize("rho0", [1e20, 1e30, 1e35, 1e40], ids=str)
     def test_density_at_the_cut_is_one(self, rho0):
-        p = liquid_star(StarConfig(3, 1.25, rho0))
+        p = liquid_read(StarConfig(3, 1.25, rho0)).profile()
         assert p.radii[-1] == p.liquid_radius
         assert abs(p.rho[-1] - 1.0) <= 1e-6
 
@@ -859,11 +858,11 @@ class TestPchipTable:
             assert getattr(back, name).tobytes() == getattr(p, name).tobytes(), name
         assert (back.config, back.kind, back.liquid_radius) == (p.config, p.kind, p.liquid_radius)
         assert back.total_mass.hex() == p.total_mass.hex()
-        # a closed form adds its liquid radius to the samples, and its mass is the closed form's there
+        # the closed-form star's profile ends at its liquid radius, with the closed form's mass there
         closed = explicit_profile_critical(3, 100.0)
-        q = closed.to_profile(np.linspace(0.0, 2.0 * closed.radius, 256))
-        assert len(q.radii) == 257 and np.count_nonzero(q.radii == closed.radius) == 1
-        assert q.total_mass == float(closed.mass_at(closed.radius))
+        q = liquid_read(StarConfig(3, closed.gamma, 100.0)).profile()
+        assert q.radii[-1] == q.liquid_radius == pytest.approx(closed.radius, rel=1e-10)
+        assert q.total_mass == pytest.approx(float(closed.mass_at(closed.radius)), rel=1e-10)
 
     def test_agrees_with_a_finer_sampling(self):
         # the star whose length-spaced grid is coarsest where rho bends: at
@@ -884,7 +883,11 @@ class TestClassifySupport:
         [(3, 1.5, "compact"), (3, 1.2, "infinite"), (3, 1.0, "infinite"), (4, 1.4, "compact")],
     )
     def test_table(self, d, gamma, expected):
-        assert classify_support(d, gamma) == expected
+        # a gas star's support is compact iff gamma > 2d/(d+2): only then
+        # does its run end at a compact surface before r_max
+        compact = expected == "compact"
+        assert (gamma > support_threshold(d)) == compact
+        assert (get_gas(d, gamma, 1.0).gas_radius is not None) == compact
 
 
 class TestExports:
@@ -897,6 +900,28 @@ class TestExports:
         assert (RunStar, gas_read, liquid_read) == (steady.RunStar, steady.gas_read, steady.liquid_read)
         for name in ("LiquidLine", "scale_profile"):
             assert not hasattr(lanemden, name) and not hasattr(steady, name), name
+
+    def test_public_surface_is_pinned(self):
+        # every export has a caller beyond the tests: adding one, a wrapper
+        # over a reader included, is a deliberate edit to this list
+        import lanemden
+
+        public = sorted(n for n, v in vars(lanemden).items()
+                        if not n.startswith("_") and not isinstance(v, types.ModuleType))
+        assert public == [
+            "CertifiedEigenvalue", "ClosedFormStar", "CriticalDensityResult", "DiscreteOperator",
+            "FixedPointReport", "PROFILE_BATTERY", "PhaseState", "Profile", "RunSpec", "RunStar",
+            "SpectralResult", "StarConfig", "SturmLiouvilleData", "SweepRow", "TailFit",
+            "assemble", "buchdahl_bounds", "build_sl_data", "certified_search", "classify_stability",
+            "critical_density", "decay_bound", "eigen_residual_strongform", "explicit_profile_critical",
+            "fixed_points", "gas_read", "graded_mesh", "instability_witness", "integrate_line",
+            "jacobian_spectrum", "liquid_radius", "liquid_read", "manufactured_sl_data",
+            "phase_trajectory", "pohozaev_residual", "profile_to_phase", "quadratic_form",
+            "radius_limit", "read_profile_csv", "run_profile", "run_sweep", "singular_star",
+            "smallest_eigenpair", "spectral_result_dict", "stability_threshold", "stable_at_zero",
+            "support_threshold", "tail_convergence_rate", "vector_field", "verify_suite",
+            "weighted_norm_sq", "write_eigenfunction_csv", "write_profile_csv", "write_sweep_csv",
+        ]
 
     def test_one_reader_between_samples(self):
         # a Profile is its samples: it reads nothing between them, steady
