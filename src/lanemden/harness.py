@@ -456,20 +456,27 @@ _BATTERY_TOL = 1e-10
 
 
 def _battery_stars() -> Tuple[BatteryStar, ...]:
-    """Integrate each battery star once and keep only its three measures (Pohozaev off its run)."""
+    """Integrate each battery family once and keep only its stars' three measures (Pohozaev off the run).
+
+    Each star is its RunStar.member on [0, 20] (or to its compact surface) of
+    one run of the family's rho0 = 1 star, to 20 lam of the family's largest rho0.
+    """
     stars = []
-    for d, g, rho0 in PROFILE_BATTERY:
-        run = gas_read(StarConfig(d, g, rho0), tol=_BATTERY_TOL, r_max=20.0)
-        profile = run.profile()
-        poho, decay = _worst_defects(run, profile)
-        buchdahl = None
-        if g < 2.0:
-            v1b, v2b = buchdahl_bounds(d, g)
-            traj = phase_trajectory(profile)
-            buchdahl = float(np.max(traj.v1 / v1b)) - 1.0
-            if v2b is not None:
-                buchdahl = max(buchdahl, float(np.max(traj.v2 / v2b)) - 1.0)
-        stars.append(BatteryStar(poho, decay, buchdahl))
+    for (d, g), family in itertools.groupby(PROFILE_BATTERY, lambda star: star[:2]):
+        rho0s = [rho0 for _, _, rho0 in family]
+        run = gas_read(StarConfig(d, g, 1.0), tol=_BATTERY_TOL, r_max=20.0 * max(rho0s) ** (1.0 - g / 2.0))
+        for rho0 in rho0s:
+            star = run.member(rho0, 20.0)
+            profile = star.profile()
+            poho, decay = _worst_defects(star, profile)
+            buchdahl = None
+            if g < 2.0:
+                v1b, v2b = buchdahl_bounds(d, g)
+                traj = phase_trajectory(profile)
+                buchdahl = float(np.max(traj.v1 / v1b)) - 1.0
+                if v2b is not None:
+                    buchdahl = max(buchdahl, float(np.max(traj.v2 / v2b)) - 1.0)
+            stars.append(BatteryStar(poho, decay, buchdahl))
     return tuple(stars)
 
 
@@ -496,6 +503,8 @@ def _check_explicit(shared: _Shared) -> VerifyCheck:
         profile = gas_read(StarConfig(3, 1.2, C), tol=1e-10, r_max=5.0).profile()
         exact = star.rho_at(profile.radii)
         worst = max(worst, float(np.max(np.abs(profile.rho - exact) / exact)))
+        exact = star.mass_at(profile.radii[1:])  # m(0) = 0 on both sides
+        worst = max(worst, float(np.max(np.abs(profile.mass[1:] - exact) / exact)))
         if C > 1.0:
             R = profile.liquid_radius
             worst = max(worst, abs(R - star.radius) / star.radius)

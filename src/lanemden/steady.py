@@ -27,7 +27,7 @@ integrate it.
 A "liquid" star is the gas solution cut at the radius R where rho = 1; it
 exists iff rho(0) > 1.  The run makes the one cut, and applies the one
 rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r) that gives every
-other star of its (d, gamma) family (RunStar.read).
+other star of its (d, gamma) family (RunStar.member; RunStar.read cuts it).
 """
 
 from __future__ import annotations
@@ -306,9 +306,9 @@ class RunStar:
 
     config's star is rho(y) = kappa rho_run(lam y), lam = kappa^(1-gamma/2):
     the run's own star at kappa = 1 (gas_read, integrate_line), any other
-    star of its (d, gamma) family otherwise (read).  r0 (the seed radius),
-    end (where the star ends) and the liquid and compact surfaces liquid
-    and gas (or None) are radii of the run; the star's are these over
+    star of its (d, gamma) family otherwise (member, read).  r0 (the seed
+    radius), end (where the star ends) and the liquid and compact surfaces
+    liquid and gas (or None) are radii of the run; the star's are these over
     lam.  _read is the one evaluation of a star off a run:
     config's own Taylor seed (_seed) below seed_radius, the run's dense
     output at lam y through _rescaled from there on.  radii are r = 0 and
@@ -358,24 +358,35 @@ class RunStar:
         end = self.end if self.liquid is None else self.liquid
         return _mass_scale(self.config, self.kappa) * self.sol.at(self.lam * (end / self.lam), 1)
 
-    def read(self, rho0: float) -> Optional[RunStar]:
-        """The liquid star of central density rho0 in the run's family, cut at its liquid radius, or None.
+    def member(self, rho0: float, end: Optional[float] = None) -> RunStar:
+        """The uncut star of central density rho0 > 0 in the run's family (read cuts it).
 
-        By the rescaling law rho_k(r) = kappa rho(kappa^(1-gamma/2) r), with
-        kappa = rho0 over the run's own central density, the star is the
-        run's solution on radii over lam, cut where the run's enthalpy falls
-        to that of density 1/kappa (DenseSolution.crossing).  None when the
-        run does not fall through that level after its seed: rho0 so close
-        to 1 that the run starts below it, or, above the run's own density,
-        a run that stops before reaching it.  Raises ValueError when rho0 is
-        not above 1, or StarConfig rejects it.
+        The run's solution on radii over lam (kappa = rho0 over the run's own
+        central density) to its radius end, or the run's compact surface or
+        end if first, with the compact and liquid surfaces up to there.
+        """
+        config = StarConfig(self.config.d, self.config.gamma, rho0)
+        kappa = rho0 / (self.config.rho_center / self.kappa)
+        stop = self.sol.ts[-1] if self.gas is None else self.gas
+        if end is not None:
+            stop = min(stop, kappa ** (1.0 - config.gamma / 2.0) * end)
+        liquid = self.sol.crossing(config.enthalpy_of_inverse(kappa)) if rho0 > 1.0 else None
+        liquid, gas = (x if x is not None and x <= stop else None for x in (liquid, self.gas))
+        return RunStar(config, self.sol, kappa, self.r0, stop, liquid, gas)
+
+    def read(self, rho0: float) -> Optional[RunStar]:
+        """The liquid star of central density rho0: member(rho0) ended at its liquid radius, or None.
+
+        end and liquid are one run radius, so its profile is LIQUID_TRUNCATED.
+        None when the member has no liquid surface: rho0 so close to 1 that
+        the run starts below its level, or a run that ends before it.
+        ValueError when rho0 is not above 1, or StarConfig rejects it.
         """
         if not rho0 > 1.0:
             raise ValueError(f"a liquid star needs rho0 > 1, got {rho0}")
-        config = StarConfig(self.config.d, self.config.gamma, rho0)
-        kappa = rho0 / (self.config.rho_center / self.kappa)
-        root = self.sol.crossing(config.enthalpy_of_inverse(kappa))
-        return None if root is None else RunStar(config, self.sol, kappa, self.r0, root, root)
+        star = self.member(rho0)
+        R = star.liquid
+        return None if R is None else RunStar(star.config, self.sol, star.kappa, self.r0, R, R)
 
     def _read(self, y: np.ndarray):
         """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""

@@ -19,6 +19,7 @@ from lanemden import (
     critical_density,
     run_profile,
     run_sweep,
+    support_threshold,
     verify_suite,
     write_sweep_csv,
 )
@@ -673,6 +674,14 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="unknown suite"):
             verify_suite("bogus")
 
+    def test_explicit_compares_the_mass(self, monkeypatch):
+        # the profile's m(r) is held to the closed form's: one off by 1e-5
+        # fails the check, whose density and radius agree to 1e-9
+        mass_at = steady.ClosedFormStar.mass_at
+        monkeypatch.setattr(steady.ClosedFormStar, "mass_at", lambda star, r: (1.0 + 1e-5) * mass_at(star, r))
+        check = verify_suite("explicit")["checks"][0]
+        assert not check["passed"] and check["measure"] == pytest.approx(1e-5, rel=1e-3)
+
     def test_all_reports_every_check_in_order(self, full_report):
         assert [c["name"] for c in full_report["checks"]] == [
             "explicit", "pohozaev", "decay", "buchdahl", "singular",
@@ -681,6 +690,8 @@ class TestVerifySuite:
 
 
 BATTERY_CHECKS = ("pohozaev", "decay", "buchdahl")
+# the battery's (d, gamma) families, one run each, in order
+BATTERY_FAMILIES = list(dict.fromkeys(star[:2] for star in harness.PROFILE_BATTERY))
 
 
 def _recorded(build, calls, config, *args, **kwargs):
@@ -704,10 +715,10 @@ class TestVerifyBattery:
 
     def test_one_integration_per_star(self, integrations):
         verify_suite("all")
-        # explicit 2, battery 24, tail 2, radius-limit 1 liquid star (it
+        # explicit 2, battery 12, tail 2, radius-limit 1 liquid star (it
         # reads the tail's (3, 1.1, 1) star too), strongform 1 liquid star
         # (q-symmetry checks a polynomial pencil and integrates no star)
-        assert len(integrations) == 30
+        assert len(integrations) == 18
 
     @pytest.mark.parametrize("name", ["tail", "radius-limit"])
     def test_far_star_integrated_once_per_call(self, integrations, name):
@@ -721,7 +732,35 @@ class TestVerifyBattery:
         for _ in range(2):  # no cache outlives a call
             integrations.clear()
             verify_suite(name)
-            assert len(integrations) == len(harness.PROFILE_BATTERY)
+            assert integrations == [StarConfig(d, g, 1.0) for d, g in BATTERY_FAMILIES]
+
+    def test_members_match_their_own_runs(self, monkeypatch):
+        # each battery star, read off its family's rho0 = 1 run as a member
+        # on [0, 20] (the rho0 = 10 star by the rescaling law), agrees with
+        # its own gas_read to r = 20 within the battery's tol: liquid radius,
+        # mass, and the compact surface where the family has one
+        runs = []
+
+        def kept(config, *args, **kwargs):
+            runs.append(steady.gas_read(config, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "gas_read", kept)
+        harness._battery_stars()
+        family_runs = {(run.config.d, run.config.gamma): run for run in runs}
+        assert list(family_runs) == BATTERY_FAMILIES and len(runs) == len(BATTERY_FAMILIES)
+        tol = harness._BATTERY_TOL
+        for d, g, rho0 in harness.PROFILE_BATTERY:
+            star = family_runs[d, g].member(rho0, 20.0)
+            own = steady.gas_read(StarConfig(d, g, rho0), tol=tol, r_max=20.0)
+            assert star.config == own.config
+            assert (own.liquid is not None) == (rho0 > 1.0)
+            assert (own.gas is not None) == (g > support_threshold(d))
+            for name in ("liquid_radius", "total_mass", "gas_radius"):
+                got, want = getattr(star, name), getattr(own, name)
+                assert (got is None) == (want is None), name
+                if want is not None:
+                    assert abs(got - want) <= tol * abs(want), (d, g, rho0, name)
 
     @pytest.mark.parametrize("name", BATTERY_CHECKS)
     def test_single_check_matches_full_suite(self, full_report, name):

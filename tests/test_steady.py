@@ -271,6 +271,54 @@ class TestRunStar:
             assert got.shape == (len(r) // 2, 2)
             assert got.ravel().tobytes() == want[np.searchsorted(r, shuffled)].tobytes()
 
+    @pytest.mark.parametrize(
+        "line, rho0s, pinned",
+        [((3, 1.25, 1e6), (1.01, 50.3231, 1e4, 1e6), (50.3231, "0x1.944712f0c95d9p-7", "0x1.6d851b51fae36p+1")),
+         ((3, 1.0, 1e3), (1.5, 10.0, 1e3), (10.0, "0x1.9901698554f31p-5", "0x1.2b30bba5a56c6p+0"))],
+        ids=str,
+    )
+    def test_read_is_the_member_cut_at_its_liquid_radius(self, line, rho0s, pinned):
+        # read's star is the run's crossing of the level of density 1/kappa,
+        # as end and as liquid, with no compact surface; it is the uncut
+        # member ended there, and its profile samples that star bit for bit.
+        # pinned: one star's end and mass, as hex digits that read keeps
+        run = steady.integrate_line(StarConfig(*line))
+        fields = lambda star: (star.config, star.kappa, star.r0, star.end, star.liquid, star.gas)
+        for rho0 in rho0s:
+            config, kappa = StarConfig(line[0], line[1], rho0), rho0 / line[2]
+            root = run.sol.crossing(config.enthalpy_of_inverse(kappa))
+            want = steady.RunStar(config, run.sol, kappa, run.r0, root, root)
+            read, member = run.read(rho0), run.member(rho0)
+            assert read.sol is member.sol is run.sol
+            assert fields(read) == fields(want)
+            assert member.liquid == root and member.end == run.sol.ts[-1] > root
+            assert fields(dataclasses.replace(member, end=member.liquid)) == fields(read)
+            assert read.total_mass.hex() == want.total_mass.hex()
+            profile, expected = read.profile(), want.profile()
+            assert profile.kind == expected.kind == "liquid-truncated"
+            for name in ("radii", "rho", "enthalpy", "mass"):
+                assert getattr(profile, name).tobytes() == getattr(expected, name).tobytes(), name
+        rho0, end, mass = pinned
+        read = run.read(rho0)
+        assert float(read.end).hex() == float(read.liquid).hex() == end and read.total_mass.hex() == mass
+
+    def test_member_records_the_surfaces_within_its_span(self):
+        # a member ends at its own radius, the compact surface or the run's
+        # end, whichever is first, and records only the surfaces up to there
+        run = steady.gas_read(StarConfig(3, 1.5, 1.0), r_max=50.0)
+        assert run.gas is not None and run.sol.ts[-1] > run.gas
+        whole = run.member(10.0)
+        assert whole.end == whole.gas == run.gas and whole.kappa == 10.0
+        assert whole.liquid == run.sol.crossing(10.0 ** -0.5) < whole.gas
+        inner = run.member(10.0, 0.5 * whole.liquid_radius)
+        assert inner.end == whole.lam * (0.5 * whole.liquid_radius)
+        assert inner.liquid is inner.gas is None
+        middle = run.member(10.0, 0.5 * (whole.liquid_radius + whole.gas_radius))
+        assert middle.liquid == whole.liquid and middle.gas is None
+        assert middle.profile().kind == "gas" and middle.profile().liquid_radius == whole.liquid_radius
+        below = run.member(0.5, 1e3)
+        assert below.liquid is None and below.end == below.gas == run.gas
+
     def test_refuses_near_one_and_beyond_r_max(self):
         # near 1 the level is crossed before the seed radius, so no star is
         # served.  Below rho0 ~ 700 the liquid radius exceeds r_max = 0.3:
