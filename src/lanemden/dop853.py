@@ -361,39 +361,54 @@ class DenseSolution:
         return len(self.h)
 
     def __call__(self, t, component: Optional[int] = None) -> np.ndarray:
-        """Both components at the ascending radii t (1-D array): shape (2, len(t)).
+        """Both components at the radii t: shape (2,) + t.shape.
 
-        Given a component (0 or 1), that component alone: shape (len(t),),
-        bit for bit its row of the two-component read.  A radius on a step
-        boundary is evaluated on the step that ends there, one below ts[0]
-        on the first step and one above ts[-1] on the last.  The radii of
-        step k are a run of t, found by searching t for each step boundary;
-        each coefficient row is repeated over those runs, and each radius
-        gets _horner's arithmetic on its step's floats, so its bits.  Raises
-        ValueError when t is not ascending.
+        t is 1-D and ascending, or 2-D with each row ascending, all rows
+        read in one pass.  Given a component (0 or 1), that component
+        alone: shape t.shape, bit for bit its row of the two-component read.
+        A radius on a step boundary is evaluated on the step that ends
+        there, one below ts[0] on the first step and one above ts[-1] on the
+        last.  The radii of step k are a run of each row, found by searching
+        the row for each step boundary; each coefficient row is repeated over
+        those runs (over several rows, the coefficients of the steps a row
+        holds radii in, row after row: the table is not copied per row), and
+        each radius gets _horner's arithmetic on its step's floats, so its
+        bits.  Raises ValueError when a row is not ascending.
         """
         t = np.asarray(t, dtype=float)
-        if not np.all(t[1:] >= t[:-1]):
+        rows = t if t.ndim == 2 else t.reshape(1, -1)
+        if not (rows[:, 1:] >= rows[:, :-1]).all():
             raise ValueError("dense output radii must be ascending")
-        # runs[k] radii lie in (ts[k], ts[k + 1]]; the first and last steps
-        # also take the radii below ts[0] and above ts[-1]
-        ends = np.searchsorted(t, self.ts, side="right")
-        runs = np.diff(ends)
-        runs[0] += ends[0]
-        runs[-1] += len(t) - ends[-1]
-        x = np.repeat(self.ts[:-1], runs)
-        np.subtract(t, x, out=x)
-        x /= np.repeat(self.h, runs)
+        # the runs of radii in (ts[k], ts[k + 1]] of each row, the first and
+        # last steps also taking the radii below ts[0] and above ts[-1]
+        runs = []
+        for row in rows:
+            ends = row.searchsorted(self.ts, side="right")
+            run = ends[1:] - ends[:-1]
+            run[0] += ends[0]
+            run[-1] += len(row) - ends[-1]
+            runs.append(run)
+        starts, h, y0, coeffs = self.ts[:-1], self.h, self.ys[:-1], self.coeffs
+        if len(runs) == 1:
+            runs = runs[0]
+        else:  # the steps each row holds radii in, row after row
+            steps = np.concatenate([run.nonzero()[0] for run in runs])
+            runs = np.concatenate(runs)
+            runs = runs[runs > 0]
+            starts, h, y0, coeffs = starts[steps], h[steps], y0[steps], coeffs[..., steps]
+        x = starts.repeat(runs)
+        np.subtract(rows.ravel(), x, out=x)
+        x /= h.repeat(runs)
         x1 = 1.0 - x
         if component is None:
-            coeffs, y0, y = self.coeffs, self.ys[:-1].T, np.zeros((2, len(t)))
+            y0, y = y0.T, np.zeros((2, x.size))
         else:
-            coeffs, y0, y = self.coeffs[:, component], self.ys[:-1, component], np.zeros(len(t))
+            coeffs, y0, y = coeffs[:, component], y0[:, component], np.zeros(x.size)
         for i in range(INTERPOLATOR_POWER - 1, -1, -1):
-            y += np.repeat(coeffs[i], runs, axis=-1)
+            y += coeffs[i].repeat(runs, axis=-1)
             y *= x if i % 2 == 0 else x1
-        y += np.repeat(y0, runs, axis=-1)
-        return y
+        y += y0.repeat(runs, axis=-1)
+        return y.reshape(y.shape[:-1] + t.shape)
 
     def at(self, t: float, component: int) -> float:
         """One component at the one radius t, with the bits __call__ gives it.

@@ -26,8 +26,10 @@ from .phase import (
     vector_field,
 )
 from .spectral import (
+    DiscreteOperator,
     _apply_tridiagonal,
     assemble,
+    assemble_stars,
     build_sl_data,
     certified_search,
     eigen_residual_strongform,
@@ -167,20 +169,19 @@ class SweepRow:
 _ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
-    """The sweep row of one liquid star read off a run: R, M and the certified verdict.
+def _certified_row(star: RunStar, op: DiscreteOperator, tol_eig: float) -> SweepRow:
+    """The sweep row of one liquid star read off a run, from its pencil op: R, M and the certified verdict.
 
     A row prints no eigenvector, so its pencil gets the certified search
     alone (spectral.certified_search): mu*, the verdict and the evidence are
     classify_stability's bitwise, with no eigenvector finish and no Robin
-    defect.  R is the pencil's (build_sl_data finds it, by liquid_radius).
+    defect.  R is the star's liquid radius, the one its pencil is built on.
     """
-    data = build_sl_data(star)
-    result = certified_search(assemble(data, mesh), tol_eig)
+    result = certified_search(op, tol_eig)
     verdict = MARGINAL if result.marginal else result.verdict
     return SweepRow(
         rho0=star.config.rho_center,
-        R=data.R,
+        R=star.liquid_radius,
         M_total=star.total_mass,
         mu_star=result.mu_star,
         verdict=verdict,
@@ -189,17 +190,34 @@ def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
     )
 
 
-def _line_read(line: Optional[RunStar], config: StarConfig, tol: float, rmax: float) -> RunStar:
-    """config's liquid star read off the line's run, or off its own line's where the run cannot serve.
+def _classified_row(star: RunStar, mesh: int, tol_eig: float) -> SweepRow:
+    """The sweep row of one liquid star on its own pencil (assemble(build_sl_data(star), mesh))."""
+    return _certified_row(star, assemble(build_sl_data(star), mesh), tol_eig)
+
+
+def _error_row(rho0: float, exc: Exception) -> SweepRow:
+    return SweepRow(rho0=rho0, R=math.nan, M_total=math.nan, mu_star=math.nan, verdict=ERROR,
+                    reason=f"{type(exc).__name__}: {exc}")
+
+
+def _served(line: Optional[RunStar], rho0: float, rmax: float) -> Optional[RunStar]:
+    """The liquid star of central density rho0 read off the line's run, or None where the run cannot serve it.
 
     The run cannot serve when there is no line, when RunStar.read returns
-    None, or when the star's liquid radius exceeds rmax; then the star is
-    liquid_read's, the top star of its own line.
+    None, or when the star's liquid radius exceeds rmax.
     """
-    star = None if line is None else line.read(config.rho_center)
-    if star is None or star.liquid_radius > rmax:
-        return liquid_read(config, tol=tol, r_max=rmax)
-    return star
+    star = None if line is None else line.read(rho0)
+    return None if star is None or star.liquid_radius > rmax else star
+
+
+def _line_read(line: Optional[RunStar], config: StarConfig, tol: float, rmax: float) -> RunStar:
+    """config's liquid star off the line's run (_served), or liquid_read's, off its own line, where it cannot serve."""
+    star = _served(line, config.rho_center, rmax)
+    return liquid_read(config, tol=tol, r_max=rmax) if star is None else star
+
+
+# a batch of scan rows holds at most the Gauss points of one pencil at this mesh
+_BATCH_MESH = 8192
 
 
 def run_sweep(spec: RunSpec) -> List[SweepRow]:
@@ -208,9 +226,12 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     The line is integrated once, at its largest rho0, and every other star is
     read off that run through the rescaling law (RunStar.read on the line
     steady.integrate_line returns), its liquid radius found on the run's
-    dense output after the run.  Each row's pencil reads its star straight
-    off the run (a RunStar, with no samples) and gets the
-    certified search alone
+    dense output after the run.  The stars the line serves go in batches of
+    consecutive rows, as many as fit in the Gauss points of one pencil at
+    mesh _BATCH_MESH (8192: 4 rows at mesh 2048, one row from mesh 4097 on).
+    A batch's Gauss points are read off the run in one pass and its pencils
+    assembled in stacked arrays (spectral.assemble_stars), each bit for bit
+    its star's own.  Each pencil then gets the certified search alone
     (spectral.certified_search: no eigenvector, no Robin defect), and M is
     the run's mass at R, one scalar read.  The largest star's row is bit
     for bit the row of the star built alone, _classified_row on
@@ -220,9 +241,11 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     steps, so a row's mu* depends on its line at that level.  A row's star
     is liquid_read's, off its own line, when its liquid level is not
     crossed after the largest star's seed or its R would exceed rmax
-    (_line_read), and every row's is when the line's own integration
-    fails, so each Error row keeps its own reason.  The stars are read one
-    at a time.
+    (_served), and every row's is when the line's own integration fails.
+    Such a star holds a run of its own (hundreds of MiB as gamma -> 1+), so
+    its row is classified, and the run freed, before the next row's star is
+    read.  Each Error row keeps its own reason: a pencil that is not finite
+    fails its own row, not its batch.
 
     Only numerical and usage failures (ValueError, RuntimeError,
     ArithmeticError, LinAlgError) become Error rows, with the exception kept
@@ -238,23 +261,33 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
         line = integrate_line(top, tol=spec.tol, r_max=spec.rmax)
     except _ROW_ERRORS:
         line = None
-    rows = []
-    for rho0 in densities:
+    rows: List[Optional[SweepRow]] = [None] * len(densities)
+    served = []  # (row, star) of the stars the line serves
+    for i, rho0 in enumerate(densities):
         try:
-            star = _line_read(line, StarConfig(spec.d, spec.gamma, rho0), spec.tol, spec.rmax)
-            rows.append(_classified_row(star, spec.mesh, spec.tol_eig))
+            config = StarConfig(spec.d, spec.gamma, rho0)
+            star = _served(line, rho0, spec.rmax)
+            if star is None:
+                # its own run, freed with the call, before the next row's star is read
+                rows[i] = _classified_row(liquid_read(config, tol=spec.tol, r_max=spec.rmax), spec.mesh,
+                                          spec.tol_eig)
+            else:
+                served.append((i, star))
         except _ROW_ERRORS as exc:
-            rows.append(
-                SweepRow(
-                    rho0=rho0,
-                    R=math.nan,
-                    M_total=math.nan,
-                    mu_star=math.nan,
-                    verdict=ERROR,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-        star = None  # freed, with an own line's run, before the next row's star is read
+            rows[i] = _error_row(rho0, exc)
+    size = max(1, _BATCH_MESH // max(spec.mesh, 1))
+    for start in range(0, len(served), size):
+        batch = served[start:start + size]
+        try:
+            ops = assemble_stars([star for _, star in batch], spec.mesh)
+        except _ROW_ERRORS as exc:  # a check on the whole batch (the mesh size): every row's reason
+            ops = [exc] * len(batch)
+        for (i, star), op in zip(batch, ops):
+            try:
+                rows[i] = (_error_row(densities[i], op) if isinstance(op, Exception)
+                           else _certified_row(star, op, spec.tol_eig))
+            except _ROW_ERRORS as exc:
+                rows[i] = _error_row(densities[i], exc)
     return rows
 
 

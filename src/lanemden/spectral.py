@@ -21,7 +21,9 @@ one of the two columns a steady.RunStar reads off its DOP853 run (the
 enthalpy gives rhobar^(gamma-1), and m/y^d is the other column), so the
 only power of rhobar taken is rhobar itself.  The Gauss points of a mesh
 are read in ascending order, element by element, so the run locates them
-in one pass over its steps.
+in one pass over its steps; assemble_stars reads those of several stars of
+one run (a batch of scan rows) in that one pass, row after row, and
+assembles their pencils in stacked arrays, each the star's own bit for bit.
 
 The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
 eigenvector solved for with its dpttrs.  Both are called through ctypes in
@@ -36,12 +38,12 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, TextIO, Tuple
+from typing import Callable, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .config import stability_threshold, support_threshold
-from .steady import RunStar, gauss_rule, liquid_radius
+from .steady import RunStar, enthalpy_and_mass_hat, gauss_rule, liquid_radius
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -74,24 +76,42 @@ class SturmLiouvilleData:
     coeffs: Callable
 
 
-def build_sl_data(star: RunStar) -> SturmLiouvilleData:
-    """The pencil coefficients of a liquid star, read off its run (enthalpy_and_mass_hat_at) anywhere in [0, R].
+def _coefficients(stars: Sequence[RunStar]) -> Callable:
+    """The coeffs of liquid stars of one run: (p, q, wgt) of each star at its own radii, shaped like y.
 
-    Raises liquid_radius's errors: a star with rho0 <= 1, or a run that ends
-    before its liquid radius.
+    y holds the stars' radii in turn, an equal share each (one star takes y
+    of any shape), all read off their shared run in one pass
+    (steady.enthalpy_and_mass_hat); p and q are made in the read's buffers.
     """
-    config = star.config
-    R = liquid_radius(star)
+    config = stars[0].config
     d, g = config.d, config.gamma
     coef = 2.0 * (d - 1.0) - d * g
 
     def coeffs(y):
         y = np.asarray(y, dtype=float)
-        enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(y)
-        wgt = y ** (d + 1) * config.rho_of_enthalpy(enthalpy)
-        return g * config.rho_power_of_enthalpy(enthalpy) * wgt, -coef * mass_hat * wgt, wgt
+        rows = y.reshape(len(stars), -1)
+        enthalpy, mass_hat = enthalpy_and_mass_hat(stars, rows)
+        wgt = rows ** (d + 1)
+        wgt *= config.rho_of_enthalpy(enthalpy)
+        p = np.multiply(config.rho_power_of_enthalpy(enthalpy), g, out=enthalpy)
+        p *= wgt
+        q = np.multiply(mass_hat, -coef, out=mass_hat)
+        q *= wgt
+        return p.reshape(y.shape), q.reshape(y.shape), wgt.reshape(y.shape)
 
-    return SturmLiouvilleData(d=d, gamma=g, R=float(R), robin_weight=d * g * R**d, coeffs=coeffs)
+    return coeffs
+
+
+def build_sl_data(star: RunStar) -> SturmLiouvilleData:
+    """The pencil coefficients of a liquid star, read off its run (enthalpy_and_mass_hat) anywhere in [0, R].
+
+    Raises liquid_radius's errors: a star with rho0 <= 1, or a run that ends
+    before its liquid radius.
+    """
+    R = liquid_radius(star)
+    d, g = star.config.d, star.config.gamma
+    return SturmLiouvilleData(d=d, gamma=g, R=float(R), robin_weight=d * g * R**d,
+                              coeffs=_coefficients((star,)))
 
 
 def manufactured_sl_data(
@@ -153,76 +173,96 @@ class DiscreteOperator:
         return float(x @ self.apply_K(x)) / float(x @ self.apply_Mw(x))
 
 
-def _element_integrals(data: SturmLiouvilleData, nodes: np.ndarray):
-    """Per-element integrals of the weak form on strictly increasing `nodes`.
+def _element_integrals(coeffs: Callable, nodes: np.ndarray):
+    """Per-element integrals of the weak form on each row of nodes (J, M + 1), strictly increasing.
 
-    Returns (kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio): kp is
-    int p dy / h^2, the p-stiffness of each element; q_ab and m_ab are the
-    integrals of q phi_a phi_b and wgt phi_a phi_b over the element's left and
-    right hat functions; ratio is q/wgt at the quadrature points.  This is
-    the only place the coefficients are evaluated at quadrature points:
-    assemble, quadratic_form and weighted_norm_sq all go through it.
+    Returns (kp, q_h, m_h, ratio), one row per row of nodes: kp (J, M) is
+    int p dy / h^2, the p-stiffness of each element; q_h and m_h (J, 3, M)
+    hold the rows ll, lr, rr of the integrals of q phi_a phi_b and wgt
+    phi_a phi_b over the element's left and right hat functions; ratio is
+    q/wgt at the quadrature points.  This is the only place the
+    coefficients are evaluated at quadrature points: every pencil,
+    quadratic_form and weighted_norm_sq go through it.
 
-    The coefficients are evaluated at yl + h _REF_X element by element, so
-    the points ascend (a RunStar's run reads ascending radii in one pass),
-    then laid out (3, M), one contiguous row per Gauss point of
-    gauss_rule(3).  The hat functions take the same values at the Gauss
-    points of every element, so each integral is one contraction with a
-    reference-element table: kp = (_REF_W @ p) / h, and the rows ll, lr, rr
-    are (_REF_HAT @ q) h and (_REF_HAT @ wgt) h.
+    coeffs reads all Gauss points yl + h _REF_X at once, row after row and
+    element by element, so each row's points ascend (a RunStar's run reads
+    ascending radii in one pass).  Each row's values are then laid out
+    (3, M), one contiguous row per Gauss point of gauss_rule(3).  The hat
+    functions take the same values at the Gauss points of every element, so
+    each integral is one contraction with a reference-element table: kp =
+    (_REF_W @ p) / h, and the rows ll, lr, rr are (_REF_HAT @ q) h and
+    (_REF_HAT @ wgt) h.
     """
-    yl = nodes[:-1]
-    h = nodes[1:] - yl
+    yl = nodes[:, :-1]
+    h = nodes[:, 1:] - yl
     if np.any(h <= 0.0):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
-    pts = yl[:, None] + h[:, None] * _REF_X
-    # a matrix-vector product rounds by its matrix's layout: contract contiguous rows
-    p, q, wgt = (np.ascontiguousarray(np.reshape(c, pts.shape).T) for c in data.coeffs(pts.ravel()))
-    return (_REF_W @ p) / h, (_REF_HAT @ q) * h, (_REF_HAT @ wgt) * h, q / wgt
+    J, M = h.shape
+    pts = yl[..., None] + h[..., None] * _REF_X
+    # a matrix-vector product rounds by its matrix's layout: each row's
+    # contraction takes its own contiguous (3, M) block, as numpy's stacked
+    # matmul hands each block to BLAS on its own
+    p, q, wgt = (np.ascontiguousarray(np.reshape(c, (J, M, 3)).transpose(0, 2, 1))
+                 for c in coeffs(pts.ravel()))
+    kp = _REF_W @ p
+    kp /= h
+    q_h, m_h = _REF_HAT @ q, _REF_HAT @ wgt
+    q_h *= h[:, None]
+    m_h *= h[:, None]
+    return kp, q_h, m_h, np.divide(q, wgt, out=q)
 
 
-def _assemble_on(data: SturmLiouvilleData, nodes: np.ndarray) -> DiscreteOperator:
-    """The weak-form pencil on strictly increasing `nodes` (see assemble).
+def _finite_operator(nodes, k_diag, k_off, m_diag, m_off, mu_lower: float):
+    """The DiscreteOperator of one pencil, or the RuntimeError that names what is not finite in it."""
+    # the LDL^T certificate reads a NaN pivot as positive: never let one in
+    if all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
+        return DiscreteOperator(nodes=nodes, k_diag=k_diag, k_off=k_off, m_diag=m_diag, m_off=m_off,
+                                mu_lower=mu_lower)
 
-    Overflow and invalid values are not warned about: the finiteness check
-    at the end is the one way out for them, and it names the cause.
+    # name the matrix and the kind of value: an infinity is a float64
+    # overflow of a coefficient, a NaN an invalid operation such as inf - inf
+    def holds(name, *parts):
+        kinds = [kind for kind, test in (("infinities (float64 overflow)", np.isinf), ("NaNs", np.isnan))
+                 if any(test(a).any() for a in parts)]
+        return f"{name} holds {' and '.join(kinds)}" if kinds else f"{name} is finite"
+
+    found = [holds("K", k_diag, k_off), holds("Mw", m_diag, m_off)]
+    if not math.isfinite(mu_lower):
+        found.append(holds("min(q/wgt)", mu_lower))
+    return RuntimeError(f"{_NON_FINITE}; {'; '.join(found)}")
+
+
+def _pencils(coeffs: Callable, nodes: np.ndarray, robin_weight: np.ndarray) -> list:
+    """The weak-form pencil on each row of nodes (J, n), robin_weight[j] on row j's (see assemble).
+
+    The pencils are assembled in stacked (J, n) arrays, each entry by the
+    arithmetic of its pencil alone.  One entry per row: its DiscreteOperator,
+    or the RuntimeError that names what is not finite in it, returned, not
+    raised, so that one row fails alone.  Overflow and invalid values are
+    not warned about: the finiteness check is the one way out for them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kp, (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr), ratio = _element_integrals(data, nodes)
-        n = len(nodes)
-        k_diag = np.zeros(n)
-        m_diag = np.zeros(n)
-        k_diag[:-1] += kp + q_ll
-        k_diag[1:] += kp + q_rr
-        k_off = -kp + q_lr
-        m_diag[:-1] += m_ll
-        m_diag[1:] += m_rr
-        m_off = m_lr
-        k_diag[-1] += data.robin_weight
+        kp, q_h, m_h, ratio = _element_integrals(coeffs, nodes)
+        (q_ll, q_lr, q_rr), (m_ll, m_lr, m_rr) = q_h.transpose(1, 0, 2), m_h.transpose(1, 0, 2)
+        k_diag = np.zeros(nodes.shape)
+        m_diag = np.zeros(nodes.shape)
+        k_diag[:, :-1] += np.add(kp, q_ll, out=q_ll)
+        k_diag[:, 1:] += np.add(kp, q_rr, out=q_rr)
+        k_off = q_lr - kp
+        m_diag[:, :-1] += m_ll
+        m_diag[:, 1:] += m_rr
+        k_diag[:, -1] += robin_weight
+        mu_lower = np.minimum(ratio.reshape(len(nodes), -1).min(axis=1), 0.0) * (1.0 + 1e-12) - 1e-300
+    m_off = m_lr.copy()  # the pencils keep (J, M) arrays, not the (J, 3, M) integrals
+    return [_finite_operator(nodes[j], k_diag[j], k_off[j], m_diag[j], m_off[j], float(mu_lower[j]))
+            for j in range(len(nodes))]
 
-        mu_lower = float(np.minimum(ratio.min(), 0.0))
-        mu_lower = mu_lower * (1.0 + 1e-12) - 1e-300
-    # the LDL^T certificate reads a NaN pivot as positive: never let one in
-    if not all(np.isfinite(a).all() for a in (k_diag, k_off, m_diag, m_off, mu_lower)):
-        # name the matrix and the kind of value: an infinity is a float64
-        # overflow of a coefficient, a NaN an invalid operation such as inf - inf
-        def holds(name, *parts):
-            kinds = [kind for kind, test in (("infinities (float64 overflow)", np.isinf), ("NaNs", np.isnan))
-                     if any(test(a).any() for a in parts)]
-            return f"{name} holds {' and '.join(kinds)}" if kinds else f"{name} is finite"
 
-        found = [holds("K", k_diag, k_off), holds("Mw", m_diag, m_off)]
-        if not math.isfinite(mu_lower):
-            found.append(holds("min(q/wgt)", mu_lower))
-        raise RuntimeError(f"{_NON_FINITE}; {'; '.join(found)}")
-    return DiscreteOperator(
-        nodes=nodes,
-        k_diag=k_diag,
-        k_off=k_off,
-        m_diag=m_diag,
-        m_off=m_off,
-        mu_lower=mu_lower,
-    )
+def _raised(op):
+    """op, a DiscreteOperator, or raised: the error _pencils returned in its place."""
+    if isinstance(op, Exception):
+        raise op
+    return op
 
 
 def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
@@ -231,10 +271,31 @@ def assemble(data: SturmLiouvilleData, mesh_size: int) -> DiscreteOperator:
     K_ij = Q[phi_i, phi_j] and Mw_ij = <phi_i, phi_j>_wgt over the continuous
     piecewise-linear nodal basis; the boundary term robin_weight lands on the
     last diagonal entry and no essential condition is imposed anywhere.
+    The one pencil is a stack of one: assemble_stars's code.
     """
+    _check_mesh_size(mesh_size)
+    (op,) = _pencils(data.coeffs, graded_mesh(data.R, mesh_size)[None], np.array([data.robin_weight]))
+    return _raised(op)
+
+
+def assemble_stars(stars: Sequence[RunStar], mesh_size: int) -> list:
+    """assemble(build_sl_data(star), mesh_size) of each liquid star of one run, bit for bit.
+
+    The Gauss points of all the stars' meshes are read off their shared run
+    in one pass, and the pencils assembled in stacked arrays (_pencils).
+    One entry per star: its DiscreteOperator, or the RuntimeError that
+    names what is not finite in its pencil, returned, not raised, so that
+    one star fails alone.
+    """
+    _check_mesh_size(mesh_size)
+    datas = [build_sl_data(star) for star in stars]
+    nodes = graded_mesh(np.array([[data.R] for data in datas]), mesh_size)
+    return _pencils(_coefficients(stars), nodes, np.array([data.robin_weight for data in datas]))
+
+
+def _check_mesh_size(mesh_size: int) -> None:
     if mesh_size < 16:
         raise ValueError(f"mesh_size must be >= 16, got {mesh_size}")
-    return _assemble_on(data, graded_mesh(data.R, mesh_size))
 
 
 def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: np.ndarray) -> float:
@@ -250,7 +311,8 @@ def quadratic_form(data: SturmLiouvilleData, chi1, chi2, nodes: np.ndarray) -> f
         raise ValueError("mesh mismatch: test functions must be sampled on the nodes")
     if not np.all(np.isfinite(chi1)) or not np.all(np.isfinite(chi2)):
         raise ValueError("test functions must be finite")
-    kp, (q_ll, q_lr, q_rr), _, _ = _element_integrals(data, nodes)
+    kp, q_h, _, _ = _element_integrals(data.coeffs, nodes[None])
+    kp, (q_ll, q_lr, q_rr) = kp[0], q_h[0]
     l1, r1, l2, r2 = chi1[:-1], chi1[1:], chi2[:-1], chi2[1:]
     value = float(
         np.sum(kp * ((r1 - l1) * (r2 - l2)))
@@ -267,7 +329,8 @@ def weighted_norm_sq(data: SturmLiouvilleData, chi, nodes: np.ndarray) -> float:
     chi = np.asarray(chi, dtype=float)
     if chi.shape != nodes.shape:
         raise ValueError("mesh mismatch: test function must be sampled on the nodes")
-    return float(chi @ _assemble_on(data, nodes).apply_Mw(chi))
+    (op,) = _pencils(data.coeffs, nodes[None], np.array([data.robin_weight]))
+    return float(chi @ _raised(op).apply_Mw(chi))
 
 
 @dataclass(frozen=True)

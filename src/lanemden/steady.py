@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -149,10 +149,14 @@ class Profile:
         return float(self.mass[i])
 
 
-def _mass_hat(config: StarConfig, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0."""
-    limit = np.full_like(r, FOUR_PI / config.d * config.rho_center)
-    rd = r ** config.d
+def _mass_hat(d: int, rho_center, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0.
+
+    rho_center is rho0, or a column of one rho0 per row of r.
+    """
+    limit = np.empty_like(r)
+    limit[...] = FOUR_PI / d * rho_center
+    rd = r ** d
     return np.divide(mass, rd, out=limit, where=rd > 0.0)
 
 
@@ -232,15 +236,6 @@ def _drop_stalled(radii, rho, enth, mass, pinned):
     return radii[keep], rho[keep], enth[keep], mass[keep]
 
 
-def _rescaled(config: StarConfig, kappa: float, enthalpy: np.ndarray, mass: np.ndarray):
-    """Enthalpy and mass of rho_k(r) = kappa rho(kappa^(1-gamma/2) r) from those of rho.
-
-    The enthalpy is config.rescaled_enthalpy's, the mass scaled by
-    _mass_scale; kappa = 1 returns the same values.
-    """
-    return config.rescaled_enthalpy(enthalpy, kappa), _mass_scale(config, kappa) * mass
-
-
 def _mass_scale(config: StarConfig, kappa: float) -> float:
     """kappa^(1-d(1-gamma/2)): the mass of rho_k at r over that of rho at kappa^(1-gamma/2) r."""
     return kappa ** (1.0 - config.d * (1.0 - config.gamma / 2.0))
@@ -309,9 +304,10 @@ class RunStar:
     star of its (d, gamma) family otherwise (member, read).  r0 (the seed
     radius), end (where the star ends) and the liquid and compact surfaces
     liquid and gas (or None) are radii of the run; the star's are these over
-    lam.  _read is the one evaluation of a star off a run:
-    config's own Taylor seed (_seed) below seed_radius, the run's dense
-    output at lam y through _rescaled from there on.  radii are r = 0 and
+    lam.  _read_rows is the one evaluation of a star off a run, of several
+    stars of one run at once: config's own Taylor seed (_seed) below
+    seed_radius, the run's dense output at lam y, rescaled by kappa, from
+    there on.  radii are r = 0 and
     the run's step boundaries below end, over lam: the nodes between which
     the read is one polynomial.  spectral.build_sl_data takes a liquid one,
     and total_mass is the run's mass at its liquid radius, the mass its
@@ -351,7 +347,7 @@ class RunStar:
     def total_mass(self) -> float:
         """The run's mass at the liquid radius if there is one, else where the star ends.
 
-        That radius is read as _read reads it, with the same bits, by the
+        That radius is read as _read_rows reads it, with the same bits, by the
         run's scalar read (DenseSolution.at): every surface lies on the run,
         so at or beyond the seed radius.
         """
@@ -388,40 +384,14 @@ class RunStar:
         R = star.liquid
         return None if R is None else RunStar(star.config, self.sol, star.kappa, self.r0, R, R)
 
-    def _read(self, y: np.ndarray):
-        """The enthalpy and mass at the ascending radii y (1-D, in [0, end / lam])."""
-        enthalpy, mass = np.empty_like(y), np.empty_like(y)
-        k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
-        enthalpy[:k], mass[:k] = _seed(self.config, y[:k])
-        enthalpy[k:], mass[k:] = _rescaled(self.config, self.kappa, *self.sol(self.lam * y[k:]))
-        return enthalpy, mass
-
-    def _ascending(self, r: np.ndarray):
-        """r's radii, ravelled and in ascending order, and the order that sorts them.
-
-        The sort is stable, which merges ascending runs.  ValueError for a
-        radius outside [0, end / lam].
-        """
-        end = self.end / self.lam
-        # one pass; the comparisons are False for NaN, so NaN is rejected too
-        if not np.all((r >= 0.0) & (r <= end)):
-            raise ValueError(f"radius outside the star [0, {end:g}]")
-        y = r.ravel()
-        order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
-        return y[order], order
-
     def enthalpy_and_mass_hat_at(self, r):
-        """The enthalpy and m/r^d at radii r in [0, end / lam], each shaped like r.
+        """The enthalpy and m/r^d at radii r in [0, end / lam], in any order, each shaped like r.
 
-        Radii in any order are read in ascending order, sorted once.
-        ValueError for a radius outside [0, end / lam].
+        enthalpy_and_mass_hat of this star alone.  ValueError for a radius
+        outside [0, end / lam].
         """
         r = np.asarray(r, dtype=float)
-        y, order = self._ascending(r)
-        enthalpy, mass = self._read(y)
-        out = np.empty((2, len(y)))
-        out[0, order], out[1, order] = enthalpy, _mass_hat(self.config, y, mass)
-        return out[0].reshape(r.shape), out[1].reshape(r.shape)
+        return tuple(c.reshape(r.shape) for c in enthalpy_and_mass_hat((self,), r.reshape(1, -1)))
 
     def enthalpy_at(self, r):
         """The enthalpy at radii r in [0, end / lam], shaped like r.
@@ -431,15 +401,12 @@ class RunStar:
         mass and no m/r^d.  ValueError as enthalpy_and_mass_hat_at.
         """
         r = np.asarray(r, dtype=float)
-        y, order = self._ascending(r)
-        k = int(np.searchsorted(y, self.seed_radius))  # the radii below seed_radius
-        run = self.config.rescaled_enthalpy(self.sol(self.lam * y[k:], 0), self.kappa)
-        out = np.empty(len(y))
-        out[order] = np.concatenate([_seed(self.config, y[:k])[0], run])
-        return out.reshape(r.shape)
+        rows = r.reshape(1, -1)
+        _inside((self,), rows)
+        return _read_rows((self,), rows, enthalpy_only=True).reshape(r.shape)
 
     def profile(self, points: int = MIN_POINTS) -> Profile:
-        """The star's samples as a Profile, read in one _read.
+        """The star's samples as a Profile, read in one _read_rows.
 
         The grid is the run's steps below end, then end, over lam, refined
         to at least points samples plus the crossing radii, after the seed's
@@ -461,7 +428,7 @@ class RunStar:
         if extra:
             grid = np.unique(np.concatenate([grid, np.array(extra)]))
         radii = np.concatenate([self.seed_radius * np.array([0.0, 0.25, 0.5, 0.75]), grid])
-        enth, mass = self._read(radii)
+        enth, mass = (c[0] for c in _read_rows((self,), radii[None]))
         if gas_r is not None and grid[-1] >= gas_r:
             enth[-1] = config.gas_stop
         if cut:
@@ -477,6 +444,74 @@ class RunStar:
         return Profile(config=config, radii=radii, rho=rho, enthalpy=enth, mass=mass,
                        kind=LIQUID_TRUNCATED if cut else GAS, liquid_radius=liquid_r, gas_radius=gas_r,
                        nfev=self.sol.nfev, steps=self.sol.n_steps)
+
+
+def _inside(stars: Sequence[RunStar], y: np.ndarray) -> None:
+    """ValueError unless every radius of row y[j] lies in [0, end / lam] of stars[j]."""
+    ends = np.array([[star.end / star.lam] for star in stars])
+    # one pass; the comparisons are False for NaN, so NaN is rejected too
+    inside = (y >= 0.0) & (y <= ends)
+    if not inside.all():
+        j = int(np.argmin(inside.all(axis=1)))
+        raise ValueError(f"radius outside the star [0, {ends[j, 0]:g}]")
+
+
+def _read_rows(stars: Sequence[RunStar], y: np.ndarray, enthalpy_only: bool = False):
+    """Row y[j] read off stars[j]: the enthalpy and the mass there (or the enthalpy alone), shaped like y.
+
+    The one evaluation of a star off a run.  The stars share one run and
+    (d, gamma), and y (2-D, radii in [0, end / lam] of each row's star,
+    unchecked: see _inside) is read at lam y in one DenseSolution call on
+    all rows, straight into the buffers returned; a row out of order is
+    sorted first, stably, and put back.  Each row is then rescaled by its
+    star's kappa (config.rescaled_enthalpy, _mass_scale), and a radius below
+    its star's seed_radius takes that star's own Taylor seed (_seed).  Each
+    radius gets the arithmetic it gets read alone, so its bits.
+    """
+    order = None
+    if not (y[:, 1:] >= y[:, :-1]).all():  # each row sorted, stably: one permutation of y's entries
+        order = y.argsort(axis=1, kind="stable")
+        if len(y) > 1:
+            order += np.arange(0, y.size, y.shape[1])[:, None]
+        order = order.ravel()
+        y = y.ravel()[order].reshape(y.shape)
+    lams = [star.lam for star in stars]
+    t = y * np.array(lams)[:, None]
+    # below a seed radius the run's first step is extrapolated, then read over by the seed
+    with np.errstate(over="ignore", invalid="ignore"):
+        read = stars[0].sol(t, 0 if enthalpy_only else None)
+    enthalpy, mass = (read, None) if enthalpy_only else read
+    for j, (star, lam) in enumerate(zip(stars, lams)):
+        config = star.config
+        enthalpy[j] = config.rescaled_enthalpy(enthalpy[j], star.kappa)
+        if mass is not None:
+            mass[j] *= _mass_scale(config, star.kappa)
+        seeded = int(y[j].searchsorted(star.r0 / lam))  # the radii below seed_radius
+        if seeded:
+            seed = _seed(config, y[j, :seeded])
+            enthalpy[j, :seeded] = seed[0]
+            if mass is not None:
+                mass[j, :seeded] = seed[1]
+    if order is not None:  # each value back at its radius
+        unsorted = np.empty_like(read)
+        for value, slot in zip(read.reshape(-1, y.size), unsorted.reshape(-1, y.size)):
+            slot[order] = value
+        enthalpy, mass = (unsorted, None) if enthalpy_only else unsorted
+    return enthalpy if enthalpy_only else (enthalpy, mass)
+
+
+def enthalpy_and_mass_hat(stars: Sequence[RunStar], y: np.ndarray):
+    """The enthalpy and m/r^d of stars[j] at the radii of row y[j], each shaped like y.
+
+    The stars share one run and (d, gamma); all of y is read in one pass
+    over it (_read_rows), row j bit for bit
+    stars[j].enthalpy_and_mass_hat_at(y[j]).  ValueError for a radius
+    outside its star's [0, end / lam].
+    """
+    _inside(stars, y)
+    enthalpy, mass = _read_rows(stars, y)
+    rho_center = np.array([[star.config.rho_center] for star in stars])
+    return enthalpy, _mass_hat(stars[0].config.d, rho_center, y, mass)
 
 
 def _run_star(config: StarConfig, tol: float, r_max: float, stop: float) -> RunStar:

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import math
 import os
@@ -131,6 +132,43 @@ class TestScanCommand:
         rows = json.loads(outtext)["rows"]
         assert len(rows) == 2
         assert rows[0]["verdict"] == "Stable"
+
+    @pytest.mark.parametrize("d,gamma,digest", [
+        ("3", "1.034", "d62f1a18975064fc9ac615fad5b0c341b701e4b141ee7e3f6f29ef2ac84b0ce5"),
+        ("4", "1.447", "2c5d7705eb53846e032b9bc934719cbfb424670d761fedd9ade94a890d63737f"),
+        ("5", "1.730", "6485ffe4ee2ca404bff31ee4a14f2f31dcf319f38553e9b4674ff9e6811eccfb"),
+    ])
+    def test_seed0_lines_print_their_recorded_bytes(self, capsys, d, gamma, digest):
+        # three lines of the benchmark's seed-0 sweep at mesh 512, one batch
+        # each: the sha256 of stdout as the rows were printed one pencil at
+        # a time, so any bit the batched read or assembly moves fails here
+        code, outtext, err = run_cli(capsys, "scan", "--d", d, "--gamma", gamma, "--rho0-min", "1.01",
+                                     "--rho0-max", "1e6", "--points", "8", "--mesh", "512")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(outtext.encode()).hexdigest() == digest
+
+    def test_overflowing_rows_fail_alone_in_their_batch(self, capsys):
+        # one batch of three rows: the star at 1e140 is Stable with the bits
+        # it had on its own pencil, and the two whose pencils overflow fail
+        # each with stability's full reason
+        code, outtext, err = run_cli(capsys, "scan", "--d", "30", "--gamma", "2", "--rho0-min", "1e140",
+                                     "--rho0-max", "1e150", "--points", "3", "--mesh", "256")
+        assert code == 0
+        header, stable, *failed = outtext.splitlines()
+        assert stable == ("1.0000000000000001e+140,7.5400082830220461,4.0531083876039206e+162,"
+                          "2.9882644902805972e+137,Stable")
+        row = harness.run_sweep(harness.RunSpec(d=30, gamma=2.0, rho0_min=1e140, rho0_max=1e150, points=3,
+                                                mesh=256))[0]
+        assert (row.R.hex(), row.M_total.hex(), row.mu_star.hex()) == (
+            "0x1.e28f7ee6c985fp+2", "0x1.204a669c09a59p+540", "0x1.9b21b7dfc3253p+456")
+        assert [line.split(",")[1:] for line in failed] == [["nan", "nan", "nan", "Error"]] * 2
+        rho0s = [line.split(",")[0] for line in failed]
+        alone = [run_cli(capsys, "stability", "--d", "30", "--gamma", "2", "--rho0", rho0, "--mesh", "256")
+                 for rho0 in ("1e145", "1e150")]
+        assert [(code, out) for code, out, _ in alone] == [(2, "")] * 2
+        reasons = [own.removeprefix("numerical failure: ") for _, _, own in alone]
+        assert all(why.endswith("; K holds infinities (float64 overflow) and NaNs; Mw is finite\n") for why in reasons)
+        assert err == "".join(f"scan: rho0={rho0} failed: RuntimeError: {why}" for rho0, why in zip(rho0s, reasons))
 
     def test_failed_row_reason_on_stderr(self, capsys, monkeypatch):
         real = harness.certified_search

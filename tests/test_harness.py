@@ -278,23 +278,40 @@ class TestLineFamily:
         assert rows[0].reason == "ValueError: tol must be positive, got -1.0"
 
     def test_one_profile_alive_at_a_time(self, monkeypatch):
-        # each row's star is freed before the next row's is read; the star
-        # reaches the certified search through its pencil's coefficients
-        alive = []
-        real, real_build = harness.build_sl_data, harness._line_read
+        # a row the line cannot serve holds a run of its own (about 217 MiB
+        # at gamma -> 1+): each is classified and freed before the next is
+        # integrated, and none is alive when the batches are assembled.  The
+        # stars of a batch hold no run of their own: they share the line's.
+        own, lines, batches = [], [], []
+        real_read, real_line, real_assemble = harness.liquid_read, harness.integrate_line, harness.assemble_stars
 
-        def built(*args):
-            assert all(ref() is None for ref in alive)
-            return real_build(*args)
+        def read(*args, **kwargs):
+            assert all(ref() is None for ref in own)
+            star = real_read(*args, **kwargs)
+            own.append(weakref.ref(star.sol))
+            return star
 
-        def watched(profile):
-            alive.append(weakref.ref(profile))
-            return real(profile)
+        def line(*args, **kwargs):
+            lines.append(real_line(*args, **kwargs))
+            return lines[-1]
 
-        monkeypatch.setattr(harness, "_line_read", built)
-        monkeypatch.setattr(harness, "build_sl_data", watched)
-        run_sweep(RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256))
-        assert len(alive) == 5
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic line failure")
+
+        def assembled(stars, mesh):
+            assert all(ref() is None for ref in own)
+            batches.append({id(star.sol) for star in stars} | {len(stars)})
+            return real_assemble(stars, mesh)
+
+        monkeypatch.setattr(harness, "liquid_read", read)
+        monkeypatch.setattr(harness, "assemble_stars", assembled)
+        monkeypatch.setattr(harness, "integrate_line", broken)
+        spec = RunSpec(d=4, gamma=1.4, rho0_min=1.5, rho0_max=1e4, points=5, mesh=256)
+        assert all(row.verdict != "Error" for row in run_sweep(spec))
+        assert len(own) == 5 and batches == []  # every row off its own line
+        monkeypatch.setattr(harness, "integrate_line", line)
+        run_sweep(RunSpec(d=3, gamma=1.25, rho0_min=1 + 1e-9, rho0_max=1e6, points=8, mesh=256))
+        assert len(own) == 6 and batches == [{id(lines[0].sol), 7}]  # 1 own, 7 in one batch
 
 
 class TestRunReadRows:
@@ -314,6 +331,25 @@ class TestRunReadRows:
             assert row.verdict == (harness.MARGINAL if result.marginal else result.verdict)
             assert row.mu_star.hex() == result.mu_star.hex()
             assert row.M_total.hex() == profile.total_mass.hex() == profile.mass[-1].hex()
+
+
+    @pytest.mark.parametrize("points,mesh,sizes", [(10, 2048, [4, 4, 2]), (3, 8192, [1, 1, 1]), (8, 256, [8])])
+    def test_rows_batched_under_one_mesh_8192_pencil(self, monkeypatch, points, mesh, sizes):
+        # a batch holds at most 3 * 8192 Gauss points, and each row is bit
+        # for bit the row of its star's own pencil
+        batches, real = [], harness.assemble_stars
+
+        def recorded(stars, at_mesh):
+            batches.append(len(stars))
+            return real(stars, at_mesh)
+
+        monkeypatch.setattr(harness, "assemble_stars", recorded)
+        spec = RunSpec(d=4, gamma=1.447, rho0_min=1.01, rho0_max=1e6, points=points, mesh=mesh)
+        rows = run_sweep(spec)
+        assert batches == sizes
+        line = steady.integrate_line(StarConfig(4, 1.447, 1e6))
+        for row in rows:
+            assert repr(row) == repr(harness._classified_row(line.read(row.rho0), mesh, 1e-8))
 
 
 class TestCriticalDensity:

@@ -245,6 +245,61 @@ class TestAssemble:
         assert np.all(np.diff(np.diff(op.nodes)) > 0)  # spacing grows outward
 
 
+class TestStackedPencils:
+    """assemble_stars: the pencils of several stars of one run, read in one pass, each its star's own bit for bit."""
+
+    FIELDS = ("nodes", "k_diag", "k_off", "m_diag", "m_off")
+
+    @staticmethod
+    def assert_own_pencils(stars, mesh):
+        stacked = spectral.assemble_stars(stars, mesh)
+        assert len(stacked) == len(stars)
+        for star, op in zip(stars, stacked):
+            own = assemble(build_sl_data(star), mesh)
+            for field in TestStackedPencils.FIELDS:
+                got, want = getattr(op, field), getattr(own, field)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (star.config, field)
+            assert op.mu_lower == own.mu_lower and op.mu_lower.hex() == own.mu_lower.hex(), star.config
+
+    @staticmethod
+    def line_stars(d, g, points):
+        line = steady.integrate_line(StarConfig(d, g, 1e6))
+        return [line.read(rho0) for rho0 in np.geomspace(1.01, 1e6, points).tolist()]
+
+    @pytest.mark.parametrize("d,g", SEED0_LINES, ids=str)
+    def test_each_stacked_pencil_is_its_own_bitwise(self, d, g):
+        # a whole seed-0 line in one stack at mesh 256; its rho0 = 1.01 star
+        # reads its first Gauss points off its own Taylor seed
+        stars = self.line_stars(d, g, 8)
+        first = graded_mesh(stars[0].liquid_radius, 256)[1] * spectral._REF_X[0]
+        assert first < stars[0].seed_radius
+        self.assert_own_pencils(stars, 256)
+
+    def test_stacks_at_mesh_2048(self):
+        # the benchmark's mesh: the run's batches of 4 rows, and a stack of 3
+        # (a row count the batch does not divide) and of 1
+        stars = self.line_stars(3, 1.245, 8)
+        for batch in (stars[:4], stars[4:], stars[1:4], stars[-1:]):
+            self.assert_own_pencils(batch, 2048)
+
+    def test_a_failing_pencil_fails_alone(self):
+        # p and q overflow float64 on the two denser stars, whose entries are
+        # the RuntimeError assemble raises for each alone
+        line = steady.integrate_line(StarConfig(30, 2.0, 1e150))
+        stars = [line.read(rho0) for rho0 in (1e140, 1e145, 1e150)]
+        ok, *failed = spectral.assemble_stars(stars, 256)
+        assert isinstance(ok, DiscreteOperator)
+        for star, exc in zip(stars[1:], failed):
+            with pytest.raises(RuntimeError) as own:
+                assemble(build_sl_data(star), 256)
+            assert type(exc) is RuntimeError and str(exc) == str(own.value)
+            assert str(exc).endswith("; K holds infinities (float64 overflow) and NaNs; Mw is finite")
+
+    def test_mesh_too_small(self):
+        with pytest.raises(ValueError, match="mesh_size must be >= 16"):
+            spectral.assemble_stars(self.line_stars(3, 1.25, 2), 8)
+
+
 class TestCertificate:
     PENCILS = [(3, 1.25, 10.0), (3, 1.25, 1e4), (4, 1.5, 3.0), (5, 1.7, 10.0), "manufactured"]
 

@@ -353,7 +353,7 @@ class TestRunStar:
 
     @pytest.mark.parametrize("line", SEED0_LINES + [(3, 1.0)], ids=str)
     def test_total_mass_is_the_vector_read_bitwise(self, line):
-        # the scalar read at R gives the bits of _read at R, on the stars a
+        # the scalar read at R gives the bits of _read_rows at R, on the stars a
         # sweep reads off the line's run and on each star's own line
         run = steady.integrate_line(StarConfig(*line, 1e6))
         stars = []
@@ -362,14 +362,14 @@ class TestRunStar:
         stars = [star for star in stars if star is not None]
         assert len(stars) >= 14
         for star in stars:
-            want = float(star._read(np.array([star.liquid_radius]))[1][0])
+            want = float(steady._read_rows((star,), np.array([[star.liquid_radius]]))[1][0, 0])
             assert star.total_mass.hex() == want.hex()
 
     def test_total_mass_where_a_gas_star_ends_is_the_vector_read_bitwise(self):
         # rho0 < 1 has no liquid surface: the mass is read where the run ends
         run = steady.gas_read(StarConfig(5, 1.3, 0.5), 1e-10, 20.0)
         assert run.liquid is None
-        assert run.total_mass.hex() == float(run._read(np.array([run.end]))[1][0]).hex()
+        assert run.total_mass.hex() == float(steady._read_rows((run,), np.array([[run.end]]))[1][0, 0]).hex()
 
     @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
     def test_radius_outside_the_star_raises(self, where):
