@@ -369,11 +369,11 @@ class DenseSolution:
         A radius on a step boundary is evaluated on the step that ends
         there, one below ts[0] on the first step and one above ts[-1] on the
         last.  The radii of step k are a run of each row, found by searching
-        the row for each step boundary; each coefficient row is repeated over
-        those runs (over several rows, the coefficients of the steps a row
-        holds radii in, row after row: the table is not copied per row), and
-        each radius gets _horner's arithmetic on its step's floats, so its
-        bits.  Raises ValueError when a row is not ascending.
+        the row for each step boundary; the coefficients of the steps a row
+        holds radii in are gathered, row after row (the table is not copied
+        per row), each repeated over its run, and each radius gets _horner's
+        arithmetic on its step's floats, so its bits.  Raises ValueError
+        when a row is not ascending.
         """
         t = np.asarray(t, dtype=float)
         rows = t if t.ndim == 2 else t.reshape(1, -1)
@@ -388,14 +388,10 @@ class DenseSolution:
             run[0] += ends[0]
             run[-1] += len(row) - ends[-1]
             runs.append(run)
-        starts, h, y0, coeffs = self.ts[:-1], self.h, self.ys[:-1], self.coeffs
-        if len(runs) == 1:
-            runs = runs[0]
-        else:  # the steps each row holds radii in, row after row
-            steps = np.concatenate([run.nonzero()[0] for run in runs])
-            runs = np.concatenate(runs)
-            runs = runs[runs > 0]
-            starts, h, y0, coeffs = starts[steps], h[steps], y0[steps], coeffs[..., steps]
+        runs = np.concatenate(runs)
+        held = runs.nonzero()[0]
+        steps, runs = held % self.n_steps, runs[held]
+        starts, h, y0, coeffs = self.ts[steps], self.h[steps], self.ys[steps], self.coeffs[..., steps]
         x = starts.repeat(runs)
         np.subtract(rows.ravel(), x, out=x)
         x /= h.repeat(runs)

@@ -465,28 +465,28 @@ def _read_rows(stars: Sequence[RunStar], y: np.ndarray, enthalpy_only: bool = Fa
     all rows, straight into the buffers returned; a row out of order is
     sorted first, stably, and put back.  Each row is then rescaled by its
     star's kappa (config.rescaled_enthalpy, _mass_scale), and a radius below
-    its star's seed_radius takes that star's own Taylor seed (_seed).  Each
-    radius gets the arithmetic it gets read alone, so its bits.
+    its star's seed_radius takes that star's own Taylor seed (_seed); the run
+    is read there at the row's first radius at or above seed_radius (at r0
+    when there is none), not extrapolated below its start.  Each radius gets
+    the arithmetic it gets read alone, so its bits.
     """
     order = None
     if not (y[:, 1:] >= y[:, :-1]).all():  # each row sorted, stably: one permutation of y's entries
         order = y.argsort(axis=1, kind="stable")
-        if len(y) > 1:
-            order += np.arange(0, y.size, y.shape[1])[:, None]
+        order += np.arange(0, y.size, y.shape[1])[:, None]
         order = order.ravel()
         y = y.ravel()[order].reshape(y.shape)
-    lams = [star.lam for star in stars]
-    t = y * np.array(lams)[:, None]
-    # below a seed radius the run's first step is extrapolated, then read over by the seed
-    with np.errstate(over="ignore", invalid="ignore"):
-        read = stars[0].sol(t, 0 if enthalpy_only else None)
+    below = [int(row.searchsorted(star.seed_radius)) for row, star in zip(y, stars)]  # the radii below seed_radius
+    t = y * np.array([[star.lam] for star in stars])
+    for row, seeded, star in zip(t, below, stars):  # read on the run, then read over by the seed
+        row[:seeded] = row[seeded] if seeded < len(row) else star.r0
+    read = stars[0].sol(t, 0 if enthalpy_only else None)
     enthalpy, mass = (read, None) if enthalpy_only else read
-    for j, (star, lam) in enumerate(zip(stars, lams)):
+    for j, (star, seeded) in enumerate(zip(stars, below)):
         config = star.config
         enthalpy[j] = config.rescaled_enthalpy(enthalpy[j], star.kappa)
         if mass is not None:
             mass[j] *= _mass_scale(config, star.kappa)
-        seeded = int(y[j].searchsorted(star.r0 / lam))  # the radii below seed_radius
         if seeded:
             seed = _seed(config, y[j, :seeded])
             enthalpy[j, :seeded] = seed[0]
