@@ -369,9 +369,12 @@ class DenseSolution:
         A radius on a step boundary is evaluated on the step that ends
         there, one below ts[0] on the first step and one above ts[-1] on the
         last.  The radii of step k are a run of each row, found by searching
-        the row for each step boundary; the coefficients of the steps a row
-        holds radii in are gathered, row after row (the table is not copied
-        per row), each repeated over its run, and each radius gets _horner's
+        the row for each step boundary, and each coefficient row is repeated
+        over those runs.  Over several rows the coefficients of the steps a
+        row holds radii in are gathered first, row after row, so the table
+        is not copied per row; one row reads the table as it is, as the
+        gather's fixed cost (a few numpy calls) slows verify and transition,
+        which read one row at a time, by 1-3%.  Each radius gets _horner's
         arithmetic on its step's floats, so its bits.  Raises ValueError
         when a row is not ascending.
         """
@@ -389,9 +392,11 @@ class DenseSolution:
             run[-1] += len(row) - ends[-1]
             runs.append(run)
         runs = np.concatenate(runs)
-        held = runs.nonzero()[0]
-        steps, runs = held % self.n_steps, runs[held]
-        starts, h, y0, coeffs = self.ts[steps], self.h[steps], self.ys[steps], self.coeffs[..., steps]
+        starts, h, y0, coeffs = self.ts[:-1], self.h, self.ys[:-1], self.coeffs
+        if len(rows) > 1:  # gather the steps each row holds radii in, row after row
+            held = runs.nonzero()[0]
+            steps, runs = held % self.n_steps, runs[held]
+            starts, h, y0, coeffs = starts[steps], h[steps], y0[steps], coeffs[..., steps]
         x = starts.repeat(runs)
         np.subtract(rows.ravel(), x, out=x)
         x /= h.repeat(runs)
