@@ -374,7 +374,7 @@ class DenseSolution:
         row holds radii in are gathered first, row after row, so the table
         is not copied per row; one row reads the table as it is, as the
         gather's fixed cost (a few numpy calls) slows verify and transition,
-        which read one row at a time, by 1-3%.  Each radius gets _horner's
+        which read one row at a time, by 2-3%.  Each radius gets _horner's
         arithmetic on its step's floats, so its bits.  Raises ValueError
         when a row is not ascending.
         """
