@@ -149,10 +149,11 @@ class SweepRow:
     """One central density of a sweep: geometry, mass, and the verdict.
 
     reason is "<ExcType>: <message>" for an Error row and empty otherwise.
-    inertia_counts and solves are the certified search's
-    (spectral.CertifiedEigenvalue): solves counts its inverse-iteration
-    solves only, with no eigenvector finish.  Both are 0 for an Error row;
-    neither is printed.
+    mu_star, the verdict, inertia_counts and solves are the certified
+    search's (spectral.CertifiedEigenvalue), from the guess run_sweep gives
+    a row below its line's top, the row above's mu* rescaled: solves counts
+    its inverse-iteration solves only, with no eigenvector finish.  Both
+    counts are 0 for an Error row; neither is printed.
     """
 
     rho0: float
@@ -169,15 +170,17 @@ class SweepRow:
 _ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _certified_row(star: RunStar, op: DiscreteOperator, tol_eig: float) -> SweepRow:
+def _certified_row(star: RunStar, op: DiscreteOperator, tol_eig: float,
+                   guess: Optional[float] = None) -> SweepRow:
     """The sweep row of one liquid star read off a run, from its pencil op: R, M and the certified verdict.
 
     A row prints no eigenvector, so its pencil gets the certified search
-    alone (spectral.certified_search): mu*, the verdict and the evidence are
-    classify_stability's bitwise, with no eigenvector finish and no Robin
-    defect.  R is the star's liquid radius, the one its pencil is built on.
+    alone (spectral.certified_search, from guess if one is given): with no
+    guess, mu*, the verdict and the evidence are classify_stability's
+    bitwise, with no eigenvector finish and no Robin defect.  R is the
+    star's liquid radius, the one its pencil is built on.
     """
-    result = certified_search(op, tol_eig)
+    result = certified_search(op, tol_eig, guess=guess)
     verdict = MARGINAL if result.marginal else result.verdict
     return SweepRow(
         rho0=star.config.rho_center,
@@ -233,12 +236,22 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
     assembled in stacked arrays (spectral.assemble_stars), each bit for bit
     its star's own.  Each pencil then gets the certified search alone
     (spectral.certified_search: no eigenvector, no Robin defect), and M is
-    the run's mass at R, one scalar read.  The largest star's row is bit
-    for bit the row of the star built alone, _classified_row on
-    steady.liquid_read's star, the top star of its own line.  The others'
-    R and M agree with their own lines' to about 1e-10 and their mu* to
-    about 5e-10 relative at mesh 2048, since the two runs take different
-    steps, so a row's mu* depends on its line at that level.  A row's star
+    the run's mass at R, one scalar read.  The rows the line serves are
+    certified from the top down, in batches from the top: the first
+    (the largest star's) with no guess, each one below from the guess
+    mu*_above rho0 / rho0_above, where mu*_above is that of the nearest row
+    above it that was certified.  A member of the run's family scales its
+    mu* exactly like rho0 (RunStar.read's rescaling law), so the guess is
+    off only by the cut: 0.15% between the top two rows of the benchmark's
+    lines.  The guess moves where the counts start and nothing
+    else: every end of a row's bracket is certified by a count (see
+    certified_search).  The largest star's row is bit for bit the row of
+    the star built alone, _classified_row on steady.liquid_read's star, the
+    top star of its own line.  The others' R and M agree with their own
+    lines' to about 1e-10 and their mu* to about 5e-10 relative at mesh
+    2048, since the two runs take different steps, so a row's mu* depends
+    on its line at that level, and on its guess by up to 8.2e-9 relative
+    (see certified_search).  A row's star
     is liquid_read's, off its own line, when its liquid level is not
     crossed after the largest star's seed or its R would exceed rmax
     (_served), and every row's is when the line's own integration fails.
@@ -275,6 +288,8 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
                 served.append((i, star))
         except _ROW_ERRORS as exc:
             rows[i] = _error_row(rho0, exc)
+    served.sort(key=lambda item: densities[item[0]], reverse=True)  # from the top down
+    above = None  # (rho0, mu*) of the last row certified
     size = max(1, _BATCH_MESH // max(spec.mesh, 1))
     for start in range(0, len(served), size):
         batch = served[start:start + size]
@@ -283,11 +298,16 @@ def run_sweep(spec: RunSpec) -> List[SweepRow]:
         except _ROW_ERRORS as exc:  # a check on the whole batch (the mesh size): every row's reason
             ops = [exc] * len(batch)
         for (i, star), op in zip(batch, ops):
+            rho0 = densities[i]
+            if isinstance(op, Exception):
+                rows[i] = _error_row(rho0, op)
+                continue
             try:
-                rows[i] = (_error_row(densities[i], op) if isinstance(op, Exception)
-                           else _certified_row(star, op, spec.tol_eig))
+                guess = None if above is None else above[1] * (rho0 / above[0])
+                rows[i] = _certified_row(star, op, spec.tol_eig, guess)
+                above = (rho0, rows[i].mu_star)
             except _ROW_ERRORS as exc:
-                rows[i] = _error_row(densities[i], exc)
+                rows[i] = _error_row(rho0, exc)
     return rows
 
 

@@ -15,15 +15,21 @@ is linearly unstable iff the smallest eigenvalue mu* is negative, with growth
 rate sqrt(-mu*).
 
 q is evaluated through the equilibrium identity y^d (rhobar^gamma)' =
--y rhobar m = -(m/y^d) wgt, which avoids numerical differentiation of the
-profile: with p = gamma rhobar^(gamma-1) wgt, every coefficient is wgt times
-one of the two columns a steady.RunStar reads off its DOP853 run (the
-enthalpy gives rhobar^(gamma-1), and m/y^d is the other column), so the
-only power of rhobar taken is rhobar itself.  The Gauss points of a mesh
-are read in ascending order, element by element, so the run locates them
-in one pass over its steps; assemble_stars reads those of several stars of
-one run (a batch of scan rows) in that one pass, row after row, and
-assembles their pencils in stacked arrays, each the star's own bit for bit.
+-y rhobar m, which avoids numerical differentiation of the profile: q =
+-(2(d-1) - d gamma) y rhobar m comes straight from the mass m, one of the
+two columns a steady.RunStar reads off its DOP853 run, and p = gamma
+rhobar^(gamma-1) wgt from the other, the enthalpy, which gives
+rhobar^(gamma-1); so the only power of rhobar taken is rhobar itself, and
+no m/y^d is formed.  The Gauss points of a mesh are read in ascending
+order, element by element, so the run locates them in one pass over its
+steps; assemble_stars reads those of several stars of one run (a batch of
+scan rows) in that one pass, row after row, and assembles their pencils in
+stacked arrays, each the star's own bit for bit.
+
+The smallest eigenvalue is certified by inertia counts (certified_search,
+smallest_eigenpair).  A scan row's search may start from a guess, its
+neighbour's mu* rescaled: the guess only places the first counts, and
+every end of the bracket is still a count.
 
 The sign of mu* is certified by LAPACK's tridiagonal L D L^T, dpttrf, and the
 eigenvector solved for with its dpttrs.  Both are called through ctypes in
@@ -43,7 +49,7 @@ from typing import Callable, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .config import stability_threshold, support_threshold
-from .steady import RunStar, enthalpy_and_mass_hat, gauss_rule, liquid_radius
+from .steady import RunStar, enthalpy_and_mass, gauss_rule, liquid_radius
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -81,7 +87,8 @@ def _coefficients(stars: Sequence[RunStar]) -> Callable:
 
     y holds the stars' radii in turn, an equal share each (one star takes y
     of any shape), all read off their shared run in one pass
-    (steady.enthalpy_and_mass_hat); p and q are made in the read's buffers.
+    (steady.enthalpy_and_mass); p and q are made in the read's buffers, q as
+    -coef y rho m straight from the mass, with no m/y^d.
     """
     config = stars[0].config
     d, g = config.d, config.gamma
@@ -90,13 +97,15 @@ def _coefficients(stars: Sequence[RunStar]) -> Callable:
     def coeffs(y):
         y = np.asarray(y, dtype=float)
         rows = y.reshape(len(stars), -1)
-        enthalpy, mass_hat = enthalpy_and_mass_hat(stars, rows)
+        enthalpy, mass = enthalpy_and_mass(stars, rows)
+        rho = config.rho_of_enthalpy(enthalpy)
         wgt = rows ** (d + 1)
-        wgt *= config.rho_of_enthalpy(enthalpy)
+        wgt *= rho
         p = np.multiply(config.rho_power_of_enthalpy(enthalpy), g, out=enthalpy)
         p *= wgt
-        q = np.multiply(mass_hat, -coef, out=mass_hat)
-        q *= wgt
+        q = np.multiply(mass, -coef, out=mass)
+        q *= rows
+        q *= rho
         return p.reshape(y.shape), q.reshape(y.shape), wgt.reshape(y.shape)
 
     return coeffs
@@ -198,7 +207,12 @@ def _element_integrals(coeffs: Callable, nodes: np.ndarray):
     if np.any(h <= 0.0):
         raise ValueError("degenerate mesh: nodes must be strictly increasing")
     J, M = h.shape
-    pts = yl[..., None] + h[..., None] * _REF_X
+    # one Gauss point of every element at a time, over the long axis, into
+    # the element-by-element layout the read takes (an inner axis of 3 in
+    # the arithmetic itself costs about 4x)
+    pts = np.empty((J, M, 3))
+    for k, x in enumerate(_REF_X):
+        np.add(yl, h * x, out=pts[..., k])
     # a matrix-vector product rounds by its matrix's layout: each row's
     # contraction takes its own contiguous (3, M) block, as numpy's stacked
     # matmul hands each block to BLAS on its own
@@ -370,8 +384,13 @@ class SpectralResult(CertifiedEigenvalue):
     like mesh^2 (5.1e-10, 9.4e-9 and 3.1e-8 at meshes 2048, 8192 and 16384
     on (4, 1.4, 50.3231), where more inverse iteration does not lower it),
     so above a mesh of about 8192 it can exceed tol_eig for a converged
-    eigenvector and is no acceptance test there.  robin_defect is
-    classify_stability's (NaN from smallest_eigenpair alone).
+    eigenvector and is no acceptance test there.  That floor is at most
+    3.2 eps mesh^2 on every star of the benchmark's sweep and of the domain
+    probe's grid but those at gamma = 2(d-1)/d, where q vanishes: there it
+    reaches 7e-5 to 35 at rho0 >= 1e8 (mesh 256), which no bound on the
+    residual could accept, so smallest_eigenpair accepts on its Gershgorin
+    scale instead.  robin_defect is classify_stability's (NaN from
+    smallest_eigenpair alone).
     """
 
     chi_star: np.ndarray
@@ -533,6 +552,8 @@ _SETTLE = 0.3
 _PROBE_SOLVES = 10
 # the smallest positive normal double
 _NORMAL_MIN = 2.0**-1022
+# a guess at mu* is counted at guess -+ this share of |guess|
+_GUESS_WIDTH = 0.01
 
 
 class _CertifiedBracket:
@@ -540,40 +561,59 @@ class _CertifiedBracket:
 
     See smallest_eigenpair for the search.  The constructor counts at lo and
     hi, moving either outward until it holds; narrow, probe and settle
-    narrow the bracket from there.  Each count is the factorisation
-    _positive_definite makes: the scaled mass diagonal is 1, so K - sigma Mw
-    has the diagonal kd - sigma, bitwise.  counts is the number taken.
+    narrow the bracket from there.  Given a guess at mu* (certified_search's),
+    it first counts at guess -+ _GUESS_WIDTH |guess| where that lies inside
+    (lo, hi): a count that holds moves lo there, one that fails makes it
+    hi, and only an end still missing is walked to from lo or hi.  Each
+    count is the factorisation _positive_definite makes: the scaled mass
+    diagonal is 1, so K - sigma Mw has the diagonal kd - sigma, bitwise.
+    counts is the number taken.
 
     The counts factor into two preallocated slots: factor (slots[0]) holds
     lo's L D L^T factor, every count writes slots[1], and the two swap
     whenever lo moves to the shift just counted.
     """
 
-    def __init__(self, scaled: DiscreteOperator, lo: float, hi: float, rq_ones: float):
+    def __init__(self, scaled: DiscreteOperator, lo: float, hi: float, rq_ones: float,
+                 guess: Optional[float] = None):
         self.kd, self.ke, self.me = scaled.k_diag, scaled.k_off, scaled.m_off
         self.rq_ones = rq_ones
         self.counts = 0
         n = len(self.kd)
         self.slots = [_Tridiagonal(n), _Tridiagonal(n)]
-        for _ in range(60):
-            info, f_lo = self._factor(lo)
-            if info == 0:
+        have_lo = have_hi = False
+        if guess is not None and math.isfinite(guess):
+            # the upper shift first: where it holds, the lower one needs no count
+            for sigma in (guess + _GUESS_WIDTH * abs(guess), guess - _GUESS_WIDTH * abs(guess)):
+                if not lo < sigma < hi:
+                    continue
+                info, f = self._factor(sigma)
+                if info != 0:
+                    hi, f_hi, have_hi = sigma, f, True
+                else:
+                    lo, f_lo, have_lo = sigma, f, True
+                    self.slots.reverse()
+        if not have_lo:
+            for _ in range(60):
+                info, f_lo = self._factor(lo)
+                if info == 0:
+                    self.slots.reverse()
+                    break
+                lo -= max(1.0, abs(lo))
+            else:
+                raise RuntimeError("eigensolver failed to certify a lower bound")
+        if not have_hi:
+            if hi <= lo:
+                hi = lo + max(abs(lo) * 1e-12, 1e-300)
+            for _ in range(60):
+                info, f_hi = self._factor(hi)
+                if info != 0:
+                    break
+                lo, f_lo = hi, f_hi
                 self.slots.reverse()
-                break
-            lo -= max(1.0, abs(lo))
-        else:
-            raise RuntimeError("eigensolver failed to certify a lower bound")
-        if hi <= lo:
-            hi = lo + max(abs(lo) * 1e-12, 1e-300)
-        for _ in range(60):
-            info, f_hi = self._factor(hi)
-            if info != 0:
-                break
-            lo, f_lo = hi, f_hi
-            self.slots.reverse()
-            hi += max(1.0, abs(hi))
-        else:
-            raise RuntimeError("eigensolver failed to certify an upper bound")
+                hi += max(1.0, abs(hi))
+            else:
+                raise RuntimeError("eigensolver failed to certify an upper bound")
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
         self.widths = [hi - lo] * 3  # the bracket width before each count
         self.w_lo = self.w_hi = 1.0  # Illinois weights of f_lo and f_hi (see smallest_eigenpair)
@@ -712,12 +752,12 @@ def _inverse_iteration(scaled: DiscreteOperator, factor: _Tridiagonal, shift: fl
     return x, Mx, None, max_solves
 
 
-def _search(op: DiscreteOperator, tol_eig: float):
+def _search(op: DiscreteOperator, tol_eig: float, guess: Optional[float] = None):
     """Steps 1-4 of smallest_eigenpair: (its CertifiedEigenvalue, what the eigenvector finish goes on from).
 
     That is (s, scaled, bracket, z, Mz): the Jacobi scaling and the scaled
     pencil, the _CertifiedBracket, whose factor is its final lower end's,
-    and the iterate z of step 2 with Mw z.
+    and the iterate z of step 2 with Mw z.  guess is certified_search's.
     """
     if not (tol_eig > 0.0):
         raise ValueError("tol_eig must be positive")
@@ -727,7 +767,7 @@ def _search(op: DiscreteOperator, tol_eig: float):
 
     s, scaled = _jacobi_scaled(op)
     hi = rq_ones + abs(rq_ones) * 1e-12 + 1e-300
-    bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq_ones)
+    bracket = _CertifiedBracket(scaled, op.mu_lower, hi, rq_ones, guess)
     bracket.narrow(_COARSE_WIDTH)
     half_width = _PROBE_WIDTH * max(1.0, ((n - 1) / 2048.0) ** 2)  # w / scale
     tol = _SETTLE * half_width * bracket.scale(0.5 * (bracket.lo + bracket.hi))
@@ -754,15 +794,27 @@ def _search(op: DiscreteOperator, tol_eig: float):
     return certificate, (s, scaled, bracket, z, Mz)
 
 
-def certified_search(op: DiscreteOperator, tol_eig: float = 1e-8) -> CertifiedEigenvalue:
+def certified_search(op: DiscreteOperator, tol_eig: float = 1e-8,
+                     guess: Optional[float] = None) -> CertifiedEigenvalue:
     """The smallest generalized eigenvalue and the verdict, certified by inertia counts: no eigenvector.
 
     This is steps 1-4 of smallest_eigenpair, which runs it and then the
-    eigenvector finish, so every field is smallest_eigenpair's bitwise but
-    solves, which leaves out the finish's.  The scan rows and critical's
-    bracket ends (harness) read nothing else.
+    eigenvector finish, so with no guess every field is
+    smallest_eigenpair's bitwise but solves, which leaves out the finish's.
+    The scan rows and critical's bracket ends (harness) read nothing else.
+
+    guess, a first estimate of mu* (a scan row's, from the row above it),
+    changes only where step 1 starts: counts at guess -+ 1% of |guess|
+    that lie inside (mu_lower, RQ(1)) come first, and one that holds moves
+    lo, one that fails becomes hi (and ends them).  An end they leave
+    missing is found as without a guess, so a guess that is far off, 0, NaN
+    or infinite costs at most two counts and never places an end: every end
+    is certified by a count, and the verdict with it.  Steps 2-4 then run
+    from that bracket, so mu* moves from the unguessed search's only within
+    the two certified brackets (at most 8.2e-9 relative on the benchmark's
+    sweep rows at mesh 2048).
     """
-    return _search(op, tol_eig)[0]
+    return _search(op, tol_eig, guess)[0]
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol_eig: float = 1e-8) -> SpectralResult:

@@ -149,11 +149,8 @@ class Profile:
         return float(self.mass[i])
 
 
-def _mass_hat(d: int, rho_center, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0.
-
-    rho_center is rho0, or a column of one rho0 per row of r.
-    """
+def _mass_hat(d: int, rho_center: float, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0."""
     limit = np.empty_like(r)
     limit[...] = FOUR_PI / d * rho_center
     rd = r ** d
@@ -387,11 +384,12 @@ class RunStar:
     def enthalpy_and_mass_hat_at(self, r):
         """The enthalpy and m/r^d at radii r in [0, end / lam], in any order, each shaped like r.
 
-        enthalpy_and_mass_hat of this star alone.  ValueError for a radius
-        outside [0, end / lam].
+        enthalpy_and_mass of this star alone, with m/r^d from its mass
+        (_mass_hat).  ValueError for a radius outside [0, end / lam].
         """
         r = np.asarray(r, dtype=float)
-        return tuple(c.reshape(r.shape) for c in enthalpy_and_mass_hat((self,), r.reshape(1, -1)))
+        enthalpy, mass = (c.reshape(r.shape) for c in enthalpy_and_mass((self,), r.reshape(1, -1)))
+        return enthalpy, _mass_hat(self.config.d, self.config.rho_center, r, mass)
 
     def enthalpy_at(self, r):
         """The enthalpy at radii r in [0, end / lam], shaped like r.
@@ -500,18 +498,15 @@ def _read_rows(stars: Sequence[RunStar], y: np.ndarray, enthalpy_only: bool = Fa
     return enthalpy if enthalpy_only else (enthalpy, mass)
 
 
-def enthalpy_and_mass_hat(stars: Sequence[RunStar], y: np.ndarray):
-    """The enthalpy and m/r^d of stars[j] at the radii of row y[j], each shaped like y.
+def enthalpy_and_mass(stars: Sequence[RunStar], y: np.ndarray):
+    """The enthalpy and the mass of stars[j] at the radii of row y[j], each shaped like y.
 
     The stars share one run and (d, gamma); all of y is read in one pass
-    over it (_read_rows), row j bit for bit
-    stars[j].enthalpy_and_mass_hat_at(y[j]).  ValueError for a radius
-    outside its star's [0, end / lam].
+    over it (_read_rows), row j bit for bit that row read alone.
+    ValueError for a radius outside its star's [0, end / lam].
     """
     _inside(stars, y)
-    enthalpy, mass = _read_rows(stars, y)
-    rho_center = np.array([[star.config.rho_center] for star in stars])
-    return enthalpy, _mass_hat(stars[0].config.d, rho_center, y, mass)
+    return _read_rows(stars, y)
 
 
 def _run_star(config: StarConfig, tol: float, r_max: float, stop: float) -> RunStar:

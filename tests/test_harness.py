@@ -112,11 +112,11 @@ class TestRunSweep:
         calls = {"n": 0}
         real = harness.certified_search
 
-        def flaky(op, tol_eig=1e-8):
+        def flaky(op, tol_eig=1e-8, guess=None):
             calls["n"] += 1
-            if calls["n"] == 2:
+            if calls["n"] == 2:  # the middle row, from the top down too
                 raise RuntimeError("synthetic failure")
-            return real(op, tol_eig)
+            return real(op, tol_eig, guess)
 
         monkeypatch.setattr(harness, "certified_search", flaky)
         spec = RunSpec(d=3, gamma=1.5, rho0_min=2.0, rho0_max=8.0, points=3, mesh=256)
@@ -127,7 +127,7 @@ class TestRunSweep:
         assert (rows[1].inertia_counts, rows[1].solves) == (0, 0)
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(op, tol_eig=1e-8):
+        def broken(op, tol_eig=1e-8, guess=None):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(harness, "certified_search", broken)
@@ -155,8 +155,8 @@ class TestRunSweep:
         real_solve = harness.certified_search
 
         def recorded(*args, **kwargs):
-            results.append(real_solve(*args, **kwargs))
-            return results[-1]
+            results.insert(0, real_solve(*args, **kwargs))  # the rows are certified from the top down
+            return results[0]
 
         monkeypatch.setattr(harness, "certified_search", recorded)
         rows = run_sweep(RunSpec(d=3, gamma=1.25, rho0_min=2.0, rho0_max=1e4, points=3, mesh=512))
@@ -314,29 +314,56 @@ class TestLineFamily:
         assert len(own) == 6 and batches == [{id(lines[0].sol), 7}]  # 1 own, 7 in one batch
 
 
+def seeded_rows(line, rho0s, mesh, tol_eig=1e-8):
+    """The rows of the stars line.read serves, one pencil at a time, each with the guess run_sweep gives it.
+
+    From the top down: the largest star's certified search has no guess,
+    each one below it the row above's mu* times rho0 / rho0_above.
+    """
+    rows, above = {}, None
+    for rho0 in sorted(rho0s, reverse=True):
+        star = line.read(rho0)
+        guess = None if above is None else above.mu_star * (rho0 / above.rho0)
+        op = spectral.assemble(spectral.build_sl_data(star), mesh)
+        rows[rho0] = above = harness._certified_row(star, op, tol_eig, guess)
+    return [rows[rho0] for rho0 in rho0s]
+
+
 class TestRunReadRows:
-    """A scan row is classify_stability's on its star read off the run; R and M are the star's samples' (MIN_POINTS)."""
+    """A scan row is the certified search on its star's own pencil read off the run, from its neighbour's guess."""
 
     @pytest.mark.parametrize("d,gamma", SEED0_LINES, ids=str)
     def test_row_matches_its_sampled_profile(self, d, gamma):
-        # the row is classify_stability's on the same star read off the line,
-        # bit for bit; R is its samples' last radius and M the mass there
+        # the row is certified_search's on the same star's pencil, with the
+        # same guess (none on the top row), bit for bit; its verdict is
+        # classify_stability's and its bracket meets that search's; R is
+        # its samples' last radius and M the mass there
         rows = run_sweep(RunSpec(d=d, gamma=gamma, rho0_min=1.01, rho0_max=1e6, points=8, mesh=2048))
         line = steady.integrate_line(StarConfig(d, gamma, 1e6))
-        for row in rows:
+        above = None
+        for row in reversed(rows):
             star = line.read(row.rho0)
             profile = star.profile()
+            op = spectral.assemble(spectral.build_sl_data(star), 2048)
+            guess = None if above is None else above.mu_star * (row.rho0 / above.rho0)
+            seeded = spectral.certified_search(op, guess=guess)
             result = spectral.classify_stability(star, mesh_size=2048)
             assert row.R == profile.liquid_radius == profile.radii[-1]
-            assert row.verdict == (harness.MARGINAL if result.marginal else result.verdict)
-            assert row.mu_star.hex() == result.mu_star.hex()
+            assert row.verdict == (harness.MARGINAL if seeded.marginal else seeded.verdict)
+            assert (seeded.verdict, seeded.marginal) == (result.verdict, result.marginal)
+            assert row.mu_star.hex() == seeded.mu_star.hex()
+            assert (row.inertia_counts, row.solves) == (seeded.inertia_counts, seeded.solves)
+            assert max(seeded.bracket[0], result.bracket[0]) < min(seeded.bracket[1], result.bracket[1])
+            if above is None:
+                assert row.mu_star.hex() == result.mu_star.hex()
             assert row.M_total.hex() == profile.total_mass.hex() == profile.mass[-1].hex()
+            above = row
 
 
     @pytest.mark.parametrize("points,mesh,sizes", [(10, 2048, [4, 4, 2]), (3, 8192, [1, 1, 1]), (8, 256, [8])])
     def test_rows_batched_under_one_mesh_8192_pencil(self, monkeypatch, points, mesh, sizes):
         # a batch holds at most 3 * 8192 Gauss points, and each row is bit
-        # for bit the row of its star's own pencil
+        # for bit the row of its star's own pencil with the same guess
         batches, real = [], harness.assemble_stars
 
         def recorded(stars, at_mesh):
@@ -348,8 +375,17 @@ class TestRunReadRows:
         rows = run_sweep(spec)
         assert batches == sizes
         line = steady.integrate_line(StarConfig(4, 1.447, 1e6))
-        for row in rows:
-            assert repr(row) == repr(harness._classified_row(line.read(row.rho0), mesh, 1e-8))
+        assert repr(rows) == repr(seeded_rows(line, [row.rho0 for row in rows], mesh))
+
+    def test_seed0_lines_keep_their_count_budget(self):
+        # the three seed-0 lines test_cli prints at mesh 512 took 149 inertia
+        # counts from their neighbours' guesses (51, 52 and 46), against 217
+        # with no guess: the budget of 160 leaves 7% headroom, so a guess
+        # that stops holding fails here
+        lines = [(3, 1.034), (4, 1.447), (5, 1.73)]
+        counts = sum(row.inertia_counts for d, g in lines for row in run_sweep(
+            RunSpec(d=d, gamma=g, rho0_min=1.01, rho0_max=1e6, points=8, mesh=512)))
+        assert counts <= 160
 
 
 class TestCriticalDensity:

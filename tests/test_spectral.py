@@ -890,6 +890,63 @@ class TestSearchAlone:
             certified_search(op, 0.0)
 
 
+class TestGuessedSearch:
+    """certified_search from a guess at mu*: the guess moves where the counts start, never an end or the verdict."""
+
+    # the pinned star near mu* = 0, a stable and an unstable star
+    STARS = [(3, 1.25, 50.3231), (4, 1.6, 1e3), (3, 1.25, 1e4)]
+    # the guess takes at most its own two counts more than the search without
+    # one; none of the guesses below took more on these stars at mesh 512,
+    # and the worst of the 720 rows of the benchmark's sweep seeds 0-9 at mesh
+    # 2048, each from its neighbour's guess, took 5 more
+    EXTRA_COUNTS = 2
+
+    @staticmethod
+    def guesses(mu):
+        return [mu * (1 + 1e-3), mu * (1 - 1e-3), 10 * mu, mu / 10, -mu, 0.0, math.nan, math.inf]
+
+    @pytest.mark.parametrize("star", STARS, ids=str)
+    def test_every_guess_certifies_the_unguessed_verdict(self, star):
+        op = assemble(build_sl_data(get_liquid(*star)), 512)
+        _, scaled = _jacobi_scaled(op)
+        pencil = (scaled.k_diag, scaled.k_off, scaled.m_diag, scaled.m_off)
+        alone = certified_search(op)
+        for guess in self.guesses(alone.mu_star):
+            res = certified_search(op, guess=guess)
+            lo, hi = res.bracket
+            assert _positive_definite(*pencil, lo) and not _positive_definite(*pencil, hi), guess
+            assert (res.verdict, res.marginal) == (alone.verdict, alone.marginal), guess
+            assert max(lo, alone.bracket[0]) < min(hi, alone.bracket[1]), guess
+            assert res.inertia_counts <= alone.inertia_counts + self.EXTRA_COUNTS, guess
+            if not math.isfinite(guess):  # no count at all: the unguessed search, bit for bit
+                assert bits(tuple(vars(res).values())) == bits(tuple(vars(alone).values()))
+
+    @pytest.mark.parametrize("star", STARS, ids=str)
+    def test_a_close_guess_places_both_ends_with_its_two_counts(self, star):
+        # within 1% of mu*, the two counts at guess -+ 1% of |guess| are the
+        # constructor's only ones, and each certifies the end it becomes
+        op = assemble(build_sl_data(get_liquid(*star)), 512)
+        _, scaled = _jacobi_scaled(op)
+        mu = certified_search(op).mu_star
+        hi = op.rayleigh(np.ones(len(op.nodes)))
+        for guess in (mu * (1 + 1e-3), mu * (1 - 1e-3)):
+            bracket = _CertifiedBracket(scaled, op.mu_lower, hi * (1 + 1e-12) + 1e-300, hi, guess)
+            width = spectral._GUESS_WIDTH * abs(guess)
+            assert bracket.counts == 2
+            assert (bracket.lo, bracket.hi) == (guess - width, guess + width)
+            assert bracket.lo < mu < bracket.hi
+
+    def test_counts_lying_outside_the_first_bracket_are_not_taken(self):
+        # an unstable star's RQ(1) < 0: a guess of 0 or -mu* lies above it,
+        # and 10 mu* below mu_lower, so no count is spent on them
+        op = assemble(build_sl_data(get_liquid(3, 1.25, 1e4)), 512)
+        alone = certified_search(op)
+        assert op.mu_lower > 10 * alone.mu_star
+        for guess in (0.0, -alone.mu_star, 10 * alone.mu_star):
+            res = certified_search(op, guess=guess)
+            assert bits(tuple(vars(res).values())) == bits(tuple(vars(alone).values()))
+
+
 class TestSolveScaling:
     """_solve scales an iterate whose y.Mw y underflows by a power of two, and moves no bit."""
 
@@ -928,16 +985,18 @@ class TestFusedCoefficients:
              (4, 1.2, 1e6)]
 
     @staticmethod
-    def formula(config, enthalpy, mass_hat, y):
-        """(p, q, wgt) from the enthalpy and m/y^d.
+    def formula(config, enthalpy, mass, y):
+        """(p, q, wgt) from the enthalpy and the mass m.
 
-        wgt = y^(d+1) rho, p = gamma rho^(gamma-1) wgt and q = -coef (m/y^d) wgt.
+        wgt = y^(d+1) rho, p = gamma rho^(gamma-1) wgt and q = -coef m y rho,
+        the equilibrium identity's -coef (m/y^d) wgt with no m/y^d.
         """
         d, g = config.d, config.gamma
         coef = 2.0 * (d - 1.0) - d * g
-        wgt = y ** (d + 1) * config.rho_of_enthalpy(enthalpy)
+        rho = config.rho_of_enthalpy(enthalpy)
+        wgt = y ** (d + 1) * rho
         rho_power = 1.0 if g == 1.0 else enthalpy  # rho^(gamma-1) is w itself
-        return g * rho_power * wgt, -coef * mass_hat * wgt, wgt
+        return g * rho_power * wgt, -coef * mass * y * rho, wgt
 
     @classmethod
     def reference_coeffs(cls, star):
@@ -945,7 +1004,8 @@ class TestFusedCoefficients:
 
         def coeffs(y):
             y = np.asarray(y, dtype=float)
-            return cls.formula(star.config, *star.enthalpy_and_mass_hat_at(y), y)
+            enthalpy, mass = (c.reshape(y.shape) for c in steady.enthalpy_and_mass((star,), y.reshape(1, -1)))
+            return cls.formula(star.config, enthalpy, mass, y)
 
         return coeffs
 
