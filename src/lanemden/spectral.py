@@ -387,7 +387,7 @@ class SpectralResult(CertifiedEigenvalue):
     eigenvector and is no acceptance test there.  That floor is at most
     3.2 eps mesh^2 on every star of the benchmark's sweep and of the domain
     probe's grid but those at gamma = 2(d-1)/d, where q vanishes: there it
-    reaches 7e-5 to 35 at rho0 >= 1e8 (mesh 256), which no bound on the
+    reaches 1e-6 to 35 at rho0 >= 1e8 (mesh 256), which no bound on the
     residual could accept, so smallest_eigenpair accepts on its Gershgorin
     scale instead.  robin_defect is classify_stability's (NaN from
     smallest_eigenpair alone).
