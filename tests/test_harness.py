@@ -380,8 +380,8 @@ class TestRunReadRows:
     def test_seed0_lines_keep_their_count_budget(self):
         # the three seed-0 lines test_cli prints at mesh 512 took 149 inertia
         # counts from their neighbours' guesses (51, 52 and 46), against 217
-        # with no guess: the budget of 160 leaves 7% headroom, so a guess
-        # that stops holding fails here
+        # at the parent, which had no guess: the budget of 160 leaves 7%
+        # headroom, so a guess that stops holding fails here
         lines = [(3, 1.034), (4, 1.447), (5, 1.73)]
         counts = sum(row.inertia_counts for d, g in lines for row in run_sweep(
             RunSpec(d=d, gamma=g, rho0_min=1.01, rho0_max=1e6, points=8, mesh=512)))
