@@ -100,8 +100,14 @@ class RunSpec:
 
 
 def _worst_defects(star: RunStar, profile: Profile) -> Tuple[float, float]:
-    """The worst |Pohozaev residual| at the profile's radii, read off star, and max(rho / decay_bound) - 1."""
-    poho = float(np.max(np.abs(pohozaev_residual(star, profile.radii))))
+    """The worst |Pohozaev residual| at the profile's samples, and max(rho / decay_bound) - 1.
+
+    profile is star's (RunStar.profile): the residual takes its enthalpy and
+    mass as the star's read at its radii, which they are bit for bit but at
+    a surface sample pinned to its level, and reads star only for the
+    identity's integral.
+    """
+    poho = float(np.max(np.abs(pohozaev_residual(star, profile.radii, (profile.enthalpy, profile.mass)))))
     slack = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0
     return poho, slack
 

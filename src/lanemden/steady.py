@@ -59,16 +59,22 @@ _LEGGAUSS = {
     5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
         (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
          0.23692688505618928)),
+    10: ((-0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+          -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+          0.8650633666889845, 0.9739065285171717),
+         (0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+          0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+          0.1494513491505804, 0.06667134430868814)),
 }
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre rule on [0, 1], n = 3 or 5: (points, weights), exact to degree 2n - 1.
+    """numpy's n-point Gauss-Legendre rule on [0, 1], n = 3, 5 or 10: (points, weights), exact to degree 2n - 1.
 
     ValueError for any other n.
     """
     if n not in _LEGGAUSS:
-        raise ValueError(f"gauss_rule holds the 3- and 5-point rules, not n = {n}")
+        raise ValueError(f"gauss_rule holds the 3-, 5- and 10-point rules, not n = {n}")
     x, w = (np.array(a) for a in _LEGGAUSS[n])
     return 0.5 * (1.0 + x), 0.5 * w
 
@@ -614,26 +620,84 @@ def decay_bound(config: StarConfig, r) -> np.ndarray:
 
 
 _INTERVAL_X, _INTERVAL_W = gauss_rule(5)
+_SEGMENT_X, _SEGMENT_W = gauss_rule(10)
 
 
-def _gauss_intervals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of f over each [a_k, b_k]: h sum_j W_j f(a + h X_j), h = b - a, (X, W) = gauss_rule(5).
+def _legendre(u: np.ndarray, n: int) -> list:
+    """P_k(u) for k < n by the three-term recurrence."""
+    p = [np.ones_like(u), u]
+    for k in range(1, n - 1):
+        p.append(((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1))
+    return p[:n]
 
-    f reads the points node by node, so where the a_k and b_k ascend it reads
-    five ascending runs, which a RunStar sorts in one merge.  The sum takes
-    the nodes in order, one elementwise step each, so each interval's value
-    is its own whatever intervals come with it (a matrix-vector product
-    rounds by its length).
+
+def _legendre_monomials(n: int) -> np.ndarray:
+    """n x n: column k holds P_k's coefficients in u, lowest first, by _legendre's recurrence."""
+    m = np.zeros((n, n))
+    m[0, 0] = m[1, 1] = 1.0
+    for k in range(1, n - 1):
+        m[1:, k + 1] = (2 * k + 1) * m[:-1, k]
+        m[:, k + 1] = (m[:, k + 1] - k * m[:, k - 1]) / (k + 1)
+    return m
+
+
+def _antiderivative_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B, (n + 1) x n: int_0^t p = sum_k (B f)_k P_k(2t - 1), p of degree n - 1 through f at gauss_rule(n)'s x.
+
+    p's Legendre coefficients are exact Gauss sums,
+    c_k = (2k + 1) sum_j w_j P_k(2 x_j - 1) f_j, and int_0^t P_k(2s - 1) ds
+    is (P_0 + P_1)/2 for k = 0 and (P_{k+1} - P_{k-1}) / (2 (2k + 1)) above.
+    """
+    n = len(x)
+    half = 0.5 * w * np.array(_legendre(2.0 * x - 1.0, n))
+    weights = np.zeros((n + 1, n))
+    weights[:2] += half[0]
+    weights[2:] += half[1:]
+    weights[:-2] -= half[1:]
+    return weights
+
+
+# f at gauss_rule(10)'s points of [a, a + h] to the antiderivative of their
+# interpolant from a, in two stable steps: its Legendre coefficients, then
+# their monomials in u = 2t - 1, on which a radius's Horner sum is cheap
+_SEGMENT_B = _antiderivative_weights(_SEGMENT_X, _SEGMENT_W)
+_SEGMENT_MONOMIALS = _legendre_monomials(len(_SEGMENT_X) + 1)
+
+
+def _horner(coeffs: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m, k] u^m at each u, column k of coeffs for each."""
+    total = coeffs[-1].take(k)
+    for c in coeffs[-2::-1]:
+        total *= u
+        total += c.take(k)
+    return total
+
+
+def _rule_points(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """(h, points): h = b - a, and a + h x_j on every [a_k, b_k], node by node.
+
+    Where the a_k and b_k ascend that is len(x) ascending runs, which a
+    RunStar sorts in one merge.
     """
     h = b - a
-    values = f((a + h * _INTERVAL_X[:, None]).ravel()).reshape(len(_INTERVAL_X), -1)
-    total = values[0] * _INTERVAL_W[0]
-    for v, w in zip(values[1:], _INTERVAL_W[1:]):
-        total += v * w
+    return h, (a + h * x[:, None]).ravel()
+
+
+def _weighted(values: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h sum_j w_j values[j], values[j] the j-th node's row.
+
+    The sum takes the nodes in order, one elementwise step each, so each
+    interval's value is its own whatever intervals come with it (a
+    matrix-vector product rounds by its length).
+    """
+    values = values.reshape(len(w), -1)
+    total = values[0] * w[0]
+    for v, wj in zip(values[1:], w[1:]):
+        total += v * wj
     return h * total
 
 
-def pohozaev_residual(star: RunStar, r) -> np.ndarray:
+def pohozaev_residual(star: RunStar, r, read: Optional[tuple] = None) -> np.ndarray:
     """Defect of the Pohozaev-type identity satisfied by steady states.
 
     The enthalpy solves e'' + (d-1)/r e' + f(e) = 0 with f = 4 pi c rho and
@@ -641,44 +705,80 @@ def pohozaev_residual(star: RunStar, r) -> np.ndarray:
 
         int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
 
-    star is read at r (RunStar.enthalpy_and_mass_hat_at), and its enthalpy
-    alone (RunStar.enthalpy_at) at the Gauss points of the segments between
-    its radii and of the one from the last radius below each r to r, so
-    each r's value is r's alone
-    whatever radii are asked with it.  The defect is normalized by the
-    largest of the four terms, so a correct star yields values at the
-    quadrature/integration error level.  It is exactly 0 at r = 0; a scalar
-    r gives a float.
+    star is read at r (RunStar.enthalpy_and_mass_hat_at), unless read holds
+    the enthalpy and the mass there, read already (a profile's samples).
+    The integral is cut into segments at the star's radii and at end / lam.
+    On a segment [a, b] where the weight s^(d-1) varies little,
+    (d - 1)(b - a) <= 4a (so (b/a)^(d-1) < e^4), the integrand is read once
+    at the segment's gauss_rule(10) points: the segment's integral is their
+    Gauss sum, and the part [a, r] of it is the exact integral of their
+    degree-9 interpolant.  Every other segment, [0, b] among them, keeps the
+    5-point rule, on [a, b] and on each [a, r] afresh.  So each r's value is
+    r's and its segment's alone, whatever radii are asked with it.
+
+    Along a family every term scales like kappa^gamma lam^-d; where that is
+    above 1, each product takes a power of two of it out before it is
+    formed, which is exact: a dense star's terms stay finite, and the others
+    keep their bits.  The defect is normalized by the largest of the four
+    terms, so a correct star yields values at the quadrature/integration
+    error level.  It is exactly 0 at r = 0; a scalar r gives a float.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     config = star.config
     d, g, c = config.d, config.gamma, config.slope_factor
-    e, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)  # rejects radii outside the star
+    if read is None:
+        e, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)  # rejects radii outside the star
+    else:
+        _inside((star,), r_arr.reshape(1, -1))
+        e = np.asarray(read[0], dtype=float).reshape(r_arr.shape)
+        mass_hat = _mass_hat(d, config.rho_center, r_arr, np.asarray(read[1], dtype=float).reshape(r_arr.shape))
+    # every term is about kappa^gamma lam^-d = rho0^(gamma - d (1 - gamma/2))
+    # along a family; where that is above 1, 2^(2 half) of it comes out
+    half = max(0, round(0.5 * (g - d * (1.0 - 0.5 * g)) * math.log2(config.rho_center)))
 
     def integrand(y):
-        """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c)."""
+        """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c), over 2^(2 half)."""
         e = star.enthalpy_at(y)
         rho = config.rho_of_enthalpy(e)
-        return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
+        return np.ldexp(d * c * rho**g - 0.5 * (d - 2.0) * e * rho, -2 * half) * y ** (d - 1)
 
-    # cumulative integral up to the star's radius at or below each r, plus
-    # the partial segment from there to r for radii off the star's
-    radii = star.radii
-    cum = np.zeros_like(radii)
-    np.cumsum(_gauss_intervals(integrand, radii[:-1], radii[1:]), out=cum[1:])
-    i = np.searchsorted(radii, r_arr, side="right") - 1
+    nodes = np.append(star.radii, star.end / star.lam)
+    a, b = nodes[:-1], nodes[1:]
+    smooth = (d - 1.0) * (b - a) <= 4.0 * a
+    i = np.searchsorted(nodes, r_arr, side="right") - 1  # the node at or below each r
+    inner = np.flatnonzero(r_arr > nodes[i])
+    seg = i[inner]
+    on = smooth[seg]
+    part = inner[~on]
+
+    # one read of the integrand: every smooth segment's 10 points, every
+    # other segment's 5, and the 5 of each [a, r] in one of those
+    h10, y10 = _rule_points(a[smooth], b[smooth], _SEGMENT_X)
+    h5, y5 = _rule_points(a[~smooth], b[~smooth], _INTERVAL_X)
+    h_part, y_part = _rule_points(a[seg[~on]], r_arr[part], _INTERVAL_X)
+    f10, f5, f_part = np.split(integrand(np.concatenate([y10, y5, y_part])),
+                               [y10.size, y10.size + y5.size])
+    segments = np.empty_like(a)
+    segments[smooth] = _weighted(f10, _SEGMENT_W, h10)
+    segments[~smooth] = _weighted(f5, _INTERVAL_W, h5)
+    cum = np.zeros_like(nodes)
+    np.cumsum(segments, out=cum[1:])
+
     integral = cum[i]
-    off = r_arr > radii[i]
-    if np.any(off):
-        integral[off] += _gauss_intervals(integrand, radii[i[off]], r_arr[off])
+    if on.any():
+        coeffs = _SEGMENT_MONOMIALS @ (_SEGMENT_B @ f10.reshape(len(_SEGMENT_X), -1))
+        at, k = inner[on], (np.cumsum(smooth) - 1)[seg[on]]
+        u = 2.0 * (r_arr[at] - a[seg[on]]) / h10[k] - 1.0
+        integral[at] += h10[k] * _horner(coeffs, k, u)
+    integral[part] += _weighted(f_part, _INTERVAL_W, h_part)
 
     pos = r_arr > 0.0
     rp, integral, e = r_arr[pos], integral[pos], e[pos]
-    eprime = _enthalpy_slope(config, rp, mass_hat[pos] * rp**d)
+    eprime = np.ldexp(_enthalpy_slope(config, rp, mass_hat[pos] * rp**d), -half)
     lhs = FOUR_PI * c * integral
     t1 = 0.5 * eprime**2 * rp**d
-    t2 = FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g * rp**d
-    t3 = 0.5 * (d - 2.0) * eprime * e * rp ** (d - 1)
+    t2 = np.ldexp(FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g, -2 * half) * rp**d
+    t3 = 0.5 * (d - 2.0) * eprime * np.ldexp(e, -half) * rp ** (d - 1)
     scale = np.max(np.abs((lhs, t1, t2, t3)), axis=0)
     out = np.zeros_like(r_arr)
     out[pos] = np.divide(lhs - (t1 + t2 + t3), scale, out=np.zeros_like(scale), where=scale > 0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,6 +79,42 @@ class TestProfileCommand:
         assert diag["nfev"] >= 15 * diag["steps"] + 2
         _, outtext, _ = run_cli(capsys, *argv, "--format", "json")
         assert json.loads(outtext)["diagnostics"] == diag
+
+    @staticmethod
+    def _strict_json(text):
+        """json.loads that rejects NaN and Infinity, which JSON does not have."""
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.parametrize("d", ["3", "12", "30"])
+    @pytest.mark.parametrize("gamma", ["1", "1.2", "2"])
+    @pytest.mark.parametrize("rho0", ["1.5", "1e60", "1e150"])
+    def test_probe_slice_exits_cleanly(self, capsys, d, gamma, rho0):
+        # a valid star prints its profile and valid JSON diagnostics, or
+        # fails with one line, and raises no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "profile", "--d", d, "--gamma", gamma, "--rho0", rho0)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
+            return
+        assert code == 0, err
+        assert math.isfinite(self._strict_json(err)["max_pohozaev_residual"])
+
+    def test_dense_star_residual_stays_finite(self, capsys):
+        # at d = 30, gamma = 2 the star of rho0 = 1e150 has R = 7.54; the
+        # identity's terms are of order rho0^2 R^30 there, past float64, so
+        # the residual forms them with a power of two taken out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "profile", "--d", "30", "--gamma", "2", "--rho0", "1e150")
+        assert code == 0, err
+        diag = self._strict_json(err)
+        assert diag["R"] == pytest.approx(7.54, abs=0.01)
+        assert 0.0 < diag["max_pohozaev_residual"] < 1e-2
 
     def test_usage_error_no_truncation(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--d", "3", "--gamma", "1.2", "--rho0", "1")

@@ -834,6 +834,21 @@ class TestVerifyBattery:
                 if want is not None:
                     assert abs(got - want) <= tol * abs(want), (d, g, rho0, name)
 
+    def test_pohozaev_reads_within_budget(self, monkeypatch):
+        # the identity's integrand is read once per segment of each battery
+        # star, not again for every sample: 13,390 radii, measured when the
+        # segments took interpolants; the budget leaves 4.6% headroom, and a
+        # 5-point rule per sample reads about 252,000
+        read, radii = steady.RunStar.enthalpy_at, []
+
+        def counting(star, r):
+            radii.append(np.size(r))
+            return read(star, r)
+
+        monkeypatch.setattr(steady.RunStar, "enthalpy_at", counting)
+        assert verify_suite("pohozaev")["passed"]
+        assert 0 < sum(radii) <= 14_000
+
     @pytest.mark.parametrize("name", BATTERY_CHECKS)
     def test_single_check_matches_full_suite(self, full_report, name):
         single = verify_suite(name)["checks"]

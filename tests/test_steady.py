@@ -651,7 +651,7 @@ class TestGaussRule:
         exact = 1.0 / (2 * n + 1)
         assert abs(float(w @ x ** (2 * n)) - exact) > 1e6 * np.spacing(exact)
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 5, 10])
     def test_literals_are_leggauss_bitwise(self, n):
         from numpy.polynomial.legendre import leggauss
 
@@ -664,7 +664,7 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_other_rules_raise(self, n):
-        with pytest.raises(ValueError, match="3- and 5-point rules"):
+        with pytest.raises(ValueError, match="3-, 5- and 10-point rules"):
             steady.gauss_rule(n)
 
 
@@ -726,6 +726,7 @@ class TestPohozaev:
             return enthalpy + math.log(2.0), 2.0 * mass_hat
 
         doubled = types.SimpleNamespace(config=StarConfig(3, 1.0, 2.0), radii=run.radii,
+                                        end=run.end, lam=run.lam,
                                         enthalpy_and_mass_hat_at=doubled_read,
                                         enthalpy_at=lambda r: doubled_read(r)[0])
         assert abs(pohozaev_residual(run, 1.0)) <= 1e-6
@@ -739,7 +740,7 @@ class TestPohozaev:
         # profile radii the residuals hash as those of a star whose enthalpy
         # read is the first column of its two-column read
         def two_column(run):
-            return types.SimpleNamespace(config=run.config, radii=run.radii,
+            return types.SimpleNamespace(config=run.config, radii=run.radii, end=run.end, lam=run.lam,
                                          enthalpy_and_mass_hat_at=run.enthalpy_and_mass_hat_at,
                                          enthalpy_at=lambda r: run.enthalpy_and_mass_hat_at(r)[0])
 
@@ -781,37 +782,60 @@ class TestPohozaev:
 
     @staticmethod
     def _loop_reference(star, radii):
-        """Per-point reference: scalar Gauss segments and scalar boundary terms, on the star's radii.
+        """Per-point reference of the rule: scalar Gauss segments, scalar interpolants and scalar boundary terms.
 
         The identity int_0^r s^(d-1) (d F - (d-2)/2 e f) ds
         = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e' with f = 4 pi c rho(e) and
         F = 4 pi c^2 rho^gamma, for w (gamma > 1) and h = ln rho (gamma = 1).
+        The segments are cut at the star's radii and its end.  A segment
+        [a, b] with (d-1)(b-a) <= 4a takes numpy's 10-point Gauss rule, and
+        [a, r] inside it the integral of the degree-9 interpolant through
+        those 10 points: a 5-point Gauss rule on [a, r], exact to degree 9, on
+        the interpolant's barycentric form.  Other segments take the 5-point
+        rule on [a, b] and on [a, r].
         """
         d, g = star.config.d, star.config.gamma
         c = 1.0 if g == 1.0 else (g - 1) / g
         rho_of = np.exp if g == 1.0 else (lambda e: np.maximum(e, 0.0) ** (1 / (g - 1)))
         F = lambda e: FOUR_PI * c**2 * rho_of(e) ** g
-        gx, gw = np.polynomial.legendre.leggauss(5)
+        x5, w5 = np.polynomial.legendre.leggauss(5)
+        x10, w10 = np.polynomial.legendre.leggauss(10)
 
         def f(y):
             e, _ = star.enthalpy_and_mass_hat_at(y)
             return (d * F(e) - 0.5 * (d - 2) * e * FOUR_PI * c * rho_of(e)) * y ** (d - 1)
 
-        def segment(a, b):
+        def gauss(a, b, x, w):
             half = 0.5 * (b - a)
-            return half * float(np.dot(f(0.5 * (a + b) + half * gx), gw))
+            return half * float(np.dot(f(0.5 * (a + b) + half * x), w))
 
-        grid = star.radii
+        def interpolant_integral(a, b, r):
+            nodes = 0.5 * (a + b) + 0.5 * (b - a) * x10
+            values = f(nodes)
+            bary = np.array([1.0 / np.prod(nodes[j] - np.delete(nodes, j)) for j in range(10)])
+
+            def p(s):
+                q = bary / (s - nodes)
+                return float(np.dot(q, values) / np.sum(q))
+
+            half = 0.5 * (r - a)
+            return half * sum(w * p(0.5 * (a + r) + half * x) for x, w in zip(x5, w5))
+
+        grid = np.append(star.radii, star.end / star.lam)
+        smooth = [(d - 1) * (b - a) <= 4 * a for a, b in zip(grid[:-1], grid[1:])]
         cum = [0.0]
-        for a, b in zip(grid[:-1], grid[1:]):
-            cum.append(cum[-1] + segment(a, b))
+        for a, b, s in zip(grid[:-1], grid[1:], smooth):
+            cum.append(cum[-1] + (gauss(a, b, x10, w10) if s else gauss(a, b, x5, w5)))
         out = []
         for rv in radii:
             if rv == 0.0:
                 out.append(0.0)
                 continue
             k = int(np.searchsorted(grid, rv, side="right")) - 1
-            lhs = cum[k] + (segment(grid[k], rv) if rv > grid[k] else 0.0)
+            lhs = cum[k]
+            if rv > grid[k]:
+                a, b = grid[k], grid[k + 1]
+                lhs += interpolant_integral(a, b, rv) if smooth[k] else gauss(a, rv, x5, w5)
             e, mass_hat = (float(v) for v in star.enthalpy_and_mass_hat_at(rv))
             m = mass_hat * rv**d
             eprime = -c * m / rv ** (d - 1)
@@ -833,6 +857,74 @@ class TestPohozaev:
         np.testing.assert_allclose(
             pohozaev_residual(run, r), self._loop_reference(run, r), rtol=0, atol=32 * np.finfo(float).eps
         )
+
+    @staticmethod
+    def _per_radius_rule(star, radii):
+        """The residual with the 5-point rule on every segment [a, b] between the star's radii and on each [a, r].
+
+        The rule's arithmetic operation for operation, so that on the
+        segments where pohozaev_residual keeps the rule the two agree bit for
+        bit.
+        """
+        config = star.config
+        d, g, c = config.d, config.gamma, config.slope_factor
+        x, w = steady.gauss_rule(5)
+        e, mass_hat = star.enthalpy_and_mass_hat_at(radii)
+
+        def integrand(y):
+            e = star.enthalpy_at(y)
+            rho = config.rho_of_enthalpy(e)
+            return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
+
+        def intervals(a, b):
+            h = b - a
+            values = integrand((a + h * x[:, None]).ravel()).reshape(len(x), -1)
+            total = values[0] * w[0]
+            for v, wj in zip(values[1:], w[1:]):
+                total += v * wj
+            return h * total
+
+        grid = star.radii
+        cum = np.zeros_like(grid)
+        np.cumsum(intervals(grid[:-1], grid[1:]), out=cum[1:])
+        i = np.searchsorted(grid, radii, side="right") - 1
+        integral = cum[i]
+        off = radii > grid[i]
+        integral[off] += intervals(grid[i[off]], radii[off])
+        pos = radii > 0.0
+        rp, integral, e = radii[pos], integral[pos], e[pos]
+        eprime = -c * (mass_hat[pos] * rp**d) / rp ** (d - 1)
+        lhs = FOUR_PI * c * integral
+        t1 = 0.5 * eprime**2 * rp**d
+        t2 = FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g * rp**d
+        t3 = 0.5 * (d - 2.0) * eprime * e * rp ** (d - 1)
+        scale = np.max(np.abs((lhs, t1, t2, t3)), axis=0)
+        out = np.zeros_like(radii)
+        out[pos] = np.divide(lhs - (t1 + t2 + t3), scale, out=np.zeros_like(scale), where=scale > 0)
+        return out
+
+    @pytest.mark.parametrize("d,gamma", [(30, 2.0), (12, 1.0)])
+    def test_fallback_segments_keep_the_per_radius_rule(self, d, gamma):
+        # the central segments, where s^(d-1) varies most, keep the 5-point
+        # rule on [a, b] and on each [a, r]: up to the first segment that
+        # takes the interpolant, every residual has that rule's bits
+        star = get_liquid(d, gamma, 1e3)
+        nodes = np.append(star.radii, star.end / star.lam)
+        smooth = (d - 1.0) * np.diff(nodes) <= 4.0 * nodes[:-1]
+        assert not smooth[0] and smooth.any()
+        r = np.concatenate([np.linspace(0.0, nodes[np.argmax(smooth)], 65), star.profile().radii[:4]])
+        assert pohozaev_residual(star, r).tobytes() == self._per_radius_rule(star, r).tobytes()
+
+    def test_profile_read_matches_the_star_read(self):
+        # the harness hands the profile's enthalpy and mass to the residual:
+        # every sample but a surface one pinned to its level is the star's
+        # own read, so its residual keeps its bits
+        for star in PROFILE_BATTERY:
+            run, p = get_gas(*star), get_profile(*star)
+            want = pohozaev_residual(run, p.radii)
+            got = pohozaev_residual(run, p.radii, (p.enthalpy, p.mass))
+            n = len(p.radii) - (p.gas_radius is not None and p.gas_radius <= p.r_end)
+            assert got[:n].tobytes() == want[:n].tobytes(), star
 
 
 class TestOneReader:
