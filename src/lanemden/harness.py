@@ -103,9 +103,10 @@ def _worst_defects(star: RunStar, profile: Profile) -> Tuple[float, float]:
     """The worst |Pohozaev residual| at the profile's samples, and max(rho / decay_bound) - 1.
 
     profile is star's (RunStar.profile): the residual takes its enthalpy and
-    mass as the star's read at its radii, which they are bit for bit but at
-    a surface sample pinned to its level, and reads star only for the
-    identity's integral.
+    mass as the star's read at its radii (RunStar.enthalpy_and_mass_at),
+    which they are bit for bit but at a surface sample pinned to its level,
+    and reads star only for the identity's integral, at the 10 Gauss points
+    of each segment between its radii.
     """
     poho = float(np.max(np.abs(pohozaev_residual(star, profile.radii, (profile.enthalpy, profile.mass)))))
     slack = float(np.max(profile.rho / decay_bound(profile.config, profile.radii))) - 1.0

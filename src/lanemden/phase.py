@@ -110,8 +110,8 @@ def profile_to_phase(star: RunStar, r) -> PhaseState:
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr <= 0.0):
         raise ValueError("phase variables are defined for r > 0")
-    enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)
-    v1, v2 = _scaled(config, r_arr, config.rho_of_enthalpy(enthalpy), mass_hat * r_arr**config.d)
+    enthalpy, mass = star.enthalpy_and_mass_at(r_arr)
+    v1, v2 = _scaled(config, r_arr, config.rho_of_enthalpy(enthalpy), mass)
     tau = np.log(r_arr)
     if np.ndim(r) == 0:
         return PhaseState(v1=float(v1[0]), v2=float(v2[0]), tau=float(tau[0]))

@@ -112,7 +112,7 @@ def _coefficients(stars: Sequence[RunStar]) -> Callable:
 
 
 def build_sl_data(star: RunStar) -> SturmLiouvilleData:
-    """The pencil coefficients of a liquid star, read off its run (enthalpy_and_mass_hat) anywhere in [0, R].
+    """The pencil coefficients of a liquid star, read off its run (steady.enthalpy_and_mass) anywhere in [0, R].
 
     Raises liquid_radius's errors: a star with rho0 <= 1, or a run that ends
     before its liquid radius.

@@ -56,9 +56,6 @@ MIN_POINTS = 2048
 _LEGGAUSS = {
     3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
         (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
-    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
-        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
-         0.23692688505618928)),
     10: ((-0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
           -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
           0.8650633666889845, 0.9739065285171717),
@@ -69,12 +66,12 @@ _LEGGAUSS = {
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre rule on [0, 1], n = 3, 5 or 10: (points, weights), exact to degree 2n - 1.
+    """numpy's n-point Gauss-Legendre rule on [0, 1], n = 3 or 10: (points, weights), exact to degree 2n - 1.
 
     ValueError for any other n.
     """
     if n not in _LEGGAUSS:
-        raise ValueError(f"gauss_rule holds the 3-, 5- and 10-point rules, not n = {n}")
+        raise ValueError(f"gauss_rule holds the 3- and 10-point rules, not n = {n}")
     x, w = (np.array(a) for a in _LEGGAUSS[n])
     return 0.5 * (1.0 + x), 0.5 * w
 
@@ -153,14 +150,6 @@ class Profile:
         if i == len(self.radii):
             raise ValueError(f"liquid radius {R:g} beyond the profile grid [0, {self.r_end:g}]")
         return float(self.mass[i])
-
-
-def _mass_hat(d: int, rho_center: float, r: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """m/r^d at radii r, read as its limit (4 pi / d) rho0 at the center and wherever r^d rounds to 0."""
-    limit = np.empty_like(r)
-    limit[...] = FOUR_PI / d * rho_center
-    rd = r ** d
-    return np.divide(mass, rd, out=limit, where=rd > 0.0)
 
 
 def _enthalpy_slope(config: StarConfig, r, mass):
@@ -387,22 +376,21 @@ class RunStar:
         R = star.liquid
         return None if R is None else RunStar(star.config, self.sol, star.kappa, self.r0, R, R)
 
-    def enthalpy_and_mass_hat_at(self, r):
-        """The enthalpy and m/r^d at radii r in [0, end / lam], in any order, each shaped like r.
+    def enthalpy_and_mass_at(self, r):
+        """The enthalpy and the mass at radii r in [0, end / lam], in any order, each shaped like r.
 
-        enthalpy_and_mass of this star alone, with m/r^d from its mass
-        (_mass_hat).  ValueError for a radius outside [0, end / lam].
+        enthalpy_and_mass of this star alone.  ValueError for a radius
+        outside [0, end / lam].
         """
         r = np.asarray(r, dtype=float)
-        enthalpy, mass = (c.reshape(r.shape) for c in enthalpy_and_mass((self,), r.reshape(1, -1)))
-        return enthalpy, _mass_hat(self.config.d, self.config.rho_center, r, mass)
+        return tuple(c.reshape(r.shape) for c in enthalpy_and_mass((self,), r.reshape(1, -1)))
 
     def enthalpy_at(self, r):
         """The enthalpy at radii r in [0, end / lam], shaped like r.
 
-        Bit for bit enthalpy_and_mass_hat_at's first column, from the run's
+        Bit for bit enthalpy_and_mass_at's first column, from the run's
         enthalpy column alone (DenseSolution.__call__ on component 0): no
-        mass and no m/r^d.  ValueError as enthalpy_and_mass_hat_at.
+        mass.  ValueError as enthalpy_and_mass_at.
         """
         r = np.asarray(r, dtype=float)
         rows = r.reshape(1, -1)
@@ -619,7 +607,6 @@ def decay_bound(config: StarConfig, r) -> np.ndarray:
     return rho0 * np.exp(-t * ratio)
 
 
-_INTERVAL_X, _INTERVAL_W = gauss_rule(5)
 _SEGMENT_X, _SEGMENT_W = gauss_rule(10)
 
 
@@ -631,37 +618,20 @@ def _legendre(u: np.ndarray, n: int) -> list:
     return p[:n]
 
 
-def _legendre_monomials(n: int) -> np.ndarray:
-    """n x n: column k holds P_k's coefficients in u, lowest first, by _legendre's recurrence."""
-    m = np.zeros((n, n))
-    m[0, 0] = m[1, 1] = 1.0
-    for k in range(1, n - 1):
-        m[1:, k + 1] = (2 * k + 1) * m[:-1, k]
-        m[:, k + 1] = (m[:, k + 1] - k * m[:, k - 1]) / (k + 1)
-    return m
+# f at gauss_rule(10)'s points of [a, a + h] to the Legendre coefficients,
+# in 2t - 1, of their degree-9 interpolant P(t), s = a + h t: exact Gauss
+# sums (2k + 1) sum_j w_j P_k(2 x_j - 1) f_j; and those to P's monomials in
+# t, P_k(2t - 1) = sum_m (-1)^(k+m) C(k, m) C(k+m, m) t^m, integers
+_SEGMENT_LEGENDRE = ((2.0 * np.arange(len(_SEGMENT_X)) + 1.0)[:, None] * _SEGMENT_W
+                     * np.array(_legendre(2.0 * _SEGMENT_X - 1.0, len(_SEGMENT_X))))
+_LEGENDRE_MONOMIALS = np.array([[(-1) ** (k + m) * math.comb(k, m) * math.comb(k + m, m)
+                                 for k in range(len(_SEGMENT_X))] for m in range(len(_SEGMENT_X))], dtype=float)
 
 
-def _antiderivative_weights(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """B, (n + 1) x n: int_0^t p = sum_k (B f)_k P_k(2t - 1), p of degree n - 1 through f at gauss_rule(n)'s x.
-
-    p's Legendre coefficients are exact Gauss sums,
-    c_k = (2k + 1) sum_j w_j P_k(2 x_j - 1) f_j, and int_0^t P_k(2s - 1) ds
-    is (P_0 + P_1)/2 for k = 0 and (P_{k+1} - P_{k-1}) / (2 (2k + 1)) above.
-    """
-    n = len(x)
-    half = 0.5 * w * np.array(_legendre(2.0 * x - 1.0, n))
-    weights = np.zeros((n + 1, n))
-    weights[:2] += half[0]
-    weights[2:] += half[1:]
-    weights[:-2] -= half[1:]
-    return weights
-
-
-# f at gauss_rule(10)'s points of [a, a + h] to the antiderivative of their
-# interpolant from a, in two stable steps: its Legendre coefficients, then
-# their monomials in u = 2t - 1, on which a radius's Horner sum is cheap
-_SEGMENT_B = _antiderivative_weights(_SEGMENT_X, _SEGMENT_W)
-_SEGMENT_MONOMIALS = _legendre_monomials(len(_SEGMENT_X) + 1)
+def _moments(d: int) -> np.ndarray:
+    """d x 10: int_0^1 t^j P_k(2t - 1) dt = C(j, k) / (C(j+k+1, k) (j+1)) >= 0 for j < d."""
+    return np.array([[math.comb(j, k) / (math.comb(j + k + 1, k) * (j + 1)) for k in range(len(_SEGMENT_X))]
+                     for j in range(d)])
 
 
 def _horner(coeffs: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -673,30 +643,6 @@ def _horner(coeffs: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return total
 
 
-def _rule_points(a: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """(h, points): h = b - a, and a + h x_j on every [a_k, b_k], node by node.
-
-    Where the a_k and b_k ascend that is len(x) ascending runs, which a
-    RunStar sorts in one merge.
-    """
-    h = b - a
-    return h, (a + h * x[:, None]).ravel()
-
-
-def _weighted(values: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h sum_j w_j values[j], values[j] the j-th node's row.
-
-    The sum takes the nodes in order, one elementwise step each, so each
-    interval's value is its own whatever intervals come with it (a
-    matrix-vector product rounds by its length).
-    """
-    values = values.reshape(len(w), -1)
-    total = values[0] * w[0]
-    for v, wj in zip(values[1:], w[1:]):
-        total += v * wj
-    return h * total
-
-
 def pohozaev_residual(star: RunStar, r, read: Optional[tuple] = None) -> np.ndarray:
     """Defect of the Pohozaev-type identity satisfied by steady states.
 
@@ -705,16 +651,19 @@ def pohozaev_residual(star: RunStar, r, read: Optional[tuple] = None) -> np.ndar
 
         int_0^r s^(d-1) (d F - (d-2)/2 e f) ds = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e'.
 
-    star is read at r (RunStar.enthalpy_and_mass_hat_at), unless read holds
+    star is read at r (RunStar.enthalpy_and_mass_at), unless read holds
     the enthalpy and the mass there, read already (a profile's samples).
     The integral is cut into segments at the star's radii and at end / lam.
-    On a segment [a, b] where the weight s^(d-1) varies little,
-    (d - 1)(b - a) <= 4a (so (b/a)^(d-1) < e^4), the integrand is read once
-    at the segment's gauss_rule(10) points: the segment's integral is their
-    Gauss sum, and the part [a, r] of it is the exact integral of their
-    degree-9 interpolant.  Every other segment, [0, b] among them, keeps the
-    5-point rule, on [a, b] and on each [a, r] afresh.  So each r's value is
-    r's and its segment's alone, whatever radii are asked with it.
+    On each segment [a, a + h], d F - (d-2)/2 e f is read once, at
+    gauss_rule(10)'s points, and stands as its degree-9 interpolant P(t),
+    s = a + h t; the weight s^(d-1) = sum_j C(d-1, j) a^(d-1-j) h^j t^j has
+    no negative term, and s^(d-1) P is integrated exactly.  The segment's
+    integral takes P's Legendre coefficients and the weight's moments
+    against them (_moments); the part [a, r] is one Horner sum in t of P's
+    monomials (taken of the values less their Gauss mean, which goes back
+    on the constant) times the weight's terms; a radius on a node takes the
+    segment sums alone.  So each r's
+    value is r's and its segment's alone, whatever radii are asked with it.
 
     Along a family every term scales like kappa^gamma lam^-d; where that is
     above 1, each product takes a power of two of it out before it is
@@ -727,54 +676,48 @@ def pohozaev_residual(star: RunStar, r, read: Optional[tuple] = None) -> np.ndar
     config = star.config
     d, g, c = config.d, config.gamma, config.slope_factor
     if read is None:
-        e, mass_hat = star.enthalpy_and_mass_hat_at(r_arr)  # rejects radii outside the star
+        e, mass = star.enthalpy_and_mass_at(r_arr)  # rejects radii outside the star
     else:
         _inside((star,), r_arr.reshape(1, -1))
-        e = np.asarray(read[0], dtype=float).reshape(r_arr.shape)
-        mass_hat = _mass_hat(d, config.rho_center, r_arr, np.asarray(read[1], dtype=float).reshape(r_arr.shape))
+        e, mass = (np.asarray(v, dtype=float).reshape(r_arr.shape) for v in read)
     # every term is about kappa^gamma lam^-d = rho0^(gamma - d (1 - gamma/2))
     # along a family; where that is above 1, 2^(2 half) of it comes out
     half = max(0, round(0.5 * (g - d * (1.0 - 0.5 * g)) * math.log2(config.rho_center)))
 
-    def integrand(y):
-        """(d F - (d-2)/2 e f) y^(d-1) / (4 pi c), over 2^(2 half)."""
-        e = star.enthalpy_at(y)
-        rho = config.rho_of_enthalpy(e)
-        return np.ldexp(d * c * rho**g - 0.5 * (d - 2.0) * e * rho, -2 * half) * y ** (d - 1)
-
+    # one read of (d F - (d-2)/2 e f) / (4 pi c), over 2^(2 half): every
+    # segment's 10 points, node by node
     nodes = np.append(star.radii, star.end / star.lam)
-    a, b = nodes[:-1], nodes[1:]
-    smooth = (d - 1.0) * (b - a) <= 4.0 * a
-    i = np.searchsorted(nodes, r_arr, side="right") - 1  # the node at or below each r
-    inner = np.flatnonzero(r_arr > nodes[i])
-    seg = i[inner]
-    on = smooth[seg]
-    part = inner[~on]
-
-    # one read of the integrand: every smooth segment's 10 points, every
-    # other segment's 5, and the 5 of each [a, r] in one of those
-    h10, y10 = _rule_points(a[smooth], b[smooth], _SEGMENT_X)
-    h5, y5 = _rule_points(a[~smooth], b[~smooth], _INTERVAL_X)
-    h_part, y_part = _rule_points(a[seg[~on]], r_arr[part], _INTERVAL_X)
-    f10, f5, f_part = np.split(integrand(np.concatenate([y10, y5, y_part])),
-                               [y10.size, y10.size + y5.size])
-    segments = np.empty_like(a)
-    segments[smooth] = _weighted(f10, _SEGMENT_W, h10)
-    segments[~smooth] = _weighted(f5, _INTERVAL_W, h5)
+    a, h = nodes[:-1], np.diff(nodes)
+    e_seg = star.enthalpy_at((a + h * _SEGMENT_X[:, None]).ravel())
+    rho = config.rho_of_enthalpy(e_seg)
+    f = np.ldexp(d * c * rho**g - 0.5 * (d - 2.0) * e_seg * rho, -2 * half).reshape(len(_SEGMENT_X), -1)
+    # taken off f, the mean leaves the monomials' integer entries (up to
+    # 4e5) only f's spread to round
+    mean = _SEGMENT_W @ f
+    legendre = _SEGMENT_LEGENDRE @ (f - mean)
+    monomials = _LEGENDRE_MONOMIALS @ legendre
+    monomials[0] += mean
+    legendre[0] += mean
+    j = np.arange(d)[:, None]
+    weight = np.array([float(math.comb(d - 1, k)) for k in range(d)])[:, None] * a ** (d - 1 - j) * h**j
     cum = np.zeros_like(nodes)
-    np.cumsum(segments, out=cum[1:])
+    np.cumsum(h * np.sum(weight * (_moments(d) @ legendre), axis=0), out=cum[1:])
 
+    i = np.searchsorted(nodes, r_arr, side="right") - 1  # the node at or below each r
     integral = cum[i]
-    if on.any():
-        coeffs = _SEGMENT_MONOMIALS @ (_SEGMENT_B @ f10.reshape(len(_SEGMENT_X), -1))
-        at, k = inner[on], (np.cumsum(smooth) - 1)[seg[on]]
-        u = 2.0 * (r_arr[at] - a[seg[on]]) / h10[k] - 1.0
-        integral[at] += h10[k] * _horner(coeffs, k, u)
-    integral[part] += _weighted(f_part, _INTERVAL_W, h_part)
+    inner = np.flatnonzero(r_arr > nodes[i])
+    # int_0^t (sum_j weight_j s^j)(sum_m p_m s^m) ds, term by term
+    product = np.zeros((d + len(monomials) - 1, len(a)))
+    for m, p in enumerate(monomials):
+        product[m:m + d] += weight * p
+    product /= np.arange(1.0, len(product) + 1.0)[:, None]
+    k = i[inner]
+    t = (r_arr[inner] - a[k]) / h[k]
+    integral[inner] += h[k] * t * _horner(product, k, t)
 
     pos = r_arr > 0.0
     rp, integral, e = r_arr[pos], integral[pos], e[pos]
-    eprime = np.ldexp(_enthalpy_slope(config, rp, mass_hat[pos] * rp**d), -half)
+    eprime = np.ldexp(_enthalpy_slope(config, rp, mass[pos]), -half)
     lhs = FOUR_PI * c * integral
     t1 = 0.5 * eprime**2 * rp**d
     t2 = np.ldexp(FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g, -2 * half) * rp**d

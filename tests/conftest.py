@@ -33,6 +33,6 @@ def get_liquid(d, gamma, rho0, tol=1e-10, r_max=50.0):
 
 
 def rho_and_mass(star, r):
-    """A RunStar's density and mass at radii r, from its one read (enthalpy_and_mass_hat_at)."""
-    enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(r)
-    return star.config.rho_of_enthalpy(enthalpy), mass_hat * np.asarray(r, dtype=float) ** star.config.d
+    """A RunStar's density and mass at radii r, from its one read (enthalpy_and_mass_at)."""
+    enthalpy, mass = star.enthalpy_and_mass_at(r)
+    return star.config.rho_of_enthalpy(enthalpy), mass

@@ -102,7 +102,10 @@ class TestProfileCommand:
             assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
             return
         assert code == 0, err
-        assert math.isfinite(self._strict_json(err)["max_pohozaev_residual"])
+        residual = self._strict_json(err)["max_pohozaev_residual"]
+        assert math.isfinite(residual)
+        if d == "30":  # s^(d-1) is integrated exactly against the interpolant, however steep
+            assert residual <= 1e-8
 
     def test_dense_star_residual_stays_finite(self, capsys):
         # at d = 30, gamma = 2 the star of rho0 = 1e150 has R = 7.54; the
@@ -114,7 +117,7 @@ class TestProfileCommand:
         assert code == 0, err
         diag = self._strict_json(err)
         assert diag["R"] == pytest.approx(7.54, abs=0.01)
-        assert 0.0 < diag["max_pohozaev_residual"] < 1e-2
+        assert 0.0 < diag["max_pohozaev_residual"] < 1e-8
 
     def test_usage_error_no_truncation(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--d", "3", "--gamma", "1.2", "--rho0", "1")

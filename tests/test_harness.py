@@ -836,9 +836,9 @@ class TestVerifyBattery:
 
     def test_pohozaev_reads_within_budget(self, monkeypatch):
         # the identity's integrand is read once per segment of each battery
-        # star, not again for every sample: 13,390 radii, measured when the
-        # segments took interpolants; the budget leaves 4.6% headroom, and a
-        # 5-point rule per sample reads about 252,000
+        # star, at its 10 Gauss points, not again for every sample: 13,150
+        # radii; the budget leaves 6.5% headroom, and a 5-point rule per
+        # sample reads about 252,000
         read, radii = steady.RunStar.enthalpy_at, []
 
         def counting(star, r):

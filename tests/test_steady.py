@@ -230,13 +230,13 @@ class TestLiquidLine:
 def _assert_samples_read_off(star, profile):
     """profile's samples are star's reads at its radii, bit for bit; a surface it ends at is pinned to its level."""
     config, r = star.config, profile.radii
-    enthalpy, mass_hat = star.enthalpy_and_mass_hat_at(r)
+    enthalpy, mass = star.enthalpy_and_mass_at(r)
     cut = profile.kind == "liquid-truncated"
     pinned = r == (profile.liquid_radius if cut else profile.gas_radius)
     assert enthalpy[~pinned].tobytes() == profile.enthalpy[~pinned].tobytes()
     assert np.all(profile.enthalpy[pinned] == (config.boundary_enthalpy if cut else config.gas_stop))
-    assert mass_hat[0] == FOUR_PI / config.d * config.rho_center
-    assert mass_hat[1:].tobytes() == (profile.mass[1:] / r[1:] ** config.d).tobytes()
+    assert mass[0] == 0.0
+    assert mass.tobytes() == profile.mass.tobytes()
 
 
 class TestRunStar:
@@ -266,8 +266,8 @@ class TestRunStar:
         r = read.profile(512).radii
         r = r[:len(r) // 2 * 2]
         shuffled = np.random.default_rng(7).permutation(r)
-        for got, want in zip(read.enthalpy_and_mass_hat_at(shuffled.reshape(-1, 2)),
-                             read.enthalpy_and_mass_hat_at(r)):
+        for got, want in zip(read.enthalpy_and_mass_at(shuffled.reshape(-1, 2)),
+                             read.enthalpy_and_mass_at(r)):
             assert got.shape == (len(r) // 2, 2)
             assert got.ravel().tobytes() == want[np.searchsorted(r, shuffled)].tobytes()
 
@@ -376,7 +376,7 @@ class TestRunStar:
         read = steady.integrate_line(StarConfig(3, 1.25, 1e4)).read(50.0)
         r = math.nextafter(read.liquid_radius, math.inf) if where == "beyond" else where
         with pytest.raises(ValueError, match="radius outside the star"):
-            read.enthalpy_and_mass_hat_at(np.array([0.5 * read.liquid_radius, r]))
+            read.enthalpy_and_mass_at(np.array([0.5 * read.liquid_radius, r]))
 
     @pytest.mark.parametrize("where", [-1e-300, "beyond", math.nan])
     def test_enthalpy_read_outside_the_star_raises(self, where):
@@ -387,7 +387,7 @@ class TestRunStar:
             with pytest.raises(ValueError, match="radius outside the star") as got:
                 read.enthalpy_at(radii)
             with pytest.raises(ValueError) as want:
-                read.enthalpy_and_mass_hat_at(radii)
+                read.enthalpy_and_mass_at(radii)
             assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
@@ -412,7 +412,7 @@ class TestRunStar:
         assert np.count_nonzero(r < run.seed_radius) >= 4 and r[-1] == end
         shuffled = np.random.default_rng(3).permutation(r)
         for radii in (r, shuffled, shuffled[:len(r) // 2 * 2].reshape(-1, 2), np.float64(end)):
-            got, want = run.enthalpy_at(radii), run.enthalpy_and_mass_hat_at(radii)[0]
+            got, want = run.enthalpy_at(radii), run.enthalpy_and_mass_at(radii)[0]
             assert got.shape == np.shape(radii)
             assert got.tobytes() == want.tobytes()
 
@@ -639,7 +639,7 @@ class TestDecayBound:
 
 
 class TestGaussRule:
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3])
     def test_exact_up_to_degree_2n_minus_1(self, n):
         x, w = steady.gauss_rule(n)
         assert x.shape == w.shape == (n,)
@@ -651,7 +651,7 @@ class TestGaussRule:
         exact = 1.0 / (2 * n + 1)
         assert abs(float(w @ x ** (2 * n)) - exact) > 1e6 * np.spacing(exact)
 
-    @pytest.mark.parametrize("n", [3, 5, 10])
+    @pytest.mark.parametrize("n", [3, 10])
     def test_literals_are_leggauss_bitwise(self, n):
         from numpy.polynomial.legendre import leggauss
 
@@ -662,9 +662,9 @@ class TestGaussRule:
         assert got[0].tobytes() == (0.5 * (1.0 + x)).tobytes()
         assert got[1].tobytes() == (0.5 * w).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
     def test_other_rules_raise(self, n):
-        with pytest.raises(ValueError, match="3-, 5- and 10-point rules"):
+        with pytest.raises(ValueError, match="3- and 10-point rules"):
             steady.gauss_rule(n)
 
 
@@ -722,12 +722,12 @@ class TestPohozaev:
         run = get_gas(3, 1.0, 1.0)
 
         def doubled_read(r):
-            enthalpy, mass_hat = run.enthalpy_and_mass_hat_at(r)
-            return enthalpy + math.log(2.0), 2.0 * mass_hat
+            enthalpy, mass = run.enthalpy_and_mass_at(r)
+            return enthalpy + math.log(2.0), 2.0 * mass
 
         doubled = types.SimpleNamespace(config=StarConfig(3, 1.0, 2.0), radii=run.radii,
                                         end=run.end, lam=run.lam,
-                                        enthalpy_and_mass_hat_at=doubled_read,
+                                        enthalpy_and_mass_at=doubled_read,
                                         enthalpy_at=lambda r: doubled_read(r)[0])
         assert abs(pohozaev_residual(run, 1.0)) <= 1e-6
         assert abs(pohozaev_residual(doubled, 1.0)) >= 0.1
@@ -741,8 +741,8 @@ class TestPohozaev:
         # read is the first column of its two-column read
         def two_column(run):
             return types.SimpleNamespace(config=run.config, radii=run.radii, end=run.end, lam=run.lam,
-                                         enthalpy_and_mass_hat_at=run.enthalpy_and_mass_hat_at,
-                                         enthalpy_at=lambda r: run.enthalpy_and_mass_hat_at(r)[0])
+                                         enthalpy_and_mass_at=run.enthalpy_and_mass_at,
+                                         enthalpy_at=lambda r: run.enthalpy_and_mass_at(r)[0])
 
         got, want = hashlib.sha256(), hashlib.sha256()
         for star in PROFILE_BATTERY:
@@ -782,9 +782,10 @@ class TestPohozaev:
 
     @staticmethod
     def _loop_reference(star, radii):
-        """Per-point reference of the rule: scalar Gauss segments, scalar interpolants and scalar boundary terms.
+        """Per-point reference of the earlier two-rule scheme: scalar Gauss segments, interpolants and boundary terms.
 
-        The identity int_0^r s^(d-1) (d F - (d-2)/2 e f) ds
+        The one rule replaced it, and on these stars, at d <= 4, the two
+        agree to a few ulps of the normalized defect.  The identity int_0^r s^(d-1) (d F - (d-2)/2 e f) ds
         = r^d (e'^2/2 + F) + (d-2)/2 r^(d-1) e e' with f = 4 pi c rho(e) and
         F = 4 pi c^2 rho^gamma, for w (gamma > 1) and h = ln rho (gamma = 1).
         The segments are cut at the star's radii and its end.  A segment
@@ -802,7 +803,7 @@ class TestPohozaev:
         x10, w10 = np.polynomial.legendre.leggauss(10)
 
         def f(y):
-            e, _ = star.enthalpy_and_mass_hat_at(y)
+            e, _ = star.enthalpy_and_mass_at(y)
             return (d * F(e) - 0.5 * (d - 2) * e * FOUR_PI * c * rho_of(e)) * y ** (d - 1)
 
         def gauss(a, b, x, w):
@@ -836,8 +837,7 @@ class TestPohozaev:
             if rv > grid[k]:
                 a, b = grid[k], grid[k + 1]
                 lhs += interpolant_integral(a, b, rv) if smooth[k] else gauss(a, rv, x5, w5)
-            e, mass_hat = (float(v) for v in star.enthalpy_and_mass_hat_at(rv))
-            m = mass_hat * rv**d
+            e, m = (float(v) for v in star.enthalpy_and_mass_at(rv))
             eprime = -c * m / rv ** (d - 1)
             t1 = 0.5 * eprime**2 * rv**d
             t2 = float(F(e)) * rv**d
@@ -859,61 +859,57 @@ class TestPohozaev:
         )
 
     @staticmethod
-    def _per_radius_rule(star, radii):
-        """The residual with the 5-point rule on every segment [a, b] between the star's radii and on each [a, r].
+    def _subdivided_reference(star, radii, pieces=256):
+        """The residual with each segment between the star's radii, and each [a, r], cut into pieces.
 
-        The rule's arithmetic operation for operation, so that on the
-        segments where pohozaev_residual keeps the rule the two agree bit for
-        bit.
+        Each piece takes numpy's 5-point Gauss rule on the integrand
+        s^(d-1) (d F - (d-2)/2 e f) as written, read off the star; the
+        boundary terms take the star's enthalpy and mass at r.
         """
         config = star.config
-        d, g, c = config.d, config.gamma, config.slope_factor
-        x, w = steady.gauss_rule(5)
-        e, mass_hat = star.enthalpy_and_mass_hat_at(radii)
+        d, g = config.d, config.gamma
+        c = config.slope_factor
+        x, w = np.polynomial.legendre.leggauss(5)
+        x, w = 0.5 * (1.0 + x), 0.5 * w
+        u = ((np.arange(pieces)[:, None] + x) / pieces).ravel()
 
-        def integrand(y):
-            e = star.enthalpy_at(y)
-            rho = config.rho_of_enthalpy(e)
-            return (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
+        def integral(a, b):
+            total = np.empty_like(a)
+            for at in range(0, len(a), 64):
+                lo, hi = a[at:at + 64, None], b[at:at + 64, None]
+                y = lo + (hi - lo) * u
+                e = star.enthalpy_at(y)
+                rho = config.rho_of_enthalpy(e)
+                f = FOUR_PI * c * (d * c * rho**g - 0.5 * (d - 2.0) * e * rho) * y ** (d - 1)
+                total[at:at + 64] = (hi[:, 0] - lo[:, 0]) / pieces * (f.reshape(len(lo), pieces, len(x)) @ w).sum(axis=1)
+            return total
 
-        def intervals(a, b):
-            h = b - a
-            values = integrand((a + h * x[:, None]).ravel()).reshape(len(x), -1)
-            total = values[0] * w[0]
-            for v, wj in zip(values[1:], w[1:]):
-                total += v * wj
-            return h * total
-
-        grid = star.radii
-        cum = np.zeros_like(grid)
-        np.cumsum(intervals(grid[:-1], grid[1:]), out=cum[1:])
-        i = np.searchsorted(grid, radii, side="right") - 1
-        integral = cum[i]
-        off = radii > grid[i]
-        integral[off] += intervals(grid[i[off]], radii[off])
+        nodes = np.append(star.radii, star.end / star.lam)
+        cum = np.concatenate([[0.0], np.cumsum(integral(nodes[:-1], nodes[1:]))])
+        i = np.searchsorted(nodes, radii, side="right") - 1
+        lhs = cum[i]
+        inner = radii > nodes[i]
+        lhs[inner] += integral(nodes[i[inner]], radii[inner])
+        e, m = star.enthalpy_and_mass_at(radii)
         pos = radii > 0.0
-        rp, integral, e = radii[pos], integral[pos], e[pos]
-        eprime = -c * (mass_hat[pos] * rp**d) / rp ** (d - 1)
-        lhs = FOUR_PI * c * integral
+        rp, lhs, e, m = radii[pos], lhs[pos], e[pos], m[pos]
+        eprime = -c * m / rp ** (d - 1)
         t1 = 0.5 * eprime**2 * rp**d
         t2 = FOUR_PI * c**2 * config.rho_of_enthalpy(e) ** g * rp**d
         t3 = 0.5 * (d - 2.0) * eprime * e * rp ** (d - 1)
-        scale = np.max(np.abs((lhs, t1, t2, t3)), axis=0)
         out = np.zeros_like(radii)
-        out[pos] = np.divide(lhs - (t1 + t2 + t3), scale, out=np.zeros_like(scale), where=scale > 0)
+        out[pos] = (lhs - (t1 + t2 + t3)) / np.max(np.abs((lhs, t1, t2, t3)), axis=0)
         return out
 
-    @pytest.mark.parametrize("d,gamma", [(30, 2.0), (12, 1.0)])
-    def test_fallback_segments_keep_the_per_radius_rule(self, d, gamma):
-        # the central segments, where s^(d-1) varies most, keep the 5-point
-        # rule on [a, b] and on each [a, r]: up to the first segment that
-        # takes the interpolant, every residual has that rule's bits
-        star = get_liquid(d, gamma, 1e3)
-        nodes = np.append(star.radii, star.end / star.lam)
-        smooth = (d - 1.0) * np.diff(nodes) <= 4.0 * nodes[:-1]
-        assert not smooth[0] and smooth.any()
-        r = np.concatenate([np.linspace(0.0, nodes[np.argmax(smooth)], 65), star.profile().radii[:4]])
-        assert pohozaev_residual(star, r).tobytes() == self._per_radius_rule(star, r).tobytes()
+    @pytest.mark.parametrize("d,gamma,rho0", [(30, 2.0, 1e3), (12, 1.0, 1e3), (30, 1.0, 1.0000001)])
+    def test_matches_a_subdivided_reference(self, d, gamma, rho0):
+        # at high d the weight s^(d-1) is far from a polynomial of degree 9
+        # on the central segments, which the residual integrates exactly
+        # against the interpolant of the smooth factor
+        star = get_liquid(d, gamma, rho0)
+        r = star.profile().radii
+        np.testing.assert_allclose(pohozaev_residual(star, r), self._subdivided_reference(star, r),
+                                   rtol=0, atol=1e-12)
 
     def test_profile_read_matches_the_star_read(self):
         # the harness hands the profile's enthalpy and mass to the residual:
@@ -937,14 +933,14 @@ class TestOneReader:
         assert isinstance(pohozaev_residual(run, min(1.0, p.r_end)), float)
         if star[1] == 2.0:  # the phase plane needs gamma < 2
             return
-        # the run read at the samples is the samples' trajectory: rho has the
-        # same bits, and m = (m / r^d) r^d is two roundings off the sample's;
-        # a compact surface's sample is pinned to the stop level
+        # the run read at the samples is the samples' trajectory: rho and m
+        # have the same bits; a compact surface's sample is pinned to the
+        # stop level
         r = p.radii[1:]
         read = r != p.gas_radius
         off_run, samples = profile_to_phase(run, r), phase_trajectory(p)
         assert off_run.v1[read].tobytes() == samples.v1[read].tobytes()
-        np.testing.assert_allclose(off_run.v2, samples.v2, rtol=4 * np.finfo(float).eps, atol=0)
+        assert off_run.v2.tobytes() == samples.v2.tobytes()
         assert off_run.tau.tobytes() == samples.tau.tobytes()
         scalar = profile_to_phase(run, float(r[0]))
         assert isinstance(scalar.v1, float) and scalar.v1 == off_run.v1[0]
@@ -957,7 +953,7 @@ class TestProfileRange:
         run = get_gas(3, 1.2, 1.0)
         for r in (math.nan, [0.1, math.nan], np.array([[0.1], [math.nan]])):
             with pytest.raises(ValueError, match="outside the star"):
-                run.enthalpy_and_mass_hat_at(r)
+                run.enthalpy_and_mass_at(r)
 
     def test_accepts_grid_ends(self):
         run = get_gas(3, 1.2, 1.0)
@@ -1087,7 +1083,7 @@ class TestScaling:
         assert star.sol is run.sol and star.r0 == run.r0
         assert star.end == star.liquid == run.liquid_radius == star.liquid_radius
         r = np.linspace(0.0, star.liquid_radius, 257)
-        for got, want in zip(star.enthalpy_and_mass_hat_at(r), run.enthalpy_and_mass_hat_at(r)):
+        for got, want in zip(star.enthalpy_and_mass_at(r), run.enthalpy_and_mass_at(r)):
             assert got.tobytes() == want.tobytes()
 
     def test_invalid(self):
@@ -1166,7 +1162,7 @@ class TestExplicitCritical:
         assert float(star.rho_at(0.25)) == pytest.approx(expected, rel=1e-14)
         # independent route: integrate the unit star and read the rescaled star off its run
         scaled = steady.gas_read(StarConfig(3, 1.2, 1.0), r_max=10.0).read(32.0)
-        enthalpy, _ = scaled.enthalpy_and_mass_hat_at(0.25)
+        enthalpy, _ = scaled.enthalpy_and_mass_at(0.25)
         assert float(scaled.config.rho_of_enthalpy(enthalpy)) == pytest.approx(expected, rel=1e-8)
 
     def test_residual_machine_zero(self):
