@@ -10,20 +10,26 @@ default grid is 272 argv: d in {3, 4, 7, 12, 30}, gamma in {1, 1.0001, 1.2,
 1.5, 2(d-1)/d, 1.99, 2} ("threshold" below stands for 2(d-1)/d, and is
 skipped where it equals a listed gamma, as 1.5 at d = 4) and eight rho0 from
 1 + 1e-12 to 1e150.  Prints one CSV row per argv:
-d,gamma,rho0,exit,seconds,cause, cause being stderr's first line where the exit
-is not 0.
+d,gamma,rho0,exit,seconds,verdict,theorem,cause: verdict is the one printed
+on exit 0, theorem is Stable where gamma >= 2(d-1)/d (the paper proves every
+liquid star linearly stable there) and blank elsewhere,
+and cause is stderr's first line where the exit is not 0.  At the end,
+stderr reports how many exit-0 rows print a verdict that contradicts their
+theorem cell.
 """
 
 import argparse
 import contextlib
 import csv
 import io
+import json
 import signal
 import sys
 import time
 import warnings
 
 from lanemden import cli
+from lanemden.config import stability_threshold
 
 DIMS = "3,4,7,12,30"
 GAMMAS = "1,1.0001,1.2,1.5,threshold,1.99,2"
@@ -56,19 +62,25 @@ def grid(dims: str = DIMS, gammas: str = GAMMAS, rho0s: str = RHO0S):
                 yield str(d), gamma, rho0
 
 
+def theorem(d: str, gamma: str) -> str:
+    """The verdict the theorem gives: Stable where gamma >= 2(d-1)/d, "" (none) elsewhere."""
+    return "Stable" if float(gamma) >= stability_threshold(int(d)) else ""
+
+
 def probe(d: str, gamma: str, rho0: str, mesh: int, budget: float):
-    """One `stability` argv in process: (exit code, seconds, stderr).
+    """One `stability` argv in process: (exit code, seconds, stderr, verdict).
 
     The exit code is main's, or -1 when a warning, an exception or the
-    budget's alarm escapes it; stderr then names what escaped.
+    budget's alarm escapes it; stderr then names what escaped.  verdict is
+    the one stdout prints on exit 0, "" otherwise.
     """
     argv = ["stability", "--d", d, "--gamma", gamma, "--rho0", rho0, "--mesh", str(mesh)]
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)
     t0 = time.perf_counter()
     try:
         signal.setitimer(signal.ITIMER_REAL, budget)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(argv)
@@ -81,7 +93,8 @@ def probe(d: str, gamma: str, rho0: str, mesh: int, budget: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    return code, time.perf_counter() - t0, err.getvalue()
+    seconds = time.perf_counter() - t0
+    return code, seconds, err.getvalue(), json.loads(out.getvalue())["verdict"] if code == 0 else ""
 
 
 def main() -> int:
@@ -93,11 +106,19 @@ def main() -> int:
     args = parser.parse_args()
 
     out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["d", "gamma", "rho0", "exit", "seconds", "cause"])
+    out.writerow(["d", "gamma", "rho0", "exit", "seconds", "verdict", "theorem", "cause"])
+    contradicted = decided = 0
     for d, gamma, rho0 in grid(args.dims, args.gammas, args.rho0s):
-        code, seconds, err = probe(d, gamma, rho0, args.mesh, BUDGET)
-        out.writerow([d, gamma, rho0, code, f"{seconds:.3f}", err.splitlines()[0] if code != 0 and err else ""])
+        code, seconds, err, verdict = probe(d, gamma, rho0, args.mesh, BUDGET)
+        stated = theorem(d, gamma)
+        if code == 0 and stated:
+            decided += 1
+            contradicted += verdict != stated
+        out.writerow([d, gamma, rho0, code, f"{seconds:.3f}", verdict, stated,
+                      err.splitlines()[0] if code != 0 and err else ""])
         sys.stdout.flush()
+    print(f"theorem: {contradicted} of {decided} exit-0 rows with a theorem cell contradict it",
+          file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -108,9 +108,13 @@ class StarConfig:
         """rho^(gamma-1) from the enthalpy wherever rho >= 0: w itself for gamma > 1, and 1 at gamma = 1."""
         return 1.0 if self.isothermal else enthalpy
 
-    def scalar_rho(self) -> Callable[[float], float]:
-        """rho_of_enthalpy for one Python float, as the integrator's right-hand side calls it."""
+    def scalar_rho(self) -> Tuple[str, Dict[str, float]]:
+        """rho_of_enthalpy of the float a as source, and the parameters the source reads.
+
+        The integrator's right-hand side inlines it (steady._integrate):
+        math.exp(a) at gamma = 1, or a ** alpha, alpha = 1/(gamma-1), where
+        a > 0 and 0.0 elsewhere.
+        """
         if self.isothermal:
-            return math.exp
-        alpha = 1.0 / (self.gamma - 1.0)
-        return lambda w: w**alpha if w > 0.0 else 0.0
+            return "math.exp(a)", {}
+        return "(a ** alpha if a > 0.0 else 0.0)", {"alpha": 1.0 / (self.gamma - 1.0)}

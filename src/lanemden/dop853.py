@@ -9,29 +9,37 @@ exponent -1/8, the Hairer-Wanner initial-step heuristic), as in scipy's
 DOP853, so the two take the same steps up to rounding.
 
 Stepping a 2-vector through numpy costs far more in call overhead than in
-arithmetic, so the stages are combined in plain Python on the two components.
-At import the tableau rows are turned into straight-line code over local
-floats (_compile_kernels): each stage, the order-8 weights, the two error
-sums and the 3 dense stages is one expression 0.0 + c k_j0 + c k_j1 + ...
-in the row's order, so a step costs about its arithmetic and gives the bits
-a loop over the row would.  The dense output of all accepted steps is kept
-once, component-major: coeffs[i, c] is the contiguous row of the i-th
-coefficient of component c over the steps.  It is evaluated at ascending
-radii: each step's run of radii is located by one search of the radii per
-step boundary, and each coefficient row is repeated over those runs, so a
-radius costs its Horner arithmetic and no search or gather of its own.  A run
-is only its steps: the stepper ends after the step where the first component
-falls through a stop level, without rooting it, and every crossing, the
-stop's included, is found after the run on the dense output
-(DenseSolution.crossing) with brentq, a port of scipy's Brent root-finder
-kept here so that no part of scipy.optimize loads.
+arithmetic, so a run is stepped in plain Python on the two components, and
+the right-hand side is given as source: statements that set the slopes fa,
+fb from t, a, b and named parameters (solve).  Each source is compiled, on
+its first run in a process, into one function that holds the whole step
+loop as straight-line code over local floats (_compiled): the source is
+inlined at each of the 15 stages, and each stage sum, the order-8 weights
+and the two error sums is one expression 0.0 + c k_j0 + c k_j1 + ... in the
+row's order, so a step costs about its arithmetic, makes no call for a
+slope, and gives the bits a loop over the row would.  The starting slope
+and step come from the same source compiled as a plain function.
+
+The dense output of all accepted steps is kept once, component-major:
+coeffs[i, c] is the contiguous row of the i-th coefficient of component c
+over the steps.  It is evaluated at ascending radii: each step's run of
+radii is located by one search of the radii per step boundary, and each
+coefficient row is repeated over those runs, so a radius costs its Horner
+arithmetic and no search or gather of its own.  A run is only its steps:
+the stepper ends after the step where the first component falls through a
+stop level, without rooting it, and every crossing, the stop's included, is
+found after the run on the dense output (DenseSolution.crossing) with
+brentq, a port of scipy's Brent root-finder kept here so that no part of
+scipy.optimize loads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -297,46 +305,132 @@ def _names(k: str, n: int) -> str:
     return ", ".join(f"{k}{j}" for j in range(n))
 
 
-def _stage(s: int) -> str:
-    """Source of stage s: the slopes ka{s}, kb{s} at t + C[s] h."""
-    return (
-        f"    ka{s}, kb{s} = rhs(t + {_C[s]!r} * h, a + ({_sum(_ROWS[s], 'ka')}) * h, "
-        f"b + ({_sum(_ROWS[s], 'kb')}) * h)"
-    )
+# The step loop of one right-hand side, as a template: $-fields are filled by
+# _compiled.  The loop's own names start with an underscore; t, a, b, fa and
+# fb are the source's, set at each stage.
+_LOOP = """\
+def _steps(_t, _a, _b, _ka0, _kb0, _h_abs, _t_bound, _rtol, _atol, _stop, _max_steps, _block$params):
+    _nfev = 2
+    _n_steps = 0
+    _blocks = []  # float64 arrays of _block step records each
+    _records = []  # the records since the last block, as tuples
+    while _t < _t_bound:
+        if _n_steps == _max_steps:
+            raise RuntimeError(
+                f"step budget exhausted: {_max_steps} accepted steps (dop853.MAX_STEPS) "
+                f"reached r = {_t:.17g} of {_t_bound:.17g}"
+            )
+        _min_step = 10.0 * (math.nextafter(_t, math.inf) - _t)
+        _h_abs = max(_h_abs, _min_step)
+        _rejected = False
+        while True:
+            if _h_abs < _min_step:
+                raise RuntimeError(f"required step size fell below the float spacing at r = {_t:.17g}")
+            _t_new = min(_t + _h_abs, _t_bound)
+            _h = _t_new - _t
+            _h_abs = _h
+$trial
+            _nfev += $n_stages
+            _scale_a = _atol + max(abs(_a), abs(_a_new)) * _rtol
+            _scale_b = _atol + max(abs(_b), abs(_b_new)) * _rtol
+            _e5a = ($e5a) / _scale_a
+            _e5b = ($e5b) / _scale_b
+            _e3a = ($e3a) / _scale_a
+            _e3b = ($e3b) / _scale_b
+            _err5 = _e5a * _e5a + _e5b * _e5b
+            _err3 = _e3a * _e3a + _e3b * _e3b
+            if _err5 == 0.0 and _err3 == 0.0:
+                _error_norm = 0.0
+            else:
+                _error_norm = _h_abs * _err5 / math.sqrt((_err5 + 0.01 * _err3) * 2.0)
+            if _error_norm < 1.0:
+                if _error_norm == 0.0:
+                    _factor = $max_factor
+                else:
+                    _factor = min($max_factor, $safety * _error_norm ** $exponent)
+                if _rejected:
+                    _factor = min(1.0, _factor)
+                _h_abs *= _factor
+                break
+            # NaN and inf norms land here too and shrink the step by 1/5
+            _h_abs *= max($min_factor, $safety * _error_norm ** $exponent)
+            _rejected = True
+        if not (math.isfinite(_a_new) and math.isfinite(_b_new)):
+            raise RuntimeError(f"non-finite state at r = {_t_new:.17g}")
+$dense
+        _nfev += $n_dense
+        _records.append(($record))
+        _n_steps += 1
+        if len(_records) == _block:
+            _blocks.append(np.array(_records))
+            _records = []
+        if _stop is not None and _a >= _stop >= _a_new:
+            break
+        _t, _a, _b, _ka0, _kb0 = _t_new, _a_new, _b_new, _ka$n_stages, _kb$n_stages
+    if _records:
+        _blocks.append(np.array(_records))
+    return _blocks, _t_new, _nfev
 
 
-def _compile_kernels():
-    """The straight-line kernels of one step, generated from _ROWS, _E5, _E3 and _D.
+def _rhs(t, a, b$params):
+$source
+    return fa, fb
+"""
 
-    _trial_step(rhs, t, h, a, b, ka0, kb0) evaluates stages 1-11, the
-    order-8 solution and f there, and returns (a_new, b_new, e5a, e5b, e3a,
-    e3b, ka, kb): the unscaled order-5 and order-3 error sums of each
-    component and the 13 slopes of each.  _dense_stages(rhs, t, h, a, b, ka,
-    kb) adds the 3 stages of the dense output and returns all 32 slopes,
-    those of a first.
+
+def _point(s: int, source: str, t: str, a: str, b: str):
+    """Lines that run source at the point (t, a, b), each given as source, keeping fa, fb as _ka{s}, _kb{s}."""
+    return [f"t = {t}", f"a = {a}", f"b = {b}", *source.splitlines(), f"_ka{s}, _kb{s} = fa, fb"]
+
+
+def _stage(s: int, source: str):
+    """Lines of stage s: the slopes at t + C[s] h and y + h times row s of the tableau."""
+    return _point(s, source, f"_t + {_C[s]!r} * _h", f"_a + ({_sum(_ROWS[s], '_ka')}) * _h",
+                  f"_b + ({_sum(_ROWS[s], '_kb')}) * _h")
+
+
+def _indent(lines, n: int) -> str:
+    return "\n".join(" " * n + line for line in lines)
+
+
+@functools.cache
+def _compiled(source: str, names: Tuple[str, ...]):
+    """The step loop of one right-hand side and the right-hand side alone: (_steps, _rhs).
+
+    source is statements that set the slopes fa, fb from t, a, b, the
+    parameters names and the module math; the names it sets of its own
+    must not start with an underscore, as the loop's do.  The loop is _LOOP
+    with the source inlined at each of the 15 stages: straight-line code
+    over local floats, each stage sum, the order-8 weights and the two
+    error sums one expression of _sum.  _rhs(t, a, b, *params) is the
+    source as a plain function, returning (fa, fb).  Compiled once per
+    source and process, on first use.
     """
+    for name in names:
+        if not name.isidentifier() or name.startswith("_") or name in ("t", "a", "b", "fa", "fb"):
+            raise ValueError(f"bad parameter name {name!r}")
     n, m = N_STAGES, N_STAGES_EXTENDED
-    lines = [
-        "def _trial_step(rhs, t, h, a, b, ka0, kb0):",
-        *(_stage(s) for s in range(1, n)),
-        f"    a_new = a + h * ({_sum(_ROWS[n], 'ka')})",
-        f"    b_new = b + h * ({_sum(_ROWS[n], 'kb')})",
-        f"    ka{n}, kb{n} = rhs(t + h, a_new, b_new)",
-        "    return (a_new, b_new,",
-        *(f"            {_sum(row, k)}," for row in (_E5, _E3) for k in ("ka", "kb")),
-        f"            ({_names('ka', n + 1)}), ({_names('kb', n + 1)}))",
-        "def _dense_stages(rhs, t, h, a, b, ka, kb):",
-        f"    {_names('ka', n + 1)} = ka",
-        f"    {_names('kb', n + 1)} = kb",
-        *(_stage(s) for s in range(n + 1, m)),
-        f"    return ({_names('ka', m)}, {_names('kb', m)})",
+    trial = [line for s in range(1, n) for line in _stage(s, source)] + [
+        f"_a_new = _a + _h * ({_sum(_ROWS[n], '_ka')})",
+        f"_b_new = _b + _h * ({_sum(_ROWS[n], '_kb')})",
+        *_point(n, source, "_t + _h", "_a_new", "_b_new"),
     ]
-    namespace = {}
-    exec(compile("\n".join(lines), "<dop853 kernels>", "exec"), namespace)
-    return namespace["_trial_step"], namespace["_dense_stages"]
-
-
-_trial_step, _dense_stages = _compile_kernels()
+    fields = dict(
+        params="".join(", " + name for name in names),
+        source=_indent(source.splitlines(), 4),
+        trial=_indent(trial, 12),
+        dense=_indent([line for s in range(n + 1, m) for line in _stage(s, source)], 8),
+        n_stages=str(n),
+        n_dense=str(m - n - 1),
+        e5a=_sum(_E5, "_ka"), e5b=_sum(_E5, "_kb"), e3a=_sum(_E3, "_ka"), e3b=_sum(_E3, "_kb"),
+        safety=repr(SAFETY), min_factor=repr(MIN_FACTOR), max_factor=repr(MAX_FACTOR),
+        exponent=repr(ERROR_EXPONENT),
+        record=", ".join(["_t, _h, _a, _b, _a_new, _b_new", _names("_ka", m), _names("_kb", m)]),
+    )
+    namespace = {"math": math, "np": np}
+    text = re.sub(r"\$(\w+)", lambda field: fields[field[1]], _LOOP)
+    exec(compile(text, "<dop853 step loop>", "exec"), namespace)
+    return namespace["_steps"], namespace["_rhs"]
 
 
 @dataclass(frozen=True)
@@ -557,8 +651,8 @@ def _rms(u: float, v: float) -> float:
     return math.sqrt(u * u + v * v) / math.sqrt(2.0)
 
 
-def _initial_step(rhs, t0, a, b, fa, fb, t_bound, rtol, atol) -> float:
-    """Hairer-Wanner starting step for an order-7 error estimator (II.4)."""
+def _initial_step(rhs, params, t0, a, b, fa, fb, t_bound, rtol, atol) -> float:
+    """Hairer-Wanner starting step for an order-7 error estimator (II.4); rhs(t, a, b, *params)."""
     interval = t_bound - t0
     sa = atol + abs(a) * rtol
     sb = atol + abs(b) * rtol
@@ -566,7 +660,7 @@ def _initial_step(rhs, t0, a, b, fa, fb, t_bound, rtol, atol) -> float:
     d1 = _rms(fa / sa, fb / sb)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    ga, gb = rhs(t0 + h0, a + h0 * fa, b + h0 * fb)
+    ga, gb = rhs(t0 + h0, a + h0 * fa, b + h0 * fb, *params)
     d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -576,7 +670,8 @@ def _initial_step(rhs, t0, a, b, fa, fb, t_bound, rtol, atol) -> float:
 
 
 def solve(
-    rhs: Callable[[float, float, float], Tuple[float, float]],
+    source: str,
+    params: Mapping[str, object],
     t0: float,
     y0: Sequence[float],
     t_bound: float,
@@ -584,8 +679,12 @@ def solve(
     atol: float,
     stop: Optional[float] = None,
 ) -> DenseSolution:
-    """Integrate (a, b)' = rhs(t, a, b) from t0 up to t_bound > t0.
+    """Integrate (a, b)' = (fa, fb) from t0 up to t_bound > t0.
 
+    source is Python statements that set the slopes fa, fb from t, a, b,
+    the named parameters params (floats, or anything the source calls) and
+    the module math; "fa = b\nfb = -a" is the harmonic oscillator.  Each
+    source is compiled into one step loop on its first run (_compiled).
     The local error of each step is kept below atol + rtol |y| per component
     (rtol is raised to 100 eps if smaller).  When stop is given, the run ends
     after the first step that starts at or above stop and ends at or below
@@ -601,76 +700,16 @@ def solve(
         raise ValueError(f"t_bound must exceed t0, got {t0} and {t_bound}")
     rtol = max(float(rtol), 100.0 * EPS)
     a, b = (float(v) for v in y0)
-    fa, fb = rhs(t, a, b)
+    steps, rhs = _compiled(source, tuple(params))
+    values = tuple(params.values())
+    fa, fb = rhs(t, a, b, *values)
     if not all(map(math.isfinite, (a, b, fa, fb))):
-        # a NaN step size never falls below min_step: the loop below would not exit
+        # a NaN step size never falls below min_step: the step loop would not exit
         raise RuntimeError(f"non-finite start at r = {t:.17g}: y, y' = {a!r}, {b!r}, {fa!r}, {fb!r}")
-    h_abs = _initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
-    nfev = 2
-    n_steps = 0
-    blocks = []  # float64 arrays of RECORD_BLOCK step records each
-    records = []  # the records since the last block, as tuples
-
-    while t < t_bound:
-        if n_steps == MAX_STEPS:
-            raise RuntimeError(
-                f"step budget exhausted: {MAX_STEPS} accepted steps (dop853.MAX_STEPS) "
-                f"reached r = {t:.17g} of {t_bound:.17g}"
-            )
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError(
-                    f"required step size fell below the float spacing at r = {t:.17g}"
-                )
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = h
-
-            a_new, b_new, e5a, e5b, e3a, e3b, ka, kb = _trial_step(rhs, t, h, a, b, fa, fb)
-            nfev += N_STAGES
-
-            scale_a = atol + max(abs(a), abs(a_new)) * rtol
-            scale_b = atol + max(abs(b), abs(b_new)) * rtol
-            e5a, e5b, e3a, e3b = e5a / scale_a, e5b / scale_b, e3a / scale_a, e3b / scale_b
-            err5 = e5a * e5a + e5b * e5b
-            err3 = e3a * e3a + e3b * e3b
-            if err5 == 0.0 and err3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
-
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            # NaN and inf norms land here too and shrink the step by 1/5
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-            rejected = True
-
-        if not (math.isfinite(a_new) and math.isfinite(b_new)):
-            raise RuntimeError(f"non-finite state at r = {t_new:.17g}")
-
-        k = _dense_stages(rhs, t, h, a, b, ka, kb)
-        nfev += N_STAGES_EXTENDED - N_STAGES - 1
-        records.append((t, h, a, b, a_new, b_new) + k)
-        n_steps += 1
-        if len(records) == RECORD_BLOCK:
-            blocks.append(np.array(records))
-            records = []
-        if stop is not None and a >= stop >= a_new:
-            break
-        t, a, b, fa, fb = t_new, a_new, b_new, ka[N_STAGES], kb[N_STAGES]
-
-    if records:
-        blocks.append(np.array(records))
+    h_abs = _initial_step(rhs, values, t, a, b, fa, fb, t_bound, rtol, atol)
+    # the budget and the block size are read as the run starts
+    blocks, t_new, nfev = steps(t, a, b, fa, fb, h_abs, t_bound, rtol, atol, stop, MAX_STEPS, RECORD_BLOCK,
+                                *values)
     rec = np.concatenate(blocks)
     del blocks  # freed before the dense coefficients are computed
     return DenseSolution(

@@ -236,6 +236,10 @@ def _mass_scale(config: StarConfig, kappa: float) -> float:
 def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
     """One DOP853 run of config outward from its Taylor seed: (seed radius, solution).
 
+    The right-hand side goes to dop853.solve as source over t = r, a = e
+    and b = m, with the parameters d1 = d - 1, nc = -c and those of
+    StarConfig.scalar_rho: the w-form (rho = w^alpha) or the h-form
+    (rho = exp(h)), so that every run steps in one of two compiled loops.
     The run stops after the step where the enthalpy falls through stop
     (config.gas_stop for a gas run, config.boundary_enthalpy for a liquid
     one), or at r_max.  Raises RuntimeError when the seed overflows
@@ -263,12 +267,6 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
         r0 = min(r0, 1e-3 * math.sqrt(gap / abs(b)))
     r0 = min(r0, 1e-3 * r_max)
 
-    c, rho_of = config.slope_factor, config.scalar_rho()
-
-    def rhs(r, e, m):
-        rd = r ** (d - 1)
-        return -c * m / rd, FOUR_PI * rd * rho_of(e)
-
     seed = _seed(config, r0)
     if not all(map(math.isfinite, seed)):
         raise RuntimeError(f"the Taylor seed of {config} overflows float64")
@@ -277,8 +275,13 @@ def _integrate(config: StarConfig, tol: float, r_max: float, stop: float):
             f"the Taylor seed radius {r0:.17g} of {config} underflows float64: "
             f"r^{d - 1} rounds to 0 there, and the right-hand side divides by it"
         )
+    # e' = -c m / r^(d-1), m' = 4 pi r^(d-1) rho(e)
+    rho, rho_params = config.scalar_rho()
+    source = f"rd = t ** d1\nfa = nc * b / rd\nfb = {FOUR_PI!r} * rd * {rho}"
+    # d1 a float, so that t ** d1 does not convert d - 1 at every stage (the same pow either way)
+    params = dict(d1=float(d - 1), nc=-config.slope_factor, **rho_params)
     try:
-        sol = dop853.solve(rhs, r0, seed, r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
+        sol = dop853.solve(source, params, r0, seed, r_max, rtol=0.05 * tol, atol=1e-300, stop=stop)
     except RuntimeError as exc:
         raise RuntimeError(
             f"integration failed for {config}: {exc} "
@@ -523,7 +526,8 @@ def gas_read(config: StarConfig, tol: float = 1e-10, r_max: float = 50.0) -> Run
     liquid_radius; the liquid star cut there is liquid_read's.
 
     tol is the delivered relative accuracy of the star; the embedded
-    Runge-Kutta pair (DOP853, see dop853.solve) runs at a 20x stricter
+    Runge-Kutta pair (DOP853, see dop853.solve; its step loop has the
+    right-hand side inlined, see _integrate) runs at a 20x stricter
     per-step tolerance (rtol = 0.05 tol, atol = 1e-300) to absorb global
     error growth.  The run ends after the step that falls through the
     surface or guard; every radius above is a downward crossing of the

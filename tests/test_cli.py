@@ -80,6 +80,18 @@ class TestProfileCommand:
         _, outtext, _ = run_cli(capsys, *argv, "--format", "json")
         assert json.loads(outtext)["diagnostics"] == diag
 
+    @pytest.mark.parametrize("argv,nfev,steps", [
+        (("--gamma", "1.25", "--rho0", "10"), 431, 27),  # 2 rejected trials
+        (("--gamma", "1.0", "--rho0", "1", "--gas"), 866, 56),  # the h-form; 2 rejected trials
+        (("--gamma", "1.5", "--rho0", "0.5", "--gas"), 674, 32),  # 16 rejected trials
+    ], ids=["liquid", "h-form", "rejected-steps"])
+    def test_integrator_counts_are_pinned(self, capsys, argv, nfev, steps):
+        # 2 evaluations to start, 12 a trial step, rejected ones included,
+        # and 3 more an accepted step
+        code, _, err = run_cli(capsys, "profile", "--d", "3", *argv)
+        diag = json.loads(err)
+        assert code == 0 and (diag["nfev"], diag["steps"]) == (nfev, steps)
+
     @staticmethod
     def _strict_json(text):
         """json.loads that rejects NaN and Infinity, which JSON does not have."""

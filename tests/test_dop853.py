@@ -58,8 +58,36 @@ def _spy_on_solve(monkeypatch):
     return calls
 
 
+def _star_rhs(config):
+    """The star's right-hand side, written out here in Python: (e', m') at (r, e, m).
+
+    e' = -c m / r^(d-1) and m' = 4 pi r^(d-1) rho(e), rho(e) being
+    exp(h) at gamma = 1 and w^(1/(gamma-1)) for w > 0, 0 elsewhere: the
+    reference the stepper's source is checked against, so it does not read
+    that source.
+    """
+    d, c = config.d, config.slope_factor
+    if config.isothermal:
+        rho = math.exp
+    else:
+        alpha = 1.0 / (config.gamma - 1.0)
+        rho = lambda w: w**alpha if w > 0.0 else 0.0
+
+    def rhs(r, e, m):
+        rd = r ** (d - 1)
+        return -c * m / rd, 4.0 * math.pi * rd * rho(e)
+
+    return rhs
+
+
+def _problem(config, args):
+    """(rhs, t0, y0, t_bound) of a star's dop853.solve call, rhs the star's own (_star_rhs)."""
+    _, _, t0, y0, t_bound = args
+    return _star_rhs(config), t0, y0, t_bound
+
+
 def _captured_run(monkeypatch, star, kwargs):
-    """Integrate one star and return the stepper's inputs and its solution.
+    """Integrate one star: its profile, (rhs, t0, y0, t_bound), the stepper's options and solution.
 
     kwargs with liquid=True reads the star with liquid_read, otherwise with
     gas_read, and samples it (RunStar.profile).
@@ -69,7 +97,7 @@ def _captured_run(monkeypatch, star, kwargs):
     read = liquid_read if kwargs.pop("liquid", False) else gas_read
     profile = read(StarConfig(*star), tol=1e-10, **kwargs).profile()
     (args, kw, sol), = calls
-    return profile, args, kw, sol
+    return profile, _problem(profile.config, args), kw, sol
 
 
 def _read_levels(config, stop):
@@ -83,12 +111,12 @@ def _read_levels(config, stop):
     return list(dict.fromkeys(levels))
 
 
-def _reference(args, kw, levels):
+def _reference(problem, kw, levels):
     """solve_ivp DOP853 on the same problem and tolerances, with an event per level.
 
     Each event fires on a downward crossing; the one at the stop level is terminal.
     """
-    rhs, t0, y0, t_bound = args
+    rhs, t0, y0, t_bound = problem
     events = []
     for level in levels:
         event = lambda r, y, level=level: y[0] - level
@@ -109,9 +137,9 @@ def _reference(args, kw, levels):
 
 @pytest.mark.parametrize("star,kwargs", CASES, ids=[str(c[0]) for c in CASES])
 def test_matches_solve_ivp(monkeypatch, star, kwargs):
-    profile, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
+    profile, problem, kw, sol = _captured_run(monkeypatch, star, kwargs)
     levels = _read_levels(profile.config, kw["stop"])
-    ref = _reference(args, kw, levels)
+    ref = _reference(problem, kw, levels)
     assert ref.status >= 0
 
     # each level's first fall to 1e-12 relative, and the same levels fall
@@ -155,9 +183,12 @@ def test_compact_surface_event():
     assert profile.enthalpy[-1] == 0.0
 
 
+OSCILLATOR = "fa = b\nfb = -a"
+
+
 def _cosine(t0=0.0, t_bound=15.0, stop=None):
     """a = cos t, b = -sin t: a falls through 0 at pi/2 + 2 pi k and rises at 3 pi/2 + 2 pi k."""
-    return dop853.solve(lambda t, a, b: (b, -a), t0, (math.cos(t0), -math.sin(t0)), t_bound,
+    return dop853.solve(OSCILLATOR, {}, t0, (math.cos(t0), -math.sin(t0)), t_bound,
                         rtol=1e-11, atol=1e-14, stop=stop)
 
 
@@ -219,19 +250,19 @@ def test_non_finite_start_raises():
     for slope, y0 in cases:
         calls.clear()
         with pytest.raises(RuntimeError, match="non-finite start"):
-            dop853.solve(bounded(slope), 0.0, y0, 1.0, rtol=1e-10, atol=1e-12)
+            dop853.solve("fa, fb = f(t, a, b)", dict(f=bounded(slope)), 0.0, y0, 1.0, rtol=1e-10, atol=1e-12)
 
 
 def test_step_size_underflow_raises():
     # y' = y^2, y(0) = 1 blows up at t = 1: the step size must collapse there
     with pytest.raises(RuntimeError, match="step size"):
-        dop853.solve(lambda t, a, b: (a * a, 0.0), 0.0, (1.0, 0.0), 2.0, rtol=1e-10, atol=1e-12)
+        dop853.solve("fa = a * a\nfb = 0.0", {}, 0.0, (1.0, 0.0), 2.0, rtol=1e-10, atol=1e-12)
 
 
 def test_non_finite_state_raises():
     # a constant slope that overflows the state: the error estimate stays 0
     with pytest.raises(RuntimeError, match="non-finite"):
-        dop853.solve(lambda t, a, b: (1e300, 0.0), 0.0, (1.7e308, 0.0), 1e12, rtol=1e-10, atol=1e-300)
+        dop853.solve("fa = 1e300\nfb = 0.0", {}, 0.0, (1.7e308, 0.0), 1e12, rtol=1e-10, atol=1e-300)
 
 
 def test_step_budget(monkeypatch):
@@ -272,7 +303,7 @@ def test_records_packed_in_blocks_keep_the_bits(monkeypatch, run):
 
 def test_oscillator_closed_form():
     # a'' = -a through a few periods: the dense output follows cos and -sin
-    sol = dop853.solve(lambda t, a, b: (b, -a), 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)
+    sol = dop853.solve(OSCILLATOR, {}, 0.0, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14)
     t = np.linspace(0.0, 20.0, 501)
     assert np.max(np.abs(sol(t) - np.array([np.cos(t), -np.sin(t)]))) <= 1e-9
     assert sol.ts[-1] == 20.0
@@ -332,12 +363,50 @@ def test_import_leaves_numpy_polynomial_out(commands):
     assert ast.literal_eval(out.stdout.strip()) == []
 
 
-# The loop-form stepper that the straight-line kernels replaced, kept as a
-# bitwise reference: stage sums accumulated in loops over the sparse tableau
-# rows, every level's crossings found inside the loop (one
-# _dense_coefficients call per hit, a terminal level ending the run), and
-# dense output gathered step-major, (n, 7, 2), and nested by a generic Horner
-# loop.
+def test_step_loops_compiled_on_first_use():
+    # importing the package compiles no step loop; a run compiles its
+    # source's loop once per process: the w-form at gamma = 1.25, the h-form
+    # at gamma = 1
+    code = (
+        "import contextlib, io, lanemden\n"
+        "from lanemden import cli, dop853\n"
+        "compiled = [dop853._compiled.cache_info().currsize]\n"
+        "for gamma in ('1.25', '1', '1.25', '1'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(['profile', '--d', '3', '--gamma', gamma, '--rho0', '10']) == 0\n"
+        "    compiled.append(dop853._compiled.cache_info().currsize)\n"
+        "print(compiled)"
+    )
+    src = str(Path(lanemden.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert ast.literal_eval(out.stdout.strip()) == [0, 1, 2, 2, 2]
+
+
+def test_callable_parameter_keeps_the_bits():
+    # a source that calls a Python right-hand side steps as the same
+    # right-hand side written as source does
+    inline = _cosine(stop=-0.5)
+    called = dop853.solve("fa, fb = f(t, a, b)", dict(f=lambda t, a, b: (b, -a)), 0.0, (1.0, -0.0), 15.0,
+                          rtol=1e-11, atol=1e-14, stop=-0.5)
+    for name in ("ts", "ys", "h", "coeffs"):
+        assert getattr(called, name).tobytes() == getattr(inline, name).tobytes(), name
+    assert called.nfev == inline.nfev
+
+
+@pytest.mark.parametrize("name", ["_h", "t", "fa", "not a name"])
+def test_parameter_names_that_clash_are_refused(name):
+    with pytest.raises(ValueError, match="parameter name"):
+        dop853.solve(OSCILLATOR, {name: 1.0}, 0.0, (1.0, 0.0), 1.0, rtol=1e-10, atol=1e-12)
+
+
+# The loop-form stepper that the generated step loops replaced, kept as a
+# bitwise reference: a Python right-hand side called at each stage (for a
+# star, _star_rhs, not the library's source), stage sums accumulated in
+# loops over the sparse tableau rows, every level's crossings found inside
+# the loop (one _dense_coefficients call per hit, a terminal level ending
+# the run), and dense output gathered step-major, (n, 7, 2), and nested by a
+# generic Horner loop.
 
 
 def _reference_coefficients(records):
@@ -371,7 +440,7 @@ def _reference_solve(rhs, t0, y0, t_bound, rtol, atol, events=()):
     rtol = max(float(rtol), 100.0 * eps)
     a, b = (float(v) for v in y0)
     fa, fb = rhs(t, a, b)
-    h_abs = dop853._initial_step(rhs, t, a, b, fa, fb, t_bound, rtol, atol)
+    h_abs = dop853._initial_step(rhs, (), t, a, b, fa, fb, t_bound, rtol, atol)
     nfev = 2
     rows, cs = dop853._ROWS, dop853._C
     ka, kb = [0.0] * n_ext, [0.0] * n_ext
@@ -516,6 +585,7 @@ BITWISE_CASES = {
     "compact-surface": ((3, 1.3, 0.5), dict(r_max=20.0)),
     "d=30": ((30, 1.9, 1e15), dict(r_max=50.0, liquid=True)),
     "rho0=1+1e-9": ((3, 1.25, 1.0 + 1e-9), dict(r_max=50.0, liquid=True)),
+    "gamma=1-liquid": ((3, 1.0, 50.0), dict(r_max=50.0, liquid=True)),
     "rejected-steps": ((3, 1.5, 0.5), dict(r_max=20.0)),
 }
 
@@ -523,10 +593,10 @@ BITWISE_CASES = {
 @pytest.mark.parametrize("name", list(BITWISE_CASES))
 def test_straight_line_stepper_matches_loop_reference_bitwise(monkeypatch, name):
     star, kwargs = BITWISE_CASES[name]
-    profile, args, kw, sol = _captured_run(monkeypatch, star, kwargs)
+    profile, problem, kw, sol = _captured_run(monkeypatch, star, kwargs)
     levels = _read_levels(profile.config, kw["stop"])
     events = [(level, level == kw["stop"]) for level in levels]
-    ref = _reference_solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=events)
+    ref = _reference_solve(*problem, rtol=kw["rtol"], atol=kw["atol"], events=events)
     _assert_bitwise(sol, ref, levels)
     if name == "rejected-steps":
         accepted = (dop853.N_STAGES_EXTENDED - 1) * sol.n_steps
@@ -544,8 +614,8 @@ def test_line_run_matches_loop_reference_bitwise(monkeypatch):
     (args, kw, sol), = calls
     levels = [(x / top.rho_center) ** (1.0 - top.gamma) for x in densities] + [kw["stop"]]
     events = [(level, level == kw["stop"]) for level in levels]
-    _assert_bitwise(sol, _reference_solve(*args, rtol=kw["rtol"], atol=kw["atol"], events=events),
-                    levels)
+    ref = _reference_solve(*_problem(top, args), rtol=kw["rtol"], atol=kw["atol"], events=events)
+    _assert_bitwise(sol, ref, levels)
     roots = [sol.crossing(level) for level in levels[:8]]
     steps = np.searchsorted(sol.ts, roots)
     assert None not in roots and len(set(steps.tolist())) < 8

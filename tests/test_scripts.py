@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +27,9 @@ HEADERS = {
     "run_mass_radius.py": "rho0,R,M,mu_star,verdict,mass_slope",
     "run_phase_diagram.py": "rho0,R,M,mu_star,verdict",
     "run_tail_study.py": "r,v1,v2,rel_dev_v1",
-    "run_domain_probe.py": "d,gamma,rho0,exit,seconds,cause",
+    "run_domain_probe.py": "d,gamma,rho0,exit,seconds,verdict,theorem,cause",
 }
-TEXT_COLUMNS = {"verdict", "mass_slope", "cause"}
+TEXT_COLUMNS = {"verdict", "mass_slope", "theorem", "cause"}
 
 
 def test_every_script_has_a_tiny_input():
@@ -77,6 +78,10 @@ def test_script_prints_csv(name):
             ("1.5", "1.5", "0"), ("1.5", "1e150", "0"), ("1.3333333333333333", "1.5", "0"),
             ("1.3333333333333333", "1e150", "2")]
         assert rows[-1]["cause"].startswith("numerical failure: ")
+        assert [(row["verdict"] != "", row["theorem"]) for row in rows] == [
+            (True, "Stable"), (True, "Stable"), (True, "Stable"), (False, "Stable")]
+        count = r"^theorem: \d+ of 3 exit-0 rows with a theorem cell contradict it$"
+        assert re.search(count, out.stderr, re.M)
     if name == "run_mass_radius.py":
         (rows,) = blocks
         assert len(rows) == 4 and {row["verdict"] for row in rows} <= {"Stable", "Unstable"}
@@ -105,18 +110,30 @@ def test_domain_probe_grid_exits_cleanly():
     probe = _domain_probe()
     exits = []
     for d, gamma, rho0 in probe.grid("3,7,30", "1,1.5,threshold,2", "1.0000001,1.5,1e8,1e150"):
-        code, seconds, err = probe.probe(d, gamma, rho0, mesh=64, budget=2.0)
+        code, seconds, err, verdict = probe.probe(d, gamma, rho0, mesh=64, budget=2.0)
         label = (d, gamma, rho0)
         assert code in (0, 2), (label, err)
         assert seconds < 2.0, label
         if code == 0:
             assert err == "", (label, err)
+            assert verdict in ("Stable", "Unstable"), label
         else:
             (line,) = err.splitlines()
             assert line.startswith("numerical failure: "), (label, err)
             assert any(cause in line for cause in PROBE_CAUSES), (label, err)
         exits.append(code)
     assert len(exits) == 48 and 0 < exits.count(2) < 12
+
+
+def test_domain_probe_theorem_column():
+    # Stable where gamma >= 2(d-1)/d, the threshold itself included; blank
+    # below it, one float spacing below included
+    theorem = _domain_probe().theorem
+    assert [theorem("3", g) for g in ("1", "1.333333333333333", "1.3333333333333333", "1.5", "2")] == [
+        "", "", "Stable", "Stable", "Stable"]
+    assert [theorem("7", g) for g in ("1.714285714285714", "1.7142857142857142", "1.99")] == [
+        "", "Stable", "Stable"]
+    assert [theorem("30", g) for g in ("1.9", repr(2.0 * 29 / 30), "2")] == ["", "Stable", "Stable"]
 
 
 def test_domain_probe_default_grid_has_no_duplicates():

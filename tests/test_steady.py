@@ -474,7 +474,7 @@ class TestRefinedGrid:
         "steps,n_target",
         [
             # the step boundaries of an adaptive run
-            (dop853.solve(lambda t, a, b: (b, -a), 0.1, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14).ts, 2048),
+            (dop853.solve("fa = b\nfb = -a", {}, 0.1, (1.0, 0.0), 20.0, rtol=1e-11, atol=1e-14).ts, 2048),
             # steps far shorter than the quantum: 4 pieces each
             (np.array([0.5, 0.5000001, 0.5000002, 0.6]), 8192),
             # lengths spread over ten decades, and a single long step
